@@ -639,7 +639,9 @@ let () =
     let layers =
       if a.traced then begin
         let l, (bad, overrun) = traced_layers a ~wire p in
-        if bad > 0 || overrun > 0 then
+        (* a GC slice or a preemption can land between two spans of any
+           one operation; the accounting fails when more than 1% do *)
+        if 100 * bad > Array.length wire.inproc || overrun > 0 then
           note ck "span accounting: %d operations outside tolerance, %d overrun spans"
             bad overrun;
         l

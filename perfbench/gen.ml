@@ -119,8 +119,17 @@ module Read_paths = struct
     p "X[bossCity -> C] <- X.boss.city[C].\n";
     (Buffer.contents b, boss)
 
-  (* The distinct-request population, in a seeded rank order. *)
+  (* The distinct-request population, in popularity order. The query
+     shapes differ in cost by orders of magnitude, so which shape sits at
+     which rank must not depend on the seed: ranks cycle through the
+     shapes in a fixed order, a manager or city query follows every sixth
+     employee, and a fixed stride walks the employees so that every
+     popularity band mixes shallow and deep mentor chains. The seed moves
+     only the stride's starting point (and, through [program], the facts
+     themselves). *)
   let population seed boss =
+    let start = Random.State.int (rng seed 2) employees in
+    let employee i = 1 + ((start + (i * 367)) mod employees) in
     let per_employee k =
       [
         Query (Printf.sprintf "e%d..vehicles : automobile.color[Z]" k);
@@ -134,24 +143,30 @@ module Read_paths = struct
              (max 1 (boss.(k) / 2)));
       ]
     in
-    let l =
-      List.concat (List.init employees (fun i -> per_employee (i + 1)))
-      @ List.init managers (fun j ->
-            Query (Printf.sprintf "X : employee[boss -> m%d].mentor+[Y]" (j + 1)))
-      @ List.concat
-          (List.init cities (fun j ->
-               [
-                 Query (Printf.sprintf "X : driver[bossCity -> city%d]" (j + 1));
-                 Query
-                   (Printf.sprintf
-                      "X : employee[city -> city%d]..vehicles : \
-                       automobile.producedBy[city -> C]"
-                      (j + 1));
-               ]))
+    let by_manager =
+      Array.init managers (fun j ->
+          Query (Printf.sprintf "X : employee[boss -> m%d].mentor+[Y]" (j + 1)))
+    and by_city =
+      Array.concat
+        (List.init cities (fun j ->
+             [|
+               Query (Printf.sprintf "X : driver[bossCity -> city%d]" (j + 1));
+               Query
+                 (Printf.sprintf
+                    "X : employee[city -> city%d]..vehicles : \
+                     automobile.producedBy[city -> C]"
+                    (j + 1));
+             |]))
     in
-    let a = Array.of_list l in
-    shuffle (rng seed 2) a;
-    a
+    (* extra j, for j < 100: two manager queries in every five *)
+    let extra j =
+      if j mod 5 < 2 then by_manager.((2 * (j / 5)) + (j mod 5))
+      else by_city.((3 * (j / 5)) + (j mod 5) - 2)
+    in
+    Array.of_list
+      (List.concat
+         (List.init employees (fun i ->
+              per_employee (employee i) @ if i mod 6 = 5 then [ extra (i / 6) ] else [])))
 
   (* [n] requests split over two connections; warm-up streams draw from
      the same distribution under a different salt. *)

@@ -2,16 +2,18 @@
 
    bench.exe --workload W --seed N --seconds S --trace 0|1 --cli PATH --work DIR
 
-   Starts the real server (PATH serve ...) as its own process, sets it
-   up several times to time the set-up, warms it, and drives it from two
-   client connections in a closed loop, each replaying a fixed seeded
-   stream of requests (the stream length is a fixed function of S, never
-   of elapsed time). Every reply is checked against an in-process oracle
-   over the same generated program. Then the server is stopped
-   gracefully and restarted to time restart-to-ready (recovery from
-   --data on write_mix).
+   A run is several rounds. Each round starts the real server (PATH
+   serve ...) as its own process, times its set-up, warms it, and drives
+   it from two client connections in a closed loop, each replaying a
+   fixed seeded stream of requests (the stream length is a fixed
+   function of S, never of elapsed time). Every figure is the median
+   over the rounds, so neither a slow spell of the host nor one server
+   process's luck decides it. Every reply is checked against an
+   in-process oracle over the same generated program. On write_mix the
+   last round's server is then stopped gracefully and restarted on its
+   --data directory to time recovery.
 
-   --trace 1 additionally replays the same seeded operations in-process
+   --trace 1 additionally replays the first round's operations in-process
    with spans around each layer's public functions and prints the
    per-layer metrics; every workload's replay runs, so each layer is
    measured on the workload that exercises it. The last stdout line is
@@ -22,18 +24,27 @@ module Protocol = Pathlog.Protocol
 
 let now = Trace.now
 
-(* Requests per second of --seconds, per workload, at which one run's
-   fixed stream takes about --seconds on a two-core sandbox. *)
-let read_rate = 5000
-let goal_rate = 150
+(* A run is [rounds] rounds, each on a freshly started server; every
+   figure is the median over rounds. A round's measured streams hold
+   --seconds times these rates of requests, split over the rounds, so
+   one run measures for about --seconds on one CPU. *)
+let rounds = 9
+let read_rate = 12000
+let goal_rate = 900
 let write_rate = 100 (* batches *)
 let reader_rate = 600
-let setups = 5
 let restarts = 5
+
+(* Span accounting: an operation of the traced replay is accounted for
+   when no more than [tolerance] of its in-process time, or
+   [tolerance_floor] seconds if that is more, lies outside every layer
+   span. *)
+let tolerance = 0.05
+let tolerance_floor = 10e-6
 
 let e2e_names =
   [ "setup_s"; "throughput_rps"; "latency_p50_ms"; "latency_p95_ms";
-    "server_rss_mb"; "recovery_s" ]
+    "server_rss_mb" ]
 
 let layer_names =
   [
@@ -116,6 +127,19 @@ let filesystem_of dir =
   let fs, dev, _ = !best in
   fs ^ " on " ^ dev
 
+(* The CPUs this process may run on, as /proc/self/status lists them. *)
+let cpus_allowed () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec scan () =
+        match In_channel.input_line ic with
+        | None -> "unknown"
+        | Some l -> (
+          match String.split_on_char ':' l with
+          | [ "Cpus_allowed_list"; v ] -> String.trim v
+          | _ -> scan ())
+      in
+      scan ())
+
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';
@@ -145,59 +169,64 @@ type plan = {
   mix : string;
 }
 
-let plan a ~data =
-  let s = a.seconds and seed = a.seed in
+(* Round [round]'s plan; every round serves the same program, and its
+   streams are drawn under salts of its own. *)
+let plan a ~data ~round =
+  let seed = a.seed and salt k = k + (100 * round) in
+  let per rate = a.seconds * rate / rounds in
   match a.workload with
   | "read_paths" ->
     let text, boss = Gen.Read_paths.program seed in
-    let n = s * read_rate in
+    let n = per read_rate in
     {
       program = text;
       flags = [];
       probe = Gen.Query "e1.boss+[Y]";
-      warm = Gen.Read_paths.streams ~salt:11 seed boss 4096;
-      measured = Gen.Read_paths.streams ~salt:10 seed boss n;
+      warm = Gen.Read_paths.streams ~salt:(salt 11) seed boss 4096;
+      measured = Gen.Read_paths.streams ~salt:(salt 10) seed boss n;
       mix =
-        Printf.sprintf "%d requests, Zipf(%.1f) over %d distinct QUERY/WHY"
-          n Gen.Read_paths.zipf_s
+        Printf.sprintf "%d x %d requests, Zipf(%.1f) over %d distinct QUERY/WHY"
+          rounds n Gen.Read_paths.zipf_s
           (Array.length (Gen.Read_paths.population seed boss));
     }
   | "goal_directed" ->
-    let n = s * goal_rate in
+    let n = per goal_rate in
     let chains = Gen.Goal_directed.chains n in
     {
       program = Gen.Goal_directed.program ~chains;
-      (* domain workers: with the thread pool a first sight (CPU-bound,
-         under the store write lock) holds the runtime lock, and every
-         other session waits for the 50 ms tick *)
-      flags = [ "--demand"; "--jobs"; "2" ];
+      (* one worker: a first sight writes the store's indexes while no
+         read runs beside it. With parallel workers a lock-free read can
+         run while a first sight grows an index table, and a read that
+         meets the table mid-resize misses entries that are there *)
+      flags = [ "--demand"; "--workers"; "1" ];
       probe = Gen.Goal_directed.probe;
-      warm = (Gen.Goal_directed.warm seed, [||]);
-      measured = Gen.Goal_directed.streams ~salt:30 seed n;
+      warm = (Gen.Goal_directed.warm ~salt:(salt 31) seed, [||]);
+      measured = Gen.Goal_directed.streams ~salt:(salt 30) seed n;
       mix =
-        Printf.sprintf "%d bound point queries over %d chains of %d, 1/%d first sight"
-          n chains Gen.Goal_directed.length Gen.Goal_directed.first_sight_every;
+        Printf.sprintf "%d x %d bound point queries over %d chains of %d, 1/%d first sight"
+          rounds n chains Gen.Goal_directed.length Gen.Goal_directed.first_sight_every;
     }
   | _ ->
-    let writes = Gen.Write_mix.writes ~salt:43 seed (s * write_rate / 2) in
-    (* pad the warm-up so the run ends half-way between two snapshots:
+    let writes = Gen.Write_mix.writes ~salt:(salt 43) seed (per write_rate / 2) in
+    (* pad the warm-up so the round ends half-way between two snapshots:
        recovery then always replays the same length of WAL suffix *)
     let every = Pathlog.Server.default_config.snapshot_every in
     let rec warm_writes pairs =
-      let w = Gen.Write_mix.writes ~salt:41 seed pairs in
+      let w = Gen.Write_mix.writes ~salt:(salt 41) seed pairs in
       if (Array.length w + Array.length writes) mod every = every / 2 then w
       else warm_writes (pairs + 1)
     in
-    let nr = s * reader_rate in
+    let nr = per reader_rate in
     {
       program = Gen.Write_mix.program seed;
       flags = [ "--data"; data ];
       probe = Gen.Query "g0a0[reach ->> {Y}]";
-      warm = (warm_writes 8, Gen.Write_mix.reader ~salt:42 seed (nr / 8));
-      measured = (writes, Gen.Write_mix.reader ~salt:44 seed nr);
+      warm = (warm_writes 8, Gen.Write_mix.reader ~salt:(salt 42) seed (nr / 8));
+      measured = (writes, Gen.Write_mix.reader ~salt:(salt 44) seed nr);
       mix =
-        Printf.sprintf "%d ASSERT/RETRACT batches on one connection, %d QUERY on the other"
-          (Array.length writes) nr;
+        Printf.sprintf
+          "%d x (%d ASSERT/RETRACT batches on one connection, %d QUERY on the other)"
+          rounds (Array.length writes) nr;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -286,22 +315,25 @@ let expect ck ok fmt =
 (* The oracle answers every distinct read request once on its own
    in-process program (on goal_directed materialised in full: the
    demand = full-materialisation check). *)
-let check_reads ck oracle samples =
+let answers oracle =
   let memo = Hashtbl.create 4096 in
+  fun op ->
+    match Hashtbl.find_opt memo op with
+    | Some d -> d
+    | None ->
+      let d = Replay.answer oracle op in
+      Hashtbl.replace memo op d;
+      d
+
+let check_reads ck want samples =
   Array.iter
     (fun s ->
-      let want =
-        match Hashtbl.find_opt memo s.op with
-        | Some d -> d
-        | None ->
-          let d = Replay.answer oracle s.op in
-          Hashtbl.replace memo s.op d;
-          d
-      in
+      let want = want s.op in
       match s.reply with
       | Ok r ->
-        expect ck (Replay.reply_digest s.op r = Some want) "%s: wrong answer"
-          (Gen.request s.op)
+        let got = Replay.reply_digest s.op r in
+        expect ck (got = Some want) "%s: %s" (Gen.request s.op)
+          (if got = None then String.trim (Protocol.render_reply r) else "wrong answer")
       | Error e -> expect ck false "%s: %s" (Gen.request s.op) e)
     samples
 
@@ -331,7 +363,7 @@ let write_mix_checks ck a p ~writes ~reads ~subs ~deltas ~recovered =
   let w = Replay.Write.create tr ~dir:(Filename.concat a.work "oracle-data") p.program in
   let warm_w = Array.length (fst p.warm) in
   (* reads touch only ladders no batch writes: one right answer each *)
-  check_reads ck (Replay.Write.program w) reads;
+  check_reads ck (answers (Replay.Write.program w)) reads;
   let expected = ref [] in
   Array.iteri
     (fun i s ->
@@ -392,38 +424,37 @@ let write_mix_checks ck a p ~writes ~reads ~subs ~deltas ~recovered =
   (* the recovered server must answer as the replay's final state *)
   List.iter
     (fun (op, r) ->
-      let want = Replay.Write.read tr w op in
+      let want = Replay.digest op (Replay.Write.read tr w op) in
       expect ck (Replay.reply_digest op r = Some want)
         "after restart %s: wrong answer" (Gen.request op))
     recovered;
   Array.of_list !lags
 
-let run a =
-  let data = Filename.concat a.work "data" in
-  let p = plan a ~data in
-  let program = Filename.concat a.work "program.plg" in
-  Out_channel.with_open_bin program (fun oc -> output_string oc p.program);
-  let log = Filename.concat a.work "server.log" in
-  let fresh () = if a.workload = "write_mix" then Replay.Write.rm_rf data in
-  (* set-up, [setups] times; the last server is the one measured *)
-  let setup_times = Array.make setups 0. in
-  let rec setup i =
-    fresh ();
-    let s, c, dt = start a ~program ~log ~probe:p.probe p.flags in
-    setup_times.(i) <- dt;
-    progress "set-up %d: %.3f s" (i + 1) dt;
-    if i + 1 < setups then begin
-      Wire.close c;
-      stop s;
-      setup (i + 1)
-    end
-    else (s, c)
-  in
-  let srv, ca = setup 0 in
-  let cb = Wire.connect srv.Wire.port in
+(* One round: a fresh server (on write_mix over a fresh data
+   directory), its set-up timed, warmed, then the round's measured
+   streams. *)
+type round = {
+  plan : plan;
+  setup : float;
+  warm_a : sample array;
+  warm_b : sample array;
+  meas_a : sample array;
+  meas_b : sample array;
+  wall : float;
+  subs : (int * string list) array;  (* write_mix: SUBSCRIBE id, baseline *)
+  deltas : (float * Protocol.delta) list;  (* write_mix: in arrival order *)
+  stats : (string * float) list;
+  rss : float;
+}
+
+let one_round a ~program ~log ~data r =
+  let p = plan a ~data ~round:r in
   let a_writes = a.workload = "write_mix" in
-  let wa, wb, _ = run_pair ca cb p.warm in
-  progress "warm-up done";
+  if a_writes then Replay.Write.rm_rf data;
+  let srv, ca, setup = start a ~program ~log ~probe:p.probe p.flags in
+  progress "round %d: set-up %.3f s" (r + 1) setup;
+  let cb = Wire.connect srv.Wire.port in
+  let warm_a, warm_b, _ = run_pair ca cb p.warm in
   let subs =
     if a_writes then
       Array.of_list
@@ -436,8 +467,9 @@ let run a =
            Gen.Write_mix.subscriptions)
     else [||]
   in
-  let ma, mb, wall = run_pair ca cb p.measured in
-  progress "measured %d requests in %.3f s" (Array.length ma + Array.length mb) wall;
+  let meas_a, meas_b, wall = run_pair ca cb p.measured in
+  progress "round %d: measured %d requests in %.3f s" (r + 1)
+    (Array.length meas_a + Array.length meas_b) wall;
   (* every DELTA caused by the last batch precedes the QUIT's reply *)
   if a_writes then Wire.finish cb;
   let stats =
@@ -449,11 +481,26 @@ let run a =
   Wire.close ca;
   Wire.close cb;
   stop srv;
-  (* restart-to-ready on the same flags (and the same --data) *)
-  let recovery_times = Array.make restarts 0. in
+  { plan = p; setup; warm_a; warm_b; meas_a; meas_b; wall; subs;
+    deltas = List.rev cb.Wire.deltas; stats; rss }
+
+let median_of rounds f = Stat.median (Array.map f rounds)
+
+let run a =
+  let data = Filename.concat a.work "data" in
+  let program = Filename.concat a.work "program.plg" in
+  let text = (plan a ~data ~round:0).program in
+  Out_channel.with_open_bin program (fun oc -> output_string oc text);
+  let log = Filename.concat a.work "server.log" in
+  let a_writes = a.workload = "write_mix" in
+  let rs = Array.init rounds (one_round a ~program ~log ~data) in
+  let last = rs.(rounds - 1) in
+  (* write_mix: stop and restart on the last round's --data, [restarts]
+     times, to time recovery; the last recovered server is asked again *)
+  let recovery_times = Array.make (if a_writes then restarts else 0) 0. in
   let recovered = ref [] in
-  for i = 0 to restarts - 1 do
-    let s, c, dt = start a ~program ~log ~probe:p.probe p.flags in
+  for i = 0 to Array.length recovery_times - 1 do
+    let s, c, dt = start a ~program ~log ~probe:last.plan.probe last.plan.flags in
     recovery_times.(i) <- dt;
     if i = restarts - 1 then
       recovered :=
@@ -462,89 +509,89 @@ let run a =
             match Wire.call c (Gen.request op) with
             | Ok r, _ -> (op, r)
             | Error e, _ -> (op, Protocol.Err (Protocol.Internal, e)))
-          (p.probe
-          :: (if a_writes then
-                List.map (fun q -> Gen.Query q) Gen.Write_mix.subscriptions
-                @ Array.to_list (Array.sub (snd p.measured) 0 20)
-              else Array.to_list (Array.sub (fst p.measured) 0 20)));
+          (last.plan.probe
+          :: List.map (fun q -> Gen.Query q) Gen.Write_mix.subscriptions
+          @ Array.to_list (Array.sub (snd last.plan.measured) 0 20));
     Wire.close c;
     stop s
   done;
-  progress "restarts done; checking replies";
+  progress "checking replies";
   let ck = { attempted = 0; failed = 0; notes = [] } in
-  let all = Array.concat [ ma; mb ] in
   let lags =
     if a_writes then
-      write_mix_checks ck a p ~writes:(Array.append wa ma) ~reads:(Array.append wb mb)
-        ~subs ~deltas:(List.rev cb.Wire.deltas) ~recovered:!recovered
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun r ->
+                write_mix_checks ck a r.plan ~writes:(Array.append r.warm_a r.meas_a)
+                  ~reads:(Array.append r.warm_b r.meas_b) ~subs:r.subs ~deltas:r.deltas
+                  ~recovered:(if r == last then !recovered else []))
+              rs))
     else begin
-      let oracle = Pathlog.load p.program in
-      check_reads ck oracle (Array.concat [ wa; wb; all ]);
-      List.iter
-        (fun (op, r) ->
-          expect ck (Replay.reply_digest op r = Some (Replay.answer oracle op))
-            "after restart %s: wrong answer" (Gen.request op))
-        !recovered;
+      let want = answers (Pathlog.load text) in
+      Array.iter
+        (fun r -> check_reads ck want (Array.concat [ r.warm_a; r.warm_b; r.meas_a; r.meas_b ]))
+        rs;
       [||]
     end
   in
-  let lat = Stat.ms (latencies all) in
-  let writes = Stat.ms (latencies ma) in
-  let quartiles what xs =
-    progress "%s quartiles (ms): %s" what
-      (String.concat " "
-         (List.map (fun q -> Printf.sprintf "%.3f" (Stat.quantile xs q)) [ 0.25; 0.5; 0.75; 0.9; 0.95; 0.98; 0.99; 0.995; 1.0 ]))
-  in
-  quartiles "latency" lat;
-  if a_writes then begin
-    quartiles "write" writes;
-    quartiles "delta lag" (Stat.ms lags)
-  end;
-  let n = Array.length all in
+  let lat r = Stat.ms (latencies (Array.append r.meas_a r.meas_b)) in
+  let writes r = Stat.ms (latencies r.meas_a) in
+  Array.iteri
+    (fun i r ->
+      progress "round %d: %.1f requests/s, latency quantiles (ms): %s" (i + 1)
+        (float_of_int (Array.length (lat r)) /. r.wall)
+        (String.concat " "
+           (List.map
+              (fun q -> Printf.sprintf "%.3f" (Stat.quantile (lat r) q))
+              [ 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1.0 ])))
+    rs;
+  let n = Array.fold_left (fun n r -> n + Array.length (lat r)) 0 rs in
+  let nw = Array.fold_left (fun n r -> n + Array.length r.meas_a) 0 rs in
   let metrics =
     [
-      ("setup_s", Stat.median setup_times, "s", setups);
-      ("throughput_rps", float_of_int n /. wall, "1/s", n);
-      ("latency_p50_ms", Stat.median lat, "ms", n);
-      ("latency_p95_ms", Stat.quantile lat 0.95, "ms", n);
-      ("server_rss_mb", rss, "MiB", 1);
-      ("recovery_s", Stat.median recovery_times, "s", restarts);
+      ("setup_s", median_of rs (fun r -> r.setup), "s", rounds);
+      ("throughput_rps",
+       median_of rs (fun r -> float_of_int (Array.length (lat r)) /. r.wall), "1/s", n);
+      ("latency_p50_ms", median_of rs (fun r -> Stat.median (lat r)), "ms", n);
+      ("latency_p95_ms", median_of rs (fun r -> Stat.quantile (lat r) 0.95), "ms", n);
+      ("server_rss_mb", median_of rs (fun r -> r.rss), "MiB", rounds);
       ("error_ratio", Stat.ratio (float_of_int ck.failed) (float_of_int ck.attempted),
        "ratio", ck.attempted);
     ]
     @
     if a_writes then
       [
-        ("write_p50_ms", Stat.median writes, "ms", Array.length writes);
-        ("write_p95_ms", Stat.quantile writes 0.95, "ms", Array.length writes);
+        ("write_p50_ms", median_of rs (fun r -> Stat.median (writes r)), "ms", nw);
+        ("write_p95_ms", median_of rs (fun r -> Stat.quantile (writes r) 0.95), "ms", nw);
         ("delta_lag_p50_ms", Stat.median (Stat.ms lags), "ms", Array.length lags);
+        ("recovery_s", Stat.median recovery_times, "s", restarts);
       ]
     else []
   in
+  let first = rs.(0) in
   ( ck,
     {
       metrics;
-      stats;
-      client_p50_ms = Stat.median lat;
-      inproc = interleave p.measured;
+      stats = last.stats;
+      client_p50_ms = Stat.median (lat first);
+      inproc = interleave first.plan.measured;
     },
-    p )
+    first.plan )
 
 (* ------------------------------------------------------------------ *)
 (* Traced replays                                                      *)
 
-(* Each workload's seeded operations replayed in-process; [scale]
-   shrinks the replays of the workloads other than the one run over the
-   wire (their layer metrics are shares and percentiles). Returns the
+(* Each workload's first-round operations replayed in-process, so every
+   layer is measured on the workload that exercises it. Returns the
    per-layer metrics and, for the wire workload, its span accounting. *)
 let traced_layers a ~(wire : outcome) wire_plan =
   let layers = ref [] in
   let add l = layers := !layers @ l in
-  let sub_args w = { a with workload = w; seconds = max 1 (a.seconds / 4) } in
   let own w = w = a.workload in
   let plan_for w =
     if own w then wire_plan
-    else plan (sub_args w) ~data:(Filename.concat a.work ("data-" ^ w))
+    else plan { a with workload = w } ~data:(Filename.concat a.work ("data-" ^ w)) ~round:0
   in
   let replay tr w =
     let p = plan_for w in
@@ -552,17 +599,17 @@ let traced_layers a ~(wire : outcome) wire_plan =
     match w with
     | "read_paths" ->
       let t = Replay.Read.create p.program in
-      ignore (Replay.run_ops (Trace.create ~enabled:false) ~first:0
-                (interleave p.warm) (Replay.Read.request (Trace.create ~enabled:false) t));
-      let walls, _ = Replay.run_ops tr ~first:0 ops (Replay.Read.request tr t) in
+      let off = Trace.create ~enabled:false in
+      ignore (Replay.run_ops off ~first:0 (interleave p.warm) (Replay.Read.request off t));
+      let walls = Replay.run_ops tr ~first:0 ops (Replay.Read.request tr t) in
       Replay.Read.admission tr t (Array.sub ops 0 (min 300 (Array.length ops)));
       (walls, fun () -> Replay.Read.layer_metrics tr t)
     | "goal_directed" ->
       let t = Replay.Goal.create p.program in
       let off = Trace.create ~enabled:false in
-      ignore (Replay.Goal.request off t p.probe);
+      Replay.Goal.request off t p.probe;
       ignore (Replay.run_ops off ~first:0 (interleave p.warm) (Replay.Goal.request off t));
-      let walls, _ = Replay.run_ops tr ~first:0 ops (Replay.Goal.request tr t) in
+      let walls = Replay.run_ops tr ~first:0 ops (Replay.Goal.request tr t) in
       (walls, fun () -> Replay.Goal.layer_metrics tr t)
     | _ ->
       let t =
@@ -570,19 +617,19 @@ let traced_layers a ~(wire : outcome) wire_plan =
       in
       let off = Trace.create ~enabled:false in
       let warm_w, warm_r = p.warm in
-      ignore (Replay.run_ops off ~first:0 warm_w (fun op -> fst (Replay.Write.batch off t op)));
+      ignore (Replay.run_ops off ~first:0 warm_w (Replay.Write.batch off t));
       ignore (Replay.run_ops off ~first:0 warm_r (Replay.Write.read off t));
       Replay.Write.subscribe t;
-      let walls, _ =
+      let walls =
         Replay.run_ops tr ~first:0 ops (fun op ->
-            if Gen.is_write op then fst (Replay.Write.batch tr t op)
-            else Replay.Write.read tr t op)
+            if Gen.is_write op then ignore (Replay.Write.batch tr t op)
+            else ignore (Replay.Write.read tr t op))
       in
       if not (Replay.Write.recover tr t) then
         failwith "in-process recovery rebuilt a different model";
       (walls, fun () -> Replay.Write.layer_metrics tr t)
   in
-  let accounting = ref (0, 0., 0) and overhead = ref 0. and inproc_p50 = ref 0. in
+  let accounting = ref (0, 0., 0, 0) and overhead = ref 0. and inproc_p50 = ref 0. in
   List.iter
     (fun w ->
       let tr = Trace.create ~enabled:true in
@@ -596,25 +643,19 @@ let traced_layers a ~(wire : outcome) wire_plan =
         overhead := Stat.sum walls /. Stat.sum untraced -. 1.;
         let spans = Trace.spans tr in
         let self = Trace.self_times spans in
-        accounting :=
-          Trace.accounting ~tolerance:0.02
-            ~wall:(fun op ->
-              if op >= 0 && op < Array.length walls && walls.(op) > 0. then
-                Some walls.(op)
-              else None)
-            spans self;
+        accounting := Trace.accounting ~tolerance ~floor:tolerance_floor spans self;
         Trace.write_tsv (Filename.concat a.work "spans.tsv") spans self
       end)
     [ "read_paths"; "goal_directed"; "write_mix" ];
-  let bad, worst, overrun = !accounting in
+  let bad, unaccounted, ops, overrun = !accounting in
   ( !layers
     @ [
         ("server.overhead_ms_p50", wire.client_p50_ms -. !inproc_p50, "ms",
          Array.length wire.inproc);
         ("trace.overhead_ratio", !overhead, "ratio", Array.length wire.inproc);
-        ("trace.unaccounted_share", worst, "ratio", Array.length wire.inproc);
+        ("trace.unaccounted_share", unaccounted, "ratio", ops);
       ],
-    (bad, overrun) )
+    (bad, ops, overrun) )
 
 (* ------------------------------------------------------------------ *)
 
@@ -638,12 +679,15 @@ let () =
   | ck, wire, p ->
     let layers =
       if a.traced then begin
-        let l, (bad, overrun) = traced_layers a ~wire p in
-        (* a GC slice or a preemption can land between two spans of any
-           one operation; the accounting fails when more than 1% do *)
-        if 100 * bad > Array.length wire.inproc || overrun > 0 then
-          note ck "span accounting: %d operations outside tolerance, %d overrun spans"
-            bad overrun;
+        let l, (bad, ops, overrun) = traced_layers a ~wire p in
+        (* a GC slice or a preemption can land outside every layer span of
+           any one operation; the accounting fails when more than 1% do *)
+        ck.attempted <- ck.attempted + 1;
+        progress "span accounting: %d of %d operations over tolerance, %d overrun spans"
+          bad ops overrun;
+        if 100 * bad > ops || overrun > 0 then
+          note ck "span accounting: %d of %d operations over %.0f%% unaccounted, \
+                   %d overrun spans" bad ops (100. *. tolerance) overrun;
         l
       end
       else []
@@ -655,6 +699,7 @@ let () =
         ("seconds", string_of_int a.seconds);
         ("trace", if a.traced then "1" else "0");
         ("cores", string_of_int (Domain.recommended_domain_count ()));
+        ("cpus_allowed", json_string (cpus_allowed ()));
         ("ocaml", json_string Sys.ocaml_version);
         ("ocamlrunparam", json_string (Option.value ~default:"" (Sys.getenv_opt "OCAMLRUNPARAM")));
         ("data_fs", json_string (filesystem_of a.work));

@@ -8,11 +8,11 @@ Run from the root of a checkout:
       workload (read_paths, goal_directed or write_mix). The last stdout
       line is the JSON summary.
 
-  python3 perfbench/run.py spread --workload W [--runs K] [--seconds S]
-                                  [--trace 0|1] [--out FILE]
-      K runs on seeds 1..K; prints, per metric, the median, the
-      quartiles, (q3-q1)/median and (max-min)/median, and saves the runs
-      with their meta to FILE.
+  python3 perfbench/run.py spread --workload W [--runs K] [--seed N]
+                                  [--seconds S] [--trace 0|1] [--out FILE]
+      K runs, on seeds 1..K, or all on seed N (run-to-run noise alone);
+      prints, per metric, the median, the quartiles, (q3-q1)/median and
+      (max-min)/median, and saves the runs with their meta to FILE.
 
   python3 perfbench/run.py compare A.json B.json
       Compare two saved spreads metric by metric against the bounds in
@@ -20,6 +20,12 @@ Run from the root of a checkout:
 
 Everything the benchmark builds or writes stays inside the checkout:
 _build/ for dune, perfbench/_work/ for scratch files.
+
+Each run is pinned to one CPU (the last one this process may use), and
+the server it spawns inherits the pinning: a request then passes from
+the client to the server's threads and back without waking an idle
+CPU, whose wake-up latency on a virtual machine varies with the host's
+load far more than the work itself does.
 """
 
 import json
@@ -67,6 +73,11 @@ def build():
             os.path.join(ROOT, "_build", "default", BENCH_DIR, "bench.exe"))
 
 
+def pin():
+    """Pin this process, and so every process it starts, to one CPU."""
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
 def run_once(exes, workload, seed, seconds, trace):
     """One run; returns (stdout text, exit code)."""
     cli, bench = exes
@@ -107,6 +118,7 @@ def main_run(argv):
     if a["trace"] not in (0, 1) or a["seconds"] < 1:
         fail("bad --trace or --seconds")
     exes = build()
+    pin()
     out, code = run_once(exes, a["workload"], a["seed"], a["seconds"], a["trace"])
     sys.stdout.write(out)
     sys.exit(code)
@@ -161,14 +173,15 @@ def run_meta(meta):
 
 
 def main_spread(argv):
-    a = parse_args(argv, {"workload": "", "runs": 10, "seconds": 10,
-                          "trace": 0, "seed0": 1, "out": None})
+    a = parse_args(argv, {"workload": "", "runs": 10, "seed": 0, "seconds": 10,
+                          "trace": 0, "out": None})
     if a["workload"] not in WORKLOADS:
         fail("unknown workload %r" % a["workload"])
     exes = build()
+    pin()
     runs, meta = [], None
     for k in range(a["runs"]):
-        seed = a["seed0"] + k
+        seed = a["seed"] or k + 1
         out, code = run_once(exes, a["workload"], seed, a["seconds"], a["trace"])
         if code != 0:
             fail("run with seed %d exited %d" % (seed, code), 1)

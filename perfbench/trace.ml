@@ -67,36 +67,31 @@ let self_times spans =
     spans;
   self
 
-(* How well the spans account for the operations: [wall op] is the
-   operation's in-process wall time, taken by the replay loop outside
-   the root span. Returns the number of operations whose summed span
-   self times differ from their wall time by more than [tolerance]
-   (a share of the wall time, with a 20 us floor for clock granularity
-   and the root span's own bookkeeping), the summed differences as a
-   share of the summed wall times, and the number of spans whose
-   children overrun them (negative self time). *)
-let accounting ~tolerance ~wall spans self =
-  let sums = Hashtbl.create 1024 in
+(* How well the layer spans account for the operations. An operation's
+   root span covers its whole in-process run; whatever time no layer
+   span inside it covers is the root's own self time, so that is the
+   operation's unaccounted time. Returns the number of operations
+   (root spans) whose unaccounted time exceeds [tolerance] of their
+   duration, with a [floor] in seconds for clock reads and span
+   bookkeeping; the summed unaccounted time as a share of the summed
+   root durations; the number of operations; and the number of spans
+   whose children overrun them (negative self time). *)
+let accounting ~tolerance ~floor spans self =
+  let bad = ref 0 and unaccounted = ref 0. and total = ref 0. and ops = ref 0 in
   Array.iteri
     (fun i (s : span) ->
-      Hashtbl.replace sums s.op
-        (self.(i) +. Option.value ~default:0. (Hashtbl.find_opt sums s.op)))
+      if s.parent < 0 then begin
+        let d = s.stop -. s.start in
+        incr ops;
+        unaccounted := !unaccounted +. self.(i);
+        total := !total +. d;
+        if self.(i) > Float.max floor (tolerance *. d) then incr bad
+      end)
     spans;
-  let bad = ref 0 and off = ref 0. and total = ref 0. in
-  Hashtbl.iter
-    (fun op sum ->
-      match wall op with
-      | None -> ()
-      | Some w ->
-        let d = Float.abs (sum -. w) in
-        off := !off +. d;
-        total := !total +. w;
-        if d > Float.max 20e-6 (tolerance *. w) then incr bad)
-    sums;
   let overrun =
     Array.fold_left (fun n x -> if x < -1e-9 then n + 1 else n) 0 self
   in
-  (!bad, (if !total > 0. then !off /. !total else 0.), overrun)
+  (!bad, (if !total > 0. then !unaccounted /. !total else 0.), !ops, overrun)
 
 let write_tsv path spans self =
   let oc = open_out path in

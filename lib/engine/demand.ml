@@ -11,17 +11,6 @@ let fallback_to_string = function
   | Hilog -> "variable-method (hilog)"
   | Unsafe -> "untransformable rule"
 
-type t = {
-  rules : Rule.t list;
-  strat : Stratify.t;
-  n_seeds : int;
-  n_magic : int;
-  n_guarded : int;
-  n_unguarded : int;
-  n_dropped : int;
-  listing : string list;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Naming. The [$] character cannot appear in a lexed identifier, so the
    demand object and magic method names can never collide with user
@@ -362,11 +351,11 @@ let emit store proper query_lits levels =
      (None when the query itself did); diagnostics on the synthesized rule
      anchor to it. *)
   let add_magic origin (rule : Ast.rule) =
-    let key = Format.asprintf "%a" Syntax.Pretty.pp_rule rule in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      if rule.body = [] then seeds := (rule, origin) :: !seeds
-      else magic := (rule, origin) :: !magic
+    let text = Format.asprintf "%a" Syntax.Pretty.pp_rule rule in
+    if not (Hashtbl.mem seen text) then begin
+      Hashtbl.add seen text ();
+      if rule.body = [] then seeds := rule :: !seeds
+      else magic := (rule, origin, text) :: !magic
     end
   in
   let emit_for_app origin context rel recv =
@@ -448,23 +437,72 @@ let emit store proper query_lits levels =
 
 (* ------------------------------------------------------------------ *)
 
-let count_live vec =
-  let n = ref 0 in
-  Oodb.Vec.iter (fun e -> if Store.live e then incr n) vec;
-  !n
-
 let magic_fact_total store =
   let u = Store.universe store in
   List.fold_left
     (fun acc m ->
       match Oodb.Universe.descriptor u m with
       | Oodb.Universe.Name s when is_magic_name s ->
-        acc + count_live (Store.set_bucket store m)
+        acc + Store.set_live_count store m
       | _ -> acc)
     0 (Store.set_meths store)
 
-let listing_of store levels ~seeds ~magic ~guarded ~unguarded ~n_dropped
-    compiled_guarded =
+(* ------------------------------------------------------------------ *)
+(* The transform result: the query's seed facts plus its shape — the
+   non-seed rules, kept uncompiled until a caller with no compiled copy of
+   this shape asks for one. *)
+
+type pending = {
+  levels : (Ir.rel, level) Hashtbl.t;
+  magic : (Ast.rule * Rule.t option * string) list;
+  guarded : (Ast.rule * Ast.reference * Rule.t) list;
+  unguarded : Rule.t list;
+}
+
+type t = {
+  key : string;
+  seeds : Ast.rule list;
+  n_seeds : int;
+  n_magic : int;
+  n_guarded : int;
+  n_unguarded : int;
+  n_dropped : int;
+  pending : pending;
+}
+
+type shape = {
+  strat : Stratify.t;
+  generated : int list;
+}
+
+(* Synthesized rules inherit the span and origin of the user rule they
+   were derived from, so diagnostics report the source text. *)
+let compile_from store (orig : Rule.t option) ast =
+  match orig with
+  | Some r ->
+    Rule.compile ?span:r.span
+      ~origin:(Option.value r.origin ~default:r.source)
+      store ast
+  | None -> Rule.compile store ast
+
+let compile_guarded store d =
+  List.map
+    (fun (ast, recv, r) -> (compile_from store (Some r) ast, recv))
+    d.pending.guarded
+
+let compile store d =
+  let magic =
+    List.map
+      (fun (ast, orig, _) -> compile_from store orig ast)
+      d.pending.magic
+  in
+  let guarded = List.map fst (compile_guarded store d) in
+  {
+    strat = Stratify.compute store (magic @ guarded @ d.pending.unguarded);
+    generated = List.map (fun (r : Rule.t) -> r.uid) (magic @ guarded);
+  }
+
+let listing store d =
   let u = Store.universe store in
   let pp_rule ru = Format.asprintf "%a" Syntax.Pretty.pp_rule ru in
   let adorned =
@@ -473,7 +511,7 @@ let listing_of store levels ~seeds ~magic ~guarded ~unguarded ~n_dropped
         Format.asprintf "%%   %a : %s" (Ir.pp_rel u) rel
           (match lvl with B -> "bound-receiver" | F -> "free")
         :: acc)
-      levels []
+      d.pending.levels []
     |> List.sort compare
   in
   let section title rules =
@@ -496,23 +534,25 @@ let listing_of store levels ~seeds ~magic ~guarded ~unguarded ~n_dropped
         (pp_rule r.source :: List.map (fun l -> "%   " ^ l)
           (Semantics.Solve.explain ~order:Semantics.Solve.Compiled ~bindings
              store r.body)))
-      compiled_guarded
+      (compile_guarded store d)
   in
   (Printf.sprintf "%%%% adorned relations (%d)" (List.length adorned)
    :: adorned)
-  @ section "magic seeds" seeds
-  @ section "magic rules" magic
-  @ section "guarded rules" guarded
-  @ section "unguarded rules" (List.map (fun (r : Rule.t) -> r.source) unguarded)
-  @ [ Printf.sprintf "%%%% dropped rules: %d" n_dropped ]
+  @ section "magic seeds" d.seeds
+  @ section "magic rules" (List.map (fun (ast, _, _) -> ast) d.pending.magic)
+  @ section "guarded rules"
+      (List.map (fun (ast, _, _) -> ast) d.pending.guarded)
+  @ section "unguarded rules"
+      (List.map (fun (r : Rule.t) -> r.source) d.pending.unguarded)
+  @ [ Printf.sprintf "%%%% dropped rules: %d" d.n_dropped ]
   @ (match plans with
     | [] -> []
     | _ -> "%% guarded plans (receiver bound)" :: plans)
 
-let transform store (all_rules : Rule.t list) query_lits =
+let transform store (rules : Rule.t list) query_lits =
   let q = Semantics.Flatten.literals store query_lits in
   let goals = Ir.query_rels q.atoms in
-  let relevant = Stratify.live_rules all_rules ~goals in
+  let relevant = Stratify.live_rules rules ~goals in
   match gate query_lits goals relevant with
   | Some fb -> Error fb
   | None ->
@@ -522,53 +562,38 @@ let transform store (all_rules : Rule.t list) query_lits =
         relevant
     in
     let levels = compute_levels store proper query_lits in
-    let seed_pairs, magic_pairs, guarded_triples, unguarded, n_dropped =
+    let seeds, magic, guarded, unguarded, n_dropped =
       emit store proper query_lits levels
     in
-    let seeds = List.map fst seed_pairs in
-    let magic = List.map fst magic_pairs in
-    let guarded = List.map (fun (ast, _, _) -> ast) guarded_triples in
-    let generated = seeds @ magic @ guarded in
     if
       List.exists
         (fun ru -> Syntax.Wellformed.check_rule ru <> Ok ())
-        generated
+        (seeds
+        @ List.map (fun (ast, _, _) -> ast) magic
+        @ List.map (fun (ast, _, _) -> ast) guarded)
     then Error Unsafe
-    else begin
-      (* Synthesized rules inherit the span and origin of the user rule
-         they were derived from, so diagnostics report the source text. *)
-      let compile_from (orig : Rule.t option) ast =
-        match orig with
-        | Some r ->
-          Rule.compile ?span:r.span
-            ~origin:(Option.value r.origin ~default:r.source)
-            store ast
-        | None -> Rule.compile store ast
+    else
+      (* The magic rules are the only part that depends on more than the
+         originating rules: their text identifies them. Guarded and
+         unguarded rules are fixed by the user rule they come from. *)
+      let key =
+        String.concat "\n"
+          (List.map (fun (_, _, text) -> text) magic
+          @ List.map
+              (fun (_, _, (r : Rule.t)) -> Printf.sprintf "guarded %d" r.uid)
+              guarded
+          @ List.map
+              (fun (r : Rule.t) -> Printf.sprintf "unguarded %d" r.uid)
+              unguarded)
       in
-      let compiled_guarded =
-        List.map
-          (fun (ast, recv, r) -> (compile_from (Some r) ast, recv))
-          guarded_triples
-      in
-      let compiled =
-        List.map
-          (fun (ast, orig) -> compile_from orig ast)
-          (seed_pairs @ magic_pairs)
-        @ List.map fst compiled_guarded
-        @ unguarded
-      in
-      let strat = Stratify.compute store compiled in
       Ok
         {
-          rules = compiled;
-          strat;
+          key;
+          seeds;
           n_seeds = List.length seeds;
           n_magic = List.length magic;
           n_guarded = List.length guarded;
           n_unguarded = List.length unguarded;
           n_dropped;
-          listing =
-            listing_of store levels ~seeds ~magic ~guarded ~unguarded
-              ~n_dropped compiled_guarded;
+          pending = { levels; magic; guarded; unguarded };
         }
-    end

@@ -50,25 +50,42 @@ type fallback = Negation | Inclusion | Hilog | Unsafe
 
 val fallback_to_string : fallback -> string
 
+(** The uncompiled non-seed rules of a transform. *)
+type pending
+
+(** A transform result: the query's seed facts plus its {e shape}, the
+    non-seed rules (magic rules, guarded rules, and the untouched
+    [F]-adorned rules, which keep their original compiled identity so
+    plan-cache entries survive). Queries that differ only in the
+    constants that become seeds — [c1\[up ->> \{Y\}\]] and
+    [c2\[up ->> \{Y\}\]] — share a shape. *)
 type t = {
-  rules : Rule.t list;
-      (** the transformed program: seeds, magic rules, guarded rules, and
-          the untouched [F]-adorned rules (which keep their original
-          compiled identity, so plan-cache entries survive) *)
-  strat : Stratify.t;  (** stratification of [rules] *)
-  n_seeds : int;  (** magic seed facts from the query's constants *)
+  key : string;
+      (** identifies the shape: equal keys mean equal non-seed rules, so
+          a caller may evaluate a shape it compiled earlier instead of
+          calling {!compile} again *)
+  seeds : Syntax.Ast.rule list;
+      (** ground magic facts from the query's constants *)
+  n_seeds : int;
   n_magic : int;  (** demand-propagation rules *)
   n_guarded : int;  (** rules restricted by a magic guard *)
   n_unguarded : int;  (** relevant rules kept unrestricted *)
   n_dropped : int;  (** relevant rules no demand reaches *)
-  listing : string list;
-      (** the adorned, transformed program rendered as PathLog source with
-          section comments — what [explain --demand] prints *)
+  pending : pending;
 }
 
-(** [transform store rules query] builds the demand-transformed program
-    for [query]. Pure facts (empty body, no reads) are {e not} included:
-    they are extensional and the caller loads them directly
+(** A compiled shape. *)
+type shape = {
+  strat : Stratify.t;  (** the non-seed rules, compiled and stratified *)
+  generated : int list;
+      (** uids of the magic and guarded rules compiled for this shape
+          (the unguarded rules are the program's own) *)
+}
+
+(** [transform store rules query] analyses [query] against the program
+    [rules] and emits its demand-transformed program, uncompiled. Pure
+    facts (empty body, no reads) never affect the result, so callers may
+    leave them out of [rules]; they are extensional and loaded directly
     ({!Program.load_facts}). Interns magic method names into the store's
     universe but inserts no tuples. *)
 val transform :
@@ -77,9 +94,18 @@ val transform :
   Syntax.Ast.literal list ->
   (t, fallback) result
 
+(** Compile and stratify a transform's non-seed rules. Each call mints
+    fresh rule uids. *)
+val compile : Oodb.Store.t -> t -> shape
+
+(** The adorned, transformed program rendered as PathLog source with
+    section comments, plus the bound-receiver plan of each guarded body —
+    what [explain --demand] prints. *)
+val listing : Oodb.Store.t -> t -> string list
+
 (** Number of live magic tuples currently in the store — the size of all
     demand sets, across every transform that ran against it (the
-    [magic_facts] STATS gauge). *)
+    [magic_facts] STATS gauge). O(#set methods). *)
 val magic_fact_total : Oodb.Store.t -> int
 
 (** Is this method name a demand-transform artefact ([magic$...])? *)

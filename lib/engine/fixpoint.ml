@@ -72,6 +72,27 @@ let rel_length store = function
   | Ir.R_set m -> Oodb.Vec.length (Store.set_bucket store m)
   | Ir.R_any -> 0
 
+(* Relation watermarks: raw bucket/log lengths (dead entries included —
+   lengths are append-monotone). A method first seen later defaults to 0,
+   i.e. its whole bucket is delta. *)
+let watermark store =
+  let isa = Oodb.Vec.length (Store.isa_log store) in
+  let lengths meths bucket =
+    let tbl = Hashtbl.create 32 in
+    List.iter
+      (fun m -> Hashtbl.replace tbl m (Oodb.Vec.length (bucket store m)))
+      meths;
+    fun m -> Option.value ~default:0 (Hashtbl.find_opt tbl m)
+  in
+  let sc = lengths (Store.scalar_meths store) Store.scalar_bucket in
+  let st = lengths (Store.set_meths store) Store.set_bucket in
+  fun (r : Ir.rel) ->
+    match r with
+    | Ir.R_isa | Ir.R_isa_c _ -> isa
+    | Ir.R_scalar m -> sc m
+    | Ir.R_set m -> st m
+    | Ir.R_any -> 0
+
 (* ------------------------------------------------------------------ *)
 (* Interned relations: relevance and delta checks run on dense int ids
    and plain arrays instead of per-round Rel_map snapshots and List.mem
@@ -156,6 +177,13 @@ let crule_of itn (rule : Rule.t) =
 type plan_cache = (int * int * int * int, Semantics.Solve.plan) Hashtbl.t
 
 let plan_cache () : plan_cache = Hashtbl.create 64
+
+let plan_count (cache : plan_cache) = Hashtbl.length cache
+
+let forget_plans (cache : plan_cache) uids =
+  Hashtbl.filter_map_inplace
+    (fun (uid, _, _, _) p -> if List.mem uid uids then None else Some p)
+    cache
 
 (* epoch 0 is reserved for "no estimates": an estimator must carry a
    non-zero epoch to get distinct cache entries *)

@@ -115,6 +115,20 @@ type plan_cache
 
 val plan_cache : unit -> plan_cache
 
+(** Compiled plans currently cached. *)
+val plan_count : plan_cache -> int
+
+(** Drop every plan compiled for one of these rule uids — for callers
+    that retire generated rules and would otherwise leave their plans
+    behind. *)
+val forget_plans : plan_cache -> int list -> unit
+
+(** The current per-relation watermark: every relation's raw bucket/log
+    length (tombstoned entries included, so lengths are append-monotone;
+    a relation first seen later reads as [0], i.e. wholly delta). Pass it
+    back as {!run}'s [from] to propagate everything inserted since. *)
+val watermark : Oodb.Store.t -> Semantics.Ir.rel -> int
+
 (** Evaluate the stratified program against the store.
     @raise Err.Functional_conflict
     @raise Err.Isa_cycle

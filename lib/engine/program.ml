@@ -18,6 +18,21 @@ type t = {
   mutable degraded : Budget.reason option;
       (* set when a budgeted [run] was cut short: the store holds a sound
          partial model, and answers must be surfaced as degraded *)
+  proper_rules : Rule.t list;
+      (* the rules that are not pure facts: all the demand transform
+         needs to look at *)
+  shapes : (string, shape) Hashtbl.t;
+  shape_order : string Queue.t;  (* insertion order, for eviction *)
+}
+
+(* A demand shape compiled once and re-entered on every later query of
+   the same shape. [mark] is the relation watermark at the end of its
+   last complete run, with the store's removal count at that moment: the
+   store was then closed under the shape's rules, so the next run only
+   needs to propagate what arrived since. *)
+and shape = {
+  compiled : Demand.shape;
+  mutable mark : ((Semantics.Ir.rel -> int) * int) option;
 }
 
 exception Invalid of string
@@ -91,6 +106,12 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
     plans = Fixpoint.plan_cache ();
     facts_loaded = false;
     degraded = None;
+    proper_rules =
+      List.filter
+        (fun (r : Rule.t) -> r.source.body <> [] || r.reads <> [])
+        rules;
+    shapes = Hashtbl.create 16;
+    shape_order = Queue.create ();
   }
 
 let create ?config statements =
@@ -134,22 +155,23 @@ let degraded t = t.degraded
 
 let provenance t = t.provenance
 
+(* Execute a ground fact into the store, recorded as extensional;
+   returns the number of new tuples. *)
+let insert_fact t (fact : Ast.rule) =
+  let changes = ref 0 in
+  let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
+  ignore
+    (Head.execute ~on_insert t.store ~env:Semantics.Valuation.Env.empty
+       ~rule:fact ~changes fact.head);
+  !changes
+
 (* Execute the fact statements only (they are ground); idempotent. *)
 let load_facts t =
   if not t.facts_loaded then begin
     t.facts_loaded <- true;
     List.iter
       (fun (r : Rule.t) ->
-        if r.source.body = [] then begin
-          let changes = ref 0 in
-          let on_insert fact =
-            Provenance.record t.provenance fact Provenance.Extensional
-          in
-          ignore
-            (Head.execute ~on_insert t.store
-               ~env:Semantics.Valuation.Env.empty ~rule:r.source ~changes
-               r.source.head)
-        end)
+        if r.source.body = [] then ignore (insert_fact t r.source))
       t.rules
   end
 
@@ -222,14 +244,7 @@ let add_fact t reference =
   | Error e ->
     invalid "ill-formed fact %a: %a" Syntax.Pretty.pp_reference reference
       Syntax.Wellformed.pp_error e);
-  let changes = ref 0 in
-  let on_insert fact =
-    Provenance.record t.provenance fact Provenance.Extensional
-  in
-  ignore
-    (Head.execute ~on_insert t.store ~env:Semantics.Valuation.Env.empty
-       ~rule ~changes reference);
-  !changes
+  insert_fact t rule
 
 let add_fact_string t text =
   match Syntax.Parser.statement text with
@@ -341,6 +356,7 @@ let query_topdown t lits =
 type demand_report = {
   d_fallback : Demand.fallback option;
   d_stats : Fixpoint.stats;
+  d_resumed : bool;
   d_seeds : int;
   d_magic_rules : int;
   d_guarded : int;
@@ -349,11 +365,35 @@ type demand_report = {
   d_magic_facts : int;
 }
 
+(* Distinct shapes kept compiled; the oldest is retired past this. A
+   shape differs per constant only where a constant sits in a magic
+   rule's body (a query such as [a0\[boss -> X\], X\[up ->> \{Y\}\]]),
+   so a client can mint shapes at will and the cache must stay bounded. *)
+let max_shapes = 256
+
+let shape_for t (d : Demand.t) =
+  match Hashtbl.find_opt t.shapes d.key with
+  | Some sh -> sh
+  | None ->
+    if Queue.length t.shape_order >= max_shapes then begin
+      let old = Queue.pop t.shape_order in
+      Option.iter
+        (fun sh -> Fixpoint.forget_plans t.plans sh.compiled.Demand.generated)
+        (Hashtbl.find_opt t.shapes old);
+      Hashtbl.remove t.shapes old
+    end;
+    let sh = { compiled = Demand.compile t.store d; mark = None } in
+    Hashtbl.add t.shapes d.key sh;
+    Queue.push d.key t.shape_order;
+    sh
+
+let plan_count t = Fixpoint.plan_count t.plans
+
 let query_demand ?budget t lits =
   (match Syntax.Wellformed.check_query lits with
   | Ok () -> ()
   | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
-  match Demand.transform t.store t.rules lits with
+  match Demand.transform t.store t.proper_rules lits with
   | Error fb ->
     (* negation / inclusion / hilog strata make the transform unsound:
        fall back to honest full materialisation *)
@@ -363,6 +403,7 @@ let query_demand ?budget t lits =
       {
         d_fallback = Some fb;
         d_stats = stats;
+        d_resumed = false;
         d_seeds = 0;
         d_magic_rules = 0;
         d_guarded = 0;
@@ -372,6 +413,16 @@ let query_demand ?budget t lits =
       } )
   | Ok d ->
     load_facts t;
+    let sh = shape_for t d in
+    (* resume only when nothing left the store since the mark: removals
+       can break the closure the mark vouches for *)
+    let from =
+      match sh.mark with
+      | Some (mark, removals) when removals = Oodb.Store.removals t.store ->
+        Some mark
+      | Some _ | None -> None
+    in
+    List.iter (fun seed -> ignore (insert_fact t seed)) d.seeds;
     let config =
       {
         t.config with
@@ -380,24 +431,30 @@ let query_demand ?budget t lits =
       }
     in
     let stats =
-      Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans t.store
-        d.strat
+      Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans ?from
+        t.store sh.compiled.strat
     in
-    (* a budget-cut demand run left a sound but possibly incomplete
-       fragment: flag it exactly as a cut full run would be *)
     (match stats.Fixpoint.degraded with
-    | Some _ as dg -> t.degraded <- dg
-    | None -> ());
+    | Some _ as dg ->
+      (* a budget-cut run left a sound but possibly incomplete fragment:
+         flag it exactly as a cut full run would be, and make the next
+         query of this shape start over with a full first round *)
+      t.degraded <- dg;
+      sh.mark <- None
+    | None ->
+      sh.mark <-
+        Some (Fixpoint.watermark t.store, Oodb.Store.removals t.store));
     let answer = query ?budget t lits in
     ( answer,
       {
         d_fallback = None;
         d_stats = stats;
-        d_seeds = d.Demand.n_seeds;
-        d_magic_rules = d.Demand.n_magic;
-        d_guarded = d.Demand.n_guarded;
-        d_unguarded = d.Demand.n_unguarded;
-        d_dropped = d.Demand.n_dropped;
+        d_resumed = from <> None;
+        d_seeds = d.n_seeds;
+        d_magic_rules = d.n_magic;
+        d_guarded = d.n_guarded;
+        d_unguarded = d.n_unguarded;
+        d_dropped = d.n_dropped;
         d_magic_facts = Demand.magic_fact_total t.store;
       } )
 
@@ -411,7 +468,7 @@ let explain_demand t lits =
   (match Syntax.Wellformed.check_query lits with
   | Ok () -> ()
   | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
-  match Demand.transform t.store t.rules lits with
+  match Demand.transform t.store t.proper_rules lits with
   | Error fb ->
     [
       Printf.sprintf
@@ -419,7 +476,7 @@ let explain_demand t lits =
          run"
         (Demand.fallback_to_string fb);
     ]
-  | Ok d -> d.Demand.listing
+  | Ok d -> Demand.listing t.store d
 
 let explain_demand_string t text =
   match Syntax.Parser.literals (strip_query_syntax text) with

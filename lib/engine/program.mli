@@ -168,6 +168,11 @@ type demand_report = {
       (** [Some _]: the transform was unsound for this program/query and
           full materialisation ran instead *)
   d_stats : Fixpoint.stats;
+      (** the demanded run's counters; the seed facts are inserted
+          before it starts and are not counted *)
+  d_resumed : bool;
+      (** the run resumed from its shape's watermark: only what arrived
+          since the shape's last complete run was propagated *)
   d_seeds : int;
   d_magic_rules : int;
   d_guarded : int;
@@ -183,7 +188,19 @@ type demand_report = {
     Answers always agree with {!run} + {!query} (property-tested at jobs
     1 and 4). [budget] bounds the demanded run {e and} the final
     enumeration; a budget-cut run is flagged in {!degraded} and the
-    report's stats. *)
+    report's stats.
+
+    Demand is incremental per query {e shape} (the transform's non-seed
+    rules, {!Demand.t.key}): the program keeps each shape compiled — its
+    rule uids, stratification and plans stay stable — and records the
+    relation watermark at the end of the shape's last complete run. A
+    later query of that shape inserts its seed facts and resumes the
+    fixpoint from the watermark ({!Fixpoint.run}'s [from]), so it costs
+    its own fragment plus whatever arrived since, not every earlier
+    demand. A budget-cut run drops its shape's watermark, and any removal
+    from the store invalidates all of them; the next query of the shape
+    then runs a full first round. At most 256 shapes stay compiled; the
+    oldest is retired (with its plans) beyond that. *)
 val query_demand :
   ?budget:Budget.t ->
   t ->
@@ -192,6 +209,10 @@ val query_demand :
 
 val query_demand_string :
   ?budget:Budget.t -> t -> string -> answer * demand_report
+
+(** Compiled plans cached for this program, across every evaluation
+    mode. *)
+val plan_count : t -> int
 
 (** The adorned, magic-transformed program for a query, rendered as
     PathLog source with section comments — seeds, magic rules, guarded

@@ -364,26 +364,6 @@ let delta_run t ctx baseline =
     ~tracer:(fun r b h -> record_deriv t r b h)
     ~on_insert:(note_insert ctx) ~from:baseline t.store t.strat
 
-(* Relation watermarks before the batch: raw bucket/log lengths (dead
-   entries included — lengths are append-monotone). A method first seen
-   during the batch defaults to 0, i.e. its whole bucket is delta. *)
-let capture_baseline t =
-  let isa = Vec.length (Store.isa_log t.store) in
-  let sc = Hashtbl.create 32 in
-  let st = Hashtbl.create 32 in
-  List.iter
-    (fun m -> Hashtbl.replace sc m (Vec.length (Store.scalar_bucket t.store m)))
-    (Store.scalar_meths t.store);
-  List.iter
-    (fun m -> Hashtbl.replace st m (Vec.length (Store.set_bucket t.store m)))
-    (Store.set_meths t.store);
-  fun (r : Ir.rel) ->
-    match r with
-    | Ir.R_isa | Ir.R_isa_c _ -> isa
-    | Ir.R_scalar m -> Option.value ~default:0 (Hashtbl.find_opt sc m)
-    | Ir.R_set m -> Option.value ~default:0 (Hashtbl.find_opt st m)
-    | Ir.R_any -> 0
-
 (* Full recompute: tombstone every live fact with no extensional support,
    drop the whole support index, and re-run the tracing fixpoint from the
    extensional store. The fallback whenever counting/DRed would be
@@ -665,7 +645,7 @@ let assert_batch t src =
   let gate = gate_triggered ~rules:(t.rules @ compiled) ~seed_rels in
   let ctx = new_ctx () in
   let saved = { s_rules = t.rules; s_strat_dirty = compiled <> [] } in
-  let baseline = capture_baseline t in
+  let baseline = Fixpoint.watermark t.store in
   try
     List.iter (fun (h, _) -> edb_insert t ctx h) facts;
     if compiled <> [] then begin

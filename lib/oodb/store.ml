@@ -56,6 +56,8 @@ type t = {
   scalar_recv : (int, mentry Vec.t) Hashtbl.t;
   scalar_recv_counts : int Obj_id.Tbl.t;
       (* distinct receivers per method, for planner selectivity *)
+  scalar_res_counts : int Obj_id.Tbl.t;
+      (* distinct results per method: the inverse index's key count *)
   mutable scalar_meth_list : Obj_id.t list;
   (* set-valued methods, same layout *)
   set0 : (int, Obj_id.Set.t ref) Hashtbl.t;
@@ -64,6 +66,8 @@ type t = {
   set_inv : ((Obj_id.t * Obj_id.t), mentry Vec.t) Hashtbl.t;
   set_recv : (int, mentry Vec.t) Hashtbl.t;
   set_recv_counts : int Obj_id.Tbl.t;
+  set_res_counts : int Obj_id.Tbl.t;
+  set_live : int Obj_id.Tbl.t;  (* live tuples per method *)
   mutable set_meth_list : Obj_id.t list;
   mutable tuple_count : int;  (* isa edges + scalar + set tuples *)
   mutable epoch : int;
@@ -72,6 +76,9 @@ type t = {
          keyed by it. Currently always equal to [tuple_count]; kept as a
          separate field because it is part of the concurrency contract,
          not a statistic. *)
+  mutable removals : int;
+      (* tuples removed so far; incremental evaluators that resume from
+         watermarks assume nothing left the store since they took them *)
 }
 
 let create () =
@@ -91,6 +98,7 @@ let create () =
     scalar_inv = Hashtbl.create 256;
     scalar_recv = Hashtbl.create 256;
     scalar_recv_counts = Obj_id.Tbl.create 32;
+    scalar_res_counts = Obj_id.Tbl.create 32;
     scalar_meth_list = [];
     set0 = Hashtbl.create 256;
     set_members = Hashtbl.create 64;
@@ -98,9 +106,12 @@ let create () =
     set_inv = Hashtbl.create 256;
     set_recv = Hashtbl.create 256;
     set_recv_counts = Obj_id.Tbl.create 32;
+    set_res_counts = Obj_id.Tbl.create 32;
+    set_live = Obj_id.Tbl.create 32;
     set_meth_list = [];
     tuple_count = 0;
     epoch = 0;
+    removals = 0;
   }
 
 let universe st = st.universe
@@ -109,6 +120,7 @@ let int st n = Universe.int st.universe n
 let str st s = Universe.str st.universe s
 let size st = st.tuple_count
 let epoch st = st.epoch
+let removals st = st.removals
 
 (* ------------------------------------------------------------------ *)
 (* Class hierarchy                                                     *)
@@ -242,13 +254,21 @@ let bucket tbl meth =
     Obj_id.Tbl.add tbl meth v;
     v
 
-let inv_bucket tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
+let keys counts meth =
+  match Obj_id.Tbl.find_opt counts meth with Some n -> n | None -> 0
+
+let bump counts meth = Obj_id.Tbl.replace counts meth (1 + keys counts meth)
+
+(* Push into the (meth, res) inverse index, counting distinct results per
+   method the first time a pair appears. *)
+let inv_push tbl counts ~meth ~res entry =
+  match Hashtbl.find_opt tbl (meth, res) with
+  | Some v -> Vec.push v entry
   | None ->
     let v = Vec.create () in
-    Hashtbl.add tbl key v;
-    v
+    Vec.push v entry;
+    Hashtbl.add tbl (meth, res) v;
+    bump counts meth
 
 (* Push into the (meth, recv) secondary index, counting distinct receivers
    per method the first time a pair appears. *)
@@ -260,9 +280,7 @@ let recv_push tbl counts ~meth ~recv entry =
     let v = Vec.create () in
     Vec.push v entry;
     Hashtbl.add tbl key v;
-    Obj_id.Tbl.replace counts meth
-      (1
-      + (match Obj_id.Tbl.find_opt counts meth with Some n -> n | None -> 0))
+    bump counts meth
 
 let add_scalar st ~meth ~recv ~args ~res =
   let existing =
@@ -281,7 +299,7 @@ let add_scalar st ~meth ~recv ~args ~res =
     let b = bucket st.scalar_buckets meth in
     if Vec.length b = 0 then st.scalar_meth_list <- meth :: st.scalar_meth_list;
     Vec.push b entry;
-    Vec.push (inv_bucket st.scalar_inv (meth, res)) entry;
+    inv_push st.scalar_inv st.scalar_res_counts ~meth ~res entry;
     recv_push st.scalar_recv st.scalar_recv_counts ~meth ~recv entry;
     st.tuple_count <- st.tuple_count + 1;
     st.epoch <- st.epoch + 1;
@@ -307,10 +325,9 @@ let scalar_recv_index st ~meth ~recv =
   | Some v -> v
   | None -> empty_bucket
 
-let scalar_recv_keys st meth =
-  match Obj_id.Tbl.find_opt st.scalar_recv_counts meth with
-  | Some n -> n
-  | None -> 0
+let scalar_recv_keys st meth = keys st.scalar_recv_counts meth
+
+let scalar_res_keys st meth = keys st.scalar_res_counts meth
 
 let scalar_meths st = List.rev st.scalar_meth_list
 
@@ -341,8 +358,9 @@ let add_set st ~meth ~recv ~args ~res =
     let b = bucket st.set_buckets meth in
     if Vec.length b = 0 then st.set_meth_list <- meth :: st.set_meth_list;
     Vec.push b entry;
-    Vec.push (inv_bucket st.set_inv (meth, res)) entry;
+    inv_push st.set_inv st.set_res_counts ~meth ~res entry;
     recv_push st.set_recv st.set_recv_counts ~meth ~recv entry;
+    bump st.set_live meth;
     st.tuple_count <- st.tuple_count + 1;
     st.epoch <- st.epoch + 1;
     SAdded
@@ -371,10 +389,11 @@ let set_recv_index st ~meth ~recv =
   | Some v -> v
   | None -> empty_bucket
 
-let set_recv_keys st meth =
-  match Obj_id.Tbl.find_opt st.set_recv_counts meth with
-  | Some n -> n
-  | None -> 0
+let set_recv_keys st meth = keys st.set_recv_counts meth
+
+let set_res_keys st meth = keys st.set_res_counts meth
+
+let set_live_count st meth = keys st.set_live meth
 
 let set_meths st = List.rev st.set_meth_list
 
@@ -391,6 +410,7 @@ let set_meths st = List.rev st.set_meth_list
 let stamp st (e : mentry) =
   st.epoch <- st.epoch + 1;
   e.dead <- st.epoch;
+  st.removals <- st.removals + 1;
   st.tuple_count <- st.tuple_count - 1
 
 let find_live v ~args ~res =
@@ -429,6 +449,7 @@ let remove_set st ~meth ~recv ~args ~res =
     | None -> false
     | Some e ->
       r := Obj_id.Set.remove res !r;
+      Obj_id.Tbl.replace st.set_live meth (keys st.set_live meth - 1);
       stamp st e;
       true)
   | Some _ | None -> false
@@ -457,6 +478,7 @@ let remove_isa st o c =
          st.isa_log
      with Exit -> ());
     st.tuple_count <- st.tuple_count - 1;
+    st.removals <- st.removals + 1;
     Mutex.unlock st.hier_lock;
     true
   end
@@ -648,6 +670,10 @@ let check_invariants st =
   let set_raw_count = ref 0 in
   List.iter
     (fun m ->
+      let live_now = live_count (set_bucket st m) in
+      if live_now <> set_live_count st m then
+        problem "set live counter for %s says %d, bucket has %d live" (obj m)
+          (set_live_count st m) live_now;
       Vec.iter
         (fun ({ recv; args; res; dead = _ } as e) ->
           incr set_raw_count;
@@ -702,6 +728,24 @@ let check_invariants st =
   in
   check_recv "scalar" st.scalar_recv st.scalar_recv_counts !scalar_raw_count;
   check_recv "set" st.set_recv st.set_recv_counts !set_raw_count;
+  (* inverse indexes: the distinct-result counters agree with the actual
+     key populations, in both directions *)
+  let check_res what inv_tbl counts =
+    let per_meth = Obj_id.Tbl.create 16 in
+    Hashtbl.iter (fun (m, _) _ -> bump per_meth m) inv_tbl;
+    let audit m =
+      let counted = keys counts m and actual = keys per_meth m in
+      if counted <> actual then
+        problem "%s result counter for %s says %d, inverse index has %d keys"
+          what (obj m) counted actual
+    in
+    Obj_id.Tbl.iter (fun m _ -> audit m) per_meth;
+    Obj_id.Tbl.iter
+      (fun m _ -> if not (Obj_id.Tbl.mem per_meth m) then audit m)
+      counts
+  in
+  check_res "scalar" st.scalar_inv st.scalar_res_counts;
+  check_res "set" st.set_inv st.set_res_counts;
   (* hierarchy: live log edges vs adjacency (both directions), acyclicity *)
   let live_isa = ref 0 in
   Vec.iter

@@ -104,6 +104,11 @@ val scalar_recv_index : t -> meth:Obj_id.t -> recv:Obj_id.t -> mentry Vec.t
     planner's selectivity estimate for bound-receiver access. *)
 val scalar_recv_keys : t -> Obj_id.t -> int
 
+(** Number of distinct results with at least one [meth] tuple (the key
+    count of the inverse index); the planner's selectivity estimate for
+    bound-result access. *)
+val scalar_res_keys : t -> Obj_id.t -> int
+
 (** Methods that have at least one scalar tuple. *)
 val scalar_meths : t -> Obj_id.t list
 
@@ -123,6 +128,11 @@ val set_inverse : t -> meth:Obj_id.t -> res:Obj_id.t -> mentry Vec.t
 val set_recv_index : t -> meth:Obj_id.t -> recv:Obj_id.t -> mentry Vec.t
 
 val set_recv_keys : t -> Obj_id.t -> int
+
+val set_res_keys : t -> Obj_id.t -> int
+
+(** Live (non-tombstoned) tuples of [meth], O(1). *)
+val set_live_count : t -> Obj_id.t -> int
 
 val set_meths : t -> Obj_id.t list
 
@@ -202,6 +212,11 @@ val size : t -> int
 
 (** The store's current data version; monotonically increasing. *)
 val epoch : t -> int
+
+(** Tuples removed over the store's lifetime. Semi-naive re-entry from
+    relation watermarks is only complete when nothing was removed since
+    they were taken, so holders of watermarks compare this count. *)
+val removals : t -> int
 
 type snapshot
 

@@ -222,6 +222,15 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
       in
       bucket_len m / max 1 keys
     in
+    (* average tuples per result: the expected inverse-index hit *)
+    let per_res m =
+      let keys =
+        match which with
+        | `Scalar -> Store.scalar_res_keys store m
+        | `Set -> Store.set_res_keys store m
+      in
+      bucket_len m / max 1 keys
+    in
     match app.meth with
     | Ir.V i when not (is_bound (Ir.V i)) -> 100_000
     | meth ->
@@ -241,7 +250,7 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
           | `Set, None -> 4
         else (match m with Some m -> 1 + per_recv m | None -> 16)
       else if is_bound app.res then
-        4 + (match m with Some m -> bucket_len m / 4 | None -> 64)
+        (match m with Some m -> 1 + per_res m | None -> 68)
       else 1 + (match m with Some m -> bucket_len m | None -> 1024)
   in
   match a with
@@ -352,10 +361,14 @@ let exec_app ctx which (app : Ir.app) k =
       match Store.scalar_lookup ctx.store ~meth:m ~recv ~args with
       | Some res -> bind ctx app.res res k
       | None -> ())
-    | `Set ->
-      Set.iter
-        (fun res -> bind ctx app.res res k)
-        (Store.set_lookup ctx.store ~meth:m ~recv ~args)
+    | `Set -> (
+      let members = Store.set_lookup ctx.store ~meth:m ~recv ~args in
+      match deref ctx app.res with
+      | Some res ->
+        (* a membership probe, not a scan: magic guards hang every demand
+           set off one receiver, so this set can be large *)
+        if Set.mem res members then bind ctx app.res res k
+      | None -> Set.iter (fun res -> bind ctx app.res res k) members)
   in
   let scan_bucket m k =
     let bucket =

@@ -231,6 +231,153 @@ let qcheck_demand_equals_full jobs =
               render pd ans.rows = render pf (Program.query_string pf q).rows)
           queries)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental demand: a query shape is compiled once and each later
+   query of the shape resumes the fixpoint from the watermark its last
+   complete run left. *)
+
+let chain_prefixes n = List.init n (Printf.sprintf "c%dn")
+
+let test_plan_cache_stable () =
+  let p = Program.of_string (chains (chain_prefixes 30) 6) in
+  let sight c =
+    let q = Printf.sprintf "c%dn0[up ->> {X}]" c in
+    let a, r = Program.query_demand_string p q in
+    Alcotest.(check int) (Printf.sprintf "chain %d closure" c) 6
+      (List.length a.Program.rows);
+    r
+  in
+  (* the first sight compiles the shape and runs a full first round; the
+     second compiles the delta-seeded plans the resumed runs use *)
+  let r0 = sight 0 in
+  Alcotest.(check bool) "first sight starts afresh" false r0.Program.d_resumed;
+  ignore (sight 1);
+  let plans = Program.plan_count p in
+  for c = 2 to 29 do
+    Alcotest.(check bool) "later sights resume" true (sight c).Program.d_resumed
+  done;
+  Alcotest.(check int) "no plans for fresh rule uids" plans
+    (Program.plan_count p)
+
+let test_degraded_drops_watermark () =
+  let text = chains [ "a"; "b"; "c" ] 30 in
+  let full = Program.of_string text in
+  ignore (Program.run full);
+  let expect q = render full (Program.query_string full q).rows in
+  let p = Program.of_string text in
+  ignore (Program.query_demand_string p "a0[up ->> {X}]");
+  let budget = Pathlog.Budget.create ~max_derivations:5 () in
+  let partial, cut = Program.query_demand_string ~budget p "b0[up ->> {X}]" in
+  Alcotest.(check bool) "cut run resumed" true cut.Program.d_resumed;
+  Alcotest.(check bool) "cut run degraded" true
+    (cut.Program.d_stats.Pathlog.Fixpoint.degraded <> None);
+  Alcotest.(check bool) "partial answer" true
+    (List.length partial.Program.rows < List.length (expect "b0[up ->> {X}]"));
+  let again, r = Program.query_demand_string p "b0[up ->> {X}]" in
+  Alcotest.(check bool) "watermark dropped: full first round" false
+    r.Program.d_resumed;
+  Alcotest.(check bool) "completes" true
+    (r.Program.d_stats.Pathlog.Fixpoint.degraded = None);
+  Alcotest.(check (list string))
+    "complete answer" (expect "b0[up ->> {X}]") (render p again.rows);
+  let c, r = Program.query_demand_string p "c0[up ->> {X}]" in
+  Alcotest.(check bool) "watermark recorded again" true r.Program.d_resumed;
+  Alcotest.(check (list string))
+    "next shape member right" (expect "c0[up ->> {X}]") (render p c.rows)
+
+let test_removal_drops_watermarks () =
+  let p = Program.of_string (chains [ "a"; "b"; "c" ] 5) in
+  ignore (Program.query_demand_string p "a0[up ->> {X}]");
+  let store = Program.store p in
+  let name = Pathlog.Store.name store in
+  Alcotest.(check bool) "removed" true
+    (Pathlog.Store.remove_scalar store ~meth:(name "boss") ~recv:(name "c4")
+       ~args:[] ~res:(name "c5"));
+  let _, r = Program.query_demand_string p "b0[up ->> {X}]" in
+  Alcotest.(check bool) "no resume across a removal" false r.Program.d_resumed;
+  let _, r = Program.query_demand_string p "a1[up ->> {X}]" in
+  Alcotest.(check bool) "resumes once re-marked" true r.Program.d_resumed
+
+(* A random sequence of demand queries — repeated and differing shapes,
+   the same shape on different constants — with facts added in between,
+   against full materialisation of the same program and facts. *)
+let incremental_program =
+  {|
+  X[up ->> {Y}] <- X[e ->> {Y}].
+  X[up ->> {Y}] <- X[e ->> {Z}], Z[up ->> {Y}].
+  X[tag ->> {Y}] <- X[up ->> {Z}], Z[g ->> {Y}].
+  |}
+
+let incremental_shapes =
+  [|
+    Printf.sprintf "n%d[up ->> {Y}]";
+    Printf.sprintf "n%d[tag ->> {Y}]";
+    Printf.sprintf "n%d[e ->> {X}], X[up ->> {Y}]";
+    Printf.sprintf "X[up ->> {n%d}]";
+    Printf.sprintf "n%d[up ->> {n3}]";
+  |]
+
+type op = Query of int * int | Add of string * int * int
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map2
+            (fun s k -> Query (s, k))
+            (int_bound (Array.length incremental_shapes - 1))
+            (int_bound 7) );
+        ( 2,
+          map3
+            (fun m a b -> Add (m, a, b))
+            (oneofl [ "e"; "g" ])
+            (int_bound 7) (int_bound 7) );
+      ])
+
+let fact_text (m, a, b) = Printf.sprintf "n%d[%s ->> {n%d}]." a m b
+
+let print_op = function
+  | Query (s, k) -> incremental_shapes.(s) k
+  | Add (m, a, b) -> "add " ^ fact_text (m, a, b)
+
+let qcheck_incremental_equals_full jobs =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "incremental demand sequence = full (jobs %d)" jobs)
+    ~count:40
+    QCheck.(
+      pair
+        (make ~print:QCheck.Print.(list print_op)
+           QCheck.Gen.(list_size (int_range 1 20) gen_op))
+        (list_of_size (QCheck.Gen.int_range 0 12)
+           (triple (oneofl [ "e"; "g" ]) (int_bound 7) (int_bound 7))))
+    (fun (ops, initial) ->
+      let config = { Pathlog.Fixpoint.default_config with jobs } in
+      let text =
+        String.concat "\n" (List.map fact_text initial) ^ incremental_program
+      in
+      let pd = Program.of_string ~config text in
+      let added = ref [] in
+      List.for_all
+        (fun op ->
+          match op with
+          | Add (m, a, b) ->
+            ignore (Program.add_fact_string pd (fact_text (m, a, b)));
+            added := fact_text (m, a, b) :: !added;
+            true
+          | Query (s, k) ->
+            let q = incremental_shapes.(s) k in
+            let ans, _ = Program.query_demand_string pd q in
+            let pf =
+              Program.of_string ~config
+                (text ^ "\n" ^ String.concat "\n" (List.rev !added))
+            in
+            ignore (Program.run pf);
+            render pd ans.rows = render pf (Program.query_string pf q).rows)
+        ops
+      && Pathlog.Store.check_invariants (Program.store pd) = [])
+
 let suite =
   [
     Alcotest.test_case "bound tc" `Quick test_bound_tc;
@@ -247,4 +394,12 @@ let suite =
     Alcotest.test_case "explain --demand" `Quick test_explain_demand_listing;
     QCheck_alcotest.to_alcotest (qcheck_demand_equals_full 1);
     QCheck_alcotest.to_alcotest (qcheck_demand_equals_full 4);
+    Alcotest.test_case "plan cache stable across first sights" `Quick
+      test_plan_cache_stable;
+    Alcotest.test_case "degraded first sight drops its watermark" `Quick
+      test_degraded_drops_watermark;
+    Alcotest.test_case "removal drops every watermark" `Quick
+      test_removal_drops_watermarks;
+    QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 1);
+    QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 4);
   ]

@@ -154,6 +154,90 @@ let test_explain_receiver_index_path () =
   Alcotest.(check bool) "receiver index access path" true
     (List.exists (contains ~sub:"receiver index scan on salary") lines)
 
+(* A set atom bound at receiver, arguments and result is a membership
+   probe: one unification step however large the receiver's set (a
+   magic guard's receiver holds every demand set), against a poll every
+   [poll_interval] steps for a scan. *)
+let test_bound_member_probe () =
+  let st = Store.create () in
+  let m = Store.name st "g" and d = Store.name st "d" in
+  let n = 4 * Solve.poll_interval in
+  for i = 0 to n - 1 do
+    ignore
+      (Store.add_set st ~meth:m ~recv:d ~args:[]
+         ~res:(Store.name st (Printf.sprintf "x%d" i)))
+  done;
+  let atom res =
+    {
+      Ir.atoms =
+        [
+          Ir.A_member
+            { meth = Ir.Const m; recv = Ir.Const d; args = []; res };
+        ];
+      nvars = 1;
+      named = (match res with Ir.V _ -> [ ("X", 0) ] | Ir.Const _ -> []);
+    }
+  in
+  let polls = ref 0 in
+  let interrupt () = incr polls in
+  let holds o =
+    Solve.satisfiable ~order:Solve.Compiled ~interrupt st
+      (atom (Ir.Const (Store.name st o)))
+  in
+  Alcotest.(check bool) "member" true (holds (Printf.sprintf "x%d" (n - 1)));
+  Alcotest.(check bool) "non-member" false (holds "y");
+  Alcotest.(check int) "probes never reach a poll" 0 !polls;
+  Alcotest.(check int) "scan enumerates the set" n
+    (List.length
+       (Solve.named_solutions ~order:Solve.Compiled ~interrupt st
+          (atom (Ir.V 0))));
+  Alcotest.(check bool) "scan polls the budget" true (!polls >= 4)
+
+(* A bound-result atom is priced by the tuples per distinct result, like
+   a bound receiver by the tuples per receiver: a [boss] edge with a
+   bound result has about one receiver, so the planner takes it before
+   enumerating a large one-receiver set. *)
+let test_bound_result_cost () =
+  let st = Store.create () in
+  let boss = Store.name st "boss" and g = Store.name st "g" in
+  let d = Store.name st "d" in
+  let node i = Store.name st (Printf.sprintf "n%d" i) in
+  for i = 0 to 3999 do
+    ignore
+      (Store.add_scalar st ~meth:boss ~recv:(node i) ~args:[]
+         ~res:(node (i + 1)))
+  done;
+  for i = 0 to 499 do
+    ignore (Store.add_set st ~meth:g ~recv:d ~args:[] ~res:(node (8 * i)))
+  done;
+  Alcotest.(check int) "distinct boss results" 4000
+    (Store.scalar_res_keys st boss);
+  Alcotest.(check int) "distinct g results" 500 (Store.set_res_keys st g);
+  let q =
+    {
+      Ir.atoms =
+        [
+          Ir.A_member
+            { meth = Ir.Const g; recv = Ir.Const d; args = []; res = Ir.V 0 };
+          Ir.A_scalar
+            {
+              meth = Ir.Const boss;
+              recv = Ir.V 0;
+              args = [];
+              res = Ir.Const (node 17);
+            };
+        ];
+      nvars = 1;
+      named = [ ("X", 0) ];
+    }
+  in
+  let plan = Solve.compile_plan st q in
+  Alcotest.(check (list int)) "inverse index first, then the probe" [ 1; 0 ]
+    (Array.to_list plan.Solve.plan_perm);
+  Alcotest.(check (list (list int))) "answer" [ [ node 16 ] ]
+    (Solve.named_solutions ~order:Solve.Compiled st q);
+  Alcotest.(check (list string)) "invariants" [] (Store.check_invariants st)
+
 (* ------------------------------------------------------------------ *)
 (* Receiver-keyed secondary indexes *)
 
@@ -308,6 +392,10 @@ let suite =
       test_explain_compiled_is_greedy_simulation;
     Alcotest.test_case "explain: receiver index path" `Quick
       test_explain_receiver_index_path;
+    Alcotest.test_case "bound set member is a probe" `Quick
+      test_bound_member_probe;
+    Alcotest.test_case "bound-result cost by distinct results" `Quick
+      test_bound_result_cost;
     Alcotest.test_case "receiver index: scalar" `Quick test_recv_index_scalar;
     Alcotest.test_case "receiver index: set query" `Quick
       test_recv_index_set_query;

@@ -403,50 +403,36 @@ let table_e10 () =
     && List.sort compare greedy = List.sort compare conj)
 
 let table_e11 () =
-  section
-    "E11: evaluation strategies — full vs demand-focused vs goal-directed";
+  section "E11: evaluation strategies — full materialisation vs demand";
   let stmts =
     Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 100)
     @ Pathlog.Genealogy.desc_rules
   in
-  let q = "p95[desc ->> {X}]" in
-  let lits = Pathlog.Parser.literals q in
-  (* full materialisation *)
+  let render p rows =
+    List.sort compare (List.map (Program.row_to_string p) rows)
+  in
   let p_full = Program.create stmts in
   let s_full = Program.run p_full in
-  let full_rows = (Program.query_string p_full q).rows in
-  (* demand-focused (rule relevance; here all rules are relevant) *)
-  let p_foc = Program.create stmts in
-  let foc_answer, s_foc, considered = Program.query_focused p_foc lits in
-  (* goal-directed tabling *)
-  let p_top = Program.create stmts in
-  let top = Program.query_topdown p_top lits in
-  Printf.printf "query: %s on chain(100) (full closure = 5050 tuples)
-" q;
-  Printf.printf "full:        %d answers, %d rule firings
-"
-    (List.length full_rows) s_full.firings;
-  Printf.printf "focused:     %d answers, %d rule firings, %d rules
-"
-    (List.length foc_answer.rows)
-    s_foc.firings considered;
-  (match top with
-  | Some (answer, stats) ->
-    Printf.printf
-      "goal-driven: %d answers, %d tabled goals, %d tabled tuples, %d passes
-"
-      (List.length answer.rows)
-      stats.goals stats.answers stats.passes
-  | None -> print_endline "goal-driven: not applicable");
-  let agree =
-    match top with
-    | Some (answer, _) ->
-      List.sort compare (List.map (Program.row_to_string p_top) answer.rows)
-      = List.sort compare (List.map (Program.row_to_string p_full) full_rows)
-    | None -> false
-  in
-  Printf.printf "answers agree: %b
-" agree
+  Printf.printf "chain(100), full closure = 5050 tuples\n";
+  Printf.printf "full:   %d rule firings for the whole model\n"
+    s_full.firings;
+  (* one demand-driven program instance answers the queries in turn: the
+     second is a later sight of the first's shape and resumes from its
+     watermark *)
+  let p_dem = Program.create stmts in
+  List.iter
+    (fun q ->
+      let full = render p_full (Program.query_string p_full q).rows in
+      let answer, r = Program.query_demand_string p_dem q in
+      Printf.printf
+        "demand: %-18s %d answers, %d rule firings, %d magic facts, \
+         resumed %b, fallback %b, answers agree %b\n"
+        q
+        (List.length answer.rows)
+        r.d_stats.firings r.d_magic_facts r.d_resumed
+        (r.d_fallback <> None)
+        (render p_dem answer.rows = full))
+    [ "p95[desc ->> {X}]"; "p90[desc ->> {X}]" ]
 
 let table_e12 () =
   section "E12: parts explosion (bill of materials), argument methods";
@@ -577,7 +563,7 @@ let bench_e7 () =
   run_benches tests
 
 let bench_e11 () =
-  subsection "E11 timings: point query, full vs goal-directed, chain(100)";
+  subsection "E11 timings: point query, full vs demand, chain(100)";
   let stmts =
     Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 100)
     @ Pathlog.Genealogy.desc_rules
@@ -590,10 +576,10 @@ let bench_e11 () =
              let p = Program.create stmts in
              ignore (Program.run p);
              Program.query p lits));
-      Test.make ~name:"e11/goal-directed tabling"
+      Test.make ~name:"e11/demand (magic sets) + query"
         (Staged.stage (fun () ->
              let p = Program.create stmts in
-             Program.query_topdown p lits));
+             Program.query_demand p lits));
     ]
 
 let bench_e1_scaling () =

@@ -58,37 +58,38 @@ let pp_query_lits ppf lits =
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
     Pathlog.Pretty.pp_literal ppf lits
 
+(* Print a demand-driven answer, preceded by a notice when the transform
+   declined and full materialisation ran instead. *)
+let print_demand_answer p ~stats name
+    (a, (r : Pathlog.Program.demand_report)) =
+  (match r.d_fallback with
+  | Some fb ->
+    Printf.printf "%% demand fallback (%s): full materialisation ran\n"
+      (Pathlog.Demand.fallback_to_string fb)
+  | None ->
+    if stats then
+      Printf.printf
+        "%% demand: %d seeds, %d magic rules, %d guarded, %d unguarded, %d \
+         magic facts\n"
+        r.d_seeds r.d_magic_rules r.d_guarded r.d_unguarded r.d_magic_facts);
+  if stats then Format.printf "%% %a@." Pathlog.Fixpoint.pp_stats r.d_stats;
+  print_answer p name a
+
 (* run --demand: no up-front materialisation — each query (embedded or
    --query) runs the magic-sets transform and fixpoints only its demanded
    fragment (see DESIGN.md); unsound cases fall back to a full run with a
    notice. *)
 let run_demand p ~budget ~stats queries =
-  let answer name run =
-    let a, (r : Pathlog.Program.demand_report) = run () in
-    (match r.Pathlog.Program.d_fallback with
-    | Some fb ->
-      Printf.printf "%% demand fallback (%s): full materialisation ran\n"
-        (Pathlog.Demand.fallback_to_string fb)
-    | None ->
-      if stats then
-        Printf.printf
-          "%% demand: %d seeds, %d magic rules, %d guarded, %d unguarded, \
-           %d magic facts\n"
-          r.d_seeds r.d_magic_rules r.d_guarded r.d_unguarded
-          r.d_magic_facts);
-    if stats then
-      Format.printf "%% %a@." Pathlog.Fixpoint.pp_stats r.d_stats;
-    print_answer p name a
-  in
   List.iter
     (fun lits ->
-      answer
+      print_demand_answer p ~stats
         (Format.asprintf "%a" pp_query_lits lits)
-        (fun () -> Pathlog.Program.query_demand ?budget p lits))
+        (Pathlog.Program.query_demand ?budget p lits))
     (Pathlog.Program.embedded_queries p);
   List.iter
     (fun q ->
-      answer q (fun () -> Pathlog.Program.query_demand_string ?budget p q))
+      print_demand_answer p ~stats q
+        (Pathlog.Program.query_demand_string ?budget p q))
     queries;
   match Pathlog.Program.degraded p with
   | Some reason ->
@@ -257,25 +258,9 @@ let query_cmd file strategy queries =
           | "full" ->
             ignore (Pathlog.Program.run p);
             print_answer p q (Pathlog.Program.query p lits)
-          | "focused" ->
-            let answer, stats, considered =
-              Pathlog.Program.query_focused p lits
-            in
-            Format.printf "%% focused: %d rules, %a@." considered
-              Pathlog.Fixpoint.pp_stats stats;
-            print_answer p q answer
-          | "topdown" -> (
-            match Pathlog.Program.query_topdown p lits with
-            | Some (answer, stats) ->
-              Printf.printf
-                "%% topdown: %d goals, %d tabled tuples, %d passes\n"
-                stats.goals stats.answers stats.passes;
-              print_answer p q answer
-            | None ->
-              print_endline
-                "% topdown: not applicable (falling back to full)";
-              ignore (Pathlog.Program.run p);
-              print_answer p q (Pathlog.Program.query p lits))
+          | "demand" ->
+            print_demand_answer p ~stats:false q
+              (Pathlog.Program.query_demand p lits)
           | other ->
             Printf.eprintf "error: unknown strategy %s\n" other;
             exit 1)
@@ -705,7 +690,10 @@ let strategy_arg =
     value
     & opt string "full"
     & info [ "s"; "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Evaluation strategy: full, focused, or topdown.")
+        ~doc:
+          "Evaluation strategy: full (materialise the model, then answer) \
+           or demand (magic-sets evaluation of only what the query \
+           demands).")
 
 let query_t = Term.(const query_cmd $ file_arg $ strategy_arg $ queries_arg)
 
@@ -853,7 +841,7 @@ let () =
           (Cmd.info "query"
              ~doc:
                "Answer queries with a chosen evaluation strategy (full, \
-                focused, topdown)")
+                demand)")
           query_t;
         Cmd.v
           (Cmd.info "fmt"

@@ -1,11 +1,10 @@
-(* Three ways to answer the same query, and proofs of the answers.
+(* Two ways to answer the same query, and proofs of the answers.
 
    1. Full materialisation: bottom-up fixpoint of the whole program, then
       solve (the paper's implicit execution model, section 6).
-   2. Demand-focused: run only the rules transitively relevant to the
-      query's relations.
-   3. Goal-directed tabling: push the query's constants into recursion and
-      memoise sub-goals — no materialisation at all.
+   2. Demand-driven: a magic-sets transform seeded by the query's
+      constants, so the bottom-up fixpoint derives only the facts the
+      query needs.
 
    Plus: provenance proof trees for derived facts (pathlog why).
 
@@ -25,7 +24,7 @@ let program_text =
   X[desc ->> {Y}] <- X[kids ->> {Y}].
   X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
 
-  % an unrelated rule family the focused strategies can skip
+  % an unrelated rule family demand evaluation can skip
   e1 : emp[base -> 100].
   X[pay -> B] <- X : emp[base -> B].
   |}
@@ -45,28 +44,23 @@ let () =
     (let s = Pathlog.Store.stats (Program.store p1) in
      s.scalar_tuples + s.set_tuples + s.isa_edges);
 
-  (* 2. demand-focused *)
+  (* 2. demand-driven *)
   let p2 = Program.of_string program_text in
-  let focused, fstats, considered = Program.query_focused p2 lits in
+  let demand, report = Program.query_demand p2 lits in
   Printf.printf
-    "demand-focused:        %d answers, %d firings, %d of %d rules\n"
-    (List.length focused.rows)
-    fstats.firings considered
-    (List.length (Program.rules p2));
+    "demand-driven:         %d answers, %d firings, %d magic facts%s\n"
+    (List.length demand.rows)
+    report.d_stats.firings report.d_magic_facts
+    (match report.d_fallback with
+    | Some fb -> " (fell back: " ^ Pathlog.Demand.fallback_to_string fb ^ ")"
+    | None -> "");
 
-  (* 3. goal-directed tabling *)
-  let p3 = Program.of_string program_text in
-  (match Program.query_topdown p3 lits with
-  | Some (answer, tstats) ->
-    Printf.printf
-      "goal-directed tabling: %d answers, %d goals, %d tabled tuples\n"
-      (List.length answer.rows)
-      tstats.goals tstats.answers
-  | None -> print_endline "goal-directed tabling: not applicable");
-
-  Printf.printf "\nanswers: %s\n"
-    (String.concat ", "
-       (List.sort compare (List.map (Program.row_to_string p1) full.rows)));
+  let render p (a : Program.answer) =
+    String.concat ", "
+      (List.sort compare (List.map (Program.row_to_string p) a.rows))
+  in
+  Printf.printf "\nanswers: %s (demand agrees: %b)\n" (render p1 full)
+    (render p2 demand = render p1 full);
 
   (* why is gen3 a descendant of gen1? *)
   print_endline "\nproof tree (pathlog why):";

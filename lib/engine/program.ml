@@ -44,6 +44,18 @@ type answer = {
 
 let invalid fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
 
+(* [parse text] with a parse error reported as [Invalid]. *)
+let parsed parse text =
+  match parse text with
+  | v -> v
+  | exception Syntax.Parser.Error (pos, msg) ->
+    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+
+let check_query lits =
+  match Syntax.Wellformed.check_query lits with
+  | Ok () -> ()
+  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e
+
 (* Signature declarations name classes with ground simple references. *)
 let ground_object store (r : Ast.reference) =
   match r with
@@ -86,11 +98,9 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
           | Error e ->
             invalid "ill-formed rule %a: %a" Syntax.Pretty.pp_rule r
               Syntax.Wellformed.pp_error e)
-        | Ast.Query lits -> (
-          match Syntax.Wellformed.check_query lits with
-          | Ok () -> queries := lits :: !queries
-          | Error e ->
-            invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e)))
+        | Ast.Query lits ->
+          check_query lits;
+          queries := lits :: !queries))
     spanned;
   let rules = List.rev !rules in
   let strat = Stratify.compute store rules in
@@ -118,11 +128,9 @@ let create ?config statements =
   create_spanned ?config (List.map (fun s -> (s, None)) statements)
 
 let of_string ?config text =
-  match Syntax.Parser.program_spanned text with
-  | spanned ->
-    create_spanned ?config (List.map (fun (s, sp) -> (s, Some sp)) spanned)
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+  parsed Syntax.Parser.program_spanned text
+  |> List.map (fun (s, sp) -> (s, Some sp))
+  |> create_spanned ?config
 
 let store t = t.store
 let config t = t.config
@@ -176,9 +184,7 @@ let load_facts t =
   end
 
 let query ?budget t lits =
-  (match Syntax.Wellformed.check_query lits with
-  | Ok () -> ()
-  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
+  check_query lits;
   let q = Semantics.Flatten.literals t.store lits in
   let columns = List.map fst q.named in
   let interrupt = Fixpoint.interrupt_of budget in
@@ -211,11 +217,9 @@ let strip_query_syntax s =
     String.sub s 0 (String.length s - 1)
   else s
 
-let query_string ?budget t text =
-  match Syntax.Parser.literals (strip_query_syntax text) with
-  | lits -> query ?budget t lits
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+let parse_query text = parsed Syntax.Parser.literals (strip_query_syntax text)
+
+let query_string ?budget t text = query ?budget t (parse_query text)
 
 let run_queries t = List.map (fun lits -> (lits, query t lits)) t.queries
 
@@ -247,12 +251,10 @@ let add_fact t reference =
   insert_fact t rule
 
 let add_fact_string t text =
-  match Syntax.Parser.statement text with
+  match parsed Syntax.Parser.statement text with
   | Syntax.Ast.Rule { head; body = [] } -> add_fact t head
   | Syntax.Ast.Rule _ | Syntax.Ast.Query _ ->
     invalid "add_fact expects a single fact statement"
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
 
 let dump_model t = Format.asprintf "%a" Oodb.Store.pp t.store
 
@@ -261,26 +263,7 @@ let explain t lits =
   Semantics.Solve.explain ~order:t.config.order
     ?estimator:t.config.estimates t.store q
 
-let explain_string t text =
-  match Syntax.Parser.literals (strip_query_syntax text) with
-  | lits -> explain t lits
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
-
-let parse_query text =
-  match Syntax.Parser.literals (strip_query_syntax text) with
-  | lits -> lits
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
-
-(* ------------------------------------------------------------------ *)
-(* Demand-focused evaluation: run only the rules transitively relevant to
-   a query's relations, then solve. Sound because evaluation is monotone
-   and the skipped rules cannot contribute tuples to any relation the
-   query (or its support) reads. *)
-
-let relevant_rules t (q : Semantics.Ir.query) =
-  Stratify.live_rules t.rules ~goals:(Semantics.Ir.query_rels q.atoms)
+let explain_string t text = explain t (parse_query text)
 
 (* Rules live for the program's own embedded queries; all rules when the
    program has no queries (everything is then an output). *)
@@ -318,34 +301,6 @@ let run_live t =
       t.strat
   in
   (stats, skipped)
-
-let query_focused t lits =
-  (match Syntax.Wellformed.check_query lits with
-  | Ok () -> ()
-  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
-  let q = Semantics.Flatten.literals t.store lits in
-  let rules = relevant_rules t q in
-  let strat = Stratify.compute t.store rules in
-  let stats =
-    Fixpoint.run
-      ~config:{ t.config with Fixpoint.plan_variant = 1 }
-      ~provenance:t.provenance ~plans:t.plans t.store strat
-  in
-  (query t lits, stats, List.length rules)
-
-let query_topdown t lits =
-  (match Syntax.Wellformed.check_query lits with
-  | Ok () -> ()
-  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
-  load_facts t;
-  let q = Semantics.Flatten.literals t.store lits in
-  let idb_rules =
-    List.filter (fun (r : Rule.t) -> r.source.body <> []) t.rules
-  in
-  match Topdown.query t.store idb_rules q with
-  | Some (rows, stats) ->
-    Some ({ columns = List.map fst q.named; rows }, stats)
-  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Demand-driven evaluation: magic-sets transform, query-seeded fixpoint.
@@ -390,9 +345,7 @@ let shape_for t (d : Demand.t) =
 let plan_count t = Fixpoint.plan_count t.plans
 
 let query_demand ?budget t lits =
-  (match Syntax.Wellformed.check_query lits with
-  | Ok () -> ()
-  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
+  check_query lits;
   match Demand.transform t.store t.proper_rules lits with
   | Error fb ->
     (* negation / inclusion / hilog strata make the transform unsound:
@@ -459,15 +412,10 @@ let query_demand ?budget t lits =
       } )
 
 let query_demand_string ?budget t text =
-  match Syntax.Parser.literals (strip_query_syntax text) with
-  | lits -> query_demand ?budget t lits
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+  query_demand ?budget t (parse_query text)
 
 let explain_demand t lits =
-  (match Syntax.Wellformed.check_query lits with
-  | Ok () -> ()
-  | Error e -> invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e);
+  check_query lits;
   match Demand.transform t.store t.proper_rules lits with
   | Error fb ->
     [
@@ -478,11 +426,7 @@ let explain_demand t lits =
     ]
   | Ok d -> Demand.listing t.store d
 
-let explain_demand_string t text =
-  match Syntax.Parser.literals (strip_query_syntax text) with
-  | lits -> explain_demand t lits
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+let explain_demand_string t text = explain_demand t (parse_query text)
 
 let why ?budget t reference =
   match Fact.of_reference t.store reference with
@@ -495,10 +439,7 @@ let why ?budget t reference =
     Provenance.explain ?interrupt t.store t.provenance fact
 
 let why_string ?budget t text =
-  match Syntax.Parser.reference (strip_query_syntax text) with
-  | r -> why ?budget t r
-  | exception Syntax.Parser.Error (pos, msg) ->
-    invalid "%a: %s" Syntax.Token.pp_pos pos msg
+  why ?budget t (parsed Syntax.Parser.reference (strip_query_syntax text))
 
 (* ------------------------------------------------------------------ *)
 (* What-if analysis: rebuild with edited statements and diff the models.

@@ -6,7 +6,9 @@
     Loading parses, checks well-formedness (Definition 3 plus head and
     safety conditions), compiles rules, and stratifies. {!run} evaluates to
     the minimal model; {!query} / {!query_string} answer ad-hoc queries
-    against the current store. *)
+    against the current store. {!query_demand} is the goal-directed
+    alternative: it derives only the part of the model one query
+    demands. *)
 
 type t
 
@@ -144,16 +146,6 @@ val explain_string : t -> string -> string list
 (** Derivation provenance recorded during {!run}. *)
 val provenance : t -> Provenance.t
 
-(** Demand-focused evaluation: instead of materialising the whole model,
-    run only the rules transitively relevant to the query's relations
-    (classic rule-relevance restriction — weaker than full magic sets but
-    sound and often sufficient), then answer. Returns the answer, the
-    fixpoint statistics of the focused run, and the number of rules it
-    considered. Answers always agree with {!run} + {!query}
-    (property-tested). *)
-val query_focused :
-  t -> Syntax.Ast.literal list -> answer * Fixpoint.stats * int
-
 (** Execute the program's fact statements (empty-body rules) into the
     store without running any rule; idempotent. Demand-driven evaluation
     loads the extensional database this way and derives the rest from the
@@ -222,15 +214,6 @@ val plan_count : t -> int
 val explain_demand : t -> Syntax.Ast.literal list -> string list
 
 val explain_demand_string : t -> string -> string list
-
-(** Goal-directed tabled evaluation for the flat-headed fragment (see
-    {!Topdown}): answers point queries without materialising the model,
-    propagating the query's constants into recursion. Loads the program's
-    fact statements into the store (idempotent), then tables sub-goals.
-    [None] when a rule is outside the fragment — fall back to
-    {!query_focused} or {!run}+{!query}. *)
-val query_topdown :
-  t -> Syntax.Ast.literal list -> (answer * Topdown.stats) option
 
 (** The proof tree of a derived or extensional fact ([None] if the store
     does not contain it). The reference must be ground and fact shaped:

@@ -41,7 +41,6 @@ module Program = Engine.Program
 module Production = Engine.Production
 module Fact = Engine.Fact
 module Provenance = Engine.Provenance
-module Topdown = Engine.Topdown
 module Demand = Engine.Demand
 module Live = Incremental.Live
 module Durable = Durable

@@ -9,8 +9,6 @@ let () =
       ("paper", Test_paper.suite);
       ("extensions", Test_extensions.suite);
       ("provenance", Test_provenance.suite);
-      ("focused", Test_focused.suite);
-      ("topdown", Test_topdown.suite);
       ("more", Test_more.suite);
       ("programs", Test_programs.suite);
       ("cli", Test_cli.suite);
@@ -27,5 +25,7 @@ let () =
       ("incremental", Test_incremental.suite);
       ("durable", Test_durable.suite);
       ("demand", Test_demand.suite);
+      ("focused", Test_demand.focused_suite);
+      ("topdown", Test_demand.topdown_suite);
       ("regex", Test_regex.suite);
     ]

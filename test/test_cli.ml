@@ -134,13 +134,18 @@ let test_query_strategies () =
       Alcotest.(check int) (strategy ^ " exit") 0 code;
       Alcotest.(check bool) (strategy ^ " answer") true
         (contains ~sub:"sally" out))
-    [ "full"; "focused"; "topdown" ]
+    [ "full"; "demand" ]
 
 let test_query_bad_strategy () =
-  let code, _ =
-    run_cli [ "query"; plg "genealogy.plg"; "-s"; "quantum"; "-q"; "x" ]
-  in
-  Alcotest.(check int) "exit 1" 1 code
+  List.iter
+    (fun strategy ->
+      let code, _ =
+        run_cli
+          [ "query"; plg "genealogy.plg"; "-s"; strategy; "-q";
+            "tim[desc ->> {X}]" ]
+      in
+      Alcotest.(check int) (strategy ^ " exits 1") 1 code)
+    [ "quantum"; "focused"; "topdown" ]
 
 let suite =
   suite

@@ -1,6 +1,6 @@
 (* Remaining behavioural corners: valuation cartesian products, the
-   production engine under conflicts, topdown statistics, lexer line
-   accounting, normalisation of rules, Entail conjunctions, Randprog
+   production engine under conflicts, goal-directed point queries, lexer
+   line accounting, normalisation of rules, Entail conjunctions, Randprog
    determinism. *)
 
 open Helpers
@@ -125,49 +125,32 @@ let test_production_declaration_order_tiebreak () =
     [ "first"; "second" ] messages
 
 (* ------------------------------------------------------------------ *)
-(* Topdown corners *)
+(* Goal-directed corners, answered through demand and checked against
+   full materialisation *)
 
-let test_topdown_edb_only () =
-  (* no rules at all: the query runs straight off the store *)
-  let p = Program.of_string "a[r ->> {b}]. b[r ->> {c}]." in
-  match Program.query_topdown p (Pathlog.Parser.literals "a[r ->> {X}]") with
-  | Some (answer, stats) ->
-    Alcotest.(check int) "one answer" 1 (List.length answer.rows);
-    Alcotest.(check int) "no goals needed" 0 stats.goals
-  | None -> Alcotest.fail "EDB query should be applicable"
+let small_tc =
+  {|
+  a[kids ->> {b}]. b[kids ->> {c}].
+  X[desc ->> {Y}] <- X[kids ->> {Y}].
+  X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+  |}
 
-let test_topdown_ground_query () =
-  let p =
-    Program.of_string
-      {|
-      a[kids ->> {b}]. b[kids ->> {c}].
-      X[desc ->> {Y}] <- X[kids ->> {Y}].
-      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-      |}
+(* Ground yes/no and result-bound queries, and a rule-free program. *)
+let test_edb_only () =
+  let rows, report =
+    Test_demand.demand_rows "a[r ->> {b}]. b[r ->> {c}]." "a[r ->> {X}]"
   in
-  (match Program.query_topdown p (Pathlog.Parser.literals "a[desc ->> {c}]") with
-  | Some (answer, _) ->
-    Alcotest.(check int) "ground yes" 1 (List.length answer.rows)
-  | None -> Alcotest.fail "applicable");
-  match Program.query_topdown p (Pathlog.Parser.literals "c[desc ->> {a}]") with
-  | Some (answer, _) ->
-    Alcotest.(check int) "ground no" 0 (List.length answer.rows)
-  | None -> Alcotest.fail "applicable"
+  Alcotest.(check int) "one answer" 1 (List.length rows);
+  Alcotest.(check int) "no magic rules needed" 0 report.Program.d_magic_rules
 
-let test_topdown_result_bound_pattern () =
-  (* query with the result bound and the receiver open: who contains c? *)
-  let p =
-    Program.of_string
-      {|
-      a[kids ->> {b}]. b[kids ->> {c}].
-      X[desc ->> {Y}] <- X[kids ->> {Y}].
-      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-      |}
-  in
-  match Program.query_topdown p (Pathlog.Parser.literals "X[desc ->> {c}]") with
-  | Some (answer, _) ->
-    Alcotest.(check int) "two ancestors" 2 (List.length answer.rows)
-  | None -> Alcotest.fail "applicable"
+let test_ground_query () =
+  Test_demand.check_count "ground yes" 1 small_tc "a[desc ->> {c}]";
+  Test_demand.check_count "ground no" 0 small_tc "c[desc ->> {a}]"
+
+let test_result_bound_pattern () =
+  Test_demand.check_count "two ancestors" 2 small_tc "X[desc ->> {c}]";
+  Test_demand.check_count "paul's two ancestors" 2 Test_demand.desc_text
+    "X[desc ->> {paul}]"
 
 (* ------------------------------------------------------------------ *)
 (* Lexer/parser positions *)
@@ -265,10 +248,10 @@ let suite =
       test_production_multiple_actions;
     Alcotest.test_case "production declaration tiebreak" `Quick
       test_production_declaration_order_tiebreak;
-    Alcotest.test_case "topdown EDB only" `Quick test_topdown_edb_only;
-    Alcotest.test_case "topdown ground query" `Quick test_topdown_ground_query;
+    Alcotest.test_case "topdown EDB only" `Quick test_edb_only;
+    Alcotest.test_case "topdown ground query" `Quick test_ground_query;
     Alcotest.test_case "topdown result-bound pattern" `Quick
-      test_topdown_result_bound_pattern;
+      test_result_bound_pattern;
     Alcotest.test_case "lexer lines across strings" `Quick
       test_lexer_lines_across_strings;
     Alcotest.test_case "parser error column" `Quick

@@ -124,6 +124,178 @@ let test_skolem_head_unguarded () =
   Alcotest.(check int) "not guarded" 0 report.Program.d_guarded
 
 (* ------------------------------------------------------------------ *)
+(* Point queries with fixed expected answers: recursion, ground and
+   result-bound queries, extensional-only programs, argument methods,
+   virtual-object heads and negation. Each runs through demand, is
+   compared with full materialisation, and checks its fallback status.
+   The "focused" and "topdown" groups keep the case names of the
+   rule-relevance and tabled evaluators these cases first covered. *)
+
+let desc_text =
+  {|
+  peter[kids ->> {tim, mary}]. tim[kids ->> {sally}].
+  mary[kids ->> {tom, paul}].
+  X[desc ->> {Y}] <- X[kids ->> {Y}].
+  X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+  |}
+
+(* Two independent rule families: genealogy closure and a payroll
+   derivation. *)
+let two_families =
+  {|
+  peter[kids ->> {tim, mary}]. tim[kids ->> {sally}].
+  X[desc ->> {Y}] <- X[kids ->> {Y}].
+  X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+
+  e1 : emp[base -> 100; bonus -> 20].
+  e2 : emp[base -> 200; bonus -> 0].
+  X[pay -> B] <- X : emp[base -> B].
+  |}
+
+let pay_chain =
+  {|
+  e1 : emp[base -> 100]. e2 : emp[base -> 200].
+  X[scaled -> B] <- X : emp[base -> B].
+  X[pay -> B] <- X[scaled -> B].
+  |}
+
+let poor_text =
+  {|
+  a : emp[sal -> 10]. b : emp[sal -> 20].
+  X : poor <- X : emp, not X[sal -> 20].
+  |}
+
+(* Demand answers [q] over [text] as full materialisation does, with the
+   expected fallback status; returns the rendered rows and the report. *)
+let demand_rows ?(fallback = false) text q =
+  let p, report = check_demand_equals_full text q in
+  Alcotest.(check bool) ("fallback: " ^ q) fallback
+    (report.Program.d_fallback <> None);
+  let answer, _ = Program.query_demand p (lits q) in
+  (render p answer.rows, report)
+
+let check_rows msg expected text q =
+  Alcotest.(check (list string)) msg expected (fst (demand_rows text q))
+
+let check_count ?fallback msg n text q =
+  Alcotest.(check int) msg n (List.length (fst (demand_rows ?fallback text q)))
+
+let test_point_query () =
+  let rows, report = demand_rows desc_text "tim[desc ->> {X}]" in
+  Alcotest.(check (list string)) "tim's descendants" [ "sally" ] rows;
+  (* only tim's cone is demanded, not the full closure *)
+  Alcotest.(check bool) "few magic facts" true
+    (report.Program.d_magic_facts <= 3)
+
+let test_full_query () =
+  check_rows "peter's descendants"
+    [ "mary"; "paul"; "sally"; "tim"; "tom" ]
+    desc_text "peter[desc ->> {X}]"
+
+let test_open_query () =
+  check_count "whole closure" 8 desc_text "X[desc ->> {Y}]"
+
+let test_scalar_chain_rules () =
+  check_rows "pay" [ "100" ] pay_chain "e1[pay -> B]"
+
+let test_no_materialisation () =
+  let p = Program.of_string desc_text in
+  ignore (Program.query_demand_string p "tim[desc ->> {X}]");
+  (* the store holds tim's cone of the closure and nothing else *)
+  Alcotest.(check int) "only tim's desc tuple" 1
+    (List.length (Program.query_string p "X[desc ->> {Y}]").rows);
+  Alcotest.(check int) "peter's closure not derived" 0
+    (List.length (Program.query_string p "peter[desc ->> {X}]").rows)
+
+let test_virtual_object_head () =
+  (* a path head is not flat, yet demand answers it without falling back *)
+  check_count "address city" 1
+    {|
+    a : person[city -> c1].
+    X.address[city -> X.city] <- X : person.
+    |}
+    "X.address[city -> C]"
+
+let test_negation_falls_back () =
+  check_count ~fallback:true "poor employees" 1 poor_text "X : poor"
+
+let test_unconstrained_query () =
+  (* a bare variable demands every object: answered without fallback *)
+  Alcotest.(check bool) "sally is an object" true
+    (List.mem "sally" (fst (demand_rows desc_text "X")))
+
+let test_args_methods () =
+  check_rows "raise" [ "120" ]
+    {|
+    john[salary@(1994) -> 100]. john[salary@(1995) -> 120].
+    X[raise@(Y1, Y2) -> S] <- X[salary@(Y1) -> B], X[salary@(Y2) -> S].
+    |}
+    "john[raise@(1994, 1995) -> S]"
+
+(* Demand point queries on random genealogy forests = full
+   materialisation. *)
+let forest_point_query ~name ~count ~people ~max_kids person_gen =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (int_range 1 100) person_gen)
+    (fun (seed, person) ->
+      let stmts =
+        Pathlog.Genealogy.statements
+          (Pathlog.Genealogy.Random_forest { people; max_kids; seed })
+        @ Pathlog.Genealogy.desc_rules
+      in
+      let q = Printf.sprintf "p%d[desc ->> {X}]" person in
+      let pd = Program.create stmts in
+      let demand, _ = Program.query_demand_string pd q in
+      let pf = Program.create stmts in
+      ignore (Program.run pf);
+      render pd demand.rows = render pf (Program.query_string pf q).rows)
+
+let test_chain_suffix () =
+  (* a point query near the end of a long chain costs its suffix, not the
+     quadratic closure (5050 tuples, thousands of firings) *)
+  let stmts =
+    Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 100)
+    @ Pathlog.Genealogy.desc_rules
+  in
+  let p = Program.create stmts in
+  let answer, report = Program.query_demand_string p "p95[desc ->> {X}]" in
+  Alcotest.(check int) "five descendants" 5 (List.length answer.rows);
+  Alcotest.(check bool) "at most 50 firings" true
+    (report.Program.d_stats.Pathlog.Fixpoint.firings <= 50);
+  Alcotest.(check int) "one magic fact" 1 report.Program.d_magic_facts
+
+let test_subset_of_rules () =
+  let p = Program.of_string two_families in
+  let answer, report = Program.query_demand_string p "peter[desc ->> {X}]" in
+  Alcotest.(check int) "desc answers" 3 (List.length answer.rows);
+  (* the two desc rules are kept; the pay rule is irrelevant *)
+  Alcotest.(check int) "only relevant rules considered" 2
+    (report.Program.d_guarded + report.Program.d_unguarded);
+  Alcotest.(check int) "pay not materialised" 0
+    (List.length (Program.query_string p "X[pay -> B]").rows)
+
+let test_agrees_with_full () =
+  List.iter
+    (fun q -> ignore (demand_rows two_families q))
+    [
+      "peter[desc ->> {X}]";
+      "X[pay -> B]";
+      "X : emp";
+      "tim[desc ->> {X}]";
+    ]
+
+let test_pulls_dependencies () =
+  (* pay depends on scaled which depends on base: a pay query must run the
+     whole chain *)
+  let rows, report = demand_rows pay_chain "e1[pay -> B]" in
+  Alcotest.(check int) "answer" 1 (List.length rows);
+  Alcotest.(check int) "chain of rules pulled in" 2
+    (report.Program.d_guarded + report.Program.d_unguarded)
+
+let test_stratified () =
+  check_count ~fallback:true "stratified" 1 poor_text "X : poor"
+
+(* ------------------------------------------------------------------ *)
 (* Golden fallback cases: the transform must decline and full
    materialisation must answer, identically. *)
 
@@ -386,6 +558,7 @@ let suite =
     Alcotest.test_case "demand composes" `Quick test_demand_composes;
     Alcotest.test_case "isa query" `Quick test_isa_query;
     Alcotest.test_case "skolem head" `Quick test_skolem_head_unguarded;
+    Alcotest.test_case "chain suffix cost" `Quick test_chain_suffix;
     Alcotest.test_case "fallback: negation" `Quick test_fallback_negation;
     Alcotest.test_case "fallback: inclusion" `Quick test_fallback_inclusion;
     Alcotest.test_case "fallback: hilog" `Quick test_fallback_hilog;
@@ -402,4 +575,35 @@ let suite =
       test_removal_drops_watermarks;
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 1);
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 4);
+  ]
+
+let focused_suite =
+  [
+    Alcotest.test_case "focused runs a subset of rules" `Quick
+      test_subset_of_rules;
+    Alcotest.test_case "focused agrees with full" `Quick test_agrees_with_full;
+    Alcotest.test_case "focused pulls dependencies" `Quick
+      test_pulls_dependencies;
+    Alcotest.test_case "focused stratified" `Quick test_stratified;
+    QCheck_alcotest.to_alcotest
+      (forest_point_query ~name:"focused query = full materialisation"
+         ~count:15 ~people:12 ~max_kids:2 (QCheck.always 0));
+  ]
+
+let topdown_suite =
+  [
+    Alcotest.test_case "point query" `Quick test_point_query;
+    Alcotest.test_case "full query" `Quick test_full_query;
+    Alcotest.test_case "open query" `Quick test_open_query;
+    Alcotest.test_case "scalar chain rules" `Quick test_scalar_chain_rules;
+    Alcotest.test_case "no materialisation" `Quick test_no_materialisation;
+    Alcotest.test_case "fallback on virtual objects" `Quick
+      test_virtual_object_head;
+    Alcotest.test_case "fallback on negation" `Quick test_negation_falls_back;
+    Alcotest.test_case "fallback on unconstrained query" `Quick
+      test_unconstrained_query;
+    Alcotest.test_case "argument methods" `Quick test_args_methods;
+    QCheck_alcotest.to_alcotest
+      (forest_point_query ~name:"topdown point query = bottom-up model"
+         ~count:20 ~people:15 ~max_kids:3 (QCheck.int_range 0 14));
   ]

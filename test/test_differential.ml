@@ -1,5 +1,5 @@
 (* Randomised rule programs evaluated by every engine we have — bottom-up
-   naive, bottom-up semi-naive, goal-directed tabling — plus the model
+   naive, bottom-up semi-naive, demand-driven magic sets — plus the model
    checker, all required to agree. This is the strongest single confidence
    argument for the evaluator stack. Also: the calculus baseline. *)
 
@@ -89,25 +89,21 @@ let fixpoint_is_model_random =
       | exception _ -> QCheck.assume_fail ()
       | p -> Program.verify_model p = Ok ())
 
-let topdown_agrees_random =
-  QCheck.Test.make ~name:"topdown = bottom-up on random rule programs"
+let demand_agrees_random jobs =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "demand = full, rule progs (jobs %d)" jobs)
     ~count:40 arbitrary_program (fun text ->
       match load_mode Fixpoint.Seminaive text with
       | exception _ -> QCheck.assume_fail ()
-      | p_full -> (
+      | p_full ->
         let q = "o1[r ->> {Z}]" in
-        let full =
-          List.sort compare
-            (List.map (Program.row_to_string p_full)
-               (Program.query_string p_full q).rows)
+        let render p (a : Program.answer) =
+          List.sort compare (List.map (Program.row_to_string p) a.rows)
         in
-        let p_top = Program.of_string text in
-        match Program.query_topdown p_top (Pathlog.Parser.literals q) with
-        | Some (answer, _) ->
-          List.sort compare
-            (List.map (Program.row_to_string p_top) answer.rows)
-          = full
-        | None -> QCheck.assume_fail ()))
+        let config = { Fixpoint.default_config with jobs } in
+        let p_dem = Program.of_string ~config text in
+        render p_dem (fst (Program.query_demand_string p_dem q))
+        = render p_full (Program.query_string p_full q))
 
 let invariants_random_programs =
   QCheck.Test.make ~name:"store invariants on random rule programs"
@@ -199,7 +195,8 @@ let suite =
   [
     qtest engines_agree;
     qtest fixpoint_is_model_random;
-    qtest topdown_agrees_random;
+    qtest (demand_agrees_random 1);
+    qtest (demand_agrees_random 4);
     qtest invariants_random_programs;
     Alcotest.test_case "calculus query 1.3" `Quick test_calculus_13;
     Alcotest.test_case "calculus class filter" `Quick

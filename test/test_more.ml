@@ -75,7 +75,7 @@ let test_mutual_recursion () =
   check_answers "even nodes" p "X[evenFrom -> yes]" [ "n0"; "n2"; "n4" ];
   check_answers "odd nodes" p "X[oddFrom -> yes]" [ "n1"; "n3" ]
 
-let test_mutual_recursion_topdown () =
+let test_mutual_recursion_demand () =
   let text =
     {|
     n0[next -> n1]. n1[next -> n2]. n2[next -> n3]. n3[next -> n4].
@@ -85,10 +85,10 @@ let test_mutual_recursion_topdown () =
     |}
   in
   let p = Program.of_string text in
-  match Program.query_topdown p (Pathlog.Parser.literals "n4[evenFrom -> R]") with
-  | Some (answer, _) ->
-    Alcotest.(check int) "n4 is even-reachable" 1 (List.length answer.rows)
-  | None -> Alcotest.fail "mutual recursion is flat-headed"
+  let answer, report = Program.query_demand_string p "n4[evenFrom -> R]" in
+  Alcotest.(check bool) "no fallback" true
+    (report.Program.d_fallback = None);
+  Alcotest.(check int) "n4 is even-reachable" 1 (List.length answer.rows)
 
 let test_same_generation () =
   (* the classic non-linear recursion *)
@@ -364,8 +364,8 @@ let suite =
     Alcotest.test_case "rule with arg methods" `Quick
       test_rule_with_arg_methods;
     Alcotest.test_case "mutual recursion" `Quick test_mutual_recursion;
-    Alcotest.test_case "mutual recursion topdown" `Quick
-      test_mutual_recursion_topdown;
+    Alcotest.test_case "mutual recursion demand" `Quick
+      test_mutual_recursion_demand;
     Alcotest.test_case "same generation" `Quick test_same_generation;
     Alcotest.test_case "diamond derivation dedup" `Quick
       test_diamond_derivation_no_duplicates;

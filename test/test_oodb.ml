@@ -350,6 +350,41 @@ let members_vs_classes_duality =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Store invariants *)
+
+let test_invariants_clean_store () =
+  let p =
+    load
+      {|
+      automobile :: vehicle.
+      a1 : automobile[color -> red].
+      a1[tags ->> {fast, loud}].
+      |}
+  in
+  Alcotest.(check (list string)) "no violations" []
+    (Store.check_invariants (Pathlog.Program.store p))
+
+let invariants_after_random_runs =
+  QCheck.Test.make ~name:"store invariants hold after random evaluations"
+    ~count:25
+    QCheck.(int_range 1 500)
+    (fun seed ->
+      let stmts =
+        Pathlog.Genealogy.statements
+          (Pathlog.Genealogy.Random_forest { people = 15; max_kids = 3; seed })
+        @ Pathlog.Genealogy.desc_rules
+        @ Pathlog.Company.statements { (Pathlog.Company.scaled 10) with seed }
+      in
+      let p = Pathlog.Program.create stmts in
+      ignore (Pathlog.Program.run p);
+      Store.check_invariants (Pathlog.Program.store p) = [])
+
+let invariants_after_loadable_bases =
+  QCheck.Test.make ~name:"store invariants hold on random fact bases"
+    ~count:40 arbitrary_loadable_base (fun p ->
+      Store.check_invariants (Pathlog.Program.store p) = [])
+
 let suite =
   [
     Alcotest.test_case "vec basics" `Quick test_vec_basic;
@@ -373,4 +408,8 @@ let suite =
     Alcotest.test_case "signature strict" `Quick test_signature_strict_mode;
     qtest isa_closure_transitivity;
     qtest members_vs_classes_duality;
+    Alcotest.test_case "invariants clean store" `Quick
+      test_invariants_clean_store;
+    qtest invariants_after_random_runs;
+    qtest invariants_after_loadable_bases;
   ]

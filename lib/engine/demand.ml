@@ -532,7 +532,7 @@ let listing store d =
           | _ -> []
         in
         (pp_rule r.source :: List.map (fun l -> "%   " ^ l)
-          (Semantics.Solve.explain ~order:Semantics.Solve.Compiled ~bindings
+          (Semantics.Solve.explain ~bindings
              store r.body)))
       (compile_guarded store d)
   in

@@ -5,7 +5,6 @@ type mode = Naive | Seminaive
 
 type config = {
   mode : mode;
-  order : Semantics.Solve.order;
   hilog_virtual : bool;
   max_rounds : int;
   max_objects : int;
@@ -31,7 +30,6 @@ let default_jobs =
 let default_config =
   {
     mode = Seminaive;
-    order = Semantics.Solve.Compiled;
     hilog_virtual = false;
     max_rounds = 10_000;
     max_objects = 1_000_000;
@@ -193,27 +191,20 @@ let estimates_epoch config =
   | Some e -> e.Semantics.Solve.est_epoch
 
 let plan_for (cache : plan_cache) config store (rule : Rule.t) seed =
-  match config.order with
-  | Semantics.Solve.Greedy | Semantics.Solve.Source -> None
-  | Semantics.Solve.Compiled ->
-    let seed_idx =
-      match seed with
-      | Some s -> s.Semantics.Solve.seed_atom
-      | None -> -1
+  let seed_idx =
+    match seed with Some s -> s.Semantics.Solve.seed_atom | None -> -1
+  in
+  let key = (rule.uid, seed_idx, config.plan_variant, estimates_epoch config) in
+  match Hashtbl.find_opt cache key with
+  | Some p when not (Semantics.Solve.plan_stale store p) -> p
+  | Some _ | None ->
+    let p =
+      Semantics.Solve.compile_plan ?estimator:config.estimates
+        ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
+        store rule.body
     in
-    let key =
-      (rule.uid, seed_idx, config.plan_variant, estimates_epoch config)
-    in
-    (match Hashtbl.find_opt cache key with
-    | Some p when not (Semantics.Solve.plan_stale store p) -> Some p
-    | Some _ | None ->
-      let p =
-        Semantics.Solve.compile_plan ?estimator:config.estimates
-          ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
-          store rule.body
-      in
-      Hashtbl.replace cache key p;
-      Some p)
+    Hashtbl.replace cache key p;
+    p
 
 let env_of_binding (body : Ir.query) binding =
   List.fold_left
@@ -286,8 +277,8 @@ let evaluate ?provenance ?tracer ?on_insert ?interrupt config plans stats
     store (rule : Rule.t) seed changes =
   stats.rule_evaluations <- stats.rule_evaluations + 1;
   let plan = plan_for plans config store rule seed in
-  Semantics.Solve.iter ~order:config.order ~hilog_virtual:config.hilog_virtual
-    ?interrupt ?seed ?plan store rule.body
+  Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt ?seed
+    ~plan store rule.body
     ~f:(fun binding ->
       fire ?provenance ?tracer ?on_insert stats store rule binding changes)
 
@@ -311,12 +302,11 @@ let evaluate ?provenance ?tracer ?on_insert ?interrupt config plans stats
 type task = {
   t_rule : Rule.t;
   t_seed : Semantics.Solve.seed option;
-  mutable t_plan : Semantics.Solve.plan option;
   t_out : Oodb.Obj_id.t array Oodb.Vec.t;  (* body solutions found *)
 }
 
 let task rule seed =
-  { t_rule = rule; t_seed = seed; t_plan = None; t_out = Oodb.Vec.create () }
+  { t_rule = rule; t_seed = seed; t_out = Oodb.Vec.create () }
 
 let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
     stats store tasks changes =
@@ -332,9 +322,9 @@ let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
     let tasks = Array.of_list tasks in
     (* Plans come from the shared cache, so compile them before going
        parallel; the cache is not synchronised. *)
-    Array.iter
-      (fun t -> t.t_plan <- plan_for plans config store t.t_rule t.t_seed)
-      tasks;
+    let task_plans =
+      Array.map (fun t -> plan_for plans config store t.t_rule t.t_seed) tasks
+    in
     stats.rule_evaluations <- stats.rule_evaluations + Array.length tasks;
     Dpool.run pool (Array.length tasks) (fun i ->
         (* each worker re-checks the budget between task claims, so a
@@ -343,9 +333,8 @@ let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
            unclaimed remainder *)
         (match config.budget with Some b -> Budget.check b | None -> ());
         let t = tasks.(i) in
-        Semantics.Solve.iter ~order:config.order
-          ~hilog_virtual:config.hilog_virtual ?interrupt ?seed:t.t_seed
-          ?plan:t.t_plan store t.t_rule.body
+        Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt
+          ?seed:t.t_seed ~plan:task_plans.(i) store t.t_rule.body
           ~f:(fun binding -> Oodb.Vec.push t.t_out binding));
     Array.iter
       (fun t ->

@@ -15,11 +15,10 @@
       re-evaluation for that round. Relevance and delta checks run on
       interned relation ids over plain arrays; no per-round map snapshots.
 
-    With the default [Compiled] join order, each (rule, seed adornment)
-    pair gets a join order compiled once from the static cost model and
-    cached across rounds and strata (keyed by {!Rule.t.uid}), recompiled
-    only when the store has roughly doubled since compilation; [Greedy]
-    keeps the adaptive per-binding ordering as a fallback.
+    Each (rule, seed adornment) pair gets a join order compiled once from
+    the static cost model ({!Semantics.Solve.compile_plan}) and cached
+    across rounds and strata (keyed by {!Rule.t.uid}), recompiled only
+    when the store has roughly doubled since compilation.
 
     With [jobs > 1] each round runs domain-parallel: the round's (rule,
     seed) evaluation tasks solve their bodies concurrently against the
@@ -39,8 +38,6 @@ type mode = Naive | Seminaive
 
 type config = {
   mode : mode;
-  order : Semantics.Solve.order;
-      (** join order inside rule bodies; default [Compiled] *)
   hilog_virtual : bool;
       (** enumerate virtual (skolem) objects for variable method positions;
           see {!Semantics.Solve.iter}. Default [false]: the literal

@@ -189,16 +189,14 @@ let query ?budget t lits =
   let columns = List.map fst q.named in
   let interrupt = Fixpoint.interrupt_of budget in
   let rows =
-    Semantics.Solve.named_solutions ~order:t.config.order ?interrupt t.store
-      q
+    Semantics.Solve.named_solutions ?interrupt t.store q
   in
   let rows =
     (* a ground query answers with one empty row when entailed *)
     match (columns, rows) with
     | [], [] ->
       if
-        Semantics.Solve.satisfiable ~order:t.config.order ?interrupt t.store
-          q
+        Semantics.Solve.satisfiable ?interrupt t.store q
       then [ [] ]
       else []
     | _ -> rows
@@ -260,8 +258,7 @@ let dump_model t = Format.asprintf "%a" Oodb.Store.pp t.store
 
 let explain t lits =
   let q = Semantics.Flatten.literals t.store lits in
-  Semantics.Solve.explain ~order:t.config.order
-    ?estimator:t.config.estimates t.store q
+  Semantics.Solve.explain ?estimator:t.config.estimates t.store q
 
 let explain_string t text = explain t (parse_query text)
 

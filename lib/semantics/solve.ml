@@ -1,20 +1,14 @@
 module Store = Oodb.Store
 module Set = Oodb.Obj_id.Set
 
-type order = Greedy | Source | Compiled
-
 type seed = { seed_atom : int; seed_from : int }
 
 exception Stopped
-
-let infinity_cost = max_int / 2
 
 type ctx = {
   store : Store.t;
   self_id : Oodb.Obj_id.t;
   binding : Oodb.Obj_id.t option array;
-  total_scalar : int;
-  total_set : int;
   hilog_virtual : bool;
       (* enumerate skolem objects for variable method positions; off by
          default because it makes programs like the generic tc of section 6
@@ -94,84 +88,6 @@ let rec force_bound ctx slots k =
   | s :: rest -> enum_universe ctx (Ir.V s) (fun () -> force_bound ctx rest k)
 
 (* ------------------------------------------------------------------ *)
-(* Cost estimation                                                     *)
-
-let cost_app ctx which (app : Ir.app) =
-  let bucket_len m =
-    match which with
-    | `Scalar -> Oodb.Vec.length (Store.scalar_bucket ctx.store m)
-    | `Set -> Oodb.Vec.length (Store.set_bucket ctx.store m)
-  in
-  let inverse_len m res =
-    match which with
-    | `Scalar -> Oodb.Vec.length (Store.scalar_inverse ctx.store ~meth:m ~res)
-    | `Set -> Oodb.Vec.length (Store.set_inverse ctx.store ~meth:m ~res)
-  in
-  let recv_len m recv =
-    match which with
-    | `Scalar ->
-      Oodb.Vec.length (Store.scalar_recv_index ctx.store ~meth:m ~recv)
-    | `Set -> Oodb.Vec.length (Store.set_recv_index ctx.store ~meth:m ~recv)
-  in
-  match deref ctx app.meth with
-  | None -> (
-    (* variable method: scan every method's bucket *)
-    match which with
-    | `Scalar -> ctx.total_scalar + 16
-    | `Set -> ctx.total_set + 16)
-  | Some m ->
-    if Oodb.Obj_id.equal m ctx.self_id && app.args = [] then
-      match (deref ctx app.recv, deref ctx app.res) with
-      | Some _, _ | _, Some _ -> 1
-      | None, None -> infinity_cost
-    else begin
-      let args_bound = List.for_all (fun a -> deref ctx a <> None) app.args in
-      match deref ctx app.recv with
-      | Some recv when args_bound -> (
-        match which with `Scalar -> 1 | `Set -> 1 + recv_len m recv)
-      | Some recv -> (
-        let r = recv_len m recv in
-        match deref ctx app.res with
-        | Some res -> 1 + min r (inverse_len m res)
-        | None -> 1 + r)
-      | None -> (
-        match deref ctx app.res with
-        | Some res -> 1 + inverse_len m res
-        | None -> 1 + bucket_len m)
-    end
-
-let cost_isa ctx (o, c) =
-  let log_len = Oodb.Vec.length (Store.isa_log ctx.store) in
-  match (deref ctx o, deref ctx c) with
-  | Some _, Some _ -> 1
-  | Some _, None -> 4
-  | None, Some _ -> 2 + log_len
-  | None, None -> 4 + (log_len * 4)
-
-let cost ctx = function
-  | Ir.A_eq (a, b) -> (
-    match (deref ctx a, deref ctx b) with
-    | Some _, _ | _, Some _ -> 0
-    | None, None -> infinity_cost)
-  | Ir.A_scalar app -> cost_app ctx `Scalar app
-  | Ir.A_member app -> cost_app ctx `Set app
-  | Ir.A_isa (o, c) -> cost_isa ctx (o, c)
-  | Ir.A_subset s ->
-    if List.for_all (fun v -> ctx.binding.(v) <> None) s.s_outer then 64
-    else infinity_cost
-  | Ir.A_neg n ->
-    if List.for_all (fun v -> ctx.binding.(v) <> None) n.n_outer then 32
-    else infinity_cost
-  | Ir.A_regex x -> (
-    (* the product BFS visits at most |states|·|reachable objects| pairs;
-       with a bound endpoint the reachable set is usually tiny, unbound it
-       can touch every edge of every label relation *)
-    let n = x.x_auto.Ir.a_nstates in
-    match (deref ctx x.x_recv, deref ctx x.x_res) with
-    | Some _, _ | _, Some _ -> 16 * n
-    | None, None -> n * (16 + ctx.total_scalar + ctx.total_set))
-
-(* ------------------------------------------------------------------ *)
 (* Compiled plans                                                      *)
 
 type plan = {
@@ -195,9 +111,8 @@ type estimator = {
 }
 
 (* Cost of an atom under {e simulated} boundness, from the store's current
-   index statistics. This is the planner's model, shared with [explain];
-   the runtime estimator above refines it with the actual bound values
-   (exact receiver-index and inverse-index lengths). *)
+   index statistics (or the estimator's predictions). This is the one
+   cost model: it ranks compiled plans, [explain] and nested bodies. *)
 let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
   let est rel =
     match estimator with None -> None | Some e -> e.est_card rel
@@ -296,56 +211,57 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
     if is_bound x.x_recv || is_bound x.x_res then 16 + (n * label_total / 8)
     else 1024 + (n * label_total)
 
-(* Compile a join order once from the static cost model: repeatedly pick
-   the cheapest remaining atom under the boundness reached so far. Any
-   permutation is sound — every atom executes correctly under any
-   boundness — so the plan can be cached and reused across rounds and
-   bindings; only its quality decays as the store grows. *)
+(* The one scheduling rule: repeatedly take the cheapest atom not yet
+   placed under the boundness reached so far, then mark its variables
+   bound ([bound] is updated in place). Atom [skip] — a seed, or [-1] —
+   is left out of the order. *)
+let rank ?estimator ?(skip = -1) store ~self_id ~bound atoms =
+  let is_bound = function Ir.Const _ -> true | Ir.V i -> bound.(i) in
+  let n = Array.length atoms in
+  let used = Array.init n (Int.equal skip) in
+  Array.init
+    (if skip >= 0 then n - 1 else n)
+    (fun _ ->
+      let best = ref (-1) in
+      let best_cost = ref max_int in
+      for i = 0 to n - 1 do
+        if not used.(i) then begin
+          let c = static_cost ?estimator store ~self_id ~is_bound atoms.(i) in
+          if c < !best_cost then begin
+            best_cost := c;
+            best := i
+          end
+        end
+      done;
+      let i = !best in
+      used.(i) <- true;
+      List.iter (fun v -> bound.(v) <- true) (Ir.atom_vars atoms.(i));
+      i)
+
+(* Compile a join order once. Any permutation is sound — every atom
+   executes correctly under any boundness (property-tested against the
+   naive conjunctive evaluator) — so the plan can be cached and reused
+   across rounds and bindings; only its quality decays as the store
+   grows. *)
 let compile_plan ?estimator ?(bindings = []) ?seed_atom store (q : Ir.query)
     =
-  let self_id = Store.name store "self" in
   let bound = Array.make (max q.nvars 1) false in
   List.iter (fun (slot, _) -> bound.(slot) <- true) bindings;
-  let is_bound = function Ir.Const _ -> true | Ir.V i -> bound.(i) in
   let atoms = Array.of_list q.atoms in
-  let n = Array.length atoms in
-  let used = Array.make n false in
-  let mark i =
-    List.iter (fun v -> bound.(v) <- true) (Ir.atom_vars atoms.(i))
-  in
   let plan_seed =
     match seed_atom with
-    | Some i when i >= 0 && i < n -> i
+    | Some i when i >= 0 && i < Array.length atoms ->
+      List.iter (fun v -> bound.(v) <- true) (Ir.atom_vars atoms.(i));
+      i
     | Some i -> invalid_arg (Printf.sprintf "Solve.compile_plan: seed %d" i)
     | None -> -1
   in
-  let remaining =
-    if plan_seed >= 0 then begin
-      used.(plan_seed) <- true;
-      mark plan_seed;
-      n - 1
-    end
-    else n
+  let plan_perm =
+    rank ?estimator ~skip:plan_seed store
+      ~self_id:(Store.name store "self")
+      ~bound atoms
   in
-  let perm = Array.make remaining (-1) in
-  for slot = 0 to remaining - 1 do
-    let best = ref (-1) in
-    let best_cost = ref max_int in
-    for i = 0 to n - 1 do
-      if not used.(i) then begin
-        let c = static_cost ?estimator store ~self_id ~is_bound atoms.(i) in
-        if c < !best_cost then begin
-          best_cost := c;
-          best := i
-        end
-      end
-    done;
-    let i = !best in
-    used.(i) <- true;
-    mark i;
-    perm.(slot) <- i
-  done;
-  { plan_seed; plan_perm = perm; plan_size = Store.size store }
+  { plan_seed; plan_perm; plan_size = Store.size store }
 
 (* A plan compiled against a much smaller store may rank accesses badly;
    re-plan once the store has roughly doubled. *)
@@ -614,62 +530,33 @@ let exec_regex ctx (x : Ir.regex_app) k =
             regex_forward ctx auto r0 (fun v -> bind ctx x.x_res v k)
           | None -> assert false))
 
+let rec run_perm ctx atoms perm k =
+  let rec go i =
+    if i >= Array.length perm then k ()
+    else exec_atom ctx atoms.(perm.(i)) (fun () -> go (i + 1))
+  in
+  go 0
+
 (* Nested enumeration of a sub-query's atoms against the shared binding
-   array; used for A_subset members and A_neg. *)
-let rec solve_atoms ctx order atoms k =
-  match atoms with
-  | [] -> k ()
-  | _ ->
-    let arr = Array.of_list atoms in
-    let used = Array.make (Array.length arr) false in
-    run_atoms ctx order arr used (Array.length arr) k
+   array; used for A_subset members and A_neg. The body is ranked on
+   entry under the boundness it actually sees — under a fixed outer plan
+   that is the outer adornment, the same on every entry. *)
+and solve_atoms ctx atoms k =
+  let atoms = Array.of_list atoms in
+  let bound = Array.map Option.is_some ctx.binding in
+  run_perm ctx atoms (rank ctx.store ~self_id:ctx.self_id ~bound atoms) k
 
-and run_atoms ctx order arr used remaining k =
-  if remaining = 0 then k ()
-  else begin
-    let best = ref (-1) in
-    let best_cost = ref max_int in
-    (match order with
-    | Source ->
-      let rec first i =
-        if i >= Array.length arr then ()
-        else if used.(i) then first (i + 1)
-        else best := i
-      in
-      first 0
-    | Greedy | Compiled ->
-      (* nested sub-queries under a compiled outer plan still schedule
-         adaptively: they are small and their boundness is fully known *)
-      Array.iteri
-        (fun i a ->
-          if not used.(i) then begin
-            let c = cost ctx a in
-            if c < !best_cost then begin
-              best_cost := c;
-              best := i
-            end
-          end)
-        arr);
-    let i = !best in
-    used.(i) <- true;
-    Fun.protect
-      ~finally:(fun () -> used.(i) <- false)
-      (fun () ->
-        exec_atom ctx order arr.(i) (fun () ->
-            run_atoms ctx order arr used (remaining - 1) k))
-  end
-
-and exec_atom ctx order atom k =
+and exec_atom ctx atom k =
   match atom with
   | Ir.A_eq (a, b) -> exec_eq ctx a b k
   | Ir.A_isa (o, c) -> exec_isa ctx o c k
   | Ir.A_scalar app -> exec_app ctx `Scalar app k
   | Ir.A_member app -> exec_app ctx `Set app k
-  | Ir.A_subset s -> exec_subset ctx order s k
-  | Ir.A_neg n -> exec_neg ctx order n k
+  | Ir.A_subset s -> exec_subset ctx s k
+  | Ir.A_neg n -> exec_neg ctx n k
   | Ir.A_regex x -> exec_regex ctx x k
 
-and exec_subset ctx order s k =
+and exec_subset ctx s k =
   force_bound ctx s.s_outer (fun () ->
       enum_universe ctx s.s_meth (fun () ->
           enum_universe ctx s.s_recv (fun () ->
@@ -690,7 +577,7 @@ and exec_subset ctx order s k =
                 (* every member of the included set must be in [have] *)
                 let ok = ref true in
                 (try
-                   solve_atoms ctx order s.sub_atoms (fun () ->
+                   solve_atoms ctx s.sub_atoms (fun () ->
                        match deref ctx s.member with
                        | Some u ->
                          if not (Set.mem u have) then begin
@@ -707,11 +594,11 @@ and exec_subset ctx order s k =
               in
               bind_args s.s_args)))
 
-and exec_neg ctx order n k =
+and exec_neg ctx n k =
   force_bound ctx n.n_outer (fun () ->
       let found = ref false in
       (try
-         solve_atoms ctx order n.n_atoms (fun () ->
+         solve_atoms ctx n.n_atoms (fun () ->
              found := true;
              raise Stopped)
        with Stopped -> ());
@@ -720,7 +607,7 @@ and exec_neg ctx order n k =
 (* ------------------------------------------------------------------ *)
 (* Seeded (delta) execution                                            *)
 
-let exec_seeded ctx order atom from k =
+let exec_seeded ctx atom from k =
   match atom with
   | Ir.A_scalar app -> (
     match deref ctx app.meth with
@@ -729,7 +616,7 @@ let exec_seeded ctx order atom from k =
         (fun e -> bind_entry ctx app e k)
         (Store.scalar_bucket ctx.store m)
         from
-    | None -> exec_atom ctx order atom k)
+    | None -> exec_atom ctx atom k)
   | Ir.A_member app -> (
     match deref ctx app.meth with
     | Some m ->
@@ -737,7 +624,7 @@ let exec_seeded ctx order atom from k =
         (fun e -> bind_entry ctx app e k)
         (Store.set_bucket ctx.store m)
         from
-    | None -> exec_atom ctx order atom k)
+    | None -> exec_atom ctx atom k)
   | Ir.A_isa (o, c) ->
     (* each new direct edge (src, dst) contributes the derived pairs
        (x, y) with x <= src and dst <= y *)
@@ -758,7 +645,7 @@ let exec_seeded ctx order atom from k =
      grows, [Rule.seedable] keeps the atom out of the seed set and the
      whole rule re-evaluates, so a plain [exec_atom] here is sound *)
   | Ir.A_eq _ | Ir.A_subset _ | Ir.A_neg _ | Ir.A_regex _ ->
-    exec_atom ctx order atom k
+    exec_atom ctx atom k
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -766,23 +653,34 @@ let exec_seeded ctx order atom from k =
 let no_interrupt () = ()
 
 let make_ctx ~hilog_virtual ~interrupt store (q : Ir.query) =
-  let total which meths =
-    List.fold_left (fun acc m -> acc + Oodb.Vec.length (which m)) 0 meths
-  in
   {
     store;
     self_id = Store.name store "self";
     binding = Array.make q.nvars None;
-    total_scalar = total (Store.scalar_bucket store) (Store.scalar_meths store);
-    total_set = total (Store.set_bucket store) (Store.set_meths store);
     hilog_virtual;
     steps = 0;
     interrupt;
   }
 
-let iter ?(order = Greedy) ?(hilog_virtual = false)
-    ?(interrupt = no_interrupt) ?estimator ?(bindings = []) ?seed ?plan
-    ?limit store (q : Ir.query) ~f =
+(* Does [p] schedule every atom of an [n]-atom query exactly once, with
+   [seed_idx] (or none, at [-1]) first? An atom left out would silently
+   drop its constraint. *)
+let plan_covers p ~seed_idx n =
+  let seen = Array.make n false in
+  let visit i =
+    if i < 0 || i >= n || seen.(i) then false
+    else begin
+      seen.(i) <- true;
+      true
+    end
+  in
+  p.plan_seed = seed_idx
+  && Array.length p.plan_perm + (if seed_idx >= 0 then 1 else 0) = n
+  && (seed_idx < 0 || visit seed_idx)
+  && Array.for_all visit p.plan_perm
+
+let iter ?(hilog_virtual = false) ?(interrupt = no_interrupt) ?(bindings = [])
+    ?seed ?plan ?limit store (q : Ir.query) ~f =
   let ctx = make_ctx ~hilog_virtual ~interrupt store q in
   List.iter (fun (slot, obj) -> ctx.binding.(slot) <- Some obj) bindings;
   let produced = ref 0 in
@@ -806,49 +704,26 @@ let iter ?(order = Greedy) ?(hilog_virtual = false)
   let plan =
     match plan with
     | Some p ->
-      if
-        p.plan_seed <> seed_idx
-        || Array.length p.plan_perm + (if seed_idx >= 0 then 1 else 0)
-           <> Array.length atoms
-      then invalid_arg "Solve.iter: plan does not match query/seed";
-      Some p
-    | None -> (
-      match order with
-      | Compiled ->
-        Some
-          (compile_plan ?estimator ~bindings
-             ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
-             store q)
-      | Greedy | Source -> None)
+      if not (plan_covers p ~seed_idx (Array.length atoms)) then
+        invalid_arg "Solve.iter: plan does not match query/seed";
+      p
+    | None ->
+      compile_plan ~bindings
+        ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
+        store q
   in
-  let body () =
-    match plan with
-    | Some p ->
-      let perm = p.plan_perm in
-      let rec go i =
-        if i >= Array.length perm then finish ()
-        else exec_atom ctx order atoms.(perm.(i)) (fun () -> go (i + 1))
-      in
-      (match seed with
-      | None -> go 0
-      | Some { seed_atom; seed_from } ->
-        exec_seeded ctx order atoms.(seed_atom) seed_from (fun () -> go 0))
-    | None -> (
-      let used = Array.make (Array.length atoms) false in
-      match seed with
-      | None -> run_atoms ctx order atoms used (Array.length atoms) finish
-      | Some { seed_atom; seed_from } ->
-        used.(seed_atom) <- true;
-        exec_seeded ctx order atoms.(seed_atom) seed_from (fun () ->
-            run_atoms ctx order atoms used (Array.length atoms - 1) finish))
-  in
-  try body () with Stopped -> ()
+  let rest () = run_perm ctx atoms plan.plan_perm finish in
+  try
+    match seed with
+    | None -> rest ()
+    | Some { seed_atom; seed_from } ->
+      exec_seeded ctx atoms.(seed_atom) seed_from rest
+  with Stopped -> ()
 
-let named_solutions ?(order = Greedy) ?interrupt ?limit store (q : Ir.query)
-    =
+let named_solutions ?interrupt ?limit store (q : Ir.query) =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  iter ~order ?interrupt ?limit store q ~f:(fun binding ->
+  iter ?interrupt ?limit store q ~f:(fun binding ->
       let row = List.map (fun (_, i) -> binding.(i)) q.named in
       if not (Hashtbl.mem seen row) then begin
         Hashtbl.add seen row ();
@@ -856,26 +731,23 @@ let named_solutions ?(order = Greedy) ?interrupt ?limit store (q : Ir.query)
       end);
   List.rev !acc
 
-let satisfiable ?(order = Greedy) ?interrupt store q =
+let satisfiable ?interrupt store q =
   let sat = ref false in
-  iter ~order ?interrupt ~limit:1 store q ~f:(fun _ -> sat := true);
+  iter ?interrupt ~limit:1 store q ~f:(fun _ -> sat := true);
   !sat
 
-let count ?(order = Greedy) ?interrupt store (q : Ir.query) =
+let count ?interrupt store (q : Ir.query) =
   match q.named with
-  | [] -> if satisfiable ~order ?interrupt store q then 1 else 0
-  | _ -> List.length (named_solutions ~order ?interrupt store q)
+  | [] -> if satisfiable ?interrupt store q then 1 else 0
+  | _ -> List.length (named_solutions ?interrupt store q)
 
 (* ------------------------------------------------------------------ *)
 (* Plan explanation                                                    *)
 
-(* The atom order comes from {!compile_plan} — the exact plan [Compiled]
-   executes, and the same static simulation [Greedy] starts from (the
-   runtime order can diverge when intermediate bindings change the cost
-   ranking). Access paths are described under the boundness reached at
+(* The atom order comes from {!compile_plan} — exactly the plan [iter]
+   executes. Access paths are described under the boundness reached at
    each step, mirroring [exec_app]'s dispatch. *)
-let explain ?(order = Greedy) ?estimator ?(bindings = []) store (q : Ir.query)
-    =
+let explain ?estimator ?(bindings = []) store (q : Ir.query) =
   let u = Store.universe store in
   let bound = Array.make (max q.nvars 1) false in
   List.iter (fun (slot, _) -> bound.(slot) <- true) bindings;
@@ -1002,16 +874,10 @@ let explain ?(order = Greedy) ?estimator ?(bindings = []) store (q : Ir.query)
     Format.asprintf "%a  [%s]%s%s" (Ir.pp_atom u) a path predicted detail
   in
   let atoms = Array.of_list q.atoms in
-  let perm =
-    match order with
-    | Source -> Array.init (Array.length atoms) (fun i -> i)
-    | Greedy | Compiled ->
-      (compile_plan ?estimator ~bindings store q).plan_perm
-  in
   Array.to_list
     (Array.map
        (fun i ->
          let line = describe atoms.(i) in
          List.iter (fun v -> bound.(v) <- true) (Ir.atom_vars atoms.(i));
          line)
-       perm)
+       (compile_plan ?estimator ~bindings store q).plan_perm)

@@ -5,24 +5,20 @@
     workhorse of both query answering and rule bodies in the fixpoint
     engine.
 
-    Atom scheduling has three modes. [Compiled] compiles a join order
-    {e once} per (query, seed) from the static cost model ({!compile_plan})
-    and follows it for every partial binding — the fixpoint engine's
-    default, with the plan cached across rounds. [Greedy] re-ranks the
-    remaining atoms at every depth by estimated matches under the current
-    partial binding (1 for a fully keyed lookup, the receiver-index length
-    for a bound-receiver scan, the bucket length for a method scan, and so
-    on) — adaptive, but O(atoms²) cost scans per solution prefix.
-    [`Source] order — execute atoms left-to-right as written — is kept for
-    the join-order ablation experiment (E10).
+    Atom scheduling has one rule. A join order is compiled {e once} per
+    (query, seed) from the static cost model ({!compile_plan}): repeatedly
+    take the cheapest remaining atom under the boundness reached so far
+    (1 for a fully keyed lookup, the average receiver-index hit for a
+    bound-receiver scan, the bucket length for a method scan, and so on).
+    Every solution prefix then follows that order; the fixpoint engine
+    caches the plan across rounds. A caller may instead pass its own
+    [~plan] — a source-order ablation is the identity permutation.
 
     Set-inclusion atoms ([A_subset]) and negation run as nested
     sub-enumerations once their outer variables are bound; any still-unbound
     variable (including an output variable constrained by no atom, as in the
     query [?- X.]) falls back to enumerating the whole universe, which keeps
     the solver total on well-formed input. *)
-
-type order = Greedy | Source | Compiled
 
 (** Restrict one atom of the query to the delta suffix of its relation's
     bucket (tuples with index [>= from]); used by the semi-naive fixpoint.
@@ -35,7 +31,8 @@ type seed = { seed_atom : int; seed_from : int }
     permutation is {e sound} — each atom executes correctly under any
     boundness — so plans can be cached and reused across rounds and
     bindings; only their quality decays as the store grows (see
-    {!plan_stale}). *)
+    {!plan_stale}). [plan_seed] and [plan_perm] together must name every
+    atom index exactly once. *)
 type plan = {
   plan_seed : int;
   plan_perm : int array;
@@ -102,10 +99,8 @@ val product_states_expanded : int Atomic.t
     @param limit stop after this many solutions.
     @param interrupt polled every {!poll_interval} steps; see above. *)
 val iter :
-  ?order:order ->
   ?hilog_virtual:bool ->
   ?interrupt:(unit -> unit) ->
-  ?estimator:estimator ->
   ?bindings:(int * Oodb.Obj_id.t) list ->
   ?seed:seed ->
   ?plan:plan ->
@@ -117,10 +112,12 @@ val iter :
 (** [bindings] pre-binds slots before the search starts (used to replay a
     rule body under a known variable valuation, e.g. for provenance).
 
-    [plan] executes atoms in a precompiled order (it must have been
-    compiled for this query with a [seed_atom] matching [seed], else
-    [Invalid_argument]); without it, [~order:Compiled] compiles one on the
-    fly. Nested sub-queries always schedule adaptively.
+    [plan] executes atoms in a precompiled order: its seed must match
+    [seed] and, with it, its permutation must name every atom of [q]
+    exactly once, else [Invalid_argument]. Without it, {!compile_plan}
+    compiles one under [bindings]. Nested set-inclusion and negation
+    bodies are ranked by the same cost model when entered, under the
+    boundness they see there.
 
     [hilog_virtual] (default [false]): when a {e method-position} variable
     is enumerated (HiLog-style higher-order atoms such as [X\[M ->> {Y}\]]),
@@ -135,26 +132,21 @@ val iter :
 (** Distinct bindings of the query's named variables, in the order of
     [q.named]; answers are deduplicated. *)
 val named_solutions :
-  ?order:order -> ?interrupt:(unit -> unit) -> ?limit:int -> Oodb.Store.t ->
-  Ir.query -> Oodb.Obj_id.t list list
+  ?interrupt:(unit -> unit) -> ?limit:int -> Oodb.Store.t -> Ir.query ->
+  Oodb.Obj_id.t list list
 
 (** Is the query satisfiable? *)
 val satisfiable :
-  ?order:order -> ?interrupt:(unit -> unit) -> Oodb.Store.t -> Ir.query ->
-  bool
+  ?interrupt:(unit -> unit) -> Oodb.Store.t -> Ir.query -> bool
 
 (** Number of distinct named-variable bindings (or of full bindings when the
     query names no variable, capped at 1 for a ground query). *)
-val count :
-  ?order:order -> ?interrupt:(unit -> unit) -> Oodb.Store.t -> Ir.query ->
-  int
+val count : ?interrupt:(unit -> unit) -> Oodb.Store.t -> Ir.query -> int
 
 (** The plan the solver follows: the atom execution order and the access
     path chosen for each atom (keyed lookup, receiver index, inverse
-    index, bucket scan, ...), one line per atom. For [Compiled] this is
-    {e exactly} the executed plan (both come from {!compile_plan}); for
-    [Greedy] it is the same static simulation, which the runtime order can
-    leave when intermediate bindings change the cost ranking.
+    index, bucket scan, ...), one line per atom. This is {e exactly} the
+    plan {!iter} executes: both come from {!compile_plan}.
 
     [bindings] marks slots as bound before the plan is compiled and the
     access paths are described — the {e adorned} plan a magic-guarded rule
@@ -165,7 +157,6 @@ val count :
     statically predicted cardinality of the relation it reads
     ([~N tuples]), and the join order is ranked from those estimates. *)
 val explain :
-  ?order:order ->
   ?estimator:estimator ->
   ?bindings:(int * Oodb.Obj_id.t) list ->
   Oodb.Store.t ->

@@ -20,6 +20,37 @@ let check_fails msg p q = Alcotest.(check bool) msg false (Pathlog.holds p q)
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* ------------------------------------------------------------------ *)
+(* Hand-made join plans. Every permutation of a query's atoms is a sound
+   plan; these exercise that claim. *)
+
+let plan_of store perm =
+  { Pathlog.Solve.plan_seed = -1; plan_perm = perm;
+    plan_size = Pathlog.Store.size store }
+
+(* The atoms as written: the source-order ablation. *)
+let identity_plan store (q : Pathlog.Ir.query) =
+  plan_of store (Array.init (List.length q.atoms) Fun.id)
+
+(* A uniformly random permutation (Fisher-Yates). *)
+let random_plan rand store (q : Pathlog.Ir.query) =
+  let perm = Array.init (List.length q.atoms) Fun.id in
+  for i = Array.length perm - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  plan_of store perm
+
+(* Distinct named-variable rows of [q] under [plan], sorted — what
+   [Solve.named_solutions] returns, in a canonical order. *)
+let plan_rows ~plan store (q : Pathlog.Ir.query) =
+  let rows = ref [] in
+  Pathlog.Solve.iter ~plan store q ~f:(fun binding ->
+      rows := List.map (fun (_, i) -> binding.(i)) q.named :: !rows);
+  sorted_rows !rows
+
 (* naive substring test, sufficient for assertions on printed output *)
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -140,20 +140,6 @@ let test_ir_pp () =
 (* ------------------------------------------------------------------ *)
 (* Plan explanation *)
 
-let test_explain_source_order_is_literal () =
-  let p = load "m1 : manager. m1[vehicles ->> {v1}]. v1[color -> red]." in
-  let store = store_of p in
-  let q =
-    Flatten.literals store
-      (Pathlog.Parser.literals "X : manager..vehicles[color -> red]")
-  in
-  let plan = Pathlog.Solve.explain ~order:Pathlog.Solve.Source store q in
-  (* source order: first atom is the membership, as written *)
-  match plan with
-  | first :: _ ->
-    Alcotest.(check bool) "isa first" true (contains ~sub:"isa(" first)
-  | [] -> Alcotest.fail "empty plan"
-
 let test_explain_covers_all_atoms () =
   let p = load "a[kids ->> {b}]." in
   let store = store_of p in
@@ -247,8 +233,6 @@ let suite =
     Alcotest.test_case "class edges" `Quick test_rule_class_edges;
     Alcotest.test_case "seedable atoms" `Quick test_seedable_atoms;
     Alcotest.test_case "ir pp" `Quick test_ir_pp;
-    Alcotest.test_case "explain source order" `Quick
-      test_explain_source_order_is_literal;
     Alcotest.test_case "explain covers atoms" `Quick
       test_explain_covers_all_atoms;
     Alcotest.test_case "builders equal parser" `Quick

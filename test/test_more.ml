@@ -137,22 +137,6 @@ let test_three_strata () =
   Alcotest.(check int) "exactly 3 strata" 3 (Array.length (Program.strata p));
   check_holds "cascaded inclusions" p "d[done -> yes]"
 
-let test_source_order_program () =
-  let config =
-    { Fixpoint.default_config with order = Pathlog.Solve.Source }
-  in
-  let p =
-    Program.of_string ~config
-      {|
-      peter[kids ->> {tim}]. tim[kids ->> {sally}].
-      X[desc ->> {Y}] <- X[kids ->> {Y}].
-      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-      |}
-  in
-  ignore (Program.run p);
-  check_answers "source order agrees" p "peter[desc ->> {X}]"
-    [ "tim"; "sally" ]
-
 let test_naive_with_negation () =
   let config = { Fixpoint.default_config with mode = Fixpoint.Naive } in
   let p =
@@ -370,7 +354,6 @@ let suite =
     Alcotest.test_case "diamond derivation dedup" `Quick
       test_diamond_derivation_no_duplicates;
     Alcotest.test_case "three strata" `Quick test_three_strata;
-    Alcotest.test_case "source order program" `Quick test_source_order_program;
     Alcotest.test_case "naive with negation" `Quick test_naive_with_negation;
     Alcotest.test_case "hilog virtual flag" `Quick test_hilog_virtual_flag;
     Alcotest.test_case "max rounds boundary" `Quick

@@ -13,17 +13,17 @@ module Vec = Pathlog.Vec
 let store_of = Program.store
 
 (* ------------------------------------------------------------------ *)
-(* Planner equivalence: Naive, Seminaive-adaptive and Seminaive-compiled
-   must produce identical models and identical query answers on random
-   rule programs. *)
+(* Planner equivalence: Naive and Seminaive must produce identical models,
+   and the compiled plan must answer like a random permutation of the
+   query's atoms, on random rule programs. *)
 
 let model_facts p =
   Format.asprintf "%a" Store.pp (Program.store p)
   |> String.split_on_char '\n'
   |> List.sort_uniq compare
 
-let load_with mode order text =
-  let config = { Fixpoint.default_config with mode; order } in
+let load_with mode text =
+  let config = { Fixpoint.default_config with mode } in
   let p = Program.of_string ~config text in
   ignore (Program.run p);
   p
@@ -36,8 +36,16 @@ let rows p q =
   List.sort_uniq compare
     (List.map (Program.row_to_string p) (Program.query_string p q).rows)
 
+(* [q]'s answers under a random permutation plan, rendered like [rows]. *)
+let permuted_rows rand p q =
+  let store = store_of p in
+  let flat = Flatten.literals store (Program.parse_query q) in
+  List.sort_uniq compare
+    (List.map (Program.row_to_string p)
+       (plan_rows ~plan:(random_plan rand store flat) store flat))
+
 let orders_agree =
-  QCheck.Test.make ~name:"naive = adaptive = compiled on random programs"
+  QCheck.Test.make ~name:"naive = seminaive = permuted plans"
     ~count:60
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 10_000))
     (fun seed ->
@@ -45,17 +53,16 @@ let orders_agree =
         Pathlog.Randprog.generate
           { Pathlog.Randprog.seed; facts = 12; rules = 4 }
       in
-      match load_with Fixpoint.Naive Solve.Greedy text with
+      match load_with Fixpoint.Naive text with
       | exception _ -> QCheck.assume_fail () (* e.g. scalar conflict *)
       | p_naive ->
-        let p_greedy = load_with Fixpoint.Seminaive Solve.Greedy text in
-        let p_comp = load_with Fixpoint.Seminaive Solve.Compiled text in
-        model_facts p_naive = model_facts p_greedy
-        && model_facts p_naive = model_facts p_comp
+        let p_semi = load_with Fixpoint.Seminaive text in
+        let rand = Random.State.make [| seed |] in
+        model_facts p_naive = model_facts p_semi
         && List.for_all
              (fun q ->
-               rows p_greedy q = rows p_comp q
-               && rows p_naive q = rows p_comp q)
+               rows p_naive q = rows p_semi q
+               && rows p_semi q = permuted_rows rand p_semi q)
              equivalence_queries)
 
 (* Recursive program deriving isa edges round by round: exercises the
@@ -68,13 +75,13 @@ let test_derived_isa_fixpoint () =
     X : reach <- X[next -> Y], Y : reach.
     |}
   in
-  let p = load_with Fixpoint.Seminaive Solve.Compiled text in
+  let p = load_with Fixpoint.Seminaive text in
   List.iter
     (fun o -> check_holds (o ^ " reachable") p (o ^ " : reach"))
     [ "o1"; "o2"; "o3"; "o4" ];
-  let p_greedy = load_with Fixpoint.Seminaive Solve.Greedy text in
+  let p_naive = load_with Fixpoint.Naive text in
   Alcotest.(check (list string))
-    "same model as adaptive" (model_facts p_greedy) (model_facts p);
+    "same model as naive" (model_facts p_naive) (model_facts p);
   Alcotest.(check (list string))
     "invariants" []
     (Store.check_invariants (store_of p))
@@ -109,10 +116,31 @@ let test_plan_mismatch_rejected () =
   let q =
     Flatten.literals store (Pathlog.Parser.literals "X[f -> Y], X[g -> Z]")
   in
+  let rejected ?seed msg plan =
+    Alcotest.check_raises msg
+      (Invalid_argument "Solve.iter: plan does not match query/seed")
+      (fun () -> Solve.iter ?seed ~plan store q ~f:ignore)
+  in
   let seeded = Solve.compile_plan ~seed_atom:0 store q in
-  Alcotest.check_raises "seeded plan without a seed"
+  rejected "seeded plan without a seed" seeded;
+  rejected "too short" (plan_of store [| 0 |]);
+  rejected "out of range" (plan_of store [| 0; 2 |]);
+  rejected "negative index" (plan_of store [| -1; 1 |]);
+  rejected "seed repeated in the rest"
+    ~seed:{ Solve.seed_atom = 0; seed_from = 0 }
+    { seeded with Solve.plan_perm = [| 0 |] };
+  (* a repeated atom leaves another out, silently dropping its
+     constraint: [Y : k] would never run and [c] would answer too *)
+  let p = load "a[f -> b]. c[f -> d]. b : k." in
+  let store = store_of p in
+  let q =
+    Flatten.literals store (Pathlog.Parser.literals "X[f -> Y], Y : k")
+  in
+  Alcotest.check_raises "duplicate index"
     (Invalid_argument "Solve.iter: plan does not match query/seed")
-    (fun () -> Solve.iter ~plan:seeded store q ~f:ignore)
+    (fun () -> Solve.iter ~plan:(plan_of store [| 0; 0 |]) store q ~f:ignore);
+  Alcotest.(check int) "a valid plan finds the one answer" 1
+    (List.length (plan_rows ~plan:(plan_of store [| 1; 0 |]) store q))
 
 let test_plan_stale () =
   let p = load "a[f -> b]." in
@@ -131,6 +159,7 @@ let test_plan_stale () =
   Alcotest.(check bool) "stale after 2x growth" true
     (Solve.plan_stale store plan)
 
+(* [explain] prints the compiled plan's atoms in its execution order. *)
 let test_explain_compiled_is_greedy_simulation () =
   let p =
     load "m1 : manager. m1[vehicles ->> {v1}]. v1[color -> red]."
@@ -140,9 +169,22 @@ let test_explain_compiled_is_greedy_simulation () =
     Flatten.literals store
       (Pathlog.Parser.literals "X : manager..vehicles[color -> red]")
   in
-  Alcotest.(check (list string))
-    "one static plan" (Solve.explain store q)
-    (Solve.explain ~order:Solve.Compiled store q)
+  let atoms = Array.of_list q.atoms in
+  let perm = (Solve.compile_plan store q).plan_perm in
+  let u = Store.universe store in
+  let lines = Solve.explain store q in
+  Alcotest.(check bool) "reordered, not as written" true
+    (Array.to_list perm <> List.init (Array.length atoms) Fun.id);
+  Alcotest.(check int) "one line per atom" (Array.length atoms)
+    (List.length lines);
+  List.iteri
+    (fun i line ->
+      let atom = Format.asprintf "%a" (Ir.pp_atom u) atoms.(perm.(i)) in
+      Alcotest.(check string)
+        (Printf.sprintf "step %d is the plan's" i)
+        atom
+        (String.sub line 0 (min (String.length line) (String.length atom))))
+    lines
 
 let test_explain_receiver_index_path () =
   let p = load "bob[salary@(1994) -> 100]. bob[salary@(1995) -> 120]." in
@@ -150,7 +192,7 @@ let test_explain_receiver_index_path () =
   let q =
     Flatten.literals store (Pathlog.Parser.literals "bob[salary@(Y) -> S]")
   in
-  let lines = Solve.explain ~order:Solve.Compiled store q in
+  let lines = Solve.explain store q in
   Alcotest.(check bool) "receiver index access path" true
     (List.exists (contains ~sub:"receiver index scan on salary") lines)
 
@@ -181,7 +223,7 @@ let test_bound_member_probe () =
   let polls = ref 0 in
   let interrupt () = incr polls in
   let holds o =
-    Solve.satisfiable ~order:Solve.Compiled ~interrupt st
+    Solve.satisfiable ~interrupt st
       (atom (Ir.Const (Store.name st o)))
   in
   Alcotest.(check bool) "member" true (holds (Printf.sprintf "x%d" (n - 1)));
@@ -189,7 +231,7 @@ let test_bound_member_probe () =
   Alcotest.(check int) "probes never reach a poll" 0 !polls;
   Alcotest.(check int) "scan enumerates the set" n
     (List.length
-       (Solve.named_solutions ~order:Solve.Compiled ~interrupt st
+       (Solve.named_solutions ~interrupt st
           (atom (Ir.V 0))));
   Alcotest.(check bool) "scan polls the budget" true (!polls >= 4)
 
@@ -235,7 +277,7 @@ let test_bound_result_cost () =
   Alcotest.(check (list int)) "inverse index first, then the probe" [ 1; 0 ]
     (Array.to_list plan.Solve.plan_perm);
   Alcotest.(check (list (list int))) "answer" [ [ node 16 ] ]
-    (Solve.named_solutions ~order:Solve.Compiled st q);
+    (Solve.named_solutions st q);
   Alcotest.(check (list string)) "invariants" [] (Store.check_invariants st)
 
 (* ------------------------------------------------------------------ *)
@@ -293,9 +335,9 @@ let test_recv_index_set_query () =
     }
   in
   Alcotest.(check int) "five rows (compiled)" 5
-    (List.length (Solve.named_solutions ~order:Solve.Compiled st q));
-  Alcotest.(check int) "five rows (greedy)" 5
-    (List.length (Solve.named_solutions ~order:Solve.Greedy st q));
+    (List.length (Solve.named_solutions st q));
+  Alcotest.(check int) "five rows (source order)" 5
+    (List.length (plan_rows ~plan:(identity_plan st q) st q));
   Alcotest.(check int) "distinct set receivers" 20 (Store.set_recv_keys st m);
   Alcotest.(check (list string)) "invariants" [] (Store.check_invariants st)
 

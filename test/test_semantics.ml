@@ -200,7 +200,7 @@ let query_via_conjunctive p lits =
 let query_via_source_order p lits =
   let store = Pathlog.Program.store p in
   let q = Flatten.literals store lits in
-  sorted_rows (Solve.named_solutions ~order:Solve.Source store q)
+  plan_rows ~plan:(identity_plan store q) store q
 
 let catalogue_queries =
   [
@@ -228,7 +228,7 @@ let test_differential_catalogue () =
       let b = query_via_conjunctive p lits in
       let c = query_via_source_order p lits in
       Alcotest.(check (list (list int))) ("solve=conj: " ^ src) b a;
-      Alcotest.(check (list (list int))) ("greedy=source: " ^ src) c a)
+      Alcotest.(check (list (list int))) ("compiled=source: " ^ src) c a)
     catalogue_queries
 
 (* On random fact bases and random ground references, the solver agrees
@@ -268,6 +268,38 @@ let solver_matches_conjunctive =
         QCheck.assume (q.nvars <= 5);
         sorted_rows (Solve.named_solutions store q)
         = sorted_rows (Conjunctive.named_solutions store q))
+
+(* Every permutation is a sound plan — the claim [compile_plan]'s cache
+   rests on. A random permutation of a random query over a random base,
+   and of a catalogue query (negation, set inclusion, a variable method)
+   over the shared world, must both answer like the naive evaluator. *)
+let permuted_plan_matches_conjunctive =
+  let world = lazy (world ()) in
+  QCheck.Test.make ~name:"permuted plan = naive conjunctive"
+    ~count:60
+    QCheck.(
+      triple arbitrary_loadable_base
+        (arbitrary_reference ~allow_vars:true)
+        (int_bound 1_000_000))
+    (fun (p, r, seed) ->
+      let rand = Random.State.make [| seed |] in
+      let agrees store q =
+        plan_rows ~plan:(random_plan rand store q) store q
+        = sorted_rows (Conjunctive.named_solutions store q)
+      in
+      let src =
+        List.nth catalogue_queries (seed mod List.length catalogue_queries)
+      in
+      let w = Pathlog.Program.store (Lazy.force world) in
+      agrees w (Flatten.literals w (Pathlog.Parser.literals src))
+      &&
+      match Pathlog.Wellformed.check_reference r with
+      | Error _ -> true
+      | Ok () ->
+        let store = Pathlog.Program.store p in
+        let q = Flatten.literals store [ Syntax.Ast.Pos r ] in
+        (* keep the search bounded *)
+        q.nvars > 5 || agrees store q)
 
 let test_solve_limit () =
   let p = world () in
@@ -319,6 +351,7 @@ let suite =
       test_differential_catalogue;
     qtest solver_matches_valuation;
     qtest solver_matches_conjunctive;
+    qtest permuted_plan_matches_conjunctive;
     Alcotest.test_case "solve limit/count" `Quick test_solve_limit;
     Alcotest.test_case "solve unconstrained var" `Quick
       test_solve_unconstrained_variable;

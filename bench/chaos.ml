@@ -74,6 +74,14 @@ let evaluate_under_faults () =
 
    dune exec bench/main.exe -- chaos mutation [SEED] [WRITERS] [BATCHES] *)
 
+(* Facts only in [after]'s model and only in [before]'s, compared as the
+   model renderer's sorted lines. *)
+let model_diff ~before ~after =
+  let module S = Set.Make (String) in
+  let lines p = S.of_list (Pathlog.Fact.model (Program.store p)) in
+  let b = lines before and a = lines after in
+  (S.elements (S.diff a b), S.elements (S.diff b a))
+
 let mutation_base =
   {|
   seed0[edge ->> {seed1}]. seed1[edge ->> {seed2}].
@@ -289,7 +297,7 @@ let mutation_storm ~seed ~writers ~batches =
         (List.rev ops))
     logs;
   let added, removed =
-    Pathlog.Program.diff_models
+    model_diff
       ~before:(Pathlog.Live.program replay)
       ~after:p
   in
@@ -763,7 +771,7 @@ let kill_storm ~seed ~writers ~batches ~rounds =
   in
   let recovered, _ = recover_live () in
   let added, removed =
-    Pathlog.Program.diff_models
+    model_diff
       ~before:(Pathlog.Live.program replay)
       ~after:(Pathlog.Live.program recovered)
   in
@@ -789,7 +797,7 @@ let kill_storm ~seed ~writers ~batches ~rounds =
   if (Unix.stat wal).Unix.st_size <> clean_size then
     fail "torn tail was not truncated back to the valid boundary";
   let added2, removed2 =
-    Pathlog.Program.diff_models
+    model_diff
       ~before:(Pathlog.Live.program replay)
       ~after:(Pathlog.Live.program recovered2)
   in

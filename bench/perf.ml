@@ -21,7 +21,9 @@
                        committed report; exit non-zero on a >20%%
                        regression (used by CI)
      --only PREFIX     run only the suites whose name starts with PREFIX
-                       (e.g. --only regex for the automaton suites) *)
+                       (e.g. --only regex for the automaton suites);
+                       needs --out, so a partial run never overwrites
+                       the full report *)
 
 module Program = Pathlog.Program
 module Store = Pathlog.Store
@@ -916,13 +918,10 @@ let recovery_time ~reps =
         failwith
           (Printf.sprintf "recovery_time: replayed %d WAL records, expected %d"
              replayed (batches / 2));
-      (match
-         Pathlog.Program.diff_models
-           ~before:(Pathlog.Live.program builder)
-           ~after:(Pathlog.Live.program recovered)
-       with
-      | [], [] -> ()
-      | _ -> failwith "recovery_time: recovered model differs from builder");
+      if
+        Pathlog.Fact.model (Pathlog.Live.store builder)
+        <> Pathlog.Fact.model (Pathlog.Live.store recovered)
+      then failwith "recovery_time: recovered model differs from builder";
       {
         name = Printf.sprintf "wal_recovery_%dx%d" batches per;
         wall_s = w;
@@ -1263,6 +1262,13 @@ let main args =
     | _ :: rest -> opt key rest
     | [] -> None
   in
+  let only = opt "--only" args in
+  if only <> None && opt "--out" args = None then begin
+    prerr_endline
+      "bench perf: --only needs --out (a partial run must not overwrite \
+       BENCH.json)";
+    exit 2
+  end;
   let out = Option.value ~default:"BENCH.json" (opt "--out" args) in
   let baseline_file = opt "--baseline" args in
   let check_file = opt "--check" args in
@@ -1280,7 +1286,6 @@ let main args =
   let target = if quick then 0.2 else 1.0 in
   let requests = if quick then 100 else 400 in
   Printf.printf "perf harness (%s mode)\n%!" (if quick then "quick" else "full");
-  let only = opt "--only" args in
   let par_base = ref None in
   let all =
     [
@@ -1354,6 +1359,7 @@ let main args =
               ("jobs", Num (float_of_int jobs));
               ( "cores",
                 Num (float_of_int (Domain.recommended_domain_count ())) );
+              ("ocaml_version", Str Sys.ocaml_version);
               ("generated_by", Str "bench perf");
             ] );
         ("suites", Arr (List.map (suite_json ~baseline) suites));

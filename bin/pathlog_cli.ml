@@ -100,6 +100,10 @@ let run_demand p ~budget ~stats queries =
     exit Pathlog.Err.exit_runtime
   | None -> ()
 
+(* [--dump]: the model as sorted fact statements, reloadable as a
+   program *)
+let print_model st = List.iter (Format.printf "%s@.") (Pathlog.Fact.model st)
+
 let run_cmd file queries dump stats naive hilog max_rounds max_objects types
     prune_dead jobs deadline demand =
   let config = config_of ~naive ~hilog ~max_rounds ~max_objects ~jobs in
@@ -116,7 +120,7 @@ let run_cmd file queries dump stats naive hilog max_rounds max_objects types
   if demand then
     with_errors (Some st) (fun () ->
         run_demand p ~budget ~stats queries;
-        if dump then Format.printf "%a" Pathlog.Store.pp st)
+        if dump then print_model st)
   else
   with_errors (Some st) (fun () ->
       let s =
@@ -164,7 +168,7 @@ let run_cmd file queries dump stats naive hilog max_rounds max_objects types
             violations;
           exit Pathlog.Err.exit_analysis
       end;
-      if dump then Format.printf "%a" Pathlog.Store.pp st)
+      if dump then print_model st)
 
 let check_cmd file json deny estimates card_threshold =
   let text = read_file file in

@@ -11,10 +11,7 @@
 module Program = Pathlog.Program
 module Fixpoint = Pathlog.Fixpoint
 
-let model_facts p =
-  Format.asprintf "%a" Pathlog.Store.pp (Program.store p)
-  |> String.split_on_char '\n'
-  |> List.sort_uniq compare
+let model_facts p = Pathlog.Fact.model (Program.store p)
 
 let load_mode mode text =
   let config = { Fixpoint.default_config with mode } in

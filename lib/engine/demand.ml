@@ -13,22 +13,17 @@ let fallback_to_string = function
 
 (* ------------------------------------------------------------------ *)
 (* Naming. The [$] character cannot appear in a lexed identifier, so the
-   demand object and magic method names can never collide with user
-   vocabulary; the same goes for the [#] in generated variables. *)
+   demand object and magic method names ({!Fact.magic_prefix}) can never
+   collide with user vocabulary; the same goes for the [#] in generated
+   variables. *)
 
 let demand_obj = Ast.Name "$demand"
-
-let magic_prefix = "magic$"
-
-let is_magic_name s =
-  String.length s > String.length magic_prefix
-  && String.sub s 0 (String.length magic_prefix) = magic_prefix
 
 let magic_name store rel =
   let u = Store.universe store in
   match (rel : Ir.rel) with
-  | Ir.R_scalar m -> magic_prefix ^ "sc$" ^ Oodb.Universe.to_string u m
-  | Ir.R_set m -> magic_prefix ^ "set$" ^ Oodb.Universe.to_string u m
+  | Ir.R_scalar m -> Fact.magic_prefix ^ "sc$" ^ Oodb.Universe.to_string u m
+  | Ir.R_set m -> Fact.magic_prefix ^ "set$" ^ Oodb.Universe.to_string u m
   | Ir.R_isa | Ir.R_isa_c _ | Ir.R_any -> invalid_arg "Demand.magic_name"
 
 (* ------------------------------------------------------------------ *)
@@ -442,7 +437,7 @@ let magic_fact_total store =
   List.fold_left
     (fun acc m ->
       match Oodb.Universe.descriptor u m with
-      | Oodb.Universe.Name s when is_magic_name s ->
+      | Oodb.Universe.Name s when Fact.is_magic_name s ->
         acc + Store.set_live_count store m
       | _ -> acc)
     0 (Store.set_meths store)

@@ -10,8 +10,9 @@
     (receiver-bound path queries like [alice\[boss ->> {Y}\]] are the
     headline case, adornment [B]); a relation every occurrence of which has
     a bound receiver gets a {e magic predicate} — a set-valued method
-    [magic$...] on the reserved object [$demand] holding the receivers
-    demand has reached. Each rule defining a [B]-adorned relation is
+    [magic$...] ({!Fact.magic_prefix}; the model renderer skips these
+    facts) on the reserved object [$demand] holding the receivers demand
+    has reached. Each rule defining a [B]-adorned relation is
     {e guarded}: its body is prefixed with a magic-membership literal on
     its head receiver, so it only fires for demanded receivers. {e Magic
     rules} propagate demand sideways: for every bound-receiver application
@@ -107,6 +108,3 @@ val listing : Oodb.Store.t -> t -> string list
     demand sets, across every transform that ran against it (the
     [magic_facts] STATS gauge). O(#set methods). *)
 val magic_fact_total : Oodb.Store.t -> int
-
-(** Is this method name a demand-transform artefact ([magic$...])? *)
-val is_magic_name : string -> bool

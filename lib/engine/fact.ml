@@ -13,8 +13,10 @@ and app = {
 let equal (a : t) b = a = b
 let hash = Hashtbl.hash
 
+(* The one fact printer. Virtual objects in method and class position are
+   parenthesised, so every line parses back to the fact it prints. *)
 let pp u ppf fact =
-  let obj = Oodb.Universe.pp_obj u in
+  let obj = Oodb.Universe.pp_obj u and paren = Oodb.Universe.pp_paren u in
   let pp_args ppf = function
     | [] -> ()
     | args ->
@@ -25,13 +27,44 @@ let pp u ppf fact =
         args
   in
   match fact with
-  | F_isa (o, c) -> Format.fprintf ppf "%a : %a" obj o obj c
+  | F_isa (o, c) -> Format.fprintf ppf "%a : %a" obj o paren c
   | F_scalar { meth; recv; args; res } ->
-    Format.fprintf ppf "%a[%a%a -> %a]" obj recv obj meth pp_args args obj
+    Format.fprintf ppf "%a[%a%a -> %a]" obj recv paren meth pp_args args obj
       res
   | F_set { meth; recv; args; res } ->
-    Format.fprintf ppf "%a[%a%a ->> {%a}]" obj recv obj meth pp_args args obj
-      res
+    Format.fprintf ppf "%a[%a%a ->> {%a}]" obj recv paren meth pp_args args
+      obj res
+
+let magic_prefix = "magic$"
+
+let is_magic_name s =
+  String.length s > String.length magic_prefix
+  && String.starts_with ~prefix:magic_prefix s
+
+let is_magic u = function
+  | F_set { meth; _ } -> (
+    match Oodb.Universe.descriptor u meth with
+    | Oodb.Universe.Name s -> is_magic_name s
+    | Int _ | Str _ | Skolem _ -> false)
+  | F_isa _ | F_scalar _ -> false
+
+let iter_live store f =
+  let module Store = Oodb.Store in
+  Store.iter_live_isa store (fun sub cls -> f (F_isa (sub, cls)));
+  Store.iter_live_scalar store (fun m (e : Store.mentry) ->
+      f (F_scalar { meth = m; recv = e.recv; args = e.args; res = e.res }));
+  Store.iter_live_set store (fun m (e : Store.mentry) ->
+      f (F_set { meth = m; recv = e.recv; args = e.args; res = e.res }))
+
+let lines ?(stop = "") u iter =
+  let acc = ref [] in
+  iter (fun f ->
+      if not (is_magic u f) then
+        acc := Format.asprintf "%a%s" (pp u) f stop :: !acc);
+  List.sort compare !acc
+
+let model store =
+  lines ~stop:"." (Oodb.Store.universe store) (iter_live store)
 
 (* Resolve a ground reference to the object it denotes against the current
    store, without creating anything: names/literals directly, paths by

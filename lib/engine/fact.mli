@@ -19,7 +19,35 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
+(** The one fact printer: [o : c], [o\[m@(a, b) -> r\]],
+    [o\[m ->> {r}\]]. Virtual objects print as the paths that denote them,
+    parenthesised in method and class position ([o : (kids.tc)]), so the
+    text parses back to the same fact. *)
 val pp : Oodb.Universe.t -> Format.formatter -> t -> unit
+
+(** Demand's magic methods are set methods named [magic$...] ([$] cannot
+    be lexed, so no user method collides); {!lines} skips their facts. *)
+val magic_prefix : string
+
+val is_magic_name : string -> bool
+
+(** A fact of a magic relation. *)
+val is_magic : Oodb.Universe.t -> t -> bool
+
+(** Every live fact of the store: isa edges, scalar, then set tuples. *)
+val iter_live : Oodb.Store.t -> (t -> unit) -> unit
+
+(** The facts an iterator yields, printed by {!pp} with [stop] appended
+    (default none), sorted; magic facts are skipped. Duplicates the
+    iterator yields are kept. *)
+val lines :
+  ?stop:string -> Oodb.Universe.t -> ((t -> unit) -> unit) -> string list
+
+(** The model renderer: the store's live facts as sorted fact statements
+    ([lines ~stop:"."] over {!iter_live}). Reloading them with
+    [Program.of_string] rebuilds an isomorphic store: virtual objects
+    re-skolemise deterministically. *)
+val model : Oodb.Store.t -> string list
 
 (** Recognise a ground fact-shaped reference: [o : c],
     [o\[m@(args) -> r\]], or [o\[m@(args) ->> {r}\]] with a single element,

@@ -1,7 +1,6 @@
 module Ast = Syntax.Ast
 
 type t = {
-  statements : Ast.statement list;  (* the source, for rebuilds *)
   store : Oodb.Store.t;
   signatures : Oodb.Signature.t;
   rules : Rule.t list;
@@ -105,7 +104,6 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
   let rules = List.rev !rules in
   let strat = Stratify.compute store rules in
   {
-    statements = List.map fst spanned;
     store;
     signatures;
     rules;
@@ -238,23 +236,6 @@ let pp_answer t ppf answer =
 let check_types t ~mode = Oodb.Signature.check t.store t.signatures ~mode
 
 let lint_types t = Typecheck.check_rules t.store t.signatures t.rules
-
-let add_fact t reference =
-  let rule = Syntax.Ast.fact reference in
-  (match Syntax.Wellformed.check_rule rule with
-  | Ok () -> ()
-  | Error e ->
-    invalid "ill-formed fact %a: %a" Syntax.Pretty.pp_reference reference
-      Syntax.Wellformed.pp_error e);
-  insert_fact t rule
-
-let add_fact_string t text =
-  match parsed Syntax.Parser.statement text with
-  | Syntax.Ast.Rule { head; body = [] } -> add_fact t head
-  | Syntax.Ast.Rule _ | Syntax.Ast.Query _ ->
-    invalid "add_fact expects a single fact statement"
-
-let dump_model t = Format.asprintf "%a" Oodb.Store.pp t.store
 
 let explain t lits =
   let q = Semantics.Flatten.literals t.store lits in
@@ -437,48 +418,6 @@ let why ?budget t reference =
 
 let why_string ?budget t text =
   why ?budget t (parsed Syntax.Parser.reference (strip_query_syntax text))
-
-(* ------------------------------------------------------------------ *)
-(* What-if analysis: rebuild with edited statements and diff the models.
-   The store is append-only by design (semi-naive deltas rely on it), so
-   retraction is recomputation over the edited source — simple, always
-   correct, and linear in the program, which matches the scale the paper
-   targets. *)
-
-let statements t = t.statements
-
-let rebuild ?(add = []) ?(retract = fun _ -> false) t =
-  let kept = List.filter (fun s -> not (retract s)) t.statements in
-  let p = create ~config:t.config (kept @ add) in
-  ignore (run p);
-  p
-
-let model_lines t =
-  dump_model t |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.sort_uniq compare
-
-let diff_models ~before ~after =
-  (* model_lines yields sorted, deduplicated lines, so a single linear
-     merge finds both sides of the symmetric difference. *)
-  let rec merge added removed a b =
-    match (a, b) with
-    | [], [] -> (List.rev added, List.rev removed)
-    | a, [] -> (List.rev_append added a, List.rev removed)
-    | [], b -> (List.rev added, List.rev_append removed b)
-    | x :: a', y :: b' ->
-      let c = compare x y in
-      if c = 0 then merge added removed a' b'
-      else if c < 0 then merge (x :: added) removed a' b
-      else merge added (y :: removed) a b'
-  in
-  merge [] [] (model_lines after) (model_lines before)
-
-let what_if ?(add = []) ?(retract = fun _ -> false) t =
-  (* make sure the base model is computed *)
-  ignore (run t);
-  let after = rebuild ~add ~retract t in
-  diff_models ~before:t ~after
 
 let verify_model t =
   let rec go = function

@@ -123,20 +123,6 @@ val check_types :
     the program (see {!Typecheck}). *)
 val lint_types : t -> Typecheck.warning list
 
-(** Insert one ground fact into the store (virtual objects created as in
-    rule heads); returns the number of new tuples. Call {!run} afterwards
-    to re-derive the consequences — evaluation is monotone, so this is
-    sound incremental maintenance.
-    @raise Invalid on ill-formed or non-ground facts *)
-val add_fact : t -> Syntax.Ast.reference -> int
-
-val add_fact_string : t -> string -> int
-
-(** The computed model as a PathLog fact program. Reloading the dump with
-    {!of_string} rebuilds an isomorphic store: virtual objects print as the
-    paths that denote them and re-skolemise deterministically. *)
-val dump_model : t -> string
-
 (** The execution plan the solver would follow for a query; one line per
     flattened atom (see {!Semantics.Solve.explain}). *)
 val explain : t -> Syntax.Ast.literal list -> string list
@@ -226,29 +212,6 @@ val why :
     exhaustion raises {!Budget.Exhausted}. *)
 
 val why_string : ?budget:Budget.t -> t -> string -> Provenance.proof option
-
-(** The source statements the program was created from. *)
-val statements : t -> Syntax.Ast.statement list
-
-(** Rebuild with edited source: statements matching [retract] dropped,
-    [add] appended; the result is freshly evaluated. The store is
-    append-only (semi-naive deltas rely on it), so retraction is honest
-    recomputation rather than in-place deletion. *)
-val rebuild :
-  ?add:Syntax.Ast.statement list ->
-  ?retract:(Syntax.Ast.statement -> bool) ->
-  t -> t
-
-(** Model difference, as rendered fact lines (stores differ, ids do not
-    transfer): [(added, removed)]. *)
-val diff_models : before:t -> after:t -> string list * string list
-
-(** Evaluate the effect of an edit without committing to it: which model
-    facts would appear, which would vanish. *)
-val what_if :
-  ?add:Syntax.Ast.statement list ->
-  ?retract:(Syntax.Ast.statement -> bool) ->
-  t -> string list * string list
 
 (** Model check: do all rules hold in the current store? Brute force over
     variable valuations — tests and small programs only. *)

@@ -7,9 +7,9 @@
     through the solver with the recorded valuation pre-bound, so the
     sub-facts shown are a real support set for the derivation.
 
-    Facts asserted by fact statements (or {!Program.add_fact}) are
-    [Extensional] leaves; skolem-creating insertions point at the rule
-    whose head invented the object. *)
+    Facts asserted by fact statements (at load or in a [Live] ASSERT
+    batch) are [Extensional] leaves; skolem-creating insertions point at
+    the rule whose head invented the object. *)
 
 type source =
   | Extensional  (** asserted by a fact statement *)

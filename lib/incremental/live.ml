@@ -369,16 +369,9 @@ let delta_run t ctx baseline =
    extensional store. The fallback whenever counting/DRed would be
    unsound (negation or inclusion over an affected relation, rule
    retraction) and the recovery path after a mid-batch failure. *)
-let iter_live_facts t f =
-  Store.iter_live_isa t.store (fun sub cls -> f (Fact.F_isa (sub, cls)));
-  Store.iter_live_scalar t.store (fun m (e : Store.mentry) ->
-      f (Fact.F_scalar { meth = m; recv = e.recv; args = e.args; res = e.res }));
-  Store.iter_live_set t.store (fun m (e : Store.mentry) ->
-      f (Fact.F_set { meth = m; recv = e.recv; args = e.args; res = e.res }))
-
 let refresh t ctx =
   let garbage = ref [] in
-  iter_live_facts t (fun f ->
+  Fact.iter_live t.store (fun f ->
       if get_count t.edb f <= 0 then garbage := f :: !garbage);
   List.iter (fun f -> ignore (tombstone t ctx f : bool)) !garbage;
   (* extensional facts tombstoned earlier in the batch (or by a failed
@@ -479,11 +472,8 @@ let edb_retract t ctx (head : Ast.reference) =
 (* Batch plumbing *)
 
 let render_facts t tbl =
-  let u = Store.universe t.store in
-  Fact_tbl.fold
-    (fun f () acc -> Format.asprintf "%a" (Fact.pp u) f :: acc)
-    tbl []
-  |> List.sort compare
+  Fact.lines (Store.universe t.store) (fun f ->
+      Fact_tbl.iter (fun fact () -> f fact) tbl)
 
 let finish t ctx strategy fp =
   {
@@ -610,9 +600,17 @@ let attach p =
             : Oodb.Obj_id.t)
       end)
     (Program.rules p);
+  (* demand queries answered before the attach leave magic tuples no rule
+     here derives: retire them. The removals also drop every demand
+     shape's resume mark, so a later demand query runs a full first
+     round. *)
+  let ctx = new_ctx () in
+  let u = Store.universe t.store and magic = ref [] in
+  Fact.iter_live t.store (fun f ->
+      if Fact.is_magic u f then magic := f :: !magic);
+  List.iter (fun f -> ignore (tombstone t ctx f : bool)) !magic;
   (* one tracing pass at the fixpoint enumerates every body solution of
      every rule exactly once, populating the support index *)
-  let ctx = new_ctx () in
   ignore (full_tracing_run t ctx : Fixpoint.stats);
   t
 
@@ -724,20 +722,13 @@ let retract_batch t src =
    replay check against. Skolem objects print as the paths that denote
    them and re-skolemise deterministically. *)
 let dump_source t =
-  let u = Store.universe t.store in
   let b = Buffer.create 1024 in
-  Fact_tbl.fold
-    (fun f r acc ->
-      if !r > 0 then
-        (* one statement per extensional multiplicity: [attach] bumps the
-           edb count once per fact statement, so a reload preserves how
-           many retracts the fact survives — a fact asserted twice and
-           dumped once would vanish on the first post-reload retract *)
-        let line = Format.asprintf "%a." (Fact.pp u) f in
-        List.rev_append (List.init !r (fun _ -> line)) acc
-      else acc)
-    t.edb []
-  |> List.sort compare
+  (* one statement per extensional multiplicity: [attach] bumps the edb
+     count once per fact statement, so a reload preserves how many
+     retracts the fact survives — a fact asserted twice and dumped once
+     would vanish on the first post-reload retract *)
+  Fact.lines ~stop:"." (Store.universe t.store) (fun f ->
+      Fact_tbl.iter (fun fact r -> for _ = 1 to !r do f fact done) t.edb)
   |> List.iter (fun line ->
          Buffer.add_string b line;
          Buffer.add_char b '\n');
@@ -785,7 +776,7 @@ let check_support t =
       if not (Fact_tbl.mem t.counts f) then
         say "derivation of %a missing from counts" (Fact.pp u) f)
     recount;
-  iter_live_facts t (fun f ->
+  Fact.iter_live t.store (fun f ->
       if get_count t.edb f <= 0 && get_count t.counts f <= 0 then
         say "live fact %a has neither extensional nor derived support"
           (Fact.pp u) f);

@@ -52,7 +52,9 @@ type batch_stats = {
 
 (** Evaluate the program (idempotent) and build the support index: the
     extensional multiplicities from its fact statements, and one recorded
-    derivation per (rule, body solution) from a tracing fixpoint pass. *)
+    derivation per (rule, body solution) from a tracing fixpoint pass.
+    Magic tuples left by earlier demand queries have no support here and
+    are retired. *)
 val attach : Engine.Program.t -> t
 
 val program : t -> Engine.Program.t
@@ -91,7 +93,10 @@ val set_commit_hook :
     chaos replay. A fact appears once per extensional multiplicity
     (asserting twice takes two retracts to undo), so {!attach} on the
     reloaded program restores the multiset exactly — snapshots would
-    otherwise flatten the counts and recovery would over-retract. *)
+    otherwise flatten the counts and recovery would over-retract. The
+    fact lines are {!Engine.Fact.lines}, the model renderer's printer.
+    A what-if analysis is a batch on a scratch copy:
+    [attach (Program.of_string (dump_source t))]. *)
 val dump_source : t -> string
 
 (** Support-index audit: every live derivation rests on live facts,

@@ -794,39 +794,3 @@ let check_invariants st =
     problem "tuple counter says %d but store holds %d live" st.tuple_count
       total;
   List.rev !problems
-
-let pp ppf st =
-  let u = st.universe in
-  let obj = Universe.pp_obj u in
-  Vec.iter
-    (fun e ->
-      if isa_live e then
-        Format.fprintf ppf "%a : %a.@." obj e.i_sub obj e.i_cls)
-    st.isa_log;
-  let pp_args ppf = function
-    | [] -> ()
-    | args ->
-      Format.fprintf ppf "@(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           obj)
-        args
-  in
-  List.iter
-    (fun m ->
-      Vec.iter
-        (fun e ->
-          if live e then
-            Format.fprintf ppf "%a[%a%a -> %a].@." obj e.recv obj m pp_args
-              e.args obj e.res)
-        (scalar_bucket st m))
-    (scalar_meths st);
-  List.iter
-    (fun m ->
-      Vec.iter
-        (fun e ->
-          if live e then
-            Format.fprintf ppf "%a[%a%a ->> {%a}].@." obj e.recv obj m
-              pp_args e.args obj e.res)
-        (set_bucket st m))
-    (set_meths st)

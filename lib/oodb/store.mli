@@ -247,11 +247,6 @@ val snapshot_iter_set : snapshot -> Obj_id.t -> (mentry -> unit) -> unit
 (** Counts as of the snapshot's freeze, regardless of later appends. *)
 val snapshot_stats : snapshot -> stats
 
-(** Dump the whole store as facts, one per line, in program syntax; used by
-    the CLI's [--dump] and by golden tests. Skolem objects print as the
-    paths denoting them. *)
-val pp : Format.formatter -> t -> unit
-
 (** Internal-consistency audit: primary tables agree with their buckets and
     inverse indexes, set memberships agree with the per-key sets, the
     hierarchy adjacency agrees with the edge log and stays acyclic.

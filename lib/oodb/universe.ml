@@ -89,7 +89,9 @@ let rec pp_obj u ppf id =
   | Int n -> Format.pp_print_int ppf n
   | Str s -> Format.fprintf ppf "%S" s
   | Skolem { meth; recv; args; _ } ->
-    Format.fprintf ppf "%a.%a" (pp_obj u) recv (pp_obj u) meth;
+    (* a virtual method prints in parentheses: [a.(kids.tc)], since
+       [a.kids.tc] reads back as [(a.kids).tc] *)
+    Format.fprintf ppf "%a.%a" (pp_obj u) recv (pp_paren u) meth;
     (match args with
     | [] -> ()
     | _ ->
@@ -98,6 +100,12 @@ let rec pp_obj u ppf id =
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
            (pp_obj u))
         args)
+
+(* [id] where the parser would otherwise read a path: method and class
+   positions *)
+and pp_paren u ppf id =
+  if is_skolem u id then Format.fprintf ppf "(%a)" (pp_obj u) id
+  else pp_obj u ppf id
 
 let to_string u id = Format.asprintf "%a" (pp_obj u) id
 

@@ -53,8 +53,14 @@ val descriptor : t -> Obj_id.t -> descriptor
 val is_skolem : t -> Obj_id.t -> bool
 
 (** Print an object the way the paper writes it: names bare, strings quoted,
-    skolems as the path that denotes them, e.g. [p1.boss]. *)
+    skolems as the path that denotes them, e.g. [p1.boss], with a virtual
+    method parenthesised ([p1.(kids.tc)]) so the text parses back to the
+    same object. *)
 val pp_obj : t -> Format.formatter -> Obj_id.t -> unit
+
+(** {!pp_obj}, parenthesising a skolem: for method and class positions,
+    where the parser would otherwise read a path ([o : (kids.tc)]). *)
+val pp_paren : t -> Format.formatter -> Obj_id.t -> unit
 
 (** [to_string u o] is {!pp_obj} rendered to a string. *)
 val to_string : t -> Obj_id.t -> string

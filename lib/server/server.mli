@@ -21,9 +21,9 @@
     ({!Oodb.Store.freeze}) and evaluates against the append-only store —
     interning and the hierarchy closure caches carry their own internal
     locks, so any number of workers evaluate in parallel. The store lock
-    survives only for writers ({!with_store_write}, program (re)load);
-    with [pool_domains] the workers are {!Domain}s and CPU-bound query
-    loads actually scale across cores. Successful [QUERY] replies land in
+    survives only for writers (ASSERT/RETRACT through [Live], demand first
+    sights, recovery); with [pool_domains] the workers are {!Domain}s and
+    CPU-bound query loads actually scale across cores. Successful [QUERY] replies land in
     an epoch-keyed result cache ({!Qcache}): a repeated query at an
     unchanged store is answered without evaluation, and any insertion
     invalidates wholesale by moving the epoch (counters in [STATS]).
@@ -159,13 +159,6 @@ val config : t -> config
 
 (** Query-result cache counters (also rendered into [STATS]). *)
 val cache_stats : t -> Qcache.stats
-
-(** [with_store_write t f] runs [f] holding the store write lock — the
-    path for program (re)load or fact assertion while the server runs.
-    In-flight queries keep evaluating against their pinned epochs and
-    their replies are not cached (the epoch moves); cached replies from
-    older epochs become unreachable. *)
-val with_store_write : t -> (unit -> 'a) -> 'a
 
 (** Ask the server to stop. Cheap and async-signal-safe in spirit: sets a
     flag and wakes the accept loop; does not block, does not join.

@@ -20,6 +20,33 @@ let check_fails msg p q = Alcotest.(check bool) msg false (Pathlog.holds p q)
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* The model renderer's sorted fact statements. *)
+let model p = Pathlog.Fact.model (Pathlog.Program.store p)
+
+(* Model facts only in [after] and only in [before]. *)
+let model_diff ~before ~after =
+  let module S = Set.Make (String) in
+  let b = S.of_list (model before) and a = S.of_list (model after) in
+  (S.elements (S.diff a b), S.elements (S.diff b a))
+
+(* Insert one ground fact statement straight into a program's store,
+   recorded as extensional: the one writer outside [Live], for the
+   demand-resume property, which grows the store between demand queries
+   of one program. *)
+let add_fact p text =
+  match Pathlog.Parser.statement text with
+  | Syntax.Ast.Rule ({ body = []; _ } as rule) ->
+    let changes = ref 0 in
+    let on_insert f =
+      Pathlog.Provenance.record (Pathlog.Program.provenance p) f
+        Pathlog.Provenance.Extensional
+    in
+    ignore
+      (Engine.Head.execute ~on_insert (Pathlog.Program.store p)
+         ~env:Pathlog.Valuation.Env.empty ~rule ~changes rule.head
+        : Pathlog.Obj_id.t)
+  | Syntax.Ast.Rule _ | Syntax.Ast.Query _ -> invalid_arg "add_fact"
+
 (* ------------------------------------------------------------------ *)
 (* Hand-made join plans. Every permutation of a query's atoms is a sound
    plan; these exercise that claim. *)
@@ -182,6 +209,5 @@ let gen_loadable_base : Pathlog.program QCheck.Gen.t =
 
 let arbitrary_loadable_base =
   QCheck.make
-    ~print:(fun p ->
-      Format.asprintf "%a" Pathlog.Store.pp (Pathlog.Program.store p))
+    ~print:(fun p -> String.concat "\n" (model p))
     gen_loadable_base

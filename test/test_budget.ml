@@ -144,7 +144,7 @@ let budget_subset ~jobs seed =
       | exception _ -> true (* the conflict fired before the cap *)
       | _stats ->
         let added, _removed =
-          Program.diff_models ~before:full ~after:budgeted
+          Helpers.model_diff ~before:full ~after:budgeted
         in
         (* nothing may exist in the budgeted model that full evaluation
            does not derive *)

@@ -111,7 +111,7 @@ let test_store_write_faults_absorbed () =
       let p = model_of program_text in
       Alcotest.(check (pair (list string) (list string)))
         "model unchanged under write faults" ([], [])
-        (Program.diff_models ~before:clean ~after:p);
+        (Helpers.model_diff ~before:clean ~after:p);
       Alcotest.(check bool) "faults did fire" true (Fault.injected_total () > 0);
       Alcotest.(check (list string))
         "store invariants hold" []
@@ -133,7 +133,7 @@ let test_solver_step_faults_recoverable () =
       run 3;
       Alcotest.(check (pair (list string) (list string)))
         "model converges across injected aborts" ([], [])
-        (Program.diff_models ~before:clean ~after:p))
+        (Helpers.model_diff ~before:clean ~after:p))
 
 (* ------------------------------------------------------------------ *)
 (* The headline chaos property, in miniature (bench/chaos.ml is the

@@ -347,9 +347,38 @@ let test_serve_bad_faults_spec () =
   Alcotest.(check bool) "spec error reported" true
     (contains ~sub:"bad --faults spec" out)
 
+(* The fact statements of a [run --dump] output (answers and comments
+   dropped), sorted. *)
+let dump_lines out =
+  String.split_on_char '\n' out
+  |> List.filter (fun l ->
+         l <> "" && l.[0] <> '?' && l.[0] <> '%'
+         && l.[String.length l - 1] = '.')
+  |> List.sort compare
+
+(* [run --demand --dump] prints the demanded fragment without the
+   demand transform's magic tuples, and the dump reloads to itself. *)
+let test_run_demand_dump () =
+  with_program
+    "a[f -> b]. b[f -> c].\nX[twice -> Z] <- X[f -> Y], Y[f -> Z].\n\
+     ?- a[twice -> Z].\n"
+    (fun file ->
+      let code, out = run_cli [ "run"; "--demand"; file; "--dump" ] in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "answered on demand" true
+        (contains ~sub:"a[twice -> c]." out);
+      Alcotest.(check bool) "no magic tuple" false (contains ~sub:"$" out);
+      let dump = dump_lines out in
+      with_program (String.concat "\n" dump) (fun reload ->
+          let code, out = run_cli [ "run"; reload; "--dump" ] in
+          Alcotest.(check int) "reload exit 0" 0 code;
+          Alcotest.(check (list string)) "reload dumps the same facts" dump
+            (dump_lines out)))
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "run --demand --dump" `Quick test_run_demand_dump;
       Alcotest.test_case "check clean examples" `Quick
         test_check_clean_examples;
       Alcotest.test_case "check conflict exit" `Quick test_check_conflict_exit;

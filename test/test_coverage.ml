@@ -194,7 +194,7 @@ let test_normalized_program_same_model () =
     |}
   in
   let p1 = load text in
-  let statements = Program.statements p1 in
+  let statements = Pathlog.Parser.program text in
   let normalized =
     List.map
       (function
@@ -204,11 +204,8 @@ let test_normalized_program_same_model () =
   in
   let p2 = Program.create normalized in
   ignore (Program.run p2);
-  let lines p =
-    Program.dump_model p |> String.split_on_char '\n'
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check (list string)) "same model" (lines p1) (lines p2)
+  Alcotest.(check (list string)) "same model" (Helpers.model p1)
+    (Helpers.model p2)
 
 (* ------------------------------------------------------------------ *)
 (* Random program generator *)

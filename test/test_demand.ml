@@ -535,7 +535,7 @@ let qcheck_incremental_equals_full jobs =
         (fun op ->
           match op with
           | Add (m, a, b) ->
-            ignore (Program.add_fact_string pd (fact_text (m, a, b)));
+            Helpers.add_fact pd (fact_text (m, a, b));
             added := fact_text (m, a, b) :: !added;
             true
           | Query (s, k) ->

@@ -62,10 +62,7 @@ let gen_program : string QCheck.Gen.t =
 let arbitrary_program =
   QCheck.make ~print:(fun s -> s) gen_program
 
-let model_facts p =
-  Format.asprintf "%a" Pathlog.Store.pp (Program.store p)
-  |> String.split_on_char '\n'
-  |> List.sort_uniq compare
+let model_facts p = Pathlog.Fact.model (Program.store p)
 
 let load_mode mode text =
   let config = { Fixpoint.default_config with mode } in

@@ -262,7 +262,7 @@ let recover_model ?(jobs = 1) dir =
 let check_recovered_equals live recovered =
   Alcotest.(check (pair (list string) (list string)))
     "recovered model = surviving model" ([], [])
-    (Program.diff_models ~before:(Live.program live)
+    (Helpers.model_diff ~before:(Live.program live)
        ~after:(Live.program recovered));
   Alcotest.(check (list string))
     "store invariants" []
@@ -374,9 +374,7 @@ let crash_equals_memory ~jobs seed =
       (* crash: the process dies; only the files survive *)
       Durable.close d;
       let recovered = recover_model ~jobs dir in
-      Program.diff_models ~before:(Live.program live)
-        ~after:(Live.program recovered)
-      = ([], [])
+      Helpers.model (Live.program live) = Helpers.model (Live.program recovered)
       && Store.check_invariants (Live.store recovered) = []
       && Live.check_support recovered = [])
 
@@ -392,8 +390,9 @@ let qcheck_crash jobs =
 
 let server_program = "seed1 : kept.\n"
 
-let with_durable_server ?(config = Server.default_config) dir f =
-  let p = load server_program in
+let with_durable_server ?(config = Server.default_config)
+    ?(program = server_program) dir f =
+  let p = load program in
   let config = { config with Server.data_dir = Some dir } in
   let srv = Server.create ~config ~program:p (Server.Tcp ("127.0.0.1", 0)) in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
@@ -467,6 +466,52 @@ let busy_while_recovering () =
                   ("expected OK, got " ^ Pathlog.Protocol.render_reply r)
               | Error _ -> Alcotest.fail "transport error")))
 
+(* Snapshots are the live source: virtual objects in method and class
+   position must come back as the facts that were asserted. *)
+let snapshot_restores_virtual_positions () =
+  let program =
+    {|
+    mary[kids ->> {tom}].
+    X[(M.tc) ->> {Y}] <- X[M ->> {Y}].
+    X[(M.tc) ->> {Y}] <- X..(M.tc)[M ->> {Y}].
+    |}
+  in
+  let queries =
+    [ "mary[(kids.tc) ->> {X}]"; "X : (kids.tc)"; "X : kids"; "o : C" ]
+  in
+  let config = { Server.default_config with snapshot_every = 1 } in
+  with_dir (fun dir ->
+      let with_server f =
+        with_durable_server ~config ~program dir (fun srv ->
+            Server.await_ready srv;
+            with_client srv f)
+      in
+      let answers c =
+        List.map
+          (fun q ->
+            match Client.query c q with
+            | Ok lines -> List.sort compare lines
+            | Error msg -> Alcotest.fail (q ^ ": " ^ msg))
+          queries
+      in
+      let before =
+        with_server (fun c ->
+            List.iter
+              (fun batch ->
+                match Client.assert_facts c batch with
+                | Ok _ -> ()
+                | Error msg -> Alcotest.fail msg)
+              [ "mary[(kids.tc) ->> {ann}]."; "o : (kids.tc)." ];
+            answers c)
+      in
+      Alcotest.(check bool) "snapshots were written" true
+        (Array.exists
+           (fun f -> Filename.check_suffix f ".snap")
+           (Sys.readdir dir));
+      Alcotest.(check (list (list string)))
+        "asserted facts answer after the restart" before
+        (with_server answers))
+
 (* ------------------------------------------------------------------ *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -494,4 +539,6 @@ let suite =
     qtest (qcheck_crash 4);
     case "server: acknowledged batches survive restart" server_survives_restart;
     case "server: BUSY with retry-after while replaying" busy_while_recovering;
+    case "server: snapshots restore virtual methods and classes"
+      snapshot_restores_virtual_positions;
   ]

@@ -284,10 +284,7 @@ let test_round_budget () =
 
 (* Models are compared as fact sets: insertion order differs between
    evaluation modes. *)
-let model_facts p =
-  Format.asprintf "%a" Pathlog.Store.pp (Program.store p)
-  |> String.split_on_char '\n'
-  |> List.sort_uniq compare
+let model_facts p = Pathlog.Fact.model (Program.store p)
 
 let same_model text =
   let dump mode = model_facts (load_with mode text) in

@@ -181,11 +181,7 @@ let production_equals_deductive =
       (* deductive *)
       let p1 = Program.create (facts @ Pathlog.Genealogy.desc_rules) in
       ignore (Program.run p1);
-      let deductive =
-        Format.asprintf "%a" Pathlog.Store.pp (Program.store p1)
-        |> String.split_on_char '\n'
-        |> List.sort_uniq compare
-      in
+      let deductive = model p1 in
       (* production: same two rules as assert actions *)
       let p2 = Program.create facts in
       ignore (Program.run p2);
@@ -207,11 +203,7 @@ let production_equals_deductive =
           ]
       in
       ignore (Production.run eng);
-      let production =
-        Format.asprintf "%a" Pathlog.Store.pp (Program.store p2)
-        |> String.split_on_char '\n'
-        |> List.sort_uniq compare
-      in
+      let production = model p2 in
       deductive = production)
 
 (* ------------------------------------------------------------------ *)
@@ -265,9 +257,6 @@ let test_lint_silent_when_unknown () =
 (* ------------------------------------------------------------------ *)
 (* Persistence: dump/reload round-trip *)
 
-let fact_set dump =
-  String.split_on_char '\n' dump |> List.sort_uniq compare
-
 let test_dump_reload_roundtrip () =
   let p =
     load
@@ -277,67 +266,83 @@ let test_dump_reload_roundtrip () =
       X.address[street -> X.street; city -> X.city] <- X : person.
       |}
   in
-  let dump = Program.dump_model p in
-  let p2 = load dump in
-  Alcotest.(check (list string))
-    "model fixpoint" (fact_set dump)
-    (fact_set (Program.dump_model p2));
+  let p2 = load (String.concat "\n" (model p)) in
+  Alcotest.(check (list string)) "model fixpoint" (model p) (model p2);
   (* skolems reload as the same path-denoted objects *)
   check_answers "virtual object survives" p2 "alice.address[street -> S]"
     [ "mainSt" ]
 
+(* Virtual objects in method, class and argument position, beside the
+   genealogy closure: Program 6.4's hilog [(M.tc)] rules, an asserted
+   class [(kids.tc)], a head path [X.(kids.tc)] and [@(...)] arguments
+   holding virtual objects. *)
+let virtual_positions =
+  {|
+  X[(M.tc) ->> {Y}] <- X[M ->> {Y}].
+  X[(M.tc) ->> {Y}] <- X..(M.tc)[M ->> {Y}].
+  o : (kids.tc).
+  o[(kids.tc) ->> {p0}].
+  X.(kids.tc)[v -> 1] <- X[kids ->> {Y}].
+  X[via@(X.(kids.tc), Y) ->> {Y}] <- X[(desc.tc) ->> {Y}].
+  |}
+
+(* Both dumps reload to the same model at jobs 1 and 4: the model
+   renderer's lines reload to themselves, and [Live.dump_source]
+   (extensional facts plus rules) rebuilds the same model. *)
 let dump_reload_random =
   QCheck.Test.make ~name:"dump/reload is a fixpoint (random genealogies)"
     ~count:15
     QCheck.(int_range 1 100)
     (fun seed ->
-      let p =
-        Program.create
+      let genealogy =
+        Pathlog.Pretty.program_to_string
           (Pathlog.Genealogy.statements
              (Pathlog.Genealogy.Random_forest
                 { people = 12; max_kids = 3; seed })
           @ Pathlog.Genealogy.desc_rules)
       in
-      ignore (Program.run p);
-      let d1 = Program.dump_model p in
-      let p2 = load d1 in
-      fact_set (Program.dump_model p2) = fact_set d1)
+      List.for_all
+        (fun jobs ->
+          let config = { Pathlog.Fixpoint.default_config with jobs } in
+          let load text =
+            let p = Program.of_string ~config text in
+            ignore (Program.run p);
+            p
+          in
+          let p = load (genealogy ^ virtual_positions) in
+          let lines = model p in
+          let source = Pathlog.Live.dump_source (Pathlog.Live.attach p) in
+          model (load (String.concat "\n" lines)) = lines
+          && model (load source) = lines)
+        [ 1; 4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Incremental facts *)
+(* Incremental facts: an ASSERT batch on a live program *)
 
-let test_add_fact_incremental () =
-  let p =
-    load
-      {|
-      a[kids ->> {b}].
-      X[desc ->> {Y}] <- X[kids ->> {Y}].
-      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-      |}
-  in
+let desc_text =
+  {|
+  X[desc ->> {Y}] <- X[kids ->> {Y}].
+  X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+  |}
+
+let test_assert_fact_incremental () =
+  let p = load ("a[kids ->> {b}]." ^ desc_text) in
   check_answers "before" p "a[desc ->> {X}]" [ "b" ];
-  let added = Program.add_fact_string p "b[kids ->> {c}]." in
-  Alcotest.(check int) "one tuple" 1 added;
-  ignore (Program.run p);
-  check_answers "after re-run" p "a[desc ->> {X}]" [ "b"; "c" ];
-  (* incremental = from scratch *)
-  let fresh =
-    load
-      {|
-      a[kids ->> {b}]. b[kids ->> {c}].
-      X[desc ->> {Y}] <- X[kids ->> {Y}].
-      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-      |}
-  in
+  let live = Pathlog.Live.attach p in
+  let s = Pathlog.Live.assert_batch live "b[kids ->> {c}]." in
   Alcotest.(check (list string))
-    "same model"
-    (fact_set (Program.dump_model fresh))
-    (fact_set (Program.dump_model p))
+    "one tuple and its consequences"
+    [ "a[desc ->> {c}]"; "b[desc ->> {c}]"; "b[kids ->> {c}]" ]
+    s.added;
+  check_answers "after" p "a[desc ->> {X}]" [ "b"; "c" ];
+  (* incremental = from scratch *)
+  let fresh = load ("a[kids ->> {b}]. b[kids ->> {c}]." ^ desc_text) in
+  Alcotest.(check (list string)) "same model" (model fresh) (model p)
 
-let test_add_fact_rejects_nonground () =
-  let p = load "a : c." in
-  match Program.add_fact_string p "X : c." with
-  | exception Program.Invalid _ -> ()
+let test_assert_rejects_nonground () =
+  let live = Pathlog.Live.attach (load "a : c.") in
+  match Pathlog.Live.assert_batch live "X : c." with
+  | exception Pathlog.Live.Rejected _ -> ()
   | _ -> Alcotest.fail "expected rejection of non-ground fact"
 
 (* ------------------------------------------------------------------ *)
@@ -397,81 +402,76 @@ let suite =
     Alcotest.test_case "dump/reload roundtrip" `Quick
       test_dump_reload_roundtrip;
     qtest dump_reload_random;
-    Alcotest.test_case "add_fact incremental" `Quick test_add_fact_incremental;
-    Alcotest.test_case "add_fact rejects nonground" `Quick
-      test_add_fact_rejects_nonground;
+    Alcotest.test_case "assert fact incremental" `Quick
+      test_assert_fact_incremental;
+    Alcotest.test_case "assert rejects nonground" `Quick
+      test_assert_rejects_nonground;
     Alcotest.test_case "explain shapes" `Quick test_explain_shapes;
     Alcotest.test_case "explain matches query" `Quick
       test_explain_matches_query;
   ]
 
 (* ------------------------------------------------------------------ *)
-(* What-if analysis (appended) *)
+(* What-if analysis: a Live batch on a scratch copy, reloaded from the
+   live source, so the model being asked about is never touched. *)
 
-let tc_text =
-  {|
-  peter[kids ->> {tim, mary}]. tim[kids ->> {sally}].
-  X[desc ->> {Y}] <- X[kids ->> {Y}].
-  X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-  |}
+let tc_text = "peter[kids ->> {tim, mary}]. tim[kids ->> {sally}]." ^ desc_text
+
+let scratch_copy live =
+  Pathlog.Live.attach
+    (Program.of_string (Pathlog.Live.dump_source live))
+
+(* The model facts the batch would add and remove. *)
+let what_if ?(retract = false) live text =
+  let apply =
+    if retract then Pathlog.Live.retract_batch else Pathlog.Live.assert_batch
+  in
+  let s = apply (scratch_copy live) text in
+  (s.added, s.removed)
 
 let test_what_if_add () =
-  let p = load tc_text in
-  let added, removed =
-    Program.what_if
-      ~add:(Pathlog.Parser.program "sally[kids ->> {zoe}].")
-      p
-  in
+  let live = Pathlog.Live.attach (load tc_text) in
+  let added, removed = what_if live "sally[kids ->> {zoe}]." in
   Alcotest.(check (list string)) "nothing removed" [] removed;
   (* new base fact + derived desc facts for sally, tim and peter *)
   Alcotest.(check bool) "kids fact added" true
-    (List.mem "sally[kids ->> {zoe}]." added);
+    (List.mem "sally[kids ->> {zoe}]" added);
   Alcotest.(check bool) "peter's closure extended" true
-    (List.mem "peter[desc ->> {zoe}]." added);
+    (List.mem "peter[desc ->> {zoe}]" added);
   Alcotest.(check int) "exactly 4 new facts" 4 (List.length added)
 
 let test_what_if_retract () =
-  let p = load tc_text in
-  let retract stmt =
-    Syntax.Ast.equal_statement stmt
-      (Pathlog.Parser.statement "tim[kids ->> {sally}].")
+  let live = Pathlog.Live.attach (load tc_text) in
+  let added, removed =
+    what_if ~retract:true live "tim[kids ->> {sally}]."
   in
-  let added, removed = Program.what_if ~retract p in
   Alcotest.(check (list string)) "nothing added" [] added;
   Alcotest.(check bool) "base fact gone" true
-    (List.mem "tim[kids ->> {sally}]." removed);
+    (List.mem "tim[kids ->> {sally}]" removed);
   Alcotest.(check bool) "derived support gone" true
-    (List.mem "peter[desc ->> {sally}]." removed);
+    (List.mem "peter[desc ->> {sally}]" removed);
   Alcotest.(check bool) "unrelated facts kept" false
-    (List.mem "peter[desc ->> {tim}]." removed)
+    (List.mem "peter[desc ->> {tim}]" removed)
 
 let test_what_if_does_not_mutate () =
-  let p = load tc_text in
-  let before = Program.dump_model p in
-  ignore (Program.what_if ~add:(Pathlog.Parser.program "x[kids ->> {y}].") p);
-  Alcotest.(check string) "base program untouched" before
-    (Program.dump_model p)
+  let live = Pathlog.Live.attach (load tc_text) in
+  let before = model (Pathlog.Live.program live) in
+  let source = Pathlog.Live.dump_source live in
+  ignore (what_if live "x[kids ->> {y}].");
+  Alcotest.(check (list string)) "base model untouched" before
+    (model (Pathlog.Live.program live));
+  Alcotest.(check string) "base source untouched" source
+    (Pathlog.Live.dump_source live)
 
 let test_rebuild_composes () =
-  let p = load tc_text in
-  let p2 =
-    Program.rebuild
-      ~add:(Pathlog.Parser.program "sally[kids ->> {zoe}].")
-      p
-  in
-  let p3 =
-    Program.rebuild
-      ~retract:(fun stmt ->
-        Syntax.Ast.equal_statement stmt
-          (Pathlog.Parser.statement "sally[kids ->> {zoe}]."))
-      p2
-  in
-  let lines p =
-    Program.dump_model p |> String.split_on_char '\n'
-    |> List.sort_uniq compare
-  in
+  let live = Pathlog.Live.attach (load tc_text) in
+  let copy = scratch_copy live in
+  ignore (Pathlog.Live.assert_batch copy "sally[kids ->> {zoe}].");
+  let copy = scratch_copy copy in
+  ignore (Pathlog.Live.retract_batch copy "sally[kids ->> {zoe}].");
   Alcotest.(check (list string)) "add then retract = identity"
-    (lines p) (lines p3)
+    (model (Pathlog.Live.program live))
+    (model (Pathlog.Live.program copy))
 
 let suite =
   suite

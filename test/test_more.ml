@@ -254,7 +254,7 @@ let test_pp_answer () =
 
 let test_store_dump_is_loadable_program () =
   let p = load "x : c[color -> red]. x[tags ->> {a, b}]." in
-  let dumped = Program.dump_model p in
+  let dumped = String.concat "\n" (Helpers.model p) in
   (* every dumped line is itself a parsable statement *)
   let reparsed = Pathlog.Parser.program dumped in
   Alcotest.(check int) "four facts dumped" 4 (List.length reparsed)

@@ -244,7 +244,7 @@ let test_stats_and_pp () =
   Alcotest.(check int) "isa" 1 s.isa_edges;
   Alcotest.(check int) "scalar" 1 s.scalar_tuples;
   Alcotest.(check int) "set" 1 s.set_tuples;
-  let text = Format.asprintf "%a" Store.pp st in
+  let text = String.concat "\n" (Pathlog.Fact.model st) in
   Alcotest.(check bool) "pp has isa" true (contains ~sub:"a : b." text);
   Alcotest.(check bool) "pp has scalar" true (contains ~sub:"a[m -> b]." text);
   Alcotest.(check bool) "pp has set" true (contains ~sub:"a[s ->> {b}]." text)

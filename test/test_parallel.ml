@@ -35,7 +35,7 @@ let par_equals_seq ~jobs seed =
     match load_jobs ~jobs text with
     | exception _ -> false
     | p_par ->
-      Program.diff_models ~before:p_seq ~after:p_par = ([], []))
+      Helpers.model p_seq = Helpers.model p_par)
 
 let qcheck_par_seq jobs =
   QCheck.Test.make
@@ -73,7 +73,7 @@ let test_partitioned_closure_jobs () =
       Alcotest.(check (pair (list string) (list string)))
         (Printf.sprintf "jobs=%d diff empty" jobs)
         ([], [])
-        (Program.diff_models ~before:p1 ~after:pn))
+        (Helpers.model_diff ~before:p1 ~after:pn))
     [ 2; 4 ]
 
 (* Multiple strata (isa derivation feeds a set-method stratum), plus
@@ -94,7 +94,7 @@ let test_multi_stratum_jobs () =
   let p4 = load_jobs ~jobs:4 text in
   Alcotest.(check (pair (list string) (list string)))
     "jobs=4 diff empty" ([], [])
-    (Program.diff_models ~before:p1 ~after:p4);
+    (Helpers.model_diff ~before:p1 ~after:p4);
   Alcotest.(check bool)
     "builtin class membership derived" true
     (Pathlog.holds p4 "cell1 : tagged")
@@ -201,7 +201,7 @@ let query c q =
   | Error (`Malformed s) -> Alcotest.fail ("malformed reply: " ^ s)
 
 let test_server_cache_and_invalidation () =
-  with_server (fun p srv ->
+  with_server (fun _p srv ->
       with_client srv (fun c ->
           let first = query c "X : employee" in
           let second = query c "X : employee" in
@@ -224,9 +224,9 @@ let test_server_cache_and_invalidation () =
               (has "cache_misses"));
           (* a write bumps the store epoch: the next read must re-evaluate
              and see the new fact *)
-          Server.with_store_write srv (fun () ->
-              ignore (Program.add_fact_string p "e3 : employee.");
-              ignore (Program.run p));
+          (match Client.assert_facts c "e3 : employee." with
+          | Ok r -> Alcotest.(check int) "one fact added" 1 r.Client.added
+          | Error e -> Alcotest.fail ("ASSERT failed: " ^ e));
           let misses_before = (Server.cache_stats srv).Qcache.misses in
           let third = query c "X : employee" in
           Alcotest.(check bool) "new fact visible after write" true

@@ -17,10 +17,7 @@ let store_of = Program.store
    and the compiled plan must answer like a random permutation of the
    query's atoms, on random rule programs. *)
 
-let model_facts p =
-  Format.asprintf "%a" Store.pp (Program.store p)
-  |> String.split_on_char '\n'
-  |> List.sort_uniq compare
+let model_facts p = Pathlog.Fact.model (Program.store p)
 
 let load_with mode text =
   let config = { Fixpoint.default_config with mode } in

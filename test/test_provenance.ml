@@ -132,9 +132,10 @@ let test_provenance_size () =
   Alcotest.(check int) "all inserted tuples recorded" 7
     (Provenance.size (Program.provenance p))
 
-let test_add_fact_provenance () =
+let test_asserted_fact_provenance () =
   let p = load "a : c." in
-  ignore (Program.add_fact_string p "b : c.");
+  let live = Pathlog.Live.attach p in
+  ignore (Pathlog.Live.assert_batch live "b : c." : Pathlog.Live.batch_stats);
   match Program.why_string p "b : c" with
   | Some { source = Extensional; _ } -> ()
   | _ -> Alcotest.fail "incrementally added fact should be extensional"
@@ -193,6 +194,7 @@ let suite =
       test_why_rejects_open_reference;
     Alcotest.test_case "fact of reference" `Quick test_fact_of_reference;
     Alcotest.test_case "provenance size" `Quick test_provenance_size;
-    Alcotest.test_case "add_fact provenance" `Quick test_add_fact_provenance;
+    Alcotest.test_case "asserted fact provenance" `Quick
+      test_asserted_fact_provenance;
     qtest all_facts_explainable;
   ]

@@ -91,6 +91,28 @@ let mutation_base =
 
 type op = { op_retract : bool; op_text : string }
 
+(* The batch-log oracle: replay committed ops, in order, into a fresh Live
+   instance over [base]; [after k live] runs once the k-th op (from 1) is
+   in. *)
+let replay_ops ?(after = fun _ _ -> ()) ~on_reject base ops =
+  let replay = Pathlog.Live.attach (Pathlog.load base) in
+  List.iteri
+    (fun i op ->
+      (try
+         let apply =
+           if op.op_retract then Pathlog.Live.retract_batch
+           else Pathlog.Live.assert_batch
+         in
+         ignore (apply replay op.op_text : Pathlog.Live.batch_stats)
+       with Pathlog.Live.Rejected m -> on_reject op.op_text m);
+      after (i + 1) replay)
+    ops;
+  replay
+
+(* Per-writer logs (newest first) as one replayable list; the namespaces
+   are disjoint, so writer order is as good as commit order. *)
+let concat_logs logs = List.concat_map List.rev (Array.to_list logs)
+
 let mutation_storm ~seed ~writers ~batches =
   Printf.printf "=== chaos mutation: seed %d, %d writers x %d batches ===\n%!"
     seed writers batches;
@@ -276,26 +298,11 @@ let mutation_storm ~seed ~writers ~batches =
   (* Reconciliation 2: replay the committed batch log into a fresh Live
      instance; the models must agree exactly, and both the server store's
      invariants and the replay's support index must be clean. *)
-  let replay = Pathlog.Live.attach (Pathlog.load mutation_base) in
-  let replayed = ref 0 in
-  Array.iter
-    (fun ops ->
-      List.iter
-        (fun op ->
-          incr replayed;
-          try
-            if op.op_retract then
-              ignore
-                (Pathlog.Live.retract_batch replay op.op_text
-                  : Pathlog.Live.batch_stats)
-            else
-              ignore
-                (Pathlog.Live.assert_batch replay op.op_text
-                  : Pathlog.Live.batch_stats)
-          with Pathlog.Live.Rejected m ->
-            fail "replay rejected %S: %s" op.op_text m)
-        (List.rev ops))
-    logs;
+  let ops = concat_logs logs in
+  let replayed = List.length ops in
+  let replay =
+    replay_ops mutation_base ops ~on_reject:(fail "replay rejected %S: %s")
+  in
   let added, removed =
     model_diff
       ~before:(Pathlog.Live.program replay)
@@ -315,7 +322,7 @@ let mutation_storm ~seed ~writers ~batches =
   Printf.printf
     "committed batches: %d replayed; %d torn connections, %d busy sheds, \
      %d unresolved; %d DELTA frames\n"
-    !replayed !torn !busy_shed !unresolved !sub_deltas;
+    replayed !torn !busy_shed !unresolved !sub_deltas;
   Printf.printf "injected faults: %d total\n" injected_total;
   Pathlog.Client.close sub_conn;
   if injected_total = 0 then
@@ -683,26 +690,11 @@ let kill_storm ~seed ~writers ~batches ~rounds =
   done;
 
   (* -- verify: served model = batch-log replay --------------------- *)
-  let replay = Pathlog.Live.attach (Pathlog.load mutation_base) in
-  let replayed = ref 0 in
-  Array.iter
-    (fun ops ->
-      List.iter
-        (fun op ->
-          incr replayed;
-          try
-            if op.op_retract then
-              ignore
-                (Pathlog.Live.retract_batch replay op.op_text
-                  : Pathlog.Live.batch_stats)
-            else
-              ignore
-                (Pathlog.Live.assert_batch replay op.op_text
-                  : Pathlog.Live.batch_stats)
-          with Pathlog.Live.Rejected m ->
-            fail "replay rejected %S: %s" op.op_text m)
-        (List.rev ops))
-    logs;
+  let ops = concat_logs logs in
+  let replayed = List.length ops in
+  let replay =
+    replay_ops mutation_base ops ~on_reject:(fail "replay rejected %S: %s")
+  in
   (match !final_addr with
   | None -> fail "no final server"
   | Some addr -> (
@@ -808,13 +800,253 @@ let kill_storm ~seed ~writers ~batches ~rounds =
   Printf.printf
     "committed batches: %d replayed (%d resolved by post-kill probes); %d \
      torn connections; BUSY-while-recovering observed %d/%d restarts\n"
-    !replayed !resolved_in !torn !busy_observed (rounds + 1);
+    replayed !resolved_in !torn !busy_observed (rounds + 1);
   if !committed_total = 0 then fail "the storm committed nothing";
   if !busy_observed = 0 then
     fail "no restart was observed recovering (BUSY window missed)";
   rm_rf root;
   match !failures with
   | [] -> print_endline "chaos kill: ok"
+  | fs ->
+    List.iter (fun m -> Printf.printf "chaos FAILURE: %s\n" m) (List.rev fs);
+    exit 1
+
+(* ------------------------------------------------------------------ *)
+(* Read consistency: readers QUERY while writers ASSERT and RETRACT.
+
+   Every reply must equal the model after some committed batch k with
+   lo <= k <= hi, where lo counts the batches acknowledged before the
+   QUERY was sent and hi the batches sent before its reply arrived (k = 0
+   is the model at load). The store lock serialises commits and every
+   batch here changes the model, so the epochs the replies report order
+   the batches; replaying them in that order gives the model after each
+   k. A snapshot-consistency check in the style of linearizability
+   testing (Wing & Gong, "Testing and Verifying Concurrent Objects",
+   JPDC 1993).
+
+   The base holds two 60-edge chains from s to t under a transitive
+   closure. Writer k toggles random edges among its own seven nodes and
+   from s and to t, so retractions run DRed through s's closure, which
+   the chains re-derive.
+
+   dune exec bench/main.exe -- chaos reads [SEED] [WRITERS] [READERS] [BATCHES] *)
+
+let reads_base =
+  let chain name =
+    List.init 60 (fun i ->
+        let node j =
+          if j < 0 then "s" else if j = 59 then "t"
+          else Printf.sprintf "%s%d" name j
+        in
+        Printf.sprintf "%s[edge ->> {%s}]." (node (i - 1)) (node i))
+  in
+  String.concat "\n"
+    (chain "p" @ chain "q"
+    @ [
+        "X[tc ->> {Y}] <- X[edge ->> {Y}].";
+        "X[tc ->> {Y}] <- X[edge ->> {Z}], Z[tc ->> {Y}].";
+      ])
+
+let read_queries =
+  [| "s[tc ->> {t}]"; "s[tc ->> {Y}]"; "X[edge ->> {t}]"; "X[tc ->> {t}]" |]
+
+let digest lines = Digest.string (String.concat "\n" (List.sort compare lines))
+
+type read = {
+  r_query : int;
+  r_lo : int;
+  r_hi : int;
+  r_digest : Digest.t;
+  r_latency_s : float;
+}
+
+let read_storm ~seed ~writers ~readers ~batches =
+  Printf.printf
+    "=== chaos reads: seed %d, %d writers x %d batches, %d readers ===\n%!"
+    seed writers batches readers;
+  let failures = ref [] in
+  let fail fmt =
+    Printf.ksprintf (fun m -> failures := m :: !failures) fmt
+  in
+  let p = Pathlog.load reads_base in
+  let config =
+    {
+      Pathlog.Server.default_config with
+      workers = readers;
+      pool_domains = true;
+    }
+  in
+  let srv =
+    Pathlog.Server.create ~config ~program:p
+      (Pathlog.Server.Tcp ("127.0.0.1", 0))
+  in
+  let addr = Pathlog.Server.address srv in
+  let sent = Atomic.make 0 and acked = Atomic.make 0 in
+  let committed = Array.make writers [] in
+  let writer_thread k =
+    let rng = Random.State.make [| seed; k |] in
+    let c = Pathlog.Client.connect addr in
+    let node i = Printf.sprintf "w%d_n%d" k i in
+    let linked = ref [] in
+    for _ = 1 to batches do
+      (* a random edge of the writer's own: retracted if it is in,
+         asserted if not *)
+      let a, b =
+        match Random.State.int rng 3 with
+        | 0 -> ("s", node (Random.State.int rng 7))
+        | 1 -> (node (Random.State.int rng 7), "t")
+        | _ ->
+          let i = Random.State.int rng 7 in
+          (node i, node ((i + 1 + Random.State.int rng 5) mod 7))
+      in
+      let fact = Printf.sprintf "%s[edge ->> {%s}]" a b in
+      let op_retract = List.mem fact !linked in
+      linked :=
+        if op_retract then List.filter (( <> ) fact) !linked
+        else fact :: !linked;
+      let op = { op_retract; op_text = fact ^ "." } in
+      Atomic.incr sent;
+      let verb = if op.op_retract then "RETRACT " else "ASSERT " in
+      (match Pathlog.Client.request c (verb ^ op.op_text) with
+      | Ok (Pathlog.Protocol.Ok (epoch :: _)) ->
+        Atomic.incr acked;
+        committed.(k) <- (epoch, op) :: committed.(k)
+      | Ok r ->
+        fail "writer %d: %s refused: %s" k op.op_text
+          (Pathlog.Protocol.render_reply r)
+      | Error _ -> fail "writer %d: connection lost" k);
+      (* a short gap lets readers in between batches as well as during
+         them *)
+      Thread.delay 0.0005
+    done;
+    Pathlog.Client.close c
+  in
+  let writing = Atomic.make true in
+  let reads = Array.make readers [] in
+  let reader_thread r =
+    let rng = Random.State.make [| seed; 1000 + r |] in
+    let c = Pathlog.Client.connect addr in
+    while Atomic.get writing do
+      let qi = Random.State.int rng (Array.length read_queries) in
+      let lo = Atomic.get acked in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Pathlog.Client.request_with_retry ~seed:r c
+           ("QUERY " ^ read_queries.(qi))
+       with
+      | Ok (Pathlog.Protocol.Ok lines) ->
+        let hi = Atomic.get sent in
+        reads.(r) <-
+          {
+            r_query = qi;
+            r_lo = lo;
+            r_hi = hi;
+            r_digest = digest lines;
+            r_latency_s = Unix.gettimeofday () -. t0;
+          }
+          :: reads.(r)
+      | Ok reply ->
+        fail "reader %d: %s answered %s" r read_queries.(qi)
+          (Pathlog.Protocol.render_reply reply)
+      | Error _ -> fail "reader %d: connection lost" r)
+    done;
+    Pathlog.Client.close c
+  in
+  let reader_threads = List.init readers (Thread.create reader_thread) in
+  List.iter Thread.join (List.init writers (Thread.create writer_thread));
+  Atomic.set writing false;
+  List.iter Thread.join reader_threads;
+  let stats =
+    let c = Pathlog.Client.connect addr in
+    let s = Pathlog.Client.stats c in
+    Pathlog.Client.close c;
+    match s with Ok lines -> lines | Error _ -> []
+  in
+  Pathlog.Server.shutdown srv;
+
+  (* The commit order: each reply's "epoch N" line. *)
+  let order =
+    Array.to_list committed |> List.concat
+    |> List.map (fun (line, op) ->
+           match String.split_on_char ' ' line with
+           | [ "epoch"; n ] -> (int_of_string n, op)
+           | _ -> failwith ("unexpected batch reply line: " ^ line))
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let rec distinct = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+      if a = b then fail "two batches committed at epoch %d" a;
+      distinct rest
+    | _ -> ()
+  in
+  distinct order;
+  let ops = List.map snd order in
+  let expected = Array.make (List.length ops + 1) [||] in
+  let answers q =
+    Array.map
+      (fun text -> digest (expected_payload q (Program.query_string q text)))
+      read_queries
+  in
+  expected.(0) <- answers (Pathlog.load reads_base);
+  let replay =
+    replay_ops reads_base ops
+      ~on_reject:(fail "replay rejected %S: %s")
+      ~after:(fun k live -> expected.(k) <- answers (Pathlog.Live.program live))
+  in
+  let added, removed =
+    model_diff ~before:(Pathlog.Live.program replay) ~after:p
+  in
+  if added <> [] || removed <> [] then
+    fail "server model differs from batch-log replay (+%d -%d)"
+      (List.length added) (List.length removed);
+
+  let all = List.concat (Array.to_list reads) in
+  let last = Array.length expected - 1 in
+  let wrong =
+    List.filter
+      (fun rd ->
+        let rec some k =
+          k <= min rd.r_hi last
+          && (expected.(k).(rd.r_query) = rd.r_digest || some (k + 1))
+        in
+        not (some rd.r_lo))
+      all
+  in
+  let n = List.length all in
+  if n = 0 then fail "no read completed";
+  if wrong <> [] then fail "%d of %d reads were wrong" (List.length wrong) n;
+  List.iteri
+    (fun i rd ->
+      if i < 5 then
+        fail "%S answered a model no batch in [%d, %d] produced"
+          read_queries.(rd.r_query) rd.r_lo rd.r_hi)
+    wrong;
+  let stat key =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ k; v ] when k = key -> int_of_string_opt v
+        | _ -> None)
+      stats
+  in
+  let lat =
+    Array.of_list (List.sort compare (List.map (fun rd -> rd.r_latency_s) all))
+  in
+  let pct q =
+    let i = int_of_float (q *. float (Array.length lat)) in
+    if lat = [||] then 0. else lat.(min i (Array.length lat - 1)) *. 1000.
+  in
+  Printf.printf "batches: %d committed; reads: %d checked, %d wrong\n"
+    (List.length ops) n (List.length wrong);
+  (match stat "reads_locked_total" with
+  | Some l ->
+    Printf.printf "reads_locked_total: %d (%.2f%% of reads)\n" l
+      (100. *. float l /. float (max 1 n))
+  | None -> print_endline "reads_locked_total: not reported");
+  Printf.printf "reader latency: p50 %.3f ms, p95 %.3f ms\n" (pct 0.5)
+    (pct 0.95);
+  match !failures with
+  | [] -> print_endline "chaos reads: ok"
   | fs ->
     List.iter (fun m -> Printf.printf "chaos FAILURE: %s\n" m) (List.rev fs);
     exit 1
@@ -829,6 +1061,14 @@ let rec main args =
     in
     kill_storm ~seed:(arg 0 1) ~writers:(arg 1 3) ~batches:(arg 2 12)
       ~rounds:(arg 3 2)
+  | "reads" :: rest ->
+    let arg i default =
+      match List.nth_opt rest i with
+      | Some s -> int_of_string s
+      | None -> default
+    in
+    read_storm ~seed:(arg 0 1) ~writers:(arg 1 2) ~readers:(arg 2 2)
+      ~batches:(arg 3 40)
   | "mutation" :: rest ->
     let arg i default =
       match List.nth_opt rest i with

@@ -25,12 +25,16 @@
    dune exec bench/main.exe -- chaos [SEED] [CLIENTS] [REQUESTS]
    dune exec bench/main.exe -- chaos mutation [SEED] [WRITERS] [BATCHES]
    dune exec bench/main.exe -- chaos kill [SEED] [WRITERS] [BATCHES] [ROUNDS]
+   dune exec bench/main.exe -- chaos reads [SEED] [WRITERS] [READERS] [BATCHES]
 
    chaos kill is the kill-and-recover harness: it forks a durable server
    (--data), SIGKILLs it at seed-deterministic commit counts during a
    concurrent mutation storm, restarts it from the same directory, and
    asserts the recovered model equals a replay of every acknowledged
    batch (plus BUSY-while-recovering and WAL torn-tail truncation).
+   chaos reads runs readers on domain workers beside ASSERT/RETRACT
+   writers and checks every QUERY reply equals the model after some
+   batch committed while the request was in flight.
 
    which starts a server in-process over company(SIZE), drives it with
    CLIENTS concurrent connections issuing REQUESTS queries each (defaults

@@ -507,7 +507,7 @@ let server_throughput ~requests =
       "4 clients x %d requests against the in-process server, company(100)"
 
 (* The lock-free read path at scale: domain-backed workers evaluate query
-   requests on pinned snapshots concurrently. cache_capacity = 1 keeps the
+   requests concurrently (no writes, so every read validates lock-free). cache_capacity = 1 keeps the
    result cache nearly useless (4 distinct queries evict each other), so
    throughput measures parallel evaluation, not cache hits. *)
 let server_par_read ~requests =

@@ -4,7 +4,7 @@
     The unit of durability is the accepted mutation batch: one
     CRC32-framed record per committed [ASSERT]/[RETRACT], fsync'd before
     the client sees [OK]. A record carries a monotone sequence number,
-    the store epoch after the commit (the {!Oodb.Store.freeze} counter —
+    the store epoch after the commit ({!Oodb.Store.epoch} —
     the snapshot watermark), the batch verb, and the batch text
     verbatim. Replaying the records through {!Incremental.Live} in
     sequence order rebuilds the exact model, because each batch was

@@ -2,8 +2,8 @@
    epoch the removal produced. One record is physically shared between the
    method bucket, the inverse index and the receiver index, so the single
    field write hides the tuple everywhere at once while every index keeps
-   its append-only shape (watermark-based semi-naive deltas and epoch
-   snapshots stay valid). *)
+   its append-only shape (watermark-based semi-naive deltas stay
+   valid). *)
 type mentry = {
   recv : Obj_id.t;
   args : Obj_id.t list;
@@ -33,7 +33,7 @@ type t = {
   (* class hierarchy: direct edges of the partial order, both directions.
      [hier_lock] guards the adjacency tables and the closure caches: the
      caches memoize lazily, so even logically read-only traffic
-     (classes_of / members) mutates them, and concurrent snapshot readers
+     (classes_of / members) mutates them, and concurrent readers
      (server query domains, parallel fixpoint workers) would otherwise
      race on the underlying hash tables. The critical sections are short
      and uncontended in single-threaded use. *)
@@ -71,11 +71,10 @@ type t = {
   mutable set_meth_list : Obj_id.t list;
   mutable tuple_count : int;  (* isa edges + scalar + set tuples *)
   mutable epoch : int;
-      (* monotonic data version: bumped on every actual insertion (never
-         on duplicates), so readers can pin a version and caches can be
-         keyed by it. Currently always equal to [tuple_count]; kept as a
-         separate field because it is part of the concurrency contract,
-         not a statistic. *)
+      (* monotonic data version: bumped on every actual insertion and
+         removal (never on duplicates or misses), so readers can tell
+         whether the store was written and caches can be keyed by it.
+         Not [tuple_count]: a removal bumps it and decrements that. *)
   mutable removals : int;
       (* tuples removed so far; incremental evaluators that resume from
          watermarks assume nothing left the store since they took them *)
@@ -402,10 +401,9 @@ let set_meths st = List.rev st.set_meth_list
 
 (* A removal updates the primary tables physically (lookups answer the
    live state immediately) and tombstones the shared index record by
-   stamping [dead] with the post-bump epoch: a snapshot frozen at epoch E
-   still sees entries with [dead > E], later snapshots do not. Buckets
-   never shrink, so watermarks held by in-flight semi-naive evaluations
-   stay monotone; a re-assertion after a removal appends a fresh entry. *)
+   stamping [dead] with the post-bump epoch. Buckets never shrink, so
+   watermarks held by in-flight semi-naive evaluations stay monotone; a
+   re-assertion after a removal appends a fresh entry. *)
 
 let stamp st (e : mentry) =
   st.epoch <- st.epoch + 1;
@@ -486,71 +484,14 @@ let remove_isa st o c =
 (* ------------------------------------------------------------------ *)
 (* Epoch snapshots                                                     *)
 
-(* A snapshot pins the epoch and the length of every append-only bucket
-   that existed at freeze time. Because buckets never shrink and entries
-   never move, a reader iterating only up to its pinned lengths sees
-   exactly the store as of the freeze, no matter how many tuples writers
-   append afterwards. Freezing is O(#methods), not O(#tuples). *)
-type snapshot = {
-  s_store : t;
-  s_epoch : int;
-  s_objects : int;
-  s_isa_len : int;
-  s_scalar_lens : int Obj_id.Tbl.t;
-  s_set_lens : int Obj_id.Tbl.t;
-}
+(* A snapshot is the epoch at freeze time, nothing more: it tells a
+   reader whether the store was written since, and keys the server's
+   result cache. It pins no data — see the contract in store.mli. *)
+type snapshot = { s_store : t; s_epoch : int }
 
-let freeze st =
-  let lens buckets =
-    let out = Obj_id.Tbl.create 32 in
-    Obj_id.Tbl.iter (fun m v -> Obj_id.Tbl.add out m (Vec.length v)) buckets;
-    out
-  in
-  {
-    s_store = st;
-    s_epoch = st.epoch;
-    s_objects = Universe.cardinality st.universe;
-    s_isa_len = Vec.length st.isa_log;
-    s_scalar_lens = lens st.scalar_buckets;
-    s_set_lens = lens st.set_buckets;
-  }
-
-let snapshot_store s = s.s_store
+let freeze st = { s_store = st; s_epoch = st.epoch }
 let snapshot_epoch s = s.s_epoch
 let snapshot_stale s = s.s_store.epoch <> s.s_epoch
-let snapshot_isa_len s = s.s_isa_len
-
-let pinned tbl m =
-  match Obj_id.Tbl.find_opt tbl m with Some n -> n | None -> 0
-
-let snapshot_scalar_len s m = pinned s.s_scalar_lens m
-let snapshot_set_len s m = pinned s.s_set_lens m
-
-let iter_upto f v n =
-  let n = min n (Vec.length v) in
-  for i = 0 to n - 1 do
-    f (Vec.get v i)
-  done
-
-(* A tuple is visible to a snapshot iff it was appended before the freeze
-   (index below the pinned length) and not yet removed at the freeze
-   ([dead > s_epoch]: removals stamp the post-bump epoch). *)
-let snapshot_iter_isa s f =
-  iter_upto
-    (fun e -> if e.i_dead > s.s_epoch then f (e.i_sub, e.i_cls))
-    s.s_store.isa_log s.s_isa_len
-
-let snapshot_iter_scalar s m f =
-  iter_upto
-    (fun e -> if e.dead > s.s_epoch then f e)
-    (scalar_bucket s.s_store m)
-    (pinned s.s_scalar_lens m)
-
-let snapshot_iter_set s m f =
-  iter_upto
-    (fun e -> if e.dead > s.s_epoch then f e)
-    (set_bucket s.s_store m)
-    (pinned s.s_set_lens m)
 
 (* ------------------------------------------------------------------ *)
 (* Live iteration — the basis of model dumps, support-index audits and
@@ -591,34 +532,6 @@ let stats st =
       Vec.fold (fun acc e -> if isa_live e then acc + 1 else acc) 0 st.isa_log;
     scalar_tuples = count_buckets st.scalar_buckets;
     set_tuples = count_buckets st.set_buckets;
-  }
-
-let snapshot_stats s =
-  let visible buckets lens =
-    Obj_id.Tbl.fold
-      (fun m pinned_len acc ->
-        let n = ref 0 in
-        (match Obj_id.Tbl.find_opt buckets m with
-        | None -> ()
-        | Some v ->
-          iter_upto
-            (fun (e : mentry) -> if e.dead > s.s_epoch then incr n)
-            v pinned_len);
-        acc + !n)
-      lens 0
-  in
-  let isa =
-    let n = ref 0 in
-    iter_upto
-      (fun e -> if e.i_dead > s.s_epoch then incr n)
-      s.s_store.isa_log s.s_isa_len;
-    !n
-  in
-  {
-    objects = s.s_objects;
-    isa_edges = isa;
-    scalar_tuples = visible s.s_store.scalar_buckets s.s_scalar_lens;
-    set_tuples = visible s.s_store.set_buckets s.s_set_lens;
   }
 
 let check_invariants st =

@@ -11,14 +11,13 @@
     take watermarks and scan only the delta suffixes (semi-naive
     evaluation). Removal never shrinks a bucket: it tombstones the shared
     index record by stamping {!field-mentry.dead}, keeping every watermark
-    and snapshot valid (see {!remove_scalar}). *)
+    valid (see {!remove_scalar}). *)
 
 type t
 
 (** [dead] is [max_int] while the tuple is live; a removal stamps it with
-    the epoch the removal produced, so a snapshot frozen at epoch [E] sees
-    exactly the entries with [dead > E]. The same record is shared between
-    the method bucket, the inverse index and the receiver index. *)
+    the epoch the removal produced. The same record is shared between the
+    method bucket, the inverse index and the receiver index. *)
 type mentry = {
   recv : Obj_id.t;
   args : Obj_id.t list;
@@ -142,8 +141,7 @@ val set_meths : t -> Obj_id.t list
     hierarchy adjacency) are updated physically, while the shared bucket /
     index record is stamped dead with the epoch the removal produced.
     Buckets never shrink, so watermarks held by in-flight semi-naive
-    evaluations stay monotone and snapshots frozen before the removal
-    still see the tuple. Each successful removal bumps the epoch and
+    evaluations stay monotone. Each successful removal bumps the epoch and
     decrements {!size}; re-asserting a removed tuple appends a fresh
     record. All three return whether the tuple was present (and live). *)
 
@@ -190,25 +188,25 @@ val size : t -> int
 
 (** {1 Epochs and snapshots}
 
-    Buckets are append-only, so a data version is just a counter: {!epoch}
-    is bumped on every actual insertion and removal (never on duplicates
-    or misses). {!freeze} pins the epoch together with the current length
-    of every bucket — O(#methods), not O(#tuples) — and the [snapshot_*]
-    accessors iterate only up to the pinned lengths, skipping entries
-    whose tombstone epoch is at or below the pinned one. A reader holding
-    a snapshot therefore sees exactly the store as of the freeze while
-    writers keep appending (or tombstoning): the basis of the server's
-    lock-free read path and of the epoch-keyed query cache, and the
-    isolation contract the parallel fixpoint relies on between merge
-    phases.
+    {!epoch} is the store's data version, bumped on every actual
+    insertion and removal (never on duplicates or misses). A snapshot is
+    that counter read at {!freeze}; it pins no data. It answers one
+    question — was the store written since? — and keys the server's
+    epoch-keyed query cache.
 
-    Thread-safety contract: buckets are append-only and never moved, and
-    the lazily-memoized hierarchy closure caches are guarded by an
-    internal lock, so any number of snapshot readers may run concurrently
-    with each other. Writers are {e not} synchronised against readers
-    beyond that — evaluation phases (the fixpoint's merge step, program
-    load) must keep single-writer discipline, which all engine entry
-    points do. *)
+    Thread-safety contract: one writer at a time, and a reader that runs
+    beside a write must validate what it read. The store's indexes are
+    plain hash tables that a write can resize, and incremental
+    maintenance passes through states no committed batch ever had, so a
+    read overlapping a write can miss tuples that are present or see
+    ones that are about to go. The query server serialises writers under
+    its store lock and validates every lock-free read with a seqlock
+    around the write, re-running it under the lock when a write
+    overlapped. What is safe without validation: the append-only
+    buckets ({!Vec}) load their array once and clamp, so a concurrent
+    grow never sends a reader out of bounds, and the lazily-memoized
+    hierarchy closure caches carry an internal lock, so concurrent
+    readers never corrupt each other. *)
 
 (** The store's current data version; monotonically increasing. *)
 val epoch : t -> int
@@ -220,32 +218,14 @@ val removals : t -> int
 
 type snapshot
 
-(** Pin the current epoch and bucket lengths. Cheap: O(#methods). *)
+(** Read the current epoch. O(1); allocates one small record and writes
+    nothing to the store. *)
 val freeze : t -> snapshot
-
-val snapshot_store : snapshot -> t
 
 val snapshot_epoch : snapshot -> int
 
 (** Has the store been written to since the freeze? *)
 val snapshot_stale : snapshot -> bool
-
-val snapshot_isa_len : snapshot -> int
-
-val snapshot_scalar_len : snapshot -> Obj_id.t -> int
-
-val snapshot_set_len : snapshot -> Obj_id.t -> int
-
-(** Iterate the pinned prefix of the isa edge log / a method bucket:
-    tuples appended after the freeze are invisible. *)
-val snapshot_iter_isa : snapshot -> ((Obj_id.t * Obj_id.t) -> unit) -> unit
-
-val snapshot_iter_scalar : snapshot -> Obj_id.t -> (mentry -> unit) -> unit
-
-val snapshot_iter_set : snapshot -> Obj_id.t -> (mentry -> unit) -> unit
-
-(** Counts as of the snapshot's freeze, regardless of later appends. *)
-val snapshot_stats : snapshot -> stats
 
 (** Internal-consistency audit: primary tables agree with their buckets and
     inverse indexes, set memberships agree with the per-key sets, the

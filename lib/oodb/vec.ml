@@ -10,12 +10,11 @@ let seal v =
 
 let length v = v.len
 
-(* Concurrent readers (snapshot iteration, the server's lock-free query
-   path) may observe [len] and [data] from different moments of a racing
-   [push]: clamping every access to the array actually loaded turns that
-   window into a stale read instead of an out-of-bounds crash. Elements
-   below a pinned length are immutable once written, so reads there are
-   exact. *)
+(* Concurrent readers (the server's optimistic query path) may observe
+   [len] and [data] from different moments of a racing [push]: clamping
+   every access to the array actually loaded turns that window into a
+   stale read instead of an out-of-bounds crash. Elements below a length
+   read earlier are immutable once written, so reads there are exact. *)
 let get v i =
   let data = v.data in
   if i < 0 || i >= v.len || i >= Array.length data then invalid_arg "Vec.get";

@@ -24,6 +24,7 @@ type t = {
   mutable deltas_pushed : int;
   mutable demand_queries_total : int;
   mutable demand_fallbacks_total : int;
+  mutable reads_locked_total : int;
 }
 
 let create () =
@@ -43,6 +44,7 @@ let create () =
     deltas_pushed = 0;
     demand_queries_total = 0;
     demand_fallbacks_total = 0;
+    reads_locked_total = 0;
   }
 
 let with_lock t f =
@@ -94,6 +96,9 @@ let demand_fallback t =
   with_lock t (fun () ->
       t.demand_fallbacks_total <- t.demand_fallbacks_total + 1)
 
+let read_locked t =
+  with_lock t (fun () -> t.reads_locked_total <- t.reads_locked_total + 1)
+
 type snapshot = {
   uptime_s : float;
   connections_active : int;
@@ -108,6 +113,7 @@ type snapshot = {
   deltas_pushed : int;
   demand_queries_total : int;
   demand_fallbacks_total : int;
+  reads_locked_total : int;
   latency_count : int;
   latency_min_s : float;
   latency_mean_s : float;
@@ -137,6 +143,7 @@ let snapshot t =
         deltas_pushed = t.deltas_pushed;
         demand_queries_total = t.demand_queries_total;
         demand_fallbacks_total = t.demand_fallbacks_total;
+        reads_locked_total = t.reads_locked_total;
         latency_count = Histogram.count t.latency;
         latency_min_s = Histogram.min_s t.latency;
         latency_mean_s = Histogram.mean_s t.latency;
@@ -165,6 +172,7 @@ let render ?cache ?(injected_faults = 0) ?(magic_facts = 0)
     Printf.sprintf "deltas_pushed %d" snap.deltas_pushed;
     Printf.sprintf "demand_queries_total %d" snap.demand_queries_total;
     Printf.sprintf "demand_fallbacks_total %d" snap.demand_fallbacks_total;
+    Printf.sprintf "reads_locked_total %d" snap.reads_locked_total;
     Printf.sprintf "magic_facts %d" magic_facts;
     Printf.sprintf "regex_plans_total %d" regex_plans;
     Printf.sprintf "product_states_expanded %d" product_states;

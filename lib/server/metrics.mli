@@ -36,6 +36,10 @@ val demand_query : t -> unit
     inclusion, hilog, or a mutation) and full materialisation ran. *)
 val demand_fallback : t -> unit
 
+(** Count one read (QUERY, WHY, or STATS's store counts) whose lock-free
+    attempt overlapped a write and re-ran under the store lock. *)
+val read_locked : t -> unit
+
 type snapshot = {
   uptime_s : float;
   connections_active : int;
@@ -52,6 +56,8 @@ type snapshot = {
   demand_queries_total : int;  (** QUERYs answered demand-driven *)
   demand_fallbacks_total : int;
       (** demand transforms that declined to full materialisation *)
+  reads_locked_total : int;
+      (** reads that overlapped a write and re-ran under the store lock *)
   latency_count : int;
   latency_min_s : float;
   latency_mean_s : float;

@@ -15,7 +15,6 @@ type config = {
   deadline_s : float option;
   busy_retry_after_ms : int;
   work_delay_s : float;
-  paranoid : bool;
   pool_domains : bool;
   cache_capacity : int;
   demand : bool;
@@ -33,7 +32,6 @@ let default_config =
     deadline_s = None;
     busy_retry_after_ms = 50;
     work_delay_s = 0.;
-    paranoid = true;
     pool_domains = false;
     cache_capacity = 1024;
     demand = false;
@@ -96,14 +94,13 @@ type t = {
   metrics : Metrics.t;
   qcache : Qcache.t;
   store_lock : Mutex.t;
-      (* taken only by writers ({!with_store_write}, i.e. program
-         (re)load and ASSERT/RETRACT); the query path pins an epoch
-         snapshot instead *)
+      (* held by every writer ({!with_store_write}: ASSERT/RETRACT, demand
+         first sights, SUBSCRIBE, recovery), and by a read whose lock-free
+         attempt overlapped a write ({!validated_read}) *)
   write_seq : int Atomic.t;
       (* seqlock over the store: odd while a writer holds [store_lock],
-         bumped again on release. Lets the lock-free read path tell a
-         benign concurrent write (epoch moved because a writer ran) from
-         a genuine read-only violation. *)
+         bumped again on release. A lock-free read stands only if it saw
+         the same even value before and after. *)
   mutable live : Incremental.Live.t option;
       (* incremental-maintenance state, attached lazily by the first
          mutation batch (eagerly by recovery); guarded by [store_lock] *)
@@ -175,7 +172,7 @@ let install_signal_handlers t =
   Sys.set_signal Sys.sigterm handle
 
 (* ------------------------------------------------------------------ *)
-(* Request evaluation (runs in pool workers, lock-free).               *)
+(* Request evaluation (runs in pool workers; validated, see below).    *)
 
 let render_answer t (a : Program.answer) =
   match a.columns with
@@ -188,16 +185,6 @@ let render_answer t (a : Program.answer) =
            String.concat "\t" (List.map (Oodb.Universe.to_string u) row))
          a.rows
 
-(* Queries are read-only modulo interning: they may add objects to the
-   universe (constants first seen in query text) but never isa edges or
-   method tuples. The read path therefore takes no lock at all — it pins
-   an epoch snapshot, evaluates against the (append-only) store, and uses
-   the pinned epoch twice over: as the result-cache key, and as the
-   read-only assertion (an epoch moved during evaluation means either the
-   request mutated the store or a writer ran concurrently; both void the
-   result for caching, and with [paranoid] the former is reported). Many
-   sessions — threads or domains — evaluate in parallel; writers
-   serialise through {!with_store_write}. *)
 (* Map evaluation exceptions to protocol errors: the shared fault
    boundary of the read-only and demand paths. *)
 let reply_of_eval t f =
@@ -225,39 +212,64 @@ let reply_of_eval t f =
     | Some msg -> Protocol.Err (Protocol.Parse, msg)
     | None -> Protocol.Err (Protocol.Internal, Printexc.to_string e))
 
+(* Reads take no lock unless they have to. [f] runs once optimistically;
+   the result stands if [write_seq] was even before and unchanged after,
+   i.e. no writer held the store at any point of the run. Otherwise the
+   run is discarded — whatever it returned or raised may come from a
+   half-maintained model or a half-resized index — and [f] runs once
+   more under [store_lock], where no writer can start (the seqlock is not
+   bumped: the locked read writes nothing). So a read costs at most two
+   runs, and a read that overlaps a batch waits for that batch instead of
+   seeing part of it. *)
+let validated_read t f =
+  let seq0 = Atomic.get t.write_seq in
+  let optimistic =
+    if seq0 land 1 = 1 then None
+    else
+      match f () with
+      | v -> Some (Ok v)
+      | exception e -> Some (Error (e, Printexc.get_raw_backtrace ()))
+  in
+  match optimistic with
+  | Some r when Atomic.get t.write_seq = seq0 -> (
+    match r with
+    | Ok v -> v
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  | Some _ | None ->
+    Metrics.read_locked t.metrics;
+    Mutex.lock t.store_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.store_lock) f
+
+(* QUERY and WHY. Queries are read-only modulo interning: they may add
+   objects to the universe (constants first seen in query text) but never
+   isa edges or method tuples. The store epoch, read before the run, keys
+   the result cache; read again after it, it is the read-only assertion.
+   Under {!validated_read} no writer ran in between, so an epoch that
+   moved means the request itself wrote to the store: the invariant
+   violation is reported, never cached. Only a validated reply is
+   cached. *)
 let eval_readonly t ~cache_key f =
   let st = Program.store t.program in
-  let seq0 = Atomic.get t.write_seq in
-  let snap = Oodb.Store.freeze st in
-  let epoch = Oodb.Store.snapshot_epoch snap in
-  let cached =
-    match cache_key with
-    | Some key -> Qcache.find t.qcache ~epoch key
-    | None -> None
+  let attempt () =
+    let snap = Oodb.Store.freeze st in
+    let epoch = Oodb.Store.snapshot_epoch snap in
+    match Option.bind cache_key (Qcache.find t.qcache ~epoch) with
+    | Some reply -> `Cached reply
+    | None ->
+      let reply = reply_of_eval t f in
+      if Oodb.Store.snapshot_stale snap then `Moved else `Fresh (epoch, reply)
   in
-  match cached with
-  | Some reply -> reply
-  | None ->
-    let reply = reply_of_eval t f in
-    if Oodb.Store.snapshot_stale snap then
-      (* the epoch moved during evaluation: if the seqlock shows a writer
-         was active at any point, that is the benign explanation — the
-         reply is still sound for its pinned snapshot, just not cacheable.
-         Only a moved epoch with no writer in sight is the invariant
-         violation paranoid mode reports. *)
-      if seq0 land 1 = 1 || Atomic.get t.write_seq <> seq0 then reply
-      else if t.config.paranoid then
-        Protocol.Err
-          ( Protocol.Internal,
-            "invariant violation: the store changed under a read-only \
-             request" )
-      else reply
-    else begin
-      (match (cache_key, reply) with
-      | Some key, Protocol.Ok _ -> Qcache.add t.qcache ~epoch key reply
-      | _ -> ());
-      reply
-    end
+  match validated_read t attempt with
+  | `Cached reply -> reply
+  | `Fresh (epoch, reply) ->
+    (match (cache_key, reply) with
+    | Some key, Protocol.Ok _ -> Qcache.add t.qcache ~epoch key reply
+    | _ -> ());
+    reply
+  | `Moved ->
+    Protocol.Err
+      ( Protocol.Internal,
+        "invariant violation: the store changed under a read-only request" )
 
 (* A sound answer over a budget-terminated (partial) materialisation is
    surfaced as DEGRADED, not hidden behind OK: the client learns the set
@@ -269,13 +281,12 @@ let mark_degraded t = function
     Protocol.Degraded lines
   | reply -> reply
 
-(* Serialised write access to the program's store — program (re)load,
-   mutation batches, and first-time demand materialisation. Queries in
-   flight keep their pinned epochs; replies computed across a write are
-   not cached (the epoch moved), and the cache's old epoch entries
-   become unreachable at the next lookup. The seqlock brackets the
-   critical section so concurrent readers can recognise the write (see
-   {!eval_readonly}). *)
+(* Serialised write access to the program's store — mutation batches,
+   subscriptions, first-time demand materialisation and recovery. The
+   seqlock brackets the critical section so a concurrent lock-free read
+   sees the write and re-runs under the lock (see {!validated_read});
+   the cache's old epoch entries become unreachable at the next
+   lookup. *)
 let with_store_write t f =
   Mutex.lock t.store_lock;
   Atomic.incr t.write_seq;
@@ -572,14 +583,20 @@ let stats_reply t =
           s.Durable.snapshots_total,
           s.Durable.last_recovery_ms )
   in
+  (* the store counts walk the tables, so they are a read like any
+     other *)
+  let store, magic_facts =
+    validated_read t (fun () ->
+        let st = Program.store t.program in
+        (Oodb.Store.stats st, Engine.Demand.magic_fact_total st))
+  in
   Protocol.Ok
     (Metrics.render
        (Metrics.snapshot t.metrics)
-       ~store:(Oodb.Store.stats (Program.store t.program))
+       ~store
        ~cache:(c.Qcache.hits, c.Qcache.misses, c.Qcache.entries)
        ~injected_faults:(Fault.injected_total ())
-       ~magic_facts:
-         (Engine.Demand.magic_fact_total (Program.store t.program))
+       ~magic_facts
        ~regex_plans:(Atomic.get Semantics.Solve.regex_plans_total)
        ~product_states:(Atomic.get Semantics.Solve.product_states_expanded)
        ?durable)
@@ -869,45 +886,50 @@ let inet_addr_of host =
 
 (* Replay the WAL suffix into the freshly attached Live state, then
    install the commit hook so every later batch is logged before its OK.
-   Runs under the store write lock in a dedicated thread: the listening
-   socket is already up, and sessions shed everything but PING/STATS
-   with BUSY until [recovering] clears. *)
+   Runs in a dedicated thread: the listening socket is already up, and
+   sessions shed everything but PING/STATS with BUSY until [recovering]
+   clears. Each step takes the store write lock on its own, so a STATS
+   read waits for one replayed batch, not for the whole replay. *)
 let run_recovery t d (recovery : Durable.recovery) =
   let t0 = Unix.gettimeofday () in
+  if t.config.recovery_delay_s > 0. then
+    Thread.delay t.config.recovery_delay_s;
+  let live =
+    with_store_write t (fun () ->
+        let live = live_of t in
+        if t.config.demand then begin
+          (* attaching Live materialised the full model *)
+          Mutex.lock t.demand_lock;
+          t.demand_materialised <- true;
+          Mutex.unlock t.demand_lock
+        end;
+        live)
+  in
+  List.iter
+    (fun (r : Durable.record) ->
+      (* each record was gated when first accepted; re-validate with the
+         same static-analysis gate so a log doctored (or rotted) into
+         something provably broken is refused, not replayed *)
+      match Pathlog_analysis.Check.gate r.Durable.text with
+      | Error msg ->
+        Printf.eprintf
+          "pathlog: recovery: WAL record %d refused by the analysis gate, \
+           skipped:\n%s\n%!"
+          r.Durable.seq msg
+      | Ok _ -> (
+        let apply =
+          if r.Durable.retract then Incremental.Live.retract_batch
+          else Incremental.Live.assert_batch
+        in
+        match with_store_write t (fun () -> apply live r.Durable.text) with
+        | (_ : Incremental.Live.batch_stats) -> ()
+        | exception e ->
+          Printf.eprintf
+            "pathlog: recovery: WAL record %d failed to replay, skipped: \
+             %s\n%!"
+            r.Durable.seq (Printexc.to_string e)))
+    recovery.Durable.r_tail;
   with_store_write t (fun () ->
-      if t.config.recovery_delay_s > 0. then
-        Thread.delay t.config.recovery_delay_s;
-      let live = live_of t in
-      if t.config.demand then begin
-        (* attaching Live materialised the full model *)
-        Mutex.lock t.demand_lock;
-        t.demand_materialised <- true;
-        Mutex.unlock t.demand_lock
-      end;
-      List.iter
-        (fun (r : Durable.record) ->
-          (* each record was gated when first accepted; re-validate with
-             the same static-analysis gate so a log doctored (or rotted)
-             into something provably broken is refused, not replayed *)
-          match Pathlog_analysis.Check.gate r.Durable.text with
-          | Error msg ->
-            Printf.eprintf
-              "pathlog: recovery: WAL record %d refused by the analysis \
-               gate, skipped:\n%s\n%!"
-              r.Durable.seq msg
-          | Ok _ -> (
-            let apply =
-              if r.Durable.retract then Incremental.Live.retract_batch
-              else Incremental.Live.assert_batch
-            in
-            match apply live r.Durable.text with
-            | (_ : Incremental.Live.batch_stats) -> ()
-            | exception e ->
-              Printf.eprintf
-                "pathlog: recovery: WAL record %d failed to replay, \
-                 skipped: %s\n%!"
-                r.Durable.seq (Printexc.to_string e)))
-        recovery.Durable.r_tail;
       Incremental.Live.set_commit_hook live
         (Some
            (fun ~retract ~epoch ~text ->

@@ -1,14 +1,13 @@
 (** A long-running concurrent query server over one materialised
     {!Engine.Program}.
 
-    The program is loaded and evaluated once; after that every request is
-    read-only with respect to the model — queries only {e intern} new
-    constants appearing in query text into the universe, they never add
-    isa edges or method tuples. That invariant is what makes one shared
-    store safe for many sessions, and the server asserts it around every
-    request (see {!config.paranoid}): a request that grows the tuple
-    counts is answered with [ERR INTERNAL] and reported, instead of
-    silently corrupting the model.
+    The program is loaded and evaluated once; after that [QUERY] and
+    [WHY] are read-only with respect to the model — queries only
+    {e intern} new constants appearing in query text into the universe,
+    they never add isa edges or method tuples. The server asserts this
+    around every read: a request that moves the store epoch while no
+    writer ran is answered with [ERR INTERNAL] and never cached, instead
+    of silently corrupting the model.
 
     Architecture: one accept thread, one lightweight session thread per
     connection (blocking reads), and a bounded {!Pool} of query workers
@@ -17,16 +16,21 @@
     under full load; [QUERY]/[WHY] go through the pool and are shed with
     [BUSY] when the queue is full.
 
-    The read path is lock-free: each request pins an epoch snapshot
-    ({!Oodb.Store.freeze}) and evaluates against the append-only store —
-    interning and the hierarchy closure caches carry their own internal
-    locks, so any number of workers evaluate in parallel. The store lock
-    survives only for writers (ASSERT/RETRACT through [Live], demand first
-    sights, recovery); with [pool_domains] the workers are {!Domain}s and
-    CPU-bound query loads actually scale across cores. Successful [QUERY] replies land in
-    an epoch-keyed result cache ({!Qcache}): a repeated query at an
-    unchanged store is answered without evaluation, and any insertion
-    invalidates wholesale by moving the epoch (counters in [STATS]).
+    Reads are validated optimistic reads. Writers (ASSERT/RETRACT
+    through [Live], SUBSCRIBE, demand first sights, recovery) hold the
+    store lock and bump a seqlock around it. A read runs without the lock
+    and stands only if no writer held the store at any point of the run;
+    otherwise it runs once more under the lock. Every answer is therefore
+    the model after some committed batch: a read that overlaps a batch
+    waits for it instead of seeing a half-maintained model or a
+    half-resized index ([reads_locked_total] in [STATS] counts these
+    re-runs). Reads that overlap no write — all of them on a read-only
+    load — take no lock, so with [pool_domains] the workers are
+    {!Domain}s and CPU-bound query loads scale across cores. Successful
+    [QUERY] replies land in an epoch-keyed result cache ({!Qcache}): a
+    repeated query at an unchanged store is answered without evaluation,
+    and any write invalidates wholesale by moving the epoch (counters in
+    [STATS]).
 
     Failure model: each pooled request evaluates under an
     {!Engine.Budget} combining the remaining per-request deadline with a
@@ -70,13 +74,10 @@ type config = {
       (** artificial service time added in the worker before evaluation;
           0 in production — tests and the load generator use it to make
           saturation and deadline behaviour deterministic *)
-  paranoid : bool;
-      (** assert the read-only invariant around every request (cheap: the
-          pinned epoch must not move during evaluation); on by default *)
   pool_domains : bool;
       (** back the worker pool with {!Domain}s instead of threads:
-          parallel query evaluation on the lock-free read path. Off by
-          default — domains are a scarce resource. *)
+          parallel query evaluation on the validated lock-free read path.
+          Off by default — domains are a scarce resource. *)
   cache_capacity : int;
       (** entry bound of the epoch-keyed query result cache *)
   demand : bool;
@@ -85,7 +86,7 @@ type config = {
           the magic-sets transform ({!Engine.Demand}) under the store
           write lock and fixpoints only the demanded fragment; repeats
           and other queries over the grown store take the ordinary
-          lock-free read path. When the transform is unsound for the
+          validated read path. When the transform is unsound for the
           program (negation, inclusion strata, hilog) — or on the first
           [ASSERT]/[RETRACT], whose incremental maintenance is defined
           against the full model — the server falls back to full

@@ -455,8 +455,12 @@ let busy_while_recovering () =
                 Alcotest.fail
                   ("expected BUSY, got " ^ Pathlog.Protocol.render_reply r)
               | Error _ -> Alcotest.fail "transport error");
-              (* PING stays answered during replay *)
+              (* PING and STATS stay answered during replay *)
               Alcotest.(check bool) "ping during replay" true (Client.ping c);
+              Alcotest.(check bool) "stats during replay" true
+                (Result.is_ok (Client.stats c));
+              Alcotest.(check bool) "stats answered before replay ended"
+                true (Server.recovering srv);
               (* the retrying client rides the backoff past the window *)
               match Client.request_with_retry ~max_attempts:25 c "QUERY x1 : kept" with
               | Ok (Pathlog.Protocol.Ok lines) ->

@@ -1,7 +1,8 @@
 (* The multicore additions: domain-parallel fixpoint rounds must compute
-   exactly the sequential minimal model, epoch snapshots must isolate
-   readers from concurrent writers, and the server's epoch-keyed query
-   cache must hit on repeats and invalidate itself on writes. *)
+   exactly the sequential minimal model, a snapshot must notice every
+   write, the server's epoch-keyed query cache must hit on repeats and
+   invalidate itself on writes, and a server read beside writes must
+   answer the model after some committed batch. *)
 
 module Program = Pathlog.Program
 module Fixpoint = Pathlog.Fixpoint
@@ -113,18 +114,8 @@ let test_snapshot_isolation () =
   Alcotest.(check int) "epoch pinned" (Store.epoch st) e0;
   Alcotest.(check bool) "fresh snapshot not stale" false
     (Store.snapshot_stale snap);
-  let pinned = Store.snapshot_isa_len snap in
   add 2;
   add 3;
-  (* the snapshot still sees exactly the frozen prefix *)
-  Alcotest.(check int) "pinned isa length unchanged" pinned
-    (Store.snapshot_isa_len snap);
-  let seen = ref 0 in
-  Store.snapshot_iter_isa snap (fun _ -> incr seen);
-  Alcotest.(check int) "iteration bounded by the freeze" pinned !seen;
-  (* the live store moved on: a fresh freeze pins the longer prefix *)
-  Alcotest.(check int) "live store sees new tuples" (pinned + 2)
-    (Store.snapshot_isa_len (Store.freeze st));
   Alcotest.(check bool) "epoch advanced" true (Store.epoch st > e0);
   Alcotest.(check bool) "snapshot now stale" true (Store.snapshot_stale snap)
 
@@ -184,8 +175,8 @@ let server_program =
   e1 : employee[age -> 30]. e2 : employee[age -> 45].
   |}
 
-let with_server ?config f =
-  let p = Pathlog.load server_program in
+let with_server ?config ?(program = server_program) f =
+  let p = Pathlog.load program in
   let srv = Server.create ?config ~program:p (Server.Tcp ("127.0.0.1", 0)) in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f p srv)
 
@@ -234,15 +225,119 @@ let test_server_cache_and_invalidation () =
           Alcotest.(check bool) "stale entry not served" true
             ((Server.cache_stats srv).Qcache.misses > misses_before)))
 
+let domain_config =
+  { Server.default_config with workers = 2; pool_domains = true }
+
 let test_server_domain_pool () =
-  let config = { Server.default_config with workers = 2; pool_domains = true } in
-  with_server ~config (fun _p srv ->
+  with_server ~config:domain_config (fun _p srv ->
       with_client srv (fun c ->
           Alcotest.(check bool) "ping over domain workers" true
             (Client.ping c);
           let rows = query c "X : employee" in
           Alcotest.(check bool) "query over domain workers" true
             (rows <> [])))
+
+(* ------------------------------------------------------------------ *)
+(* Reads beside writes: every QUERY answer is the model after some
+   committed batch, never a half-maintained or half-resized one        *)
+
+(* [readers] client connections, each in its own domain, loop [read]
+   while [write] runs on one more connection; returns (reads, wrong). *)
+let reads_beside_writes srv ~readers ~read ~write =
+  let stop = Atomic.make false in
+  let reads = Atomic.make 0 and wrong = Atomic.make 0 in
+  let reader i =
+    Domain.spawn (fun () ->
+        with_client srv (fun c ->
+            let n = ref i in
+            while not (Atomic.get stop) do
+              if not (read c !n) then Atomic.incr wrong;
+              Atomic.incr reads;
+              incr n
+            done))
+  in
+  let domains = List.init readers reader in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      List.iter Domain.join domains)
+    (fun () -> with_client srv write);
+  (Atomic.get reads, Atomic.get wrong)
+
+let mutate c verb text =
+  match Client.request c (verb ^ " " ^ text) with
+  | Ok (Protocol.Ok _) -> ()
+  | Ok r -> Alcotest.failf "%s refused: %s" verb (Protocol.render_reply r)
+  | Error _ -> Alcotest.failf "%s: connection lost" verb
+
+(* Two 60-edge chains from s to t: retracting the first edge of one
+   sends DRed through every s[tc ->> ...] fact behind it, including
+   s[tc ->> {t}], which the other chain re-derives. The fact holds after
+   every batch, so every reply must be yes. *)
+let test_dred_toggle_reads () =
+  let chain name =
+    List.init 60 (fun i ->
+        let node j =
+          if j < 0 then "s" else if j = 59 then "t"
+          else Printf.sprintf "%s%d" name j
+        in
+        Printf.sprintf "%s[edge ->> {%s}]." (node (i - 1)) (node i))
+  in
+  let program =
+    String.concat "\n"
+      (chain "p" @ chain "q"
+      @ [
+          "X[tc ->> {Y}] <- X[edge ->> {Y}].";
+          "X[tc ->> {Y}] <- X[edge ->> {Z}], Z[tc ->> {Y}].";
+        ])
+  in
+  with_server ~config:domain_config ~program (fun _p srv ->
+      let reads, wrong =
+        reads_beside_writes srv ~readers:2
+          ~read:(fun c _ ->
+            Client.request c "QUERY s[tc ->> {t}]" = Ok (Protocol.Ok [ "yes" ]))
+          ~write:(fun c ->
+            for _ = 1 to 150 do
+              mutate c "RETRACT" "s[edge ->> {q0}].";
+              mutate c "ASSERT" "s[edge ->> {q0}]."
+            done)
+      in
+      Alcotest.(check bool) "reads ran" true (reads > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "wrong answers among %d reads" reads)
+        0 wrong)
+
+(* 64 receivers hold f from load; one client asserts f for 4,000 fresh
+   receivers in small batches, growing (and so resizing) the store's
+   indexes four times. A stored fact must never read as absent. Each read
+   names its variable afresh, so it misses the result cache and is
+   evaluated. *)
+let test_resize_reads () =
+  let program =
+    String.concat " "
+      (List.init 64 (fun i -> Printf.sprintf "r%d[f -> v%d]." i i))
+  in
+  with_server ~config:domain_config ~program (fun _p srv ->
+      let reads, wrong =
+        reads_beside_writes srv ~readers:2
+          ~read:(fun c n ->
+            let i = n mod 64 in
+            Client.request c (Printf.sprintf "QUERY r%d[f -> X%d]" i n)
+            = Ok
+                (Protocol.Ok
+                   [ Printf.sprintf "X%d" n; Printf.sprintf "v%d" i ]))
+          ~write:(fun c ->
+            for b = 0 to 399 do
+              mutate c "ASSERT"
+                (String.concat " "
+                   (List.init 10 (fun i ->
+                        Printf.sprintf "n%d_%d[f -> w]." b i)))
+            done)
+      in
+      Alcotest.(check bool) "reads ran" true (reads > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "empty answers among %d reads" reads)
+        0 wrong)
 
 let suite =
   [
@@ -266,4 +361,8 @@ let suite =
       test_server_cache_and_invalidation;
     Alcotest.test_case "server: domain-backed worker pool" `Quick
       test_server_domain_pool;
+    Alcotest.test_case "server: reads beside a DRed toggle see committed \
+                        batches" `Quick test_dred_toggle_reads;
+    Alcotest.test_case "server: reads beside index resizes see stored \
+                        facts" `Quick test_resize_reads;
   ]

@@ -14,13 +14,9 @@
    dune exec bench/main.exe            (full run)
    dune exec bench/main.exe -- quick   (tables only, no timings)
 
-   There is also a load generator for the query server (lib/server):
-
-   dune exec bench/main.exe -- server [CLIENTS] [REQUESTS] [SIZE]
-
-   and a chaos harness (see chaos.ml) that drives the same server with
-   the fault-injection registry armed at every point and asserts it
-   degrades instead of crashing:
+   There is also a chaos harness (see chaos.ml) that drives the query
+   server (lib/server) with the fault-injection registry armed at every
+   point and asserts it degrades instead of crashing:
 
    dune exec bench/main.exe -- chaos [SEED] [CLIENTS] [REQUESTS]
    dune exec bench/main.exe -- chaos mutation [SEED] [WRITERS] [BATCHES]
@@ -36,11 +32,9 @@
    writers and checks every QUERY reply equals the model after some
    batch committed while the request was in flight.
 
-   which starts a server in-process over company(SIZE), drives it with
-   CLIENTS concurrent connections issuing REQUESTS queries each (defaults
-   8 x 1000, company(200)), validates every response against locally
-   computed expected answers (any cross-wired or dropped response is a
-   hard failure), and reports throughput and latency percentiles. *)
+   Server throughput, with every reply checked against the answer
+   computed in-process, is measured by the perf harness (perf.ml's
+   server suites). *)
 
 open Bechamel
 open Toolkit
@@ -699,145 +693,6 @@ let bench_substrate () =
              done));
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Server load generator                                               *)
-
-(* Render an answer exactly as the server frames it (see
-   Plserver.Server.render_answer), so responses can be compared
-   byte-for-byte against locally computed expectations. *)
-let expected_payload p (answer : Program.answer) =
-  match answer.columns with
-  | [] -> [ (if answer.rows = [] then "no" else "yes") ]
-  | columns ->
-    let u = Program.universe p in
-    String.concat "\t" columns
-    :: List.map
-         (fun row ->
-           String.concat "\t"
-             (List.map (Pathlog.Universe.to_string u) row))
-         answer.rows
-
-let server_queries =
-  [|
-    pl_colors;
-    pl_colors4;
-    pl_manager;
-    "X : manager";
-    "X : employee[city -> X.boss.city]";
-    "e1 : employee";
-    "X : company.president[P]";
-    "X : employee[age -> A; city -> newYork]";
-  |]
-
-let server_bench ~clients ~requests ~size =
-  section
-    (Printf.sprintf
-       "server load generator: %d clients x %d requests, company(%d)"
-       clients requests size);
-  let p = company size in
-  (* Pin every query's answer before the run; the store is read-only from
-     here on, so any response that differs is dropped/cross-wired. *)
-  let expected =
-    Array.map
-      (fun q -> List.sort compare (expected_payload p (Program.query_string p q)))
-      server_queries
-  in
-  let config =
-    {
-      Pathlog.Server.default_config with
-      workers = 4;
-      queue_capacity = 2 * clients;
-    }
-  in
-  let srv =
-    Pathlog.Server.create ~config ~program:p
-      (Pathlog.Server.Tcp ("127.0.0.1", 0))
-  in
-  let addr = Pathlog.Server.address srv in
-  let metrics = Pathlog.Metrics.create () in
-  let mismatches = ref 0 in
-  let busy_retries = ref 0 in
-  let hard_errors = ref 0 in
-  let tally = Mutex.create () in
-  let nq = Array.length server_queries in
-  let client_thread k =
-    let c = Pathlog.Client.connect addr in
-    Fun.protect
-      ~finally:(fun () -> Pathlog.Client.close c)
-      (fun () ->
-        for i = 0 to requests - 1 do
-          let qi = (k + i) mod nq in
-          let q = server_queries.(qi) in
-          let rec attempt retries =
-            let t0 = Unix.gettimeofday () in
-            match Pathlog.Client.request c ("QUERY " ^ q) with
-            | Ok (Pathlog.Protocol.Ok lines) ->
-              Pathlog.Metrics.record metrics ~verb:"QUERY"
-                ~outcome:Pathlog.Metrics.Ok
-                ~latency_s:(Unix.gettimeofday () -. t0);
-              if List.sort compare lines <> expected.(qi) then begin
-                Mutex.lock tally;
-                incr mismatches;
-                Mutex.unlock tally
-              end
-            | Ok (Pathlog.Protocol.Busy (retry_ms, _)) ->
-              Mutex.lock tally;
-              incr busy_retries;
-              Mutex.unlock tally;
-              Thread.delay (Float.max 0.001 (float_of_int retry_ms /. 1000.));
-              attempt (retries + 1)
-            | Ok (Pathlog.Protocol.Degraded _)
-            | Ok (Pathlog.Protocol.Err _ | Pathlog.Protocol.Pong)
-            | Error _ ->
-              Mutex.lock tally;
-              incr hard_errors;
-              Mutex.unlock tally
-          in
-          attempt 0
-        done)
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun k -> Thread.create client_thread k)
-  in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let snap = Pathlog.Metrics.snapshot metrics in
-  let total = clients * requests in
-  Printf.printf "requests:        %d ok of %d (%d cross-wired, %d errors)\n"
-    snap.requests_total total !mismatches !hard_errors;
-  Printf.printf "busy retries:    %d\n" !busy_retries;
-  Printf.printf "elapsed:         %.2f s\n" elapsed;
-  Printf.printf "throughput:      %.0f req/s\n"
-    (float_of_int snap.requests_total /. elapsed);
-  let ms s = s *. 1e3 in
-  Printf.printf
-    "latency (ms):    min %.3f  mean %.3f  p50 %.3f  p99 %.3f  max %.3f\n"
-    (ms snap.latency_min_s) (ms snap.latency_mean_s) (ms snap.latency_p50_s)
-    (ms snap.latency_p99_s) (ms snap.latency_max_s);
-  subsection "server-side STATS";
-  let c = Pathlog.Client.connect addr in
-  (match Pathlog.Client.stats c with
-  | Ok lines ->
-    List.iter
-      (fun l ->
-        if
-          List.exists
-            (fun prefix -> String.starts_with ~prefix l)
-            [ "requests"; "latency_p"; "connections" ]
-        then Printf.printf "  %s\n" l)
-      lines
-  | Error msg -> Printf.printf "  STATS failed: %s\n" msg);
-  Pathlog.Client.close c;
-  Pathlog.Server.request_stop srv;
-  Pathlog.Server.shutdown srv;
-  if snap.requests_total <> total || !mismatches > 0 || !hard_errors > 0
-  then begin
-    print_endline "server bench: FAILED";
-    exit 1
-  end
-  else print_endline "server bench: ok"
-
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then begin
     Perf.main
@@ -856,16 +711,6 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "chaos" then begin
     Chaos.main
       (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)));
-    exit 0
-  end
-
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "server" then begin
-    let arg i default =
-      if Array.length Sys.argv > i then int_of_string Sys.argv.(i)
-      else default
-    in
-    server_bench ~clients:(arg 2 8) ~requests:(arg 3 1000) ~size:(arg 4 200);
     exit 0
   end
 

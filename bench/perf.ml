@@ -439,16 +439,38 @@ let server_queries =
     "e1 : employee";
   |]
 
+(* An answer framed as the server frames it (see Server.render_answer):
+   columns then tab-separated rows, or yes/no for a ground query. *)
+let expected_payload p q =
+  let a = Program.query_string p q in
+  match a.columns with
+  | [] -> [ (if a.rows = [] then "no" else "yes") ]
+  | columns ->
+    let u = Program.universe p in
+    String.concat "\t" columns
+    :: List.map
+         (fun row ->
+           String.concat "\t" (List.map (Pathlog.Universe.to_string u) row))
+         a.rows
+
+(* Every reply is checked: its sorted payload must equal the answer
+   computed in-process before the run (the store is read-only from then
+   on). A mismatched (cross-wired), DEGRADED, ERR or dropped reply fails
+   the suite; BUSY is retried. *)
 let server_suite ~name ~config ~requests ~detail =
   let p = company_program 100 in
+  let expected =
+    Array.map
+      (fun q -> List.sort compare (expected_payload p q))
+      server_queries
+  in
   let srv =
     Pathlog.Server.create ~config ~program:p
       (Pathlog.Server.Tcp ("127.0.0.1", 0))
   in
   let addr = Pathlog.Server.address srv in
   let clients = 4 in
-  let ok = ref 0 in
-  let tally = Mutex.create () in
+  let ok = Atomic.make 0 and mismatched = Atomic.make 0 in
   let nq = Array.length server_queries in
   let client_thread k =
     let c = Pathlog.Client.connect addr in
@@ -456,19 +478,22 @@ let server_suite ~name ~config ~requests ~detail =
       ~finally:(fun () -> Pathlog.Client.close c)
       (fun () ->
         for i = 0 to requests - 1 do
+          let qi = (k + i) mod nq in
           let rec attempt () =
             match
-              Pathlog.Client.request c
-                ("QUERY " ^ server_queries.((k + i) mod nq))
+              Pathlog.Client.request c ("QUERY " ^ server_queries.(qi))
             with
-            | Ok (Pathlog.Protocol.Ok _ | Pathlog.Protocol.Degraded _) ->
-              Mutex.lock tally;
-              incr ok;
-              Mutex.unlock tally
+            | Ok (Pathlog.Protocol.Ok lines) ->
+              Atomic.incr
+                (if List.sort compare lines = expected.(qi) then ok
+                 else mismatched)
             | Ok (Pathlog.Protocol.Busy (retry_ms, _)) ->
               Thread.delay (Float.max 0.001 (float_of_int retry_ms /. 1000.));
               attempt ()
-            | Ok (Pathlog.Protocol.Err _ | Pathlog.Protocol.Pong) | Error _ ->
+            | Ok
+                ( Pathlog.Protocol.Degraded _ | Pathlog.Protocol.Err _
+                | Pathlog.Protocol.Pong )
+            | Error _ ->
               ()
           in
           attempt ()
@@ -484,8 +509,12 @@ let server_suite ~name ~config ~requests ~detail =
   Pathlog.Server.request_stop srv;
   Pathlog.Server.shutdown srv;
   let total = clients * requests in
-  if !ok <> total then
-    failwith (Printf.sprintf "%s: %d ok of %d" name !ok total);
+  let ok = Atomic.get ok and mismatched = Atomic.get mismatched in
+  if ok <> total then
+    failwith
+      (Printf.sprintf
+         "%s: %d correct of %d (%d mismatched, %d degraded/error/dropped)"
+         name ok total mismatched (total - ok - mismatched));
   {
     name;
     wall_s = w;
@@ -522,7 +551,7 @@ let server_par_read ~requests =
       }
     ~requests
     ~detail:
-      "4 clients x %d requests, 4 domain workers on snapshot reads, \
+      "4 clients x %d requests, 4 domain workers on validated reads, \
        company(100)"
 
 (* ------------------------------------------------------------------ *)
@@ -1354,7 +1383,7 @@ let main args =
         ( "meta",
           Obj
             [
-              ("pr", Num 13.);
+              ("pr", Num 18.);
               ("mode", Str (if quick then "quick" else "full"));
               ("jobs", Num (float_of_int jobs));
               ( "cores",

@@ -24,7 +24,7 @@
       takes the same path.
 
     Every committed batch leaves the store at a new epoch (each physical
-    insert/tombstone bumps it), so snapshot readers and the epoch-keyed
+    insert/tombstone bumps it), so validated readers and the epoch-keyed
     query cache invalidate exactly as they do for loads. *)
 
 type t

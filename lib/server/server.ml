@@ -92,6 +92,19 @@ type t = {
   bound : address;
   pool : Pool.t;
   metrics : Metrics.t;
+      (* the STATS registry, filled by {!register_stats}; the counters
+         below are the server's own entries in it *)
+  connections_active : int Atomic.t;
+  connections_total : int Atomic.t;
+  asserts_total : int Atomic.t;  (* committed ASSERT batches *)
+  retracts_total : int Atomic.t;  (* committed RETRACT batches *)
+  deltas_pushed : int Atomic.t;  (* DELTA frames flushed to subscribers *)
+  demand_queries : int Atomic.t;  (* QUERYs answered demand-driven *)
+  demand_fallbacks : int Atomic.t;
+      (* demand transforms that declined, and mutations that forced full
+         materialisation *)
+  reads_locked : int Atomic.t;
+      (* reads that overlapped a write and re-ran under [store_lock] *)
   qcache : Qcache.t;
   store_lock : Mutex.t;
       (* held by every writer ({!with_store_write}: ASSERT/RETRACT, demand
@@ -137,8 +150,6 @@ type t = {
 }
 
 let address t = t.bound
-
-let metrics t = t.metrics
 
 let config t = t.config
 
@@ -236,7 +247,7 @@ let validated_read t f =
     | Ok v -> v
     | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
   | Some _ | None ->
-    Metrics.read_locked t.metrics;
+    Atomic.incr t.reads_locked;
     Mutex.lock t.store_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.store_lock) f
 
@@ -320,14 +331,14 @@ let demand_materialise_locked ?budget t q =
   let ans, report = Program.query_demand_string ?budget t.program q in
   (match report.Program.d_fallback with
   | Some _ ->
-    Metrics.demand_fallback t.metrics;
+    Atomic.incr t.demand_fallbacks;
     if Program.degraded t.program = None then begin
       Mutex.lock t.demand_lock;
       t.demand_materialised <- true;
       Mutex.unlock t.demand_lock
     end
   | None ->
-    Metrics.demand_query t.metrics;
+    Atomic.incr t.demand_queries;
     if Program.degraded t.program = None then begin
       Mutex.lock t.demand_lock;
       Hashtbl.replace t.demand_ready q ();
@@ -412,10 +423,8 @@ let diff_sorted before after =
 
 let drop_subscription t s =
   Mutex.lock t.subs_lock;
-  let present = Hashtbl.mem t.subs s.sub_id in
   Hashtbl.remove t.subs s.sub_id;
-  Mutex.unlock t.subs_lock;
-  if present then Metrics.subscription_closed t.metrics
+  Mutex.unlock t.subs_lock
 
 (* Re-evaluate every standing query against the just-committed store and
    push a DELTA frame where the answer set changed. Runs inside
@@ -447,7 +456,7 @@ let push_deltas t =
              output_string s.sub_oc frame;
              flush s.sub_oc
            with
-          | () -> Metrics.delta_pushed t.metrics
+          | () -> Atomic.incr t.deltas_pushed
           | exception (Sys_error _ | Unix.Unix_error _) ->
             drop_subscription t s);
           Mutex.unlock s.sub_wlock
@@ -483,7 +492,7 @@ let handle_mutation t ~retract text =
           Mutex.lock t.demand_lock;
           t.demand_materialised <- true;
           Mutex.unlock t.demand_lock;
-          Metrics.demand_fallback t.metrics
+          Atomic.incr t.demand_fallbacks
         end;
         let live = live_of t in
         let apply =
@@ -509,7 +518,7 @@ let handle_mutation t ~retract text =
               Printf.sprintf "durable log write failed: %s (%s)"
                 (Unix.error_message e) fn )
         | st ->
-          Metrics.batch_committed t.metrics ~retract;
+          Atomic.incr (if retract then t.retracts_total else t.asserts_total);
           (* snapshot cadence: every [snapshot_every] committed batches,
              cut a snapshot at this epoch boundary while the store is
              quiescent (we still hold the write lock). Failure is
@@ -556,7 +565,6 @@ let handle_subscribe t ~fd ~oc ~wlock query =
             sub_rows = rows;
           };
         Mutex.unlock t.subs_lock;
-        Metrics.subscription_opened t.metrics;
         Protocol.Ok (Printf.sprintf "id %d" id :: rows))
 
 let unsubscribe_session t fd =
@@ -567,39 +575,64 @@ let unsubscribe_session t fd =
       t.subs []
   in
   List.iter (Hashtbl.remove t.subs) mine;
-  Mutex.unlock t.subs_lock;
-  List.iter (fun _ -> Metrics.subscription_closed t.metrics) mine
+  Mutex.unlock t.subs_lock
 
-let stats_reply t =
-  let c = Qcache.stats t.qcache in
-  let durable =
-    match t.durable with
-    | None -> None
-    | Some d ->
-      let s = Durable.stats d in
-      Some
-        ( s.Durable.wal_appends_total,
-          s.Durable.wal_bytes,
-          s.Durable.snapshots_total,
-          s.Durable.last_recovery_ms )
+(* The STATS layout: every key, in print order, as its owner's counter
+   or readout. The store-walking readouts are reads like any other, so
+   they run under {!validated_read}. *)
+let register_stats t =
+  let m = t.metrics in
+  let int key f =
+    Metrics.readout m key (fun () -> [ (key, string_of_int (f ())) ])
   in
-  (* the store counts walk the tables, so they are a read like any
-     other *)
-  let store, magic_facts =
-    validated_read t (fun () ->
-        let st = Program.store t.program in
-        (Oodb.Store.stats st, Engine.Demand.magic_fact_total st))
-  in
-  Protocol.Ok
-    (Metrics.render
-       (Metrics.snapshot t.metrics)
-       ~store
-       ~cache:(c.Qcache.hits, c.Qcache.misses, c.Qcache.entries)
-       ~injected_faults:(Fault.injected_total ())
-       ~magic_facts
-       ~regex_plans:(Atomic.get Semantics.Solve.regex_plans_total)
-       ~product_states:(Atomic.get Semantics.Solve.product_states_expanded)
-       ?durable)
+  let store_read f = validated_read t (fun () -> f (Program.store t.program)) in
+  Metrics.readout m "uptime" (Metrics.uptime m);
+  Metrics.counter m "connections_active" t.connections_active;
+  Metrics.counter m "connections_total" t.connections_total;
+  Metrics.readout m "request_totals" (Metrics.request_totals m);
+  int "injected_faults" Fault.injected_total;
+  Metrics.counter m "asserts_total" t.asserts_total;
+  Metrics.counter m "retracts_total" t.retracts_total;
+  int "subscriptions_active" (fun () ->
+      Mutex.protect t.subs_lock (fun () -> Hashtbl.length t.subs));
+  Metrics.counter m "deltas_pushed" t.deltas_pushed;
+  Metrics.counter m "demand_queries_total" t.demand_queries;
+  Metrics.counter m "demand_fallbacks_total" t.demand_fallbacks;
+  Metrics.counter m "reads_locked_total" t.reads_locked;
+  int "magic_facts" (fun () -> store_read Engine.Demand.magic_fact_total);
+  Metrics.counter m "regex_plans_total" Semantics.Solve.regex_plans_total;
+  Metrics.counter m "product_states_expanded"
+    Semantics.Solve.product_states_expanded;
+  Metrics.readout m "requests" (Metrics.request_table m);
+  Metrics.readout m "store" (fun () ->
+      let { Oodb.Store.objects; isa_edges; scalar_tuples; set_tuples } =
+        store_read Oodb.Store.stats
+      in
+      [
+        ("store_objects", string_of_int objects);
+        ("store_isa_edges", string_of_int isa_edges);
+        ("store_scalar_tuples", string_of_int scalar_tuples);
+        ("store_set_tuples", string_of_int set_tuples);
+      ]);
+  Metrics.readout m "qcache" (fun () ->
+      let { Qcache.hits; misses; entries } = Qcache.stats t.qcache in
+      [
+        ("cache_hits", string_of_int hits);
+        ("cache_misses", string_of_int misses);
+        ("cache_entries", string_of_int entries);
+      ]);
+  match t.durable with
+  | None -> ()
+  | Some d ->
+    Metrics.readout m "durable" (fun () ->
+        let s = Durable.stats d in
+        [
+          ("wal_appends_total", string_of_int s.Durable.wal_appends_total);
+          ("wal_bytes", string_of_int s.Durable.wal_bytes);
+          ("snapshots_total", string_of_int s.Durable.snapshots_total);
+          ( "last_recovery_ms",
+            Printf.sprintf "%.3f" s.Durable.last_recovery_ms );
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -736,7 +769,8 @@ let session t fd =
   | fd_out ->
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd_out in
-  Metrics.connection_opened t.metrics;
+  Atomic.incr t.connections_active;
+  Atomic.incr t.connections_total;
   (* serialises this session's reply writes with DELTA pushes from
      writer threads (see {!subscription}) *)
   let wlock = Mutex.create () in
@@ -748,7 +782,7 @@ let session t fd =
   in
   let finish () =
     unsubscribe_session t fd;
-    Metrics.connection_closed t.metrics;
+    Atomic.decr t.connections_active;
     Mutex.lock t.conns_lock;
     Hashtbl.remove t.conns fd;
     Mutex.unlock t.conns_lock;
@@ -799,7 +833,7 @@ let session t fd =
           record verb Protocol.Pong started;
           loop ()
         | Protocol.Stats ->
-          let reply = stats_reply t in
+          let reply = Protocol.Ok (Metrics.render t.metrics) in
           write_reply oc reply;
           record verb reply started;
           loop ()
@@ -1018,6 +1052,14 @@ let create ?(config = default_config) ~program addr =
           ~backend:(if config.pool_domains then Pool.Domains else Pool.Threads)
           ~workers:config.workers ~capacity:config.queue_capacity ();
       metrics = Metrics.create ();
+      connections_active = Atomic.make 0;
+      connections_total = Atomic.make 0;
+      asserts_total = Atomic.make 0;
+      retracts_total = Atomic.make 0;
+      deltas_pushed = Atomic.make 0;
+      demand_queries = Atomic.make 0;
+      demand_fallbacks = Atomic.make 0;
+      reads_locked = Atomic.make 0;
       qcache = Qcache.create ~capacity:config.cache_capacity;
       store_lock = Mutex.create ();
       write_seq = Atomic.make 0;
@@ -1040,6 +1082,7 @@ let create ?(config = default_config) ~program addr =
       closed = false;
     }
   in
+  register_stats t;
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
   (match (durable, recovery) with
   | Some d, Some r ->

@@ -154,8 +154,6 @@ val await_ready : t -> unit
 (** The bound address, with the actual port filled in. *)
 val address : t -> address
 
-val metrics : t -> Metrics.t
-
 val config : t -> config
 
 (** Query-result cache counters (also rendered into [STATS]). *)

@@ -896,6 +896,98 @@ let test_admit_cost () =
               (String.concat "|" lines)
           | Error e -> Alcotest.fail ("cheap query failed: " ^ e)))
 
+(* ------------------------------------------------------------------ *)
+(* STATS keys: the golden list, in order, values ignored               *)
+
+(* A line's key is everything before its last word (its value); the
+   non-empty [latency_le BOUND] buckets vary with timing, so they fold
+   into one [latency_le] key. *)
+let stats_keys lines =
+  let key line =
+    let k =
+      match String.rindex_opt line ' ' with
+      | Some i -> String.sub line 0 i
+      | None -> line
+    in
+    if String.starts_with ~prefix:"latency_le " k then "latency_le" else k
+  in
+  List.fold_right
+    (fun line acc ->
+      match acc with
+      | k :: _ when k = key line -> acc
+      | _ -> key line :: acc)
+    lines []
+
+let golden_stats_keys =
+  [
+    "uptime_s"; "connections_active"; "connections_total"; "requests_total";
+    "cancelled_total"; "degraded_total"; "injected_faults"; "asserts_total";
+    "retracts_total"; "subscriptions_active"; "deltas_pushed";
+    "demand_queries_total"; "demand_fallbacks_total"; "reads_locked_total";
+    "magic_facts"; "regex_plans_total"; "product_states_expanded";
+    "requests PING ok"; "latency_count"; "latency_min_us"; "latency_mean_us";
+    "latency_max_us"; "latency_p50_us"; "latency_p99_us"; "latency_le";
+    "store_objects"; "store_isa_edges"; "store_scalar_tuples";
+    "store_set_tuples"; "cache_hits"; "cache_misses"; "cache_entries";
+  ]
+
+let golden_wal_keys =
+  [ "wal_appends_total"; "wal_bytes"; "snapshots_total"; "last_recovery_ms" ]
+
+(* One PING, then STATS: the keys must be exactly [expected]. *)
+let check_stats_keys name srv expected =
+  with_client srv (fun c ->
+      Alcotest.(check bool) (name ^ ": ping") true (Client.ping c);
+      match Client.stats c with
+      | Error e -> Alcotest.fail ("STATS failed: " ^ e)
+      | Ok lines ->
+        Alcotest.(check (list string)) (name ^ ": STATS keys") expected
+          (stats_keys lines))
+
+let test_stats_golden_keys () =
+  with_server (fun _p srv ->
+      check_stats_keys "plain" srv golden_stats_keys);
+  with_demand_server ~program:demand_program (fun _p srv ->
+      check_stats_keys "demand" srv golden_stats_keys);
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "plstats-%d" (Unix.getpid ()))
+  in
+  let rm_dir () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:rm_dir (fun () ->
+      let config = { Server.default_config with data_dir = Some dir } in
+      with_server ~config (fun _p srv ->
+          Server.await_ready srv;
+          check_stats_keys "data_dir" srv (golden_stats_keys @ golden_wal_keys)))
+
+(* Each name registers once, whatever its kind; a failed registration
+   leaves the registry as it was. *)
+let test_metrics_register_twice () =
+  let m = Pathlog.Metrics.create () in
+  let hits = Atomic.make 0 in
+  Pathlog.Metrics.counter m "hits" hits;
+  Pathlog.Metrics.readout m "cache" (fun () -> [ ("cache_size", "1") ]);
+  let twice name f =
+    Alcotest.check_raises name
+      (Invalid_argument ("Metrics: " ^ name ^ " is already registered"))
+      f
+  in
+  twice "hits" (fun () -> Pathlog.Metrics.counter m "hits" (Atomic.make 0));
+  twice "cache" (fun () -> Pathlog.Metrics.readout m "cache" (fun () -> []));
+  twice "hits" (fun () -> Pathlog.Metrics.readout m "hits" (fun () -> []));
+  Atomic.incr hits;
+  Alcotest.(check (list string))
+    "render in registration order" [ "hits 1"; "cache_size 1" ]
+    (Pathlog.Metrics.render m)
+
 let suite =
   [
     Alcotest.test_case "protocol: parse requests" `Quick test_parse_request;
@@ -941,4 +1033,8 @@ let suite =
       `Quick test_demand_mutation_fallback;
     Alcotest.test_case "server: --admit-cost rejects with ERR COST" `Quick
       test_admit_cost;
+    Alcotest.test_case "server: STATS keys, plain/demand/data_dir" `Quick
+      test_stats_golden_keys;
+    Alcotest.test_case "metrics: a name registers once" `Quick
+      test_metrics_register_twice;
   ]

@@ -1,18 +1,20 @@
 (* Benchmark and experiment harness.
 
    The paper has no tables or figures — its evaluation is a catalogue of
-   worked queries and programs (see DESIGN.md). Running this executable
-   therefore produces two things:
+   worked queries and programs (see DESIGN.md). The bare run prints the
+   EXPERIMENT TABLES E1..E12: the answer sets / model properties for every
+   numbered example in the paper, cross-checked across the PathLog engine
+   and the one-dimensional baselines (O2SQL, XSQL, naive conjunctive
+   evaluation). A table whose check fails names itself on stderr and the
+   run exits 1.
 
-   1. the EXPERIMENT TABLES E1..E10: the answer sets / model properties for
-      every numbered example in the paper, cross-checked across the PathLog
-      engine and the one-dimensional baselines (O2SQL, XSQL, naive
-      conjunctive evaluation);
-   2. Bechamel timings, one group per experiment series, including the
-      ablations (join order, semi-naive vs naive, indexed vs scan).
+   dune exec bench/main.exe                  (the tables)
+   dune exec bench/main.exe -- perf [OPTS]   (timings and counters, see perf.ml)
+   dune exec bench/main.exe -- emit [NAME]   (the generator workloads as text)
 
-   dune exec bench/main.exe            (full run)
-   dune exec bench/main.exe -- quick   (tables only, no timings)
+   The perf harness times the same queries and programs (paper.ml holds
+   the shared definitions) as its e1_ .. e12_ suites, next to its
+   fixpoint, demand, regex, server and recovery suites.
 
    There is also a chaos harness (see chaos.ml) that drives the query
    server (lib/server) with the fault-injection registry armed at every
@@ -30,92 +32,23 @@
    batch (plus BUSY-while-recovering and WAL torn-tail truncation).
    chaos reads runs readers on domain workers beside ASSERT/RETRACT
    writers and checks every QUERY reply equals the model after some
-   batch committed while the request was in flight.
+   batch committed while the request was in flight. *)
 
-   Server throughput, with every reply checked against the answer
-   computed in-process, is measured by the perf harness (perf.ml's
-   server suites). *)
-
-open Bechamel
-open Toolkit
 module Program = Pathlog.Program
+open Paper
 
 let section title = Printf.printf "\n=== %s ===\n" title
 
 let subsection title = Printf.printf "-- %s --\n" title
 
-(* ------------------------------------------------------------------ *)
-(* Shared instances                                                    *)
-
-let company n =
-  let p =
-    Program.create (Pathlog.Company.statements (Pathlog.Company.scaled n))
-  in
-  ignore (Program.run p);
-  p
+(* A table's check: on failure name the table on stderr and exit 1. *)
+let expect table ok what =
+  if not ok then begin
+    Printf.eprintf "%s: %s\n" table what;
+    exit 1
+  end
 
 let company_sizes = [ 50; 200; 800 ]
-
-let q11_o2sql =
-  {
-    Pathlog.O2sql.select = [ "Z" ];
-    ranges =
-      [
-        In_class ("X", "employee");
-        In_path ("Y", { root = "X"; steps = [ "vehicles" ] });
-      ];
-    conds =
-      [
-        Member ("Y", "automobile");
-        Eq ({ root = "Y"; steps = [ "color" ] }, Pvar "Z");
-      ];
-  }
-
-let q14_xsql =
-  {
-    Pathlog.Xsql.select = [ "Z" ];
-    ranges = [ ("employee", "X"); ("automobile", "Y") ];
-    paths =
-      [
-        {
-          root = Rvar "X";
-          steps =
-            [
-              { meth = "vehicles"; selector = Some (Svar "Y") };
-              { meth = "color"; selector = Some (Svar "Z") };
-            ];
-        };
-        {
-          root = Rvar "Y";
-          steps = [ { meth = "cylinders"; selector = Some (Sint 4) } ];
-        };
-      ];
-  }
-
-let pl_colors = "X : employee..vehicles : automobile.color[Z]"
-
-let pl_colors4 =
-  "X : employee..vehicles : automobile[cylinders -> 4].color[Z]"
-
-let pl_manager =
-  "X : manager..vehicles[color -> red].producedBy[city -> city1; president \
-   -> X]"
-
-let o2_manager =
-  {
-    Pathlog.O2sql.select = [ "X" ];
-    ranges =
-      [
-        In_class ("X", "manager");
-        In_path ("Y", { root = "X"; steps = [ "vehicles" ] });
-      ];
-    conds =
-      [
-        Eq ({ root = "Y"; steps = [ "color" ] }, Const "red");
-        Eq ({ root = "Y"; steps = [ "producedBy"; "city" ] }, Const "city1");
-        Eq ({ root = "Y"; steps = [ "producedBy"; "president" ] }, Pvar "X");
-      ];
-  }
 
 let project_column (answer : Program.answer) col =
   let idx =
@@ -126,9 +59,6 @@ let project_column (answer : Program.answer) col =
     find 0 answer.columns
   in
   List.sort_uniq compare (List.map (fun row -> List.nth row idx) answer.rows)
-
-let flat_query p src =
-  Pathlog.Flatten.literals (Program.store p) (Pathlog.Parser.literals src)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment tables                                                   *)
@@ -156,11 +86,14 @@ let table_e1 () =
       let xs = List.sort_uniq compare (Pathlog.Xsql.eval store q14_xsql) in
       let pl4 = project_column (Program.query_string p pl_colors4) "Z" in
       let census = Pathlog.Company.census (Pathlog.Company.scaled n) in
+      let agree =
+        o2 = pl_as_rows && calc = pl && xs = List.map (fun z -> [ z ]) pl4
+      in
       Printf.printf "%8d %10d %8d %9d %8d %8d %10b\n" n census.n_vehicles
         (List.length o2) (List.length calc) (List.length xs)
-        (List.length pl)
-        (o2 = pl_as_rows && calc = pl
-        && xs = List.map (fun z -> [ z ]) pl4))
+        (List.length pl) agree;
+      expect "E1" agree
+        (Printf.sprintf "the four languages disagree at size %d" n))
     company_sizes
 
 let table_e2 () =
@@ -172,7 +105,7 @@ let table_e2 () =
     [
       ("colors (1.1)", pl_colors);
       ("4-cylinder colors (2.1)", pl_colors4);
-      ("boss city correlation (2.3)", "X : employee[city -> X.boss.city]");
+      ("boss city correlation (2.3)", pl_boss_city);
       ("manager query (sec. 2)", pl_manager);
     ]
   in
@@ -195,18 +128,19 @@ let table_e3 () =
       let p = company n in
       let store = Program.store p in
       let pl = (Program.query_string p pl_manager).rows in
-      let o2 = Pathlog.O2sql.eval store o2_manager in
+      let pl = List.sort_uniq compare pl in
+      let o2 = List.sort_uniq compare (Pathlog.O2sql.eval store o2_manager) in
       Printf.printf
         "size %5d: PathLog %d answers, O2SQL %d answers, agree %b\n" n
-        (List.length (List.sort_uniq compare pl))
-        (List.length (List.sort_uniq compare o2))
-        (List.sort_uniq compare pl = List.sort_uniq compare o2))
+        (List.length pl) (List.length o2) (pl = o2);
+      expect "E3" (pl = o2)
+        (Printf.sprintf "PathLog and O2SQL disagree at size %d" n))
     company_sizes
 
 let table_e4 () =
   section "E4: nested path in a filter (2.3)";
   let p = company 200 in
-  let answer = Program.query_string p "X : employee[city -> X.boss.city]" in
+  let answer = Program.query_string p pl_boss_city in
   Printf.printf "employees living in their boss's city: %d of 200\n"
     (List.length answer.rows)
 
@@ -214,12 +148,7 @@ let table_e5 () =
   section "E5: virtual objects — rule (2.4) addresses";
   List.iter
     (fun n ->
-      let stmts = Pathlog.Company.statements (Pathlog.Company.scaled n) in
-      let rules =
-        Pathlog.Parser.program
-          "X.address[street -> X.street; city -> X.city] <- X : employee."
-      in
-      let p = Program.create (stmts @ rules) in
+      let p = Program.create (address_program n) in
       ignore (Program.run p);
       let u = Program.universe p in
       let address = Pathlog.Store.name (Program.store p) "address" in
@@ -238,13 +167,16 @@ let table_e5 () =
       let employees =
         List.length (Program.query_string p "X : employee").rows
       in
+      let one_to_one = List.length address_skolems = employees in
       Printf.printf
         "size %5d: %d address objects for %d employee-members (1:1 %b), %d other invented objects\n"
         n
         (List.length address_skolems)
-        employees
-        (List.length address_skolems = employees)
-        (List.length all_skolems - List.length address_skolems))
+        employees one_to_one
+        (List.length all_skolems - List.length address_skolems);
+      expect "E5" one_to_one
+        (Printf.sprintf "address objects are not 1:1 with employees at size %d"
+           n))
     company_sizes
 
 let table_e6 () =
@@ -277,15 +209,6 @@ let table_e6 () =
   Printf.printf "(6.1) virtual objects: %d, (6.2): %d\n"
     (List.length (Pathlog.Universe.skolems (Program.universe p61)))
     (List.length (Pathlog.Universe.skolems (Program.universe p62)))
-
-let tc_shapes =
-  [
-    ("chain(64)", Pathlog.Genealogy.Chain 64);
-    ("binary_tree(6)", Pathlog.Genealogy.Binary_tree 6);
-    ( "forest(128)",
-      Pathlog.Genealogy.Random_forest
-        { people = 128; max_kids = 3; seed = 11 } );
-  ]
 
 let tc_program ?(rules = Pathlog.Genealogy.desc_rules) mode shape =
   let config = { Pathlog.Fixpoint.default_config with mode } in
@@ -320,7 +243,8 @@ let table_e7 () =
       in
       Printf.printf "%-18s %8d %14d %14d %14d %8b\n" name
         (Pathlog.Genealogy.size shape)
-        s_naive.firings s_semi.firings closure_size correct)
+        s_naive.firings s_semi.firings closure_size correct;
+      expect "E7" correct (name ^ ": desc differs from the reference closure"))
     tc_shapes;
   subsection "generic higher-order tc (kids.tc) equals desc";
   let shape = Pathlog.Genealogy.Binary_tree 4 in
@@ -336,7 +260,8 @@ let table_e7 () =
         = Pathlog.answers p_tc (Printf.sprintf "p%d[(kids.tc) ->> {X}]" i))
       (Pathlog.Genealogy.closure shape)
   in
-  Printf.printf "kids.tc = desc on binary_tree(4): %b\n" same
+  Printf.printf "kids.tc = desc on binary_tree(4): %b\n" same;
+  expect "E7" same "kids.tc differs from desc on binary_tree(4)"
 
 let table_e8 () =
   section "E8: stratification (section 6)";
@@ -368,7 +293,7 @@ let table_e8 () =
     match Program.run p with
     | exception Pathlog.Err.Unstratifiable u ->
       Printf.printf "cyclic variant rejected: %s\n" u.Pathlog.Err.u_message
-    | _ -> print_endline "WARNING: cyclic variant was not rejected")
+    | _ -> expect "E8" false "the cyclic variant was not rejected")
 
 let table_e9 () =
   section "E9: intensional method (power rule) on existing objects";
@@ -381,24 +306,13 @@ let table_e9 () =
       |}
   in
   ignore (Program.run p);
+  let virtual_objects =
+    List.length (Pathlog.Universe.skolems (Program.universe p))
+  in
   Printf.printf "derived power facts: %d, virtual objects: %d (must be 0)\n"
     (List.length (Program.query_string p "X[power -> P]").rows)
-    (List.length (Pathlog.Universe.skolems (Program.universe p)))
-
-(* The source-order ablation: the atoms as written, run as an explicit
-   identity plan. *)
-let source_order_solutions store (q : Pathlog.Ir.query) =
-  let plan =
-    {
-      Pathlog.Solve.plan_seed = -1;
-      plan_perm = Array.init (List.length q.atoms) Fun.id;
-      plan_size = Pathlog.Store.size store;
-    }
-  in
-  let rows = ref [] in
-  Pathlog.Solve.iter ~plan store q ~f:(fun b ->
-      rows := List.map (fun (_, i) -> b.(i)) q.named :: !rows);
-  List.sort_uniq compare !rows
+    virtual_objects;
+  expect "E9" (virtual_objects = 0) "the power rule invented virtual objects"
 
 let table_e10 () =
   section "E10: ablation sanity (answers invariant under strategy)";
@@ -411,17 +325,11 @@ let table_e10 () =
   let identical = compiled = source && compiled = conj in
   Printf.printf "compiled=%d source=%d naive-conjunctive=%d identical=%b\n"
     (List.length compiled) (List.length source) (List.length conj) identical;
-  if not identical then begin
-    prerr_endline "E10: join orders disagree on the answers";
-    exit 1
-  end
+  expect "E10" identical "join orders disagree on the answers"
 
 let table_e11 () =
   section "E11: evaluation strategies — full materialisation vs demand";
-  let stmts =
-    Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 100)
-    @ Pathlog.Genealogy.desc_rules
-  in
+  let stmts = desc_program (Pathlog.Genealogy.Chain 100) in
   let render p rows =
     List.sort compare (List.map (Program.row_to_string p) rows)
   in
@@ -438,25 +346,24 @@ let table_e11 () =
     (fun q ->
       let full = render p_full (Program.query_string p_full q).rows in
       let answer, r = Program.query_demand_string p_dem q in
+      let fallback = r.d_fallback <> None in
+      let agree = render p_dem answer.rows = full in
       Printf.printf
         "demand: %-18s %d answers, %d rule firings, %d magic facts, \
          resumed %b, fallback %b, answers agree %b\n"
         q
         (List.length answer.rows)
-        r.d_stats.firings r.d_magic_facts r.d_resumed
-        (r.d_fallback <> None)
-        (render p_dem answer.rows = full))
-    [ "p95[desc ->> {X}]"; "p90[desc ->> {X}]" ]
+        r.d_stats.firings r.d_magic_facts r.d_resumed fallback agree;
+      expect "E11" (agree && not fallback)
+        (q ^ ": demand fell back or disagrees with full materialisation"))
+    [ desc_point_query; "p90[desc ->> {X}]" ]
 
 let table_e12 () =
   section "E12: parts explosion (bill of materials), argument methods";
   List.iter
     (fun parts ->
-      let cfg = { Pathlog.Parts.default with parts } in
-      let p =
-        Program.create
-          (Pathlog.Parts.statements cfg @ Pathlog.Parts.contains_rules)
-      in
+      let cfg = parts_config parts in
+      let p = Program.create (parts_program cfg) in
       let stats = Program.run p in
       let oracle =
         List.fold_left
@@ -468,254 +375,12 @@ let table_e12 () =
       in
       Printf.printf
         "parts %4d: closure %6d tuples (oracle %6d, match %b), %6d firings\n"
-        parts derived oracle (derived = oracle) stats.firings)
+        parts derived oracle (derived = oracle) stats.firings;
+      expect "E12" (derived = oracle)
+        (Printf.sprintf "parts %d: closure differs from the oracle" parts))
     [ 60; 120; 240 ]
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing benches                                             *)
-
-let run_benches tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"" tests)
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  in
-  Printf.printf "%-48s %14s %8s\n" "benchmark" "ns/run" "r^2";
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> Printf.sprintf "%14.0f" e
-        | Some [] | None -> Printf.sprintf "%14s" "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with
-        | Some r -> Printf.sprintf "%8.4f" r
-        | None -> Printf.sprintf "%8s" "-"
-      in
-      Printf.printf "%-48s %s %s\n" name est r2)
-    (List.sort compare rows)
-
-let query_bench name p src =
-  let store = Program.store p in
-  let q = flat_query p src in
-  Test.make ~name
-    (Staged.stage (fun () -> Pathlog.Solve.named_solutions store q))
-
-let bench_e1 () =
-  subsection "E1/E3 timings: query evaluation strategies, company(200)";
-  let p = company 200 in
-  let store = Program.store p in
-  let q_colors = flat_query p pl_colors in
-  let q_manager = flat_query p pl_manager in
-  run_benches
-    [
-      Test.make ~name:"e1/o2sql nested loops (1.1)"
-        (Staged.stage (fun () -> Pathlog.O2sql.eval store q11_o2sql));
-      Test.make ~name:"e1/xsql via naive conjunction (1.4)"
-        (Staged.stage (fun () -> Pathlog.Xsql.eval store q14_xsql));
-      Test.make ~name:"e1/pathlog compiled indexed (2.1)"
-        (Staged.stage (fun () ->
-             Pathlog.Solve.named_solutions store q_colors));
-      Test.make ~name:"e3/o2sql manager query"
-        (Staged.stage (fun () -> Pathlog.O2sql.eval store o2_manager));
-      Test.make ~name:"e3/pathlog manager query"
-        (Staged.stage (fun () ->
-             Pathlog.Solve.named_solutions store q_manager));
-    ]
-
-let bench_e5 () =
-  subsection "E5 timings: virtual-address materialisation";
-  let tests =
-    List.map
-      (fun n ->
-        let stmts =
-          Pathlog.Company.statements (Pathlog.Company.scaled n)
-          @ Pathlog.Parser.program
-              "X.address[street -> X.street; city -> X.city] <- X : \
-               employee."
-        in
-        Test.make ~name:(Printf.sprintf "e5/materialize addresses n=%d" n)
-          (Staged.stage (fun () ->
-               let p = Program.create stmts in
-               Program.run p)))
-      [ 50; 200 ]
-  in
-  run_benches tests
-
-let bench_e7 () =
-  subsection "E7 timings: transitive closure, naive vs semi-naive";
-  let tests =
-    List.concat_map
-      (fun (name, shape) ->
-        let stmts =
-          Pathlog.Genealogy.statements shape @ Pathlog.Genealogy.desc_rules
-        in
-        List.map
-          (fun (mname, mode) ->
-            let config = { Pathlog.Fixpoint.default_config with mode } in
-            Test.make
-              ~name:(Printf.sprintf "e7/%s %s" name mname)
-              (Staged.stage (fun () ->
-                   let p = Program.create ~config stmts in
-                   Program.run p)))
-          [
-            ("naive", Pathlog.Fixpoint.Naive);
-            ("semi-naive", Pathlog.Fixpoint.Seminaive);
-          ])
-      tc_shapes
-  in
-  run_benches tests
-
-let bench_e11 () =
-  subsection "E11 timings: point query, full vs demand, chain(100)";
-  let stmts =
-    Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 100)
-    @ Pathlog.Genealogy.desc_rules
-  in
-  let lits = Pathlog.Parser.literals "p95[desc ->> {X}]" in
-  run_benches
-    [
-      Test.make ~name:"e11/full materialisation + query"
-        (Staged.stage (fun () ->
-             let p = Program.create stmts in
-             ignore (Program.run p);
-             Program.query p lits));
-      Test.make ~name:"e11/demand (magic sets) + query"
-        (Staged.stage (fun () ->
-             let p = Program.create stmts in
-             Program.query_demand p lits));
-    ]
-
-let bench_e1_scaling () =
-  subsection
-    "E1 scaling series (figure): query (2.1) time vs database size";
-  let programs =
-    List.map (fun n -> (n, company n)) [ 50; 100; 200; 400; 800 ]
-  in
-  run_benches
-    (List.map
-       (fun (n, p) ->
-         let store = Program.store p in
-         let q = flat_query p pl_colors4 in
-         Test.make
-           ~name:(Printf.sprintf "e1-fig/query 2.1, company(%4d)" n)
-           (Staged.stage (fun () -> Pathlog.Solve.named_solutions store q)))
-       programs)
-
-let bench_e12 () =
-  subsection "E12 timings: BOM closure, naive vs semi-naive";
-  let tests =
-    List.concat_map
-      (fun parts ->
-        let cfg = { Pathlog.Parts.default with parts } in
-        let stmts =
-          Pathlog.Parts.statements cfg @ Pathlog.Parts.contains_rules
-        in
-        List.map
-          (fun (mname, mode) ->
-            let config = { Pathlog.Fixpoint.default_config with mode } in
-            Test.make
-              ~name:(Printf.sprintf "e12/parts(%d) %s" parts mname)
-              (Staged.stage (fun () ->
-                   let p = Program.create ~config stmts in
-                   Program.run p)))
-          [
-            ("naive", Pathlog.Fixpoint.Naive);
-            ("semi-naive", Pathlog.Fixpoint.Seminaive);
-          ])
-      [ 60; 120 ]
-  in
-  run_benches tests
-
-let bench_e10 () =
-  subsection "E10 timings: ablations (join order, scans vs indexes)";
-  let p = company 200 in
-  let store = Program.store p in
-  let q = flat_query p pl_manager in
-  run_benches
-    [
-      Test.make ~name:"e10/manager compiled order (indexed)"
-        (Staged.stage (fun () -> Pathlog.Solve.named_solutions store q));
-      Test.make ~name:"e10/manager source order (indexed)"
-        (Staged.stage (fun () -> source_order_solutions store q));
-      Test.make ~name:"e10/manager naive conjunctive (scans)"
-        (Staged.stage (fun () ->
-             Pathlog.Conjunctive.named_solutions store q));
-      query_bench "e10/boss-city correlation (2.3)" p
-        "X : employee[city -> X.boss.city]";
-    ]
-
-let bench_substrate () =
-  subsection "substrate micro-benches: store operations";
-  let p = company 400 in
-  let store = Program.store p in
-  let u = Program.universe p in
-  let vehicles = Pathlog.Store.name store "vehicles" in
-  let color = Pathlog.Store.name store "color" in
-  let employee = Pathlog.Store.name store "employee" in
-  let e1 = Pathlog.Store.name store "e1" in
-  let red = Pathlog.Store.name store "red" in
-  ignore u;
-  run_benches
-    [
-      Test.make ~name:"store/scalar_lookup hit"
-        (Staged.stage (fun () ->
-             Pathlog.Store.scalar_lookup store ~meth:color ~recv:e1 ~args:[]));
-      Test.make ~name:"store/set_lookup"
-        (Staged.stage (fun () ->
-             Pathlog.Store.set_lookup store ~meth:vehicles ~recv:e1 ~args:[]));
-      Test.make ~name:"store/scalar_inverse bucket"
-        (Staged.stage (fun () ->
-             Pathlog.Store.scalar_inverse store ~meth:color ~res:red));
-      Test.make ~name:"store/members closure (employee)"
-        (Staged.stage (fun () -> Pathlog.Store.members store employee));
-      Test.make ~name:"store/is_member"
-        (Staged.stage (fun () -> Pathlog.Store.is_member store e1 employee));
-      Test.make ~name:"store/fresh store + 1k scalar inserts"
-        (Staged.stage (fun () ->
-             let st = Pathlog.Store.create () in
-             let m = Pathlog.Store.name st "m" in
-             for i = 0 to 999 do
-               let o = Pathlog.Store.int st i in
-               ignore
-                 (Pathlog.Store.add_scalar st ~meth:m ~recv:o ~args:[]
-                    ~res:o)
-             done));
-    ]
-
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then begin
-    Perf.main
-      (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)));
-    exit 0
-  end
-
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "emit" then begin
-    Perf.emit_programs
-      (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)));
-    exit 0
-  end
-
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "chaos" then begin
-    Chaos.main
-      (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)));
-    exit 0
-  end
-
-let () =
-  let quick = Array.length Sys.argv > 1 && Sys.argv.(1) = "quick" in
+let tables () =
   table_e1 ();
   table_e2 ();
   table_e3 ();
@@ -728,15 +393,18 @@ let () =
   table_e10 ();
   table_e11 ();
   table_e12 ();
-  if not quick then begin
-    section "Bechamel timings";
-    bench_e1 ();
-    bench_e5 ();
-    bench_e7 ();
-    bench_e10 ();
-    bench_e11 ();
-    bench_e1_scaling ();
-    bench_e12 ();
-    bench_substrate ()
-  end;
   print_endline "\nbench: done"
+
+let usage =
+  "usage: main.exe [perf OPTS | emit [NAME] | chaos [MODE] ARGS]\n\
+   (no argument prints the E1-E12 experiment tables)"
+
+let () =
+  match Array.to_list Sys.argv with
+  | [ _ ] -> tables ()
+  | _ :: "perf" :: args -> Perf.main args
+  | _ :: "emit" :: args -> Perf.emit_programs args
+  | _ :: "chaos" :: args -> Chaos.main args
+  | _ ->
+    prerr_endline usage;
+    exit 2

@@ -3,10 +3,12 @@
    Runs a fixed suite — transitive closure over chain / layered-DAG /
    random-forest shapes, a fixpoint that derives isa edges, the company
    query workload, a bound-receiver set-method query, incremental
-   hierarchy-closure growth, and server throughput — and writes a JSON
-   report with wall time, ops/s where meaningful, and the deterministic
-   fixpoint counters (rule_evaluations, firings, rounds) so every future
-   PR can report speedups against a committed baseline.
+   hierarchy-closure growth, live maintenance, demand, regular paths,
+   server throughput, WAL recovery, and the paper's experiments E1-E12
+   (the e1_ .. e12_ and store_ suites) — and writes a JSON report with
+   wall time, ops/s where meaningful, and the deterministic fixpoint
+   counters (rule_evaluations, firings, rounds) so every future PR can
+   report speedups against a committed baseline.
 
    Options:
      --quick           fewer timing repetitions (same deterministic sizes,
@@ -19,9 +21,11 @@
                        baseline wall times + speedup factors
      --check FILE      compare this run's rule_evaluations against the
                        committed report; exit non-zero on a >20%%
-                       regression (used by CI)
+                       regression, or (without --only) when a committed
+                       suite with rule_evaluations was not run (used by CI)
      --only PREFIX     run only the suites whose name starts with PREFIX
-                       (e.g. --only regex for the automaton suites);
+                       (e.g. --only regex for the automaton suites,
+                       --only e7_ for one experiment);
                        needs --out, so a partial run never overwrites
                        the full report *)
 
@@ -44,13 +48,30 @@ type suite = {
   detail : string;
 }
 
+let suite ?ops_per_s ?rule_evaluations ?firings ?rounds ?speedup_vs_1j
+    ?speedup_vs_full ~detail name wall_s =
+  {
+    name;
+    wall_s;
+    ops_per_s;
+    rule_evaluations;
+    firings;
+    rounds;
+    speedup_vs_1j;
+    speedup_vs_full;
+    detail;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Timing helpers                                                      *)
 
+(* Seconds on the monotonic clock, which NTP cannot step. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let wall f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, now () -. t0)
 
 (* Best-of-n wall time; result and counters from the last run (the runs
    are deterministic, so any run's counters are the counters). *)
@@ -81,37 +102,28 @@ let measure_ops ~target f =
 (* ------------------------------------------------------------------ *)
 (* Suites                                                              *)
 
-let fixpoint_suite name stmts ~jobs ~reps ~detail =
-  let config = { Pathlog.Fixpoint.default_config with jobs } in
+let fixpoint_suite ?(mode = Pathlog.Fixpoint.Seminaive) name stmts ~jobs
+    ~reps ~detail =
+  let config = { Pathlog.Fixpoint.default_config with jobs; mode } in
   let run () =
     let p = Program.create ~config stmts in
     Program.run p
   in
   let stats, w = best_of reps run in
-  {
-    name;
-    wall_s = w;
-    ops_per_s = None;
-    rule_evaluations = Some stats.Pathlog.Fixpoint.rule_evaluations;
-    firings = Some stats.firings;
-    rounds = Some stats.rounds;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail;
-  }
+  suite name w ~rule_evaluations:stats.Pathlog.Fixpoint.rule_evaluations
+    ~firings:stats.firings ~rounds:stats.rounds ~detail
 
 let tc_chain ~jobs ~reps =
   fixpoint_suite "tc_chain_256"
-    (Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 256)
-    @ Pathlog.Genealogy.desc_rules)
+    (Paper.desc_program (Pathlog.Genealogy.Chain 256))
     ~jobs ~reps ~detail:"desc closure of chain(256), semi-naive"
+
+let forest_256 =
+  Pathlog.Genealogy.Random_forest { people = 256; max_kids = 3; seed = 11 }
 
 let tc_forest ~jobs ~reps =
   fixpoint_suite "tc_forest_256"
-    (Pathlog.Genealogy.statements
-       (Pathlog.Genealogy.Random_forest
-          { people = 256; max_kids = 3; seed = 11 })
-    @ Pathlog.Genealogy.desc_rules)
+    (Paper.desc_program forest_256)
     ~jobs ~reps ~detail:"desc closure of random forest(256), semi-naive"
 
 let tc_dag_stmts =
@@ -178,52 +190,34 @@ let par_stmts =
      Pathlog.Parser.program (Buffer.contents b))
 
 let fixpoint_par ~jobs ~reps ~base =
-  let config = { Pathlog.Fixpoint.default_config with jobs } in
-  let stmts = Lazy.force par_stmts in
-  let run () =
-    let p = Program.create ~config stmts in
-    Program.run p
+  let s =
+    fixpoint_suite
+      (Printf.sprintf "fixpoint_par_%dj" jobs)
+      (Lazy.force par_stmts) ~jobs ~reps
+      ~detail:
+        (Printf.sprintf
+           "16-partition chain(48) closure into a shared reach method, \
+            jobs=%d"
+           jobs)
   in
-  let stats, w = best_of reps run in
-  {
-    name = Printf.sprintf "fixpoint_par_%dj" jobs;
-    wall_s = w;
-    ops_per_s = None;
-    rule_evaluations = Some stats.Pathlog.Fixpoint.rule_evaluations;
-    firings = Some stats.firings;
-    rounds = Some stats.rounds;
-    speedup_vs_1j =
-      (match base with
-      | Some b when jobs > 1 -> Some (b /. max 1e-9 w)
-      | _ -> None);
-    speedup_vs_full = None;
-    detail =
-      Printf.sprintf
-        "16-partition chain(48) closure into a shared reach method, jobs=%d"
-        jobs;
-  }
-
-let company_program n =
-  let p =
-    Program.create (Pathlog.Company.statements (Pathlog.Company.scaled n))
-  in
-  ignore (Program.run p);
-  p
+  match base with
+  | Some b when jobs > 1 ->
+    { s with speedup_vs_1j = Some (b /. max 1e-9 s.wall_s) }
+  | _ -> s
 
 let company_query_texts =
   [
-    "X : employee..vehicles : automobile.color[Z]";
-    "X : employee..vehicles : automobile[cylinders -> 4].color[Z]";
-    "X : manager..vehicles[color -> red].producedBy[city -> city1; \
-     president -> X]";
+    Paper.pl_colors;
+    Paper.pl_colors4;
+    Paper.pl_manager;
     "X : manager";
-    "X : employee[city -> X.boss.city]";
+    Paper.pl_boss_city;
     "X : company.president[P]";
     "X : employee[age -> A; city -> newYork]";
   ]
 
 let company_queries ~target =
-  let p = company_program 400 in
+  let p = Paper.company 400 in
   let store = Program.store p in
   let qs =
     List.map
@@ -233,19 +227,11 @@ let company_queries ~target =
   in
   let run () = List.iter (fun q -> ignore (Solve.named_solutions store q)) qs in
   let ops, w = measure_ops ~target run in
-  {
-    name = "company_queries_400";
-    wall_s = w;
-    ops_per_s = Some ops;
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
-      Printf.sprintf "%d-query workload over company(400); ops = workload \
-                      evaluations" (List.length qs);
-  }
+  suite "company_queries_400" w ~ops_per_s:ops
+    ~detail:
+      (Printf.sprintf
+         "%d-query workload over company(400); ops = workload evaluations"
+         (List.length qs))
 
 (* Bound receiver, unbound argument and result: without a receiver-keyed
    index this scans the whole method bucket (every receiver). *)
@@ -281,19 +267,10 @@ let recv_set_query ~target =
     if List.length rows <> expect then failwith "recv_set_query: wrong rows"
   in
   let ops, w = measure_ops ~target run in
-  {
-    name = "recv_set_query_200x25";
-    wall_s = w;
-    ops_per_s = Some ops;
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
+  suite "recv_set_query_200x25" w ~ops_per_s:ops
+    ~detail:
       "r0[edge@(A) ->> {X}] over 200 receivers x 25 one-ary tuples; ops = \
-       query evaluations";
-  }
+       query evaluations"
 
 (* Interleave isa insertions with whole-hierarchy membership queries: with
    wholesale cache invalidation each round recomputes the root closure from
@@ -318,19 +295,13 @@ let isa_closure_growth ~reps =
   let expected = (width * n) + (n * (n + 1) / 2) in
   let total, w = best_of reps run in
   if total <> expected then failwith "isa_closure_growth: wrong member count";
-  {
-    name = Printf.sprintf "isa_closure_growth_%d" n;
-    wall_s = w;
-    ops_per_s = Some (float_of_int n /. w);
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
+  suite
+    (Printf.sprintf "isa_closure_growth_%d" n)
+    w
+    ~ops_per_s:(float_of_int n /. w)
+    ~detail:
       "400 isa inserts into an 8-class hierarchy, members(root) after each; \
-       ops = insert+query pairs";
-  }
+       ops = insert+query pairs"
 
 (* Live-mutation write path: 200 ASSERT batches of 25 chain edges each,
    every batch a disjoint 26-node chain so the semi-naive maintenance
@@ -366,19 +337,13 @@ let assert_batch ~reps =
     failwith
       (Printf.sprintf "assert_batch: %d net facts added, expected %d" total
          expected);
-  {
-    name = Printf.sprintf "assert_batch_%dx%d" batches per;
-    wall_s = w;
-    ops_per_s = Some (float_of_int batches /. w);
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
+  suite
+    (Printf.sprintf "assert_batch_%dx%d" batches per)
+    w
+    ~ops_per_s:(float_of_int batches /. w)
+    ~detail:
       "200 ASSERT batches of 25 chain edges into a live reach closure; ops = \
-       batches";
-  }
+       batches"
 
 (* DRed stress: transitive closure of a 400-edge chain with n4k -> n4k+2
    shortcut rungs. Retracting n200 -> n201 over-deletes every tc fact
@@ -416,28 +381,16 @@ let retract_rederive ~target =
     ignore (Pathlog.Live.assert_batch live victim)
   in
   let ops, w = measure_ops ~target run in
-  {
-    name = Printf.sprintf "retract_reDerive_tc_%d" n;
-    wall_s = w;
-    ops_per_s = Some ops;
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
+  suite
+    (Printf.sprintf "retract_reDerive_tc_%d" n)
+    w ~ops_per_s:ops
+    ~detail:
       "retract+assert of a mid-chain edge in tc(chain 400 + rungs); each \
        retract over-deletes and re-derives the downstream closure; ops = \
-       retract+assert pairs";
-  }
+       retract+assert pairs"
 
 let server_queries =
-  [|
-    "X : employee..vehicles : automobile.color[Z]";
-    "X : manager";
-    "X : employee[city -> X.boss.city]";
-    "e1 : employee";
-  |]
+  [| Paper.pl_colors; "X : manager"; Paper.pl_boss_city; "e1 : employee" |]
 
 (* An answer framed as the server frames it (see Server.render_answer):
    columns then tab-separated rows, or yes/no for a ground query. *)
@@ -458,7 +411,7 @@ let expected_payload p q =
    on). A mismatched (cross-wired), DEGRADED, ERR or dropped reply fails
    the suite; BUSY is retried. *)
 let server_suite ~name ~config ~requests ~detail =
-  let p = company_program 100 in
+  let p = Paper.company 100 in
   let expected =
     Array.map
       (fun q -> List.sort compare (expected_payload p q))
@@ -515,17 +468,9 @@ let server_suite ~name ~config ~requests ~detail =
       (Printf.sprintf
          "%s: %d correct of %d (%d mismatched, %d degraded/error/dropped)"
          name ok total mismatched (total - ok - mismatched));
-  {
-    name;
-    wall_s = w;
-    ops_per_s = Some (float_of_int total /. w);
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail = Printf.sprintf detail requests;
-  }
+  suite name w
+    ~ops_per_s:(float_of_int total /. w)
+    ~detail:(Printf.sprintf detail requests)
 
 let server_throughput ~requests =
   server_suite ~name:"server_throughput_4w"
@@ -579,18 +524,10 @@ let demand_suite name stmts query ~reps ~detail =
       (name ^ ": unexpected demand fallback: "
       ^ Pathlog.Demand.fallback_to_string fb)
   | None -> ());
-  {
-    name;
-    wall_s = dw;
-    ops_per_s = None;
-    rule_evaluations =
-      Some report.Pathlog.Program.d_stats.Pathlog.Fixpoint.rule_evaluations;
-    firings = Some report.Pathlog.Program.d_stats.Pathlog.Fixpoint.firings;
-    rounds = Some report.Pathlog.Program.d_stats.Pathlog.Fixpoint.rounds;
-    speedup_vs_1j = None;
-    speedup_vs_full = Some (fw /. max 1e-9 dw);
-    detail;
-  }
+  let stats = report.Pathlog.Program.d_stats in
+  suite name dw ~rule_evaluations:stats.Pathlog.Fixpoint.rule_evaluations
+    ~firings:stats.firings ~rounds:stats.rounds
+    ~speedup_vs_full:(fw /. max 1e-9 dw) ~detail
 
 (* 100 disjoint boss chains of 100 nodes each under a recursive [up]
    closure: full materialisation derives all 100 chain closures (~505k
@@ -700,23 +637,17 @@ let magic_repeat_first_sight () =
          "magic_repeat_first_sight: first-sight firings grew %.2fx over the \
           run (bound 1.5x)"
          firing_ratio);
-  {
-    name = "magic_repeat_first_sight";
-    wall_s;
-    ops_per_s = Some (float_of_int sights /. max 1e-9 wall_s);
-    rule_evaluations =
-      Some (total (fun s -> s.Pathlog.Fixpoint.rule_evaluations));
-    firings = Some (total (fun s -> s.Pathlog.Fixpoint.firings));
-    rounds = Some (total (fun s -> s.Pathlog.Fixpoint.rounds));
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
-      Printf.sprintf
-        "%d first sights of one shape (fresh %d-edge boss chain each) on \
-         one program; last/first decile %.2fx wall, %.2fx firings; \
-         counters summed over the sights"
-        sights length wall_ratio firing_ratio;
-  }
+  suite "magic_repeat_first_sight" wall_s
+    ~ops_per_s:(float_of_int sights /. max 1e-9 wall_s)
+    ~rule_evaluations:(total (fun s -> s.Pathlog.Fixpoint.rule_evaluations))
+    ~firings:(total (fun s -> s.Pathlog.Fixpoint.firings))
+    ~rounds:(total (fun s -> s.Pathlog.Fixpoint.rounds))
+    ~detail:
+      (Printf.sprintf
+         "%d first sights of one shape (fresh %d-edge boss chain each) on \
+          one program; last/first decile %.2fx wall, %.2fx firings; \
+          counters summed over the sights"
+         sights length wall_ratio firing_ratio)
 
 (* ------------------------------------------------------------------ *)
 (* Regular path expressions (PR 9): the automaton-product join against
@@ -756,21 +687,13 @@ let regex_suite name ~edges ~regex_query ~tc_stmts ~tc_query ~reps ~detail =
     failwith
       (Printf.sprintf "%s: regex answered %d rows, recursive closure %d"
          name (List.length rrows) (List.length trows));
-  {
-    name;
-    wall_s = rw;
-    ops_per_s = None;
-    rule_evaluations = Some !pairs;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = Some (tw /. max 1e-9 rw);
-    detail =
-      Printf.sprintf
-        "%s; rule_evaluations counts product (object, state) pairs popped; \
-         recursive-closure side %.4f s"
-        detail tw;
-  }
+  suite name rw ~rule_evaluations:!pairs
+    ~speedup_vs_full:(tw /. max 1e-9 rw)
+    ~detail:
+      (Printf.sprintf
+         "%s; rule_evaluations counts product (object, state) pairs popped; \
+          recursive-closure side %.4f s"
+         detail tw)
 
 let regex_bound_tc ~reps =
   regex_suite "regex_bound_tc_10k"
@@ -833,14 +756,8 @@ let regex_alt ~reps =
 
 let generator_workloads () =
   [
-    ( "tc_chain_256",
-      Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 256)
-      @ Pathlog.Genealogy.desc_rules );
-    ( "tc_forest_256",
-      Pathlog.Genealogy.statements
-        (Pathlog.Genealogy.Random_forest
-           { people = 256; max_kids = 3; seed = 11 })
-      @ Pathlog.Genealogy.desc_rules );
+    ("tc_chain_256", Paper.desc_program (Pathlog.Genealogy.Chain 256));
+    ("tc_forest_256", Paper.desc_program forest_256);
     ("tc_dag_7x14", Lazy.force tc_dag_stmts);
     ("isa_derive_400", Lazy.force isa_derive_stmts);
     ("fixpoint_par", Lazy.force par_stmts);
@@ -951,19 +868,13 @@ let recovery_time ~reps =
         Pathlog.Fact.model (Pathlog.Live.store builder)
         <> Pathlog.Fact.model (Pathlog.Live.store recovered)
       then failwith "recovery_time: recovered model differs from builder";
-      {
-        name = Printf.sprintf "wal_recovery_%dx%d" batches per;
-        wall_s = w;
-        ops_per_s = Some (float_of_int replayed /. w);
-        rule_evaluations = None;
-        firings = None;
-        rounds = None;
-        speedup_vs_1j = None;
-        speedup_vs_full = None;
-        detail =
+      suite
+        (Printf.sprintf "wal_recovery_%dx%d" batches per)
+        w
+        ~ops_per_s:(float_of_int replayed /. w)
+        ~detail:
           "open data dir + rebuild mid-history snapshot + replay 60-record \
-           WAL suffix through the live closure; ops = records replayed";
-      })
+           WAL suffix through the live closure; ops = records replayed")
 
 (* ------------------------------------------------------------------ *)
 (* Estimator accuracy: the cardinality abstract interpreter's predicted
@@ -975,14 +886,8 @@ let recovery_time ~reps =
 let estimator_accuracy () =
   let workloads =
     [
-      ( "tc_chain_256",
-        Pathlog.Genealogy.statements (Pathlog.Genealogy.Chain 256)
-        @ Pathlog.Genealogy.desc_rules );
-      ( "tc_dag_7x14",
-        Pathlog.Graph.layered_dag ~layers:7 ~width:14 ~fanout:3 ~seed:7
-        @ Pathlog.Parser.program
-            "X[reach ->> {Y}] <- X[to ->> {Y}]. \
-             X[reach ->> {Y}] <- X[to ->> {Z}], Z[reach ->> {Y}]." );
+      ("tc_chain_256", Paper.desc_program (Pathlog.Genealogy.Chain 256));
+      ("tc_dag_7x14", Lazy.force tc_dag_stmts);
       ( "company_100",
         Pathlog.Company.statements (Pathlog.Company.scaled 100) );
       ("fixpoint_par", Lazy.force par_stmts);
@@ -1004,22 +909,175 @@ let estimator_accuracy () =
     (name, float_of_int predicted /. float_of_int actual)
   in
   let factors, w = wall (fun () -> List.map measure workloads) in
-  {
-    name = "estimator_accuracy";
-    wall_s = w;
-    ops_per_s = None;
-    rule_evaluations = None;
-    firings = None;
-    rounds = None;
-    speedup_vs_1j = None;
-    speedup_vs_full = None;
-    detail =
-      "predicted/actual fixpoint size (>= 1 is sound): "
+  suite "estimator_accuracy" w
+    ~detail:
+      ("predicted/actual fixpoint size (>= 1 is sound): "
       ^ String.concat ", "
-          (List.map
-             (fun (n, f) -> Printf.sprintf "%s %.1fx" n f)
-             factors);
-  }
+          (List.map (fun (n, f) -> Printf.sprintf "%s %.1fx" n f) factors))
+
+(* ------------------------------------------------------------------ *)
+(* The paper's experiments (main.ml's tables E1-E12) timed on the same
+   definitions (paper.ml) and at the sizes EXPERIMENTS.md quotes. *)
+
+(* [setup] builds the inputs outside the timer and returns the operation
+   measure_ops repeats. *)
+let timed name ~target ~detail setup =
+  ( name,
+    fun () ->
+      let op = setup () in
+      let ops, w = measure_ops ~target op in
+      suite name w ~ops_per_s:ops ~detail )
+
+(* E1, E3 and E10 over company(200). The compiled manager query is both
+   E3's PathLog side and E10's reference strategy; (2.1) at size 200 is
+   E1's PathLog side and a point of the scaling series. *)
+let paper_queries ~target =
+  let company = lazy (Paper.company 200) in
+  let store () = Program.store (Lazy.force company) in
+  let query src = (store (), Paper.flat_query (Lazy.force company) src) in
+  let at200 name what setup =
+    timed name ~target ~detail:(what ^ ", company(200); ops = evaluations")
+      setup
+  in
+  let q21 n =
+    timed
+      (Printf.sprintf "e1_pathlog_q21_c%d" n)
+      ~target
+      ~detail:
+        (Printf.sprintf
+           "PathLog (2.1), the question XSQL (1.4) asks, compiled indexed \
+            plan, company(%d); ops = evaluations"
+           n)
+      (fun () ->
+        let p = Paper.company n in
+        let store = Program.store p in
+        let q = Paper.flat_query p Paper.pl_colors4 in
+        fun () -> Solve.named_solutions store q)
+  in
+  [
+    at200 "e1_o2sql_q11_c200" "O2SQL (1.1) by nested loops" (fun () ->
+        let st = store () in
+        fun () -> Pathlog.O2sql.eval st Paper.q11_o2sql);
+    at200 "e1_xsql_q14_c200" "XSQL (1.4), its conjunction evaluated naively"
+      (fun () ->
+        let st = store () in
+        fun () -> Pathlog.Xsql.eval st Paper.q14_xsql);
+  ]
+  @ List.map q21 [ 50; 100; 200; 400; 800 ]
+  @ [
+      at200 "e3_o2sql_manager_c200" "O2SQL manager query (section 2)"
+        (fun () ->
+          let st = store () in
+          fun () -> Pathlog.O2sql.eval st Paper.o2_manager);
+      at200 "e3_pathlog_manager_c200"
+        "PathLog manager query, compiled indexed plan" (fun () ->
+          let st, q = query Paper.pl_manager in
+          fun () -> Solve.named_solutions st q);
+      at200 "e10_source_order_manager_c200"
+        "manager query, source-order identity plan" (fun () ->
+          let st, q = query Paper.pl_manager in
+          fun () -> Paper.source_order_solutions st q);
+      at200 "e10_conjunctive_manager_c200"
+        "manager query, naive conjunctive scans" (fun () ->
+          let st, q = query Paper.pl_manager in
+          fun () -> Pathlog.Conjunctive.named_solutions st q);
+      at200 "e10_boss_city_q23_c200"
+        "PathLog (2.3), a nested path in a filter, compiled indexed plan"
+        (fun () ->
+          let st, q = query Paper.pl_boss_city in
+          fun () -> Solve.named_solutions st q);
+    ]
+
+(* E5, E7 and E12: each program built and run to its fixpoint; E7 and
+   E12 in both modes. *)
+let paper_fixpoints ~jobs ~reps =
+  let fp ?mode name detail stmts =
+    (name, fun () -> fixpoint_suite ?mode name (stmts ()) ~jobs ~reps ~detail)
+  in
+  let both name detail stmts =
+    List.map
+      (fun (m, mode) -> fp ~mode (name ^ "_" ^ m) (detail ^ ", " ^ m) stmts)
+      [ ("naive", Pathlog.Fixpoint.Naive); ("seminaive", Seminaive) ]
+  in
+  let ident label =
+    String.of_seq
+      (Seq.filter (fun c -> c <> '(' && c <> ')') (String.to_seq label))
+  in
+  List.map
+    (fun n ->
+      fp
+        (Printf.sprintf "e5_addresses_c%d" n)
+        (Printf.sprintf
+           "rule (2.4): a virtual address per employee of company(%d), \
+            seminaive"
+           n)
+        (fun () -> Paper.address_program n))
+    [ 50; 200 ]
+  @ List.concat_map
+      (fun (label, shape) ->
+        both ("e7_" ^ ident label)
+          ("program (6.4): desc closure of " ^ label)
+          (fun () -> Paper.desc_program shape))
+      Paper.tc_shapes
+  @ List.concat_map
+      (fun parts ->
+        both
+          (Printf.sprintf "e12_parts%d" parts)
+          (Printf.sprintf "bill-of-materials contains closure, %d parts" parts)
+          (fun () -> Paper.parts_program (Paper.parts_config parts)))
+      [ 60; 120 ]
+
+let paper_demand ~reps =
+  demand_suite "e11_demand_chain100"
+    (Paper.desc_program (Pathlog.Genealogy.Chain 100))
+    Paper.desc_point_query ~reps
+    ~detail:
+      "point query p95[desc ->> {X}] on chain(100), fresh program each run; \
+       counters are the demanded run's"
+
+(* The store primitives under the engine, company(400) resident. One op
+   is 1,000 calls, which keeps the timed window well above the clock's
+   resolution. *)
+let substrate ~target =
+  let company = lazy (Program.store (Paper.company 400)) in
+  let op name what call =
+    timed name ~target
+      ~detail:(what ^ ", company(400); ops = loops of 1,000 calls")
+      (fun () ->
+        let st = Lazy.force company in
+        let call = call st (Store.name st) in
+        fun () ->
+          for _ = 1 to 1000 do
+            ignore (Sys.opaque_identity (call ()))
+          done)
+  in
+  [
+    op "store_scalar_lookup_1k" "scalar_lookup e1.color" (fun st id ->
+        let color = id "color" and e1 = id "e1" in
+        fun () -> Store.scalar_lookup st ~meth:color ~recv:e1 ~args:[]);
+    op "store_set_lookup_1k" "set_lookup e1..vehicles" (fun st id ->
+        let vehicles = id "vehicles" and e1 = id "e1" in
+        fun () -> Store.set_lookup st ~meth:vehicles ~recv:e1 ~args:[]);
+    op "store_scalar_inverse_1k" "scalar_inverse color -> red" (fun st id ->
+        let color = id "color" and red = id "red" in
+        fun () -> Store.scalar_inverse st ~meth:color ~res:red);
+    op "store_members_1k" "members employee (the cached closure)"
+      (fun st id ->
+        let employee = id "employee" in
+        fun () -> Store.members st employee);
+    op "store_is_member_1k" "is_member e1 employee" (fun st id ->
+        let e1 = id "e1" and employee = id "employee" in
+        fun () -> Store.is_member st e1 employee);
+    timed "store_fresh_1k_inserts" ~target
+      ~detail:"a fresh store and 1,000 scalar inserts; ops = fresh stores"
+      (fun () () ->
+        let st = Store.create () in
+        let m = Store.name st "m" in
+        for i = 0 to 999 do
+          let o = Store.int st i in
+          ignore (Store.add_scalar st ~meth:m ~recv:o ~args:[] ~res:o)
+        done);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON (writer + reader for our own reports)                  *)
@@ -1258,31 +1316,51 @@ let suite_json ~baseline (s : suite) =
       | _ -> [])
     @ [ ("detail", Str s.detail) ])
 
-(* Returns the regressed suites as (name, now, baseline) so the caller
-   can say exactly which suite regressed and by how much. *)
-let check ~committed suites =
-  let failures = ref [] in
-  List.iter
-    (fun (s : suite) ->
-      match (s.rule_evaluations, List.assoc_opt s.name committed) with
-      | Some now, Some (_, Some baseline) ->
-        let baseline = int_of_float baseline in
-        let limit =
-          baseline + (baseline / 5)
-          (* >20% regression fails *)
-        in
-        if now > limit then begin
-          failures := (s.name, now, baseline) :: !failures;
-          Printf.printf
-            "CHECK FAIL %-24s rule_evaluations %d > %d (baseline %d +20%%)\n"
-            s.name now limit baseline
-        end
-        else
-          Printf.printf "check ok   %-24s rule_evaluations %d (baseline %d)\n"
-            s.name now baseline
-      | _ -> ())
-    suites;
-  List.rev !failures
+(* One line per failure: a suite whose rule_evaluations grew more than
+   20% over the committed report, or — on a full run ([partial] false) —
+   a committed suite with rule_evaluations that this run did not produce,
+   so a renamed or dropped suite cannot leave the gate unnoticed. *)
+let check ~committed ~partial suites =
+  let regressed =
+    List.filter_map
+      (fun (s : suite) ->
+        match (s.rule_evaluations, List.assoc_opt s.name committed) with
+        | Some now, Some (_, Some baseline) ->
+          let baseline = int_of_float baseline in
+          let limit = baseline + (baseline / 5) in
+          if now > limit then begin
+            Printf.printf
+              "CHECK FAIL %-29s rule_evaluations %d > %d (baseline %d +20%%)\n"
+              s.name now limit baseline;
+            Some
+              (Printf.sprintf "%s: rule_evaluations %d vs baseline %d (+%.0f%%)"
+                 s.name now baseline
+                 (100. *. ((float_of_int now /. float_of_int baseline) -. 1.)))
+          end
+          else begin
+            Printf.printf
+              "check ok   %-29s rule_evaluations %d (baseline %d)\n" s.name
+              now baseline;
+            None
+          end
+        | _ -> None)
+      suites
+  in
+  let missing =
+    if partial then []
+    else
+      List.filter_map
+        (fun (name, (_, evals)) ->
+          let ran = List.exists (fun (s : suite) -> s.name = name) suites in
+          if evals = None || ran then None
+          else begin
+            Printf.printf "CHECK FAIL %-29s in the baseline, not in this run\n"
+              name;
+            Some (name ^ ": in the baseline but not produced by this run")
+          end)
+        committed
+  in
+  regressed @ missing
 
 let main args =
   let quick = List.mem "--quick" args in
@@ -1345,6 +1423,10 @@ let main args =
       ("wal_recovery", fun () -> recovery_time ~reps);
       ("estimator_accuracy", fun () -> estimator_accuracy ());
     ]
+    @ paper_queries ~target
+    @ paper_fixpoints ~jobs ~reps
+    @ [ ("e11_demand_chain100", fun () -> paper_demand ~reps) ]
+    @ substrate ~target
   in
   let selected =
     match only with
@@ -1364,7 +1446,7 @@ let main args =
     List.map
       (fun ((_ : string), (mk : unit -> suite)) ->
         let s = mk () in
-        Printf.printf "%-26s %8.4f s%s%s\n%!" s.name s.wall_s
+        Printf.printf "%-30s %8.4f s%s%s\n%!" s.name s.wall_s
           (match s.ops_per_s with
           | Some o -> Printf.sprintf "  %10.0f ops/s" o
           | None -> "")
@@ -1383,7 +1465,7 @@ let main args =
         ( "meta",
           Obj
             [
-              ("pr", Num 18.);
+              ("pr", Num 19.);
               ("mode", Str (if quick then "quick" else "full"));
               ("jobs", Num (float_of_int jobs));
               ( "cores",
@@ -1403,16 +1485,10 @@ let main args =
   | None -> ()
   | Some f -> (
     let committed = load_report f in
-    match check ~committed suites with
+    match check ~committed ~partial:(only <> None) suites with
     | [] -> print_endline "perf check: ok"
-    | regressed ->
-      Printf.printf "perf check: FAILED — %d suite(s) regressed vs %s:\n"
-        (List.length regressed) f;
-      List.iter
-        (fun (name, now, baseline) ->
-          Printf.printf
-            "  %s: rule_evaluations %d vs baseline %d (+%.0f%%)\n" name now
-            baseline
-            (100. *. ((float_of_int now /. float_of_int baseline) -. 1.)))
-        regressed;
+    | failures ->
+      Printf.printf "perf check: FAILED — %d suite(s) vs %s:\n"
+        (List.length failures) f;
+      List.iter (Printf.printf "  %s\n") failures;
       exit 1)

@@ -785,8 +785,9 @@ let emit_programs args =
    reach closure fed ASSERT batches of disjoint chain edges through the
    Durable commit hook, with a snapshot cut halfway so recovery stitches
    snapshot + WAL suffix — then time exactly what `serve --data` does at
-   startup: open the data dir (CRC scan of the log), rebuild the
-   snapshot source, replay the suffix through Live. Recovery is
+   startup: open the data dir (CRC scan of the log), gate and rebuild
+   the snapshot source, gate each record of the suffix and replay it
+   through Live. Recovery is
    read-only on a clean directory, so the timed run repeats under
    best-of. ops = WAL records replayed. *)
 let recovery_time ~reps =
@@ -848,9 +849,21 @@ let recovery_time ~reps =
           | Some (_, _, src) -> src
           | None -> failwith "recovery_time: snapshot not recovered"
         in
+        let gate what text =
+          match Pathlog.Check.gate text with
+          | Ok _ -> ()
+          | Error msg ->
+            failwith
+              (Printf.sprintf "recovery_time: %s refused by the gate:\n%s"
+                 what msg)
+        in
+        gate "snapshot" src;
         let live = Pathlog.Live.attach (Pathlog.load src) in
         List.iter
           (fun (rec_ : Pathlog.Durable.record) ->
+            gate
+              (Printf.sprintf "WAL record %d" rec_.Pathlog.Durable.seq)
+              rec_.Pathlog.Durable.text;
             let apply =
               if rec_.Pathlog.Durable.retract then Pathlog.Live.retract_batch
               else Pathlog.Live.assert_batch
@@ -873,8 +886,42 @@ let recovery_time ~reps =
         w
         ~ops_per_s:(float_of_int replayed /. w)
         ~detail:
-          "open data dir + rebuild mid-history snapshot + replay 60-record \
-           WAL suffix through the live closure; ops = records replayed")
+          "open data dir + gate and rebuild mid-history snapshot + gate and \
+           replay 60-record WAL suffix through the live closure; ops = \
+           records replayed")
+
+(* ------------------------------------------------------------------ *)
+(* The static-analysis load gate that `serve` runs before it listens
+   (and again on a recovered snapshot): [Check.gate] on the
+   goal_directed program shape — six-edge [boss] chains under a
+   recursive [up] closure — at two sizes four times apart, 600 chains
+   (the size the wire benchmark serves) and 2,400. A pass comparing all
+   pairs of statements shows as a ~16x wall ratio between the two; ops =
+   statements checked. *)
+let gate_chains ~reps chains =
+  let b = Buffer.create (chains * 6 * 24) in
+  for c = 0 to chains - 1 do
+    for i = 0 to 5 do
+      Printf.bprintf b "c%dn%d[boss -> c%dn%d].\n" c i c (i + 1)
+    done
+  done;
+  Buffer.add_string b
+    "X[up ->> {Y}] <- X[boss -> Y].\n\
+     X[up ->> {Y}] <- X[boss -> Z], Z[up ->> {Y}].\n";
+  let text = Buffer.contents b in
+  let stmts = (chains * 6) + 2 in
+  let name = Printf.sprintf "gate_chains_%d" (chains * 6) in
+  match best_of reps (fun () -> Pathlog.Check.gate text) with
+  | Ok (t : Pathlog.Check.t), w when t.n_rules = stmts ->
+    suite name w
+      ~ops_per_s:(float_of_int stmts /. w)
+      ~detail:
+        (Printf.sprintf
+           "Check.gate on %d boss chains x 6 + the up closure (%d \
+            statements); ops = statements"
+           chains stmts)
+  | Ok _, _ -> failwith (name ^ ": gate saw the wrong statement count")
+  | Error msg, _ -> failwith (name ^ ": program refused by the gate:\n" ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Estimator accuracy: the cardinality abstract interpreter's predicted
@@ -1421,6 +1468,8 @@ let main args =
       ("regex_unbound_tc_10k", fun () -> regex_unbound_tc ~reps);
       ("regex_alt_bound_10k", fun () -> regex_alt ~reps);
       ("wal_recovery", fun () -> recovery_time ~reps);
+      ("gate_chains_3600", fun () -> gate_chains ~reps 600);
+      ("gate_chains_14400", fun () -> gate_chains ~reps 2400);
       ("estimator_accuracy", fun () -> estimator_accuracy ());
     ]
     @ paper_queries ~target
@@ -1465,7 +1514,7 @@ let main args =
         ( "meta",
           Obj
             [
-              ("pr", Num 19.);
+              ("pr", Num 20.);
               ("mode", Str (if quick then "quick" else "full"));
               ("jobs", Num (float_of_int jobs));
               ( "cores",

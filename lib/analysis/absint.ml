@@ -210,39 +210,66 @@ let head_occs store head : Ir.rel list =
   List.rev (fold_reference add [] head)
 
 (* ------------------------------------------------------------------ *)
-(* Rule-level dependency: does inserting into [d] (already expanded
-   through the class hierarchy) possibly grow a relation [reader]
-   reads? Mirrors {!Stratify}'s expand_define/expand_read, restricted to
-   what the worklist needs. *)
+(* Rule-level dependency: inserting into [d] (already expanded through
+   the class hierarchy) can grow a relation rule [j] reads when
+   - [d] is a scalar or set relation that [j] reads, or [j] reads any
+     method ([reads_any]);
+   - [d] is [R_any] and [j] reads any method, or any scalar or set
+     relation;
+   - [d] is [R_isa_c c] and [j] reads it or bare [R_isa];
+   - [d] is [R_isa] and [j] reads it or any [R_isa_c].
+   Mirrors {!Stratify}'s expand_define/expand_read, restricted to what
+   the worklist needs. Readers are indexed once by those keys, so
+   [succ.(i)] — the rules an insertion by rule [i] can grow, descending —
+   costs the readers it lists rather than a test against every rule. *)
 
-let affects (d : Ir.rel) (reader : Rule.t) =
-  let reads r = List.exists (Ir.equal_rel r) reader.reads in
-  match d with
-  | R_scalar _ | R_set _ -> reader.reads_any || reads d
-  | R_any ->
-    reader.reads_any
-    || List.exists
-         (function Ir.R_scalar _ | Ir.R_set _ -> true | _ -> false)
-         reader.reads
-  | R_isa_c _ -> reads d || reads Ir.R_isa
-  | R_isa ->
-    reads Ir.R_isa
-    || List.exists (function Ir.R_isa_c _ -> true | _ -> false) reader.reads
+let successors (rules : Rule.t array) (expanded_defs : Ir.rel list array) =
+  let by_rel = Hashtbl.create 64 in
+  let any = ref [] and meth = ref [] and isa_c = ref [] in
+  Array.iteri
+    (fun j (r : Rule.t) ->
+      let reads_of p = List.exists p r.reads in
+      if r.reads_any then any := j :: !any;
+      if reads_of (function Ir.R_scalar _ | Ir.R_set _ -> true | _ -> false)
+      then meth := j :: !meth;
+      if reads_of (function Ir.R_isa_c _ -> true | _ -> false) then
+        isa_c := j :: !isa_c;
+      List.iter
+        (fun rel ->
+          Hashtbl.replace by_rel rel
+            (j :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
+        (List.sort_uniq Ir.compare_rel r.reads))
+    rules;
+  let readers rel = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
+  let reached (d : Ir.rel) =
+    match d with
+    | R_scalar _ | R_set _ -> !any @ readers d
+    | R_any -> !any @ !meth
+    | R_isa_c _ -> readers d @ readers Ir.R_isa
+    | R_isa -> readers Ir.R_isa @ !isa_c
+  in
+  (* rules with equal defines (typically the facts of one relation)
+     share one list *)
+  let memo = Hashtbl.create 64 in
+  Array.map
+    (fun defs ->
+      match Hashtbl.find_opt memo defs with
+      | Some s -> s
+      | None ->
+        let s =
+          List.sort_uniq (fun a b -> Int.compare b a)
+            (List.concat_map reached defs)
+        in
+        Hashtbl.add memo defs s;
+        s)
+    expanded_defs
 
 (* Tarjan over the rule-level graph; a rule is recursive when its SCC has
    more than one member or it reaches itself. *)
 let recursion_flags (rules : Rule.t array) (expanded_defs : Ir.rel list array)
     =
   let n = Array.length rules in
-  let succ =
-    Array.init n (fun i ->
-        let out = ref [] in
-        for j = 0 to n - 1 do
-          if List.exists (fun d -> affects d rules.(j)) expanded_defs.(i) then
-            out := j :: !out
-        done;
-        !out)
-  in
+  let succ = successors rules expanded_defs in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -476,26 +503,70 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
       rules
   in
   let uncovered = Array.map (fun (r : Rule.t) -> slot_cover r.body) rules in
-  let contrib : (int * Ir.rel, card) Hashtbl.t = Hashtbl.create 64 in
-  let sum_matching pred =
-    Hashtbl.fold
-      (fun (_, t) c acc -> if pred t then card_sum acc c else acc)
-      contrib (Exact 0)
+  (* Contributions indexed by target, each target's sum cached until
+     one of its contributions changes, and the two sums over many
+     targets ([R_isa] reads every class, [R_any] every relation) cached
+     likewise. [card_sum] is associative and commutative with identity
+     [Exact 0], so summing per target and then across targets gives the
+     sum over every matching (rule, target) contribution. *)
+  let contrib : (Ir.rel, (int, card) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let target_sums : (Ir.rel, card) Hashtbl.t = Hashtbl.create 64 in
+  let isa_sum = ref None and all_sum = ref None in
+  let get_contrib i target =
+    match Hashtbl.find_opt contrib target with
+    | Some by_rule -> Hashtbl.find_opt by_rule i
+    | None -> None
+  in
+  let set_contrib i target c =
+    (match Hashtbl.find_opt contrib target with
+    | Some by_rule -> Hashtbl.replace by_rule i c
+    | None ->
+      let by_rule = Hashtbl.create 8 in
+      Hashtbl.add by_rule i c;
+      Hashtbl.add contrib target by_rule);
+    Hashtbl.remove target_sums target;
+    all_sum := None;
+    match (target : Ir.rel) with
+    | R_isa | R_isa_c _ -> isa_sum := None
+    | R_scalar _ | R_set _ | R_any -> ()
+  in
+  let target_sum t =
+    match Hashtbl.find_opt target_sums t with
+    | Some c -> c
+    | None ->
+      let c =
+        match Hashtbl.find_opt contrib t with
+        | Some by_rule ->
+          Hashtbl.fold (fun _ c acc -> card_sum acc c) by_rule (Exact 0)
+        | None -> Exact 0
+      in
+      Hashtbl.replace target_sums t c;
+      c
+  in
+  let sum_targets cache pred =
+    match !cache with
+    | Some c -> c
+    | None ->
+      let c =
+        Hashtbl.fold
+          (fun t _ acc -> if pred t then card_sum acc (target_sum t) else acc)
+          contrib (Exact 0)
+      in
+      cache := Some c;
+      c
   in
   let read_card rel =
     let base =
       match (rel : Ir.rel) with
-      | R_scalar _ | R_set _ ->
-        sum_matching (fun t ->
-            Ir.equal_rel t rel || Ir.equal_rel t Ir.R_any)
-      | R_isa_c _ ->
-        sum_matching (fun t ->
-            Ir.equal_rel t rel || Ir.equal_rel t Ir.R_isa)
+      | R_scalar _ | R_set _ -> card_sum (target_sum rel) (target_sum Ir.R_any)
+      | R_isa_c _ -> card_sum (target_sum rel) (target_sum Ir.R_isa)
       | R_isa ->
-        sum_matching (function
+        sum_targets isa_sum (function
           | Ir.R_isa | Ir.R_isa_c _ -> true
           | Ir.R_scalar _ | Ir.R_set _ | Ir.R_any -> false)
-      | R_any -> sum_matching (fun _ -> true)
+      | R_any -> sum_targets all_sum (fun _ -> true)
     in
     apply_cap (cap rel) base
   in
@@ -523,13 +594,10 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
           else
             apply_cap (cap target) (card_mul firings (Exact mult))
         in
-        let old =
-          Option.value ~default:(Exact 0)
-            (Hashtbl.find_opt contrib (i, target))
-        in
+        let old = Option.value ~default:(Exact 0) (get_contrib i target) in
         let nw = card_join old c in
         if nw <> old then begin
-          Hashtbl.replace contrib (i, target) nw;
+          set_contrib i target nw;
           changed := true
         end)
       occs.(i);
@@ -552,26 +620,17 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
         List.iter
           (fun (target, _) ->
             let c = if cyclic.(i) <> None then Inf else cap target in
-            Hashtbl.replace contrib (i, target) c)
+            set_contrib i target c)
           occs.(i))
       rules;
   (* final per-relation cards, over everything the program defines or
      reads *)
-  let interesting =
-    let add acc rel = if List.exists (Ir.equal_rel rel) acc then acc else rel :: acc in
-    let acc =
-      Array.fold_left
-        (fun acc defs -> List.fold_left add acc defs)
-        [] expanded_defs
-    in
-    Array.fold_left
-      (fun acc (r : Rule.t) -> List.fold_left add acc r.reads)
-      acc rules
-  in
   let cards =
-    List.fold_left
-      (fun m rel -> Rel_map.add rel (read_card rel) m)
-      Rel_map.empty interesting
+    let add m rel =
+      if Rel_map.mem rel m then m else Rel_map.add rel (read_card rel) m
+    in
+    let m = Array.fold_left (List.fold_left add) Rel_map.empty expanded_defs in
+    Array.fold_left (fun m (r : Rule.t) -> List.fold_left add m r.reads) m rules
   in
   let rule_cards =
     Array.to_list
@@ -599,10 +658,11 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
     match strat with
     | None -> []
     | Some s ->
-      let idx_of (r : Rule.t) =
-        let rec go i = if rules.(i) == r then i else go (i + 1) in
-        go 0
-      in
+      let index = Hashtbl.create n in
+      for i = n - 1 downto 0 do
+        Hashtbl.replace index rules.(i).Rule.uid i
+      done;
+      let idx_of (r : Rule.t) = Hashtbl.find index r.uid in
       Array.to_list
         (Array.mapi
            (fun si members ->

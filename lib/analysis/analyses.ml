@@ -454,9 +454,9 @@ let regex_dead store rules ~queries =
    Scalar methods interpret partial functions (section 3): two head
    assertions giving the same method application different results make
    the program inconsistent, which today surfaces only at runtime as
-   {!Engine.Err.Functional_conflict}. Statically we compare every pair of
-   scalar head assignments with the same constant method and ground,
-   distinct results:
+   {!Engine.Err.Functional_conflict}. Statically, two scalar head
+   assignments with the same constant method and arity and ground,
+   distinct results conflict when:
 
    - both are ground facts on the same receiver and arguments — the
      conflict is definite, PL040, error;
@@ -512,55 +512,94 @@ let head_assignments (rule : Rule.t) =
   in
   List.rev (fold_reference add [] rule.source.head)
 
-let scalar_conflicts rules =
-  let assignments = List.concat_map head_assignments rules in
-  let conflicts = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter
-        (fun b ->
-          if
-            a.a_meth = b.a_meth
-            && List.length a.a_args = List.length b.a_args
-            && is_ground a.a_res && is_ground b.a_res
-            && a.a_res <> b.a_res
-            (* receivers/arguments provably distinct => no collision *)
-            && not (is_ground a.a_recv && is_ground b.a_recv
-                    && a.a_recv <> b.a_recv)
-            && not
-                 (List.exists2
-                    (fun x y -> is_ground x && is_ground y && x <> y)
-                    a.a_args b.a_args)
-          then conflicts := (a, b) :: !conflicts)
-        rest;
-      pairs rest
+(* Whether two assignments of one method and arity may give one
+   application two results: distinct ground results on receivers and
+   arguments not provably distinct. *)
+let may_collide a b =
+  a.a_res <> b.a_res
+  && not (is_ground a.a_recv && is_ground b.a_recv && a.a_recv <> b.a_recv)
+  && not
+       (List.exists2
+          (fun x y -> is_ground x && is_ground y && x <> y)
+          a.a_args b.a_args)
+
+(* Only assignments with the same method, arity and a ground result can
+   conflict, so they are grouped by (method, arity). A keyed assignment
+   — ground receiver and arguments — can collide with another keyed one
+   only on an equal (receiver, arguments) key, so keyed assignments are
+   compared only within their key's bucket. The open ones (a variable
+   or path receiver or argument) are compared with their whole group.
+   The cost is the assignments, plus the pairs within a key (the pairs
+   found, unless one key repeats one result), plus open × group. *)
+let conflict_pairs assignments =
+  let asg = Array.of_list assignments in
+  let keyed a = is_ground a.a_recv && List.for_all is_ground a.a_args in
+  let groups = Hashtbl.create 16 and buckets = Hashtbl.create 16 in
+  let push tbl k i =
+    Hashtbl.replace tbl k
+      (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
   in
-  pairs assignments;
-  List.rev_map
-    (fun (a, b) ->
-      let definite =
-        a.a_rule.source.body = [] && b.a_rule.source.body = []
-        && is_ground a.a_recv && a.a_recv = b.a_recv
-        && List.for_all2 (fun x y -> x = y) a.a_args b.a_args
+  for i = Array.length asg - 1 downto 0 do
+    let a = asg.(i) in
+    if is_ground a.a_res then begin
+      push groups (a.a_meth, List.length a.a_args) i;
+      if keyed a then push buckets (a.a_meth, a.a_recv, a.a_args) i
+    end
+  done;
+  let pairs = ref [] in
+  let compare_with i js =
+    List.iter
+      (fun j ->
+        if may_collide asg.(i) asg.(j) then
+          pairs := (min i j, max i j) :: !pairs)
+      js
+  in
+  Hashtbl.iter
+    (fun _ is ->
+      let rec go = function
+        | [] -> ()
+        | i :: rest ->
+          compare_with i rest;
+          go rest
       in
-      let other =
-        match a.a_rule.span with
-        | Some sp -> Format.asprintf " (first assigned at %a)" Syntax.Token.pp_span sp
-        | None -> Format.asprintf " (also assigned by %s)" (rule_context a.a_rule)
-      in
-      if definite then
-        Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
-          ~code:"PL040" ~severity:Diagnostic.Error
-          "scalar method %a of %a is assigned both %a and %a%s"
-          Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
-          a.a_recv Syntax.Pretty.pp_reference a.a_res
-          Syntax.Pretty.pp_reference b.a_res other
-      else
-        Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
-          ~code:"PL041" ~severity:Diagnostic.Warning
-          "scalar method %a may be assigned conflicting results %a and \
-           %a%s"
-          Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
-          a.a_res Syntax.Pretty.pp_reference b.a_res other)
-    !conflicts
+      go is)
+    buckets;
+  Hashtbl.iter
+    (fun _ is ->
+      List.iter
+        (fun i ->
+          if not (keyed asg.(i)) then
+            compare_with i (List.filter (fun j -> keyed asg.(j) || i < j) is))
+        is)
+    groups;
+  List.sort compare !pairs |> List.map (fun (i, j) -> (asg.(i), asg.(j)))
+
+let conflict_diagnostic (a, b) =
+  let definite =
+    a.a_rule.source.body = [] && b.a_rule.source.body = []
+    && is_ground a.a_recv && a.a_recv = b.a_recv
+    && List.for_all2 (fun x y -> x = y) a.a_args b.a_args
+  in
+  let other =
+    match a.a_rule.span with
+    | Some sp -> Format.asprintf " (first assigned at %a)" Syntax.Token.pp_span sp
+    | None -> Format.asprintf " (also assigned by %s)" (rule_context a.a_rule)
+  in
+  if definite then
+    Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
+      ~code:"PL040" ~severity:Diagnostic.Error
+      "scalar method %a of %a is assigned both %a and %a%s"
+      Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
+      a.a_recv Syntax.Pretty.pp_reference a.a_res
+      Syntax.Pretty.pp_reference b.a_res other
+  else
+    Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
+      ~code:"PL041" ~severity:Diagnostic.Warning
+      "scalar method %a may be assigned conflicting results %a and \
+       %a%s"
+      Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
+      a.a_res Syntax.Pretty.pp_reference b.a_res other
+
+let scalar_conflicts rules =
+  List.map conflict_diagnostic
+    (conflict_pairs (List.concat_map head_assignments rules))

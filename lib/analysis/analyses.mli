@@ -62,3 +62,24 @@ val scalar_conflicts : Engine.Rule.t list -> Diagnostic.t list
     is certain. PL041 (warning): two head assignments with ground,
     distinct results and receivers not provably distinct may collide at
     runtime. Results that are variables or paths are not compared. *)
+
+(** One scalar head assignment [recv\[meth@(args) -> res\]], with
+    parentheses, class memberships and enclosing filters stripped from
+    the receiver and result. *)
+type assignment = {
+  a_meth : Syntax.Ast.reference;  (** always ground *)
+  a_recv : Syntax.Ast.reference;
+  a_args : Syntax.Ast.reference list;
+  a_res : Syntax.Ast.reference;
+  a_rule : Engine.Rule.t;
+}
+
+val head_assignments : Engine.Rule.t -> assignment list
+(** The rule head's scalar assignments with a ground method, in head
+    order. *)
+
+val conflict_diagnostic : assignment * assignment -> Diagnostic.t
+(** The PL040/PL041 diagnostic for a conflicting pair, anchored on the
+    later assignment. {!scalar_conflicts} renders the program's
+    conflicting pairs [(a_i, a_j)], [i < j] over the program's
+    assignment sequence, in that order. *)

@@ -1,7 +1,9 @@
 (* The unified static-analysis subsystem: one golden program per
-   diagnostic code, the JSON renderer, and two properties — [Check.analyze]
-   is total on random programs, and dead-rule pruning never changes
-   embedded-query answers. *)
+   diagnostic code, the JSON renderer, properties — [Check.analyze] is
+   total on random programs, dead-rule pruning never changes
+   embedded-query answers, the Absint bounds are sound — and the
+   all-pairs oracles of the indexed conflict and recursion passes, with
+   the corpus's pinned [check --json] / [--estimates] output. *)
 
 module Check = Pathlog.Check
 module Diagnostic = Pathlog.Diagnostic
@@ -405,6 +407,227 @@ let estimates_preserve_answers =
       | a1, a2 -> a1 = a2
       | exception _ -> QCheck.assume_fail ())
 
+(* --- oracles for the indexed passes ----------------------------------- *)
+
+module Ast = Pathlog.Ast
+module Ir = Pathlog.Ir
+module Analyses = Pathlog.Analyses
+
+(* The all-pairs pairing [Analyses.scalar_conflicts] replaced: every pair
+   of head assignments, in discovery order. *)
+let all_pairs_conflicts (assignments : Analyses.assignment list) =
+  let rec strip = function Ast.Paren r -> strip r | r -> r in
+  let is_ground r =
+    match strip r with
+    | Ast.Name _ | Int_lit _ | Str_lit _ -> true
+    | Var _ | Paren _ | Path _ | Regex _ | Filter _ | Isa _ -> false
+  in
+  let conflicts = ref [] in
+  let rec pairs = function
+    | [] -> ()
+    | (a : Analyses.assignment) :: rest ->
+      List.iter
+        (fun (b : Analyses.assignment) ->
+          if
+            a.a_meth = b.a_meth
+            && List.length a.a_args = List.length b.a_args
+            && is_ground a.a_res && is_ground b.a_res
+            && a.a_res <> b.a_res
+            && not
+                 (is_ground a.a_recv && is_ground b.a_recv
+                 && a.a_recv <> b.a_recv)
+            && not
+                 (List.exists2
+                    (fun x y -> is_ground x && is_ground y && x <> y)
+                    a.a_args b.a_args)
+          then conflicts := (a, b) :: !conflicts)
+        rest;
+      pairs rest
+  in
+  pairs assignments;
+  List.rev !conflicts
+
+(* The all-pairs rule dependency the indexed successor lists replaced:
+   can inserting into [d] grow a relation [reader] reads? *)
+let affects (d : Ir.rel) (reader : Pathlog.Rule.t) =
+  let reads r = List.exists (Ir.equal_rel r) reader.reads in
+  match d with
+  | R_scalar _ | R_set _ -> reader.reads_any || reads d
+  | R_any ->
+    reader.reads_any
+    || List.exists
+         (function Ir.R_scalar _ | Ir.R_set _ -> true | _ -> false)
+         reader.reads
+  | R_isa_c _ -> reads d || reads Ir.R_isa
+  | R_isa ->
+    reads Ir.R_isa
+    || List.exists (function Ir.R_isa_c _ -> true | _ -> false) reader.reads
+
+(* A rule is recursive when an insertion it makes can, through a chain
+   of [affects] steps, reach the rule itself. *)
+let recursive_oracle rules =
+  let rules = Array.of_list rules in
+  let n = Array.length rules in
+  let anc = Pathlog.Stratify.static_ancestors (Array.to_list rules) in
+  let defs =
+    Array.map
+      (fun (r : Pathlog.Rule.t) ->
+        List.concat_map
+          (fun (d : Ir.rel) ->
+            match d with
+            | R_isa_c c ->
+              d
+              :: List.map
+                   (fun a -> Ir.R_isa_c a)
+                   (Pathlog.Obj_id.Set.elements (anc c))
+            | R_isa | R_scalar _ | R_set _ | R_any -> [ d ])
+          r.defines)
+      rules
+  in
+  let succ i =
+    List.filter
+      (fun j -> List.exists (fun d -> affects d rules.(j)) defs.(i))
+      (List.init n Fun.id)
+  in
+  Array.to_list
+    (Array.init n (fun i ->
+         let seen = Array.make n false in
+         let rec go = function
+           | [] -> ()
+           | j :: rest ->
+             if seen.(j) then go rest
+             else begin
+               seen.(j) <- true;
+               go (succ j @ rest)
+             end
+         in
+         go (succ i);
+         seen.(i)))
+
+(* PL040/PL041 in order and every [rc_recursive] flag agree with the
+   all-pairs oracles. *)
+let indexed_passes_agree text =
+  match Check.program_of text with
+  | None -> QCheck.assume_fail ()
+  | Some (store, rules, _) ->
+    let oracle =
+      List.map Analyses.conflict_diagnostic
+        (all_pairs_conflicts (List.concat_map Analyses.head_assignments rules))
+    in
+    let flags =
+      List.map
+        (fun (rc : Pathlog.Absint.rule_card) -> rc.rc_recursive)
+        (Pathlog.Absint.rule_cards (Pathlog.Absint.analyze store rules))
+    in
+    Analyses.scalar_conflicts rules = oracle && flags = recursive_oracle rules
+
+(* Many scalar assignments to two methods: ground, variable and path
+   receivers; ground and variable arguments at arities 0-2; name, int and
+   string results (and some variable ones, never compared); rules that
+   read through variable methods and classes and a class hierarchy, so
+   every kind of dependency edge occurs. *)
+let conflict_program seed =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let grounds = [| "o1"; "o2"; "3"; "\"s\"" |] in
+  let results = [| "r1"; "r2"; "7"; "\"x\"" |] in
+  let meths = [| "m"; "n" |] in
+  let args ~ground =
+    match Random.State.int rng 3 with
+    | 0 -> ""
+    | k ->
+      "@("
+      ^ String.concat ", "
+          (List.init k (fun _ ->
+               if ground || Random.State.bool rng then pick grounds else "A"))
+      ^ ")"
+  in
+  let stmt _ =
+    match Random.State.int rng 11 with
+    | 0 | 1 | 2 ->
+      Printf.sprintf "%s[%s%s -> %s]." (pick grounds) (pick meths)
+        (args ~ground:true) (pick results)
+    | 3 ->
+      Printf.sprintf "%s : c[%s%s -> %s][%s -> %s]." (pick grounds)
+        (pick meths) (args ~ground:true) (pick results) (pick meths)
+        (pick results)
+    | 4 ->
+      Printf.sprintf "X[%s%s -> %s] <- X : c, A : c." (pick meths)
+        (args ~ground:false) (pick results)
+    | 5 ->
+      Printf.sprintf "%s[%s%s -> %s] <- A : d." (pick grounds) (pick meths)
+        (args ~ground:false) (pick results)
+    | 6 -> Printf.sprintf "X.f[%s -> %s] <- X : c." (pick meths) (pick results)
+    | 7 -> Printf.sprintf "X[%s -> Y] <- X[k -> Y], X : C." (pick meths)
+    | 8 -> "X : d <- X[M -> Z]."
+    | 9 -> Printf.sprintf "X[M -> %s] <- X : d, M : c." (pick results)
+    | _ -> "d :: c."
+  in
+  String.concat "\n" (List.init (20 + Random.State.int rng 40) stmt)
+
+let indexed_passes_randprog =
+  QCheck.Test.make ~name:"indexed conflicts/recursion = all-pairs (randprog)"
+    ~count:100
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      indexed_passes_agree
+        (Pathlog.Randprog.generate
+           { Pathlog.Randprog.seed; facts = 30; rules = 8 }))
+
+let indexed_passes_conflict_heavy =
+  QCheck.Test.make
+    ~name:"indexed conflicts/recursion = all-pairs (conflict-heavy)"
+    ~count:200
+    QCheck.(int_range 1 10_000)
+    (fun seed -> indexed_passes_agree (conflict_program seed))
+
+(* [check --json] and [check --estimates]'s report over the shipped
+   corpus, pinned: the indexed passes must reproduce them byte for byte.
+   Each section of the golden file is "== FILE", the JSON line, then the
+   estimates report. Regenerate it from the root of the checkout with
+
+     for f in examples/programs/*.plg examples/broken/*.plg \
+              docs/snippets/*.plg; do
+       echo "== $f"; pathlog check --json $f
+       pathlog check --estimates $f \
+         | sed -n '/^relation cardinality bounds:/,$p' | sed '/^ok:/,$d'
+     done > test/check_corpus.golden *)
+let test_check_golden () =
+  let path f =
+    match List.find_opt Sys.file_exists [ "../" ^ f; f ] with
+    | Some p -> p
+    | None -> Alcotest.failf "%s not found" f
+  in
+  let golden =
+    In_channel.with_open_bin (path "test/check_corpus.golden")
+      In_channel.input_all
+  in
+  let rec split acc cur = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | l :: rest when String.starts_with ~prefix:"== " l ->
+      split (if cur = [] then acc else List.rev cur :: acc) [ l ] rest
+    | l :: rest -> split acc (l :: cur) rest
+  in
+  let lines = String.split_on_char '\n' (String.trim golden) in
+  let sections = split [] [] lines in
+  Alcotest.(check int) "corpus files" 16 (List.length sections);
+  List.iter
+    (function
+      | header :: expected ->
+        let file = String.sub header 3 (String.length header - 3) in
+        let text = In_channel.with_open_bin (path file) In_channel.input_all in
+        let estimates =
+          match Check.program_of text with
+          | Some (store, rules, _) ->
+            Pathlog.Absint.describe store (Pathlog.Absint.analyze store rules)
+          | None -> []
+        in
+        Alcotest.(check (list string))
+          file expected
+          (Check.to_json (Check.analyze text) :: estimates)
+      | [] -> Alcotest.fail "empty golden section")
+    sections
+
 let suite =
   [
     Alcotest.test_case "PL001 parse error" `Quick test_parse_error;
@@ -442,4 +665,7 @@ let suite =
     QCheck_alcotest.to_alcotest (absint_sound 1);
     QCheck_alcotest.to_alcotest (absint_sound 4);
     QCheck_alcotest.to_alcotest estimates_preserve_answers;
+    Alcotest.test_case "check golden corpus" `Quick test_check_golden;
+    QCheck_alcotest.to_alcotest indexed_passes_randprog;
+    QCheck_alcotest.to_alcotest indexed_passes_conflict_heavy;
   ]

@@ -928,8 +928,7 @@ let gate_chains ~reps chains =
    fixpoint size (summed relation bounds evaluated at the final universe
    size) vs the measured insertion count, over the deterministic
    fixpoint workloads. A factor >= 1 is the soundness invariant (also
-   property-tested); closer to 1 is a tighter planner/admission
-   estimate. Wall time covers analysis + evaluation of all workloads. *)
+   property-tested); closer to 1 is a tighter admission estimate. Wall time covers analysis + evaluation of all workloads. *)
 let estimator_accuracy () =
   let workloads =
     [

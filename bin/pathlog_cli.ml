@@ -105,7 +105,7 @@ let run_demand p ~budget ~stats queries =
 let print_model st = List.iter (Format.printf "%s@.") (Pathlog.Fact.model st)
 
 let run_cmd file queries dump stats naive hilog max_rounds max_objects types
-    prune_dead jobs deadline demand =
+    jobs deadline demand =
   let config = config_of ~naive ~hilog ~max_rounds ~max_objects ~jobs in
   let budget =
     Option.map
@@ -123,14 +123,7 @@ let run_cmd file queries dump stats naive hilog max_rounds max_objects types
         if dump then print_model st)
   else
   with_errors (Some st) (fun () ->
-      let s =
-        if prune_dead then begin
-          let s, skipped = Pathlog.Program.run_live p in
-          Printf.printf "%% pruned: %d dead rules skipped\n" skipped;
-          s
-        end
-        else Pathlog.Program.run ?budget p
-      in
+      let s = Pathlog.Program.run ?budget p in
       if stats then
         Format.printf "%% %a@." Pathlog.Fixpoint.pp_stats s;
       (match Pathlog.Program.degraded p with
@@ -214,12 +207,16 @@ let explain_cmd file queries demand estimates =
     with_errors None (fun () -> Pathlog.Program.of_string (read_file file))
   in
   let st = Pathlog.Program.store p in
-  (* --estimates: rank joins from (and annotate plan nodes with) the
-     abstract interpreter's predicted cardinalities *)
-  if estimates then begin
-    let t = Pathlog.Absint.analyze st (Pathlog.Program.rules p) in
-    Pathlog.Program.set_estimates p (Some (Pathlog.Absint.estimator t st))
-  end;
+  (* --estimates: annotate plan nodes with the abstract interpreter's
+     predicted cardinalities; the plan itself is the one [run] executes *)
+  let predicted =
+    if estimates then
+      Some
+        (Pathlog.Absint.predicted
+           (Pathlog.Absint.analyze st (Pathlog.Program.rules p))
+           st)
+    else None
+  in
   with_errors (Some st) (fun () ->
       if demand then
         (* the adorned, magic-transformed program per query — no
@@ -237,7 +234,7 @@ let explain_cmd file queries demand estimates =
             Printf.printf "?- %s\n" q;
             List.iteri
               (fun i line -> Printf.printf "  %d. %s\n" (i + 1) line)
-              (Pathlog.Program.explain_string p q))
+              (Pathlog.Program.explain_string ?predicted p q))
           queries
       end)
 
@@ -571,14 +568,6 @@ let types_arg =
     value & flag
     & info [ "types" ] ~doc:"Check the model against signature declarations.")
 
-let prune_dead_arg =
-  Arg.(
-    value & flag
-    & info [ "prune-dead" ]
-        ~doc:
-          "Skip rules unreachable from the program's queries (sound: \
-           answers are unchanged; see pathlog check code PL032).")
-
 (* A plain usage error on a bad count — not a PL diagnostic; there is no
    program to analyse yet when the flag is parsed. *)
 let jobs_conv =
@@ -619,8 +608,8 @@ let demand_arg =
 let run_t =
   Term.(
     const run_cmd $ file_arg $ queries_arg $ dump_arg $ stats_arg $ naive_arg
-    $ hilog_arg $ max_rounds_arg $ max_objects_arg $ types_arg
-    $ prune_dead_arg $ jobs_arg $ run_deadline_arg $ demand_arg)
+    $ hilog_arg $ max_rounds_arg $ max_objects_arg $ types_arg $ jobs_arg
+    $ run_deadline_arg $ demand_arg)
 
 let json_arg =
   Arg.(

@@ -732,9 +732,9 @@ let cross_product (r : Rule.t) =
 
 let default_threshold = 1_000_000
 
-let check ?strat ?(threshold = default_threshold) store rule_list
+let check ?(threshold = default_threshold) t store
     ~(queries : Syntax.Ast.literal list list) : Diagnostic.t list =
-  let t = analyze ?strat store rule_list in
+  let rule_list = List.map (fun rc -> rc.rc_rule) t.rules in
   let universe = Oodb.Store.universe store in
   let context (r : Rule.t) =
     Format.asprintf "%a" Syntax.Pretty.pp_rule
@@ -820,21 +820,12 @@ let check ?strat ?(threshold = default_threshold) store rule_list
   pl050 @ pl051 @ pl052
 
 (* ------------------------------------------------------------------ *)
-(* Bridges: the planner estimator and admission control. *)
+(* Bridges: explain's annotations and admission control. *)
 
-let epoch_counter = ref 0
-
-let estimator t store : Semantics.Solve.estimator =
-  incr epoch_counter;
-  let est_epoch = !epoch_counter in
-  {
-    Semantics.Solve.est_epoch;
-    est_card =
-      (fun rel ->
-        match Rel_map.find_opt rel t.cards with
-        | None | Some Inf -> None
-        | Some c -> Some (eval_card ~n:(universe_size store) c));
-  }
+let predicted t store rel =
+  match Rel_map.find_opt rel t.cards with
+  | None | Some Inf -> None
+  | Some c -> Some (eval_card ~n:(universe_size store) c)
 
 let query_cost t store rule_list (lits : Syntax.Ast.literal list) :
     [ `Bound of int | `Infinite ] =

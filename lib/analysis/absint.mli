@@ -13,10 +13,12 @@
     bound every relation by n^width (scalar methods are functional in
     receiver and arguments, so their width drops the result dimension);
     recursive rules are widened straight to those caps, which also
-    bounds the worklist ascent. The results drive three consumers: the
-    planner ({!estimator} feeding {!Semantics.Solve.compile_plan}),
-    admission control ({!query_cost} behind [serve --admit-cost]), and
-    the PL05x diagnostics ({!check}). *)
+    bounds the worklist ascent. The results drive three consumers:
+    admission control ({!query_cost} behind [serve --admit-cost]), the
+    PL05x diagnostics ({!check}), and the per-node annotations of
+    [explain --estimates] ({!predicted}). They never order joins: every
+    plan comes from the store heuristic in
+    {!Semantics.Solve.compile_plan}. *)
 
 type card =
   | Exact of int  (** exactly counted ground contribution *)
@@ -73,13 +75,12 @@ val default_threshold : int
 (** PL051 default: 1_000_000 predicted derivations. *)
 
 val check :
-  ?strat:Engine.Stratify.t ->
   ?threshold:int ->
+  t ->
   Oodb.Store.t ->
-  Engine.Rule.t list ->
   queries:Syntax.Ast.literal list list ->
   Diagnostic.t list
-(** The PL05x diagnostics:
+(** The PL05x diagnostics of an {!analyze} result:
 
     - [PL050] (error): a rule on a skolem-creation cycle is live for one
       of the program's queries — provably unbounded object creation
@@ -95,12 +96,10 @@ val check :
     Diagnostics anchor on the rule's source span and pretty-print its
     origin (the user-written rule, for demand-transformed variants). *)
 
-val estimator : t -> Oodb.Store.t -> Semantics.Solve.estimator
-(** Bridge to the planner: predicted relation cardinalities evaluated at
-    the store's universe size at call time. Each call gets a fresh
-    positive epoch (0 is reserved for "no estimates" in the plan-cache
-    key). [Inf] and unknown relations answer [None] (heuristic
-    fallback). *)
+val predicted : t -> Oodb.Store.t -> Semantics.Ir.rel -> int option
+(** Predicted cardinality of a relation, evaluated at the store's
+    universe size at call time; [Inf] and unknown relations answer
+    [None]. What [explain --estimates] annotates plan nodes with. *)
 
 val query_cost :
   t ->

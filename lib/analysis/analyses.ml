@@ -179,8 +179,7 @@ let creation_cycles store rules =
             (List.find_opt (fun rd -> Rel_set.mem rd reach) (flow_reads r)))
     rules
 
-let skolem_cycles store rules =
-  let cycles = creation_cycles store rules in
+let skolem_cycles store rules ~cycles =
   let universe = Oodb.Store.universe store in
   List.concat_map
     (fun (r : Rule.t) ->
@@ -314,8 +313,7 @@ let producibility rules =
     p_fired = fired;
   }
 
-let never_fires store rules =
-  let p = producibility rules in
+let never_fires store rules p =
   let fired = p.p_fired in
   let satisfied = req_satisfied p in
   let universe = Oodb.Store.universe store in
@@ -371,8 +369,8 @@ let unreachable_rules store rules ~queries =
                 derives feeds a queried relation"))
       rules
 
-let dead_rules store rules ~queries =
-  never_fires store rules @ unreachable_rules store rules ~queries
+let dead_rules store rules p ~queries =
+  never_fires store rules p @ unreachable_rules store rules ~queries
 
 (* ------------------------------------------------------------------ *)
 (* PL060 — unsatisfiable regular path expressions.
@@ -410,8 +408,7 @@ let automaton_satisfiable p (auto : Ir.automaton) =
     auto.Ir.a_accept;
   !ok
 
-let regex_dead store rules ~queries =
-  let p = producibility rules in
+let regex_dead store rules p ~queries =
   let universe = Oodb.Store.universe store in
   let check_atoms ?span ~context atoms =
     List.filter_map

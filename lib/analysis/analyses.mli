@@ -16,8 +16,12 @@ val creation_cycles :
     on a fresh receiver). *)
 
 val skolem_cycles :
-  Oodb.Store.t -> Engine.Rule.t list -> Diagnostic.t list
-(** PL030: rules that create virtual objects ([X.m] in a head) and whose
+  Oodb.Store.t ->
+  Engine.Rule.t list ->
+  cycles:(Engine.Rule.t * Semantics.Ir.rel) list ->
+  Diagnostic.t list
+(** PL030, given the program's {!creation_cycles} (which {!Absint}
+    already computes as [rc_creation_cycle]): rules that create virtual objects ([X.m] in a head) and whose
     fresh objects can flow back into the rule's own reads — each firing
     can then enable another on a fresh receiver, so the minimal model is
     likely infinite. Skolemisation is functional, so the flow starts only
@@ -31,21 +35,30 @@ val skolem_cycles :
     [X.succ : nat <- X : nat] is. An under-approximation: a warning means
     "very likely diverges", silence is not a termination proof. *)
 
+type producibility
+(** Which relations some chain of rule firings, seeded by facts, can
+    ever populate. *)
+
+val producibility : Engine.Rule.t list -> producibility
+(** The producibility fixpoint over head definitions, shared by
+    {!dead_rules} (PL031) and {!regex_dead} (PL060). *)
+
 val dead_rules :
   Oodb.Store.t ->
   Engine.Rule.t list ->
+  producibility ->
   queries:Syntax.Ast.literal list list ->
   Diagnostic.t list
 (** PL031 (warning): rules whose body requires a relation no rule or fact
-    can produce, by a producibility fixpoint over head definitions.
-    PL032 (hint): with embedded queries, non-fact rules outside the
-    backward-reachability closure of the queried relations
-    ({!Engine.Stratify.live_rules}); {!Engine.Program.run_live} skips
-    exactly these. *)
+    can produce, by the {!producibility} fixpoint. PL032 (hint): with
+    embedded queries, non-fact rules outside the backward-reachability
+    closure of the queried relations ({!Engine.Stratify.live_rules}).
+    Such a rule cannot contribute to any answer; it still runs. *)
 
 val regex_dead :
   Oodb.Store.t ->
   Engine.Rule.t list ->
+  producibility ->
   queries:Syntax.Ast.literal list list ->
   Diagnostic.t list
 (** PL060 (warning): a regular path expression whose automaton accepts no

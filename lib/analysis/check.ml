@@ -120,12 +120,22 @@ let analyze ?card_threshold text =
              ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule w.w_rule)
              ~code:"PL021" ~severity:Diagnostic.Warning "%s" w.w_message))
       (Engine.Typecheck.check_rules store signatures rules);
-    List.iter emit (Analyses.skolem_cycles store rules);
-    List.iter emit (Analyses.dead_rules store rules ~queries);
-    List.iter emit (Analyses.regex_dead store rules ~queries);
+    (* each analysis once: PL030 reads Absint's creation cycles, and
+       PL031/PL060 share one producibility fixpoint *)
+    let absint = Absint.analyze ?strat store rules in
+    let cycles =
+      List.filter_map
+        (fun (rc : Absint.rule_card) ->
+          Option.map (fun back -> (rc.rc_rule, back)) rc.rc_creation_cycle)
+        (Absint.rule_cards absint)
+    in
+    let producible = Analyses.producibility rules in
+    List.iter emit (Analyses.skolem_cycles store rules ~cycles);
+    List.iter emit (Analyses.dead_rules store rules producible ~queries);
+    List.iter emit (Analyses.regex_dead store rules producible ~queries);
     List.iter emit (Analyses.scalar_conflicts rules);
     List.iter emit
-      (Absint.check ?strat ?threshold:card_threshold store rules ~queries);
+      (Absint.check ?threshold:card_threshold absint store ~queries);
     {
       diagnostics = List.stable_sort Diagnostic.compare (List.rev !diags);
       n_rules = List.length rules;

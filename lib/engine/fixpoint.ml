@@ -8,14 +8,8 @@ type config = {
   hilog_virtual : bool;
   max_rounds : int;
   max_objects : int;
-  rule_filter : (Rule.t -> bool) option;
   jobs : int;
   budget : Budget.t option;
-  plan_variant : int;
-  estimates : Semantics.Solve.estimator option;
-      (* absint cardinality predictions driving compile_plan; the
-         estimator's epoch is part of the plan-cache key so plans compiled
-         under different (or no) estimates never alias *)
 }
 
 (* PATHLOG_JOBS flips the default degree of parallelism process-wide —
@@ -33,11 +27,8 @@ let default_config =
     hilog_virtual = false;
     max_rounds = 10_000;
     max_objects = 1_000_000;
-    rule_filter = None;
     jobs = default_jobs;
     budget = None;
-    plan_variant = 0;
-    estimates = None;
   }
 
 type stats = {
@@ -172,7 +163,7 @@ let crule_of itn (rule : Rule.t) =
    sharing plans: the same rule uid evaluates against differently shaped
    stores in each mode. *)
 
-type plan_cache = (int * int * int * int, Semantics.Solve.plan) Hashtbl.t
+type plan_cache = (int * int, Semantics.Solve.plan) Hashtbl.t
 
 let plan_cache () : plan_cache = Hashtbl.create 64
 
@@ -180,26 +171,19 @@ let plan_count (cache : plan_cache) = Hashtbl.length cache
 
 let forget_plans (cache : plan_cache) uids =
   Hashtbl.filter_map_inplace
-    (fun (uid, _, _, _) p -> if List.mem uid uids then None else Some p)
+    (fun (uid, _) p -> if List.mem uid uids then None else Some p)
     cache
 
-(* epoch 0 is reserved for "no estimates": an estimator must carry a
-   non-zero epoch to get distinct cache entries *)
-let estimates_epoch config =
-  match config.estimates with
-  | None -> 0
-  | Some e -> e.Semantics.Solve.est_epoch
-
-let plan_for (cache : plan_cache) config store (rule : Rule.t) seed =
+let plan_for (cache : plan_cache) store (rule : Rule.t) seed =
   let seed_idx =
     match seed with Some s -> s.Semantics.Solve.seed_atom | None -> -1
   in
-  let key = (rule.uid, seed_idx, config.plan_variant, estimates_epoch config) in
+  let key = (rule.uid, seed_idx) in
   match Hashtbl.find_opt cache key with
   | Some p when not (Semantics.Solve.plan_stale store p) -> p
   | Some _ | None ->
     let p =
-      Semantics.Solve.compile_plan ?estimator:config.estimates
+      Semantics.Solve.compile_plan
         ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
         store rule.body
     in
@@ -276,7 +260,7 @@ let fire ?provenance ?tracer ?(on_insert = fun _ -> ()) stats store
 let evaluate ?provenance ?tracer ?on_insert ?interrupt config plans stats
     store (rule : Rule.t) seed changes =
   stats.rule_evaluations <- stats.rule_evaluations + 1;
-  let plan = plan_for plans config store rule seed in
+  let plan = plan_for plans store rule seed in
   Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt ?seed
     ~plan store rule.body
     ~f:(fun binding ->
@@ -323,7 +307,7 @@ let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
     (* Plans come from the shared cache, so compile them before going
        parallel; the cache is not synchronised. *)
     let task_plans =
-      Array.map (fun t -> plan_for plans config store t.t_rule t.t_seed) tasks
+      Array.map (fun t -> plan_for plans store t.t_rule t.t_seed) tasks
     in
     stats.rule_evaluations <- stats.rule_evaluations + Array.length tasks;
     Dpool.run pool (Array.length tasks) (fun i ->
@@ -486,11 +470,6 @@ let run ?(config = default_config) ?provenance ?tracer ?on_insert ?from
   let plans =
     match plans with Some p -> p | None -> (plan_cache () : plan_cache)
   in
-  let keep =
-    match config.rule_filter with
-    | None -> fun rules -> rules
-    | Some f -> List.filter f
-  in
   let pool = if config.jobs > 1 then Some (Dpool.create config.jobs) else None in
   Fun.protect
     ~finally:(fun () -> Option.iter Dpool.shutdown pool)
@@ -503,7 +482,7 @@ let run ?(config = default_config) ?provenance ?tracer ?on_insert ?from
         Array.iter
           (fun rules ->
             run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt
-              config plans pool stats store (keep rules))
+              config plans pool stats store rules)
           strat.strata
       with Budget.Exhausted reason -> stats.degraded <- Some reason);
   stats

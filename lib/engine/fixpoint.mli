@@ -44,9 +44,6 @@ type config = {
           semantics makes programs like the generic [tc] diverge. *)
   max_rounds : int;  (** per stratum *)
   max_objects : int;  (** universe cardinality budget *)
-  rule_filter : (Rule.t -> bool) option;
-      (** when set, only rules satisfying the predicate run; the caller is
-          responsible for soundness (e.g. {!Stratify.live_rules}) *)
   jobs : int;
       (** degree of parallelism: rule-body evaluations per round run on
           this many domains (the calling domain included). [1] is the
@@ -58,21 +55,6 @@ type config = {
           {e not} raise out of {!run}: the run stops, the store keeps the
           sound partial model derived so far, and {!stats.degraded}
           records the reason. Default [None]. *)
-  plan_variant : int;
-      (** evaluation-mode component of the compiled-plan cache key. Runs
-          that evaluate the same rule uids against differently shaped
-          stores — full materialisation ([0]), pruned/live-filtered runs
-          ([1]), demand-transformed runs ([2]) — must use distinct
-          variants so a shared cache (see {!run}'s [plans]) never serves a
-          plan compiled under the other mode's store statistics. *)
-  estimates : Semantics.Solve.estimator option;
-      (** statically predicted relation cardinalities (from the
-          abstract-interpretation pass) replacing the heuristic bucket
-          lengths in {!Semantics.Solve.compile_plan}. The estimator's
-          [est_epoch] joins the plan-cache key, so plans compiled under
-          different estimates (or none — epoch [0] is reserved for that)
-          never alias; recompiles on store growth stay sound. Estimates
-          affect join order only, never answers. Default [None]. *)
 }
 
 (** [jobs] defaults to [1], or to [$PATHLOG_JOBS] when that environment
@@ -100,14 +82,11 @@ val pp_stats : Format.formatter -> stats -> unit
     evaluation ({!Program.query}), which runs outside the fixpoint. *)
 val interrupt_of : Budget.t option -> (unit -> unit) option
 
-(** Compiled-plan cache, keyed by (rule uid, seed adornment,
-    {!config.plan_variant}, estimates epoch). {!run} creates a private
-    one when none is
-    passed; callers that evaluate the same program repeatedly
-    ({!Program.t} does) pass one shared cache so plans survive across
-    runs. Plans are recompiled in place when the store outgrows them, so
-    sharing is always sound — the variant key only exists to keep the
-    {e cost rankings} of different evaluation modes apart. *)
+(** Compiled-plan cache, keyed by (rule uid, seed adornment). {!run}
+    creates a private one when none is passed; callers that evaluate the
+    same program repeatedly ({!Program.t} does) pass one shared cache so
+    plans survive across runs. Plans are recompiled in place when the
+    store outgrows them, so sharing is always sound. *)
 type plan_cache
 
 val plan_cache : unit -> plan_cache

@@ -6,13 +6,12 @@ type t = {
   rules : Rule.t list;
   strat : Stratify.t;
   queries : Ast.literal list list;
-  mutable config : Fixpoint.config;
-      (* mutable only for [set_estimates]: estimates change plan ranking,
-         never answers, and the plan cache keys on the estimates epoch *)
+  config : Fixpoint.config;
   provenance : Provenance.t;
   plans : Fixpoint.plan_cache;
-      (* shared across every evaluation of this program; the cache key's
-         variant component keeps full / pruned / demand modes apart *)
+      (* shared across every evaluation of this program, full and demand
+         alike; a plan compiled against a smaller store re-plans through
+         [plan_stale] *)
   mutable facts_loaded : bool;
   mutable degraded : Budget.reason option;
       (* set when a budgeted [run] was cut short: the store holds a sound
@@ -133,7 +132,6 @@ let of_string ?config text =
 let store t = t.store
 let config t = t.config
 
-let set_estimates t estimates = t.config <- { t.config with estimates }
 let universe t = Oodb.Store.universe t.store
 let rules t = t.rules
 let signatures t = t.signatures
@@ -237,48 +235,11 @@ let check_types t ~mode = Oodb.Signature.check t.store t.signatures ~mode
 
 let lint_types t = Typecheck.check_rules t.store t.signatures t.rules
 
-let explain t lits =
+let explain ?predicted t lits =
   let q = Semantics.Flatten.literals t.store lits in
-  Semantics.Solve.explain ?estimator:t.config.estimates t.store q
+  Semantics.Solve.explain ?predicted t.store q
 
-let explain_string t text = explain t (parse_query text)
-
-(* Rules live for the program's own embedded queries; all rules when the
-   program has no queries (everything is then an output). *)
-let live_rules t =
-  match t.queries with
-  | [] -> t.rules
-  | qs ->
-    let goals =
-      List.concat_map
-        (fun lits ->
-          Semantics.Ir.query_rels (Semantics.Flatten.literals t.store lits).atoms)
-        qs
-    in
-    Stratify.live_rules t.rules ~goals
-
-let run_live t =
-  t.facts_loaded <- true;
-  let keep = live_rules t in
-  let skipped = List.length t.rules - List.length keep in
-  let config =
-    if skipped = 0 then t.config
-    else begin
-      let module Int_set = Set.Make (Int) in
-      let live = Int_set.of_list (List.map (fun (r : Rule.t) -> r.uid) keep) in
-      {
-        t.config with
-        Fixpoint.rule_filter =
-          Some (fun (r : Rule.t) -> Int_set.mem r.uid live);
-        plan_variant = 1;
-      }
-    end
-  in
-  let stats =
-    Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans t.store
-      t.strat
-  in
-  (stats, skipped)
+let explain_string ?predicted t text = explain ?predicted t (parse_query text)
 
 (* ------------------------------------------------------------------ *)
 (* Demand-driven evaluation: magic-sets transform, query-seeded fixpoint.
@@ -357,8 +318,8 @@ let query_demand ?budget t lits =
     let config =
       {
         t.config with
-        Fixpoint.plan_variant = 2;
-        budget = (match budget with Some _ -> budget | None -> t.config.budget);
+        Fixpoint.budget =
+          (match budget with Some _ -> budget | None -> t.config.budget);
       }
     in
     let stats =

@@ -50,13 +50,6 @@ val store : t -> Oodb.Store.t
     maintenance re-enters the fixpoint with it). *)
 val config : t -> Fixpoint.config
 
-(** Install (or clear) statically predicted relation cardinalities: every
-    later evaluation and {!explain} ranks join orders from them instead
-    of the store heuristic. Sound to flip at any time — estimates change
-    plan ranking, never answers, and compiled plans are cached under the
-    estimator's epoch. *)
-val set_estimates : t -> Semantics.Solve.estimator option -> unit
-
 val universe : t -> Oodb.Universe.t
 
 val rules : t -> Rule.t list
@@ -80,16 +73,6 @@ val run : ?budget:Budget.t -> t -> Fixpoint.stats
     model is partial (answers are a sound subset); cleared when a later
     run reaches the fixpoint. *)
 val degraded : t -> Budget.reason option
-
-(** Rules transitively relevant to the program's embedded queries (all
-    rules when it has none); see {!Stratify.live_rules}. *)
-val live_rules : t -> Rule.t list
-
-(** Evaluate with dead rules skipped: only {!live_rules} run (via
-    {!Fixpoint.config.rule_filter}). Embedded-query answers always agree
-    with {!run} (property-tested); relations only dead rules feed are not
-    materialised. Returns the stats and the number of rules skipped. *)
-val run_live : t -> Fixpoint.stats * int
 
 (** Answer a query (the program should normally have been {!run} first).
     A query with no variables yields one empty row if entailed, no rows
@@ -124,10 +107,17 @@ val check_types :
 val lint_types : t -> Typecheck.warning list
 
 (** The execution plan the solver would follow for a query; one line per
-    flattened atom (see {!Semantics.Solve.explain}). *)
-val explain : t -> Syntax.Ast.literal list -> string list
+    flattened atom (see {!Semantics.Solve.explain}). [predicted] only
+    annotates each node with a predicted cardinality; the plan is the
+    one {!run} and {!query} execute either way. *)
+val explain :
+  ?predicted:(Semantics.Ir.rel -> int option) ->
+  t ->
+  Syntax.Ast.literal list ->
+  string list
 
-val explain_string : t -> string -> string list
+val explain_string :
+  ?predicted:(Semantics.Ir.rel -> int option) -> t -> string -> string list
 
 (** Derivation provenance recorded during {!run}. *)
 val provenance : t -> Provenance.t

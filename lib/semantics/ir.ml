@@ -160,7 +160,7 @@ let atom_rel = function
   | A_subset { s_meth = V _; _ } -> Some R_any
   | A_neg _ -> None
   (* reads one relation per transition label; single-relation consumers
-     (the runtime estimator) see none, multi-relation ones use
+     ([Solve.explain]'s annotations) see none, multi-relation ones use
      [automaton_rels] via [query_rels] and [Rule.compile] *)
   | A_regex _ -> None
 

@@ -96,37 +96,15 @@ type plan = {
   plan_size : int;  (* Store.size when compiled, for staleness checks *)
 }
 
-(* Statically predicted final relation cardinalities, supplied by the
-   abstract-interpretation pass (lib/analysis). When available they
-   replace the store's {e current} bucket lengths in the cost model —
-   at plan-compile time a derived relation may still be empty, while its
-   predicted fixpoint size ranks joins the way they will actually run.
-   [est_epoch] versions the estimates for plan-cache keys: plans
-   compiled under different estimates must not be confused. Plans remain
-   sound under any estimates (every permutation computes the same
-   answers); only ranking quality changes. *)
-type estimator = {
-  est_epoch : int;
-  est_card : Ir.rel -> int option;
-}
-
 (* Cost of an atom under {e simulated} boundness, from the store's current
-   index statistics (or the estimator's predictions). This is the one
-   cost model: it ranks compiled plans, [explain] and nested bodies. *)
-let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
-  let est rel =
-    match estimator with None -> None | Some e -> e.est_card rel
-  in
+   index statistics. This is the one cost model: it ranks compiled plans,
+   [explain] and nested bodies. *)
+let static_cost store ~self_id ~is_bound (a : Ir.atom) =
   let app_cost which (app : Ir.app) =
     let bucket_len m =
-      match
-        est (match which with `Scalar -> Ir.R_scalar m | `Set -> Ir.R_set m)
-      with
-      | Some c -> c
-      | None -> (
-        match which with
-        | `Scalar -> Oodb.Vec.length (Store.scalar_bucket store m)
-        | `Set -> Oodb.Vec.length (Store.set_bucket store m))
+      match which with
+      | `Scalar -> Oodb.Vec.length (Store.scalar_bucket store m)
+      | `Set -> Oodb.Vec.length (Store.set_bucket store m)
     in
     (* average tuples per receiver: the expected receiver-index hit *)
     let per_recv m =
@@ -173,11 +151,7 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
   | Ir.A_scalar app -> app_cost `Scalar app
   | Ir.A_member app -> app_cost `Set app
   | Ir.A_isa (o, c) -> (
-    let log_len =
-      match est Ir.R_isa with
-      | Some c -> c
-      | None -> Oodb.Vec.length (Store.isa_log store)
-    in
+    let log_len = Oodb.Vec.length (Store.isa_log store) in
     match (is_bound o, is_bound c) with
     | true, true -> 1
     | true, false -> 4
@@ -198,13 +172,10 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
         (fun acc rel ->
           acc
           +
-          match est rel with
-          | Some c -> c
-          | None -> (
-            match rel with
-            | Ir.R_scalar m -> Oodb.Vec.length (Store.scalar_bucket store m)
-            | Ir.R_set m -> Oodb.Vec.length (Store.set_bucket store m)
-            | Ir.R_isa | Ir.R_isa_c _ | Ir.R_any -> 0))
+          match rel with
+          | Ir.R_scalar m -> Oodb.Vec.length (Store.scalar_bucket store m)
+          | Ir.R_set m -> Oodb.Vec.length (Store.set_bucket store m)
+          | Ir.R_isa | Ir.R_isa_c _ | Ir.R_any -> 0)
         0
         (Ir.automaton_rels x.x_auto)
     in
@@ -215,7 +186,7 @@ let static_cost ?estimator store ~self_id ~is_bound (a : Ir.atom) =
    placed under the boundness reached so far, then mark its variables
    bound ([bound] is updated in place). Atom [skip] — a seed, or [-1] —
    is left out of the order. *)
-let rank ?estimator ?(skip = -1) store ~self_id ~bound atoms =
+let rank ?(skip = -1) store ~self_id ~bound atoms =
   let is_bound = function Ir.Const _ -> true | Ir.V i -> bound.(i) in
   let n = Array.length atoms in
   let used = Array.init n (Int.equal skip) in
@@ -226,7 +197,7 @@ let rank ?estimator ?(skip = -1) store ~self_id ~bound atoms =
       let best_cost = ref max_int in
       for i = 0 to n - 1 do
         if not used.(i) then begin
-          let c = static_cost ?estimator store ~self_id ~is_bound atoms.(i) in
+          let c = static_cost store ~self_id ~is_bound atoms.(i) in
           if c < !best_cost then begin
             best_cost := c;
             best := i
@@ -243,8 +214,7 @@ let rank ?estimator ?(skip = -1) store ~self_id ~bound atoms =
    naive conjunctive evaluator) — so the plan can be cached and reused
    across rounds and bindings; only its quality decays as the store
    grows. *)
-let compile_plan ?estimator ?(bindings = []) ?seed_atom store (q : Ir.query)
-    =
+let compile_plan ?(bindings = []) ?seed_atom store (q : Ir.query) =
   let bound = Array.make (max q.nvars 1) false in
   List.iter (fun (slot, _) -> bound.(slot) <- true) bindings;
   let atoms = Array.of_list q.atoms in
@@ -257,7 +227,7 @@ let compile_plan ?estimator ?(bindings = []) ?seed_atom store (q : Ir.query)
     | None -> -1
   in
   let plan_perm =
-    rank ?estimator ~skip:plan_seed store
+    rank ~skip:plan_seed store
       ~self_id:(Store.name store "self")
       ~bound atoms
   in
@@ -747,7 +717,7 @@ let count ?interrupt store (q : Ir.query) =
 (* The atom order comes from {!compile_plan} — exactly the plan [iter]
    executes. Access paths are described under the boundness reached at
    each step, mirroring [exec_app]'s dispatch. *)
-let explain ?estimator ?(bindings = []) store (q : Ir.query) =
+let explain ?predicted ?(bindings = []) store (q : Ir.query) =
   let u = Store.universe store in
   let bound = Array.make (max q.nvars 1) false in
   List.iter (fun (slot, _) -> bound.(slot) <- true) bindings;
@@ -798,16 +768,17 @@ let explain ?estimator ?(bindings = []) store (q : Ir.query) =
           "automaton product, backward BFS from result"
         else "automaton product, forward BFS over the universe"
     in
-    (* per-plan-node predicted cardinality, when the static estimator
-       supplied one for the atom's relation; a regex node is bounded by
-       |states| · Σ label-relation cardinalities *)
-    let predicted =
-      match (estimator, a) with
-      | Some e, Ir.A_regex x ->
+    (* per-plan-node predicted cardinality, when [predicted] has one for
+       the atom's relation; a regex node is bounded by |states| · Σ
+       label-relation cardinalities. Annotation only: the order is the
+       store heuristic's either way. *)
+    let annotation =
+      match (predicted, a) with
+      | Some card, Ir.A_regex x ->
         let total =
           List.fold_left
             (fun acc rel ->
-              match e.est_card rel with Some c -> acc + c | None -> acc)
+              match card rel with Some c -> acc + c | None -> acc)
             0
             (Ir.automaton_rels x.x_auto)
         in
@@ -815,10 +786,10 @@ let explain ?estimator ?(bindings = []) store (q : Ir.query) =
           Printf.sprintf "  ~%d product pairs"
             (x.x_auto.Ir.a_nstates * total)
         else ""
-      | Some e, a -> (
+      | Some card, a -> (
         match Ir.atom_rel a with
         | Some rel -> (
-          match e.est_card rel with
+          match card rel with
           | Some n -> Printf.sprintf "  ~%d tuples" n
           | None -> "")
         | None -> "")
@@ -871,7 +842,7 @@ let explain ?estimator ?(bindings = []) store (q : Ir.query) =
       | Ir.A_subset _ | Ir.A_neg _ ->
         ""
     in
-    Format.asprintf "%a  [%s]%s%s" (Ir.pp_atom u) a path predicted detail
+    Format.asprintf "%a  [%s]%s%s" (Ir.pp_atom u) a path annotation detail
   in
   let atoms = Array.of_list q.atoms in
   Array.to_list
@@ -880,4 +851,4 @@ let explain ?estimator ?(bindings = []) store (q : Ir.query) =
          let line = describe atoms.(i) in
          List.iter (fun v -> bound.(v) <- true) (Ir.atom_vars atoms.(i));
          line)
-       (compile_plan ?estimator ~bindings store q).plan_perm)
+       (compile_plan ~bindings store q).plan_perm)

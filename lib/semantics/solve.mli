@@ -39,31 +39,15 @@ type plan = {
   plan_size : int;
 }
 
-(** Statically predicted final relation cardinalities (from the
-    abstract-interpretation pass). When supplied, {!compile_plan}
-    replaces the store's current bucket lengths with [est_card]'s
-    predictions — at plan time a derived relation may still be empty
-    while its predicted fixpoint size ranks joins the way they will run.
-    [est_card] returning [None] for a relation falls back to the store
-    heuristic for that relation. [est_epoch] versions the estimates so
-    plan caches can key on it. Estimates never change {e answers}: every
-    permutation of a query is sound; only ranking quality varies. *)
-type estimator = {
-  est_epoch : int;
-  est_card : Ir.rel -> int option;
-}
-
 (** Compile a join order for [q] from the static cost model: repeatedly
     pick the cheapest remaining atom under the boundness reached so far,
     using the store's current bucket sizes and receiver-index
-    selectivities — or, when [estimator] is given, the statically
-    predicted relation cardinalities.
+    selectivities.
 
     @param bindings slots known to be bound before the search starts
     @param seed_atom atom index executed first from its delta (semi-naive
     seeding); its variables are bound when the rest is ordered. *)
 val compile_plan :
-  ?estimator:estimator ->
   ?bindings:(int * Oodb.Obj_id.t) list ->
   ?seed_atom:int ->
   Oodb.Store.t ->
@@ -153,11 +137,12 @@ val count : ?interrupt:(unit -> unit) -> Oodb.Store.t -> Ir.query -> int
     body follows once demand seeding has bound those slots (the values are
     ignored; only the slots matter).
 
-    With [estimator], each plan node is additionally annotated with the
-    statically predicted cardinality of the relation it reads
-    ([~N tuples]), and the join order is ranked from those estimates. *)
+    With [predicted], each plan node is additionally annotated with the
+    predicted cardinality of the relation it reads ([~N tuples]; a regex
+    node with [~N product pairs]). The annotation never changes the join
+    order or the access paths. *)
 val explain :
-  ?estimator:estimator ->
+  ?predicted:(Ir.rel -> int option) ->
   ?bindings:(int * Oodb.Obj_id.t) list ->
   Oodb.Store.t ->
   Ir.query ->

@@ -322,31 +322,6 @@ let analyze_total =
       let t = Check.analyze text in
       List.length t.diagnostics >= 0)
 
-(* dead-rule pruning preserves embedded-query answers *)
-let pruning_preserves_answers =
-  QCheck.Test.make ~name:"run_live answers = run answers" ~count:60
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let text = randprog seed ^ "\n?- X[r ->> {Y}].\n?- X : ca." in
-      (* rows rendered through each program's own universe: the stores may
-         intern objects in different orders *)
-      let answers p =
-        List.map
-          (fun (_, (a : Program.answer)) ->
-            List.sort_uniq compare
-              (List.map (Program.row_to_string p) a.rows))
-          (Program.run_queries p)
-      in
-      match
-        let p1 = Program.of_string text in
-        ignore (Program.run p1);
-        let p2 = Program.of_string text in
-        ignore (Program.run_live p2);
-        (answers p1, answers p2)
-      with
-      | a1, a2 -> a1 = a2
-      | exception _ -> QCheck.assume_fail () (* e.g. scalar conflict *))
-
 (* the abstract interpreter's cardinality bounds, evaluated at the final
    universe size, over-approximate the actual number of fixpoint
    insertions — under both sequential and parallel evaluation *)
@@ -381,31 +356,6 @@ let absint_sound jobs =
       with
       | bound, actual -> bound >= actual
       | exception _ -> QCheck.assume_fail () (* e.g. scalar conflict *))
-
-(* estimates-driven planning changes join orders only, never answers *)
-let estimates_preserve_answers =
-  QCheck.Test.make ~name:"estimate-planned answers = heuristic answers"
-    ~count:40
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let text = randprog seed ^ "\n?- X[r ->> {Y}].\n?- X : ca." in
-      let answers ~estimates =
-        let p = Program.of_string text in
-        if estimates then begin
-          let st = Program.store p in
-          let t = Pathlog.Absint.analyze st (Program.rules p) in
-          Program.set_estimates p (Some (Pathlog.Absint.estimator t st))
-        end;
-        ignore (Program.run p);
-        List.map
-          (fun (_, (a : Program.answer)) ->
-            List.sort_uniq compare
-              (List.map (Program.row_to_string p) a.rows))
-          (Program.run_queries p)
-      in
-      match (answers ~estimates:false, answers ~estimates:true) with
-      | a1, a2 -> a1 = a2
-      | exception _ -> QCheck.assume_fail ())
 
 (* --- oracles for the indexed passes ----------------------------------- *)
 
@@ -661,10 +611,8 @@ let suite =
     Alcotest.test_case "gate" `Quick test_gate;
     Alcotest.test_case "severity roundtrip" `Quick test_severity_roundtrip;
     QCheck_alcotest.to_alcotest analyze_total;
-    QCheck_alcotest.to_alcotest pruning_preserves_answers;
     QCheck_alcotest.to_alcotest (absint_sound 1);
     QCheck_alcotest.to_alcotest (absint_sound 4);
-    QCheck_alcotest.to_alcotest estimates_preserve_answers;
     Alcotest.test_case "check golden corpus" `Quick test_check_golden;
     QCheck_alcotest.to_alcotest indexed_passes_randprog;
     QCheck_alcotest.to_alcotest indexed_passes_conflict_heavy;

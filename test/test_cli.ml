@@ -244,21 +244,6 @@ let test_check_parse_error () =
       Alcotest.(check int) "exit 3" 3 code;
       Alcotest.(check bool) "PL001 reported" true (contains ~sub:"PL001" out))
 
-let test_run_prune_dead () =
-  with_program
-    "a[edge ->> {b}].\nb[edge ->> {c}].\n\
-     X[tc ->> {Y}] <- X[edge ->> {Y}].\n\
-     X[tc ->> {Y}] <- X..tc[edge ->> {Y}].\n\
-     p[other -> q] <- b[edge ->> {c}].\n\
-     ?- a[tc ->> {X}].\n"
-    (fun file ->
-      let code, out = run_cli [ "run"; file; "--prune-dead" ] in
-      Alcotest.(check int) "exit 0" 0 code;
-      Alcotest.(check bool) "prune note" true
-        (contains ~sub:"1 dead rules skipped" out);
-      Alcotest.(check bool) "answers unchanged" true
-        (contains ~sub:"(2 answers)" out))
-
 let broken_plg name =
   find_file
     [ "../examples/broken/" ^ name;
@@ -385,7 +370,6 @@ let suite =
       Alcotest.test_case "check --deny warning" `Quick test_check_deny_warning;
       Alcotest.test_case "check --json" `Quick test_check_json;
       Alcotest.test_case "check parse error" `Quick test_check_parse_error;
-      Alcotest.test_case "run --prune-dead" `Quick test_run_prune_dead;
       Alcotest.test_case "run --deadline degrades divergent program" `Quick
         test_run_deadline_degrades;
       Alcotest.test_case "run without deadline trips the hard guard" `Quick

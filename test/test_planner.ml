@@ -183,6 +183,38 @@ let test_explain_compiled_is_greedy_simulation () =
         (String.sub line 0 (min (String.length line) (String.length atom))))
     lines
 
+(* [explain ~predicted] annotates the plan [run] executes; it never
+   reorders it. On the paper's rule (2.4) the estimates alone would put
+   the inverse-index scan on [city] first. *)
+let test_explain_predicted_annotates_executed_plan () =
+  let p =
+    Program.of_string
+      (Test_programs.read_file (Test_programs.find_program "addresses.plg"))
+  in
+  let st = store_of p in
+  let absint = Pathlog.Absint.analyze st (Program.rules p) in
+  ignore (Program.run p);
+  let q = "X.address[city -> springfield]" in
+  let plain = Program.explain_string p q in
+  let annotated =
+    Program.explain_string ~predicted:(Pathlog.Absint.predicted absint st) p q
+  in
+  Alcotest.(check int) "one line per atom" (List.length plain)
+    (List.length annotated);
+  Alcotest.(check bool) "address is scanned first" true
+    (String.starts_with ~prefix:"scalar(address;" (List.hd plain));
+  List.iter2
+    (fun line ann ->
+      let n = String.length line in
+      Alcotest.(check string) "same atom, same access path" line
+        (String.sub ann 0 (min n (String.length ann)));
+      let suffix = String.sub ann n (String.length ann - n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is a ~N annotation" suffix)
+        true
+        (Scanf.sscanf_opt suffix "  ~%u tuples%!" Fun.id <> None))
+    plain annotated
+
 let test_explain_receiver_index_path () =
   let p = load "bob[salary@(1994) -> 100]. bob[salary@(1995) -> 120]." in
   let store = store_of p in
@@ -429,6 +461,8 @@ let suite =
     Alcotest.test_case "plan staleness" `Quick test_plan_stale;
     Alcotest.test_case "explain: compiled = greedy simulation" `Quick
       test_explain_compiled_is_greedy_simulation;
+    Alcotest.test_case "explain ~predicted annotates the executed plan"
+      `Quick test_explain_predicted_annotates_executed_plan;
     Alcotest.test_case "explain: receiver index path" `Quick
       test_explain_receiver_index_path;
     Alcotest.test_case "bound set member is a probe" `Quick

@@ -72,6 +72,10 @@ let evaluate_under_faults () =
    4. a subscriber's baseline plus its DELTA stream reconstructs the
       final answer set of its standing query.
 
+   The storm runs twice: against a plain server, then against a --demand
+   one, whose subscription first materialises only its demanded fragment
+   and whose first write attaches Live over the unmaterialised program.
+
    dune exec bench/main.exe -- chaos mutation [SEED] [WRITERS] [BATCHES] *)
 
 (* Facts only in [after]'s model and only in [before]'s, compared as the
@@ -113,20 +117,25 @@ let replay_ops ?(after = fun _ _ -> ()) ~on_reject base ops =
    are disjoint, so writer order is as good as commit order. *)
 let concat_logs logs = List.concat_map List.rev (Array.to_list logs)
 
-let mutation_storm ~seed ~writers ~batches =
-  Printf.printf "=== chaos mutation: seed %d, %d writers x %d batches ===\n%!"
+let mutation_storm ~demand ~seed ~writers ~batches =
+  let mode = if demand then " --demand" else "" in
+  Printf.printf
+    "=== chaos mutation%s: seed %d, %d writers x %d batches ===\n%!" mode
     seed writers batches;
   let failures = ref [] in
   let fail fmt =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt
   in
-  let p = Pathlog.load mutation_base in
+  let p =
+    if demand then Pathlog.parse mutation_base else Pathlog.load mutation_base
+  in
   let config =
     {
       Pathlog.Server.default_config with
       workers = 3;
       queue_capacity = 2 * writers;
       busy_retry_after_ms = 2;
+      demand;
     }
   in
   let srv =
@@ -318,6 +327,8 @@ let mutation_storm ~seed ~writers ~batches =
   (match Pathlog.Live.check_support replay with
   | [] -> ()
   | broken -> List.iter (fun m -> fail "replay support index: %s" m) broken);
+  if replayed > 0 && not (Program.materialised p) then
+    fail "writes committed, but the program is not materialised";
 
   Printf.printf
     "committed batches: %d replayed; %d torn connections, %d busy sheds, \
@@ -328,7 +339,7 @@ let mutation_storm ~seed ~writers ~batches =
   if injected_total = 0 then
     fail "the storm injected nothing — the harness is not testing faults";
   match !failures with
-  | [] -> print_endline "chaos mutation: ok"
+  | [] -> Printf.printf "chaos mutation%s: ok\n%!" mode
   | fs ->
     List.iter (fun m -> Printf.printf "chaos FAILURE: %s\n" m) (List.rev fs);
     exit 1
@@ -1075,7 +1086,11 @@ let rec main args =
       | Some s -> int_of_string s
       | None -> default
     in
-    mutation_storm ~seed:(arg 0 1) ~writers:(arg 1 4) ~batches:(arg 2 40)
+    List.iter
+      (fun demand ->
+        mutation_storm ~demand ~seed:(arg 0 1) ~writers:(arg 1 4)
+          ~batches:(arg 2 40))
+      [ false; true ]
   | _ -> query_storm args
 
 and query_storm args =

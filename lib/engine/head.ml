@@ -14,9 +14,11 @@ let write_faults () =
     attempt 0
   end
 
-let execute ?(on_insert = fun _ -> ()) ?(on_assert = fun _ -> ()) store ~env
-    ~rule ~changes head =
+let execute ?(on_insert = fun _ -> ()) ?on_assert store ~env ~rule ~changes
+    head =
   write_faults ();
+  let traced = Option.is_some on_assert in
+  let on_assert = Option.value on_assert ~default:ignore in
   let self_id = Store.name store "self" in
   let add_scalar ~meth ~recv ~args ~res =
     if Oodb.Obj_id.equal meth self_id then
@@ -80,7 +82,11 @@ let execute ?(on_insert = fun _ -> ()) ?(on_assert = fun _ -> ()) store ~env
       else begin
         let args = List.map locate p_args in
         match Store.scalar_lookup store ~meth ~recv ~args with
-        | Some res -> res
+        | Some res ->
+          (* the path's link is asserted here too: a derivation that
+             reuses an existing (virtual) object still supports it *)
+          if traced then on_assert (Fact.F_scalar { meth; recv; args; res });
+          res
         | None ->
           let sk =
             Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args

@@ -35,4 +35,6 @@ val execute :
     recording). [on_assert] is called once per tuple the head {e asserts} —
     whether it was freshly inserted or already present — which is what
     support counting needs: a derivation supports its head facts even when
-    another derivation got there first. *)
+    another derivation got there first. That includes the link of a head
+    path that is already defined ([X.address] found, not created): the
+    head relies on it as much as on a skolem link it creates. *)

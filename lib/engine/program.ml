@@ -13,6 +13,11 @@ type t = {
          alike; a plan compiled against a smaller store re-plans through
          [plan_stale] *)
   mutable facts_loaded : bool;
+  materialised : bool Atomic.t;
+      (* set by every uncut [run]: the store holds the full minimal model
+         from then on ([Live] keeps it so under writes), and demand
+         queries answer from it. Atomic, because pool workers read it
+         without a lock. *)
   mutable degraded : Budget.reason option;
       (* set when a budgeted [run] was cut short: the store holds a sound
          partial model, and answers must be surfaced as degraded *)
@@ -25,12 +30,13 @@ type t = {
 
 (* A demand shape compiled once and re-entered on every later query of
    the same shape. [mark] is the relation watermark at the end of its
-   last complete run, with the store's removal count at that moment: the
-   store was then closed under the shape's rules, so the next run only
-   needs to propagate what arrived since. *)
+   last complete run: the store was then closed under the shape's rules,
+   so the next run only needs to propagate what arrived since. No
+   removal can break that closure: only [Live] removes facts, and only
+   from a materialised store, where demand runs no more. *)
 and shape = {
   compiled : Demand.shape;
-  mutable mark : ((Semantics.Ir.rel -> int) * int) option;
+  mutable mark : (Semantics.Ir.rel -> int) option;
 }
 
 exception Invalid of string
@@ -112,6 +118,7 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
     provenance = Provenance.create ();
     plans = Fixpoint.plan_cache ();
     facts_loaded = false;
+    materialised = Atomic.make false;
     degraded = None;
     proper_rules =
       List.filter
@@ -138,11 +145,13 @@ let signatures t = t.signatures
 let embedded_queries t = t.queries
 let strata t = t.strat.strata
 
+(* The program's config, with [budget] (when given) replacing its own. *)
+let budgeted ?budget t =
+  match budget with Some _ -> { t.config with budget } | None -> t.config
+
 let run ?budget t =
   t.facts_loaded <- true;
-  let config =
-    match budget with Some _ -> { t.config with budget } | None -> t.config
-  in
+  let config = budgeted ?budget t in
   let stats =
     Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans t.store
       t.strat
@@ -152,10 +161,13 @@ let run ?budget t =
   | None ->
     (* a later unbudgeted (or uncut) run reached the fixpoint: the model
        is complete again *)
-    t.degraded <- None);
+    t.degraded <- None;
+    Atomic.set t.materialised true);
   stats
 
 let degraded t = t.degraded
+
+let materialised t = Atomic.get t.materialised
 
 let provenance t = t.provenance
 
@@ -245,7 +257,8 @@ let explain_string ?predicted t text = explain ?predicted t (parse_query text)
 (* Demand-driven evaluation: magic-sets transform, query-seeded fixpoint.
    See {!Demand}. The transformed fragment accumulates in the program's
    own store — monotone, so repeated demand queries (and a later full
-   {!run}) compose soundly. *)
+   {!run}) compose soundly. Once a {!run} has materialised the full
+   model, demand queries read it and evaluate nothing. *)
 
 type demand_report = {
   d_fallback : Demand.fallback option;
@@ -283,72 +296,67 @@ let shape_for t (d : Demand.t) =
 
 let plan_count t = Fixpoint.plan_count t.plans
 
+(* The counters of a demand query that evaluated nothing. *)
+let idle_stats () =
+  {
+    Fixpoint.rounds = 0;
+    rule_evaluations = 0;
+    firings = 0;
+    insertions = 0;
+    strata = 0;
+    degraded = None;
+  }
+
+(* Seed the query's shape and run its fixpoint, resumed from the shape's
+   mark when it has one; returns the stats and whether it resumed. *)
+let demand_fixpoint ?budget t (d : Demand.t) =
+  load_facts t;
+  let sh = shape_for t d in
+  let from = sh.mark in
+  List.iter (fun seed -> ignore (insert_fact t seed)) d.seeds;
+  let stats =
+    Fixpoint.run ~config:(budgeted ?budget t) ~provenance:t.provenance
+      ~plans:t.plans ?from t.store sh.compiled.strat
+  in
+  (match stats.Fixpoint.degraded with
+  | Some _ as dg ->
+    (* a budget-cut run left a sound but possibly incomplete fragment:
+       flag it exactly as a cut full run would be, and make the next
+       query of this shape start over with a full first round *)
+    t.degraded <- dg;
+    sh.mark <- None
+  | None -> sh.mark <- Some (Fixpoint.watermark t.store));
+  (stats, from <> None)
+
 let query_demand ?budget t lits =
   check_query lits;
-  match Demand.transform t.store t.proper_rules lits with
-  | Error fb ->
-    (* negation / inclusion / hilog strata make the transform unsound:
-       fall back to honest full materialisation *)
-    let stats = run ?budget t in
-    let answer = query ?budget t lits in
-    ( answer,
-      {
-        d_fallback = Some fb;
-        d_stats = stats;
-        d_resumed = false;
-        d_seeds = 0;
-        d_magic_rules = 0;
-        d_guarded = 0;
-        d_unguarded = 0;
-        d_dropped = 0;
-        d_magic_facts = Demand.magic_fact_total t.store;
-      } )
-  | Ok d ->
-    load_facts t;
-    let sh = shape_for t d in
-    (* resume only when nothing left the store since the mark: removals
-       can break the closure the mark vouches for *)
-    let from =
-      match sh.mark with
-      | Some (mark, removals) when removals = Oodb.Store.removals t.store ->
-        Some mark
-      | Some _ | None -> None
-    in
-    List.iter (fun seed -> ignore (insert_fact t seed)) d.seeds;
-    let config =
-      {
-        t.config with
-        Fixpoint.budget =
-          (match budget with Some _ -> budget | None -> t.config.budget);
-      }
-    in
-    let stats =
-      Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans ?from
-        t.store sh.compiled.strat
-    in
-    (match stats.Fixpoint.degraded with
-    | Some _ as dg ->
-      (* a budget-cut run left a sound but possibly incomplete fragment:
-         flag it exactly as a cut full run would be, and make the next
-         query of this shape start over with a full first round *)
-      t.degraded <- dg;
-      sh.mark <- None
-    | None ->
-      sh.mark <-
-        Some (Fixpoint.watermark t.store, Oodb.Store.removals t.store));
-    let answer = query ?budget t lits in
-    ( answer,
-      {
-        d_fallback = None;
-        d_stats = stats;
-        d_resumed = from <> None;
-        d_seeds = d.n_seeds;
-        d_magic_rules = d.n_magic;
-        d_guarded = d.n_guarded;
-        d_unguarded = d.n_unguarded;
-        d_dropped = d.n_dropped;
-        d_magic_facts = Demand.magic_fact_total t.store;
-      } )
+  let transformed = Demand.transform t.store t.proper_rules lits in
+  let stats, resumed, shape =
+    match transformed with
+    | _ when materialised t -> (idle_stats (), false, None)
+    | Error _ ->
+      (* negation / inclusion / hilog strata make the transform unsound:
+         fall back to honest full materialisation *)
+      (run ?budget t, false, None)
+    | Ok d ->
+      let stats, resumed = demand_fixpoint ?budget t d in
+      (stats, resumed, Some d)
+  in
+  let answer = query ?budget t lits in
+  let count f = Option.fold ~none:0 ~some:f shape in
+  ( answer,
+    {
+      d_fallback =
+        Result.fold ~ok:(fun _ -> None) ~error:Option.some transformed;
+      d_stats = stats;
+      d_resumed = resumed;
+      d_seeds = count (fun d -> d.n_seeds);
+      d_magic_rules = count (fun d -> d.n_magic);
+      d_guarded = count (fun d -> d.n_guarded);
+      d_unguarded = count (fun d -> d.n_unguarded);
+      d_dropped = count (fun d -> d.n_dropped);
+      d_magic_facts = Demand.magic_fact_total t.store;
+    } )
 
 let query_demand_string ?budget t text =
   query_demand ?budget t (parse_query text)

@@ -74,6 +74,12 @@ val run : ?budget:Budget.t -> t -> Fixpoint.stats
     run reaches the fixpoint. *)
 val degraded : t -> Budget.reason option
 
+(** Has an uncut {!run} reached the fixpoint? From then on the store holds
+    the full minimal model ({!Incremental.Live} keeps it so under writes,
+    and is the only code that removes facts), and {!query_demand} answers
+    from it. Safe to read without a lock. *)
+val materialised : t -> bool
+
 (** Answer a query (the program should normally have been {!run} first).
     A query with no variables yields one empty row if entailed, no rows
     otherwise. [budget] bounds the enumeration itself: exhaustion raises
@@ -134,7 +140,7 @@ val load_facts : t -> unit
 type demand_report = {
   d_fallback : Demand.fallback option;
       (** [Some _]: the transform was unsound for this program/query and
-          full materialisation ran instead *)
+          full materialisation ran instead (or had already run) *)
   d_stats : Fixpoint.stats;
       (** the demanded run's counters; the seed facts are inserted
           before it starts and are not counted *)
@@ -142,6 +148,8 @@ type demand_report = {
       (** the run resumed from its shape's watermark: only what arrived
           since the shape's last complete run was propagated *)
   d_seeds : int;
+      (** this and the next four count the transform's output; all 0 on
+          a fallback and on a {!materialised} program *)
   d_magic_rules : int;
   d_guarded : int;
   d_unguarded : int;
@@ -153,10 +161,12 @@ type demand_report = {
     bound receivers (see {!Demand}), facts loaded extensionally, then a
     semi-naive fixpoint over the demanded fragment only. Falls back to
     {!run} when the transform is unsound (negation, inclusion, hilog).
-    Answers always agree with {!run} + {!query} (property-tested at jobs
-    1 and 4). [budget] bounds the demanded run {e and} the final
-    enumeration; a budget-cut run is flagged in {!degraded} and the
-    report's stats.
+    On a {!materialised} program it answers from the model: no seeds, no
+    magic tuples, no fixpoint (a declined transform still reports its
+    fallback). Answers always agree with {!run} + {!query}
+    (property-tested at jobs 1 and 4). [budget] bounds the demanded run
+    {e and} the final enumeration; a budget-cut run is flagged in
+    {!degraded} and the report's stats.
 
     Demand is incremental per query {e shape} (the transform's non-seed
     rules, {!Demand.t.key}): the program keeps each shape compiled — its
@@ -165,10 +175,11 @@ type demand_report = {
     later query of that shape inserts its seed facts and resumes the
     fixpoint from the watermark ({!Fixpoint.run}'s [from]), so it costs
     its own fragment plus whatever arrived since, not every earlier
-    demand. A budget-cut run drops its shape's watermark, and any removal
-    from the store invalidates all of them; the next query of the shape
-    then runs a full first round. At most 256 shapes stay compiled; the
-    oldest is retired (with its plans) beyond that. *)
+    demand. A budget-cut run drops its shape's watermark; the next query
+    of the shape then runs a full first round. No watermark can miss a
+    removal: facts leave the store only through {!Incremental.Live},
+    which materialises the program first. At most 256 shapes stay
+    compiled; the oldest is retired (with its plans) beyond that. *)
 val query_demand :
   ?budget:Budget.t ->
   t ->

@@ -34,7 +34,9 @@ let forget t fact = Fact_tbl.remove t fact
 let size t = Fact_tbl.length t
 
 (* A chain of direct class edges from [o] up to [c]; the facts supporting a
-   derived (transitive) membership. *)
+   derived (transitive) membership. A membership with no such chain is a
+   value object's built-in class ([1 : integer]), which rests on no
+   stored fact. *)
 let isa_support store o c =
   let direct_parents x =
     Oodb.Vec.fold
@@ -59,7 +61,7 @@ let isa_support store o c =
       in
       try_parents (direct_parents x)
   in
-  Option.value ~default:[ Fact.F_isa (o, c) ] (search Oodb.Obj_id.Set.empty o)
+  Option.value ~default:[] (search Oodb.Obj_id.Set.empty o)
 
 (* The ground facts one solution of a rule body rests on. *)
 let body_facts store (q : Ir.query) binding =
@@ -98,10 +100,21 @@ let body_facts store (q : Ir.query) binding =
                 res = deref res;
               };
           ]
-      (* a regex atom's support is the set of edges the product BFS
-         traversed, which the join does not record; like negation and
-         inclusion it contributes no individual ground facts *)
-      | A_eq _ | A_subset _ | A_neg _ | A_regex _ -> [])
+      (* a regex atom rests on the edges of one witness path; other
+         paths may support the same pair, so incremental maintenance
+         re-derives rather than trusts a lost witness *)
+      | A_regex { x_auto; x_recv; x_res } ->
+        let edge ((lbl : Ir.label), recv, res) =
+          let meth = lbl.lbl_meth and args = lbl.lbl_args in
+          if lbl.lbl_set then Fact.F_set { meth; recv; args; res }
+          else Fact.F_scalar { meth; recv; args; res }
+        in
+        Semantics.Solve.regex_witness store x_auto ~recv:(deref x_recv)
+          ~res:(deref x_res)
+        |> Option.fold ~none:[] ~some:(List.map edge)
+      (* negation and inclusion rest on the absence or completeness of
+         a set, not on individual ground facts *)
+      | A_eq _ | A_subset _ | A_neg _ -> [])
     q.atoms
 
 let rec explain ?(max_depth = 64) ?interrupt store t fact =

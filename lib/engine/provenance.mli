@@ -41,9 +41,10 @@ val forget : t -> Fact.t -> unit
 val size : t -> int
 
 (** The ground facts one solution of a rule body rests on: method atoms as
-    facts, memberships expanded to a chain of direct class edges. Exposed
-    for incremental maintenance, which records them as a derivation's
-    support set. *)
+    facts, memberships expanded to a chain of direct class edges, and a
+    regular-path atom as the edges of one witness path
+    ({!Semantics.Solve.regex_witness}). Exposed for incremental
+    maintenance, which records them as a derivation's support set. *)
 val body_facts :
   Oodb.Store.t -> Semantics.Ir.query -> Oodb.Obj_id.t array -> Fact.t list
 

@@ -52,8 +52,8 @@ module Fact_tbl = Hashtbl.Make (struct
 end)
 
 (* One recorded body solution of a rule. [d_heads] are every fact the
-   head asserted under it (sub-path skolem facts included); [d_body] the
-   ground facts the solution rests on. Dead derivations stay in the
+   head asserted under it (sub-path links included); [d_body] the ground
+   facts the solution rests on. Dead derivations stay in the
    [uses]/[heads_of] lists (filtered on read) but leave [dedup], so a
    later re-derivation of the same solution re-records. *)
 type deriv = {
@@ -61,6 +61,10 @@ type deriv = {
   d_key : string;
   d_env : (int * Oodb.Obj_id.t) list;  (* named slots, for replay *)
   d_recursive : bool;
+  d_witness : bool;
+      (* the body has a regular-path atom, so [d_body] holds one witness
+         path of several possible: the derivation counts as recursive,
+         and losing it always triggers re-derivation *)
   d_heads : Fact.t list;
   mutable d_body : Fact.t list;
   mutable d_dead : bool;
@@ -202,18 +206,25 @@ let key_of (rule : Rule.t) binding =
     binding;
   Buffer.contents b
 
+let has_regex (rule : Rule.t) =
+  List.exists
+    (function Ir.A_regex _ -> true | _ -> false)
+    rule.body.Ir.atoms
+
 let record_deriv t (rule : Rule.t) binding heads =
   if rule.source.body <> [] && heads <> [] then begin
     let key = key_of rule binding in
     if not (Hashtbl.mem t.dedup key) then begin
       let body = Provenance.body_facts t.store rule.body binding in
+      let witness = has_regex rule in
       let d =
         {
           d_rule = rule;
           d_key = key;
           d_env =
             List.map (fun (_, slot) -> (slot, binding.(slot))) rule.body.named;
-          d_recursive = deriv_recursive t rule;
+          d_recursive = witness || deriv_recursive t rule;
+          d_witness = witness;
           d_heads = heads;
           d_body = body;
           d_dead = false;
@@ -286,6 +297,8 @@ let reinsert t f =
 
 let rec kill_deriv t ctx (d : deriv) =
   d.d_dead <- true;
+  (* another path may still connect a witness derivation's pair *)
+  if d.d_witness then ctx.c_rederive <- true;
   Hashtbl.remove t.dedup d.d_key;
   List.iter
     (fun h ->
@@ -564,7 +577,7 @@ let run_commit_hook t ~retract ~text =
   | Some hook -> hook ~retract ~epoch:(Store.epoch t.store) ~text
 
 let attach p =
-  ignore (Program.run p : Fixpoint.stats);
+  if not (Program.materialised p) then ignore (Program.run p : Fixpoint.stats);
   let t =
     {
       p;
@@ -601,9 +614,8 @@ let attach p =
       end)
     (Program.rules p);
   (* demand queries answered before the attach leave magic tuples no rule
-     here derives: retire them. The removals also drop every demand
-     shape's resume mark, so a later demand query runs a full first
-     round. *)
+     here derives: retire them. The program is materialised by now, so no
+     demand run (and no shape's resume mark) ever sees the store again. *)
   let ctx = new_ctx () in
   let u = Store.universe t.store and magic = ref [] in
   Fact.iter_live t.store (fun f ->

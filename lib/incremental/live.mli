@@ -50,7 +50,8 @@ type batch_stats = {
       (** the maintenance run, when one was needed *)
 }
 
-(** Evaluate the program (idempotent) and build the support index: the
+(** Evaluate the program unless it is already
+    {!Engine.Program.materialised}, and build the support index: the
     extensional multiplicities from its fact statements, and one recorded
     derivation per (rule, body solution) from a tracing fixpoint pass.
     Magic tuples left by earlier demand queries have no support here and

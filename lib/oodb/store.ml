@@ -75,9 +75,6 @@ type t = {
          removal (never on duplicates or misses), so readers can tell
          whether the store was written and caches can be keyed by it.
          Not [tuple_count]: a removal bumps it and decrements that. *)
-  mutable removals : int;
-      (* tuples removed so far; incremental evaluators that resume from
-         watermarks assume nothing left the store since they took them *)
 }
 
 let create () =
@@ -110,7 +107,6 @@ let create () =
     set_meth_list = [];
     tuple_count = 0;
     epoch = 0;
-    removals = 0;
   }
 
 let universe st = st.universe
@@ -119,7 +115,6 @@ let int st n = Universe.int st.universe n
 let str st s = Universe.str st.universe s
 let size st = st.tuple_count
 let epoch st = st.epoch
-let removals st = st.removals
 
 (* ------------------------------------------------------------------ *)
 (* Class hierarchy                                                     *)
@@ -408,7 +403,6 @@ let set_meths st = List.rev st.set_meth_list
 let stamp st (e : mentry) =
   st.epoch <- st.epoch + 1;
   e.dead <- st.epoch;
-  st.removals <- st.removals + 1;
   st.tuple_count <- st.tuple_count - 1
 
 let find_live v ~args ~res =
@@ -459,8 +453,8 @@ let remove_isa st o c =
     Obj_id.Tbl.replace st.parents o (Obj_id.Set.remove c (direct st.parents o));
     Obj_id.Tbl.replace st.children c
       (Obj_id.Set.remove o (direct st.children c));
-    (* additions patch the closure caches incrementally; removals
-       invalidate wholesale and let the caches rebuild lazily from the
+    (* additions patch the closure caches incrementally; a removal
+       invalidates them wholesale, and they rebuild lazily from the
        updated adjacency *)
     Obj_id.Tbl.reset st.up_cache;
     Obj_id.Tbl.reset st.down_cache;
@@ -476,7 +470,6 @@ let remove_isa st o c =
          st.isa_log
      with Exit -> ());
     st.tuple_count <- st.tuple_count - 1;
-    st.removals <- st.removals + 1;
     Mutex.unlock st.hier_lock;
     true
   end

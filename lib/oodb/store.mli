@@ -211,11 +211,6 @@ val size : t -> int
 (** The store's current data version; monotonically increasing. *)
 val epoch : t -> int
 
-(** Tuples removed over the store's lifetime. Semi-naive re-entry from
-    relation watermarks is only complete when nothing was removed since
-    they were taken, so holders of watermarks compare this count. *)
-val removals : t -> int
-
 type snapshot
 
 (** Read the current epoch. O(1); allocates one small record and writes

@@ -408,14 +408,14 @@ let exec_eq ctx a b k =
    universe. Each popped pair costs one budget-poll tick and one
    [product_states_expanded]. *)
 
-let regex_step ctx (lbl : Ir.label) obj f =
+let regex_step store (lbl : Ir.label) obj f =
   if lbl.Ir.lbl_set then
     Set.iter f
-      (Store.set_lookup ctx.store ~meth:lbl.Ir.lbl_meth ~recv:obj
+      (Store.set_lookup store ~meth:lbl.Ir.lbl_meth ~recv:obj
          ~args:lbl.Ir.lbl_args)
   else
     match
-      Store.scalar_lookup ctx.store ~meth:lbl.Ir.lbl_meth ~recv:obj
+      Store.scalar_lookup store ~meth:lbl.Ir.lbl_meth ~recv:obj
         ~args:lbl.Ir.lbl_args
     with
     | Some v -> f v
@@ -464,7 +464,7 @@ let regex_forward ctx (auto : Ir.automaton) r0 emit =
     ~init:[ (r0, auto.Ir.a_start) ]
     ~next:(fun obj q push ->
       Array.iter
-        (fun (lbl, q') -> regex_step ctx lbl obj (fun v -> push v q'))
+        (fun (lbl, q') -> regex_step ctx.store lbl obj (fun v -> push v q'))
         auto.Ir.a_trans.(q))
     ~emits:(fun q -> auto.Ir.a_accept.(q))
     emit
@@ -484,6 +484,42 @@ let regex_backward ctx (auto : Ir.automaton) res emit =
         auto.Ir.a_rtrans.(q))
     ~emits:(fun q -> q = auto.Ir.a_start)
     emit
+
+(* One witness of a reachable pair: a forward BFS over the same product,
+   keeping a parent link per pair, stops at the first accepting pair on
+   [res] and walks the links back. The edges of that shortest path are
+   what the pair rests on. *)
+let regex_witness store (auto : Ir.automaton) ~recv ~res =
+  let parent = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit pair link =
+    if not (Hashtbl.mem parent pair) then begin
+      Hashtbl.add parent pair link;
+      Queue.add pair queue
+    end
+  in
+  let rec path acc pair =
+    match Hashtbl.find parent pair with
+    | None -> acc
+    | Some (prev, lbl) -> path ((lbl, fst prev, fst pair) :: acc) prev
+  in
+  visit (recv, auto.Ir.a_start) None;
+  let rec search () =
+    match Queue.take_opt queue with
+    | None -> None
+    | Some ((obj, q) as pair) ->
+      if auto.Ir.a_accept.(q) && Oodb.Obj_id.equal obj res then
+        Some (path [] pair)
+      else begin
+        Array.iter
+          (fun (lbl, q') ->
+            regex_step store lbl obj (fun v ->
+                visit (v, q') (Some (pair, lbl))))
+          auto.Ir.a_trans.(q);
+        search ()
+      end
+  in
+  search ()
 
 let exec_regex ctx (x : Ir.regex_app) k =
   let auto = x.x_auto in

@@ -76,6 +76,19 @@ val regex_plans_total : int Atomic.t
 
 val product_states_expanded : int Atomic.t
 
+(** A witness that [res] is reachable from [recv] along a word of the
+    automaton's language: the edges [(label, from, to)] of one shortest
+    such path over the live store, in path order ([Some []] when the
+    empty word is accepted and [recv = res]). [None] when [res] is not
+    reachable. The regex atom's support, for provenance and incremental
+    maintenance. *)
+val regex_witness :
+  Oodb.Store.t ->
+  Ir.automaton ->
+  recv:Oodb.Obj_id.t ->
+  res:Oodb.Obj_id.t ->
+  (Ir.label * Oodb.Obj_id.t * Oodb.Obj_id.t) list option
+
 (** [iter store q ~f] calls [f] once per satisfying assignment, with a
     binding array of length [q.nvars] (fully bound). Raise {!Stopped} from
     [f] to stop early; [iter] catches it.

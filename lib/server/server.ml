@@ -125,14 +125,11 @@ type t = {
          request except PING/STATS/QUIT is shed with BUSY, because the
          half-replayed store must not answer queries *)
   demand_lock : Mutex.t;
-  mutable demand_materialised : bool;
-      (* demand mode only: the full model has been materialised (a
-         fallback or a mutation forced it) — every query takes the
-         ordinary lock-free read path from here on. Written only under
-         [store_lock]; [demand_lock] covers the read-path check. *)
   demand_ready : (string, unit) Hashtbl.t;
       (* demand mode only: query strings whose demanded fragment has
-         been fixpointed to completion; guarded by [demand_lock] *)
+         been fixpointed to completion; guarded by [demand_lock]. Once
+         the program is materialised (a fallback or a mutation ran the
+         full fixpoint) every query is done. *)
   subs_lock : Mutex.t;
   subs : (int, subscription) Hashtbl.t;
   mutable next_sub_id : int;
@@ -314,29 +311,21 @@ let with_store_write t f =
    read path over the accumulated store. *)
 
 let demand_done t q =
-  Mutex.lock t.demand_lock;
-  let r = t.demand_materialised || Hashtbl.mem t.demand_ready q in
-  Mutex.unlock t.demand_lock;
-  r
+  Program.materialised t.program
+  || Mutex.protect t.demand_lock (fun () -> Hashtbl.mem t.demand_ready q)
 
 let demand_pending t q = t.config.demand && not (demand_done t q)
 
 (* Transform and fixpoint the fragment [q] demands; called under
    [store_lock]. When the transform declines (negation, inclusion,
-   hilog) the engine has fully materialised instead — remember that, so
-   the demand path never runs again. A budget-degraded run is not
-   marked ready: the next identical query re-demands and can complete
-   the fragment. *)
+   hilog) the engine materialises the full model instead, and
+   [demand_done] holds for every query from then on. A budget-degraded
+   run is not marked ready: the next identical query re-demands and can
+   complete the fragment. *)
 let demand_materialise_locked ?budget t q =
   let ans, report = Program.query_demand_string ?budget t.program q in
   (match report.Program.d_fallback with
-  | Some _ ->
-    Atomic.incr t.demand_fallbacks;
-    if Program.degraded t.program = None then begin
-      Mutex.lock t.demand_lock;
-      t.demand_materialised <- true;
-      Mutex.unlock t.demand_lock
-    end
+  | Some _ -> Atomic.incr t.demand_fallbacks
   | None ->
     Atomic.incr t.demand_queries;
     if Program.degraded t.program = None then begin
@@ -484,16 +473,10 @@ let handle_mutation t ~retract text =
   | Ok _ -> (
     with_store_write t (fun () ->
         (* incremental maintenance is defined against the full minimal
-           model; with only demanded fragments materialised, a mutation
-           first forces full materialisation (counted as a demand
-           fallback) and proceeds on the ordinary Live path *)
-        if t.config.demand && not t.demand_materialised then begin
-          ignore (Program.run t.program);
-          Mutex.lock t.demand_lock;
-          t.demand_materialised <- true;
-          Mutex.unlock t.demand_lock;
-          Atomic.incr t.demand_fallbacks
-        end;
+           model; with only demanded fragments materialised, attaching
+           Live first materialises it (counted as a demand fallback) *)
+        if t.config.demand && not (Program.materialised t.program) then
+          Atomic.incr t.demand_fallbacks;
         let live = live_of t in
         let apply =
           if retract then Incremental.Live.retract_batch
@@ -928,17 +911,7 @@ let run_recovery t d (recovery : Durable.recovery) =
   let t0 = Unix.gettimeofday () in
   if t.config.recovery_delay_s > 0. then
     Thread.delay t.config.recovery_delay_s;
-  let live =
-    with_store_write t (fun () ->
-        let live = live_of t in
-        if t.config.demand then begin
-          (* attaching Live materialised the full model *)
-          Mutex.lock t.demand_lock;
-          t.demand_materialised <- true;
-          Mutex.unlock t.demand_lock
-        end;
-        live)
-  in
+  let live = with_store_write t (fun () -> live_of t) in
   List.iter
     (fun (r : Durable.record) ->
       (* each record was gated when first accepted; re-validate with the
@@ -1067,7 +1040,6 @@ let create ?(config = default_config) ~program addr =
       durable;
       recovering = Atomic.make (durable <> None);
       demand_lock = Mutex.create ();
-      demand_materialised = false;
       demand_ready = Hashtbl.create 16;
       subs_lock = Mutex.create ();
       subs = Hashtbl.create 8;

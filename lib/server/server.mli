@@ -89,10 +89,12 @@ type config = {
           validated read path. When the transform is unsound for the
           program (negation, inclusion strata, hilog) — or on the first
           [ASSERT]/[RETRACT], whose incremental maintenance is defined
-          against the full model — the server falls back to full
-          materialisation once and behaves as without this flag
-          ([demand_fallbacks_total] in [STATS] counts these). Off by
-          default. *)
+          against the full model, so attaching [Live] runs it — the
+          program is materialised once ([demand_fallbacks_total] in
+          [STATS] counts these). From then on the program knows it holds
+          the full model ({!Engine.Program.materialised}): every query
+          takes the read path and the server behaves as without this
+          flag. Off by default. *)
   admit_cost : int option;
       (** admission control by predicted cost: when set, the program is
           abstractly interpreted once at server creation

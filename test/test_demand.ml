@@ -457,18 +457,34 @@ let test_degraded_drops_watermark () =
   Alcotest.(check (list string))
     "next shape member right" (expect "c0[up ->> {X}]") (render p c.rows)
 
-let test_removal_drops_watermarks () =
+(* Only Live removes facts, and attaching it materialises the program:
+   a demand query after a retraction answers from the maintained model,
+   with the rows of a plain query, no fixpoint and no magic tuple. *)
+let test_demand_after_retract () =
   let p = Program.of_string (chains [ "a"; "b"; "c" ] 5) in
   ignore (Program.query_demand_string p "a0[up ->> {X}]");
-  let store = Program.store p in
-  let name = Pathlog.Store.name store in
-  Alcotest.(check bool) "removed" true
-    (Pathlog.Store.remove_scalar store ~meth:(name "boss") ~recv:(name "c4")
-       ~args:[] ~res:(name "c5"));
-  let _, r = Program.query_demand_string p "b0[up ->> {X}]" in
-  Alcotest.(check bool) "no resume across a removal" false r.Program.d_resumed;
-  let _, r = Program.query_demand_string p "a1[up ->> {X}]" in
-  Alcotest.(check bool) "resumes once re-marked" true r.Program.d_resumed
+  Alcotest.(check bool) "demand alone does not materialise" false
+    (Program.materialised p);
+  let live = Pathlog.Live.attach p in
+  Alcotest.(check bool) "attach materialises" true (Program.materialised p);
+  ignore
+    (Pathlog.Live.retract_batch live "c2[boss -> c3]."
+      : Pathlog.Live.batch_stats);
+  List.iter
+    (fun q ->
+      let d, r = Program.query_demand_string p q in
+      Alcotest.(check (list string))
+        ("demand = query: " ^ q)
+        (render p (Program.query_string p q).rows)
+        (render p d.rows);
+      Alcotest.(check int) ("no fixpoint: " ^ q) 0
+        r.Program.d_stats.Pathlog.Fixpoint.rule_evaluations)
+    [ "a0[up ->> {X}]"; "c0[up ->> {X}]"; "b1[up ->> {X}]"; "X[up ->> {c4}]" ];
+  Alcotest.(check (list string))
+    "the retracted edge is gone" [ "c1"; "c2" ]
+    (render p (fst (Program.query_demand_string p "c0[up ->> {X}]")).rows);
+  Alcotest.(check int) "no magic tuples" 0
+    (Demand.magic_fact_total (Program.store p))
 
 (* A random sequence of demand queries — repeated and differing shapes,
    the same shape on different constants — with facts added in between,
@@ -571,8 +587,8 @@ let suite =
       test_plan_cache_stable;
     Alcotest.test_case "degraded first sight drops its watermark" `Quick
       test_degraded_drops_watermark;
-    Alcotest.test_case "removal drops every watermark" `Quick
-      test_removal_drops_watermarks;
+    Alcotest.test_case "retraction reads the model" `Quick
+      test_demand_after_retract;
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 1);
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 4);
   ]

@@ -208,14 +208,162 @@ let unstratifiable_rule_rejected () =
   check_clean live
 
 (* ------------------------------------------------------------------ *)
+(* Regular paths and virtual objects: a regex body atom rests on the
+   edges of a witness path, and a head path that finds its (virtual)
+   object rests on the link it found. *)
+
+let retract live text =
+  ignore (Live.retract_batch live text : Live.batch_stats)
+
+let expect live q b = Alcotest.(check bool) q b (holds live q)
+
+let boss_chain = "a[boss -> b]. b[boss -> c].\n"
+
+let regex_boss_plus () =
+  let live = attach (boss_chain ^ "X[up ->> {Y}] <- X.boss+[Y].") in
+  check_clean live;
+  retract live "b[boss -> c].";
+  expect live "a[up ->> {c}]" false;
+  expect live "b[up ->> {c}]" false;
+  expect live "a[up ->> {b}]" true;
+  check_equiv live;
+  check_clean live
+
+(* two paths from a to c: retracting one witness edge must re-derive the
+   pair through the other *)
+let regex_alternation () =
+  let live =
+    attach
+      (boss_chain
+     ^ "a[mentor -> d]. d[mentor -> c].\n\
+        X[up ->> {Y}] <- X.(boss|mentor)+[Y].")
+  in
+  check_clean live;
+  retract live "b[boss -> c].";
+  expect live "a[up ->> {c}]" true;
+  expect live "b[up ->> {c}]" false;
+  check_equiv live;
+  check_clean live;
+  retract live "d[mentor -> c].";
+  expect live "a[up ->> {c}]" false;
+  check_equiv live;
+  check_clean live
+
+let regex_class_filter () =
+  let live =
+    attach (boss_chain ^ "c : vip.\nX : underVip <- X.boss+ : vip.")
+  in
+  check_clean live;
+  expect live "a : underVip" true;
+  retract live "b[boss -> c].";
+  expect live "a : underVip" false;
+  expect live "b : underVip" false;
+  check_equiv live;
+  check_clean live
+
+let regex_recursive_on_top () =
+  let live =
+    attach
+      (boss_chain
+     ^ "c[peer ->> {d}].\n\
+        X[up ->> {Y}] <- X.boss+[Y].\n\
+        X[up ->> {Y}] <- X[up ->> {Z}], Z[peer ->> {Y}].")
+  in
+  check_clean live;
+  expect live "a[up ->> {d}]" true;
+  retract live "b[boss -> c].";
+  expect live "a[up ->> {c}]" false;
+  expect live "a[up ->> {d}]" false;
+  check_equiv live;
+  check_clean live
+
+let virtual_object_link () =
+  let live =
+    attach
+      "e1 : emp. e1[city -> x].\n\
+       X.address[city -> C] <- X : emp, X[city -> C]."
+  in
+  check_clean live;
+  expect live "e1[address -> e1.address]" true;
+  retract live "e1[city -> x].";
+  expect live "e1[address -> e1.address]" false;
+  check_equiv live;
+  check_clean live
+
+(* WHY a regex-derived fact shows the edges of a witness path *)
+let regex_why_support () =
+  let p = Program.of_string (boss_chain ^ "X[up ->> {Y}] <- X.boss+[Y].") in
+  ignore (Program.run p);
+  match Program.why_string p "a[up ->> {c}]" with
+  | None -> Alcotest.fail "no proof"
+  | Some proof ->
+    let support =
+      List.map
+        (fun (sp : Pathlog.Provenance.proof) ->
+          Format.asprintf "%a" (Pathlog.Fact.pp (Program.universe p)) sp.fact)
+        proof.support
+    in
+    Alcotest.(check (list string))
+      "witness edges" [ "a[boss -> b]"; "b[boss -> c]" ] support
+
+(* Every shipped program: the support index is complete after attach,
+   and retracting any one extensional fact gives the model a fresh
+   program built from the live source has. *)
+let corpus_files () =
+  List.concat_map
+    (fun dir ->
+      match List.find_opt Sys.file_exists [ "../" ^ dir; dir ] with
+      | None -> Alcotest.failf "corpus directory %s not found" dir
+      | Some d ->
+        Sys.readdir d |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".plg")
+        |> List.sort compare
+        |> List.map (Filename.concat d))
+    [ "examples/programs"; "docs/snippets" ]
+
+let corpus_sweep () =
+  let files = corpus_files () in
+  Alcotest.(check int) "corpus size" 10 (List.length files);
+  List.iter
+    (fun file ->
+      let text = Test_programs.read_file file in
+      let live = attach text in
+      Alcotest.(check (list string))
+        (file ^ ": support after attach") [] (Live.check_support live);
+      let facts =
+        String.split_on_char '\n' (Live.dump_source live)
+        |> List.filter (fun l -> l <> "" && not (String.contains l '<'))
+      in
+      List.iter
+        (fun fact ->
+          let live = attach text in
+          retract live fact;
+          let reference = Program.of_string (Live.dump_source live) in
+          ignore (Program.run reference);
+          Alcotest.(check (pair (list string) (list string)))
+            (Printf.sprintf "%s: retract %s = from-scratch run" file fact)
+            ([], [])
+            (Helpers.model_diff ~before:reference ~after:(Live.program live));
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: support after retract %s" file fact)
+            [] (Live.check_support live))
+        facts)
+    files
+
+(* ------------------------------------------------------------------ *)
 (* Property: random assert/retract interleavings = from-scratch *)
 
+(* [far] reaches over a regular path, so a retracted edge may leave the
+   pair connected through another; [X.hub] is a virtual object every
+   edge of a grp0 member re-derives, so its link has several supports *)
 let base_program =
   {|
     X[reach ->> {Y}] <- X[edge ->> {Y}].
     X[reach ->> {Y}] <- X[edge ->> {Z}] , Z[reach ->> {Y}].
     X : connected <- X[reach ->> {Y}].
     X[deg -> one] <- X : connected.
+    X[far ->> {Y}] <- X..edge+[Y].
+    X.hub[size -> big] <- X : grp0, X[edge ->> {Y}].
   |}
 
 let interleaving_equals_scratch ~jobs seed =
@@ -330,6 +478,13 @@ let suite =
     case "rejected batches are atomic" reject_atomic;
     case "unstratifiable rule rejected" unstratifiable_rule_rejected;
     case "attach after demand queries" attach_after_demand;
+    case "regex: boss+ retract" regex_boss_plus;
+    case "regex: alternation re-derives through another path" regex_alternation;
+    case "regex: class filter" regex_class_filter;
+    case "regex: recursive rule on top" regex_recursive_on_top;
+    case "virtual object: link support" virtual_object_link;
+    case "regex: why shows witness edges" regex_why_support;
+    case "corpus sweep: attach and retract each fact" corpus_sweep;
     QCheck_alcotest.to_alcotest (qcheck_interleaving 1);
     QCheck_alcotest.to_alcotest (qcheck_interleaving 4);
   ]

@@ -1450,7 +1450,7 @@ let main args =
       ("recv_set_query", fun () -> recv_set_query ~target);
       ("isa_closure_growth", fun () -> isa_closure_growth ~reps);
       ("assert_batch", fun () -> assert_batch ~reps);
-      ("retract_rederive", fun () -> retract_rederive ~target);
+      ("retract_reDerive_tc_400", fun () -> retract_rederive ~target);
       ("server_throughput_4w", fun () -> server_throughput ~requests);
       ( "fixpoint_par_1j",
         fun () ->

@@ -155,13 +155,12 @@ let crule_of itn (rule : Rule.t) =
   { rule; read_ids; seed_ids; seed_rel_ids }
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-plan cache: one plan per (rule, seed adornment, evaluation
-   variant), reused across rounds and strata — and, when the caller passes
-   a shared cache, across whole runs; recompiled when the store has grown
-   enough that the cost ranking is likely stale. The variant component
-   keeps full, pruned (rule-filtered) and demand-transformed runs from
-   sharing plans: the same rule uid evaluates against differently shaped
-   stores in each mode. *)
+(* Compiled-plan cache: one plan per (rule uid, seed atom), reused across
+   rounds and strata — and, when the caller passes a shared cache, across
+   whole runs; recompiled when the store has grown enough that the cost
+   ranking is likely stale. Full and demand runs share the cache without
+   sharing plans: the demand transform compiles its magic and guarded
+   rules afresh, so they have uids of their own. *)
 
 type plan_cache = (int * int, Semantics.Solve.plan) Hashtbl.t
 
@@ -212,33 +211,24 @@ let interrupt_of budget =
 
 (* Execute the rule head under one body solution, recording provenance
    and counting insertions; shared by the sequential path and the
-   parallel merge phase. *)
+   parallel merge phase. The solver's [binding] is fresh per solution,
+   so the firing's derivation record keeps it uncopied. *)
 let fire ?provenance ?tracer ?(on_insert = fun _ -> ()) stats store
     (rule : Rule.t) binding changes =
   stats.firings <- stats.firings + 1;
   let env = env_of_binding rule.body binding in
-  let record_prov =
+  let deriv = { Provenance.rule; binding } in
+  let on_insert =
     match provenance with
-    | None -> fun _ -> ()
+    | None -> on_insert
     | Some prov ->
+      let source =
+        if rule.source.body = [] then Provenance.Extensional
+        else Provenance.Derived deriv
+      in
       fun fact ->
-        let source =
-          if rule.source.body = [] then Provenance.Extensional
-          else
-            Provenance.Derived
-              {
-                rule = rule.source;
-                env =
-                  List.map
-                    (fun (name, slot) -> (name, binding.(slot)))
-                    rule.body.named;
-              }
-        in
-        Provenance.record prov fact source
-  in
-  let on_insert fact =
-    record_prov fact;
-    on_insert fact
+        Provenance.record prov fact source;
+        on_insert fact
   in
   let before = !changes in
   (match tracer with
@@ -252,7 +242,7 @@ let fire ?provenance ?tracer ?(on_insert = fun _ -> ()) stats store
       (Head.execute ~on_insert
          ~on_assert:(fun f -> heads := f :: !heads)
          store ~env ~rule:rule.source ~changes rule.source.head);
-    tr rule binding (List.rev !heads));
+    tr deriv (List.rev !heads));
   stats.insertions <- stats.insertions + (!changes - before)
 
 (* Evaluate one rule, optionally seeded, executing the head on every body

@@ -113,7 +113,7 @@ val watermark : Oodb.Store.t -> Semantics.Ir.rel -> int
 val run :
   ?config:config ->
   ?provenance:Provenance.t ->
-  ?tracer:(Rule.t -> Oodb.Obj_id.t array -> Fact.t list -> unit) ->
+  ?tracer:(Provenance.derivation -> Fact.t list -> unit) ->
   ?on_insert:(Fact.t -> unit) ->
   ?from:(Semantics.Ir.rel -> int) ->
   ?plans:plan_cache ->
@@ -126,8 +126,9 @@ val run :
     provenance recording — the hook incremental maintenance uses to track
     the net model delta of a run.
 
-    [tracer rule binding heads] is called once per rule firing with the
-    body solution and every fact the head asserted — inserted {e or}
+    [tracer deriv heads] is called once per rule firing with the firing's
+    derivation record (the one [provenance] stores for the facts it
+    inserted) and every fact the head asserted — inserted {e or}
     already present — in assertion order. Incremental maintenance records
     these as derivations. Called from the merge phase under [jobs > 1], so
     it runs single-threaded either way.

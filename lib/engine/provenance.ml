@@ -1,11 +1,8 @@
 module Ir = Semantics.Ir
 
-type source =
-  | Extensional
-  | Derived of {
-      rule : Syntax.Ast.rule;
-      env : (string * Oodb.Obj_id.t) list;
-    }
+type derivation = { rule : Rule.t; binding : Oodb.Obj_id.t array }
+
+type source = Extensional | Derived of derivation
 
 type proof = {
   fact : Fact.t;
@@ -70,44 +67,29 @@ let body_facts store (q : Ir.query) binding =
     | Ir.Const o -> o
     | Ir.V i -> binding.(i)
   in
+  let app ~set meth recv args res =
+    let a = { Fact.meth; recv; args; res } in
+    if set then Fact.F_set a else Fact.F_scalar a
+  in
+  let method_atom ~set meth recv args res =
+    let meth = deref meth in
+    if Oodb.Obj_id.equal meth self_id && args = [] then []
+    else [ app ~set meth (deref recv) (List.map deref args) (deref res) ]
+  in
   List.concat_map
     (fun (atom : Ir.atom) ->
       match atom with
       | A_isa (o, c) -> isa_support store (deref o) (deref c)
       | A_scalar { meth; recv; args; res } ->
-        let meth = deref meth in
-        if Oodb.Obj_id.equal meth self_id && args = [] then []
-        else
-          [
-            Fact.F_scalar
-              {
-                meth;
-                recv = deref recv;
-                args = List.map deref args;
-                res = deref res;
-              };
-          ]
+        method_atom ~set:false meth recv args res
       | A_member { meth; recv; args; res } ->
-        let meth = deref meth in
-        if Oodb.Obj_id.equal meth self_id && args = [] then []
-        else
-          [
-            Fact.F_set
-              {
-                meth;
-                recv = deref recv;
-                args = List.map deref args;
-                res = deref res;
-              };
-          ]
+        method_atom ~set:true meth recv args res
       (* a regex atom rests on the edges of one witness path; other
          paths may support the same pair, so incremental maintenance
          re-derives rather than trusts a lost witness *)
       | A_regex { x_auto; x_recv; x_res } ->
         let edge ((lbl : Ir.label), recv, res) =
-          let meth = lbl.lbl_meth and args = lbl.lbl_args in
-          if lbl.lbl_set then Fact.F_set { meth; recv; args; res }
-          else Fact.F_scalar { meth; recv; args; res }
+          app ~set:lbl.lbl_set lbl.lbl_meth recv lbl.lbl_args res
         in
         Semantics.Solve.regex_witness store x_auto ~recv:(deref x_recv)
           ~res:(deref x_res)
@@ -117,34 +99,30 @@ let body_facts store (q : Ir.query) binding =
       | A_eq _ | A_subset _ | A_neg _ -> [])
     q.atoms
 
+let replay ?interrupt store { rule; binding } =
+  let bindings =
+    List.map (fun (_, slot) -> (slot, binding.(slot))) rule.body.named
+  in
+  let found = ref None in
+  Semantics.Solve.iter ?interrupt ~bindings ~limit:1 store rule.body
+    ~f:(fun b -> found := Some (body_facts store rule.body b));
+  !found
+
 let rec explain ?(max_depth = 64) ?interrupt store t fact =
   match lookup t fact with
   | None -> None
   | Some Extensional -> Some { fact; source = Extensional; support = [] }
-  | Some (Derived { rule; env } as source) ->
-    if max_depth <= 0 then Some { fact; source; support = [] }
-    else begin
-      let q = Semantics.Flatten.literals store rule.body in
-      let bindings =
-        List.filter_map
-          (fun (name, slot) ->
-            Option.map (fun o -> (slot, o)) (List.assoc_opt name env))
-          q.named
-      in
-      let support = ref [] in
-      Semantics.Solve.iter ?interrupt ~bindings ~limit:1 store q
-        ~f:(fun binding ->
-          support :=
-            List.map
-              (fun sub ->
-                match
-                  explain ~max_depth:(max_depth - 1) ?interrupt store t sub
-                with
-                | Some p -> p
-                | None -> { fact = sub; source = Extensional; support = [] })
-              (body_facts store q binding));
-      Some { fact; source; support = !support }
-    end
+  | Some (Derived d as source) ->
+    let support =
+      if max_depth <= 0 then []
+      else
+        Option.value ~default:[] (replay ?interrupt store d)
+        |> List.map (fun sub ->
+               explain ~max_depth:(max_depth - 1) ?interrupt store t sub
+               |> Option.value
+                    ~default:{ fact = sub; source = Extensional; support = [] })
+    in
+    Some { fact; source; support }
 
 let pp_proof u ppf proof =
   let rec go indent ppf p =
@@ -152,7 +130,7 @@ let pp_proof u ppf proof =
     (match p.source with
     | Extensional -> Format.fprintf ppf "   (fact)"
     | Derived { rule; _ } ->
-      Format.fprintf ppf "   (by %a)" Syntax.Pretty.pp_rule rule);
+      Format.fprintf ppf "   (by %a)" Syntax.Pretty.pp_rule rule.source);
     List.iter
       (fun child -> Format.fprintf ppf "@,%a" (go (indent ^ "  ")) child)
       p.support

@@ -1,22 +1,22 @@
 (** Derivation provenance and proof trees.
 
     When enabled (the default), the fixpoint records, for every tuple it
-    inserts, the rule and variable valuation of the {e first} derivation.
-    {!explain} then reconstructs a proof tree: the root fact, the rule that
-    derived it, and recursively the body facts that rule matched — replayed
-    through the solver with the recorded valuation pre-bound, so the
-    sub-facts shown are a real support set for the derivation.
+    inserts, the {e first} derivation: one record per firing, which
+    [Live]'s support index holds too. {!explain} then reconstructs a proof
+    tree: the root fact, the rule that derived it, and recursively the
+    body facts that rule matched — {!replay}ed, so the sub-facts shown are
+    a real support set for the derivation.
 
     Facts asserted by fact statements (at load or in a [Live] ASSERT
     batch) are [Extensional] leaves; skolem-creating insertions point at
     the rule whose head invented the object. *)
 
+(** A rule and the body solution the solver found, by [rule.body] slot. *)
+type derivation = { rule : Rule.t; binding : Oodb.Obj_id.t array }
+
 type source =
   | Extensional  (** asserted by a fact statement *)
-  | Derived of {
-      rule : Syntax.Ast.rule;
-      env : (string * Oodb.Obj_id.t) list;
-    }
+  | Derived of derivation
 
 type proof = {
   fact : Fact.t;
@@ -29,7 +29,7 @@ type t
 val create : unit -> t
 
 (** Record the first derivation of a fact (later derivations keep the
-    first). *)
+    first; {!forget} first to replace it). *)
 val record : t -> Fact.t -> source -> unit
 
 val lookup : t -> Fact.t -> source option
@@ -47,6 +47,13 @@ val size : t -> int
     maintenance, which records them as a derivation's support set. *)
 val body_facts :
   Oodb.Store.t -> Semantics.Ir.query -> Oodb.Obj_id.t array -> Fact.t list
+
+(** The {!body_facts} of the first body solution with the derivation's
+    named slots pre-bound (any such solution justifies the same heads), or
+    [None] once the body no longer holds. *)
+val replay :
+  ?interrupt:(unit -> unit) -> Oodb.Store.t -> derivation ->
+  Fact.t list option
 
 (** Build the proof tree of a recorded fact. [max_depth] truncates (cycles
     cannot occur — provenance records first derivations, which are

@@ -21,6 +21,7 @@ module Stratify = Engine.Stratify
 module Fixpoint = Engine.Fixpoint
 module Fact = Engine.Fact
 module Provenance = Engine.Provenance
+module Demand = Engine.Demand
 module Head = Engine.Head
 module Err = Engine.Err
 
@@ -51,20 +52,23 @@ module Fact_tbl = Hashtbl.Make (struct
   let hash = Fact.hash
 end)
 
-(* One recorded body solution of a rule. [d_heads] are every fact the
-   head asserted under it (sub-path links included); [d_body] the ground
-   facts the solution rests on. Dead derivations stay in the
-   [uses]/[heads_of] lists (filtered on read) but leave [dedup], so a
-   later re-derivation of the same solution re-records. *)
+(* Derivations are identified by rule uid and body solution. *)
+module Deriv_tbl = Hashtbl.Make (struct
+  type t = Provenance.derivation
+
+  let equal (a : t) (b : t) = a.rule.uid = b.rule.uid && a.binding = b.binding
+  let hash (d : t) =
+    Array.fold_left (fun h o -> (h * 31) + o) d.rule.uid d.binding
+end)
+
+(* One recorded body solution of a rule, as provenance records it.
+   [d_heads] are every fact the head asserted under it (sub-path links
+   included); [d_body] the ground facts it rests on. Dead derivations
+   stay in the [uses]/[heads_of] lists (filtered on read) but leave
+   [dedup], so a later re-derivation of the same solution re-records. *)
 type deriv = {
-  d_rule : Rule.t;
-  d_key : string;
-  d_env : (int * Oodb.Obj_id.t) list;  (* named slots, for replay *)
+  d_src : Provenance.derivation;
   d_recursive : bool;
-  d_witness : bool;
-      (* the body has a regular-path atom, so [d_body] holds one witness
-         path of several possible: the derivation counts as recursive,
-         and losing it always triggers re-derivation *)
   d_heads : Fact.t list;
   mutable d_body : Fact.t list;
   mutable d_dead : bool;
@@ -83,7 +87,7 @@ type t = {
   edb : int ref Fact_tbl.t;  (* extensional multiplicity per fact *)
   uses : deriv list ref Fact_tbl.t;  (* body fact -> derivations (over-approx) *)
   heads_of : deriv list ref Fact_tbl.t;  (* head fact -> derivations *)
-  dedup : (string, deriv) Hashtbl.t;  (* live derivations by key *)
+  dedup : deriv Deriv_tbl.t;  (* live derivations *)
   mutable commit_hook :
     (retract:bool -> epoch:int -> text:string -> unit) option;
       (* durability: called after the maintenance run succeeds, before
@@ -196,48 +200,34 @@ let deriv_recursive t (rule : Rule.t) =
 (* ------------------------------------------------------------------ *)
 (* Recording derivations (the fixpoint tracer) *)
 
-let key_of (rule : Rule.t) binding =
-  let b = Buffer.create 32 in
-  Buffer.add_string b (string_of_int rule.uid);
-  Array.iter
-    (fun o ->
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int o))
-    binding;
-  Buffer.contents b
-
+(* A regular-path atom rests on one witness path of several possible: the
+   derivation counts as recursive, and losing it re-derives. *)
 let has_regex (rule : Rule.t) =
   List.exists
     (function Ir.A_regex _ -> true | _ -> false)
     rule.body.Ir.atoms
 
-let record_deriv t (rule : Rule.t) binding heads =
-  if rule.source.body <> [] && heads <> [] then begin
-    let key = key_of rule binding in
-    if not (Hashtbl.mem t.dedup key) then begin
-      let body = Provenance.body_facts t.store rule.body binding in
-      let witness = has_regex rule in
-      let d =
-        {
-          d_rule = rule;
-          d_key = key;
-          d_env =
-            List.map (fun (_, slot) -> (slot, binding.(slot))) rule.body.named;
-          d_recursive = witness || deriv_recursive t rule;
-          d_witness = witness;
-          d_heads = heads;
-          d_body = body;
-          d_dead = false;
-        }
-      in
-      Hashtbl.add t.dedup key d;
-      List.iter
-        (fun h ->
-          bump t.counts h 1;
-          push_assoc t.heads_of h d)
-        heads;
-      List.iter (fun bf -> push_assoc t.uses bf d) body
-    end
+let record_deriv t (src : Provenance.derivation) heads =
+  let rule = src.rule in
+  if rule.source.body <> [] && heads <> [] && not (Deriv_tbl.mem t.dedup src)
+  then begin
+    let body = Provenance.body_facts t.store rule.body src.binding in
+    let d =
+      {
+        d_src = src;
+        d_recursive = has_regex rule || deriv_recursive t rule;
+        d_heads = heads;
+        d_body = body;
+        d_dead = false;
+      }
+    in
+    Deriv_tbl.add t.dedup src d;
+    List.iter
+      (fun h ->
+        bump t.counts h 1;
+        push_assoc t.heads_of h d)
+      heads;
+    List.iter (fun bf -> push_assoc t.uses bf d) body
   end
 
 (* ------------------------------------------------------------------ *)
@@ -283,6 +273,36 @@ let reinsert t f =
   | Fact.F_set { meth; recv; args; res } ->
     ignore (Store.add_set t.store ~meth ~recv ~args ~res : Store.set_insert)
 
+let drop_derived t ctx =
+  let garbage = ref [] in
+  Fact.iter_live t.store (fun f ->
+      if get_count t.edb f <= 0 then garbage := f :: !garbage);
+  List.iter (fun f -> ignore (tombstone t ctx f : bool)) !garbage
+
+(* A live fact's provenance record names support it still has. *)
+let record_holds t f = function
+  | Provenance.Extensional -> get_count t.edb f > 0
+  | Provenance.Derived r -> (
+    match Deriv_tbl.find_opt t.dedup r with
+    | Some d -> List.exists (Fact.equal f) d.d_heads
+    | None -> false)
+
+(* Re-point a record that no longer holds: to [Extensional] if a
+   multiplicity remains, else to a live derivation — well-founded, as the
+   fact is in a non-recursive stratum (recursive heads are over-deleted
+   and re-recorded). A tombstoned fact has no record. *)
+let repoint t f =
+  let prov = Program.provenance t.p in
+  match Provenance.lookup prov f with
+  | Some src when not (record_holds t f src) ->
+    Provenance.forget prov f;
+    if get_count t.edb f > 0 then Provenance.record prov f Extensional
+    else
+      Option.fold ~none:[] ~some:( ! ) (Fact_tbl.find_opt t.heads_of f)
+      |> List.find_opt (fun d -> not d.d_dead)
+      |> Option.iter (fun d -> Provenance.record prov f (Derived d.d_src))
+  | Some _ | None -> ()
+
 (* ------------------------------------------------------------------ *)
 (* The deletion cascade.
 
@@ -297,15 +317,15 @@ let reinsert t f =
 
 let rec kill_deriv t ctx (d : deriv) =
   d.d_dead <- true;
-  (* another path may still connect a witness derivation's pair *)
-  if d.d_witness then ctx.c_rederive <- true;
-  Hashtbl.remove t.dedup d.d_key;
+  if has_regex d.d_src.rule then ctx.c_rederive <- true;
+  Deriv_tbl.remove t.dedup d.d_src;
   List.iter
     (fun h ->
       bump t.counts h (-1);
       if d.d_recursive || rel_recursive t (rel_of h) then over_delete t ctx h
       else if get_count t.counts h <= 0 && get_count t.edb h <= 0 then
-        ignore (tombstone t ctx h : bool))
+        ignore (tombstone t ctx h : bool);
+      repoint t h)
     d.d_heads
 
 and over_delete t ctx f =
@@ -324,15 +344,9 @@ and over_delete t ctx f =
 
 (* A non-recursive derivation that lost a body fact may still hold via an
    alternative support set (a different isa chain, a re-asserted tuple):
-   replay the body under the recorded named bindings — any solution
-   yields the same heads, because head variables are named — and adopt
-   its support if one exists. *)
+   replay it and adopt the support it finds, if any. *)
 let revalidate t ctx (d : deriv) =
-  let found = ref None in
-  Semantics.Solve.iter ~bindings:d.d_env ~limit:1 t.store d.d_rule.body
-    ~f:(fun binding ->
-      found := Some (Provenance.body_facts t.store d.d_rule.body binding));
-  match !found with
+  match Provenance.replay t.store d.d_src with
   | Some body ->
     d.d_body <- body;
     List.iter (fun bf -> push_assoc t.uses bf d) body
@@ -368,14 +382,13 @@ let drain t ctx =
 let full_tracing_run t ctx =
   Fixpoint.run ~config:(Program.config t.p)
     ~provenance:(Program.provenance t.p)
-    ~tracer:(fun r b h -> record_deriv t r b h)
-    ~on_insert:(note_insert ctx) t.store t.strat
+    ~tracer:(record_deriv t) ~on_insert:(note_insert ctx) t.store t.strat
 
 let delta_run t ctx baseline =
   Fixpoint.run ~config:(Program.config t.p)
     ~provenance:(Program.provenance t.p)
-    ~tracer:(fun r b h -> record_deriv t r b h)
-    ~on_insert:(note_insert ctx) ~from:baseline t.store t.strat
+    ~tracer:(record_deriv t) ~on_insert:(note_insert ctx) ~from:baseline
+    t.store t.strat
 
 (* Full recompute: tombstone every live fact with no extensional support,
    drop the whole support index, and re-run the tracing fixpoint from the
@@ -383,21 +396,24 @@ let delta_run t ctx baseline =
    unsound (negation or inclusion over an affected relation, rule
    retraction) and the recovery path after a mid-batch failure. *)
 let refresh t ctx =
-  let garbage = ref [] in
-  Fact.iter_live t.store (fun f ->
-      if get_count t.edb f <= 0 then garbage := f :: !garbage);
-  List.iter (fun f -> ignore (tombstone t ctx f : bool)) !garbage;
+  drop_derived t ctx;
   (* extensional facts tombstoned earlier in the batch (or by a failed
-     one) but still multiplicity-positive come back *)
+     one) but still multiplicity-positive come back, recorded as such *)
+  let prov = Program.provenance t.p in
   Fact_tbl.iter
-    (fun f r -> if !r > 0 && not (live_in_store t f) then reinsert t f)
+    (fun f r ->
+      if !r > 0 then begin
+        if not (live_in_store t f) then reinsert t f;
+        Provenance.forget prov f;
+        Provenance.record prov f Provenance.Extensional
+      end)
     t.edb;
   Queue.clear ctx.c_queue;
   ctx.c_rederive <- false;
   Fact_tbl.reset t.counts;
   Fact_tbl.reset t.uses;
   Fact_tbl.reset t.heads_of;
-  Hashtbl.reset t.dedup;
+  Deriv_tbl.reset t.dedup;
   full_tracing_run t ctx
 
 (* ------------------------------------------------------------------ *)
@@ -475,7 +491,7 @@ let edb_retract t ctx (head : Ast.reference) =
       if get_count t.edb f = 0 then begin
         let c = get_count t.counts f in
         if c > 0 && not (rel_recursive t (rel_of f)) then
-          () (* still derived: counting keeps it *)
+          repoint t f (* still derived: counting keeps it *)
         else if c > 0 then over_delete t ctx f
         else ignore (tombstone t ctx f : bool)
       end
@@ -577,7 +593,6 @@ let run_commit_hook t ~retract ~text =
   | Some hook -> hook ~retract ~epoch:(Store.epoch t.store) ~text
 
 let attach p =
-  if not (Program.materialised p) then ignore (Program.run p : Fixpoint.stats);
   let t =
     {
       p;
@@ -593,34 +608,36 @@ let attach p =
       edb = Fact_tbl.create 256;
       uses = Fact_tbl.create 256;
       heads_of = Fact_tbl.create 256;
-      dedup = Hashtbl.create 256;
+      dedup = Deriv_tbl.create 256;
       commit_hook = None;
     }
   in
   recompute_strat_meta t;
   (* register the extensional multiplicities: re-execute the program's
      fact statements (idempotent; on_assert fires on duplicates too,
-     sub-path skolem facts included) *)
+     sub-path skolem facts included; an unevaluated program loads here) *)
+  let prov = Program.provenance p in
   List.iter
     (fun (r : Rule.t) ->
       if r.source.body = [] then begin
         let changes = ref 0 in
         ignore
           (Head.execute
+             ~on_insert:(fun f -> Provenance.record prov f Extensional)
              ~on_assert:(fun f -> bump t.edb f 1)
              t.store ~env:Semantics.Valuation.Env.empty ~rule:r.source ~changes
              r.source.head
             : Oodb.Obj_id.t)
       end)
     (Program.rules p);
-  (* demand queries answered before the attach leave magic tuples no rule
-     here derives: retire them. The program is materialised by now, so no
-     demand run (and no shape's resume mark) ever sees the store again. *)
   let ctx = new_ctx () in
-  let u = Store.universe t.store and magic = ref [] in
-  Fact.iter_live t.store (fun f ->
-      if Fact.is_magic u f then magic := f :: !magic);
-  List.iter (fun f -> ignore (tombstone t ctx f : bool)) !magic;
+  (* demand queries leave magic tuples and fragments recorded under
+     synthesised rules, materialised or not: drop every derived fact, and
+     the run re-derives and re-records them under the program's rules *)
+  let fragment = Demand.magic_fact_total t.store > 0 in
+  if fragment then drop_derived t ctx;
+  if fragment || not (Program.materialised p) then
+    ignore (Program.run p : Fixpoint.stats);
   (* one tracing pass at the fixpoint enumerates every body solution of
      every rule exactly once, populating the support index *)
   ignore (full_tracing_run t ctx : Fixpoint.stats);
@@ -753,26 +770,28 @@ let dump_source t =
 
 (* Support-index audit (chaos harness): every live derivation rests on
    live facts, counts agree with the live derivation multiset, and every
-   live stored fact is extensional or counted. *)
+   live stored fact's provenance record names support it still has. *)
 let check_support t =
   let errs = ref [] in
   let u = Store.universe t.store in
   let say fmt = Format.kasprintf (fun m -> errs := m :: !errs) fmt in
+  let pp_deriv ppf d = Syntax.Pretty.pp_rule ppf d.d_src.rule.source in
   let recount = Fact_tbl.create 256 in
-  Hashtbl.iter
+  Deriv_tbl.iter
     (fun _ (d : deriv) ->
-      if d.d_dead then say "dead derivation still in dedup: %s" d.d_key
+      if d.d_dead then say "dead derivation still in dedup: %a" pp_deriv d
       else begin
         List.iter (fun h -> bump recount h 1) d.d_heads;
         List.iter
           (fun bf ->
             if not (live_in_store t bf) then
-              say "derivation %s rests on dead fact %a" d.d_key (Fact.pp u) bf)
+              say "derivation %a rests on dead fact %a" pp_deriv d
+                (Fact.pp u) bf)
           d.d_body;
         List.iter
           (fun h ->
             if not (live_in_store t h) then
-              say "derivation %s heads dead fact %a" d.d_key (Fact.pp u) h)
+              say "derivation %a heads dead fact %a" pp_deriv d (Fact.pp u) h)
           d.d_heads
       end)
     t.dedup;
@@ -789,9 +808,11 @@ let check_support t =
         say "derivation of %a missing from counts" (Fact.pp u) f)
     recount;
   Fact.iter_live t.store (fun f ->
-      if get_count t.edb f <= 0 && get_count t.counts f <= 0 then
-        say "live fact %a has neither extensional nor derived support"
-          (Fact.pp u) f);
+      match Provenance.lookup (Program.provenance t.p) f with
+      | Some src when record_holds t f src -> ()
+      | Some _ | None ->
+        say "live fact %a has no record of support it still has" (Fact.pp u)
+          f);
   Fact_tbl.iter
     (fun f r ->
       if !r > 0 && not (live_in_store t f) then

@@ -54,8 +54,8 @@ type batch_stats = {
     {!Engine.Program.materialised}, and build the support index: the
     extensional multiplicities from its fact statements, and one recorded
     derivation per (rule, body solution) from a tracing fixpoint pass.
-    Magic tuples left by earlier demand queries have no support here and
-    are retired. *)
+    The magic tuples and fragments earlier demand queries left are
+    dropped, and the run re-derives the fragments under the program's rules. *)
 val attach : Engine.Program.t -> t
 
 val program : t -> Engine.Program.t

@@ -182,19 +182,17 @@ let install_signal_handlers t =
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (runs in pool workers; validated, see below).    *)
 
+let render_row t row =
+  String.concat "\t"
+    (List.map (Oodb.Universe.to_string (Program.universe t.program)) row)
+
 let render_answer t (a : Program.answer) =
   match a.columns with
   | [] -> [ (if a.rows = [] then "no" else "yes") ]
-  | columns ->
-    let u = Program.universe t.program in
-    String.concat "\t" columns
-    :: List.map
-         (fun row ->
-           String.concat "\t" (List.map (Oodb.Universe.to_string u) row))
-         a.rows
+  | columns -> String.concat "\t" columns :: List.map (render_row t) a.rows
 
 (* Map evaluation exceptions to protocol errors: the shared fault
-   boundary of the read-only and demand paths. *)
+   boundary of the read-only, demand and subscribe paths. *)
 let reply_of_eval t f =
   match f () with
   | reply -> reply
@@ -387,13 +385,7 @@ let live_of t =
 let subscription_rows t (a : Program.answer) =
   match a.columns with
   | [] -> if a.rows = [] then [] else [ "true" ]
-  | _ ->
-    let u = Program.universe t.program in
-    List.sort compare
-      (List.map
-         (fun row ->
-           String.concat "\t" (List.map (Oodb.Universe.to_string u) row))
-         a.rows)
+  | _ -> List.sort compare (List.map (render_row t) a.rows)
 
 (* Difference of two sorted string lists: (appeared, vanished). *)
 let diff_sorted before after =
@@ -527,14 +519,12 @@ let handle_subscribe t ~fd ~oc ~wlock query =
          taken; errors surface through the baseline query below *)
       (if t.config.demand && not (demand_done t query) then
          try ignore (demand_materialise_locked t query) with _ -> ());
-      match Program.query_string t.program query with
-      | exception Program.Invalid msg -> Protocol.Err (Protocol.Parse, msg)
-      | exception e -> (
-        match Engine.Err.message (Program.store t.program) e with
-        | Some msg -> Protocol.Err (Protocol.Parse, msg)
-        | None -> Protocol.Err (Protocol.Internal, Printexc.to_string e))
-      | a ->
-        let rows = subscription_rows t a in
+      match
+        reply_of_eval t (fun () ->
+            Protocol.Ok
+              (subscription_rows t (Program.query_string t.program query)))
+      with
+      | Protocol.Ok rows ->
         Mutex.lock t.subs_lock;
         let id = t.next_sub_id in
         t.next_sub_id <- id + 1;
@@ -548,7 +538,8 @@ let handle_subscribe t ~fd ~oc ~wlock query =
             sub_rows = rows;
           };
         Mutex.unlock t.subs_lock;
-        Protocol.Ok (Printf.sprintf "id %d" id :: rows))
+        Protocol.Ok (Printf.sprintf "id %d" id :: rows)
+      | reply -> reply)
 
 let unsubscribe_session t fd =
   Mutex.lock t.subs_lock;

@@ -354,8 +354,11 @@ let corpus_sweep () =
 (* Property: random assert/retract interleavings = from-scratch *)
 
 (* [far] reaches over a regular path, so a retracted edge may leave the
-   pair connected through another; [X.hub] is a virtual object every
-   edge of a grp0 member re-derives, so its link has several supports *)
+   pair connected through another. Over [edge], [reach] is the same
+   closure, and its over-deletion re-derives such a pair anyway; over
+   [link], which no recursive rule reads, only the lost witness does.
+   [X.hub] is a virtual object every edge of a grp0 member re-derives,
+   so its link has several supports. *)
 let base_program =
   {|
     X[reach ->> {Y}] <- X[edge ->> {Y}].
@@ -363,6 +366,7 @@ let base_program =
     X : connected <- X[reach ->> {Y}].
     X[deg -> one] <- X : connected.
     X[far ->> {Y}] <- X..edge+[Y].
+    X[far ->> {Y}] <- X..link+[Y].
     X.hub[size -> big] <- X : grp0, X[edge ->> {Y}].
   |}
 
@@ -380,7 +384,39 @@ let interleaving_equals_scratch ~jobs seed =
       Printf.sprintf "%s[edge ->> {%s}]." (obj (Random.State.int rng 8))
         (obj (Random.State.int rng 8))
   in
+  (* a -> b -> d and a -> c -> d over four distinct nodes: retracting one
+     link leaves the far pair (a, d) joined by the other path *)
+  let diamond () =
+    let a = Random.State.int rng 8 in
+    let b = (a + 1 + Random.State.int rng 7) mod 8 in
+    let rec fresh used =
+      let x = Random.State.int rng 8 in
+      if List.mem x used then fresh used else x
+    in
+    let c = fresh [ a; b ] in
+    let d = fresh [ a; b; c ] in
+    List.map
+      (fun (x, y) -> Printf.sprintf "%s[link ->> {%s}]." (obj x) (obj y))
+      [ (a, b); (a, c); (b, d); (c, d) ]
+  in
+  (* a far pair the model already derives, stated as a fact as well: a
+     retraction that kills its recorded derivation leaves it live by its
+     statement, and its provenance must follow *)
+  let stated_far () =
+    let p = Live.program live in
+    match (Program.query_string p "X[far ->> {Y}]").rows with
+    | [] -> None
+    | rows -> (
+      match List.nth rows (Random.State.int rng (List.length rows)) with
+      | [ x; y ] ->
+        let name o = Program.row_to_string p [ o ] in
+        Some (Printf.sprintf "%s[far ->> {%s}]." (name x) (name y))
+      | _ -> None)
+  in
   let steps = 8 in
+  (* the support index is audited after every batch: a later re-derivation
+     can re-record a derivation and hide an earlier stale record *)
+  let supported = ref true in
   for _ = 1 to steps do
     let retract = !mirror <> [] && Random.State.bool rng in
     let k = 1 + Random.State.int rng 3 in
@@ -401,10 +437,19 @@ let interleaving_equals_scratch ~jobs seed =
             : Live.batch_stats)
     end
     else begin
-      let batch = List.init k (fun _ -> random_fact ()) in
+      (* on top of the random facts, half the time: a stated far pair
+         (else a diamond), or a diamond *)
+      let extra =
+        match Random.State.int rng 4 with
+        | 0 | 1 -> []
+        | 2 -> ( match stated_far () with Some f -> [ f ] | None -> diamond ())
+        | _ -> diamond ()
+      in
+      let batch = List.init k (fun _ -> random_fact ()) @ extra in
       mirror := batch @ !mirror;
       ignore (Live.assert_batch live (String.concat " " batch) : Live.batch_stats)
-    end
+    end;
+    supported := !supported && Live.check_support live = []
   done;
   (* final state: live model must equal a from-scratch fixpoint on the
      final extensional facts, and all invariants must hold *)
@@ -413,7 +458,7 @@ let interleaving_equals_scratch ~jobs seed =
   ignore (Program.run reference);
   Helpers.model reference = Helpers.model (Live.program live)
   && Store.check_invariants (Live.store live) = []
-  && Live.check_support live = []
+  && !supported
 
 let qcheck_interleaving jobs =
   QCheck.Test.make
@@ -461,6 +506,99 @@ let attach_after_demand () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* WHY under writes: a live fact's provenance names support it still has *)
+
+(* WHY [q] is a proof over the live model: every node is live, a leaf
+   shown as a fact is a fact statement of the live source, and a derived
+   node whose rule reads stored facts shows the facts it rests on. *)
+let check_why live q =
+  let p = Live.program live in
+  let u = Program.universe p in
+  let source = String.split_on_char '\n' (Live.dump_source live) in
+  let reads_facts (rule : Pathlog.Rule.t) =
+    List.exists
+      (function
+        | Pathlog.Ir.A_isa _ | A_scalar _ | A_member _ | A_regex _ -> true
+        | A_eq _ | A_subset _ | A_neg _ -> false)
+      rule.body.atoms
+  in
+  let rec go (pr : Pathlog.Provenance.proof) =
+    let fact = Format.asprintf "%a" (Pathlog.Fact.pp u) pr.fact in
+    Alcotest.(check bool)
+      ("WHY " ^ q ^ ": live " ^ fact)
+      true (holds live fact);
+    (match pr.source with
+    | Extensional ->
+      Alcotest.(check bool)
+        ("WHY " ^ q ^ ": fact statement " ^ fact)
+        true
+        (List.mem (fact ^ ".") source)
+    | Derived { rule; _ } ->
+      if reads_facts rule then
+        Alcotest.(check bool)
+          ("WHY " ^ q ^ ": support of " ^ fact)
+          true (pr.support <> []));
+    List.iter go pr.support
+  in
+  (match Program.why_string p q with
+  | None -> Alcotest.failf "WHY %s: not in the model" q
+  | Some proof -> go proof);
+  Alcotest.(check (list string)) "support index" [] (Live.check_support live)
+
+(* the recorded rule loses its body fact; the other rule still holds *)
+let why_other_rule () =
+  let live =
+    attach
+      "o[a -> v1]. o[b -> v1].\n\
+       X[p -> Y] <- X[a -> Y].\n\
+       X[p -> Y] <- X[b -> Y]."
+  in
+  retract live "o[a -> v1].";
+  check_why live "o[p -> v1]"
+
+(* a stated and derived fact loses its statement *)
+let why_statement_retracted () =
+  let live = attach "o[p -> v1]. o[a -> v1].\nX[p -> Y] <- X[a -> Y]." in
+  retract live "o[p -> v1].";
+  check_why live "o[p -> v1]"
+
+(* a derived fact later stated loses its derivation *)
+let why_derivation_retracted () =
+  let live = attach "o[a -> v1].\nX[p -> Y] <- X[a -> Y]." in
+  ignore (Live.assert_batch live "o[p -> v1]." : Live.batch_stats);
+  retract live "o[a -> v1].";
+  check_why live "o[p -> v1]"
+
+(* a refused batch rolls back a retraction it had already applied *)
+let why_after_rollback () =
+  let live = attach "o[a -> v1].\nX[p -> Y] <- X[a -> Y]." in
+  (try
+     retract live "o[a -> v1]. o[b -> v1].";
+     Alcotest.fail "retraction of an absent fact accepted"
+   with Live.Rejected _ -> ());
+  check_why live "o[a -> v1]";
+  check_why live "o[p -> v1]"
+
+(* a fragment demand queries derived under magic rules is re-recorded
+   under the program's own rules when Live attaches, also when a declined
+   (negated) query has materialised the program in between *)
+let why_after_demand queries () =
+  let p =
+    Program.of_string
+      {|
+      a[kids ->> {b}]. b[kids ->> {c}].
+      X[desc ->> {Y}] <- X[kids ->> {Y}].
+      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+      |}
+  in
+  List.iter (fun q -> ignore (Program.query_demand_string p q)) queries;
+  let magic () = Pathlog.Demand.magic_fact_total (Program.store p) in
+  Alcotest.(check bool) "magic tuples before attach" true (magic () > 0);
+  let live = Live.attach p in
+  Alcotest.(check int) "magic tuples after attach" 0 (magic ());
+  check_why live "a[desc ->> {c}]"
+
+(* ------------------------------------------------------------------ *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -485,6 +623,13 @@ let suite =
     case "virtual object: link support" virtual_object_link;
     case "regex: why shows witness edges" regex_why_support;
     case "corpus sweep: attach and retract each fact" corpus_sweep;
+    case "why: other rule after retract" why_other_rule;
+    case "why: statement retracted, still derived" why_statement_retracted;
+    case "why: derivation retracted, still stated" why_derivation_retracted;
+    case "why: attach after demand" (why_after_demand [ "a[desc ->> {Y}]" ]);
+    case "why: attach after a declined demand query"
+      (why_after_demand [ "a[desc ->> {Y}]"; "b[desc ->> {Y}], not Y : leaf" ]);
+    case "why: refused retraction rolled back" why_after_rollback;
     QCheck_alcotest.to_alcotest (qcheck_interleaving 1);
     QCheck_alcotest.to_alcotest (qcheck_interleaving 4);
   ]

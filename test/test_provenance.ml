@@ -24,12 +24,12 @@ let test_extensional_leaf () =
 let test_derived_one_step () =
   let p = tc_program () in
   match Program.why_string p "peter[desc ->> {tim}]" with
-  | Some { source = Derived { rule; env }; support = [ leaf ]; _ } ->
+  | Some { source = Derived { rule; _ }; support = [ leaf ]; _ } ->
     Alcotest.(check bool) "base rule" true
       (contains ~sub:"X[kids ->> {Y}]"
-         (Pathlog.Pretty.rule_to_string rule));
+         (Pathlog.Pretty.rule_to_string rule.source));
     Alcotest.(check (list string)) "env vars" [ "X"; "Y" ]
-      (List.sort compare (List.map fst env));
+      (List.sort compare (List.map fst rule.body.named));
     (match leaf.source with
     | Extensional -> ()
     | Derived _ -> Alcotest.fail "support should be the extensional fact")
@@ -90,7 +90,7 @@ let test_skolem_provenance () =
   match Program.why_string p "joe.address[city -> metropolis]" with
   | Some { source = Derived { rule; _ }; _ } ->
     Alcotest.(check bool) "derived by the address rule" true
-      (contains ~sub:"X.address" (Pathlog.Pretty.rule_to_string rule))
+      (contains ~sub:"X.address" (Pathlog.Pretty.rule_to_string rule.source))
   | Some { source = Extensional; _ } -> Alcotest.fail "should be derived"
   | None -> Alcotest.fail "fact not recorded"
 

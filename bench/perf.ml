@@ -345,12 +345,12 @@ let assert_batch ~reps =
       "200 ASSERT batches of 25 chain edges into a live reach closure; ops = \
        batches"
 
-(* DRed stress: transitive closure of a 400-edge chain with n4k -> n4k+2
-   shortcut rungs. Retracting n200 -> n201 over-deletes every tc fact
-   whose recorded derivation crossed that edge, then the re-derivation
-   pass restores the (still reachable, via the rung) downstream closure;
-   re-asserting restores the model, so retract+assert pairs repeat
-   cleanly under the timer. *)
+(* Retraction stress: transitive closure of a 400-edge chain with
+   n4k -> n4k+2 shortcut rungs. Retracting n200 -> n201 deletes the 201
+   facts that reached n201 only through it; every other candidate (n200's
+   reach of the downstream chain) keeps a proof through the rung, found by
+   the backward search; re-asserting restores the model, so retract+assert
+   pairs repeat cleanly under the timer. *)
 let retract_rederive ~target =
   let n = 400 in
   let b = Buffer.create (n * 40) in
@@ -365,8 +365,8 @@ let retract_rederive ~target =
   let live = Pathlog.Live.attach (Pathlog.load (Buffer.contents b)) in
   let victim = "n200[edge ->> {n201}]." in
   (* Validate the workload shape once, outside the timer: the retract
-     must take the over-delete / re-derive path and leave the rest of
-     the chain reachable through the rung. *)
+     must delete derived facts (a DRed-labelled batch) and leave the rest
+     of the chain reachable through the rung. *)
   let stats = Pathlog.Live.retract_batch live victim in
   if stats.Pathlog.Live.strategy <> Pathlog.Live.Dred then
     failwith "retract_rederive: expected a DRed retract";
@@ -386,8 +386,120 @@ let retract_rederive ~target =
     w ~ops_per_s:ops
     ~detail:
       "retract+assert of a mid-chain edge in tc(chain 400 + rungs); each \
-       retract over-deletes and re-derives the downstream closure; ops = \
-       retract+assert pairs"
+       retract deletes the pairs that reached n201 and keeps the downstream \
+       closure through the rung; ops = retract+assert pairs"
+
+(* A regular-path rule under Live: attach to the materialised program
+   over a 200-edge [next] chain, then retract and re-assert the mid edge.
+   Live keeps no support per rule firing, so attach only registers the
+   statements; the retraction removes the 101 x 100 pairs that crossed
+   the edge and the re-assertion derives them again. *)
+let attach_regex_chain () =
+  let n = 200 in
+  let b = Buffer.create (n * 24) in
+  for i = 0 to n - 1 do
+    Buffer.add_string b (Printf.sprintf "c%d[next -> c%d]. " i (i + 1))
+  done;
+  Buffer.add_string b "X[up ->> {Y}] <- X.next+[Y].";
+  let p = Pathlog.load (Buffer.contents b) in
+  ignore (Program.run p : Pathlog.Fixpoint.stats);
+  let live, attach_s = wall (fun () -> Pathlog.Live.attach p) in
+  let victim = Printf.sprintf "c%d[next -> c%d]." (n / 2) ((n / 2) + 1) in
+  let holds q = Pathlog.holds (Pathlog.Live.program live) q in
+  let far = Printf.sprintf "c0[up ->> {c%d}]" n in
+  let st, retract_s =
+    wall (fun () -> Pathlog.Live.retract_batch live victim)
+  in
+  if st.Pathlog.Live.strategy <> Pathlog.Live.Dred || holds far then
+    failwith "attach_regex_chain: the retract left the far pair";
+  if List.length st.removed <> 1 + ((n / 2) + 1) * (n / 2) then
+    failwith "attach_regex_chain: wrong number of pairs removed";
+  let (_ : Pathlog.Live.batch_stats), assert_s =
+    wall (fun () -> Pathlog.Live.assert_batch live victim)
+  in
+  if not (holds far) then
+    failwith "attach_regex_chain: far pair not re-derived";
+  Printf.printf
+    "attach_regex_chain_%d: attach %.4f s, retract %.4f s, assert %.4f s\n%!" n
+    attach_s retract_s assert_s;
+  suite
+    (Printf.sprintf "attach_regex_chain_%d" n)
+    attach_s
+    ~detail:
+      (Printf.sprintf
+         "Live.attach on the materialised chain(200) under X.next+[Y]; then \
+          retract %.4f s and re-assert %.4f s of the mid edge"
+         retract_s assert_s)
+
+(* The churn workload: a 200-course prerequisite chain under the two
+   [requires] rules of university.plg; [c100[prereq ->> {c99}]] is
+   retracted and re-asserted 40 times. The model returns to the same size
+   every cycle. Live's own table (the statement multiplicities) must stay
+   within 2x of its first-cycle size; the store keeps every tombstoned
+   record, which the report shows as dead records. *)
+let churn_retract_assert () =
+  let n = 200 and cycles = 40 in
+  let b = Buffer.create (n * 32) in
+  for i = 1 to n - 1 do
+    Buffer.add_string b (Printf.sprintf "c%d[prereq ->> {c%d}]. " i (i - 1))
+  done;
+  Buffer.add_string b
+    "C[requires ->> {P}] <- C[prereq ->> {P}]. C[requires ->> {P}] <- \
+     C..requires[prereq ->> {P}].";
+  let live = Pathlog.Live.attach (Pathlog.load (Buffer.contents b)) in
+  let store = Pathlog.Live.store live in
+  let edb_entries () =
+    List.length
+      (List.filter
+         (fun l -> l <> "" && not (String.contains l '<'))
+         (String.split_on_char '\n' (Pathlog.Live.dump_source live)))
+  in
+  let records () =
+    let sum bucket meths =
+      List.fold_left
+        (fun acc m -> acc + Pathlog.Vec.length (bucket store m))
+        0 meths
+    in
+    Pathlog.Vec.length (Store.isa_log store)
+    + sum Store.scalar_bucket (Store.scalar_meths store)
+    + sum Store.set_bucket (Store.set_meths store)
+  in
+  let victim = "c100[prereq ->> {c99}]." in
+  let model = Store.size store in
+  let retract_s = Array.make cycles 0. and first_edb = ref 0 in
+  let total =
+    snd
+      (wall (fun () ->
+           for i = 0 to cycles - 1 do
+             let _, w =
+               wall (fun () -> Pathlog.Live.retract_batch live victim)
+             in
+             retract_s.(i) <- w;
+             ignore (Pathlog.Live.assert_batch live victim);
+             if Store.size store <> model then
+               failwith "churn_retract_assert: the model changed size";
+             if i = 0 then first_edb := edb_entries ()
+           done))
+  in
+  let edb = edb_entries () and all = records () in
+  Printf.printf
+    "churn_retract_assert_%d: retract %.4f s at batch 1, %.4f s at batch %d; \
+     Live table %d entries (first cycle %d); store %d live / %d dead \
+     records\n%!"
+    n retract_s.(0) retract_s.(cycles - 1) cycles edb !first_edb model
+    (all - model);
+  if edb > 2 * !first_edb then
+    failwith "churn_retract_assert: Live's table grew past 2x its first cycle";
+  suite
+    (Printf.sprintf "churn_retract_assert_%d" n)
+    total
+    ~ops_per_s:(float_of_int cycles /. total)
+    ~detail:
+      (Printf.sprintf
+         "40 retract+assert cycles of c100's prereq in a 200-course requires \
+          closure; retract %.4f s at batch 1, %.4f s at batch 40; Live table \
+          %d entries; store %d live / %d dead records; ops = cycles"
+         retract_s.(0) retract_s.(cycles - 1) edb model (all - model))
 
 let server_queries =
   [| Paper.pl_colors; "X : manager"; Paper.pl_boss_city; "e1 : employee" |]
@@ -1451,6 +1563,8 @@ let main args =
       ("isa_closure_growth", fun () -> isa_closure_growth ~reps);
       ("assert_batch", fun () -> assert_batch ~reps);
       ("retract_reDerive_tc_400", fun () -> retract_rederive ~target);
+      ("attach_regex_chain_200", fun () -> attach_regex_chain ());
+      ("churn_retract_assert_200", fun () -> churn_retract_assert ());
       ("server_throughput_4w", fun () -> server_throughput ~requests);
       ( "fixpoint_par_1j",
         fun () ->

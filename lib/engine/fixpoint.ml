@@ -213,48 +213,38 @@ let interrupt_of budget =
    and counting insertions; shared by the sequential path and the
    parallel merge phase. The solver's [binding] is fresh per solution,
    so the firing's derivation record keeps it uncopied. *)
-let fire ?provenance ?tracer ?(on_insert = fun _ -> ()) stats store
-    (rule : Rule.t) binding changes =
+let fire ?provenance ?(on_insert = fun _ -> ()) stats store (rule : Rule.t)
+    binding changes =
   stats.firings <- stats.firings + 1;
   let env = env_of_binding rule.body binding in
-  let deriv = { Provenance.rule; binding } in
   let on_insert =
     match provenance with
     | None -> on_insert
     | Some prov ->
       let source =
         if rule.source.body = [] then Provenance.Extensional
-        else Provenance.Derived deriv
+        else Provenance.Derived { Provenance.rule; binding }
       in
       fun fact ->
         Provenance.record prov fact source;
         on_insert fact
   in
   let before = !changes in
-  (match tracer with
-  | None ->
-    ignore
-      (Head.execute ~on_insert store ~env ~rule:rule.source ~changes
-         rule.source.head)
-  | Some tr ->
-    let heads = ref [] in
-    ignore
-      (Head.execute ~on_insert
-         ~on_assert:(fun f -> heads := f :: !heads)
-         store ~env ~rule:rule.source ~changes rule.source.head);
-    tr deriv (List.rev !heads));
+  ignore
+    (Head.execute ~on_insert store ~env ~rule:rule.source ~changes
+       rule.source.head);
   stats.insertions <- stats.insertions + (!changes - before)
 
 (* Evaluate one rule, optionally seeded, executing the head on every body
    solution. *)
-let evaluate ?provenance ?tracer ?on_insert ?interrupt config plans stats
+let evaluate ?provenance ?on_insert ?interrupt config plans stats
     store (rule : Rule.t) seed changes =
   stats.rule_evaluations <- stats.rule_evaluations + 1;
   let plan = plan_for plans store rule seed in
   Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt ?seed
     ~plan store rule.body
     ~f:(fun binding ->
-      fire ?provenance ?tracer ?on_insert stats store rule binding changes)
+      fire ?provenance ?on_insert stats store rule binding changes)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel rounds.
@@ -282,14 +272,14 @@ type task = {
 let task rule seed =
   { t_rule = rule; t_seed = seed; t_out = Oodb.Vec.create () }
 
-let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
+let run_tasks ?provenance ?on_insert ?interrupt config plans pool
     stats store tasks changes =
   match (pool : Dpool.t option) with
   | None ->
     List.iter
       (fun t ->
         (match config.budget with Some b -> Budget.check b | None -> ());
-        evaluate ?provenance ?tracer ?on_insert ?interrupt config plans stats
+        evaluate ?provenance ?on_insert ?interrupt config plans stats
           store t.t_rule t.t_seed changes)
       tasks
   | Some pool ->
@@ -314,7 +304,7 @@ let run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
       (fun t ->
         Oodb.Vec.iter
           (fun binding ->
-            fire ?provenance ?tracer ?on_insert stats store t.t_rule binding
+            fire ?provenance ?on_insert stats store t.t_rule binding
               changes)
           t.t_out)
       tasks
@@ -336,7 +326,7 @@ let check_budget config stats store stratum_rounds =
   | None -> ()
   | Some b -> Budget.check_caps b ~derivations:stats.firings ~objects:card
 
-let run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt config plans
+let run_stratum ?provenance ?on_insert ?from ?interrupt config plans
     pool stats store rules =
   let itn = Interner.create () in
   let crules = List.map (crule_of itn) rules in
@@ -363,7 +353,7 @@ let run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt config plans
     incr round;
     stats.rounds <- stats.rounds + 1;
     let changes = ref 0 in
-    run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans pool
+    run_tasks ?provenance ?on_insert ?interrupt config plans pool
       stats store
       (List.map (fun r -> task r None) rules)
       changes;
@@ -427,7 +417,7 @@ let run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt config plans
                 end)
               crules
         in
-        run_tasks ?provenance ?tracer ?on_insert ?interrupt config plans
+        run_tasks ?provenance ?on_insert ?interrupt config plans
           pool stats store tasks changes;
         prev_marks := now;
         prev_epoch := now_epoch;
@@ -444,7 +434,7 @@ let run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt config plans
     done
   end
 
-let run ?(config = default_config) ?provenance ?tracer ?on_insert ?from
+let run ?(config = default_config) ?provenance ?on_insert ?from
     ?plans store (strat : Stratify.t) =
   let stats =
     {
@@ -471,7 +461,7 @@ let run ?(config = default_config) ?provenance ?tracer ?on_insert ?from
       try
         Array.iter
           (fun rules ->
-            run_stratum ?provenance ?tracer ?on_insert ?from ?interrupt
+            run_stratum ?provenance ?on_insert ?from ?interrupt
               config plans pool stats store rules)
           strat.strata
       with Budget.Exhausted reason -> stats.degraded <- Some reason);

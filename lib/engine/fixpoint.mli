@@ -113,7 +113,6 @@ val watermark : Oodb.Store.t -> Semantics.Ir.rel -> int
 val run :
   ?config:config ->
   ?provenance:Provenance.t ->
-  ?tracer:(Provenance.derivation -> Fact.t list -> unit) ->
   ?on_insert:(Fact.t -> unit) ->
   ?from:(Semantics.Ir.rel -> int) ->
   ?plans:plan_cache ->
@@ -125,13 +124,6 @@ val run :
     [on_insert] is called once per tuple actually inserted, after
     provenance recording — the hook incremental maintenance uses to track
     the net model delta of a run.
-
-    [tracer deriv heads] is called once per rule firing with the firing's
-    derivation record (the one [provenance] stores for the facts it
-    inserted) and every fact the head asserted — inserted {e or}
-    already present — in assertion order. Incremental maintenance records
-    these as derivations. Called from the merge phase under [jobs > 1], so
-    it runs single-threaded either way.
 
     [from] gives a per-relation watermark (a bucket/log length captured
     earlier). When set, every stratum skips its full first round and goes

@@ -14,57 +14,11 @@ let write_faults () =
     attempt 0
   end
 
-let execute ?(on_insert = fun _ -> ()) ?on_assert store ~env ~rule ~changes
-    head =
-  write_faults ();
-  let traced = Option.is_some on_assert in
-  let on_assert = Option.value on_assert ~default:ignore in
+(* One walk over a head under [env]: [link] resolves a scalar path step to
+   the object it denotes, [add] asserts a fact. {!execute} writes through
+   the store, {!asserts} only reads it. *)
+let walk store ~env ~link ~add head =
   let self_id = Store.name store "self" in
-  let add_scalar ~meth ~recv ~args ~res =
-    if Oodb.Obj_id.equal meth self_id then
-      if Oodb.Obj_id.equal recv res then ()
-      else raise Err.Reserved_self
-    else
-      match Store.add_scalar store ~meth ~recv ~args ~res with
-      | Added ->
-        incr changes;
-        on_insert (Fact.F_scalar { meth; recv; args; res });
-        on_assert (Fact.F_scalar { meth; recv; args; res })
-      | Duplicate -> on_assert (Fact.F_scalar { meth; recv; args; res })
-      | Conflict existing ->
-        raise
-          (Err.Functional_conflict
-             {
-               c_meth = meth;
-               c_recv = recv;
-               c_args = args;
-               existing;
-               proposed = res;
-               rule = Some rule;
-             })
-  in
-  let add_set ~meth ~recv ~args ~res =
-    if Oodb.Obj_id.equal meth self_id then raise Err.Reserved_self
-    else
-      match Store.add_set store ~meth ~recv ~args ~res with
-      | SAdded ->
-        incr changes;
-        on_insert (Fact.F_set { meth; recv; args; res });
-        on_assert (Fact.F_set { meth; recv; args; res })
-      | SDuplicate -> on_assert (Fact.F_set { meth; recv; args; res })
-  in
-  let add_isa o c =
-    match Store.add_isa store o c with
-    | IAdded ->
-      incr changes;
-      on_insert (Fact.F_isa (o, c));
-      on_assert (Fact.F_isa (o, c))
-    | IDuplicate -> on_assert (Fact.F_isa (o, c))
-    | ICycle -> raise (Err.Isa_cycle (o, c))
-  in
-  (* Locate the single object a scalar head sub-reference denotes, creating
-     skolem objects for undefined scalar paths and asserting filters along
-     the way. *)
   let rec locate (t : reference) : Oodb.Obj_id.t =
     match t with
     | Name n -> Store.name store n
@@ -79,21 +33,7 @@ let execute ?(on_insert = fun _ -> ()) ?on_assert store ~env ~rule ~changes
       let recv = locate p_recv in
       let meth = locate p_meth in
       if Oodb.Obj_id.equal meth self_id && p_args = [] then recv
-      else begin
-        let args = List.map locate p_args in
-        match Store.scalar_lookup store ~meth ~recv ~args with
-        | Some res ->
-          (* the path's link is asserted here too: a derivation that
-             reuses an existing (virtual) object still supports it *)
-          if traced then on_assert (Fact.F_scalar { meth; recv; args; res });
-          res
-        | None ->
-          let sk =
-            Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args
-          in
-          add_scalar ~meth ~recv ~args ~res:sk;
-          sk
-      end
+      else link ~meth ~recv ~args:(List.map locate p_args)
     | Path { p_sep = Dotdot; _ } ->
       (* a well-formed head is scalar, so set-valued paths cannot occur in
          located positions *)
@@ -104,28 +44,93 @@ let execute ?(on_insert = fun _ -> ()) ?on_assert store ~env ~rule ~changes
       invalid_arg "Head.execute: regular path in a rule head"
     | Isa { recv; cls } ->
       let o = locate recv in
-      let c = locate cls in
-      add_isa o c;
+      add (Fact.F_isa (o, locate cls));
       o
     | Filter { f_recv; f_meth; f_args; f_rhs } ->
       let recv = locate f_recv in
       let meth = locate f_meth in
       let args = List.map locate f_args in
+      let set res = add (Fact.F_set { meth; recv; args; res }) in
       (match f_rhs with
       | Rscalar rhs ->
-        let res = locate rhs in
-        add_scalar ~meth ~recv ~args ~res
-      | Rset_enum elems ->
-        List.iter
-          (fun e -> add_set ~meth ~recv ~args ~res:(locate e))
-          elems
+        add (Fact.F_scalar { meth; recv; args; res = locate rhs })
+      | Rset_enum elems -> List.iter (fun e -> set (locate e)) elems
       | Rset_ref s ->
-        let current = Semantics.Valuation.eval store env s in
-        Oodb.Obj_id.Set.iter
-          (fun res -> add_set ~meth ~recv ~args ~res)
-          current
+        Oodb.Obj_id.Set.iter set (Semantics.Valuation.eval store env s)
       | Rsig_scalar _ | Rsig_set _ ->
         invalid_arg "Head.execute: signature declaration in a rule head");
       recv
   in
   locate head
+
+let execute ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
+  write_faults ();
+  let self_id = Store.name store "self" in
+  let inserted f =
+    incr changes;
+    on_insert f
+  in
+  let add (f : Fact.t) =
+    match f with
+    | F_scalar { meth; recv; args; res } -> (
+      if Oodb.Obj_id.equal meth self_id then (
+        if not (Oodb.Obj_id.equal recv res) then raise Err.Reserved_self)
+      else
+        match Store.add_scalar store ~meth ~recv ~args ~res with
+        | Added -> inserted f
+        | Duplicate -> ()
+        | Conflict existing ->
+          raise
+            (Err.Functional_conflict
+               {
+                 c_meth = meth;
+                 c_recv = recv;
+                 c_args = args;
+                 existing;
+                 proposed = res;
+                 rule = Some rule;
+               }))
+    | F_set { meth; recv; args; res } -> (
+      if Oodb.Obj_id.equal meth self_id then raise Err.Reserved_self;
+      match Store.add_set store ~meth ~recv ~args ~res with
+      | SAdded -> inserted f
+      | SDuplicate -> ())
+    | F_isa (o, c) -> (
+      match Store.add_isa store o c with
+      | IAdded -> inserted f
+      | IDuplicate -> ()
+      | ICycle -> raise (Err.Isa_cycle (o, c)))
+  in
+  (* a path undefined so far denotes a new skolem object *)
+  let link ~meth ~recv ~args =
+    match Store.scalar_lookup store ~meth ~recv ~args with
+    | Some res -> res
+    | None ->
+      let sk = Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args in
+      add (Fact.F_scalar { meth; recv; args; res = sk });
+      sk
+  in
+  walk store ~env ~link ~add head
+
+let asserts store ~env head =
+  let u = Store.universe store in
+  let heads = ref [] and relied = ref [] in
+  let link ~meth ~recv ~args =
+    let fact res = Fact.F_scalar { meth; recv; args; res } in
+    match
+      ( Store.scalar_lookup store ~meth ~recv ~args,
+        Oodb.Universe.find_skolem u ~meth ~recv ~args )
+    with
+    | (Some res, Some sk | None, Some (sk as res)) when Oodb.Obj_id.equal res sk
+      ->
+      heads := fact sk :: !heads;
+      sk
+    | Some res, _ ->
+      relied := fact res :: !relied;
+      res
+    (* an object never created: no stored fact is about it *)
+    | None, _ -> -1
+  in
+  let add f = heads := f :: !heads in
+  ignore (walk store ~env ~link ~add head : Oodb.Obj_id.t);
+  (!heads, !relied)

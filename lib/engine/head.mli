@@ -24,7 +24,6 @@
 
 val execute :
   ?on_insert:(Fact.t -> unit) ->
-  ?on_assert:(Fact.t -> unit) ->
   Oodb.Store.t ->
   env:Semantics.Valuation.env ->
   rule:Syntax.Ast.rule ->
@@ -32,9 +31,15 @@ val execute :
   Syntax.Ast.reference ->
   Oodb.Obj_id.t
 (** [on_insert] is called once per tuple actually inserted (provenance
-    recording). [on_assert] is called once per tuple the head {e asserts} —
-    whether it was freshly inserted or already present — which is what
-    support counting needs: a derivation supports its head facts even when
-    another derivation got there first. That includes the link of a head
-    path that is already defined ([X.address] found, not created): the
-    head relies on it as much as on a skolem link it creates. *)
+    recording). *)
+
+(** What executing the head under [env] would assert, without writing:
+    [(heads, relied)]. [heads] holds its filters, class edges and links
+    to the virtual objects its paths denote; [relied] the links its paths
+    find to other objects, which a virtual object would replace if they
+    went. Nothing beyond a path to an object never created is stored. *)
+val asserts :
+  Oodb.Store.t ->
+  env:Semantics.Valuation.env ->
+  Syntax.Ast.reference ->
+  Fact.t list * Fact.t list

@@ -84,9 +84,7 @@ let body_facts store (q : Ir.query) binding =
         method_atom ~set:false meth recv args res
       | A_member { meth; recv; args; res } ->
         method_atom ~set:true meth recv args res
-      (* a regex atom rests on the edges of one witness path; other
-         paths may support the same pair, so incremental maintenance
-         re-derives rather than trusts a lost witness *)
+      (* a regex atom rests on the edges of one witness path *)
       | A_regex { x_auto; x_recv; x_res } ->
         let edge ((lbl : Ir.label), recv, res) =
           app ~set:lbl.lbl_set lbl.lbl_meth recv lbl.lbl_args res
@@ -99,14 +97,22 @@ let body_facts store (q : Ir.query) binding =
       | A_eq _ | A_subset _ | A_neg _ -> [])
     q.atoms
 
-let replay ?interrupt store { rule; binding } =
-  let bindings =
-    List.map (fun (_, slot) -> (slot, binding.(slot))) rule.body.named
-  in
+let named { rule; binding } =
+  List.map (fun (_, slot) -> (slot, binding.(slot))) rule.body.named
+
+let prove ?interrupt store (rule : Rule.t) bindings ~accept =
   let found = ref None in
-  Semantics.Solve.iter ?interrupt ~bindings ~limit:1 store rule.body
-    ~f:(fun b -> found := Some (body_facts store rule.body b));
+  Semantics.Solve.iter ?interrupt ~bindings store rule.body ~f:(fun b ->
+      let facts = body_facts store rule.body b in
+      if accept b facts then begin
+        found := Some ({ rule; binding = b }, facts);
+        raise Semantics.Solve.Stopped
+      end);
   !found
+
+let replay ?interrupt store d =
+  prove ?interrupt store d.rule (named d) ~accept:(fun _ _ -> true)
+  |> Option.map snd
 
 let rec explain ?(max_depth = 64) ?interrupt store t fact =
   match lookup t fact with

@@ -1,8 +1,9 @@
 (** Derivation provenance and proof trees.
 
     When enabled (the default), the fixpoint records, for every tuple it
-    inserts, the {e first} derivation: one record per firing, which
-    [Live]'s support index holds too. {!explain} then reconstructs a proof
+    inserts, the {e first} derivation: one record per firing. [Live]
+    re-points a record when a retraction takes its support and the fact
+    keeps another proof. {!explain} then reconstructs a proof
     tree: the root fact, the rule that derived it, and recursively the
     body facts that rule matched — {!replay}ed, so the sub-facts shown are
     a real support set for the derivation.
@@ -40,17 +41,24 @@ val forget : t -> Fact.t -> unit
 
 val size : t -> int
 
-(** The ground facts one solution of a rule body rests on: method atoms as
-    facts, memberships expanded to a chain of direct class edges, and a
-    regular-path atom as the edges of one witness path
-    ({!Semantics.Solve.regex_witness}). Exposed for incremental
-    maintenance, which records them as a derivation's support set. *)
-val body_facts :
-  Oodb.Store.t -> Semantics.Ir.query -> Oodb.Obj_id.t array -> Fact.t list
+(** The derivation's named slots and their objects: the bindings under
+    which any body solution justifies the same heads. *)
+val named : derivation -> (int * Oodb.Obj_id.t) list
 
-(** The {!body_facts} of the first body solution with the derivation's
-    named slots pre-bound (any such solution justifies the same heads), or
-    [None] once the body no longer holds. *)
+(** The first solution of [rule]'s body under [bindings] that [accept]
+    takes, with the ground facts it rests on: method atoms, memberships as
+    a chain of direct class edges, a regular-path atom as the edges of one
+    witness path ({!Semantics.Solve.regex_witness}). *)
+val prove :
+  ?interrupt:(unit -> unit) ->
+  Oodb.Store.t ->
+  Rule.t ->
+  (int * Oodb.Obj_id.t) list ->
+  accept:(Oodb.Obj_id.t array -> Fact.t list -> bool) ->
+  (derivation * Fact.t list) option
+
+(** The ground facts of the first body solution with the derivation's
+    {!named} slots pre-bound, or [None] once the body no longer holds. *)
 val replay :
   ?interrupt:(unit -> unit) -> Oodb.Store.t -> derivation ->
   Fact.t list option

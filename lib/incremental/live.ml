@@ -1,20 +1,23 @@
-(* Live mutation: counting-based incremental view maintenance over the
-   tombstoning store, with a DRed (delete/re-derive) fallback for
-   recursive strata and honest recomputation behind negation.
+(* Live mutation: incremental maintenance of an evaluated program's
+   minimal model over the tombstoning store.
 
-   A [Live.t] wraps an evaluated {!Engine.Program.t} and keeps a support
-   index over its minimal model: one [deriv] record per (rule, body
-   solution) the tracing fixpoint ever enumerated, a per-fact count of
-   live derivations, and a per-fact extensional multiplicity. Batches of
-   asserted facts re-enter the fixpoint as ordinary semi-naive delta
-   rounds (watermarks captured before the batch); batches of retracted
-   facts cascade through the support index, re-validating non-recursive
-   derivations in place and over-deleting recursive ones. *)
+   [Live] keeps no support of its own beyond the extensional
+   multiplicities. Asserted facts re-enter the fixpoint as ordinary
+   semi-naive delta rounds from a watermark. Retracted facts run the
+   Backward/Forward algorithm (Motik, Nenov, Piro, Horrocks, "Incremental
+   Update of Datalog Materialisation", AAAI 2015) over the store and the
+   provenance table: the firings through a lost fact name its candidate
+   consequences, each candidate is kept if a backward search finds it a
+   proof that rests on nothing in doubt, and a forward phase re-derives
+   whatever that search could not decide. Negation and set inclusion in
+   the blast radius, and rule changes, recompute. *)
 
 module Ast = Syntax.Ast
 module Store = Oodb.Store
-module Vec = Oodb.Vec
+module Obj_id = Oodb.Obj_id
 module Ir = Semantics.Ir
+module Solve = Semantics.Solve
+module Env = Semantics.Valuation.Env
 module Program = Engine.Program
 module Rule = Engine.Rule
 module Stratify = Engine.Stratify
@@ -52,42 +55,12 @@ module Fact_tbl = Hashtbl.Make (struct
   let hash = Fact.hash
 end)
 
-(* Derivations are identified by rule uid and body solution. *)
-module Deriv_tbl = Hashtbl.Make (struct
-  type t = Provenance.derivation
-
-  let equal (a : t) (b : t) = a.rule.uid = b.rule.uid && a.binding = b.binding
-  let hash (d : t) =
-    Array.fold_left (fun h o -> (h * 31) + o) d.rule.uid d.binding
-end)
-
-(* One recorded body solution of a rule, as provenance records it.
-   [d_heads] are every fact the head asserted under it (sub-path links
-   included); [d_body] the ground facts it rests on. Dead derivations
-   stay in the [uses]/[heads_of] lists (filtered on read) but leave
-   [dedup], so a later re-derivation of the same solution re-records. *)
-type deriv = {
-  d_src : Provenance.derivation;
-  d_recursive : bool;
-  d_heads : Fact.t list;
-  mutable d_body : Fact.t list;
-  mutable d_dead : bool;
-}
-
 type t = {
   p : Program.t;
   store : Store.t;
   mutable rules : Rule.t list;  (* proper rules only; facts live in [edb] *)
   mutable strat : Stratify.t;
-  mutable stratum_of : (int, int) Hashtbl.t;  (* rule uid -> stratum *)
-  mutable recursive_strata : bool array;
-  mutable recursive_rels : (Ir.rel, unit) Hashtbl.t;
-  mutable global_dred : bool;  (* R_any anywhere: per-rel tracking unsafe *)
-  counts : int ref Fact_tbl.t;  (* live derivations per fact *)
   edb : int ref Fact_tbl.t;  (* extensional multiplicity per fact *)
-  uses : deriv list ref Fact_tbl.t;  (* body fact -> derivations (over-approx) *)
-  heads_of : deriv list ref Fact_tbl.t;  (* head fact -> derivations *)
-  dedup : deriv Deriv_tbl.t;  (* live derivations *)
   mutable commit_hook :
     (retract:bool -> epoch:int -> text:string -> unit) option;
       (* durability: called after the maintenance run succeeds, before
@@ -95,14 +68,12 @@ type t = {
          back like any other mid-batch failure *)
 }
 
-(* Per-batch working state: the net model delta, the EDB bump log (for
-   atomic undo), and the retraction worklist. *)
+(* Per-batch working state: the net model delta and the EDB bump log (for
+   atomic undo). *)
 type ctx = {
   c_added : unit Fact_tbl.t;
   c_removed : unit Fact_tbl.t;
   mutable c_edb_log : (Fact.t * int) list;
-  c_queue : Fact.t Queue.t;
-  mutable c_rederive : bool;
 }
 
 let new_ctx () =
@@ -110,8 +81,6 @@ let new_ctx () =
     c_added = Fact_tbl.create 32;
     c_removed = Fact_tbl.create 32;
     c_edb_log = [];
-    c_queue = Queue.create ();
-    c_rederive = false;
   }
 
 let note_insert ctx f =
@@ -122,9 +91,6 @@ let note_remove ctx f =
   if Fact_tbl.mem ctx.c_added f then Fact_tbl.remove ctx.c_added f
   else Fact_tbl.replace ctx.c_removed f ()
 
-(* ------------------------------------------------------------------ *)
-(* Small table helpers *)
-
 let get_count tbl f =
   match Fact_tbl.find_opt tbl f with Some r -> !r | None -> 0
 
@@ -132,11 +98,6 @@ let bump tbl f d =
   match Fact_tbl.find_opt tbl f with
   | Some r -> r := !r + d
   | None -> Fact_tbl.add tbl f (ref d)
-
-let push_assoc tbl f d =
-  match Fact_tbl.find_opt tbl f with
-  | Some r -> r := d :: !r
-  | None -> Fact_tbl.add tbl f (ref [ d ])
 
 let rel_of = function
   | Fact.F_isa _ -> Ir.R_isa
@@ -146,109 +107,17 @@ let rel_of = function
 let norm = Ir.norm_rel
 
 (* ------------------------------------------------------------------ *)
-(* Stratification metadata: which strata are recursive (a rule in the
-   stratum reads a relation the stratum defines), hence which relations
-   need DRed over-deletion instead of counting. R_any anywhere makes the
-   per-relation bookkeeping unsound, so it flips a global DRed flag. *)
-
-let recompute_strat_meta t =
-  let strat = Stratify.compute t.store t.rules in
-  t.strat <- strat;
-  let stratum_of = Hashtbl.create 64 in
-  List.iter
-    (fun ((r : Rule.t), s) -> Hashtbl.replace stratum_of r.uid s)
-    strat.rule_stratum;
-  t.stratum_of <- stratum_of;
-  let n = Array.length strat.strata in
-  let recursive = Array.make n false in
-  let global = ref false in
-  Array.iteri
-    (fun i rules ->
-      let defines =
-        List.concat_map (fun (r : Rule.t) -> List.map norm r.defines) rules
-      in
-      if List.mem Ir.R_any defines then global := true;
-      List.iter
-        (fun (r : Rule.t) ->
-          if r.reads_any then global := true;
-          if List.exists (fun rd -> List.mem (norm rd) defines) r.reads then
-            recursive.(i) <- true)
-        rules)
-    strat.strata;
-  t.recursive_strata <- recursive;
-  t.global_dred <- !global;
-  let rels = Hashtbl.create 16 in
-  Array.iteri
-    (fun i rules ->
-      if recursive.(i) then
-        List.iter
-          (fun (r : Rule.t) ->
-            List.iter (fun d -> Hashtbl.replace rels (norm d) ()) r.defines)
-          rules)
-    strat.strata;
-  t.recursive_rels <- rels
-
-let rel_recursive t r = t.global_dred || Hashtbl.mem t.recursive_rels (norm r)
-
-let deriv_recursive t (rule : Rule.t) =
-  t.global_dred
-  ||
-  match Hashtbl.find_opt t.stratum_of rule.uid with
-  | Some s -> s < Array.length t.recursive_strata && t.recursive_strata.(s)
-  | None -> true (* unknown rule: be conservative *)
-
-(* ------------------------------------------------------------------ *)
-(* Recording derivations (the fixpoint tracer) *)
-
-(* A regular-path atom rests on one witness path of several possible: the
-   derivation counts as recursive, and losing it re-derives. *)
-let has_regex (rule : Rule.t) =
-  List.exists
-    (function Ir.A_regex _ -> true | _ -> false)
-    rule.body.Ir.atoms
-
-let record_deriv t (src : Provenance.derivation) heads =
-  let rule = src.rule in
-  if rule.source.body <> [] && heads <> [] && not (Deriv_tbl.mem t.dedup src)
-  then begin
-    let body = Provenance.body_facts t.store rule.body src.binding in
-    let d =
-      {
-        d_src = src;
-        d_recursive = has_regex rule || deriv_recursive t rule;
-        d_heads = heads;
-        d_body = body;
-        d_dead = false;
-      }
-    in
-    Deriv_tbl.add t.dedup src d;
-    List.iter
-      (fun h ->
-        bump t.counts h 1;
-        push_assoc t.heads_of h d)
-      heads;
-    List.iter (fun bf -> push_assoc t.uses bf d) body
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Store-side fact operations *)
 
 let live_in_store t = function
-  | Fact.F_isa (o, c) ->
-    Vec.exists
-      (fun (e : Store.ientry) ->
-        Store.isa_live e
-        && Oodb.Obj_id.equal e.i_sub o
-        && Oodb.Obj_id.equal e.i_cls c)
-      (Store.isa_log t.store)
+  | Fact.F_isa (o, c) -> Store.has_isa t.store o c
   | Fact.F_scalar { meth; recv; args; res } -> (
     match Store.scalar_lookup t.store ~meth ~recv ~args with
-    | Some r -> Oodb.Obj_id.equal r res
+    | Some r -> Obj_id.equal r res
     | None -> false)
   | Fact.F_set { meth; recv; args; res } ->
-    Oodb.Obj_id.Set.mem res (Store.set_lookup t.store ~meth ~recv ~args)
+    Obj_id.Set.mem res (Store.set_lookup t.store ~meth ~recv ~args)
 
-(* Tombstone a fact; queue it so the cascade visits its uses. *)
 let tombstone t ctx f =
   let ok =
     match f with
@@ -260,10 +129,8 @@ let tombstone t ctx f =
   in
   if ok then begin
     Provenance.forget (Program.provenance t.p) f;
-    note_remove ctx f;
-    Queue.push f ctx.c_queue
-  end;
-  ok
+    note_remove ctx f
+  end
 
 let reinsert t f =
   match f with
@@ -277,144 +144,354 @@ let drop_derived t ctx =
   let garbage = ref [] in
   Fact.iter_live t.store (fun f ->
       if get_count t.edb f <= 0 then garbage := f :: !garbage);
-  List.iter (fun f -> ignore (tombstone t ctx f : bool)) !garbage
+  List.iter (tombstone t ctx) !garbage
 
-(* A live fact's provenance record names support it still has. *)
-let record_holds t f = function
-  | Provenance.Extensional -> get_count t.edb f > 0
-  | Provenance.Derived r -> (
-    match Deriv_tbl.find_opt t.dedup r with
-    | Some d -> List.exists (Fact.equal f) d.d_heads
-    | None -> false)
-
-(* Re-point a record that no longer holds: to [Extensional] if a
-   multiplicity remains, else to a live derivation — well-founded, as the
-   fact is in a non-recursive stratum (recursive heads are over-deleted
-   and re-recorded). A tombstoned fact has no record. *)
-let repoint t f =
+let repoint t f source =
   let prov = Program.provenance t.p in
-  match Provenance.lookup prov f with
-  | Some src when not (record_holds t f src) ->
-    Provenance.forget prov f;
-    if get_count t.edb f > 0 then Provenance.record prov f Extensional
-    else
-      Option.fold ~none:[] ~some:( ! ) (Fact_tbl.find_opt t.heads_of f)
-      |> List.find_opt (fun d -> not d.d_dead)
-      |> Option.iter (fun d -> Provenance.record prov f (Derived d.d_src))
-  | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* The deletion cascade.
-
-   Killing a derivation decrements the counts of its heads. A head in a
-   non-recursive stratum dies when its count reaches zero with no
-   extensional support — counting is exact there, because support cannot
-   be cyclic. A head in a recursive stratum is over-deleted outright
-   (DRed): cyclic derivations keep each other's counts positive, so the
-   count is not trusted; every remaining derivation of the head is killed
-   too and the re-derivation phase restores whatever still has
-   well-founded support. *)
-
-let rec kill_deriv t ctx (d : deriv) =
-  d.d_dead <- true;
-  if has_regex d.d_src.rule then ctx.c_rederive <- true;
-  Deriv_tbl.remove t.dedup d.d_src;
-  List.iter
-    (fun h ->
-      bump t.counts h (-1);
-      if d.d_recursive || rel_recursive t (rel_of h) then over_delete t ctx h
-      else if get_count t.counts h <= 0 && get_count t.edb h <= 0 then
-        ignore (tombstone t ctx h : bool);
-      repoint t h)
-    d.d_heads
-
-and over_delete t ctx f =
-  if get_count t.edb f <= 0 && tombstone t ctx f then
-    match Fact_tbl.find_opt t.heads_of f with
-    | None -> ()
-    | Some ds ->
-      List.iter
-        (fun d ->
-          if not d.d_dead then begin
-            (* deleting despite remaining support: must re-derive *)
-            ctx.c_rederive <- true;
-            kill_deriv t ctx d
-          end)
-        !ds
-
-(* A non-recursive derivation that lost a body fact may still hold via an
-   alternative support set (a different isa chain, a re-asserted tuple):
-   replay it and adopt the support it finds, if any. *)
-let revalidate t ctx (d : deriv) =
-  match Provenance.replay t.store d.d_src with
-  | Some body ->
-    d.d_body <- body;
-    List.iter (fun bf -> push_assoc t.uses bf d) body
-  | None -> kill_deriv t ctx d
-
-let drain t ctx =
-  while not (Queue.is_empty ctx.c_queue) do
-    let f = Queue.pop ctx.c_queue in
-    match Fact_tbl.find_opt t.uses f with
-    | None -> ()
-    | Some ds ->
-      let affected =
-        List.fold_left
-          (fun acc d ->
-            if
-              (not d.d_dead)
-              && List.exists (Fact.equal f) d.d_body
-              && not (List.memq d acc)
-            then d :: acc
-            else acc)
-          [] !ds
-      in
-      List.iter
-        (fun d ->
-          if not d.d_dead then
-            if d.d_recursive then kill_deriv t ctx d else revalidate t ctx d)
-        affected
-  done
+  Provenance.forget prov f;
+  Provenance.record prov f source
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint re-entry *)
 
-let full_tracing_run t ctx =
+let run ?from t ctx =
   Fixpoint.run ~config:(Program.config t.p)
-    ~provenance:(Program.provenance t.p)
-    ~tracer:(record_deriv t) ~on_insert:(note_insert ctx) t.store t.strat
-
-let delta_run t ctx baseline =
-  Fixpoint.run ~config:(Program.config t.p)
-    ~provenance:(Program.provenance t.p)
-    ~tracer:(record_deriv t) ~on_insert:(note_insert ctx) ~from:baseline
+    ~provenance:(Program.provenance t.p) ~on_insert:(note_insert ctx) ?from
     t.store t.strat
 
-(* Full recompute: tombstone every live fact with no extensional support,
-   drop the whole support index, and re-run the tracing fixpoint from the
-   extensional store. The fallback whenever counting/DRed would be
-   unsound (negation or inclusion over an affected relation, rule
-   retraction) and the recovery path after a mid-batch failure. *)
+(* Full recompute: tombstone every live fact with no extensional support
+   and re-run the fixpoint from the extensional store. The fallback
+   whenever incremental maintenance would be unsound (negation or
+   inclusion over an affected relation, rule retraction) and the
+   recovery path after a mid-batch failure. *)
 let refresh t ctx =
   drop_derived t ctx;
   (* extensional facts tombstoned earlier in the batch (or by a failed
      one) but still multiplicity-positive come back, recorded as such *)
-  let prov = Program.provenance t.p in
   Fact_tbl.iter
     (fun f r ->
       if !r > 0 then begin
         if not (live_in_store t f) then reinsert t f;
-        Provenance.forget prov f;
-        Provenance.record prov f Provenance.Extensional
+        repoint t f Provenance.Extensional
       end)
     t.edb;
-  Queue.clear ctx.c_queue;
-  ctx.c_rederive <- false;
-  Fact_tbl.reset t.counts;
-  Fact_tbl.reset t.uses;
-  Fact_tbl.reset t.heads_of;
-  Deriv_tbl.reset t.dedup;
-  full_tracing_run t ctx
+  run t ctx
+
+(* ------------------------------------------------------------------ *)
+(* Firings through a fact: each rule solved with a body atom pre-bound to
+   it. A method atom binds its terms, a membership ranges over the pairs
+   the class edge closes, a regular-path atom over the receivers reaching
+   the edge's source. A rule whose head set reads the fact's relation is
+   solved whole; one whose head path steps along a link's method, with
+   that path's receiver bound. *)
+
+let env_of (body : Ir.query) b =
+  List.fold_left (fun env (x, slot) -> Env.add x b.(slot) env) Env.empty
+    body.named
+
+(* Extend slot bindings so each term denotes its object, if they can. *)
+let unify_into b pairs =
+  List.fold_left
+    (fun acc ((term : Ir.term), o) ->
+      Option.bind acc (fun b ->
+          match term with
+          | Const c -> if Obj_id.equal c o then Some b else None
+          | V i -> (
+            match List.assoc_opt i b with
+            | None -> Some ((i, o) :: b)
+            | Some o' -> if Obj_id.equal o o' then Some b else None)))
+    (Some b) pairs
+
+let unify = unify_into []
+
+let atom_seeds t (atom : Ir.atom) f =
+  match (atom, f) with
+  | (A_scalar a, Fact.F_scalar x | A_member a, Fact.F_set x)
+    when List.length a.args = List.length x.args ->
+    Option.to_list
+      (unify
+         ((a.meth, x.meth) :: (a.recv, x.recv) :: (a.res, x.res)
+         :: List.combine a.args x.args))
+  | A_isa (o, c), Fact.F_isa (sub, cls) ->
+    let below = sub :: Obj_id.Set.elements (Store.members t.store sub) in
+    let above = cls :: Obj_id.Set.elements (Store.classes_of t.store cls) in
+    List.concat_map
+      (fun x -> List.filter_map (fun y -> unify [ (o, x); (c, y) ]) above)
+      below
+  | A_regex r, (Fact.F_scalar x | Fact.F_set x) ->
+    let set = match f with Fact.F_set _ -> true | _ -> false in
+    let on_label ((l : Ir.label), _) =
+      l.lbl_set = set && Obj_id.equal l.lbl_meth x.meth && l.lbl_args = x.args
+    in
+    let recvs = ref [] in
+    Array.iteri
+      (fun q out ->
+        if Array.exists on_label out then
+          let a_accept = Array.init r.x_auto.a_nstates (Int.equal q) in
+          let x_auto = { r.x_auto with a_accept } in
+          let atom =
+            Ir.A_regex { x_auto; x_recv = V 0; x_res = Const x.recv }
+          in
+          Solve.iter t.store
+            { atoms = [ atom ]; nvars = 1; named = [] }
+            ~f:(fun b -> recvs := b.(0) :: !recvs))
+      r.x_auto.a_trans;
+    List.filter_map
+      (fun o -> unify [ (r.x_recv, o) ])
+      (List.sort_uniq Obj_id.compare !recvs)
+  | _ -> []
+
+let head_sets (r : Rule.t) =
+  Ast.fold_reference
+    (fun acc -> function
+      | Ast.Filter { f_rhs = Rset_ref _; _ } -> true
+      | _ -> acc)
+    false r.source.head
+
+let path_seeds t (r : Rule.t) f =
+  match f with
+  | Fact.F_scalar { meth; recv; _ } ->
+    let u = Store.universe t.store in
+    Ast.fold_reference
+      (fun acc -> function
+        | Ast.Path { p_sep = Dot; p_meth = Name n; p_recv; _ }
+          when Oodb.Universe.find_name u n = Some meth ->
+          (match p_recv with
+          | Var x -> Option.to_list (List.assoc_opt x r.body.named)
+          | _ -> [])
+          |> List.map (fun slot -> (slot, recv))
+          |> fun seed -> seed :: acc
+        | _ -> acc)
+      [] r.source.head
+  | Fact.F_isa _ | Fact.F_set _ -> []
+
+(* The live facts the firings through [f] assert, found while [f] is
+   still live, and the firings whose head relied on [f] as a link: with
+   [f] gone they build a virtual object instead. *)
+let consequences t f =
+  let rel = norm (rel_of f) in
+  let heads = ref [] and refire = ref [] in
+  List.iter
+    (fun (r : Rule.t) ->
+      let solve bindings =
+        Solve.iter ~bindings t.store r.body ~f:(fun b ->
+            let hs, relied =
+              Head.asserts t.store ~env:(env_of r.body b) r.source.head
+            in
+            if List.exists (Fact.equal f) relied then
+              refire := { Provenance.rule = r; binding = b } :: !refire;
+            heads := List.filter (live_in_store t) hs @ !heads)
+      in
+      let seeds =
+        if not (r.reads_any || List.exists (fun rd -> norm rd = rel) r.reads)
+        then []
+        else if head_sets r then [ [] ]
+        else List.concat_map (fun a -> atom_seeds t a f) r.body.atoms
+      in
+      List.iter solve (List.sort_uniq compare (seeds @ path_seeds t r f)))
+    t.rules;
+  (!heads, !refire)
+
+(* ------------------------------------------------------------------ *)
+(* Proofs: a solution of a rule whose head asserts the fact, with every
+   body fact and relied link taken by [ok]. *)
+
+(* Slot bindings under which a position of [r]'s head asserts [f], one
+   list per position that can: a term pins the variable it is, and the
+   terms of the path that denotes a virtual object. *)
+let head_matches t (r : Rule.t) f =
+  let u = Store.universe t.store in
+  let rec term acc ((tm : Ast.reference), o) =
+    Option.bind acc (fun acc ->
+        match (tm, Oodb.Universe.descriptor u o) with
+        | Var x, _ -> (
+          match List.assoc_opt x r.body.named with
+          | None -> Some acc
+          | Some i -> unify_into acc [ (Ir.V i, o) ])
+        | (Name n, Name n' | Str_lit n, Str n') when n = n' -> Some acc
+        | Int_lit n, Int n' when n = n' -> Some acc
+        | (Name _ | Str_lit _ | Int_lit _), _ -> None
+        | (Paren tm | Isa { recv = tm; _ } | Filter { f_recv = tm; _ }), _ ->
+          term (Some acc) (tm, o)
+        | Path { p_sep = Dot; p_recv; p_meth; p_args }, Skolem s
+          when List.length s.args = List.length p_args ->
+          List.fold_left term (Some acc)
+            ((p_recv, s.recv) :: (p_meth, s.meth) :: List.combine p_args s.args)
+        | (Path _ | Regex _), _ -> Some acc)
+  in
+  let app recv meth args res (x : Fact.app) =
+    if List.length args <> List.length x.args then None
+    else
+      List.fold_left term (Some [])
+        ((recv, x.recv) :: (meth, x.meth)
+        :: (List.combine args x.args @ List.map (fun r -> (r, x.res)) res))
+  in
+  Ast.fold_reference
+    (fun acc (pos : Ast.reference) ->
+      let rhs =
+        match pos with
+        | Filter { f_rhs = Rscalar r; _ } -> [ [ r ] ]
+        | Filter { f_rhs = Rset_enum es; _ } -> List.map (fun e -> [ e ]) es
+        | _ -> [ [] ]
+      in
+      (match (pos, f) with
+      | Isa { recv; cls }, Fact.F_isa (o, c) ->
+        [ List.fold_left term (Some []) [ (recv, o); (cls, c) ] ]
+      | Path { p_sep = Dot; p_recv; p_meth; p_args }, Fact.F_scalar x ->
+        [ app p_recv p_meth p_args [] x ]
+      | Filter { f_recv; f_meth; f_args; f_rhs = Rscalar _ }, Fact.F_scalar x
+      | ( Filter { f_recv; f_meth; f_args; f_rhs = Rset_enum _ | Rset_ref _ },
+          Fact.F_set x ) ->
+        List.map (fun res -> app f_recv f_meth f_args res x) rhs
+      | _ -> [])
+      |> List.filter_map Fun.id
+      |> List.rev_append acc)
+    [] r.source.head
+
+(* A proof of [f]: by its provenance record first, then (with [others])
+   by any rule defining its relation, solved under the bindings its head
+   pins. [strict] refuses rules whose head set has members [ok] cannot
+   vet. [doubt] is set when a solution deriving [f] is refused. *)
+let find_proof ?(doubt = ref false) t ~strict ~others ~ok f =
+  let prove (r : Rule.t) bindings =
+    let vetted = not (strict && head_sets r) in
+    let accept b body =
+      let heads, relied =
+        Head.asserts t.store ~env:(env_of r.body b) r.source.head
+      in
+      List.exists (Fact.equal f) heads
+      && ((vetted && List.for_all ok body && List.for_all ok relied)
+         || (doubt := true; false))
+    in
+    Option.map fst (Provenance.prove t.store r bindings ~accept)
+  in
+  (* [tried]: the record's own search, not run twice *)
+  let by_rule ?(tried = []) (r : Rule.t) =
+    let rel = norm (rel_of f) in
+    if not (List.exists (fun d -> norm d = rel || d = Ir.R_any) r.defines)
+    then None
+    else
+      head_matches t r f
+      |> List.filter (fun b -> List.sort compare b <> tried)
+      |> List.find_map (prove r)
+  in
+  match Provenance.lookup (Program.provenance t.p) f with
+  | Some (Provenance.Derived d) -> (
+    match prove d.rule (Provenance.named d) with
+    | None when others ->
+      let tried = List.sort compare (Provenance.named d) in
+      List.find_map
+        (fun r -> by_rule ~tried:(if r == d.rule then tried else []) r)
+        t.rules
+    | p -> p)
+  | Some Provenance.Extensional | None ->
+    if others then List.find_map by_rule t.rules else None
+
+(* ------------------------------------------------------------------ *)
+(* Backward/Forward retraction.
+
+   Backward: each fact the batch un-states, and each consequence of a
+   fact that dies, is a candidate. It stays if stated, or if some rule
+   proves it on [safe] facts: stated, or with a record that replays on
+   safe facts — a well-founded proof through no dead fact and no fact
+   still being checked, so no cycle of candidates proves itself. One that
+   stays is re-pointed at its proof; one that does not is tombstoned, and
+   the firings through it name the next candidates.
+
+   Forward: the store now holds only facts with a proof. The backward
+   search is sound, not complete: each dead fact that had a proof refused
+   is tried once more against any rule, the firings that relied on a dead
+   link re-fire, and semi-naive delta rounds from before these insertions
+   derive the rest. *)
+
+type search = {
+  proved : unit Fact_tbl.t;  (* safe for the rest of the batch *)
+  failed : unit Fact_tbl.t;  (* not safe, for the current candidate *)
+  open_ : unit Fact_tbl.t;  (* on the current search path *)
+  doubt : bool ref;  (* the current candidate had a proof refused *)
+}
+
+(* Is [f] safe: stated, or proved on safe facts? With [others] any rule
+   may prove it and its record is re-pointed at the proof; a fact below
+   it only counts by its own record. *)
+let rec safe t s ~others f =
+  Fact_tbl.mem s.proved f
+  || (not (Fact_tbl.mem s.failed f || Fact_tbl.mem s.open_ f))
+     && live_in_store t f
+     && begin
+          Fact_tbl.replace s.open_ f ();
+          let ok =
+            get_count t.edb f > 0
+            ||
+            match
+              find_proof t ~doubt:s.doubt ~strict:true ~others
+                ~ok:(safe t s ~others:false) f
+            with
+            | Some d ->
+              if others then repoint t f (Provenance.Derived d);
+              true
+            | None -> false
+          in
+          Fact_tbl.remove s.open_ f;
+          Fact_tbl.replace (if ok then s.proved else s.failed) f ();
+          ok
+        end
+
+(* Does candidate [f] stay? A stated fact is recorded as such. *)
+let stays t s f =
+  if get_count t.edb f > 0 then (repoint t f Provenance.Extensional; true)
+  else begin
+    Fact_tbl.reset s.failed;
+    s.doubt := false;
+    safe t s ~others:true f
+  end
+
+(* Retract the facts whose last statement the batch dropped; [true] when
+   a derived fact went too. *)
+let backward_forward t ctx lost =
+  let prov = Program.provenance t.p in
+  let tbl () = Fact_tbl.create 64 in
+  let s =
+    { proved = tbl (); failed = tbl (); open_ = tbl (); doubt = ref false }
+  in
+  let queue = Queue.of_seq (List.to_seq lost) in
+  let doubted = ref [] and refire = ref [] in
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    if live_in_store t f && not (stays t s f) then begin
+      let heads, relied = consequences t f in
+      if !(s.doubt) then doubted := f :: !doubted;
+      refire := relied @ !refire;
+      tombstone t ctx f;
+      List.iter (fun h -> Queue.push h queue) heads
+    end
+  done;
+  let baseline = Fixpoint.watermark t.store and changes = ref 0 in
+  let fire (d : Provenance.derivation) =
+    ignore
+      (Head.execute
+         ~on_insert:(fun f ->
+           Provenance.record prov f (Provenance.Derived d);
+           note_insert ctx f)
+         t.store ~env:(env_of d.rule.body d.binding) ~rule:d.rule.source
+         ~changes d.rule.source.head
+        : Obj_id.t)
+  in
+  List.iter
+    (fun f ->
+      if not (live_in_store t f) then
+        Option.iter fire
+          (find_proof t ~strict:false ~others:true ~ok:(fun _ -> true) f))
+    (List.rev !doubted);
+  List.iter
+    (fun (d : Provenance.derivation) ->
+      Provenance.prove t.store d.rule (Provenance.named d)
+        ~accept:(fun _ _ -> true)
+      |> Option.iter (fun (d, _) -> fire d))
+    !refire;
+  let fp = if !changes > 0 then Some (run ~from:baseline t ctx) else None in
+  let stated = List.filter (Fact_tbl.mem ctx.c_removed) lost in
+  (Fact_tbl.length ctx.c_removed > List.length stated, fp)
 
 (* ------------------------------------------------------------------ *)
 (* The negation gate: find every relation the batch can transitively
@@ -459,24 +536,25 @@ let gate_triggered ~rules ~seed_rels =
 (* ------------------------------------------------------------------ *)
 (* Extensional operations *)
 
+(* One more statement of each fact the head asserts: what it inserts,
+   what it finds, and the links it relies on. *)
 let edb_insert t ctx (head : Ast.reference) =
-  let rule = Ast.fact head in
-  let changes = ref 0 in
-  let asserted = ref [] in
+  let prov = Program.provenance t.p in
   ignore
     (Head.execute
        ~on_insert:(fun f ->
-         Provenance.record (Program.provenance t.p) f Provenance.Extensional;
+         Provenance.record prov f Provenance.Extensional;
          note_insert ctx f)
-       ~on_assert:(fun f -> asserted := f :: !asserted)
-       t.store ~env:Semantics.Valuation.Env.empty ~rule ~changes head
-      : Oodb.Obj_id.t);
+       t.store ~env:Env.empty ~rule:(Ast.fact head) ~changes:(ref 0) head
+      : Obj_id.t);
+  let heads, relied = Head.asserts t.store ~env:Env.empty head in
   List.iter
     (fun f ->
       bump t.edb f 1;
       ctx.c_edb_log <- (f, 1) :: ctx.c_edb_log)
-    !asserted
+    (heads @ relied)
 
+(* Drop one statement of a fact; the fact is lost once none is left. *)
 let edb_retract t ctx (head : Ast.reference) =
   match Fact.of_reference t.store head with
   | None ->
@@ -488,13 +566,7 @@ let edb_retract t ctx (head : Ast.reference) =
     else begin
       bump t.edb f (-1);
       ctx.c_edb_log <- (f, -1) :: ctx.c_edb_log;
-      if get_count t.edb f = 0 then begin
-        let c = get_count t.counts f in
-        if c > 0 && not (rel_recursive t (rel_of f)) then
-          repoint t f (* still derived: counting keeps it *)
-        else if c > 0 then over_delete t ctx f
-        else ignore (tombstone t ctx f : bool)
-      end
+      if get_count t.edb f = 0 then Some f else None
     end
 
 (* ------------------------------------------------------------------ *)
@@ -513,16 +585,15 @@ let finish t ctx strategy fp =
     fixpoint = fp;
   }
 
-type saved = { s_rules : Rule.t list; s_strat_dirty : bool }
+let set_rules t rules =
+  t.rules <- rules;
+  t.strat <- Stratify.compute t.store rules
 
 (* Undo a failed batch: restore the rule set, roll the EDB multiplicities
    back, and recompute — the pre-batch model is the fixpoint of the
    pre-batch extensional store, so [refresh] restores it exactly. *)
-let recover t ctx (saved : saved) =
-  if saved.s_strat_dirty then begin
-    t.rules <- saved.s_rules;
-    recompute_strat_meta t
-  end;
+let recover t ctx rules =
+  if rules != t.rules then set_rules t rules;
   List.iter (fun (f, d) -> bump t.edb f (-d)) ctx.c_edb_log;
   (* the restoring refresh must survive transient injected store faults:
      it re-runs from the extensional facts, so retrying from a partially
@@ -593,44 +664,27 @@ let run_commit_hook t ~retract ~text =
   | Some hook -> hook ~retract ~epoch:(Store.epoch t.store) ~text
 
 let attach p =
+  let store = Program.store p in
+  let rules =
+    List.filter (fun (r : Rule.t) -> r.source.body <> []) (Program.rules p)
+  in
   let t =
     {
       p;
-      store = Program.store p;
-      rules =
-        List.filter (fun (r : Rule.t) -> r.source.body <> []) (Program.rules p);
-      strat = { Stratify.strata = [||]; rule_stratum = [] };
-      stratum_of = Hashtbl.create 16;
-      recursive_strata = [||];
-      recursive_rels = Hashtbl.create 16;
-      global_dred = false;
-      counts = Fact_tbl.create 256;
+      store;
+      rules;
+      strat = Stratify.compute store rules;
       edb = Fact_tbl.create 256;
-      uses = Fact_tbl.create 256;
-      heads_of = Fact_tbl.create 256;
-      dedup = Deriv_tbl.create 256;
       commit_hook = None;
     }
   in
-  recompute_strat_meta t;
-  (* register the extensional multiplicities: re-execute the program's
-     fact statements (idempotent; on_assert fires on duplicates too,
-     sub-path skolem facts included; an unevaluated program loads here) *)
-  let prov = Program.provenance p in
+  (* register the extensional multiplicities by re-executing the fact
+     statements (idempotent; an unevaluated program loads here) *)
+  let ctx = new_ctx () in
   List.iter
     (fun (r : Rule.t) ->
-      if r.source.body = [] then begin
-        let changes = ref 0 in
-        ignore
-          (Head.execute
-             ~on_insert:(fun f -> Provenance.record prov f Extensional)
-             ~on_assert:(fun f -> bump t.edb f 1)
-             t.store ~env:Semantics.Valuation.Env.empty ~rule:r.source ~changes
-             r.source.head
-            : Oodb.Obj_id.t)
-      end)
+      if r.source.body = [] then edb_insert t ctx r.source.head)
     (Program.rules p);
-  let ctx = new_ctx () in
   (* demand queries leave magic tuples and fragments recorded under
      synthesised rules, materialised or not: drop every derived fact, and
      the run re-derives and re-records them under the program's rules *)
@@ -638,9 +692,6 @@ let attach p =
   if fragment then drop_derived t ctx;
   if fragment || not (Program.materialised p) then
     ignore (Program.run p : Fixpoint.stats);
-  (* one tracing pass at the fixpoint enumerates every body solution of
-     every rule exactly once, populating the support index *)
-  ignore (full_tracing_run t ctx : Fixpoint.stats);
   t
 
 let assert_batch t src =
@@ -671,21 +722,18 @@ let assert_batch t src =
   in
   let gate = gate_triggered ~rules:(t.rules @ compiled) ~seed_rels in
   let ctx = new_ctx () in
-  let saved = { s_rules = t.rules; s_strat_dirty = compiled <> [] } in
+  let saved = t.rules in
   let baseline = Fixpoint.watermark t.store in
   try
     List.iter (fun (h, _) -> edb_insert t ctx h) facts;
-    if compiled <> [] then begin
-      t.rules <- t.rules @ compiled;
-      recompute_strat_meta t
-    end;
+    if compiled <> [] then set_rules t (t.rules @ compiled);
     let strategy, fp =
       if facts = [] && compiled = [] then (Counting, None)
       else if gate then (Recompute, Some (refresh t ctx))
       else if compiled <> [] then
         (* a new rule needs a full first evaluation *)
-        (Recompute, Some (full_tracing_run t ctx))
-      else (Counting, Some (delta_run t ctx baseline))
+        (Recompute, Some (run t ctx))
+      else (Counting, Some (run ~from:baseline t ctx))
     in
     run_commit_hook t ~retract:false ~text:src;
     finish t ctx strategy fp
@@ -721,20 +769,15 @@ let retract_batch t src =
   let gate = gate_triggered ~rules:t.rules ~seed_rels in
   let use_refresh = gate || !dropped <> [] in
   let ctx = new_ctx () in
-  let saved = { s_rules = t.rules; s_strat_dirty = !dropped <> [] } in
+  let saved = t.rules in
   try
-    List.iter (fun (h, _) -> edb_retract t ctx h) facts;
-    if !dropped <> [] then begin
-      t.rules <- !remaining;
-      recompute_strat_meta t
-    end;
+    let lost = List.filter_map (fun (h, _) -> edb_retract t ctx h) facts in
+    if !dropped <> [] then set_rules t !remaining;
     let strategy, fp =
       if use_refresh then (Recompute, Some (refresh t ctx))
-      else begin
-        drain t ctx;
-        if ctx.c_rederive then (Dred, Some (full_tracing_run t ctx))
-        else (Counting, None)
-      end
+      else
+        let derived_lost, fp = backward_forward t ctx lost in
+        ((if derived_lost then Dred else Counting), fp)
     in
     run_commit_hook t ~retract:true ~text:src;
     finish t ctx strategy fp
@@ -768,54 +811,43 @@ let dump_source t =
     t.rules;
   Buffer.contents b
 
-(* Support-index audit (chaos harness): every live derivation rests on
-   live facts, counts agree with the live derivation multiset, and every
-   live stored fact's provenance record names support it still has. *)
+(* Provenance audit (chaos harness, tests): every live fact's record
+   names a proof it still has — a statement, or a derivation that replays
+   on live facts — and the records are well-founded, so WHY walks a real
+   proof. *)
 let check_support t =
   let errs = ref [] in
   let u = Store.universe t.store in
   let say fmt = Format.kasprintf (fun m -> errs := m :: !errs) fmt in
-  let pp_deriv ppf d = Syntax.Pretty.pp_rule ppf d.d_src.rule.source in
-  let recount = Fact_tbl.create 256 in
-  Deriv_tbl.iter
-    (fun _ (d : deriv) ->
-      if d.d_dead then say "dead derivation still in dedup: %a" pp_deriv d
-      else begin
-        List.iter (fun h -> bump recount h 1) d.d_heads;
-        List.iter
-          (fun bf ->
-            if not (live_in_store t bf) then
-              say "derivation %a rests on dead fact %a" pp_deriv d
-                (Fact.pp u) bf)
-          d.d_body;
-        List.iter
-          (fun h ->
-            if not (live_in_store t h) then
-              say "derivation %a heads dead fact %a" pp_deriv d (Fact.pp u) h)
-          d.d_heads
-      end)
-    t.dedup;
-  Fact_tbl.iter
-    (fun f r ->
-      let rc = get_count recount f in
-      if !r <> rc then
-        say "count mismatch for %a: recorded %d, live derivations %d"
-          (Fact.pp u) f !r rc)
-    t.counts;
-  Fact_tbl.iter
-    (fun f _ ->
-      if not (Fact_tbl.mem t.counts f) then
-        say "derivation of %a missing from counts" (Fact.pp u) f)
-    recount;
-  Fact.iter_live t.store (fun f ->
-      match Provenance.lookup (Program.provenance t.p) f with
-      | Some src when record_holds t f src -> ()
-      | Some _ | None ->
-        say "live fact %a has no record of support it still has" (Fact.pp u)
-          f);
+  let pp = Fact.pp u in
+  (* [false] while a fact's proof is walked, [true] once it is done *)
+  let walked = Fact_tbl.create 256 in
+  let rec visit f =
+    match Fact_tbl.find_opt walked f with
+    | Some true -> ()
+    | Some false -> say "records of %a form a cycle" pp f
+    | None -> (
+      Fact_tbl.replace walked f false;
+      (match Provenance.lookup (Program.provenance t.p) f with
+      | None -> say "live fact %a has no provenance record" pp f
+      | Some Extensional when get_count t.edb f <= 0 ->
+        say "live fact %a is recorded as stated but has no statement" pp f
+      | Some Extensional -> ()
+      | Some (Derived d) -> (
+        match Provenance.replay t.store d with
+        | None -> say "record of %a does not replay" pp f
+        | Some body ->
+          List.iter
+            (fun g ->
+              if live_in_store t g then visit g
+              else say "proof of %a names dead fact %a" pp f pp g)
+            body));
+      Fact_tbl.replace walked f true)
+  in
+  Fact.iter_live t.store visit;
   Fact_tbl.iter
     (fun f r ->
       if !r > 0 && not (live_in_store t f) then
-        say "extensional fact %a is not live in the store" (Fact.pp u) f)
+        say "extensional fact %a is not live in the store" pp f)
     t.edb;
   List.rev !errs

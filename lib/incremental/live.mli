@@ -1,27 +1,22 @@
 (** Live mutation: incremental view maintenance over an evaluated program.
 
-    A [Live.t] wraps an evaluated {!Engine.Program.t} and keeps a support
-    index over its minimal model, so batches of asserted and retracted
-    facts (and rules) maintain the model without recomputing it:
+    A [Live.t] wraps an evaluated {!Engine.Program.t} and maintains its
+    minimal model under batches of asserted and retracted facts (and
+    rules). Beside the store and the program's provenance table it keeps
+    only the extensional multiplicities:
 
-    - {b Asserts} re-enter the fixpoint as ordinary semi-naive delta
-      rounds: relation watermarks are captured before the batch, the new
-      extensional tuples are inserted, and only rules reading a grown
-      relation re-evaluate, seeded at the watermark.
-    - {b Retracts} cascade through the support index. Each derived fact
-      carries a count of live derivations. In {e non-recursive} strata
-      counting is exact (support cannot be cyclic), and a derivation that
-      lost a body fact is first re-validated — replayed against the store
-      under its recorded bindings — so an alternative support set (a
-      different isa chain) keeps the fact alive. In {e recursive} strata
-      counts cannot be trusted (cyclic derivations sustain each other), so
-      affected facts are {e over-deleted} and a re-derivation pass (DRed)
-      restores whatever still has well-founded support.
+    - {b Asserts} re-enter the fixpoint as semi-naive delta rounds from
+      relation watermarks captured before the batch.
+    - {b Retracts} run Backward/Forward (Motik, Nenov, Piro, Horrocks,
+      AAAI 2015): the rules solved with a body atom bound to a lost fact
+      name its candidate consequences; a candidate stays, re-pointed, if a
+      backward search finds it a well-founded proof (its provenance record
+      first, then the other rules defining its relation); the others are
+      deleted and their consequences become candidates. Delta rounds then
+      re-derive what the search could not decide.
     - {b Negation / inclusion}: when the batch can transitively affect a
-      relation some rule reads under completion semantics, incremental
-      maintenance is unsound in both directions; the batch falls back to
-      an honest recompute from the extensional store. Rule retraction
-      takes the same path.
+      relation some rule reads under completion semantics, the batch
+      recomputes from the extensional store, as rule retraction does.
 
     Every committed batch leaves the store at a new epoch (each physical
     insert/tombstone bumps it), so validated readers and the epoch-keyed
@@ -35,8 +30,10 @@ exception Rejected of string
     the store was left exactly as before the call. *)
 
 type strategy =
-  | Counting  (** pure counting maintenance (delta rounds / cascade) *)
-  | Dred  (** counting over-deleted; a re-derivation pass ran *)
+  | Counting
+      (** an assert, or a retraction whose derived consequences all keep
+          a proof: only retracted statements left the model *)
+  | Dred  (** a retraction that deleted at least one derived fact *)
   | Recompute  (** full recompute from the extensional store *)
 
 val strategy_name : strategy -> string
@@ -50,12 +47,11 @@ type batch_stats = {
       (** the maintenance run, when one was needed *)
 }
 
-(** Evaluate the program unless it is already
-    {!Engine.Program.materialised}, and build the support index: the
-    extensional multiplicities from its fact statements, and one recorded
-    derivation per (rule, body solution) from a tracing fixpoint pass.
-    The magic tuples and fragments earlier demand queries left are
-    dropped, and the run re-derives the fragments under the program's rules. *)
+(** Register the extensional multiplicities from the program's fact
+    statements and evaluate the program unless it is already
+    {!Engine.Program.materialised}. The magic tuples and fragments earlier
+    demand queries left are dropped, and the run re-derives the fragments
+    under the program's rules. *)
 val attach : Engine.Program.t -> t
 
 val program : t -> Engine.Program.t
@@ -100,8 +96,8 @@ val set_commit_hook :
     [attach (Program.of_string (dump_source t))]. *)
 val dump_source : t -> string
 
-(** Support-index audit: every live derivation rests on live facts,
-    counts agree with the live derivation multiset, every live stored
-    fact has extensional or derived support. Returns violations (empty
-    when consistent). *)
+(** Provenance audit: every live fact's record names a proof it still
+    has — a statement, or a derivation that replays on live facts — the
+    records form no cycle (so WHY is well-founded), and every fact with a
+    statement is live. Returns violations (empty when consistent). *)
 val check_support : t -> string list

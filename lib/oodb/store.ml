@@ -229,6 +229,7 @@ let add_isa st o c =
     IAdded
   end
 
+let has_isa st o c = Obj_id.Set.mem c (direct st.parents o)
 let isa_log st = st.isa_log
 let known_classes st = List.rev st.class_list
 
@@ -405,16 +406,17 @@ let stamp st (e : mentry) =
   e.dead <- st.epoch;
   st.tuple_count <- st.tuple_count - 1
 
+(* Newest first: a tuple's live record is its last one, behind every
+   record tombstoned before it was re-asserted. *)
 let find_live v ~args ~res =
-  let n = Vec.length v in
   let rec go i =
-    if i >= n then None
+    if i < 0 then None
     else
       let e = Vec.get v i in
       if live e && e.args = args && Obj_id.equal e.res res then Some e
-      else go (i + 1)
+      else go (i - 1)
   in
-  go 0
+  go (Vec.length v - 1)
 
 let remove_scalar st ~meth ~recv ~args ~res =
   match scalar_lookup st ~meth ~recv ~args with

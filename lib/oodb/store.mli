@@ -72,6 +72,9 @@ val classes_of : t -> Obj_id.t -> Obj_id.Set.t
 (** All strict descendants of [c] (its members, transitively). *)
 val members : t -> Obj_id.t -> Obj_id.Set.t
 
+(** Is [o : c] a live direct edge (not a membership through the closure)? *)
+val has_isa : t -> Obj_id.t -> Obj_id.t -> bool
+
 (** Append-only log of directly asserted [o : c] edges, including
     tombstoned ones — filter with {!isa_live}. *)
 val isa_log : t -> ientry Vec.t

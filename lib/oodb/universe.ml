@@ -77,6 +77,9 @@ let skolem u ~meth ~recv ~args =
         Vec.push u.skolem_ids id;
         id)
 
+let find_skolem u ~meth ~recv ~args =
+  with_lock u (fun () -> Hashtbl.find_opt u.by_key (Kskolem (meth, recv, args)))
+
 let skolems u = Vec.to_list u.skolem_ids
 let descriptor u id = Vec.get u.descriptors id
 

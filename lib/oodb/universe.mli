@@ -45,6 +45,10 @@ val find_name : t -> string -> Obj_id.t option
     Deterministic: the same application always yields the same object. *)
 val skolem : t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id.t
 
+(** The virtual object of [recv.meth@(args)], if {!skolem} created it. *)
+val find_skolem :
+  t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id.t option
+
 (** Objects created by {!skolem}, in creation order. *)
 val skolems : t -> Obj_id.t list
 

@@ -63,7 +63,9 @@ val stats : t -> (string list, string) result
 (** The server's summary of a committed mutation batch. *)
 type mutation_result = {
   epoch : int;  (** store epoch after the commit *)
-  strategy : string;  (** "counting", "dred" or "recompute" *)
+  strategy : string;
+      (** "counting", "dred" (a retraction deleted a derived fact) or
+          "recompute" *)
   added : int;  (** net model facts added *)
   removed : int;  (** net model facts removed *)
 }

@@ -1,7 +1,7 @@
-(* Incremental view maintenance: counting for non-recursive strata, DRed
-   over-delete/re-derive for recursive ones, honest recompute behind
-   negation — always bit-for-bit equal to a from-scratch fixpoint on the
-   final extensional state. *)
+(* Incremental view maintenance: delta rounds for asserts,
+   Backward/Forward retraction, honest recompute behind negation — always
+   bit-for-bit equal to a from-scratch fixpoint on the final extensional
+   state. *)
 
 module Program = Pathlog.Program
 module Fixpoint = Pathlog.Fixpoint
@@ -31,11 +31,10 @@ let check_clean live =
   Alcotest.(check (list string)) "support index" [] (Live.check_support live)
 
 (* ------------------------------------------------------------------ *)
-(* Counting: non-recursive strata *)
+(* Retractions whose derived consequences keep a proof ("counting") *)
 
 (* diamond: a reaches c both directly and through b, so retracting the
-   b-c edge over-deletes a's closure and the re-derive pass must restore
-   what the direct edge still supports *)
+   b-c edge must keep what the direct edge still supports *)
 let tc_text =
   {|
     a[edge ->> {b}]. b[edge ->> {c}]. c[edge ->> {d}]. a[edge ->> {c}].
@@ -75,7 +74,7 @@ let counting_retract_multi_support () =
 
 let revalidation_alternative_chain () =
   (* the recorded derivation rests on one isa chain; retracting it must
-     re-validate against the alternative chain, not delete the head *)
+     find the alternative chain, not delete the head *)
   let live = attach {|
     mid1 :: top. mid2 :: top.
     o : mid1. o : mid2.
@@ -92,7 +91,7 @@ let revalidation_alternative_chain () =
   check_clean live
 
 (* ------------------------------------------------------------------ *)
-(* DRed: recursive strata *)
+(* Retractions that delete derived facts ("dred") *)
 
 let dred_retract_support () =
   let live = attach tc_text in
@@ -118,7 +117,8 @@ let dred_retract_support () =
   check_clean live
 
 let dred_cycle () =
-  (* a cycle sustains itself through counting; DRed must still delete it *)
+  (* a cycle keeps a derivation of each of its facts; with its entry gone
+     it must still be deleted *)
   let live =
     attach
       {|
@@ -229,8 +229,8 @@ let regex_boss_plus () =
   check_equiv live;
   check_clean live
 
-(* two paths from a to c: retracting one witness edge must re-derive the
-   pair through the other *)
+(* two paths from a to c: retracting one witness edge must keep the pair
+   through the other *)
 let regex_alternation () =
   let live =
     attach
@@ -351,14 +351,158 @@ let corpus_sweep () =
     files
 
 (* ------------------------------------------------------------------ *)
+(* The backward step: a candidate keeps a proof only if that proof is
+   well-founded, never through a fact whose own proof is still in doubt *)
+
+(* a and b reach each other; s1 and s2 each enter the cycle, so losing
+   one entry leaves both reached through the other *)
+let cycle_keeps_other_entry () =
+  let live =
+    attach
+      {|
+        s1 : start. s2 : start.
+        s1[edge ->> {a}]. s2[edge ->> {b}]. a[edge ->> {b}]. b[edge ->> {a}].
+        X : reached <- X : start.
+        Y : reached <- X : reached, X[edge ->> {Y}].
+      |}
+  in
+  let st = Live.retract_batch live "s1[edge ->> {a}]." in
+  Alcotest.(check string) "strategy" "counting"
+    (Live.strategy_name st.Live.strategy);
+  expect live "a : reached" true;
+  expect live "b : reached" true;
+  check_equiv live;
+  check_clean live;
+  retract live "s2[edge ->> {b}].";
+  expect live "a : reached" false;
+  expect live "b : reached" false;
+  check_equiv live;
+  check_clean live
+
+(* odd and even are defined by each other around the a-b cycle; s's edge
+   is the only way in, so both die with it although each still has a
+   derivation from the other *)
+let mutual_recursion_dies () =
+  let live =
+    attach
+      {|
+        s : root. s[edge ->> {a}]. a[edge ->> {b}]. b[edge ->> {a}].
+        Y : odd <- X : root, X[edge ->> {Y}].
+        Y : odd <- X : even, X[edge ->> {Y}].
+        Y : even <- X : odd, X[edge ->> {Y}].
+      |}
+  in
+  expect live "a : odd" true;
+  expect live "b : even" true;
+  let st = Live.retract_batch live "s[edge ->> {a}]." in
+  Alcotest.(check string) "strategy" "dred"
+    (Live.strategy_name st.Live.strategy);
+  List.iter
+    (fun q -> expect live q false)
+    [ "a : odd"; "b : even" ];
+  check_equiv live;
+  check_clean live
+
+(* the class edge c1 :: c2 sits mid-chain; the memberships through it go,
+   and with them what the recursive rule built on them *)
+let isa_mid_chain () =
+  let live =
+    attach
+      {|
+        o : c0. c0 :: c1. c1 :: c2. c2 :: c3.
+        c1[alias ->> {j}]. c3[alias ->> {k}].
+        X[tag ->> {C}] <- X : C.
+        X[tag ->> {D}] <- X[tag ->> {C}], C[alias ->> {D}].
+      |}
+  in
+  expect live "o[tag ->> {k}]" true;
+  retract live "c1 :: c2.";
+  List.iter (fun q -> expect live q false)
+    [ "o[tag ->> {c2}]"; "o[tag ->> {c3}]"; "o[tag ->> {k}]" ];
+  List.iter (fun q -> expect live q true)
+    [ "o[tag ->> {c0}]"; "o[tag ->> {c1}]"; "o[tag ->> {j}]" ];
+  check_equiv live;
+  check_clean live;
+  ignore (Live.assert_batch live "c1 :: c2." : Live.batch_stats);
+  expect live "o[tag ->> {k}]" true;
+  check_equiv live;
+  check_clean live
+
+(* two rule bodies build the same virtual object e1.address; losing one
+   keeps the object, its link and its fact through the other *)
+let virtual_object_two_bodies () =
+  let live =
+    attach
+      {|
+        e1[city -> x]. e1[town -> x].
+        X.address[place -> C] <- X[city -> C].
+        X.address[place -> C] <- X[town -> C].
+      |}
+  in
+  let st = Live.retract_batch live "e1[city -> x]." in
+  Alcotest.(check string) "strategy" "counting"
+    (Live.strategy_name st.Live.strategy);
+  expect live "e1[address -> e1.address]" true;
+  expect live "e1.address[place -> x]" true;
+  check_equiv live;
+  check_clean live;
+  retract live "e1[town -> x].";
+  expect live "e1[address -> e1.address]" false;
+  check_equiv live;
+  check_clean live
+
+(* The provenance audit catches each fault it exists for: a cycle of
+   records, a record that no longer replays, a stated fact that is not
+   live, and a live fact with no record. The faults are made behind
+   Live's back. *)
+let check_support_faults () =
+  let live = attach (tc_text ^ "b[edge ->> {a}].") in
+  check_clean live;
+  let store = Live.store live in
+  let prov = Program.provenance (Live.program live) in
+  let o = Store.name store in
+  let tc x y =
+    Pathlog.Fact.F_set { meth = o "tc"; recv = o x; args = []; res = o y }
+  in
+  let step =
+    List.find
+      (fun (r : Pathlog.Rule.t) -> List.length r.body.atoms = 2)
+      (Live.rules live)
+  in
+  let via x z y =
+    let obj = function "X" -> o x | "Z" -> o z | _ -> o y in
+    List.map (fun (n, slot) -> (slot, obj n)) step.body.named
+    |> fun bindings ->
+    Pathlog.Provenance.prove store step bindings ~accept:(fun _ _ -> true)
+    |> Option.get |> fst
+  in
+  let set f d =
+    Pathlog.Provenance.forget prov f;
+    Pathlog.Provenance.record prov f d
+  in
+  let reports sub =
+    List.exists (Helpers.contains ~sub) (Live.check_support live)
+  in
+  set (tc "a" "a") (Derived (via "a" "b" "a"));
+  set (tc "b" "a") (Derived (via "b" "a" "a"));
+  Alcotest.(check bool) "cycle of records" true (reports "form a cycle");
+  ignore
+    (Store.remove_set store ~meth:(o "edge") ~recv:(o "c") ~args:[] ~res:(o "d")
+      : bool);
+  Alcotest.(check bool) "stale record" true (reports "does not replay");
+  Alcotest.(check bool) "dead statement" true (reports "is not live");
+  Pathlog.Provenance.forget prov (tc "a" "b");
+  Alcotest.(check bool) "missing record" true (reports "no provenance record")
+
+(* ------------------------------------------------------------------ *)
 (* Property: random assert/retract interleavings = from-scratch *)
 
 (* [far] reaches over a regular path, so a retracted edge may leave the
-   pair connected through another. Over [edge], [reach] is the same
-   closure, and its over-deletion re-derives such a pair anyway; over
-   [link], which no recursive rule reads, only the lost witness does.
-   [X.hub] is a virtual object every edge of a grp0 member re-derives,
-   so its link has several supports. *)
+   pair connected through another, which the backward step must find
+   over [link] as over [edge]. [reach] is the same closure over [edge]
+   by recursive rules, whose cycles must not prove themselves. [X.hub] is
+   a virtual object every edge of a grp0 member derives, so its link has
+   several proofs. *)
 let base_program =
   {|
     X[reach ->> {Y}] <- X[edge ->> {Y}].
@@ -622,6 +766,12 @@ let suite =
     case "regex: recursive rule on top" regex_recursive_on_top;
     case "virtual object: link support" virtual_object_link;
     case "regex: why shows witness edges" regex_why_support;
+    case "backward: cycle keeps its other entry" cycle_keeps_other_entry;
+    case "backward: mutual recursion dies with its entry" mutual_recursion_dies;
+    case "backward: mid-chain isa edge" isa_mid_chain;
+    case "backward: two bodies reach one virtual object"
+      virtual_object_two_bodies;
+    case "check_support catches broken records" check_support_faults;
     case "corpus sweep: attach and retract each fact" corpus_sweep;
     case "why: other rule after retract" why_other_rule;
     case "why: statement retracted, still derived" why_statement_retracted;

@@ -602,9 +602,9 @@ let test_live_mutation () =
             "closure extended"
             (Ok [ "yes" ])
             (Client.query c "a[tc ->> {d}]");
-          (* retract one support of the recursively derived closure:
-             over-delete kills a's reach of c, the re-derive pass restores
-             it from the direct edge *)
+          (* retract one support of the recursively derived closure: b's
+             reach of c and d is deleted, while a's reach of c keeps a
+             proof through the direct edge *)
           (match Client.retract_facts c "b[edge ->> {c}]." with
           | Error e -> Alcotest.fail ("RETRACT failed: " ^ e)
           | Ok r ->

@@ -411,40 +411,32 @@ type search = {
   doubt : bool ref;  (* the current candidate had a proof refused *)
 }
 
-(* Is [f] safe: stated, or proved on safe facts? With [others] any rule
-   may prove it and its record is re-pointed at the proof; a fact below
-   it only counts by its own record. *)
+(* Is [f] safe: stated, or proved on safe facts? A stated fact is
+   recorded as such. With [others] any rule may prove it and its record
+   is re-pointed at the proof; a fact below it only counts by its own
+   record. *)
 let rec safe t s ~others f =
   Fact_tbl.mem s.proved f
   || (not (Fact_tbl.mem s.failed f || Fact_tbl.mem s.open_ f))
      && live_in_store t f
      && begin
           Fact_tbl.replace s.open_ f ();
-          let ok =
-            get_count t.edb f > 0
-            ||
-            match
+          let proof =
+            if get_count t.edb f > 0 then Some Provenance.Extensional
+            else
               find_proof t ~doubt:s.doubt ~strict:true ~others
                 ~ok:(safe t s ~others:false) f
-            with
-            | Some d ->
-              if others then repoint t f (Provenance.Derived d);
-              true
-            | None -> false
+              |> Option.map (fun d -> Provenance.Derived d)
           in
           Fact_tbl.remove s.open_ f;
+          (match proof with
+          | Some (Provenance.Derived _) when not others -> ()
+          | Some source -> repoint t f source
+          | None -> ());
+          let ok = Option.is_some proof in
           Fact_tbl.replace (if ok then s.proved else s.failed) f ();
           ok
         end
-
-(* Does candidate [f] stay? A stated fact is recorded as such. *)
-let stays t s f =
-  if get_count t.edb f > 0 then (repoint t f Provenance.Extensional; true)
-  else begin
-    Fact_tbl.reset s.failed;
-    s.doubt := false;
-    safe t s ~others:true f
-  end
 
 (* Retract the facts whose last statement the batch dropped; [true] when
    a derived fact went too. *)
@@ -458,7 +450,9 @@ let backward_forward t ctx lost =
   let doubted = ref [] and refire = ref [] in
   while not (Queue.is_empty queue) do
     let f = Queue.pop queue in
-    if live_in_store t f && not (stays t s f) then begin
+    Fact_tbl.reset s.failed;
+    s.doubt := false;
+    if live_in_store t f && not (safe t s ~others:true f) then begin
       let heads, relied = consequences t f in
       if !(s.doubt) then doubted := f :: !doubted;
       refire := relied @ !refire;

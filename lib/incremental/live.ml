@@ -350,8 +350,8 @@ let head_matches t (r : Rule.t) f =
 
 (* A proof of [f]: by its provenance record first, then (with [others])
    by any rule defining its relation, solved under the bindings its head
-   pins. [strict] refuses rules whose head set has members [ok] cannot
-   vet. [doubt] is set when a solution deriving [f] is refused. *)
+   pins. [strict] turns down rules whose head set has members [ok] cannot
+   vet. [doubt] is set when a solution deriving [f] is turned down. *)
 let find_proof ?(doubt = ref false) t ~strict ~others ~ok f =
   let prove (r : Rule.t) bindings =
     let vetted = not (strict && head_sets r) in

@@ -68,7 +68,7 @@ let evaluate_under_faults () =
    2. replaying the committed batch log into a fresh Live instance yields
       a model bit-for-bit equal to the server's (writers own disjoint
       fact namespaces, so per-writer order fully determines the result);
-   3. store invariants and the replay's support index are clean;
+   3. store invariants and the replay's provenance records are clean;
    4. a subscriber's baseline plus its DELTA stream reconstructs the
       final answer set of its standing query.
 
@@ -306,7 +306,7 @@ let mutation_storm ~demand ~seed ~writers ~batches =
 
   (* Reconciliation 2: replay the committed batch log into a fresh Live
      instance; the models must agree exactly, and both the server store's
-     invariants and the replay's support index must be clean. *)
+     invariants and the replay's provenance records must be clean. *)
   let ops = concat_logs logs in
   let replayed = List.length ops in
   let replay =
@@ -326,7 +326,7 @@ let mutation_storm ~demand ~seed ~writers ~batches =
     List.iter (fun m -> fail "server store invariant: %s" m) broken);
   (match Pathlog.Live.check_support replay with
   | [] -> ()
-  | broken -> List.iter (fun m -> fail "replay support index: %s" m) broken);
+  | broken -> List.iter (fun m -> fail "replay provenance records: %s" m) broken);
   if replayed > 0 && not (Program.materialised p) then
     fail "writes committed, but the program is not materialised";
 

@@ -268,7 +268,7 @@ let check_recovered_equals live recovered =
     "store invariants" []
     (Store.check_invariants (Live.store recovered));
   Alcotest.(check (list string))
-    "support index" [] (Live.check_support recovered)
+    "provenance records" [] (Live.check_support recovered)
 
 let injected_wal_fault_rolls_back () =
   with_dir (fun dir ->

@@ -28,7 +28,7 @@ let check_clean live =
   Alcotest.(check (list string))
     "store invariants" []
     (Store.check_invariants (Live.store live));
-  Alcotest.(check (list string)) "support index" [] (Live.check_support live)
+  Alcotest.(check (list string)) "provenance records" [] (Live.check_support live)
 
 (* ------------------------------------------------------------------ *)
 (* Retractions whose derived consequences keep a proof ("counting") *)
@@ -306,7 +306,7 @@ let regex_why_support () =
     Alcotest.(check (list string))
       "witness edges" [ "a[boss -> b]"; "b[boss -> c]" ] support
 
-(* Every shipped program: the support index is complete after attach,
+(* Every shipped program: the provenance records are sound after attach,
    and retracting any one extensional fact gives the model a fresh
    program built from the live source has. *)
 let corpus_files () =
@@ -558,8 +558,8 @@ let interleaving_equals_scratch ~jobs seed =
       | _ -> None)
   in
   let steps = 8 in
-  (* the support index is audited after every batch: a later re-derivation
-     can re-record a derivation and hide an earlier stale record *)
+  (* the provenance records are audited after every batch: a later
+     re-derivation can re-record a fact and hide an earlier stale record *)
   let supported = ref true in
   for _ = 1 to steps do
     let retract = !mirror <> [] && Random.State.bool rng in
@@ -687,7 +687,7 @@ let check_why live q =
   (match Program.why_string p q with
   | None -> Alcotest.failf "WHY %s: not in the model" q
   | Some proof -> go proof);
-  Alcotest.(check (list string)) "support index" [] (Live.check_support live)
+  Alcotest.(check (list string)) "provenance records" [] (Live.check_support live)
 
 (* the recorded rule loses its body fact; the other rule still holds *)
 let why_other_rule () =

@@ -14,9 +14,13 @@ let write_faults () =
     attempt 0
   end
 
+(* Raised by {!asserts}' [link] at a path to an object never created. *)
+exception Never_created
+
 (* One walk over a head under [env]: [link] resolves a scalar path step to
    the object it denotes, [add] asserts a fact. {!execute} writes through
-   the store, {!asserts} only reads it. *)
+   the store, {!asserts} only reads it; a fact about an object never
+   created is skipped. *)
 let walk store ~env ~link ~add head =
   let self_id = Store.name store "self" in
   let rec locate (t : reference) : Oodb.Obj_id.t =
@@ -44,7 +48,7 @@ let walk store ~env ~link ~add head =
       invalid_arg "Head.execute: regular path in a rule head"
     | Isa { recv; cls } ->
       let o = locate recv in
-      add (Fact.F_isa (o, locate cls));
+      (try add (Fact.F_isa (o, locate cls)) with Never_created -> ());
       o
     | Filter { f_recv; f_meth; f_args; f_rhs } ->
       let recv = locate f_recv in
@@ -52,9 +56,11 @@ let walk store ~env ~link ~add head =
       let args = List.map locate f_args in
       let set res = add (Fact.F_set { meth; recv; args; res }) in
       (match f_rhs with
-      | Rscalar rhs ->
-        add (Fact.F_scalar { meth; recv; args; res = locate rhs })
-      | Rset_enum elems -> List.iter (fun e -> set (locate e)) elems
+      | Rscalar rhs -> (
+        try add (Fact.F_scalar { meth; recv; args; res = locate rhs })
+        with Never_created -> ())
+      | Rset_enum elems ->
+        List.iter (fun e -> try set (locate e) with Never_created -> ()) elems
       | Rset_ref s ->
         Oodb.Obj_id.Set.iter set (Semantics.Valuation.eval store env s)
       | Rsig_scalar _ | Rsig_set _ ->
@@ -128,9 +134,9 @@ let asserts store ~env head =
     | Some res, _ ->
       relied := fact res :: !relied;
       res
-    (* an object never created: no stored fact is about it *)
-    | None, _ -> -1
+    | None, _ -> raise Never_created
   in
   let add f = heads := f :: !heads in
-  ignore (walk store ~env ~link ~add head : Oodb.Obj_id.t);
+  (try ignore (walk store ~env ~link ~add head : Oodb.Obj_id.t)
+   with Never_created -> ());
   (!heads, !relied)

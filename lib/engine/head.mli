@@ -37,7 +37,8 @@ val execute :
     [(heads, relied)]. [heads] holds its filters, class edges and links
     to the virtual objects its paths denote; [relied] the links its paths
     find to other objects, which a virtual object would replace if they
-    went. Nothing beyond a path to an object never created is stored. *)
+    went. A path to an object never created asserts nothing about it:
+    the facts that would name it are left out. *)
 val asserts :
   Oodb.Store.t ->
   env:Semantics.Valuation.env ->

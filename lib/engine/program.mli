@@ -193,6 +193,9 @@ val query_demand_string :
     mode. *)
 val plan_count : t -> int
 
+(** All-zero counters, for work that ran no fixpoint. *)
+val idle_stats : unit -> Fixpoint.stats
+
 (** The adorned, magic-transformed program for a query, rendered as
     PathLog source with section comments — seeds, magic rules, guarded
     rules, unguarded rules, and the bound-receiver plan of each guarded

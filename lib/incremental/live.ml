@@ -268,12 +268,13 @@ let path_seeds t (r : Rule.t) f =
 (* The live facts the firings through [f] assert, found while [f] is
    still live, and the firings whose head relied on [f] as a link: with
    [f] gone they build a virtual object instead. *)
-let consequences t f =
+let consequences t ~evals f =
   let rel = norm (rel_of f) in
   let heads = ref [] and refire = ref [] in
   List.iter
     (fun (r : Rule.t) ->
       let solve bindings =
+        incr evals;
         Solve.iter ~bindings t.store r.body ~f:(fun b ->
             let hs, relied =
               Head.asserts t.store ~env:(env_of r.body b) r.source.head
@@ -296,28 +297,23 @@ let consequences t f =
 (* Proofs: a solution of a rule whose head asserts the fact, with every
    body fact and relied link taken by [ok]. *)
 
-(* Slot bindings under which a position of [r]'s head asserts [f], one
-   list per position that can: a term pins the variable it is, and the
-   terms of the path that denotes a virtual object. *)
+(* Slot bindings under which a position of [r]'s head can assert [f], one
+   list per position: a variable pins its slot, a name must be the fact's
+   object, and any other term (a path, a value) is left open — [accept]
+   checks each solution's heads. *)
 let head_matches t (r : Rule.t) f =
   let u = Store.universe t.store in
   let rec term acc ((tm : Ast.reference), o) =
     Option.bind acc (fun acc ->
-        match (tm, Oodb.Universe.descriptor u o) with
-        | Var x, _ -> (
+        match tm with
+        | Var x -> (
           match List.assoc_opt x r.body.named with
           | None -> Some acc
           | Some i -> unify_into acc [ (Ir.V i, o) ])
-        | (Name n, Name n' | Str_lit n, Str n') when n = n' -> Some acc
-        | Int_lit n, Int n' when n = n' -> Some acc
-        | (Name _ | Str_lit _ | Int_lit _), _ -> None
-        | (Paren tm | Isa { recv = tm; _ } | Filter { f_recv = tm; _ }), _ ->
+        | Name n -> if Oodb.Universe.find_name u n = Some o then Some acc else None
+        | Paren tm | Isa { recv = tm; _ } | Filter { f_recv = tm; _ } ->
           term (Some acc) (tm, o)
-        | Path { p_sep = Dot; p_recv; p_meth; p_args }, Skolem s
-          when List.length s.args = List.length p_args ->
-          List.fold_left term (Some acc)
-            ((p_recv, s.recv) :: (p_meth, s.meth) :: List.combine p_args s.args)
-        | (Path _ | Regex _), _ -> Some acc)
+        | _ -> Some acc)
   in
   let app recv meth args res (x : Fact.app) =
     if List.length args <> List.length x.args then None
@@ -328,21 +324,17 @@ let head_matches t (r : Rule.t) f =
   in
   Ast.fold_reference
     (fun acc (pos : Ast.reference) ->
-      let rhs =
-        match pos with
-        | Filter { f_rhs = Rscalar r; _ } -> [ [ r ] ]
-        | Filter { f_rhs = Rset_enum es; _ } -> List.map (fun e -> [ e ]) es
-        | _ -> [ [] ]
-      in
       (match (pos, f) with
       | Isa { recv; cls }, Fact.F_isa (o, c) ->
         [ List.fold_left term (Some []) [ (recv, o); (cls, c) ] ]
       | Path { p_sep = Dot; p_recv; p_meth; p_args }, Fact.F_scalar x ->
         [ app p_recv p_meth p_args [] x ]
-      | Filter { f_recv; f_meth; f_args; f_rhs = Rscalar _ }, Fact.F_scalar x
-      | ( Filter { f_recv; f_meth; f_args; f_rhs = Rset_enum _ | Rset_ref _ },
-          Fact.F_set x ) ->
-        List.map (fun res -> app f_recv f_meth f_args res x) rhs
+      | Filter { f_recv; f_meth; f_args; f_rhs = Rscalar r }, Fact.F_scalar x ->
+        [ app f_recv f_meth f_args [ r ] x ]
+      | Filter { f_recv; f_meth; f_args; f_rhs = Rset_enum es }, Fact.F_set x ->
+        List.map (fun e -> app f_recv f_meth f_args [ e ] x) es
+      | Filter { f_recv; f_meth; f_args; f_rhs = Rset_ref _ }, Fact.F_set x ->
+        [ app f_recv f_meth f_args [] x ]
       | _ -> [])
       |> List.filter_map Fun.id
       |> List.rev_append acc)
@@ -351,9 +343,11 @@ let head_matches t (r : Rule.t) f =
 (* A proof of [f]: by its provenance record first, then (with [others])
    by any rule defining its relation, solved under the bindings its head
    pins. [strict] turns down rules whose head set has members [ok] cannot
-   vet. [doubt] is set when a solution deriving [f] is turned down. *)
-let find_proof ?(doubt = ref false) t ~strict ~others ~ok f =
+   vet. [doubt] is set when a solution deriving [f] is turned down;
+   [evals] counts the rules solved. *)
+let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok f =
   let prove (r : Rule.t) bindings =
+    incr evals;
     let vetted = not (strict && head_sets r) in
     let accept b body =
       let heads, relied =
@@ -409,6 +403,7 @@ type search = {
   failed : unit Fact_tbl.t;  (* not safe, for the current candidate *)
   open_ : unit Fact_tbl.t;  (* on the current search path *)
   doubt : bool ref;  (* the current candidate had a proof refused *)
+  evals : int ref;  (* rules solved in the batch *)
 }
 
 (* Is [f] safe: stated, or proved on safe facts? A stated fact is
@@ -424,7 +419,7 @@ let rec safe t s ~others f =
           let proof =
             if get_count t.edb f > 0 then Some Provenance.Extensional
             else
-              find_proof t ~doubt:s.doubt ~strict:true ~others
+              find_proof t ~doubt:s.doubt ~evals:s.evals ~strict:true ~others
                 ~ok:(safe t s ~others:false) f
               |> Option.map (fun d -> Provenance.Derived d)
           in
@@ -444,7 +439,13 @@ let backward_forward t ctx lost =
   let prov = Program.provenance t.p in
   let tbl () = Fact_tbl.create 64 in
   let s =
-    { proved = tbl (); failed = tbl (); open_ = tbl (); doubt = ref false }
+    {
+      proved = tbl ();
+      failed = tbl ();
+      open_ = tbl ();
+      doubt = ref false;
+      evals = ref 0;
+    }
   in
   let queue = Queue.of_seq (List.to_seq lost) in
   let doubted = ref [] and refire = ref [] in
@@ -453,7 +454,7 @@ let backward_forward t ctx lost =
     Fact_tbl.reset s.failed;
     s.doubt := false;
     if live_in_store t f && not (safe t s ~others:true f) then begin
-      let heads, relied = consequences t f in
+      let heads, relied = consequences t ~evals:s.evals f in
       if !(s.doubt) then doubted := f :: !doubted;
       refire := relied @ !refire;
       tombstone t ctx f;
@@ -475,15 +476,20 @@ let backward_forward t ctx lost =
     (fun f ->
       if not (live_in_store t f) then
         Option.iter fire
-          (find_proof t ~strict:false ~others:true ~ok:(fun _ -> true) f))
+          (find_proof t ~evals:s.evals ~strict:false ~others:true
+             ~ok:(fun _ -> true) f))
     (List.rev !doubted);
   List.iter
     (fun (d : Provenance.derivation) ->
+      incr s.evals;
       Provenance.prove t.store d.rule (Provenance.named d)
         ~accept:(fun _ _ -> true)
       |> Option.iter (fun (d, _) -> fire d))
     !refire;
-  let fp = if !changes > 0 then Some (run ~from:baseline t ctx) else None in
+  let fp =
+    if !changes > 0 then run ~from:baseline t ctx else Program.idle_stats ()
+  in
+  fp.rule_evaluations <- fp.rule_evaluations + !(s.evals);
   let stated = List.filter (Fact_tbl.mem ctx.c_removed) lost in
   (Fact_tbl.length ctx.c_removed > List.length stated, fp)
 
@@ -771,7 +777,7 @@ let retract_batch t src =
       if use_refresh then (Recompute, Some (refresh t ctx))
       else
         let derived_lost, fp = backward_forward t ctx lost in
-        ((if derived_lost then Dred else Counting), fp)
+        ((if derived_lost then Dred else Counting), Some fp)
     in
     run_commit_hook t ~retract:true ~text:src;
     finish t ctx strategy fp

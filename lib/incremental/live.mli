@@ -44,7 +44,9 @@ type batch_stats = {
   removed : string list;  (** net model facts removed (rendered, sorted) *)
   strategy : strategy;
   fixpoint : Engine.Fixpoint.stats option;
-      (** the maintenance run, when one was needed *)
+      (** the maintenance run, when one was needed; a fact retraction's
+          [rule_evaluations] also counts the rules its backward step
+          solved *)
 }
 
 (** Register the extensional multiplicities from the program's fact

@@ -451,6 +451,33 @@ let virtual_object_two_bodies () =
   check_equiv live;
   check_clean live
 
+(* A head path that reaches another virtual object through a stated link:
+   the candidate's receiver [e2.home] is no path of the head, so the other
+   rule's proof must be found without reading the head path off it *)
+let virtual_object_linked () =
+  let live =
+    attach
+      {|
+        e1[address -> e2.home]. e1[city -> x]. e1[town -> x].
+        e3[city -> y]. e3[town -> y].
+        X.address[place -> C] <- X[city -> C].
+        X.address[place -> C] <- X[town -> C].
+        X.address.self[seen -> C] <- X[city -> C].
+        X.address.self[seen -> C] <- X[town -> C].
+      |}
+  in
+  check_clean live;
+  retract live "e1[city -> x]. e3[city -> y].";
+  expect live "e2.home[place -> x]" true;
+  expect live "e3.address[place -> y]" true;
+  expect live "e3.address[seen -> y]" true;
+  check_equiv live;
+  check_clean live;
+  retract live "e1[town -> x].";
+  expect live "e2.home[place -> x]" false;
+  check_equiv live;
+  check_clean live
+
 (* The provenance audit catches each fault it exists for: a cycle of
    records, a record that no longer replays, a stated fact that is not
    live, and a live fact with no record. The faults are made behind
@@ -771,6 +798,8 @@ let suite =
     case "backward: mid-chain isa edge" isa_mid_chain;
     case "backward: two bodies reach one virtual object"
       virtual_object_two_bodies;
+    case "backward: head path linked to another virtual object"
+      virtual_object_linked;
     case "check_support catches broken records" check_support_faults;
     case "corpus sweep: attach and retract each fact" corpus_sweep;
     case "why: other rule after retract" why_other_rule;

@@ -359,27 +359,19 @@ let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok f =
     in
     Option.map fst (Provenance.prove t.store r bindings ~accept)
   in
-  (* [tried]: the record's own search, not run twice *)
-  let by_rule ?(tried = []) (r : Rule.t) =
+  let by_rule (r : Rule.t) =
     let rel = norm (rel_of f) in
-    if not (List.exists (fun d -> norm d = rel || d = Ir.R_any) r.defines)
-    then None
-    else
-      head_matches t r f
-      |> List.filter (fun b -> List.sort compare b <> tried)
-      |> List.find_map (prove r)
+    if List.exists (fun d -> norm d = rel || d = Ir.R_any) r.defines then
+      List.find_map (prove r) (head_matches t r f)
+    else None
   in
-  match Provenance.lookup (Program.provenance t.p) f with
-  | Some (Provenance.Derived d) -> (
-    match prove d.rule (Provenance.named d) with
-    | None when others ->
-      let tried = List.sort compare (Provenance.named d) in
-      List.find_map
-        (fun r -> by_rule ~tried:(if r == d.rule then tried else []) r)
-        t.rules
-    | p -> p)
-  | Some Provenance.Extensional | None ->
-    if others then List.find_map by_rule t.rules else None
+  let record =
+    match Provenance.lookup (Program.provenance t.p) f with
+    | Some (Provenance.Derived d) -> prove d.rule (Provenance.named d)
+    | Some Provenance.Extensional | None -> None
+  in
+  if Option.is_some record || not others then record
+  else List.find_map by_rule t.rules
 
 (* ------------------------------------------------------------------ *)
 (* Backward/Forward retraction.

@@ -541,14 +541,31 @@ let base_program =
     X.hub[size -> big] <- X : grp0, X[edge ->> {Y}].
   |}
 
-let interleaving_equals_scratch ~jobs seed =
+(* With [links], batches also state links to virtual objects
+   ([n1[hub -> n2.hub]]), and two more rules each reach [X.hub] from
+   another body: a head path then finds a virtual object that is not
+   its own, and a candidate about it keeps a proof by the other rule.
+   A stated link that conflicts with a derived one is refused. *)
+let link_rules =
+  {|
+    X.hub[size -> big] <- X : grp1, X[link ->> {Y}].
+    X.hub.self[seen ->> {Y}] <- X[edge ->> {Y}].
+    X.hub.self[seen ->> {Y}] <- X[link ->> {Y}].
+  |}
+
+let interleaving_equals_scratch ?(links = false) ~jobs seed =
   let rng = Random.State.make [| seed |] in
-  let live = attach ~jobs base_program in
+  let live =
+    attach ~jobs (if links then base_program ^ link_rules else base_program)
+  in
   (* mirror of the extensional state, for picking valid retractions *)
   let mirror = ref [] in
   let obj i = Printf.sprintf "n%d" i in
   let random_fact () =
-    if Random.State.int rng 4 = 0 then
+    if links && Random.State.int rng 6 = 0 then
+      Printf.sprintf "%s[hub -> %s.hub]." (obj (Random.State.int rng 8))
+        (obj (Random.State.int rng 8))
+    else if Random.State.int rng 4 = 0 then
       Printf.sprintf "%s : grp%d." (obj (Random.State.int rng 8))
         (Random.State.int rng 3)
     else
@@ -617,8 +634,9 @@ let interleaving_equals_scratch ~jobs seed =
         | _ -> diamond ()
       in
       let batch = List.init k (fun _ -> random_fact ()) @ extra in
-      mirror := batch @ !mirror;
-      ignore (Live.assert_batch live (String.concat " " batch) : Live.batch_stats)
+      match Live.assert_batch live (String.concat " " batch) with
+      | (_ : Live.batch_stats) -> mirror := batch @ !mirror
+      | exception Live.Rejected _ when links -> ()
     end;
     supported := !supported && Live.check_support live = []
   done;
@@ -631,13 +649,15 @@ let interleaving_equals_scratch ~jobs seed =
   && Store.check_invariants (Live.store live) = []
   && !supported
 
-let qcheck_interleaving jobs =
+let qcheck_interleaving ?(links = false) jobs =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "random assert/retract = from-scratch, jobs=%d" jobs)
-    ~count:40
+      (Printf.sprintf "random assert/retract%s = from-scratch, jobs=%d"
+         (if links then " with virtual-object links" else "")
+         jobs)
+    ~count:(if links then 200 else 40)
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 100_000))
-    (interleaving_equals_scratch ~jobs)
+    (interleaving_equals_scratch ~links ~jobs)
 
 (* The server's demand-then-ASSERT path: demand queries leave magic
    tuples in the store, which no rule supports once the program is
@@ -811,4 +831,5 @@ let suite =
     case "why: refused retraction rolled back" why_after_rollback;
     QCheck_alcotest.to_alcotest (qcheck_interleaving 1);
     QCheck_alcotest.to_alcotest (qcheck_interleaving 4);
+    QCheck_alcotest.to_alcotest (qcheck_interleaving ~links:true 1);
   ]

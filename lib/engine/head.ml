@@ -14,15 +14,86 @@ let write_faults () =
     attempt 0
   end
 
-(* Raised by {!asserts}' [link] at a path to an object never created. *)
+(* Raised in a read-only walk at a path to an object never created. *)
 exception Never_created
 
-(* One walk over a head under [env]: [link] resolves a scalar path step to
-   the object it denotes, [add] asserts a fact. {!execute} writes through
-   the store, {!asserts} only reads it; a fact about an object never
-   created is skipped. *)
-let walk store ~env ~link ~add head =
+(* What a read-only walk finds: the facts the head asserts and the links
+   its paths find to objects other than their own virtual ones. *)
+type found = { mutable heads : Fact.t list; mutable relied : Fact.t list }
+
+(* One walk over a head under [env]. Without [found] it writes through
+   the store; with it, it only reads the store and collects into it, and a
+   fact about an object never created is skipped. *)
+let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
   let self_id = Store.name store "self" in
+  let collect f = Option.iter (fun d -> d.heads <- f :: d.heads) found in
+  let inserted f =
+    incr changes;
+    on_insert f
+  in
+  let add_scalar ~meth ~recv ~args ~res =
+    if Option.is_some found then
+      collect (Fact.F_scalar { meth; recv; args; res })
+    else if Oodb.Obj_id.equal meth self_id then (
+      if not (Oodb.Obj_id.equal recv res) then raise Err.Reserved_self)
+    else
+      match Store.add_scalar store ~meth ~recv ~args ~res with
+      | Added -> inserted (Fact.F_scalar { meth; recv; args; res })
+      | Duplicate -> ()
+      | Conflict existing ->
+        raise
+          (Err.Functional_conflict
+             {
+               c_meth = meth;
+               c_recv = recv;
+               c_args = args;
+               existing;
+               proposed = res;
+               rule = Some rule;
+             })
+  in
+  let add_set ~meth ~recv ~args ~res =
+    if Option.is_some found then collect (Fact.F_set { meth; recv; args; res })
+    else if Oodb.Obj_id.equal meth self_id then raise Err.Reserved_self
+    else
+      match Store.add_set store ~meth ~recv ~args ~res with
+      | SAdded -> inserted (Fact.F_set { meth; recv; args; res })
+      | SDuplicate -> ()
+  in
+  let add_isa o c =
+    if Option.is_some found then collect (Fact.F_isa (o, c))
+    else
+      match Store.add_isa store o c with
+      | IAdded -> inserted (Fact.F_isa (o, c))
+      | IDuplicate -> ()
+      | ICycle -> raise (Err.Isa_cycle (o, c))
+  in
+  (* a path undefined so far denotes a new skolem object; read-only, the
+     link to a path's own virtual object is asserted and a link to
+     another object is relied on *)
+  let link ~meth ~recv ~args =
+    let lookup = Store.scalar_lookup store ~meth ~recv ~args in
+    match found with
+    | None -> (
+      match lookup with
+      | Some res -> res
+      | None ->
+        let sk = Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args in
+        add_scalar ~meth ~recv ~args ~res:sk;
+        sk)
+    | Some d -> (
+      match
+        (lookup, Oodb.Universe.find_skolem (Store.universe store) ~meth ~recv ~args)
+      with
+      | (Some res, Some sk | None, Some (sk as res)) when Oodb.Obj_id.equal res sk
+        ->
+        add_scalar ~meth ~recv ~args ~res:sk;
+        sk
+      | Some res, _ ->
+        d.relied <- Fact.F_scalar { meth; recv; args; res } :: d.relied;
+        res
+      | None, _ -> raise Never_created)
+  in
   let rec locate (t : reference) : Oodb.Obj_id.t =
     match t with
     | Name n -> Store.name store n
@@ -48,95 +119,41 @@ let walk store ~env ~link ~add head =
       invalid_arg "Head.execute: regular path in a rule head"
     | Isa { recv; cls } ->
       let o = locate recv in
-      (try add (Fact.F_isa (o, locate cls)) with Never_created -> ());
+      (try add_isa o (locate cls) with Never_created -> ());
       o
     | Filter { f_recv; f_meth; f_args; f_rhs } ->
       let recv = locate f_recv in
       let meth = locate f_meth in
       let args = List.map locate f_args in
-      let set res = add (Fact.F_set { meth; recv; args; res }) in
       (match f_rhs with
       | Rscalar rhs -> (
-        try add (Fact.F_scalar { meth; recv; args; res = locate rhs })
+        try add_scalar ~meth ~recv ~args ~res:(locate rhs)
         with Never_created -> ())
       | Rset_enum elems ->
-        List.iter (fun e -> try set (locate e) with Never_created -> ()) elems
+        List.iter
+          (fun e ->
+            try add_set ~meth ~recv ~args ~res:(locate e)
+            with Never_created -> ())
+          elems
       | Rset_ref s ->
-        Oodb.Obj_id.Set.iter set (Semantics.Valuation.eval store env s)
+        Oodb.Obj_id.Set.iter
+          (fun res -> add_set ~meth ~recv ~args ~res)
+          (Semantics.Valuation.eval store env s)
       | Rsig_scalar _ | Rsig_set _ ->
         invalid_arg "Head.execute: signature declaration in a rule head");
       recv
   in
   locate head
 
-let execute ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
+let execute ?on_insert store ~env ~rule ~changes head =
   write_faults ();
-  let self_id = Store.name store "self" in
-  let inserted f =
-    incr changes;
-    on_insert f
-  in
-  let add (f : Fact.t) =
-    match f with
-    | F_scalar { meth; recv; args; res } -> (
-      if Oodb.Obj_id.equal meth self_id then (
-        if not (Oodb.Obj_id.equal recv res) then raise Err.Reserved_self)
-      else
-        match Store.add_scalar store ~meth ~recv ~args ~res with
-        | Added -> inserted f
-        | Duplicate -> ()
-        | Conflict existing ->
-          raise
-            (Err.Functional_conflict
-               {
-                 c_meth = meth;
-                 c_recv = recv;
-                 c_args = args;
-                 existing;
-                 proposed = res;
-                 rule = Some rule;
-               }))
-    | F_set { meth; recv; args; res } -> (
-      if Oodb.Obj_id.equal meth self_id then raise Err.Reserved_self;
-      match Store.add_set store ~meth ~recv ~args ~res with
-      | SAdded -> inserted f
-      | SDuplicate -> ())
-    | F_isa (o, c) -> (
-      match Store.add_isa store o c with
-      | IAdded -> inserted f
-      | IDuplicate -> ()
-      | ICycle -> raise (Err.Isa_cycle (o, c)))
-  in
-  (* a path undefined so far denotes a new skolem object *)
-  let link ~meth ~recv ~args =
-    match Store.scalar_lookup store ~meth ~recv ~args with
-    | Some res -> res
-    | None ->
-      let sk = Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args in
-      add (Fact.F_scalar { meth; recv; args; res = sk });
-      sk
-  in
-  walk store ~env ~link ~add head
+  walk ?on_insert store ~env ~rule ~changes head
 
 let asserts store ~env head =
-  let u = Store.universe store in
-  let heads = ref [] and relied = ref [] in
-  let link ~meth ~recv ~args =
-    let fact res = Fact.F_scalar { meth; recv; args; res } in
-    match
-      ( Store.scalar_lookup store ~meth ~recv ~args,
-        Oodb.Universe.find_skolem u ~meth ~recv ~args )
-    with
-    | (Some res, Some sk | None, Some (sk as res)) when Oodb.Obj_id.equal res sk
-      ->
-      heads := fact sk :: !heads;
-      sk
-    | Some res, _ ->
-      relied := fact res :: !relied;
-      res
-    | None, _ -> raise Never_created
-  in
-  let add f = heads := f :: !heads in
-  (try ignore (walk store ~env ~link ~add head : Oodb.Obj_id.t)
+  let found = { heads = []; relied = [] } in
+  (try
+     ignore
+       (walk ~found store ~env ~rule:(fact head) ~changes:(ref 0) head
+         : Oodb.Obj_id.t)
    with Never_created -> ());
-  (!heads, !relied)
+  (found.heads, found.relied)

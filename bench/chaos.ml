@@ -840,6 +840,9 @@ let kill_storm ~seed ~writers ~batches ~rounds =
    from s and to t, so retractions run DRed through s's closure, which
    the chains re-derive.
 
+   The storm runs twice, once per evaluation backend: in the session
+   threads behind the admission gate, then on domain workers.
+
    dune exec bench/main.exe -- chaos reads [SEED] [WRITERS] [READERS] [BATCHES] *)
 
 let reads_base =
@@ -871,10 +874,12 @@ type read = {
   r_latency_s : float;
 }
 
-let read_storm ~seed ~writers ~readers ~batches =
+let read_storm ~domains ~seed ~writers ~readers ~batches =
+  let backend = if domains then "domains" else "threads" in
   Printf.printf
-    "=== chaos reads: seed %d, %d writers x %d batches, %d readers ===\n%!"
-    seed writers batches readers;
+    "=== chaos reads (%s): seed %d, %d writers x %d batches, %d readers \
+     ===\n%!"
+    backend seed writers batches readers;
   let failures = ref [] in
   let fail fmt =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt
@@ -884,7 +889,7 @@ let read_storm ~seed ~writers ~readers ~batches =
     {
       Pathlog.Server.default_config with
       workers = readers;
-      pool_domains = true;
+      pool_domains = domains;
     }
   in
   let srv =
@@ -1054,13 +1059,9 @@ let read_storm ~seed ~writers ~readers ~batches =
     Printf.printf "reads_locked_total: %d (%.2f%% of reads)\n" l
       (100. *. float l /. float (max 1 n))
   | None -> print_endline "reads_locked_total: not reported");
-  Printf.printf "reader latency: p50 %.3f ms, p95 %.3f ms\n" (pct 0.5)
+  Printf.printf "reader latency: p50 %.3f ms, p95 %.3f ms\n%!" (pct 0.5)
     (pct 0.95);
-  match !failures with
-  | [] -> print_endline "chaos reads: ok"
-  | fs ->
-    List.iter (fun m -> Printf.printf "chaos FAILURE: %s\n" m) (List.rev fs);
-    exit 1
+  List.rev_map (Printf.sprintf "%s: %s" backend) !failures
 
 let rec main args =
   match args with
@@ -1078,8 +1079,18 @@ let rec main args =
       | Some s -> int_of_string s
       | None -> default
     in
-    read_storm ~seed:(arg 0 1) ~writers:(arg 1 2) ~readers:(arg 2 2)
-      ~batches:(arg 3 40)
+    let failures =
+      List.concat_map
+        (fun domains ->
+          read_storm ~domains ~seed:(arg 0 1) ~writers:(arg 1 2)
+            ~readers:(arg 2 2) ~batches:(arg 3 40))
+        [ false; true ]
+    in
+    if failures = [] then print_endline "chaos reads: ok"
+    else begin
+      List.iter (Printf.printf "chaos FAILURE: %s\n") failures;
+      exit 1
+    end
   | "mutation" :: rest ->
     let arg i default =
       match List.nth_opt rest i with

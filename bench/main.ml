@@ -30,8 +30,8 @@
    concurrent mutation storm, restarts it from the same directory, and
    asserts the recovered model equals a replay of every acknowledged
    batch (plus BUSY-while-recovering and WAL torn-tail truncation).
-   chaos reads runs readers on domain workers beside ASSERT/RETRACT
-   writers and checks every QUERY reply equals the model after some
+   chaos reads runs readers beside ASSERT/RETRACT writers, once in the
+   session threads and once on domain workers, and checks every QUERY reply equals the model after some
    batch committed while the request was in flight. *)
 
 module Program = Pathlog.Program

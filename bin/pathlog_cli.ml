@@ -426,14 +426,13 @@ let serve_cmd file host port unix_sock workers queue max_request deadline jobs
       dir snapshot_every
   | None -> ());
   Format.printf
-    "pathlog: serving %s%s on %a (%d %s workers, queue %d); SIGINT/SIGTERM \
-     drains@."
+    "pathlog: serving %s%s on %a (%d %s, queue %d); SIGINT/SIGTERM drains@."
     file
     (if demand then " demand-driven" else "")
     Pathlog.Server.pp_address
     (Pathlog.Server.address srv)
     config.workers
-    (if config.pool_domains then "domain" else "thread")
+    (if config.pool_domains then "domain workers" else "evaluation slots")
     queue;
   Pathlog.Server.serve srv;
   print_endline "pathlog: drained, bye"
@@ -720,15 +719,18 @@ let unix_sock_arg =
 let workers_arg =
   Arg.(
     value & opt int Pathlog.Server.default_config.workers
-    & info [ "workers" ] ~docv:"N" ~doc:"Query worker threads.")
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "At most N QUERY/WHY evaluations at once, each run in its \
+           session's own thread (with --jobs, the number of domains).")
 
 let queue_arg =
   Arg.(
     value & opt int Pathlog.Server.default_config.queue_capacity
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Admission queue capacity; requests beyond it are shed with \
-           BUSY.")
+          "Requests that may wait for an evaluation slot; requests beyond \
+           it are shed with BUSY.")
 
 let max_request_arg =
   Arg.(
@@ -741,16 +743,17 @@ let deadline_arg =
     value & opt (some float) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Per-request deadline; requests that wait longer in the \
-           admission queue are answered ERR TIMEOUT.")
+          "Per-request deadline; requests that wait longer for an \
+           evaluation slot are answered ERR TIMEOUT, and evaluations still \
+           running at it are cancelled.")
 
 let serve_jobs_arg =
   Arg.(
     value & opt jobs_conv 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Back the query pool with N domains instead of threads (N > 1): \
-           parallel query evaluation on the lock-free read path.")
+          "Evaluate queries on N domains instead of the session threads \
+           (N > 1): parallel query evaluation on the lock-free read path.")
 
 let faults_arg =
   Arg.(

@@ -441,7 +441,6 @@ type t = {
   verdicts : (int * verdict) list;
 }
 
-let rel_card t rel = Rel_map.find_opt rel t.cards
 
 let rel_cards t = Rel_map.bindings t.cards
 

@@ -25,16 +25,9 @@ type card =
   | Poly of int * int  (** [Poly (c, k)]: at most c·n^k tuples *)
   | Inf  (** unbounded skolem creation *)
 
-val card_join : card -> card -> card
-val card_sum : card -> card -> card
-val card_mul : card -> card -> card
-
 val eval_card : n:int -> card -> int
 (** Concretise at universe size [n] (saturating; [Inf] gives
     [max_int]). *)
-
-val pp_card : Format.formatter -> card -> unit
-val card_to_string : card -> string
 
 type verdict =
   | Finite  (** polynomial in the (final) store size *)
@@ -43,8 +36,6 @@ type verdict =
           feedback cycle: growth is data-dependent and only the engine's
           divergence budget is a guaranteed stop *)
   | Potentially_infinite  (** contains a proven creation cycle *)
-
-val verdict_to_string : verdict -> string
 
 type rule_card = {
   rc_rule : Engine.Rule.t;
@@ -64,15 +55,11 @@ val analyze :
     unstratifiable program simply gets no verdicts (the cardinality
     pass itself does not need strata). *)
 
-val rel_card : t -> Semantics.Ir.rel -> card option
 val rel_cards : t -> (Semantics.Ir.rel * card) list
 val rule_cards : t -> rule_card list
 
 val verdicts : t -> (int * verdict) list
 (** termination verdict per stratum, ascending *)
-
-val default_threshold : int
-(** PL051 default: 1_000_000 predicted derivations. *)
 
 val check :
   ?threshold:int ->

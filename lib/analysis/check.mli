@@ -19,8 +19,8 @@ type t = {
 }
 
 val analyze : ?card_threshold:int -> string -> t
-(** [card_threshold] tunes PL051 ({!Absint.default_threshold} when
-    omitted). *)
+(** [card_threshold] tunes PL051 (1_000_000 predicted derivations
+    when omitted). *)
 
 val ok : t -> bool
 (** No error-severity diagnostics. *)

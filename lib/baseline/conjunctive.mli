@@ -12,10 +12,6 @@
     testing: on every query both evaluators must produce the same answer
     set. *)
 
-(** All satisfying assignments (full binding arrays). Order follows the
-    nested-loop evaluation. *)
-val solutions : Oodb.Store.t -> Semantics.Ir.query -> Oodb.Obj_id.t array list
-
 (** Distinct named-variable rows, like {!Semantics.Solve.named_solutions}. *)
 val named_solutions :
   Oodb.Store.t -> Semantics.Ir.query -> Oodb.Obj_id.t list list

@@ -40,10 +40,6 @@ let check_caps t ~derivations ~objects =
   if derivations > t.max_derivations then raise (Exhausted Derivations);
   if objects > t.max_objects then raise (Exhausted Objects)
 
-let remaining_s t =
-  if t.deadline = infinity then None
-  else Some (t.deadline -. Unix.gettimeofday ())
-
 let reason_label = function
   | Timeout -> "timeout"
   | Cancelled -> "cancelled"

@@ -56,10 +56,6 @@ val check : t -> unit
 (** {!check} plus the work caps; the fixpoint's round-boundary check. *)
 val check_caps : t -> derivations:int -> objects:int -> unit
 
-(** Seconds until the deadline (negative when past); [None] when the
-    budget has no deadline. *)
-val remaining_s : t -> float option
-
 (** ["timeout"], ["cancelled"], ["derivations"], ["objects"]. *)
 val reason_label : reason -> string
 

@@ -87,8 +87,8 @@ type shape = {
     [rules] and emits its demand-transformed program, uncompiled. Pure
     facts (empty body, no reads) never affect the result, so callers may
     leave them out of [rules]; they are extensional and loaded directly
-    ({!Program.load_facts}). Interns magic method names into the store's
-    universe but inserts no tuples. *)
+    by the program's fact loader. Interns magic method names into the
+    store's universe but inserts no tuples. *)
 val transform :
   Oodb.Store.t ->
   Rule.t list ->

@@ -54,8 +54,6 @@ let message store = function
 (* ------------------------------------------------------------------ *)
 (* Process exit codes shared by the CLI. Documented in README.md. *)
 
-let exit_ok = 0
-
 (* Evaluation errors: scalar conflicts, hierarchy cycles, divergence. *)
 let exit_runtime = 1
 

@@ -39,9 +39,6 @@ exception Diverged of string
 val unstratifiable :
   ?rule:Syntax.Ast.rule -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val pp_functional_conflict :
-  Oodb.Store.t -> Format.formatter -> functional_conflict -> unit
-
 (** Render any of the above exceptions; [None] for other exceptions. *)
 val message : Oodb.Store.t -> exn -> string option
 
@@ -49,7 +46,7 @@ val message : Oodb.Store.t -> exn -> string option
 
     Shared by every [pathlog] subcommand:
     {ul
-    {- {!exit_ok} (0) — success.}
+    {- 0 — success.}
     {- {!exit_runtime} (1) — the program loaded but evaluation failed:
        scalar conflict, hierarchy cycle, divergence budget exceeded.}
     {- {!exit_load} (2) — the program did not load: lexing or parse error,
@@ -58,7 +55,6 @@ val message : Oodb.Store.t -> exn -> string option
        [check] found diagnostics at or above the [--deny] level, or
        [lint] / [run --types] reported issues.}} *)
 
-val exit_ok : int
 val exit_runtime : int
 val exit_load : int
 val exit_analysis : int

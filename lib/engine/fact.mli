@@ -31,9 +31,6 @@ val magic_prefix : string
 
 val is_magic_name : string -> bool
 
-(** A fact of a magic relation. *)
-val is_magic : Oodb.Universe.t -> t -> bool
-
 (** Every live fact of the store: isa edges, scalar, then set tuples. *)
 val iter_live : Oodb.Store.t -> (t -> unit) -> unit
 

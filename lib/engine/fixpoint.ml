@@ -136,6 +136,7 @@ let len_at marks id = if id < Array.length marks then marks.(id) else 0
 type crule = {
   rule : Rule.t;
   read_ids : int array;  (* normalised [reads] *)
+  head_read_ids : int array;  (* normalised [head_reads] *)
   seed_ids : (int * int) array;  (* seedable (relation id, atom index) *)
   seed_rel_ids : int array;  (* distinct relation ids of [seed_ids] *)
 }
@@ -143,6 +144,7 @@ type crule = {
 let crule_of itn (rule : Rule.t) =
   let intern r = Interner.intern itn (norm_rel r) in
   let read_ids = Array.of_list (List.map intern rule.reads) in
+  let head_read_ids = Array.of_list (List.map intern rule.head_reads) in
   let seed_ids =
     Array.of_list (List.map (fun (r, i) -> (intern r, i)) rule.seedable)
   in
@@ -152,7 +154,7 @@ let crule_of itn (rule : Rule.t) =
       [] seed_ids
     |> Array.of_list
   in
-  { rule; read_ids; seed_ids; seed_rel_ids }
+  { rule; read_ids; head_read_ids; seed_ids; seed_rel_ids }
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache: one plan per (rule uid, seed atom), reused across
@@ -393,8 +395,12 @@ let run_stratum ?provenance ?on_insert ?from ?interrupt config plans
                 in
                 if not relevant then []
                 else begin
+                  (* a seeded task re-runs only the firings that read
+                     the delta through its atom; a relation the head
+                     evaluates also changes the heads of older firings *)
                   let unseedable_change =
                     rule.reads_any
+                    || Array.exists is_changed cr.head_read_ids
                     || Array.exists
                          (fun r ->
                            is_changed r

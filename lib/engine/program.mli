@@ -24,12 +24,6 @@ type answer = {
 val create :
   ?config:Fixpoint.config -> Syntax.Ast.statement list -> t
 
-(** As {!create}, with a source span per statement (diagnostics anchor on
-    them); {!of_string} uses this. *)
-val create_spanned :
-  ?config:Fixpoint.config ->
-  (Syntax.Ast.statement * Syntax.Token.span option) list -> t
-
 val of_string : ?config:Fixpoint.config -> string -> t
 
 (** Load one extracted signature declaration (see
@@ -128,12 +122,6 @@ val explain_string :
 (** Derivation provenance recorded during {!run}. *)
 val provenance : t -> Provenance.t
 
-(** Execute the program's fact statements (empty-body rules) into the
-    store without running any rule; idempotent. Demand-driven evaluation
-    loads the extensional database this way and derives the rest from the
-    query. *)
-val load_facts : t -> unit
-
 (** What a demand-driven query did: the transform shape (or the fallback
     that prevented it), the fixpoint statistics of the demanded run, and
     the store's live magic-tuple count afterwards. *)
@@ -201,8 +189,6 @@ val idle_stats : unit -> Fixpoint.stats
     rules, unguarded rules, and the bound-receiver plan of each guarded
     body. A single comment line explaining the fallback when the
     transform declines. *)
-val explain_demand : t -> Syntax.Ast.literal list -> string list
-
 val explain_demand_string : t -> string -> string list
 
 (** The proof tree of a derived or extensional fact ([None] if the store

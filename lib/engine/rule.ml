@@ -9,6 +9,7 @@ type t = {
   body : Ir.query;
   defines : Ir.rel list;
   reads : Ir.rel list;
+  head_reads : Ir.rel list;
   completion_reads : Ir.rel list;
   seedable : (Ir.rel * int) list;
   reads_any : bool;
@@ -175,9 +176,9 @@ let head_class_edges store head =
 let compile ?span ?origin store (rule : Syntax.Ast.rule) : t =
   let body = Semantics.Flatten.literals store rule.body in
   let defines = head_defines store rule.head in
+  let head_reads = head_eval_reads store rule.head in
   let reads =
-    let acc = List.fold_left atom_reads [] body.atoms in
-    List.fold_left add_rel acc (head_eval_reads store rule.head)
+    List.fold_left add_rel (List.fold_left atom_reads [] body.atoms) head_reads
   in
   let completion_reads = List.fold_left atom_completions [] body.atoms in
   let seedable =
@@ -201,6 +202,7 @@ let compile ?span ?origin store (rule : Syntax.Ast.rule) : t =
     body;
     defines;
     reads;
+    head_reads;
     completion_reads;
     seedable;
     reads_any = List.mem Ir.R_any reads;

@@ -22,6 +22,10 @@ type t = {
       (** relations whose growth must re-trigger this rule: all body
           relations (top-level and nested) plus the relations a head
           set-valued right-hand side evaluates *)
+  head_reads : Semantics.Ir.rel list;
+      (** the part of [reads] the head's set-valued right-hand sides
+          evaluate; a body atom seeded on a change cannot stand in for
+          it *)
   completion_reads : Semantics.Ir.rel list;
       (** relations that must be fully computed before this rule runs: the
           sub-query relations of body set-inclusion filters and of negated
@@ -44,10 +48,6 @@ val compile :
   Oodb.Store.t ->
   Syntax.Ast.rule ->
   t
-
-(** Relations a reference reads when evaluated (used for head [->>]
-    right-hand sides and query dependency reporting). *)
-val rels_of_reference : Oodb.Store.t -> Syntax.Ast.reference -> Semantics.Ir.rel list
 
 (** Relations of scalar head paths that can create skolem (virtual)
     objects — [X.address], [M.tc] — for the static skolem-cycle analysis.

@@ -61,10 +61,6 @@ type graph = {
 
 let node_of g r = Rel_map.find r g.index
 
-let graph_rels g = g.nodes
-let graph_edges g = g.edges
-let expand_define g r = g.expand_define r
-
 let build_graph (rules : Rule.t list) =
   let anc = static_ancestors rules in
   let with_ancestors r =
@@ -137,8 +133,6 @@ let build_graph (rules : Rule.t list) =
     rules;
   g.expand_define <- expand_define;
   g
-
-let dependency_graph = build_graph
 
 (* Tarjan's strongly connected components. *)
 let sccs g =

@@ -31,25 +31,6 @@ type t = {
 val compute : Oodb.Store.t -> Rule.t list -> t
 (** @raise Err.Unstratifiable *)
 
-(** {2 Relation dependency graph}
-
-    The graph [compute] stratifies over, exposed so the static-analysis
-    layer can reuse it instead of rebuilding its own. *)
-
-type graph
-
-val dependency_graph : Rule.t list -> graph
-(** @raise Err.Unstratifiable on a completion read of [R_any]. *)
-
-val graph_rels : graph -> Semantics.Ir.rel array
-(** the graph's relation nodes; edge endpoints index into this array *)
-
-val graph_edges : graph -> (int * int * bool) list
-(** edges [(definer, read, completion)] over {!graph_rels} indexes *)
-
-val expand_define : graph -> Semantics.Ir.rel -> Semantics.Ir.rel list
-(** what inserting into a relation can affect (class hierarchy included) *)
-
 val static_ancestors : Rule.t list -> Oodb.Obj_id.t -> Oodb.Obj_id.Set.t
 (** static superclasses of a class: the constant-to-constant hierarchy
     visible in rule heads, transitively closed *)

@@ -18,7 +18,7 @@ type key =
   | Kskolem of Obj_id.t * Obj_id.t * Obj_id.t list
 
 type t = {
-  (* [lock] guards interning: concurrent readers (server query workers,
+  (* [lock] guards interning: concurrent readers (server queries,
      parallel fixpoint domains) may intern constants first seen in query
      text, and the key table must not be mutated racily. Descriptor
      lookups of already-published ids stay lock-free: the backing vectors

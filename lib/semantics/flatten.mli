@@ -31,9 +31,3 @@ val reference : Oodb.Store.t -> Syntax.Ast.reference -> Ir.query * Ir.term
 (** Flatten a conjunction of body or query literals; shared variables keep
     shared slots. *)
 val literals : Oodb.Store.t -> Syntax.Ast.literal list -> Ir.query
-
-(** Compile a regular path to its epsilon-free NFA (Thompson construction,
-    epsilon closures folded in, unreachable states pruned); label methods
-    and arguments are interned into the store's universe. Raises
-    [Invalid_argument] on non-ground literals. *)
-val compile_regex : Oodb.Store.t -> Syntax.Ast.regex -> Ir.automaton

@@ -87,8 +87,6 @@ type query = {
   named : (string * int) list;  (** source-variable name -> slot *)
 }
 
-val pp_term : Oodb.Universe.t -> Format.formatter -> term -> unit
-
 val pp_atom : Oodb.Universe.t -> Format.formatter -> atom -> unit
 
 val pp_query : Oodb.Universe.t -> Format.formatter -> query -> unit

@@ -70,7 +70,7 @@ exception Stopped
 val poll_interval : int
 
 (** Process-wide STATS counters for the automaton-product join: regular
-    path plans compiled ({!Flatten.compile_regex}) and (object, state)
+    path plans compiled (Thompson NFAs, {!Flatten}) and (object, state)
     product pairs expanded by the BFS. *)
 val regex_plans_total : int Atomic.t
 

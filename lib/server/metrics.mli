@@ -18,8 +18,6 @@ type t
 
 type outcome = Ok | Degraded | Error | Busy | Timeout | Cancelled
 
-val outcome_to_string : outcome -> string
-
 (** An empty registry; the uptime clock starts now. *)
 val create : unit -> t
 

@@ -1,43 +1,44 @@
-(** A bounded worker pool with explicit admission control.
+(** Bounded request evaluation with explicit admission control.
 
-    Jobs go through a fixed-capacity queue served by a fixed set of worker
-    threads. When the queue is full, {!submit} refuses immediately instead
-    of queueing unboundedly — the caller turns that refusal into a [BUSY]
-    reply, which is the server's load-shedding contract: memory use is
-    bounded by [capacity] regardless of offered load.
+    At most [workers] requests are evaluated at once and at most
+    [capacity] more wait for a turn; beyond that {!run} refuses at once
+    instead of queueing unboundedly — the caller turns that refusal into
+    a [BUSY] reply, which is the server's load-shedding contract: memory
+    use is bounded by [capacity] regardless of offered load.
 
-    {!shutdown} drains gracefully: no new admissions, every already-queued
-    job still runs, then the workers are joined. *)
+    {!shutdown} drains gracefully: no new admissions, every request
+    already running or waiting still runs, then the call returns. *)
 
 type t
 
-(** [Threads] workers share the OCaml runtime lock — right for the
-    I/O-bound default, and threads are cheap. [Domains] workers run in
-    parallel — right when query evaluation itself is the bottleneck and
-    the read path takes no store lock. *)
+(** [Threads] spawns nothing: {!run} evaluates in the calling thread once
+    it holds one of [workers] slots (a counting gate, FIFO among waiters)
+    — right for the default, where every thread shares the OCaml runtime
+    lock and a handoff to a worker thread would buy no parallelism.
+    [Domains] hands each request to one of [workers] domain workers and
+    parks the caller until the result is back — right when query
+    evaluation itself is the bottleneck and the read path takes no store
+    lock. *)
 type backend = Threads | Domains
 
-(** [create ~workers ~capacity ()] starts [workers] workers serving a
-    queue that admits at most [capacity] waiting jobs (jobs being
-    executed do not count against [capacity]).
+(** [create ~workers ~capacity ()] admits at most [workers] running and
+    [capacity] waiting requests (requests being evaluated do not count
+    against [capacity]). [Domains] spawns [workers] domains.
     @raise Invalid_argument if [workers < 1] or [capacity < 0] *)
 val create : ?backend:backend -> workers:int -> capacity:int -> unit -> t
 
-(** Admit a job, or refuse: [`Rejected] when the queue is at capacity or
-    the pool is shutting down. Jobs must not raise — a raising job is
-    caught and dropped (the pool survives), but the exception is lost. *)
-val submit : t -> (unit -> unit) -> [ `Accepted | `Rejected ]
-
-(** Jobs waiting in the queue right now (diagnostics). *)
-val queued : t -> int
+(** [run t f] admits [f] and returns [Some (f ())] once it has run, or
+    refuses with [None] (shed) when [workers + capacity] requests are
+    already running or waiting, or the pool is shutting down. Blocks
+    while waiting for a turn and while [f] runs. An exception raised by
+    [f] is re-raised in the caller. *)
+val run : t -> (unit -> 'a) -> 'a option
 
 val workers : t -> int
 
 val capacity : t -> int
 
-val backend : t -> backend
-
-(** Graceful drain: refuse new jobs, run everything already admitted, join
-    the worker threads. Idempotent; safe to call from any thread except a
-    pool worker. *)
+(** Graceful drain: refuse new requests, wait until every request already
+    running or waiting has finished, join the domain workers. Idempotent;
+    safe to call from any thread except one inside {!run}. *)
 val shutdown : t -> unit

@@ -41,33 +41,6 @@ let default_config =
     recovery_delay_s = 0.;
   }
 
-(* A one-shot mailbox: the session thread parks on it while a pool worker
-   computes the reply, so every socket write stays in the session thread. *)
-module Ivar = struct
-  type 'a t = {
-    m : Mutex.t;
-    c : Condition.t;
-    mutable v : 'a option;
-  }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t v =
-    Mutex.lock t.m;
-    t.v <- Some v;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let v = Option.get t.v in
-    Mutex.unlock t.m;
-    v
-end
-
 (* A standing query. [sub_wlock] is the owning session's write lock: the
    session serialises its own reply writes through it, and the writer
    thread that commits a mutation batch takes it to push DELTA frames —
@@ -136,7 +109,7 @@ type t = {
   cancel : bool Atomic.t;
       (* server-wide cancellation token, shared by every in-flight
          request's budget; set at shutdown so runaway evaluations stop at
-         their next solver poll instead of pinning workers *)
+         their next solver poll instead of holding admission slots *)
   stop_m : Mutex.t;
   stop_c : Condition.t;
   mutable stopping : bool;
@@ -180,7 +153,7 @@ let install_signal_handlers t =
   Sys.set_signal Sys.sigterm handle
 
 (* ------------------------------------------------------------------ *)
-(* Request evaluation (runs in pool workers; validated, see below).    *)
+(* Request evaluation (under a pool slot; validated, see below).      *)
 
 let render_row t row =
   String.concat "\t"
@@ -333,7 +306,7 @@ let demand_materialise_locked ?budget t q =
     end);
   ans
 
-(* A first-time demand query, in a pool worker. The double check under
+(* A first-time demand query, under a pool slot. The double check under
    the lock covers the race where two sessions demand the same query:
    the loser answers from the store the winner just grew. *)
 let eval_demand ?budget t q =
@@ -695,31 +668,25 @@ let handle_pooled_admitted t req =
   in
   if dispatch_fault then busy t "injected dispatch fault"
   else
-    let ivar = Ivar.create () in
-    let job () =
-      let reply =
-        (* the deadline is re-checked after dequeue: a request can expire
-           while waiting even though it was admitted in time... *)
-        match deadline with
-        | Some d when Unix.gettimeofday () > d ->
-          Protocol.Err (Protocol.Timeout, "deadline exceeded in queue")
-        | _ ->
-          if t.config.work_delay_s > 0. then
-            Thread.delay t.config.work_delay_s;
-          (* ...and enforced during evaluation: the remaining deadline
-             becomes an engine budget polled from the solver's
-             enumeration loops, together with the server-wide
-             cancellation token *)
-          let budget =
-            Engine.Budget.create ?deadline_at:deadline ~cancel:t.cancel ()
-          in
-          eval_request ~budget t req
-      in
-      Ivar.fill ivar reply
+    let eval () =
+      (* the deadline is re-checked once a slot is free: a request can
+         expire while waiting even though it was admitted in time... *)
+      match deadline with
+      | Some d when Unix.gettimeofday () > d ->
+        Protocol.Err (Protocol.Timeout, "deadline exceeded in queue")
+      | _ ->
+        if t.config.work_delay_s > 0. then Thread.delay t.config.work_delay_s;
+        (* ...and enforced during evaluation: the remaining deadline
+           becomes an engine budget polled from the solver's enumeration
+           loops, together with the server-wide cancellation token *)
+        let budget =
+          Engine.Budget.create ?deadline_at:deadline ~cancel:t.cancel ()
+        in
+        eval_request ~budget t req
     in
-    match Pool.submit t.pool job with
-    | `Accepted -> Ivar.read ivar
-    | `Rejected ->
+    match Pool.run t.pool eval with
+    | Some reply -> reply
+    | None ->
       busy t
         (Printf.sprintf "admission queue full (%d workers, queue capacity %d)"
            (Pool.workers t.pool) (Pool.capacity t.pool))

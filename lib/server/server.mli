@@ -9,12 +9,14 @@
     writer ran is answered with [ERR INTERNAL] and never cached, instead
     of silently corrupting the model.
 
-    Architecture: one accept thread, one lightweight session thread per
-    connection (blocking reads), and a bounded {!Pool} of query workers
-    behind an admission queue. [PING]/[STATS]/[QUIT] are answered inline
-    by the session thread so health checks and metrics stay responsive
-    under full load; [QUERY]/[WHY] go through the pool and are shed with
-    [BUSY] when the queue is full.
+    Architecture: one accept thread and one lightweight session thread
+    per connection (blocking reads). [PING]/[STATS]/[QUIT] are answered
+    inline by the session thread so health checks and metrics stay
+    responsive under full load. [QUERY]/[WHY] pass a {!Pool} admission
+    gate: at most [workers] evaluations run at once, in the session's own
+    thread (with [pool_domains], on one of [workers] domains), at most
+    [queue_capacity] more wait for a turn, and the rest are shed with
+    [BUSY].
 
     Reads are validated optimistic reads. Writers (ASSERT/RETRACT
     through [Live], SUBSCRIBE, demand first sights, recovery) hold the
@@ -25,18 +27,18 @@
     waits for it instead of seeing a half-maintained model or a
     half-resized index ([reads_locked_total] in [STATS] counts these
     re-runs). Reads that overlap no write — all of them on a read-only
-    load — take no lock, so with [pool_domains] the workers are
+    load — take no lock, so with [pool_domains] the evaluations run on
     {!Domain}s and CPU-bound query loads scale across cores. Successful
     [QUERY] replies land in an epoch-keyed result cache ({!Qcache}): a
     repeated query at an unchanged store is answered without evaluation,
     and any write invalidates wholesale by moving the epoch (counters in
     [STATS]).
 
-    Failure model: each pooled request evaluates under an
+    Failure model: each gated request evaluates under an
     {!Engine.Budget} combining the remaining per-request deadline with a
     server-wide cancellation token set at shutdown, so runaway
     evaluations end in [ERR TIMEOUT] / [ERR CANCELLED] instead of
-    pinning workers. Answers computed over a budget-degraded (partial)
+    holding their slots. Answers computed over a budget-degraded (partial)
     model are marked [DEGRADED] rather than [OK]. When the {!Fault}
     registry is armed, the server exercises its wire-read, wire-write
     and pool-dispatch injection points: injected wire failures tear down
@@ -56,12 +58,18 @@ type address =
 val pp_address : Format.formatter -> address -> unit
 
 type config = {
-  workers : int;  (** query worker threads *)
-  queue_capacity : int;  (** admission queue bound; beyond it: [BUSY] *)
+  workers : int;
+      (** at most this many [QUERY]/[WHY] evaluations run at once (in
+          their session threads, or on this many domains with
+          [pool_domains]) *)
+  queue_capacity : int;
+      (** requests that may wait for an evaluation slot; beyond it:
+          [BUSY] *)
   max_request_bytes : int;  (** request-line limit; beyond it: [TOOLARGE] *)
   deadline_s : float option;
       (** per-request deadline, measured from admission. Enforced twice:
-          a request that reaches a worker after its deadline is answered
+          a request that gets its evaluation slot after its deadline is
+          answered
           [ERR TIMEOUT] without being evaluated, and a request whose
           evaluation is still running at the deadline is killed
           cooperatively mid-enumeration (the remaining time becomes an
@@ -71,13 +79,14 @@ type config = {
       (** the retry-after hint carried by every [BUSY] reply (queue full,
           injected dispatch fault); clients back off at least this long *)
   work_delay_s : float;
-      (** artificial service time added in the worker before evaluation;
+      (** artificial service time added under the slot before evaluation;
           0 in production — tests and the load generator use it to make
           saturation and deadline behaviour deterministic *)
   pool_domains : bool;
-      (** back the worker pool with {!Domain}s instead of threads:
-          parallel query evaluation on the validated lock-free read path.
-          Off by default — domains are a scarce resource. *)
+      (** evaluate on [workers] {!Domain}s instead of the session
+          threads: parallel query evaluation on the validated lock-free
+          read path, at the cost of a handoff per request. Off by default
+          — domains are a scarce resource. *)
   cache_capacity : int;
       (** entry bound of the epoch-keyed query result cache *)
   demand : bool;
@@ -101,7 +110,7 @@ type config = {
           ({!Pathlog_analysis.Absint}), and every [QUERY] whose
           statically predicted derivation count (evaluated at the
           current universe size) exceeds the bound is refused with
-          [ERR COST <estimate>] {e before} it reaches the worker pool or
+          [ERR COST <estimate>] {e before} it reaches the admission gate or
           the engine. Composes with [deadline_s]: admission refuses work
           that is predictably too large, budgets stop work that turns
           out too large. [None] (default) admits everything. *)
@@ -163,11 +172,8 @@ val cache_stats : t -> Qcache.stats
 
 (** Ask the server to stop. Cheap and async-signal-safe in spirit: sets a
     flag and wakes the accept loop; does not block, does not join.
-    {!await} / {!shutdown} complete the drain. *)
+    {!serve} / {!shutdown} complete the drain. *)
 val request_stop : t -> unit
-
-(** Block until {!request_stop} (e.g. from a signal handler) is called. *)
-val await : t -> unit
 
 (** Graceful drain: {!request_stop}, finish admitted requests, close every
     socket, join every thread, unlink the unix socket path if any.
@@ -177,6 +183,6 @@ val shutdown : t -> unit
 (** Route SIGINT and SIGTERM to {!request_stop} on this server. *)
 val install_signal_handlers : t -> unit
 
-(** [serve t] = {!await} then {!shutdown} — the body of
-    [pathlog serve]. *)
+(** [serve t] blocks until {!request_stop} (e.g. from a signal handler),
+    then runs {!shutdown} — the body of [pathlog serve]. *)
 val serve : t -> unit

@@ -49,8 +49,6 @@ type statement = Rule of rule | Query of literal list
 type program = statement list
 
 let equal_reference (a : reference) b = a = b
-let compare_reference (a : reference) b = Stdlib.compare a b
-let equal_literal (a : literal) b = a = b
 let equal_statement (a : statement) b = a = b
 
 let is_simple = function
@@ -71,15 +69,6 @@ let rec fold_regex f acc = function
     List.fold_left f acc l_args
   | Rseq rs | Ralt rs -> List.fold_left (fold_regex f) acc rs
   | Rstar r | Rplus r | Ropt r -> fold_regex f acc r
-
-(* Does the regex accept the empty word? (The closure step for [*] and
-   [?]; [Rseq []] is the empty word itself.) *)
-let rec regex_nullable = function
-  | Rlit _ -> false
-  | Rseq rs -> List.for_all regex_nullable rs
-  | Ralt rs -> List.exists regex_nullable rs
-  | Rstar _ | Ropt _ -> true
-  | Rplus r -> regex_nullable r
 
 let fact head = { head; body = [] }
 

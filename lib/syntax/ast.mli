@@ -70,10 +70,6 @@ type program = statement list
 
 val equal_reference : reference -> reference -> bool
 
-val compare_reference : reference -> reference -> int
-
-val equal_literal : literal -> literal -> bool
-
 val equal_statement : statement -> statement -> bool
 
 (** [is_simple t] — simple references per Definition 1: names, variables,
@@ -86,8 +82,6 @@ val is_simple : reference -> bool
 val vars_of_reference : reference -> string list
 
 val vars_of_literal : literal -> string list
-
-val vars_of_literals : literal list -> string list
 
 val vars_of_rule : rule -> string list
 
@@ -104,7 +98,3 @@ val fold_regex : ('a -> reference -> 'a) -> 'a -> regex -> 'a
 (** Separator of the leftmost literal — the separator printed before the
     whole regular step. All heads of an alternation share it. *)
 val regex_lead_sep : regex -> scal
-
-(** Whether the regex accepts the empty word (the step then relates every
-    receiver to itself). *)
-val regex_nullable : regex -> bool

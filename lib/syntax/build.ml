@@ -23,9 +23,6 @@ let dot ?(args = []) t m =
 let dotdot ?(args = []) t m =
   Path { p_recv = t; p_sep = Dotdot; p_meth = Name m; p_args = args }
 
-let dot_ref ?(args = []) t m =
-  Path { p_recv = t; p_sep = Dot; p_meth = m; p_args = args }
-
 let dotdot_ref ?(args = []) t m =
   Path { p_recv = t; p_sep = Dotdot; p_meth = m; p_args = args }
 
@@ -33,7 +30,6 @@ let fact head = Rule { head; body = [] }
 let rule head body = Rule { head; body }
 let query lits = Query lits
 let pos t = Pos t
-let neg t = Neg t
 
 let signature rhs ?(args = []) cls meth =
   Rule

@@ -37,9 +37,6 @@ val dot : ?args:reference list -> reference -> string -> reference
 
 val dotdot : ?args:reference list -> reference -> string -> reference
 
-(** Path with a computed method, e.g. [dot_ref x (paren (dot m "tc"))]. *)
-val dot_ref : ?args:reference list -> reference -> reference -> reference
-
 val dotdot_ref : ?args:reference list -> reference -> reference -> reference
 
 val fact : reference -> statement
@@ -49,8 +46,6 @@ val rule : reference -> literal list -> statement
 val query : literal list -> statement
 
 val pos : reference -> literal
-
-val neg : reference -> literal
 
 (** [scalar_sig c m r] is the declaration [c\[m => r\]]. *)
 val scalar_sig : ?args:string list -> string -> string -> string -> statement

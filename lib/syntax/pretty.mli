@@ -12,8 +12,6 @@ val pp_literal : Format.formatter -> Ast.literal -> unit
 
 val pp_rule : Format.formatter -> Ast.rule -> unit
 
-val pp_statement : Format.formatter -> Ast.statement -> unit
-
 val pp_program : Format.formatter -> Ast.program -> unit
 
 val reference_to_string : Ast.reference -> string

@@ -14,5 +14,3 @@ val layered_dag :
   layers:int -> width:int -> fanout:int -> seed:int ->
   Syntax.Ast.statement list
 
-(** Name of the object at a layer/position, e.g. [node_2_13]. *)
-val dag_node : int -> int -> string

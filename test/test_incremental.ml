@@ -478,6 +478,22 @@ let virtual_object_linked () =
   check_equiv live;
   check_clean live
 
+(* A rule reading [edge] both in its body and in its head set: an
+   asserted edge must also re-run the firings whose head set grew, not
+   only those seeded on the new edge. *)
+let head_set_read_assert () =
+  let live =
+    attach
+      {|
+        n4[edge ->> {n4}].
+        X[reach2 ->> Y..edge] <- X[edge ->> {Y}].
+      |}
+  in
+  ignore (Live.assert_batch live "n4[edge ->> {n1}]." : Live.batch_stats);
+  expect live "n4[reach2 ->> {n1}]" true;
+  check_equiv live;
+  check_clean live
+
 (* The provenance audit catches each fault it exists for: a cycle of
    records, a record that no longer replays, a stated fact that is not
    live, and a live fact with no record. The faults are made behind
@@ -820,6 +836,7 @@ let suite =
       virtual_object_two_bodies;
     case "backward: head path linked to another virtual object"
       virtual_object_linked;
+    case "assert: head set reads the asserted relation" head_set_read_assert;
     case "check_support catches broken records" check_support_faults;
     case "corpus sweep: attach and retract each fact" corpus_sweep;
     case "why: other rule after retract" why_other_rule;

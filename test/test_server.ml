@@ -184,36 +184,79 @@ let test_histogram () =
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
-let test_pool_sheds_and_drains () =
-  let pool = Pathlog.Pool.create ~workers:1 ~capacity:2 () in
+(* Poll [cond] for up to 5 s. *)
+let wait_until cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < 5. do
+    Thread.delay 0.005
+  done
+
+let test_pool_sheds_and_drains backend () =
+  let pool = Pathlog.Pool.create ~backend ~workers:1 ~capacity:2 () in
   let gate = Mutex.create () in
-  let ran = Atomic.make 0 in
+  let started = Atomic.make false and ran = Atomic.make 0 in
+  let admitted = Atomic.make 0 and shed = Atomic.make 0 in
   Mutex.lock gate;
-  (* the worker parks on the gate; everything else sits in the queue *)
-  let blocker () =
-    Mutex.lock gate;
-    Mutex.unlock gate;
-    Atomic.incr ran
+  let call job =
+    Thread.create
+      (fun () ->
+        match Pathlog.Pool.run pool job with
+        | Some () -> Atomic.incr admitted
+        | None -> Atomic.incr shed)
+      ()
   in
-  Alcotest.(check bool)
-    "first job admitted" true
-    (Pathlog.Pool.submit pool blocker = `Accepted);
-  (* give the worker a moment to pick it up, then fill the queue *)
+  (* the first request holds the one slot, parked on the gate; the next
+     two wait for it and the rest are refused at once *)
+  let first =
+    call (fun () ->
+        Atomic.set started true;
+        Mutex.lock gate;
+        Mutex.unlock gate;
+        Atomic.incr ran)
+  in
+  wait_until (fun () -> Atomic.get started);
+  let rest = List.init 10 (fun _ -> call (fun () -> Atomic.incr ran)) in
+  wait_until (fun () -> Atomic.get shed >= 8);
   Thread.delay 0.05;
-  let accepted = ref 0 and rejected = ref 0 in
-  for _ = 1 to 10 do
-    match Pathlog.Pool.submit pool (fun () -> Atomic.incr ran) with
-    | `Accepted -> incr accepted
-    | `Rejected -> incr rejected
-  done;
-  Alcotest.(check int) "capacity admits exactly 2" 2 !accepted;
-  Alcotest.(check int) "the rest shed" 8 !rejected;
+  Alcotest.(check int) "the rest shed" 8 (Atomic.get shed);
+  Alcotest.(check int) "nothing finished behind the gate" 0 (Atomic.get ran);
   Mutex.unlock gate;
   Pathlog.Pool.shutdown pool;
+  List.iter Thread.join (first :: rest);
+  Alcotest.(check int)
+    "workers + capacity admits exactly 3" 3 (Atomic.get admitted);
   Alcotest.(check int) "every admitted job ran" 3 (Atomic.get ran);
   Alcotest.(check bool)
-    "submit after shutdown rejected" true
-    (Pathlog.Pool.submit pool (fun () -> ()) = `Rejected)
+    "run after shutdown refused" true
+    (Pathlog.Pool.run pool (fun () -> ()) = None)
+
+let test_pool_bounds_concurrency backend () =
+  let pool = Pathlog.Pool.create ~backend ~workers:2 ~capacity:8 () in
+  let in_flight = Atomic.make 0 and max_in_flight = Atomic.make 0 in
+  let rec raise_max n =
+    let m = Atomic.get max_in_flight in
+    if n > m && not (Atomic.compare_and_set max_in_flight m n) then
+      raise_max n
+  in
+  let job () =
+    raise_max (Atomic.fetch_and_add in_flight 1 + 1);
+    Thread.delay 0.02;
+    Atomic.decr in_flight
+  in
+  let results = Array.make 8 None in
+  let threads =
+    List.init 8 (fun i ->
+        Thread.create (fun () -> results.(i) <- Pathlog.Pool.run pool job) ())
+  in
+  List.iter Thread.join threads;
+  Pathlog.Pool.shutdown pool;
+  Alcotest.(check bool)
+    "every request admitted and run" true
+    (Array.for_all (( = ) (Some ())) results);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 in flight (saw %d)" (Atomic.get max_in_flight))
+    true
+    (Atomic.get max_in_flight <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end over TCP loopback                                        *)
@@ -518,6 +561,44 @@ let test_shutdown_cancels_inflight () =
         (* also acceptable: the reply raced the socket teardown *)
         ()
       | _ -> Alcotest.fail "expected ERR CANCELLED for the in-flight query")
+
+(* Shutdown drains the gate: with one slot and 300ms of service time,
+   the request holding the slot and the one waiting for it are both
+   answered before their sessions close. *)
+let test_shutdown_answers_gated ~domains () =
+  let config =
+    {
+      Server.default_config with
+      workers = 1;
+      pool_domains = domains;
+      work_delay_s = 0.3;
+    }
+  in
+  with_server ~config (fun _p srv ->
+      let ask result =
+        Thread.create
+          (fun () ->
+            with_client srv (fun c ->
+                result := Some (Client.request c "QUERY e1 : employee")))
+          ()
+      in
+      let running = ref None and waiting = ref None in
+      let t1 = ask running in
+      Thread.delay 0.1;
+      let t2 = ask waiting in
+      Thread.delay 0.1;
+      Server.shutdown srv;
+      Thread.join t1;
+      Thread.join t2;
+      let answered name = function
+        | Some (Ok (Protocol.Ok _ | Protocol.Err (Protocol.Cancelled, _))) ->
+          ()
+        | Some (Ok _) -> Alcotest.failf "%s request: unexpected reply" name
+        | Some (Error _) -> Alcotest.failf "%s request: session closed" name
+        | None -> Alcotest.failf "%s request: no result" name
+      in
+      answered "running" !running;
+      answered "waiting" !waiting)
 
 let test_degraded_marker () =
   (* a program whose materialisation was cut short by a budget: every OK
@@ -998,7 +1079,7 @@ let suite =
     Alcotest.test_case "histogram: percentiles and bounds" `Quick
       test_histogram;
     Alcotest.test_case "pool: sheds at capacity, drains on shutdown" `Quick
-      test_pool_sheds_and_drains;
+      (test_pool_sheds_and_drains Pathlog.Pool.Threads);
     Alcotest.test_case "server: verbs, errors, stats" `Quick
       test_server_basics;
     Alcotest.test_case "server: oversized requests" `Quick
@@ -1019,6 +1100,12 @@ let suite =
       (test_mid_eval_timeout ~domains:true);
     Alcotest.test_case "server: shutdown cancels in-flight query" `Quick
       test_shutdown_cancels_inflight;
+    Alcotest.test_case "server: shutdown answers running and waiting, threads"
+      `Quick
+      (test_shutdown_answers_gated ~domains:false);
+    Alcotest.test_case "server: shutdown answers running and waiting, domains"
+      `Quick
+      (test_shutdown_answers_gated ~domains:true);
     Alcotest.test_case "server: DEGRADED marker and counters" `Quick
       test_degraded_marker;
     Alcotest.test_case "server: ASSERT/RETRACT with analysis gate" `Quick
@@ -1037,4 +1124,11 @@ let suite =
       test_stats_golden_keys;
     Alcotest.test_case "metrics: a name registers once" `Quick
       test_metrics_register_twice;
+    Alcotest.test_case "pool: domains shed at capacity, drain on shutdown"
+      `Quick
+      (test_pool_sheds_and_drains Pathlog.Pool.Domains);
+    Alcotest.test_case "pool: at most workers in flight, threads" `Quick
+      (test_pool_bounds_concurrency Pathlog.Pool.Threads);
+    Alcotest.test_case "pool: at most workers in flight, domains" `Quick
+      (test_pool_bounds_concurrency Pathlog.Pool.Domains);
   ]

@@ -13,27 +13,42 @@ and app = {
 let equal (a : t) b = a = b
 let hash = Hashtbl.hash
 
-(* The one fact printer. Virtual objects in method and class position are
-   parenthesised, so every line parses back to the fact it prints. *)
-let pp u ppf fact =
-  let obj = Oodb.Universe.pp_obj u and paren = Oodb.Universe.pp_paren u in
-  let pp_args ppf = function
+(* The one fact printer, straight into a buffer. Virtual objects in
+   method and class position are parenthesised, so every line parses back
+   to the fact it prints. *)
+let add u b fact =
+  let obj = Oodb.Universe.add_obj u b and paren = Oodb.Universe.add_paren u b in
+  let app ~arrow { meth; recv; args; res } ~close =
+    obj recv;
+    Buffer.add_char b '[';
+    paren meth;
+    (match args with
     | [] -> ()
-    | args ->
-      Format.fprintf ppf "@@(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           obj)
-        args
+    | a :: rest ->
+      Buffer.add_string b "@(";
+      obj a;
+      List.iter
+        (fun a ->
+          Buffer.add_string b ", ";
+          obj a)
+        rest;
+      Buffer.add_char b ')');
+    Buffer.add_string b arrow;
+    obj res;
+    Buffer.add_string b close
   in
   match fact with
-  | F_isa (o, c) -> Format.fprintf ppf "%a : %a" obj o paren c
-  | F_scalar { meth; recv; args; res } ->
-    Format.fprintf ppf "%a[%a%a -> %a]" obj recv paren meth pp_args args obj
-      res
-  | F_set { meth; recv; args; res } ->
-    Format.fprintf ppf "%a[%a%a ->> {%a}]" obj recv paren meth pp_args args
-      obj res
+  | F_isa (o, c) ->
+    obj o;
+    Buffer.add_string b " : ";
+    paren c
+  | F_scalar a -> app ~arrow:" -> " a ~close:"]"
+  | F_set a -> app ~arrow:" ->> {" a ~close:"}]"
+
+let pp u ppf fact =
+  let b = Buffer.create 64 in
+  add u b fact;
+  Format.pp_print_string ppf (Buffer.contents b)
 
 let magic_prefix = "magic$"
 
@@ -57,10 +72,14 @@ let iter_live store f =
       f (F_set { meth = m; recv = e.recv; args = e.args; res = e.res }))
 
 let lines ?(stop = "") u iter =
-  let acc = ref [] in
+  let acc = ref [] and b = Buffer.create 64 in
   iter (fun f ->
-      if not (is_magic u f) then
-        acc := Format.asprintf "%a%s" (pp u) f stop :: !acc);
+      if not (is_magic u f) then begin
+        Buffer.clear b;
+        add u b f;
+        Buffer.add_string b stop;
+        acc := Buffer.contents b :: !acc
+      end);
   List.sort compare !acc
 
 let model store =

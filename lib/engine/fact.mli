@@ -19,10 +19,14 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-(** The one fact printer: [o : c], [o\[m@(a, b) -> r\]],
-    [o\[m ->> {r}\]]. Virtual objects print as the paths that denote them,
-    parenthesised in method and class position ([o : (kids.tc)]), so the
-    text parses back to the same fact. *)
+(** The one fact printer, appending to a buffer: [o : c],
+    [o\[m@(a, b) -> r\]], [o\[m ->> {r}\]]. Objects print as
+    {!Oodb.Universe.add_obj} writes them; virtual objects in method and
+    class position are parenthesised ([o : (kids.tc)]), so the text parses
+    back to the same fact. *)
+val add : Oodb.Universe.t -> Buffer.t -> t -> unit
+
+(** {!add} as a [Format] printer. *)
 val pp : Oodb.Universe.t -> Format.formatter -> t -> unit
 
 (** Demand's magic methods are set methods named [magic$...] ([$] cannot

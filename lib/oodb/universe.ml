@@ -86,31 +86,57 @@ let descriptor u id = Vec.get u.descriptors id
 let is_skolem u id =
   match descriptor u id with Skolem _ -> true | Name _ | Int _ | Str _ -> false
 
-let rec pp_obj u ppf id =
+(* The one object printer, straight into a buffer: the QUERY reply path
+   renders every cell of every row through it. *)
+let rec add_obj u b id =
   match descriptor u id with
-  | Name s -> Format.pp_print_string ppf s
-  | Int n -> Format.pp_print_int ppf n
-  | Str s -> Format.fprintf ppf "%S" s
-  | Skolem { meth; recv; args; _ } ->
+  | Name s -> Buffer.add_string b s
+  | Int n -> Buffer.add_string b (string_of_int n)
+  | Str s ->
+    (* [%S]'s quoting *)
+    Buffer.add_char b '"';
+    Buffer.add_string b (String.escaped s);
+    Buffer.add_char b '"'
+  | Skolem { meth; recv; args; _ } -> (
     (* a virtual method prints in parentheses: [a.(kids.tc)], since
        [a.kids.tc] reads back as [(a.kids).tc] *)
-    Format.fprintf ppf "%a.%a" (pp_obj u) recv (pp_paren u) meth;
-    (match args with
+    add_obj u b recv;
+    Buffer.add_char b '.';
+    add_paren u b meth;
+    match args with
     | [] -> ()
-    | _ ->
-      Format.fprintf ppf "@(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           (pp_obj u))
-        args)
+    | a :: rest ->
+      Buffer.add_string b "@(";
+      add_obj u b a;
+      List.iter
+        (fun a ->
+          Buffer.add_char b ',';
+          add_obj u b a)
+        rest;
+      Buffer.add_char b ')')
 
 (* [id] where the parser would otherwise read a path: method and class
    positions *)
-and pp_paren u ppf id =
-  if is_skolem u id then Format.fprintf ppf "(%a)" (pp_obj u) id
-  else pp_obj u ppf id
+and add_paren u b id =
+  if is_skolem u id then begin
+    Buffer.add_char b '(';
+    add_obj u b id;
+    Buffer.add_char b ')'
+  end
+  else add_obj u b id
 
-let to_string u id = Format.asprintf "%a" (pp_obj u) id
+let render add u id =
+  let b = Buffer.create 32 in
+  add u b id;
+  Buffer.contents b
+
+let to_string u id =
+  match descriptor u id with
+  | Name s -> s
+  | Int _ | Str _ | Skolem _ -> render add_obj u id
+
+let pp_obj u ppf id = Format.pp_print_string ppf (to_string u id)
+let pp_paren u ppf id = Format.pp_print_string ppf (render add_paren u id)
 
 let iter u f =
   for id = 0 to cardinality u - 1 do

@@ -56,18 +56,26 @@ val descriptor : t -> Obj_id.t -> descriptor
 
 val is_skolem : t -> Obj_id.t -> bool
 
-(** Print an object the way the paper writes it: names bare, strings quoted,
-    skolems as the path that denotes them, e.g. [p1.boss], with a virtual
-    method parenthesised ([p1.(kids.tc)]) so the text parses back to the
-    same object. *)
+(** [add_obj u b o] appends [o] to [b] the way the paper writes it: names
+    bare, integers in decimal, strings quoted as OCaml's [%S] does,
+    skolems as the path that denotes them, e.g. [p1.boss] or
+    [p1.salary\@(1994,x)], with a virtual method parenthesised
+    ([p1.(kids.tc)]) so the text parses back to the same object. *)
+val add_obj : t -> Buffer.t -> Obj_id.t -> unit
+
+(** {!add_obj}, parenthesising a skolem: for method and class positions,
+    where the parser would otherwise read a path ([o : (kids.tc)]). *)
+val add_paren : t -> Buffer.t -> Obj_id.t -> unit
+
+(** [to_string u o] is the text {!add_obj} writes; a name's own string,
+    unallocated. *)
+val to_string : t -> Obj_id.t -> string
+
+(** {!add_obj} as a [Format] printer. *)
 val pp_obj : t -> Format.formatter -> Obj_id.t -> unit
 
-(** {!pp_obj}, parenthesising a skolem: for method and class positions,
-    where the parser would otherwise read a path ([o : (kids.tc)]). *)
+(** {!add_paren} as a [Format] printer. *)
 val pp_paren : t -> Format.formatter -> Obj_id.t -> unit
-
-(** [to_string u o] is {!pp_obj} rendered to a string. *)
-val to_string : t -> Obj_id.t -> string
 
 (** Iterate over all objects in id order. *)
 val iter : t -> (Obj_id.t -> descriptor -> unit) -> unit

@@ -12,9 +12,12 @@
 
 type t
 
-(** [create ~capacity] bounds the number of live entries; at capacity the
-    whole table is dropped (epoch churn invalidates wholesale anyway, and
-    a full reset keeps the hot path free of LRU bookkeeping).
+(** [create ~capacity] bounds the number of live entries. At capacity an
+    [add] evicts one entry by CLOCK (second chance): a hit only sets the
+    entry's reference bit, and the hand, sweeping the entries in slot
+    order, clears set bits and evicts the first entry not hit since it
+    last passed. So the hit path does no list relinking, and entries hit
+    again and again stay cached while one-off requests cycle out.
     @raise Invalid_argument if [capacity < 1] *)
 val create : capacity:int -> t
 
@@ -24,9 +27,12 @@ val create : capacity:int -> t
 val find : t -> epoch:int -> string -> Protocol.reply option
 
 (** [add t ~epoch key reply] records [reply] as the answer to [key] at
-    [epoch], evicting (wholesale) if the cache is full. *)
+    [epoch], replacing what [key] held; a new key evicts one entry if the
+    cache is full. *)
 val add : t -> epoch:int -> string -> Protocol.reply -> unit
 
-type stats = { hits : int; misses : int; entries : int }
+(** [evictions] counts entries dropped to make room; a stale entry that
+    {!find} removes is not one. *)
+type stats = { hits : int; misses : int; entries : int; evictions : int }
 
 val stats : t -> stats

@@ -155,14 +155,25 @@ let install_signal_handlers t =
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (under a pool slot; validated, see below).      *)
 
-let render_row t row =
-  String.concat "\t"
-    (List.map (Oodb.Universe.to_string (Program.universe t.program)) row)
+(* Answer rows as tab-separated lines; every cell is written straight
+   into one buffer shared by the rows. *)
+let render_rows t rows =
+  let u = Program.universe t.program and b = Buffer.create 64 in
+  List.map
+    (fun cells ->
+      Buffer.clear b;
+      List.iteri
+        (fun i o ->
+          if i > 0 then Buffer.add_char b '\t';
+          Oodb.Universe.add_obj u b o)
+        cells;
+      Buffer.contents b)
+    rows
 
 let render_answer t (a : Program.answer) =
   match a.columns with
   | [] -> [ (if a.rows = [] then "no" else "yes") ]
-  | columns -> String.concat "\t" columns :: List.map (render_row t) a.rows
+  | columns -> String.concat "\t" columns :: render_rows t a.rows
 
 (* Map evaluation exceptions to protocol errors: the shared fault
    boundary of the read-only, demand and subscribe paths. *)
@@ -358,7 +369,7 @@ let live_of t =
 let subscription_rows t (a : Program.answer) =
   match a.columns with
   | [] -> if a.rows = [] then [] else [ "true" ]
-  | _ -> List.sort compare (List.map (render_row t) a.rows)
+  | _ -> List.sort compare (render_rows t a.rows)
 
 (* Difference of two sorted string lists: (appeared, vanished). *)
 let diff_sorted before after =
@@ -562,11 +573,12 @@ let register_stats t =
         ("store_set_tuples", string_of_int set_tuples);
       ]);
   Metrics.readout m "qcache" (fun () ->
-      let { Qcache.hits; misses; entries } = Qcache.stats t.qcache in
+      let { Qcache.hits; misses; entries; evictions } = Qcache.stats t.qcache in
       [
         ("cache_hits", string_of_int hits);
         ("cache_misses", string_of_int misses);
         ("cache_entries", string_of_int entries);
+        ("cache_evictions", string_of_int evictions);
       ]);
   match t.durable with
   | None -> ()
@@ -819,6 +831,39 @@ let session t fd =
 (* ------------------------------------------------------------------ *)
 (* Accept loop                                                         *)
 
+(* A connection the server will not serve any more: answered BUSY, then
+   closed. A request it already sent is read off first, so the close is
+   a clean one and does not reset the connection under the reply. *)
+let refuse_stopping t fd =
+  (try
+     let frame = Protocol.render_reply (busy t "shutting down") in
+     ignore (Unix.write_substring fd frame 0 (String.length frame) : int);
+     Unix.shutdown fd Unix.SHUTDOWN_SEND;
+     Unix.set_nonblock fd;
+     let buf = Bytes.create 4096 in
+     while Unix.read fd buf 0 (Bytes.length buf) > 0 do
+       ()
+     done
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* At shutdown, the connections still in the listen backlog: accepted
+   without blocking and refused, so none sees a bare close. *)
+let refuse_backlog t =
+  match Unix.set_nonblock t.listen_fd with
+  | exception Unix.Unix_error _ -> ()
+  | () ->
+    let rec loop () =
+      match Unix.accept ~cloexec:true t.listen_fd with
+      | fd, _peer ->
+        refuse_stopping t fd;
+        loop ()
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+        loop ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    loop ()
+
 let accept_loop t () =
   let rec loop () =
     if t.stopping then ()
@@ -834,7 +879,7 @@ let accept_loop t () =
           loop ()
         | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
         | fd, _peer ->
-          if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
+          if t.stopping then refuse_stopping t fd
           else begin
             (* register under the lock, before the session can run: a
                session that dies instantly must find its entry to remove,
@@ -1054,7 +1099,8 @@ let shutdown t =
         with Unix.Unix_error _ -> ())
       sessions;
     List.iter (fun (_, th) -> Thread.join th) sessions;
-    (* 5. release the listener *)
+    (* 5. answer what is left in the backlog, and release the listener *)
+    refuse_backlog t;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (* 6. close the durable log — every acknowledged batch was already
        fsync'd at commit time, so this is bookkeeping, not a flush *)

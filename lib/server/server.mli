@@ -49,7 +49,9 @@
     {!install_signal_handlers}) drains gracefully: stop accepting,
     cancel in-flight evaluations via the shared token, finish every
     admitted request, push out the replies, then close all sockets and
-    join all threads. *)
+    join all threads. A connection made after the stop, before the
+    listening socket closes, is answered [BUSY] ("shutting down") and
+    closed. *)
 
 type address =
   | Tcp of string * int  (** host, port; port 0 binds an ephemeral port *)
@@ -175,7 +177,8 @@ val cache_stats : t -> Qcache.stats
     {!serve} / {!shutdown} complete the drain. *)
 val request_stop : t -> unit
 
-(** Graceful drain: {!request_stop}, finish admitted requests, close every
+(** Graceful drain: {!request_stop}, finish admitted requests, answer
+    the connections still in the listen backlog with [BUSY], close every
     socket, join every thread, unlink the unix socket path if any.
     Idempotent. *)
 val shutdown : t -> unit

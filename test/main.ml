@@ -28,4 +28,5 @@ let () =
       ("focused", Test_demand.focused_suite);
       ("topdown", Test_demand.topdown_suite);
       ("regex", Test_regex.suite);
+      ("printers", Test_printers.suite);
     ]

@@ -148,18 +148,88 @@ let test_qcache_hit_and_invalidate () =
   Alcotest.(check int) "one hit counted" 1 s.Qcache.hits;
   Alcotest.(check int) "two misses counted" 2 s.Qcache.misses
 
-let test_qcache_capacity_reset () =
-  let qc = Qcache.create ~capacity:2 in
-  Qcache.add qc ~epoch:1 "q1" (reply [ "a" ]);
-  Qcache.add qc ~epoch:1 "q2" (reply [ "b" ]);
-  (* at capacity: the next add wipes the table wholesale *)
-  Qcache.add qc ~epoch:1 "q3" (reply [ "c" ]);
-  let s = Qcache.stats qc in
-  Alcotest.(check int) "reset down to the new entry" 1 s.Qcache.entries;
-  Alcotest.(check bool) "survivor findable" true
-    (Qcache.find qc ~epoch:1 "q3" <> None);
-  Alcotest.(check bool) "victims gone" true
-    (Qcache.find qc ~epoch:1 "q1" = None)
+(* CLOCK: at capacity an add evicts one entry, the first the hand finds
+   not hit since it last passed; a hit entry loses its bit instead and
+   survives the sweep. *)
+let test_qcache_clock_eviction () =
+  let qc = Qcache.create ~capacity:3 in
+  let add k =
+    Qcache.add qc ~epoch:1 k (reply [ k ]);
+    Alcotest.(check bool) "size within capacity" true
+      ((Qcache.stats qc).Qcache.entries <= 3)
+  in
+  (* a lookup sets the bit it observes: only misses are looked up until
+     the last sweep *)
+  let cached k = Qcache.find qc ~epoch:1 k <> None in
+  let evictions () = (Qcache.stats qc).Qcache.evictions in
+  List.iter add [ "q1"; "q2"; "q3" ];
+  Alcotest.(check int) "full, nothing evicted" 0 (evictions ());
+  Alcotest.(check bool) "q1 hit" true (cached "q1");
+  (* the hand passes q1, clearing its bit, and evicts q2: one eviction,
+     so q1 and q3 stay beside the new q4 *)
+  add "q4";
+  Alcotest.(check int) "one entry evicted" 1 (evictions ());
+  Alcotest.(check bool) "unhit q2 evicted" false (cached "q2");
+  (* q3 was never hit *)
+  add "q5";
+  Alcotest.(check bool) "unhit q3 evicted" false (cached "q3");
+  (* q1 was not hit since the hand last passed it *)
+  add "q6";
+  Alcotest.(check bool) "q1 evicted once its bit was spent" false
+    (cached "q1");
+  Alcotest.(check int) "one eviction per add at capacity" 3 (evictions ());
+  Alcotest.(check (list bool)) "the three newest cached" [ true; true; true ]
+    (List.map cached [ "q4"; "q5"; "q6" ]);
+  Alcotest.(check int) "never above capacity" 3
+    (Qcache.stats qc).Qcache.entries;
+  (* re-adding a cached key replaces it in place: no eviction *)
+  add "q4";
+  Alcotest.(check int) "replace evicts nothing" 3 (evictions ())
+
+(* Random finds and adds at random epochs against a reference map of
+   each key's latest add: a reply is only ever the latest add's, at its
+   epoch; the size never exceeds capacity; and with no more keys than
+   slots nothing is evicted. *)
+let qcheck_qcache_reference =
+  let op =
+    QCheck.Gen.(
+      triple bool (int_bound 5) (int_bound 2) |> map (fun (f, k, e) ->
+          ((if f then `Find else `Add), "q" ^ string_of_int k, e)))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap
+      (String.concat "; "
+         (List.map
+            (fun (o, k, e) ->
+              Printf.sprintf "%s %s@%d"
+                (match o with `Find -> "find" | `Add -> "add")
+                k e)
+            ops))
+  in
+  QCheck.Test.make ~count:500 ~name:"qcache: find/add/epoch = reference map"
+    (QCheck.make ~print
+       QCheck.Gen.(pair (int_range 1 4) (list_size (int_bound 60) op)))
+    (fun (capacity, ops) ->
+      let qc = Qcache.create ~capacity in
+      let latest = Hashtbl.create 8 in
+      let ok = ref true in
+      List.iteri
+        (fun i (o, k, epoch) ->
+          (match o with
+          | `Add ->
+            let r = reply [ k; string_of_int epoch; string_of_int i ] in
+            Hashtbl.replace latest k (epoch, r);
+            Qcache.add qc ~epoch k r
+          | `Find -> (
+            match Qcache.find qc ~epoch k with
+            | None -> ()
+            | Some r ->
+              ok := !ok && Hashtbl.find_opt latest k = Some (epoch, r)));
+          ok := !ok && (Qcache.stats qc).Qcache.entries <= capacity)
+        ops;
+      let keys = List.sort_uniq compare (List.map (fun (_, k, _) -> k) ops) in
+      !ok
+      && (List.length keys > capacity || (Qcache.stats qc).Qcache.evictions = 0))
 
 let test_qcache_rejects_bad_capacity () =
   Alcotest.(check bool) "capacity 0 rejected" true
@@ -353,8 +423,8 @@ let suite =
       test_epoch_ignores_duplicates;
     Alcotest.test_case "qcache: hit, epoch invalidation, eviction" `Quick
       test_qcache_hit_and_invalidate;
-    Alcotest.test_case "qcache: wholesale reset at capacity" `Quick
-      test_qcache_capacity_reset;
+    Alcotest.test_case "qcache: CLOCK eviction at capacity" `Quick
+      test_qcache_clock_eviction;
     Alcotest.test_case "qcache: capacity must be positive" `Quick
       test_qcache_rejects_bad_capacity;
     Alcotest.test_case "server: cached reads + write invalidation" `Quick
@@ -365,4 +435,5 @@ let suite =
                         batches" `Quick test_dred_toggle_reads;
     Alcotest.test_case "server: reads beside index resizes see stored \
                         facts" `Quick test_resize_reads;
+    Helpers.qtest qcheck_qcache_reference;
   ]

@@ -473,6 +473,34 @@ let test_server_clean_shutdown () =
   | Some srv -> Server.shutdown srv
   | None -> Alcotest.fail "server was not created"
 
+(* A connection made after the stop, while the listener is still open,
+   waits in the backlog (or is accepted by a loop that already sees the
+   stop): either way it reads BUSY, not a bare close. *)
+let test_shutdown_answers_backlog () =
+  with_server (fun _p srv ->
+      Server.request_stop srv;
+      (* past the accept loop's 0.2 s poll: the loop has exited *)
+      Thread.delay 0.3;
+      let c = Client.connect (Server.address srv) in
+      let reply = ref None in
+      let th =
+        Thread.create
+          (fun () -> reply := Some (Client.request c "QUERY e1 : employee"))
+          ()
+      in
+      Thread.delay 0.05;
+      Server.shutdown srv;
+      Thread.join th;
+      Client.close c;
+      match !reply with
+      | Some (Ok (Protocol.Busy (_, msg))) ->
+        Alcotest.(check string) "busy reason" "shutting down" msg
+      | Some (Ok r) ->
+        Alcotest.failf "expected BUSY, got %s" (Protocol.render_reply r)
+      | Some (Error `Eof) -> Alcotest.fail "expected BUSY, got a bare close"
+      | Some (Error (`Malformed m)) -> Alcotest.fail ("malformed reply: " ^ m)
+      | None -> Alcotest.fail "no reply")
+
 let test_server_unix_socket () =
   let path =
     Filename.concat
@@ -1010,6 +1038,7 @@ let golden_stats_keys =
     "latency_max_us"; "latency_p50_us"; "latency_p99_us"; "latency_le";
     "store_objects"; "store_isa_edges"; "store_scalar_tuples";
     "store_set_tuples"; "cache_hits"; "cache_misses"; "cache_entries";
+    "cache_evictions";
   ]
 
 let golden_wal_keys =
@@ -1131,4 +1160,6 @@ let suite =
       (test_pool_bounds_concurrency Pathlog.Pool.Threads);
     Alcotest.test_case "pool: at most workers in flight, domains" `Quick
       (test_pool_bounds_concurrency Pathlog.Pool.Domains);
+    Alcotest.test_case "server: shutdown answers the backlog BUSY" `Quick
+      test_shutdown_answers_backlog;
   ]

@@ -377,17 +377,22 @@ let serve_cmd file host port unix_sock workers queue max_request deadline jobs
   (* Refuse to serve a program static analysis can already prove broken:
      a conflict or divergence found mid-flight would take the whole
      server down, not one request. *)
-  (match Pathlog.Check.gate text with
-  | Ok _ -> ()
-  | Error msg ->
-    Printf.eprintf "error: program refused by static analysis:\n%s\n" msg;
-    exit Pathlog.Err.exit_analysis);
-  (* --demand serves from the parsed program without materialising it:
-     the first sight of each query fixpoints only its demanded
-     fragment *)
+  let spanned =
+    match Pathlog.Check.gate_spanned text with
+    | Ok (spanned, _) -> spanned
+    | Error msg ->
+      Printf.eprintf "error: program refused by static analysis:\n%s\n" msg;
+      exit Pathlog.Err.exit_analysis
+  in
+  (* the program is built from the statements the gate parsed; --demand
+     serves it without materialising it: the first sight of each query
+     fixpoints only its demanded fragment *)
   let p =
     with_errors None (fun () ->
-        if demand then Pathlog.parse text else Pathlog.load text)
+        let p = Pathlog.Program.of_spanned spanned in
+        if not demand then
+          ignore (Pathlog.Program.run p : Pathlog.Fixpoint.stats);
+        p)
   in
   (* --jobs N with N > 1 turns on real parallelism end to end: the query
      pool is backed by N domains instead of threads (queries evaluate

@@ -22,6 +22,10 @@ val analyze : ?card_threshold:int -> string -> t
 (** [card_threshold] tunes PL051 (1_000_000 predicted derivations
     when omitted). *)
 
+val analyze_spanned :
+  ?card_threshold:int -> (Syntax.Ast.statement * Syntax.Token.span) list -> t
+(** {!analyze} of statements already parsed. *)
+
 val ok : t -> bool
 (** No error-severity diagnostics. *)
 
@@ -52,3 +56,9 @@ val gate :
 (** Refuse program text carrying diagnostics at or above [deny]
     (default [Error]); the error string is the rendered offending
     diagnostics, one per line. The server calls this before loading. *)
+
+val gate_spanned :
+  ?deny:Diagnostic.severity -> ?card_threshold:int -> string ->
+  ((Syntax.Ast.statement * Syntax.Token.span) list * t, string) result
+(** {!gate}, handing back the parsed statements as well, so a caller that
+    loads the program ({!Engine.Program.of_spanned}) parses it once. *)

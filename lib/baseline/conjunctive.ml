@@ -69,8 +69,6 @@ let isa_pairs store =
       Set.fold (fun c acc -> (o, c) :: acc) (Store.classes_of store o) acc)
     !sources []
 
-let self_id store = Store.name store "self"
-
 (* Objects reachable from [r0] along some word of the automaton's
    language — a naive depth-first product walk, mirroring the
    automaton-product BFS in {!Semantics.Solve}. *)
@@ -154,7 +152,7 @@ let rec eval_atom store env (atom : Ir.atom) : env list =
 
 
 and eval_app store env which (app : Ir.app) : env list =
-  let self = self_id store in
+  let self = Store.self_id store in
   let self_envs =
     (* the built-in identity method applies to scalar application only *)
     if app.args <> [] || which = `Set then []
@@ -201,7 +199,8 @@ and eval_subset store env (s : Ir.subset) : env list =
       let recv = Option.get (deref env' s.s_recv) in
       let args = List.map (fun a -> Option.get (deref env' a)) s.s_args in
       let have =
-        if Oodb.Obj_id.equal m (self_id store) && args = [] then Set.empty
+        if Oodb.Obj_id.equal m (Store.self_id store) && args = [] then
+          Set.empty
         else Store.set_lookup store ~meth:m ~recv ~args
       in
       List.for_all

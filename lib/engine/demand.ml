@@ -345,8 +345,11 @@ let emit store proper query_lits levels =
   (* [origin]: the user-written rule whose body demanded this magic rule
      (None when the query itself did); diagnostics on the synthesized rule
      anchor to it. *)
+  let text_buf = Buffer.create 128 in
   let add_magic origin (rule : Ast.rule) =
-    let text = Format.asprintf "%a" Syntax.Pretty.pp_rule rule in
+    Buffer.clear text_buf;
+    Syntax.Pretty.add_rule text_buf rule;
+    let text = Buffer.contents text_buf in
     if not (Hashtbl.mem seen text) then begin
       Hashtbl.add seen text ();
       if rule.body = [] then seeds := rule :: !seeds
@@ -499,7 +502,7 @@ let compile store d =
 
 let listing store d =
   let u = Store.universe store in
-  let pp_rule ru = Format.asprintf "%a" Syntax.Pretty.pp_rule ru in
+  let pp_rule = Syntax.Pretty.rule_to_string in
   let adorned =
     Hashtbl.fold
       (fun rel lvl acc ->

@@ -10,8 +10,27 @@ and app = {
   res : Oodb.Obj_id.t;
 }
 
-let equal (a : t) b = a = b
-let hash = Hashtbl.hash
+let equal_app a b =
+  Int.equal a.meth b.meth && Int.equal a.recv b.recv && Int.equal a.res b.res
+  && List.equal Int.equal a.args b.args
+
+let equal a b =
+  match (a, b) with
+  | F_isa (o, c), F_isa (o', c') -> Int.equal o o' && Int.equal c c'
+  | F_scalar a, F_scalar b | F_set a, F_set b -> equal_app a b
+  | (F_isa _ | F_scalar _ | F_set _), _ -> false
+
+let mix h x = (h * 0x2F0B3A49) + x
+
+let hash f =
+  let app tag { meth; recv; args; res } =
+    List.fold_left mix (mix (mix (mix tag meth) recv) res) args
+  in
+  (match f with
+  | F_isa (o, c) -> mix (mix 1 o) c
+  | F_scalar a -> app 2 a
+  | F_set a -> app 3 a)
+  |> fun h -> (h lxor (h lsr 29)) land max_int
 
 (* The one fact printer, straight into a buffer. Virtual objects in
    method and class position are parenthesised, so every line parses back

@@ -164,23 +164,26 @@ let crule_of itn (rule : Rule.t) =
    sharing plans: the demand transform compiles its magic and guarded
    rules afresh, so they have uids of their own. *)
 
-type plan_cache = (int * int, Semantics.Solve.plan) Hashtbl.t
+module Int_tbl = Oodb.Obj_id.Int_tbl
 
-let plan_cache () : plan_cache = Hashtbl.create 64
+(* keyed by [Store.pack uid (seed_atom + 1)], 0 for the unseeded plan *)
+type plan_cache = Semantics.Solve.plan Int_tbl.t
 
-let plan_count (cache : plan_cache) = Hashtbl.length cache
+let plan_cache () : plan_cache = Int_tbl.create 64
+
+let plan_count (cache : plan_cache) = Int_tbl.length cache
 
 let forget_plans (cache : plan_cache) uids =
-  Hashtbl.filter_map_inplace
-    (fun (uid, _) p -> if List.mem uid uids then None else Some p)
+  Int_tbl.filter_map_inplace
+    (fun key p -> if List.mem (key lsr 31) uids then None else Some p)
     cache
 
 let plan_for (cache : plan_cache) store (rule : Rule.t) seed =
   let seed_idx =
     match seed with Some s -> s.Semantics.Solve.seed_atom | None -> -1
   in
-  let key = (rule.uid, seed_idx) in
-  match Hashtbl.find_opt cache key with
+  let key = Store.pack rule.uid (seed_idx + 1) in
+  match Int_tbl.find_opt cache key with
   | Some p when not (Semantics.Solve.plan_stale store p) -> p
   | Some _ | None ->
     let p =
@@ -188,14 +191,8 @@ let plan_for (cache : plan_cache) store (rule : Rule.t) seed =
         ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
         store rule.body
     in
-    Hashtbl.replace cache key p;
+    Int_tbl.replace cache key p;
     p
-
-let env_of_binding (body : Ir.query) binding =
-  List.fold_left
-    (fun env (name, slot) ->
-      Semantics.Valuation.Env.add name binding.(slot) env)
-    Semantics.Valuation.Env.empty body.named
 
 (* The solver-side cooperative hook: polls the budget (cancellation +
    deadline) and the fault registry's solver-step point. [None] when
@@ -218,7 +215,6 @@ let interrupt_of budget =
 let fire ?provenance ?(on_insert = fun _ -> ()) stats store (rule : Rule.t)
     binding changes =
   stats.firings <- stats.firings + 1;
-  let env = env_of_binding rule.body binding in
   let on_insert =
     match provenance with
     | None -> on_insert
@@ -233,8 +229,8 @@ let fire ?provenance ?(on_insert = fun _ -> ()) stats store (rule : Rule.t)
   in
   let before = !changes in
   ignore
-    (Head.execute ~on_insert store ~env ~rule:rule.source ~changes
-       rule.source.head);
+    (Head.execute ~on_insert store ~binding ~rule:rule.source ~changes
+       rule.head);
   stats.insertions <- stats.insertions + (!changes - before)
 
 (* Evaluate one rule, optionally seeded, executing the head on every body

@@ -1,5 +1,6 @@
 open Syntax.Ast
 module Store = Oodb.Store
+module Obj_id = Oodb.Obj_id
 
 (* The store-write fault boundary. Injected failures are transient: the
    write path is idempotent (duplicate inserts are no-ops), so a bounded
@@ -14,6 +15,85 @@ let write_faults () =
     attempt 0
   end
 
+(* The head's AST with its leaves resolved: variables to the body's
+   binding slots, constants to ids. A constant is interned the first time
+   the head runs and cached: its id is allocated exactly when walking the
+   AST would allocate it, so object numbering does not depend on
+   compilation. *)
+type node =
+  | Const of { c_ref : reference; mutable c_id : Obj_id.t }
+  | Slot of int
+  | Unbound of string  (* a head variable the body does not bind *)
+  | Link of { recv : node; meth : node; args : node list }
+      (* a scalar path: its value, or a new virtual object *)
+  | Isa of node * node
+  | Filter of { recv : node; meth : node; args : node list; rhs : rhs }
+  | Invalid of string  (* rejected by well-formedness; raises if run *)
+
+and rhs =
+  | Scalar of node
+  | Enum of node list
+  | Ref of reference * (string * int) list
+      (* a [->>] set reference, evaluated by Valuation under the named
+         slots *)
+  | Bad_rhs of string
+
+(* A head whose body names no variable (a fact statement, mostly) runs
+   about once: it is compiled when it runs instead of kept compiled,
+   which would cost each of a large program's statements a second copy
+   of its head. *)
+type t = Compiled of node | Ground of reference
+
+let compile_node ~named head =
+  let rec node (r : reference) =
+    match r with
+    | Name _ | Int_lit _ | Str_lit _ -> Const { c_ref = r; c_id = -1 }
+    | Var x -> (
+      match List.assoc_opt x named with Some i -> Slot i | None -> Unbound x)
+    | Paren r -> node r
+    | Path { p_recv; p_sep = Dot; p_meth; p_args } ->
+      let recv = node p_recv in
+      let meth = node p_meth in
+      Link { recv; meth; args = List.map node p_args }
+    | Path { p_sep = Dotdot; _ } ->
+      (* a well-formed head is scalar, so set-valued paths cannot occur in
+         located positions *)
+      Invalid "Head.execute: set-valued path in a located position"
+    | Regex _ ->
+      (* rejected by Wellformed (PL019): a regular path denotes a set and
+         cannot be asserted *)
+      Invalid "Head.execute: regular path in a rule head"
+    | Isa { recv; cls } ->
+      let recv = node recv in
+      Isa (recv, node cls)
+    | Filter { f_recv; f_meth; f_args; f_rhs } ->
+      let recv = node f_recv in
+      let meth = node f_meth in
+      let args = List.map node f_args in
+      let rhs =
+        match f_rhs with
+        | Rscalar r -> Scalar (node r)
+        | Rset_enum es -> Enum (List.map node es)
+        | Rset_ref s -> Ref (s, named)
+        | Rsig_scalar _ | Rsig_set _ ->
+          Bad_rhs "Head.execute: signature declaration in a rule head"
+      in
+      Filter { recv; meth; args; rhs }
+  in
+  node head
+
+let compile ~named head =
+  match named with
+  | [] -> Ground head
+  | _ :: _ -> Compiled (compile_node ~named head)
+
+let intern store (r : reference) =
+  match r with
+  | Name n -> Store.name store n
+  | Int_lit n -> Store.int store n
+  | Str_lit s -> Store.str store s
+  | Var _ | Paren _ | Path _ | Regex _ | Filter _ | Isa _ -> assert false
+
 (* Raised in a read-only walk at a path to an object never created. *)
 exception Never_created
 
@@ -21,11 +101,11 @@ exception Never_created
    its paths find to objects other than their own virtual ones. *)
 type found = { mutable heads : Fact.t list; mutable relied : Fact.t list }
 
-(* One walk over a head under [env]. Without [found] it writes through
-   the store; with it, it only reads the store and collects into it, and a
-   fact about an object never created is skipped. *)
-let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
-  let self_id = Store.name store "self" in
+(* One run of a compiled head under [binding]. Without [found] it writes
+   through the store; with it, it only reads the store and collects into
+   it, and a fact about an object never created is skipped. *)
+let walk ?found ?(on_insert = fun _ -> ()) store ~binding ~rule ~changes h =
+  let self_id = Store.self_id store in
   let collect f = Option.iter (fun d -> d.heads <- f :: d.heads) found in
   let inserted f =
     incr changes;
@@ -34,8 +114,8 @@ let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
   let add_scalar ~meth ~recv ~args ~res =
     if Option.is_some found then
       collect (Fact.F_scalar { meth; recv; args; res })
-    else if Oodb.Obj_id.equal meth self_id then (
-      if not (Oodb.Obj_id.equal recv res) then raise Err.Reserved_self)
+    else if Obj_id.equal meth self_id then (
+      if not (Obj_id.equal recv res) then raise Err.Reserved_self)
     else
       match Store.add_scalar store ~meth ~recv ~args ~res with
       | Added -> inserted (Fact.F_scalar { meth; recv; args; res })
@@ -54,7 +134,7 @@ let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
   in
   let add_set ~meth ~recv ~args ~res =
     if Option.is_some found then collect (Fact.F_set { meth; recv; args; res })
-    else if Oodb.Obj_id.equal meth self_id then raise Err.Reserved_self
+    else if Obj_id.equal meth self_id then raise Err.Reserved_self
     else
       match Store.add_set store ~meth ~recv ~args ~res with
       | SAdded -> inserted (Fact.F_set { meth; recv; args; res })
@@ -85,8 +165,7 @@ let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
       match
         (lookup, Oodb.Universe.find_skolem (Store.universe store) ~meth ~recv ~args)
       with
-      | (Some res, Some sk | None, Some (sk as res)) when Oodb.Obj_id.equal res sk
-        ->
+      | (Some res, Some sk | None, Some (sk as res)) when Obj_id.equal res sk ->
         add_scalar ~meth ~recv ~args ~res:sk;
         sk
       | Some res, _ ->
@@ -94,66 +173,64 @@ let walk ?found ?(on_insert = fun _ -> ()) store ~env ~rule ~changes head =
         res
       | None, _ -> raise Never_created)
   in
-  let rec locate (t : reference) : Oodb.Obj_id.t =
-    match t with
-    | Name n -> Store.name store n
-    | Int_lit n -> Store.int store n
-    | Str_lit s -> Store.str store s
-    | Var x -> (
-      match Semantics.Valuation.Env.find_opt x env with
-      | Some o -> o
-      | None -> raise (Semantics.Valuation.Unbound_variable x))
-    | Paren t' -> locate t'
-    | Path { p_recv; p_sep = Dot; p_meth; p_args } ->
-      let recv = locate p_recv in
-      let meth = locate p_meth in
-      if Oodb.Obj_id.equal meth self_id && p_args = [] then recv
-      else link ~meth ~recv ~args:(List.map locate p_args)
-    | Path { p_sep = Dotdot; _ } ->
-      (* a well-formed head is scalar, so set-valued paths cannot occur in
-         located positions *)
-      invalid_arg "Head.execute: set-valued path in a located position"
-    | Regex _ ->
-      (* rejected by Wellformed (PL019): a regular path denotes a set and
-         cannot be asserted *)
-      invalid_arg "Head.execute: regular path in a rule head"
-    | Isa { recv; cls } ->
+  let rec locate = function
+    | Const c ->
+      if c.c_id < 0 then c.c_id <- intern store c.c_ref;
+      c.c_id
+    | Slot i -> binding.(i)
+    | Unbound x -> raise (Semantics.Valuation.Unbound_variable x)
+    | Link { recv; meth; args } ->
+      let recv = locate recv in
+      let meth = locate meth in
+      if Obj_id.equal meth self_id && args = [] then recv
+      else link ~meth ~recv ~args:(List.map locate args)
+    | Isa (recv, cls) ->
       let o = locate recv in
       (try add_isa o (locate cls) with Never_created -> ());
       o
-    | Filter { f_recv; f_meth; f_args; f_rhs } ->
-      let recv = locate f_recv in
-      let meth = locate f_meth in
-      let args = List.map locate f_args in
-      (match f_rhs with
-      | Rscalar rhs -> (
+    | Filter { recv; meth; args; rhs } ->
+      let recv = locate recv in
+      let meth = locate meth in
+      let args = List.map locate args in
+      (match rhs with
+      | Scalar rhs -> (
         try add_scalar ~meth ~recv ~args ~res:(locate rhs)
         with Never_created -> ())
-      | Rset_enum elems ->
+      | Enum elems ->
         List.iter
           (fun e ->
             try add_set ~meth ~recv ~args ~res:(locate e)
             with Never_created -> ())
           elems
-      | Rset_ref s ->
-        Oodb.Obj_id.Set.iter
+      | Ref (s, named) ->
+        let env =
+          Semantics.Valuation.env_of_list
+            (List.map (fun (x, i) -> (x, binding.(i))) named)
+        in
+        Obj_id.Set.iter
           (fun res -> add_set ~meth ~recv ~args ~res)
           (Semantics.Valuation.eval store env s)
-      | Rsig_scalar _ | Rsig_set _ ->
-        invalid_arg "Head.execute: signature declaration in a rule head");
+      | Bad_rhs msg -> invalid_arg msg);
       recv
+    | Invalid msg -> invalid_arg msg
   in
-  locate head
+  locate
+    (match h with
+    | Compiled root -> root
+    | Ground head -> compile_node ~named:[] head)
 
-let execute ?on_insert store ~env ~rule ~changes head =
+let execute ?on_insert store ~binding ~rule ~changes h =
   write_faults ();
-  walk ?on_insert store ~env ~rule ~changes head
+  walk ?on_insert store ~binding ~rule ~changes h
 
-let asserts store ~env head =
+(* read-only, nothing is inserted and no conflict is raised *)
+let no_rule = fact (Name "_")
+
+let asserts store ~binding h =
   let found = { heads = []; relied = [] } in
   (try
      ignore
-       (walk ~found store ~env ~rule:(fact head) ~changes:(ref 0) head
-         : Oodb.Obj_id.t)
+       (walk ~found store ~binding ~rule:no_rule ~changes:(ref 0) h
+         : Obj_id.t)
    with Never_created -> ());
   (found.heads, found.relied)

@@ -15,10 +15,13 @@ type event = {
   e_message : string option;
 }
 
+type compiled_action = Run of Head.t | Say of string
+
 type compiled = {
   rule : prule;
   order : int;  (* declaration order, for conflict resolution *)
   body : Semantics.Ir.query;
+  actions : compiled_action list;  (* heads compiled against [body] *)
   as_ast : Syntax.Ast.rule;  (* for head execution error context *)
 }
 
@@ -59,10 +62,17 @@ let create store rules =
     List.mapi
       (fun order rule ->
         check_rule_syntax rule;
+        let body = Semantics.Flatten.literals store rule.condition in
         {
           rule;
           order;
-          body = Semantics.Flatten.literals store rule.condition;
+          body;
+          actions =
+            List.map
+              (function
+                | Assert h -> Run (Head.compile ~named:body.named h)
+                | Message m -> Say m)
+              rule.actions;
           as_ast =
             {
               Syntax.Ast.head =
@@ -98,26 +108,19 @@ let find_instantiation t (c : compiled) =
 
 let fire t (c : compiled) binding key =
   Hashtbl.add t.fired key ();
-  let env =
-    List.fold_left
-      (fun env (name, slot) ->
-        Semantics.Valuation.Env.add name binding.(slot) env)
-      Semantics.Valuation.Env.empty c.body.named
-  in
   let bindings =
     List.map (fun (name, slot) -> (name, binding.(slot))) c.body.named
   in
   List.iter
-    (fun action ->
-      match action with
-      | Assert head ->
+    (function
+      | Run head ->
         let changes = ref 0 in
-        ignore (Head.execute t.store ~env ~rule:c.as_ast ~changes head)
-      | Message m ->
+        ignore (Head.execute t.store ~binding ~rule:c.as_ast ~changes head)
+      | Say m ->
         t.events <-
           { e_rule = c.rule.p_name; e_bindings = bindings; e_message = Some m }
           :: t.events)
-    c.rule.actions;
+    c.actions;
   t.events <-
     { e_rule = c.rule.p_name; e_bindings = bindings; e_message = None }
     :: t.events

@@ -131,10 +131,11 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
 let create ?config statements =
   create_spanned ?config (List.map (fun s -> (s, None)) statements)
 
+let of_spanned ?config spanned =
+  create_spanned ?config (List.map (fun (s, sp) -> (s, Some sp)) spanned)
+
 let of_string ?config text =
-  parsed Syntax.Parser.program_spanned text
-  |> List.map (fun (s, sp) -> (s, Some sp))
-  |> create_spanned ?config
+  of_spanned ?config (parsed Syntax.Parser.program_spanned text)
 
 let store t = t.store
 let config t = t.config
@@ -171,14 +172,12 @@ let materialised t = Atomic.get t.materialised
 
 let provenance t = t.provenance
 
-(* Execute a ground fact into the store, recorded as extensional;
-   returns the number of new tuples. *)
-let insert_fact t (fact : Ast.rule) =
+(* Execute a ground fact's compiled head into the store, recorded as
+   extensional; returns the number of new tuples. *)
+let insert_fact t ~rule head =
   let changes = ref 0 in
   let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
-  ignore
-    (Head.execute ~on_insert t.store ~env:Semantics.Valuation.Env.empty
-       ~rule:fact ~changes fact.head);
+  ignore (Head.execute ~on_insert t.store ~binding:[||] ~rule ~changes head);
   !changes
 
 (* Execute the fact statements only (they are ground); idempotent. *)
@@ -187,7 +186,8 @@ let load_facts t =
     t.facts_loaded <- true;
     List.iter
       (fun (r : Rule.t) ->
-        if r.source.body = [] then ignore (insert_fact t r.source))
+        if r.source.body = [] then
+          ignore (insert_fact t ~rule:r.source r.head))
       t.rules
   end
 
@@ -313,7 +313,10 @@ let demand_fixpoint ?budget t (d : Demand.t) =
   load_facts t;
   let sh = shape_for t d in
   let from = sh.mark in
-  List.iter (fun seed -> ignore (insert_fact t seed)) d.seeds;
+  List.iter
+    (fun (seed : Ast.rule) ->
+      ignore (insert_fact t ~rule:seed (Head.compile ~named:[] seed.head)))
+    d.seeds;
   let stats =
     Fixpoint.run ~config:(budgeted ?budget t) ~provenance:t.provenance
       ~plans:t.plans ?from t.store sh.compiled.strat

@@ -26,6 +26,12 @@ val create :
 
 val of_string : ?config:Fixpoint.config -> string -> t
 
+(** {!of_string} of statements already parsed, with their spans. *)
+val of_spanned :
+  ?config:Fixpoint.config ->
+  (Syntax.Ast.statement * Syntax.Token.span) list ->
+  t
+
 (** Load one extracted signature declaration (see
     {!Syntax.Wellformed.signature_of_statement}) into a signature table.
     Exposed for the static-analysis driver, which collects diagnostics

@@ -62,7 +62,7 @@ let isa_support store o c =
 
 (* The ground facts one solution of a rule body rests on. *)
 let body_facts store (q : Ir.query) binding =
-  let self_id = Oodb.Store.name store "self" in
+  let self_id = Oodb.Store.self_id store in
   let deref = function
     | Ir.Const o -> o
     | Ir.V i -> binding.(i)
@@ -130,15 +130,27 @@ let rec explain ?(max_depth = 64) ?interrupt store t fact =
     in
     Some { fact; source; support }
 
-let pp_proof u ppf proof =
-  let rec go indent ppf p =
-    Format.fprintf ppf "%s%a" indent (Fact.pp u) p.fact;
+(* One line per proof node, preorder, children indented two spaces: the
+   fact, then "(fact)" or "(by <rule>)". *)
+let proof_lines u proof =
+  let b = Buffer.create 128 and lines = ref [] in
+  let rec go indent p =
+    Buffer.clear b;
+    Buffer.add_string b indent;
+    Fact.add u b p.fact;
     (match p.source with
-    | Extensional -> Format.fprintf ppf "   (fact)"
+    | Extensional -> Buffer.add_string b "   (fact)"
     | Derived { rule; _ } ->
-      Format.fprintf ppf "   (by %a)" Syntax.Pretty.pp_rule rule.source);
-    List.iter
-      (fun child -> Format.fprintf ppf "@,%a" (go (indent ^ "  ")) child)
-      p.support
+      Buffer.add_string b "   (by ";
+      Syntax.Pretty.add_rule b rule.source;
+      Buffer.add_char b ')');
+    lines := Buffer.contents b :: !lines;
+    List.iter (go (indent ^ "  ")) p.support
   in
-  Format.fprintf ppf "@[<v>%a@]" (go "") proof
+  go "" proof;
+  List.rev !lines
+
+let pp_proof u ppf proof =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Format.pp_print_string)
+    (proof_lines u proof)

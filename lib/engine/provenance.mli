@@ -73,4 +73,10 @@ val explain :
     {!Semantics.Solve.iter}); proof reconstruction replays rule bodies,
     so it too must be killable mid-flight. *)
 
+(** The proof tree as text, one line per node in preorder, each child
+    two spaces deeper than its parent: the fact ({!Fact.add}), then
+    ["   (fact)"] for a leaf or ["   (by <rule>)"] for a derivation. *)
+val proof_lines : Oodb.Universe.t -> proof -> string list
+
+(** {!proof_lines} in a vertical box. *)
 val pp_proof : Oodb.Universe.t -> Format.formatter -> proof -> unit

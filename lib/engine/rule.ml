@@ -7,6 +7,7 @@ type t = {
   origin : Syntax.Ast.rule option;
   span : Syntax.Token.span option;
   body : Ir.query;
+  head : Head.t;
   defines : Ir.rel list;
   reads : Ir.rel list;
   head_reads : Ir.rel list;
@@ -200,6 +201,7 @@ let compile ?span ?origin store (rule : Syntax.Ast.rule) : t =
     origin;
     span;
     body;
+    head = Head.compile ~named:body.named rule.head;
     defines;
     reads;
     head_reads;

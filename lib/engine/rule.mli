@@ -16,6 +16,9 @@ type t = {
           came from text (diagnostics anchor on it); transforms propagate
           the originating rule's span *)
   body : Semantics.Ir.query;
+  head : Head.t;
+      (** the source head compiled against [body]'s binding slots; every
+          firing runs it *)
   defines : Semantics.Ir.rel list;
       (** relations the head may insert into (skolemised paths included) *)
   reads : Semantics.Ir.rel list;

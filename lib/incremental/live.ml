@@ -17,7 +17,6 @@ module Store = Oodb.Store
 module Obj_id = Oodb.Obj_id
 module Ir = Semantics.Ir
 module Solve = Semantics.Solve
-module Env = Semantics.Valuation.Env
 module Program = Engine.Program
 module Rule = Engine.Rule
 module Stratify = Engine.Stratify
@@ -185,10 +184,6 @@ let refresh t ctx =
    solved whole; one whose head path steps along a link's method, with
    that path's receiver bound. *)
 
-let env_of (body : Ir.query) b =
-  List.fold_left (fun env (x, slot) -> Env.add x b.(slot) env) Env.empty
-    body.named
-
 (* Extend slot bindings so each term denotes its object, if they can. *)
 let unify_into b pairs =
   List.fold_left
@@ -277,7 +272,7 @@ let consequences t ~evals f =
         incr evals;
         Solve.iter ~bindings t.store r.body ~f:(fun b ->
             let hs, relied =
-              Head.asserts t.store ~env:(env_of r.body b) r.source.head
+              Head.asserts t.store ~binding:b r.head
             in
             if List.exists (Fact.equal f) relied then
               refire := { Provenance.rule = r; binding = b } :: !refire;
@@ -351,7 +346,7 @@ let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok f =
     let vetted = not (strict && head_sets r) in
     let accept b body =
       let heads, relied =
-        Head.asserts t.store ~env:(env_of r.body b) r.source.head
+        Head.asserts t.store ~binding:b r.head
       in
       List.exists (Fact.equal f) heads
       && ((vetted && List.for_all ok body && List.for_all ok relied)
@@ -460,8 +455,7 @@ let backward_forward t ctx lost =
          ~on_insert:(fun f ->
            Provenance.record prov f (Provenance.Derived d);
            note_insert ctx f)
-         t.store ~env:(env_of d.rule.body d.binding) ~rule:d.rule.source
-         ~changes d.rule.source.head
+         t.store ~binding:d.binding ~rule:d.rule.source ~changes d.rule.head
         : Obj_id.t)
   in
   List.iter
@@ -532,14 +526,15 @@ let gate_triggered ~rules ~seed_rels =
    what it finds, and the links it relies on. *)
 let edb_insert t ctx (head : Ast.reference) =
   let prov = Program.provenance t.p in
+  let compiled = Head.compile ~named:[] head in
   ignore
     (Head.execute
        ~on_insert:(fun f ->
          Provenance.record prov f Provenance.Extensional;
          note_insert ctx f)
-       t.store ~env:Env.empty ~rule:(Ast.fact head) ~changes:(ref 0) head
+       t.store ~binding:[||] ~rule:(Ast.fact head) ~changes:(ref 0) compiled
       : Obj_id.t);
-  let heads, relied = Head.asserts t.store ~env:Env.empty head in
+  let heads, relied = Head.asserts t.store ~binding:[||] compiled in
   List.iter
     (fun f ->
       bump t.edb f 1;

@@ -28,6 +28,8 @@ type mkey = Obj_id.t * Obj_id.t * Obj_id.t list (* meth, recv, args *)
    far below 2^31 even in soak runs, so the two halves never collide. *)
 let pack a b = (a lsl 31) lor b
 
+module Int_tbl = Obj_id.Int_tbl
+
 type t = {
   universe : Universe.t;
   (* class hierarchy: direct edges of the partial order, both directions.
@@ -49,27 +51,28 @@ type t = {
   (* scalar methods: 0-ary tuples (the common case) live in [scalar0]
      under a packed (meth, recv) int key; tuples with extra arguments in
      [scalar] under the full mkey *)
-  scalar0 : (int, Obj_id.t) Hashtbl.t;
+  scalar0 : Obj_id.t Int_tbl.t;
   scalar : (mkey, Obj_id.t) Hashtbl.t;
   scalar_buckets : mentry Vec.t Obj_id.Tbl.t;
-  scalar_inv : ((Obj_id.t * Obj_id.t), mentry Vec.t) Hashtbl.t;
-  scalar_recv : (int, mentry Vec.t) Hashtbl.t;
+  scalar_inv : mentry Vec.t Int_tbl.t;  (* by [pack meth res] *)
+  scalar_recv : mentry Vec.t Int_tbl.t;  (* by [pack meth recv] *)
   scalar_recv_counts : int Obj_id.Tbl.t;
       (* distinct receivers per method, for planner selectivity *)
   scalar_res_counts : int Obj_id.Tbl.t;
       (* distinct results per method: the inverse index's key count *)
   mutable scalar_meth_list : Obj_id.t list;
   (* set-valued methods, same layout *)
-  set0 : (int, Obj_id.Set.t ref) Hashtbl.t;
+  set0 : Obj_id.Set.t ref Int_tbl.t;
   set_members : (mkey, Obj_id.Set.t ref) Hashtbl.t;
   set_buckets : mentry Vec.t Obj_id.Tbl.t;
-  set_inv : ((Obj_id.t * Obj_id.t), mentry Vec.t) Hashtbl.t;
-  set_recv : (int, mentry Vec.t) Hashtbl.t;
+  set_inv : mentry Vec.t Int_tbl.t;
+  set_recv : mentry Vec.t Int_tbl.t;
   set_recv_counts : int Obj_id.Tbl.t;
   set_res_counts : int Obj_id.Tbl.t;
   set_live : int Obj_id.Tbl.t;  (* live tuples per method *)
   mutable set_meth_list : Obj_id.t list;
   mutable tuple_count : int;  (* isa edges + scalar + set tuples *)
+  mutable self : Obj_id.t;  (* the built-in [self], or -1 until asked for *)
   mutable epoch : int;
       (* monotonic data version: bumped on every actual insertion and
          removal (never on duplicates or misses), so readers can tell
@@ -88,24 +91,25 @@ let create () =
     class_seen = Obj_id.Tbl.create 16;
     up_cache = Obj_id.Tbl.create 64;
     down_cache = Obj_id.Tbl.create 64;
-    scalar0 = Hashtbl.create 256;
+    scalar0 = Int_tbl.create 256;
     scalar = Hashtbl.create 64;
     scalar_buckets = Obj_id.Tbl.create 32;
-    scalar_inv = Hashtbl.create 256;
-    scalar_recv = Hashtbl.create 256;
+    scalar_inv = Int_tbl.create 256;
+    scalar_recv = Int_tbl.create 256;
     scalar_recv_counts = Obj_id.Tbl.create 32;
     scalar_res_counts = Obj_id.Tbl.create 32;
     scalar_meth_list = [];
-    set0 = Hashtbl.create 256;
+    set0 = Int_tbl.create 256;
     set_members = Hashtbl.create 64;
     set_buckets = Obj_id.Tbl.create 32;
-    set_inv = Hashtbl.create 256;
-    set_recv = Hashtbl.create 256;
+    set_inv = Int_tbl.create 256;
+    set_recv = Int_tbl.create 256;
     set_recv_counts = Obj_id.Tbl.create 32;
     set_res_counts = Obj_id.Tbl.create 32;
     set_live = Obj_id.Tbl.create 32;
     set_meth_list = [];
     tuple_count = 0;
+    self = -1;
     epoch = 0;
   }
 
@@ -113,6 +117,18 @@ let universe st = st.universe
 let name st s = Universe.name st.universe s
 let int st n = Universe.int st.universe n
 let str st s = Universe.str st.universe s
+
+(* Interned on first use, where every [name st "self"] it replaces
+   interned it, so object numbering is unchanged. Racing first calls
+   intern the same id. *)
+let self_id st =
+  if st.self >= 0 then st.self
+  else begin
+    let id = name st "self" in
+    st.self <- id;
+    id
+  end
+
 let size st = st.tuple_count
 let epoch st = st.epoch
 
@@ -254,33 +270,23 @@ let keys counts meth =
 
 let bump counts meth = Obj_id.Tbl.replace counts meth (1 + keys counts meth)
 
-(* Push into the (meth, res) inverse index, counting distinct results per
-   method the first time a pair appears. *)
-let inv_push tbl counts ~meth ~res entry =
-  match Hashtbl.find_opt tbl (meth, res) with
+(* Push into a packed (meth, obj) index — the inverse index by result or
+   the secondary index by receiver — counting distinct objects per method
+   the first time a pair appears. *)
+let index_push tbl counts ~meth obj entry =
+  let key = pack meth obj in
+  match Int_tbl.find_opt tbl key with
   | Some v -> Vec.push v entry
   | None ->
     let v = Vec.create () in
     Vec.push v entry;
-    Hashtbl.add tbl (meth, res) v;
-    bump counts meth
-
-(* Push into the (meth, recv) secondary index, counting distinct receivers
-   per method the first time a pair appears. *)
-let recv_push tbl counts ~meth ~recv entry =
-  let key = pack meth recv in
-  match Hashtbl.find_opt tbl key with
-  | Some v -> Vec.push v entry
-  | None ->
-    let v = Vec.create () in
-    Vec.push v entry;
-    Hashtbl.add tbl key v;
+    Int_tbl.add tbl key v;
     bump counts meth
 
 let add_scalar st ~meth ~recv ~args ~res =
   let existing =
     match args with
-    | [] -> Hashtbl.find_opt st.scalar0 (pack meth recv)
+    | [] -> Int_tbl.find_opt st.scalar0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
   in
   match existing with
@@ -288,21 +294,21 @@ let add_scalar st ~meth ~recv ~args ~res =
     if Obj_id.equal existing res then Duplicate else Conflict existing
   | None ->
     (match args with
-    | [] -> Hashtbl.add st.scalar0 (pack meth recv) res
+    | [] -> Int_tbl.add st.scalar0 (pack meth recv) res
     | _ -> Hashtbl.add st.scalar (meth, recv, args) res);
     let entry = { recv; args; res; dead = max_int } in
     let b = bucket st.scalar_buckets meth in
     if Vec.length b = 0 then st.scalar_meth_list <- meth :: st.scalar_meth_list;
     Vec.push b entry;
-    inv_push st.scalar_inv st.scalar_res_counts ~meth ~res entry;
-    recv_push st.scalar_recv st.scalar_recv_counts ~meth ~recv entry;
+    index_push st.scalar_inv st.scalar_res_counts ~meth res entry;
+    index_push st.scalar_recv st.scalar_recv_counts ~meth recv entry;
     st.tuple_count <- st.tuple_count + 1;
     st.epoch <- st.epoch + 1;
     Added
 
 let scalar_lookup st ~meth ~recv ~args =
   match args with
-  | [] -> Hashtbl.find_opt st.scalar0 (pack meth recv)
+  | [] -> Int_tbl.find_opt st.scalar0 (pack meth recv)
   | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
 
 let scalar_bucket st meth =
@@ -311,12 +317,12 @@ let scalar_bucket st meth =
   | None -> empty_bucket
 
 let scalar_inverse st ~meth ~res =
-  match Hashtbl.find_opt st.scalar_inv (meth, res) with
+  match Int_tbl.find_opt st.scalar_inv (pack meth res) with
   | Some v -> v
   | None -> empty_bucket
 
 let scalar_recv_index st ~meth ~recv =
-  match Hashtbl.find_opt st.scalar_recv (pack meth recv) with
+  match Int_tbl.find_opt st.scalar_recv (pack meth recv) with
   | Some v -> v
   | None -> empty_bucket
 
@@ -331,11 +337,11 @@ let add_set st ~meth ~recv ~args ~res =
     match args with
     | [] -> (
       let key = pack meth recv in
-      match Hashtbl.find_opt st.set0 key with
+      match Int_tbl.find_opt st.set0 key with
       | Some r -> r
       | None ->
         let r = ref Obj_id.Set.empty in
-        Hashtbl.add st.set0 key r;
+        Int_tbl.add st.set0 key r;
         r)
     | _ -> (
       let key = (meth, recv, args) in
@@ -353,8 +359,8 @@ let add_set st ~meth ~recv ~args ~res =
     let b = bucket st.set_buckets meth in
     if Vec.length b = 0 then st.set_meth_list <- meth :: st.set_meth_list;
     Vec.push b entry;
-    inv_push st.set_inv st.set_res_counts ~meth ~res entry;
-    recv_push st.set_recv st.set_recv_counts ~meth ~recv entry;
+    index_push st.set_inv st.set_res_counts ~meth res entry;
+    index_push st.set_recv st.set_recv_counts ~meth recv entry;
     bump st.set_live meth;
     st.tuple_count <- st.tuple_count + 1;
     st.epoch <- st.epoch + 1;
@@ -364,7 +370,7 @@ let add_set st ~meth ~recv ~args ~res =
 let set_lookup st ~meth ~recv ~args =
   let found =
     match args with
-    | [] -> Hashtbl.find_opt st.set0 (pack meth recv)
+    | [] -> Int_tbl.find_opt st.set0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
   in
   match found with Some r -> !r | None -> Obj_id.Set.empty
@@ -375,12 +381,12 @@ let set_bucket st meth =
   | None -> empty_bucket
 
 let set_inverse st ~meth ~res =
-  match Hashtbl.find_opt st.set_inv (meth, res) with
+  match Int_tbl.find_opt st.set_inv (pack meth res) with
   | Some v -> v
   | None -> empty_bucket
 
 let set_recv_index st ~meth ~recv =
-  match Hashtbl.find_opt st.set_recv (pack meth recv) with
+  match Int_tbl.find_opt st.set_recv (pack meth recv) with
   | Some v -> v
   | None -> empty_bucket
 
@@ -425,7 +431,7 @@ let remove_scalar st ~meth ~recv ~args ~res =
     | None -> false
     | Some e ->
       (match args with
-      | [] -> Hashtbl.remove st.scalar0 (pack meth recv)
+      | [] -> Int_tbl.remove st.scalar0 (pack meth recv)
       | _ -> Hashtbl.remove st.scalar (meth, recv, args));
       stamp st e;
       true)
@@ -434,7 +440,7 @@ let remove_scalar st ~meth ~recv ~args ~res =
 let remove_set st ~meth ~recv ~args ~res =
   let set =
     match args with
-    | [] -> Hashtbl.find_opt st.set0 (pack meth recv)
+    | [] -> Int_tbl.find_opt st.set0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
   in
   match set with
@@ -568,7 +574,7 @@ let check_invariants st =
         (scalar_bucket st m))
     (scalar_meths st);
   let scalar_primary_count =
-    Hashtbl.length st.scalar0 + Hashtbl.length st.scalar
+    Int_tbl.length st.scalar0 + Hashtbl.length st.scalar
   in
   if scalar_primary_count <> !scalar_bucket_count then
     problem "scalar primary has %d entries but buckets have %d live"
@@ -598,7 +604,7 @@ let check_invariants st =
         (set_bucket st m))
     (set_meths st);
   let member_total =
-    Hashtbl.fold (fun _ s acc -> acc + Obj_id.Set.cardinal !s) st.set0 0
+    Int_tbl.fold (fun _ s acc -> acc + Obj_id.Set.cardinal !s) st.set0 0
     + Hashtbl.fold
         (fun _ s acc -> acc + Obj_id.Set.cardinal !s)
         st.set_members 0
@@ -611,7 +617,7 @@ let check_invariants st =
   let check_recv what recv_tbl counts bucket_count =
     let index_total = ref 0 in
     let per_meth = Obj_id.Tbl.create 16 in
-    Hashtbl.iter
+    Int_tbl.iter
       (fun key v ->
         index_total := !index_total + Vec.length v;
         let m = key lsr 31 in
@@ -640,7 +646,7 @@ let check_invariants st =
      key populations, in both directions *)
   let check_res what inv_tbl counts =
     let per_meth = Obj_id.Tbl.create 16 in
-    Hashtbl.iter (fun (m, _) _ -> bump per_meth m) inv_tbl;
+    Int_tbl.iter (fun key _ -> bump per_meth (key lsr 31)) inv_tbl;
     let audit m =
       let counted = keys counts m and actual = keys per_meth m in
       if counted <> actual then

@@ -48,6 +48,15 @@ val int : t -> int -> Obj_id.t
 
 val str : t -> string -> Obj_id.t
 
+(** [pack a b] is the pair of two non-negative ints below [2^31] as one
+    immediate int ([a] in the high half): the key of the store's
+    (method, object) indexes, for an {!Obj_id.Int_tbl}. *)
+val pack : int -> int -> int
+
+(** The built-in method [self], interned on the first call and cached:
+    what [name st "self"] returns, without the universe's lock. *)
+val self_id : t -> Obj_id.t
+
 (** {1 Class hierarchy / membership}
 
     One relation, as in the paper: [o : c] and [c :: c'] both assert an edge

@@ -1,4 +1,5 @@
 module Store = Oodb.Store
+module Int_tbl = Oodb.Obj_id.Int_tbl
 module Set = Oodb.Obj_id.Set
 
 type seed = { seed_atom : int; seed_from : int }
@@ -228,7 +229,7 @@ let compile_plan ?(bindings = []) ?seed_atom store (q : Ir.query) =
   in
   let plan_perm =
     rank ~skip:plan_seed store
-      ~self_id:(Store.name store "self")
+      ~self_id:(Store.self_id store)
       ~bound atoms
   in
   { plan_seed; plan_perm; plan_size = Store.size store }
@@ -438,12 +439,13 @@ let regex_rstep ctx (lbl : Ir.label) obj f =
    Objects are deduplicated on emission: a pair may be reached through
    many accepting states but each endpoint object is one solution. *)
 let regex_bfs ctx ~init ~next ~emits emit =
-  let visited = Hashtbl.create 64 in
-  let emitted = Hashtbl.create 16 in
+  let visited = Int_tbl.create 64 in
+  let emitted = Int_tbl.create 16 in
   let queue = Queue.create () in
   let push obj q =
-    if not (Hashtbl.mem visited (obj, q)) then begin
-      Hashtbl.add visited (obj, q) ();
+    let key = Store.pack obj q in
+    if not (Int_tbl.mem visited key) then begin
+      Int_tbl.add visited key ();
       Queue.add (obj, q) queue
     end
   in
@@ -452,8 +454,8 @@ let regex_bfs ctx ~init ~next ~emits emit =
     let obj, q = Queue.pop queue in
     Atomic.incr product_states_expanded;
     tick ctx;
-    if emits q && not (Hashtbl.mem emitted obj) then begin
-      Hashtbl.add emitted obj ();
+    if emits q && not (Int_tbl.mem emitted obj) then begin
+      Int_tbl.add emitted obj ();
       emit obj
     end;
     next obj q push
@@ -661,7 +663,7 @@ let no_interrupt () = ()
 let make_ctx ~hilog_virtual ~interrupt store (q : Ir.query) =
   {
     store;
-    self_id = Store.name store "self";
+    self_id = Store.self_id store;
     binding = Array.make q.nvars None;
     hilog_virtual;
     steps = 0;
@@ -726,13 +728,23 @@ let iter ?(hilog_virtual = false) ?(interrupt = no_interrupt) ?(bindings = [])
       exec_seeded ctx atoms.(seed_atom) seed_from rest
   with Stopped -> ()
 
+(* Answer rows: object lists under a monomorphic hash and equality. *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = Oodb.Obj_id.t list
+
+  let equal = List.equal Int.equal
+
+  let hash row =
+    List.fold_left (fun h o -> (h * 0x2F0B3A49) + o) 17 row land max_int
+end)
+
 let named_solutions ?interrupt ?limit store (q : Ir.query) =
-  let seen = Hashtbl.create 64 in
+  let seen = Row_tbl.create 64 in
   let acc = ref [] in
   iter ?interrupt ?limit store q ~f:(fun binding ->
       let row = List.map (fun (_, i) -> binding.(i)) q.named in
-      if not (Hashtbl.mem seen row) then begin
-        Hashtbl.add seen row ();
+      if not (Row_tbl.mem seen row) then begin
+        Row_tbl.add seen row ();
         acc := row :: !acc
       end);
   List.rev !acc
@@ -758,7 +770,7 @@ let explain ?predicted ?(bindings = []) store (q : Ir.query) =
   let bound = Array.make (max q.nvars 1) false in
   List.iter (fun (slot, _) -> bound.(slot) <- true) bindings;
   let is_bound = function Ir.Const _ -> true | Ir.V i -> bound.(i) in
-  let self_id = Store.name store "self" in
+  let self_id = Store.self_id store in
   let describe (a : Ir.atom) =
     let app_path which (app : Ir.app) =
       let kind = match which with `Scalar -> "scalar" | `Set -> "set" in

@@ -17,7 +17,7 @@ let rec product = function
     Set.fold (fun x acc -> List.map (fun t -> x :: t) tails @ acc) s []
 
 let rec eval store env (t : reference) : Set.t =
-  let self_id = Oodb.Store.name store "self" in
+  let self_id = Oodb.Store.self_id store in
   match t with
   | Name n -> Set.singleton (Oodb.Store.name store n)
   | Int_lit n -> Set.singleton (Oodb.Store.int store n)

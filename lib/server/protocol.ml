@@ -96,21 +96,31 @@ type reply =
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
+let breaks_line l = String.exists (function '\n' | '\r' -> true | _ -> false) l
+
 (* Payload lines with embedded newlines become several frame lines, keeping
-   the OK count honest. *)
+   the OK count honest; a carriage return becomes a space. Lines that hold
+   neither, which is every line a query or proof renders, pass through
+   uncopied. *)
 let flatten_payload lines =
-  List.concat_map
-    (fun l ->
-      match String.split_on_char '\n' l with
-      | [] -> [ "" ]
-      | parts -> List.map (String.map (function '\r' -> ' ' | c -> c)) parts)
-    lines
+  if not (List.exists breaks_line lines) then lines
+  else
+    List.concat_map
+      (fun l ->
+        if not (breaks_line l) then [ l ]
+        else
+          String.split_on_char '\n' l
+          |> List.map (String.map (function '\r' -> ' ' | c -> c)))
+      lines
 
 let render_reply reply =
   let b = Buffer.create 128 in
   let counted header lines =
     let lines = flatten_payload lines in
-    Buffer.add_string b (Printf.sprintf "%s %d\n" header (List.length lines));
+    Buffer.add_string b header;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (string_of_int (List.length lines));
+    Buffer.add_char b '\n';
     List.iter
       (fun l ->
         Buffer.add_string b l;

@@ -340,11 +340,8 @@ let eval_request ?budget t req =
     eval_readonly t ~cache_key:None (fun () ->
         match Program.why_string ?budget t.program q with
         | Some proof ->
-          let u = Program.universe t.program in
-          let text =
-            Format.asprintf "%a" (Engine.Provenance.pp_proof u) proof
-          in
-          Protocol.Ok (String.split_on_char '\n' text)
+          Protocol.Ok
+            (Engine.Provenance.proof_lines (Program.universe t.program) proof)
         | None -> Protocol.Ok [ "not in the model" ])
   | Protocol.Ping | Protocol.Stats | Protocol.Quit | Protocol.Assert _
   | Protocol.Retract _ | Protocol.Subscribe _ ->
@@ -968,8 +965,9 @@ let create ?(config = default_config) ~program addr =
         match r.Durable.r_snapshot with
         | None -> program
         | Some (seq, _epoch, src) -> (
-          match Pathlog_analysis.Check.gate src with
-          | Ok _ -> Program.of_string ~config:(Program.config program) src
+          match Pathlog_analysis.Check.gate_spanned src with
+          | Ok (spanned, _) ->
+            Program.of_spanned ~config:(Program.config program) spanned
           | Error msg ->
             Durable.close d;
             failwith

@@ -6,6 +6,13 @@
     defensively parenthesised, so printing is total even for hand-built
     ASTs. *)
 
+(** The one printer, appending to a buffer; the [pp_] printers and the
+    [_to_string] functions render through it. *)
+
+val add_reference : Buffer.t -> Ast.reference -> unit
+
+val add_rule : Buffer.t -> Ast.rule -> unit
+
 val pp_reference : Format.formatter -> Ast.reference -> unit
 
 val pp_literal : Format.formatter -> Ast.literal -> unit

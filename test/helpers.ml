@@ -43,7 +43,8 @@ let add_fact p text =
     in
     ignore
       (Engine.Head.execute ~on_insert (Pathlog.Program.store p)
-         ~env:Pathlog.Valuation.Env.empty ~rule ~changes rule.head
+         ~binding:[||] ~rule ~changes
+         (Engine.Head.compile ~named:[] rule.head)
         : Pathlog.Obj_id.t)
   | Syntax.Ast.Rule _ | Syntax.Ast.Query _ -> invalid_arg "add_fact"
 

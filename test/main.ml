@@ -29,4 +29,5 @@ let () =
       ("topdown", Test_demand.topdown_suite);
       ("regex", Test_regex.suite);
       ("printers", Test_printers.suite);
+      ("heads", Test_head_oracle.suite);
     ]

@@ -1,5 +1,6 @@
 module Ir = Semantics.Ir
 module Store = Oodb.Store
+module Tbl = Oodb.Obj_id.Tbl
 
 type mode = Naive | Seminaive
 
@@ -67,11 +68,12 @@ let rel_length store = function
 let watermark store =
   let isa = Oodb.Vec.length (Store.isa_log store) in
   let lengths meths bucket =
-    let tbl = Hashtbl.create 32 in
+    let tbl = Tbl.create 32 in
     List.iter
-      (fun m -> Hashtbl.replace tbl m (Oodb.Vec.length (bucket store m)))
+      (fun m ->
+        Tbl.replace tbl m (Oodb.Vec.length (bucket store m)))
       meths;
-    fun m -> Option.value ~default:0 (Hashtbl.find_opt tbl m)
+    fun m -> Option.value ~default:0 (Tbl.find_opt tbl m)
   in
   let sc = lengths (Store.scalar_meths store) Store.scalar_bucket in
   let st = lengths (Store.set_meths store) Store.set_bucket in
@@ -89,16 +91,30 @@ let watermark store =
 
 module Interner = struct
   type t = {
-    ids : (Ir.rel, int) Hashtbl.t;
+    ids : int Tbl.t;  (* [key rel] -> id *)
     mutable rels : Ir.rel array;  (* id -> rel *)
     mutable count : int;
   }
 
   let create () =
-    { ids = Hashtbl.create 64; rels = Array.make 16 Ir.R_any; count = 0 }
+    {
+      ids = Tbl.create 64;
+      rels = Array.make 16 Ir.R_any;
+      count = 0;
+    }
+
+  (* A relation as one int: the object in the high bits, the kind in the
+     low two. *)
+  let key : Ir.rel -> int = function
+    | R_isa -> 0
+    | R_any -> 1
+    | R_scalar m -> (m lsl 2) lor 2
+    | R_set m -> (m lsl 2) lor 3
+    | R_isa_c c -> (c + 1) lsl 2
 
   let intern t r =
-    match Hashtbl.find_opt t.ids r with
+    let k = key r in
+    match Tbl.find_opt t.ids k with
     | Some id -> id
     | None ->
       let id = t.count in
@@ -108,7 +124,7 @@ module Interner = struct
         t.rels <- rels'
       end;
       t.rels.(id) <- r;
-      Hashtbl.add t.ids r id;
+      Tbl.add t.ids k id;
       t.count <- id + 1;
       id
 end
@@ -164,17 +180,16 @@ let crule_of itn (rule : Rule.t) =
    sharing plans: the demand transform compiles its magic and guarded
    rules afresh, so they have uids of their own. *)
 
-module Int_tbl = Oodb.Obj_id.Int_tbl
 
 (* keyed by [Store.pack uid (seed_atom + 1)], 0 for the unseeded plan *)
-type plan_cache = Semantics.Solve.plan Int_tbl.t
+type plan_cache = Semantics.Solve.plan Tbl.t
 
-let plan_cache () : plan_cache = Int_tbl.create 64
+let plan_cache () : plan_cache = Tbl.create 64
 
-let plan_count (cache : plan_cache) = Int_tbl.length cache
+let plan_count (cache : plan_cache) = Tbl.length cache
 
 let forget_plans (cache : plan_cache) uids =
-  Int_tbl.filter_map_inplace
+  Tbl.filter_map_inplace
     (fun key p -> if List.mem (key lsr 31) uids then None else Some p)
     cache
 
@@ -183,7 +198,7 @@ let plan_for (cache : plan_cache) store (rule : Rule.t) seed =
     match seed with Some s -> s.Semantics.Solve.seed_atom | None -> -1
   in
   let key = Store.pack rule.uid (seed_idx + 1) in
-  match Int_tbl.find_opt cache key with
+  match Tbl.find_opt cache key with
   | Some p when not (Semantics.Solve.plan_stale store p) -> p
   | Some _ | None ->
     let p =
@@ -191,7 +206,7 @@ let plan_for (cache : plan_cache) store (rule : Rule.t) seed =
         ?seed_atom:(if seed_idx >= 0 then Some seed_idx else None)
         store rule.body
     in
-    Int_tbl.replace cache key p;
+    Tbl.replace cache key p;
     p
 
 (* The solver-side cooperative hook: polls the budget (cancellation +

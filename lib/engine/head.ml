@@ -101,120 +101,152 @@ exception Never_created
    its paths find to objects other than their own virtual ones. *)
 type found = { mutable heads : Fact.t list; mutable relied : Fact.t list }
 
-(* One run of a compiled head under [binding]. Without [found] it writes
-   through the store; with it, it only reads the store and collects into
-   it, and a fact about an object never created is skipped. *)
+(* One run of a compiled head: the walk's fixed arguments, allocated once
+   per run rather than closed over by each step. *)
+type run = {
+  store : Store.t;
+  binding : Obj_id.t array;
+  found : found option;  (* [Some] for a read-only walk *)
+  on_insert : Fact.t -> unit;
+  changes : int ref;
+  rule : rule;
+  self_id : Obj_id.t;
+}
+
+let collect r f = Option.iter (fun d -> d.heads <- f :: d.heads) r.found
+
+let inserted r f =
+  incr r.changes;
+  r.on_insert f
+
+let add_scalar r ~meth ~recv ~args ~res =
+  if Option.is_some r.found then
+    collect r (Fact.F_scalar { meth; recv; args; res })
+  else if Obj_id.equal meth r.self_id then (
+    if not (Obj_id.equal recv res) then raise Err.Reserved_self)
+  else
+    match Store.add_scalar r.store ~meth ~recv ~args ~res with
+    | Added -> inserted r (Fact.F_scalar { meth; recv; args; res })
+    | Duplicate -> ()
+    | Conflict existing ->
+      raise
+        (Err.Functional_conflict
+           {
+             c_meth = meth;
+             c_recv = recv;
+             c_args = args;
+             existing;
+             proposed = res;
+             rule = Some r.rule;
+           })
+
+let add_set r ~meth ~recv ~args ~res =
+  if Option.is_some r.found then
+    collect r (Fact.F_set { meth; recv; args; res })
+  else if Obj_id.equal meth r.self_id then raise Err.Reserved_self
+  else
+    match Store.add_set r.store ~meth ~recv ~args ~res with
+    | SAdded -> inserted r (Fact.F_set { meth; recv; args; res })
+    | SDuplicate -> ()
+
+let add_isa r o c =
+  if Option.is_some r.found then collect r (Fact.F_isa (o, c))
+  else
+    match Store.add_isa r.store o c with
+    | IAdded -> inserted r (Fact.F_isa (o, c))
+    | IDuplicate -> ()
+    | ICycle -> raise (Err.Isa_cycle (o, c))
+
+(* A path undefined so far denotes a new skolem object; read-only, the
+   link to a path's own virtual object is asserted and a link to another
+   object is relied on. *)
+let link r ~meth ~recv ~args =
+  let u = Store.universe r.store in
+  let lookup = Store.scalar_lookup r.store ~meth ~recv ~args in
+  match r.found with
+  | None -> (
+    match lookup with
+    | Some res -> res
+    | None ->
+      let sk = Oodb.Universe.skolem u ~meth ~recv ~args in
+      add_scalar r ~meth ~recv ~args ~res:sk;
+      sk)
+  | Some d -> (
+    match (lookup, Oodb.Universe.find_skolem u ~meth ~recv ~args) with
+    | (Some res, Some sk | None, Some (sk as res)) when Obj_id.equal res sk ->
+      add_scalar r ~meth ~recv ~args ~res:sk;
+      sk
+    | Some res, _ ->
+      d.relied <- Fact.F_scalar { meth; recv; args; res } :: d.relied;
+      res
+    | None, _ -> raise Never_created)
+
+(* Without [found] the walk writes through the store; with it, it only
+   reads the store and collects into it, and a fact about an object never
+   created is skipped. Sub-objects are located left to right, as the AST
+   walk did. *)
+let rec locate r = function
+  | Const c ->
+    if c.c_id < 0 then c.c_id <- intern r.store c.c_ref;
+    c.c_id
+  | Slot i -> r.binding.(i)
+  | Unbound x -> raise (Semantics.Valuation.Unbound_variable x)
+  | Link { recv; meth; args } ->
+    let recv = locate r recv in
+    let meth = locate r meth in
+    if Obj_id.equal meth r.self_id && args = [] then recv
+    else link r ~meth ~recv ~args:(locate_all r args)
+  | Isa (recv, cls) ->
+    let o = locate r recv in
+    (try add_isa r o (locate r cls) with Never_created -> ());
+    o
+  | Filter { recv; meth; args; rhs } ->
+    let recv = locate r recv in
+    let meth = locate r meth in
+    let args = locate_all r args in
+    (match rhs with
+    | Scalar rhs -> (
+      try add_scalar r ~meth ~recv ~args ~res:(locate r rhs)
+      with Never_created -> ())
+    | Enum elems -> add_members r ~meth ~recv ~args elems
+    | Ref (s, named) ->
+      let env =
+        Semantics.Valuation.env_of_list
+          (List.map (fun (x, i) -> (x, r.binding.(i))) named)
+      in
+      Obj_id.Set.iter
+        (fun res -> add_set r ~meth ~recv ~args ~res)
+        (Semantics.Valuation.eval r.store env s)
+    | Bad_rhs msg -> invalid_arg msg);
+    recv
+  | Invalid msg -> invalid_arg msg
+
+and locate_all r = function
+  | [] -> []
+  | n :: rest ->
+    let o = locate r n in
+    o :: locate_all r rest
+
+and add_members r ~meth ~recv ~args = function
+  | [] -> ()
+  | e :: rest ->
+    (try add_set r ~meth ~recv ~args ~res:(locate r e)
+     with Never_created -> ());
+    add_members r ~meth ~recv ~args rest
+
 let walk ?found ?(on_insert = fun _ -> ()) store ~binding ~rule ~changes h =
-  let self_id = Store.self_id store in
-  let collect f = Option.iter (fun d -> d.heads <- f :: d.heads) found in
-  let inserted f =
-    incr changes;
-    on_insert f
+  let r =
+    {
+      store;
+      binding;
+      found;
+      on_insert;
+      changes;
+      rule;
+      self_id = Store.self_id store;
+    }
   in
-  let add_scalar ~meth ~recv ~args ~res =
-    if Option.is_some found then
-      collect (Fact.F_scalar { meth; recv; args; res })
-    else if Obj_id.equal meth self_id then (
-      if not (Obj_id.equal recv res) then raise Err.Reserved_self)
-    else
-      match Store.add_scalar store ~meth ~recv ~args ~res with
-      | Added -> inserted (Fact.F_scalar { meth; recv; args; res })
-      | Duplicate -> ()
-      | Conflict existing ->
-        raise
-          (Err.Functional_conflict
-             {
-               c_meth = meth;
-               c_recv = recv;
-               c_args = args;
-               existing;
-               proposed = res;
-               rule = Some rule;
-             })
-  in
-  let add_set ~meth ~recv ~args ~res =
-    if Option.is_some found then collect (Fact.F_set { meth; recv; args; res })
-    else if Obj_id.equal meth self_id then raise Err.Reserved_self
-    else
-      match Store.add_set store ~meth ~recv ~args ~res with
-      | SAdded -> inserted (Fact.F_set { meth; recv; args; res })
-      | SDuplicate -> ()
-  in
-  let add_isa o c =
-    if Option.is_some found then collect (Fact.F_isa (o, c))
-    else
-      match Store.add_isa store o c with
-      | IAdded -> inserted (Fact.F_isa (o, c))
-      | IDuplicate -> ()
-      | ICycle -> raise (Err.Isa_cycle (o, c))
-  in
-  (* a path undefined so far denotes a new skolem object; read-only, the
-     link to a path's own virtual object is asserted and a link to
-     another object is relied on *)
-  let link ~meth ~recv ~args =
-    let lookup = Store.scalar_lookup store ~meth ~recv ~args in
-    match found with
-    | None -> (
-      match lookup with
-      | Some res -> res
-      | None ->
-        let sk = Oodb.Universe.skolem (Store.universe store) ~meth ~recv ~args in
-        add_scalar ~meth ~recv ~args ~res:sk;
-        sk)
-    | Some d -> (
-      match
-        (lookup, Oodb.Universe.find_skolem (Store.universe store) ~meth ~recv ~args)
-      with
-      | (Some res, Some sk | None, Some (sk as res)) when Obj_id.equal res sk ->
-        add_scalar ~meth ~recv ~args ~res:sk;
-        sk
-      | Some res, _ ->
-        d.relied <- Fact.F_scalar { meth; recv; args; res } :: d.relied;
-        res
-      | None, _ -> raise Never_created)
-  in
-  let rec locate = function
-    | Const c ->
-      if c.c_id < 0 then c.c_id <- intern store c.c_ref;
-      c.c_id
-    | Slot i -> binding.(i)
-    | Unbound x -> raise (Semantics.Valuation.Unbound_variable x)
-    | Link { recv; meth; args } ->
-      let recv = locate recv in
-      let meth = locate meth in
-      if Obj_id.equal meth self_id && args = [] then recv
-      else link ~meth ~recv ~args:(List.map locate args)
-    | Isa (recv, cls) ->
-      let o = locate recv in
-      (try add_isa o (locate cls) with Never_created -> ());
-      o
-    | Filter { recv; meth; args; rhs } ->
-      let recv = locate recv in
-      let meth = locate meth in
-      let args = List.map locate args in
-      (match rhs with
-      | Scalar rhs -> (
-        try add_scalar ~meth ~recv ~args ~res:(locate rhs)
-        with Never_created -> ())
-      | Enum elems ->
-        List.iter
-          (fun e ->
-            try add_set ~meth ~recv ~args ~res:(locate e)
-            with Never_created -> ())
-          elems
-      | Ref (s, named) ->
-        let env =
-          Semantics.Valuation.env_of_list
-            (List.map (fun (x, i) -> (x, binding.(i))) named)
-        in
-        Obj_id.Set.iter
-          (fun res -> add_set ~meth ~recv ~args ~res)
-          (Semantics.Valuation.eval store env s)
-      | Bad_rhs msg -> invalid_arg msg);
-      recv
-    | Invalid msg -> invalid_arg msg
-  in
-  locate
+  locate r
     (match h with
     | Compiled root -> root
     | Ground head -> compile_node ~named:[] head)

@@ -2,7 +2,14 @@ type t = int
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+
+(* Ids, and pairs of them packed into one int, whose low bits alone would
+   put every method of one receiver in one bucket: a multiplicative
+   mixing hash, in OCaml, where the generic table calls its C hash. *)
+let hash x =
+  let h = x * 0x1E3779B97F4A7C15 in
+  (h lxor (h lsr 32)) land max_int
+
 let pp = Format.pp_print_int
 
 module Set = Set.Make (Int)
@@ -12,19 +19,5 @@ module Tbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* Int keys under a multiplicative mixing hash, for packed (method,
-   object) pairs: their low bits alone would put every method of one
-   receiver in one bucket. Integer equality and an OCaml hash replace the
-   generic table's polymorphic compare and C hash. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash x =
-    let h = x * 0x1E3779B97F4A7C15 in
-    (h lxor (h lsr 32)) land max_int
+  let hash = hash
 end)

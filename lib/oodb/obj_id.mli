@@ -19,9 +19,8 @@ module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t
 
-module Tbl : Hashtbl.S with type key = t
 
-(** Int-keyed tables with a mixing hash, for keys that pack two ints into
-    one: the store's (method, object) indexes, plan keys,
-    product-automaton states. *)
-module Int_tbl : Hashtbl.S with type key = int
+(** Int-keyed tables under a mixing hash: object ids, and keys that pack
+    two ints into one (the store's (method, object) indexes, plan keys,
+    product-automaton states). *)
+module Tbl : Hashtbl.S with type key = int

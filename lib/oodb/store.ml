@@ -28,8 +28,6 @@ type mkey = Obj_id.t * Obj_id.t * Obj_id.t list (* meth, recv, args *)
    far below 2^31 even in soak runs, so the two halves never collide. *)
 let pack a b = (a lsl 31) lor b
 
-module Int_tbl = Obj_id.Int_tbl
-
 type t = {
   universe : Universe.t;
   (* class hierarchy: direct edges of the partial order, both directions.
@@ -51,22 +49,22 @@ type t = {
   (* scalar methods: 0-ary tuples (the common case) live in [scalar0]
      under a packed (meth, recv) int key; tuples with extra arguments in
      [scalar] under the full mkey *)
-  scalar0 : Obj_id.t Int_tbl.t;
+  scalar0 : Obj_id.t Obj_id.Tbl.t;
   scalar : (mkey, Obj_id.t) Hashtbl.t;
   scalar_buckets : mentry Vec.t Obj_id.Tbl.t;
-  scalar_inv : mentry Vec.t Int_tbl.t;  (* by [pack meth res] *)
-  scalar_recv : mentry Vec.t Int_tbl.t;  (* by [pack meth recv] *)
+  scalar_inv : mentry Vec.t Obj_id.Tbl.t;  (* by [pack meth res] *)
+  scalar_recv : mentry Vec.t Obj_id.Tbl.t;  (* by [pack meth recv] *)
   scalar_recv_counts : int Obj_id.Tbl.t;
       (* distinct receivers per method, for planner selectivity *)
   scalar_res_counts : int Obj_id.Tbl.t;
       (* distinct results per method: the inverse index's key count *)
   mutable scalar_meth_list : Obj_id.t list;
   (* set-valued methods, same layout *)
-  set0 : Obj_id.Set.t ref Int_tbl.t;
+  set0 : Obj_id.Set.t ref Obj_id.Tbl.t;
   set_members : (mkey, Obj_id.Set.t ref) Hashtbl.t;
   set_buckets : mentry Vec.t Obj_id.Tbl.t;
-  set_inv : mentry Vec.t Int_tbl.t;
-  set_recv : mentry Vec.t Int_tbl.t;
+  set_inv : mentry Vec.t Obj_id.Tbl.t;
+  set_recv : mentry Vec.t Obj_id.Tbl.t;
   set_recv_counts : int Obj_id.Tbl.t;
   set_res_counts : int Obj_id.Tbl.t;
   set_live : int Obj_id.Tbl.t;  (* live tuples per method *)
@@ -91,19 +89,19 @@ let create () =
     class_seen = Obj_id.Tbl.create 16;
     up_cache = Obj_id.Tbl.create 64;
     down_cache = Obj_id.Tbl.create 64;
-    scalar0 = Int_tbl.create 256;
+    scalar0 = Obj_id.Tbl.create 256;
     scalar = Hashtbl.create 64;
     scalar_buckets = Obj_id.Tbl.create 32;
-    scalar_inv = Int_tbl.create 256;
-    scalar_recv = Int_tbl.create 256;
+    scalar_inv = Obj_id.Tbl.create 256;
+    scalar_recv = Obj_id.Tbl.create 256;
     scalar_recv_counts = Obj_id.Tbl.create 32;
     scalar_res_counts = Obj_id.Tbl.create 32;
     scalar_meth_list = [];
-    set0 = Int_tbl.create 256;
+    set0 = Obj_id.Tbl.create 256;
     set_members = Hashtbl.create 64;
     set_buckets = Obj_id.Tbl.create 32;
-    set_inv = Int_tbl.create 256;
-    set_recv = Int_tbl.create 256;
+    set_inv = Obj_id.Tbl.create 256;
+    set_recv = Obj_id.Tbl.create 256;
     set_recv_counts = Obj_id.Tbl.create 32;
     set_res_counts = Obj_id.Tbl.create 32;
     set_live = Obj_id.Tbl.create 32;
@@ -275,18 +273,18 @@ let bump counts meth = Obj_id.Tbl.replace counts meth (1 + keys counts meth)
    the first time a pair appears. *)
 let index_push tbl counts ~meth obj entry =
   let key = pack meth obj in
-  match Int_tbl.find_opt tbl key with
+  match Obj_id.Tbl.find_opt tbl key with
   | Some v -> Vec.push v entry
   | None ->
     let v = Vec.create () in
     Vec.push v entry;
-    Int_tbl.add tbl key v;
+    Obj_id.Tbl.add tbl key v;
     bump counts meth
 
 let add_scalar st ~meth ~recv ~args ~res =
   let existing =
     match args with
-    | [] -> Int_tbl.find_opt st.scalar0 (pack meth recv)
+    | [] -> Obj_id.Tbl.find_opt st.scalar0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
   in
   match existing with
@@ -294,7 +292,7 @@ let add_scalar st ~meth ~recv ~args ~res =
     if Obj_id.equal existing res then Duplicate else Conflict existing
   | None ->
     (match args with
-    | [] -> Int_tbl.add st.scalar0 (pack meth recv) res
+    | [] -> Obj_id.Tbl.add st.scalar0 (pack meth recv) res
     | _ -> Hashtbl.add st.scalar (meth, recv, args) res);
     let entry = { recv; args; res; dead = max_int } in
     let b = bucket st.scalar_buckets meth in
@@ -308,7 +306,7 @@ let add_scalar st ~meth ~recv ~args ~res =
 
 let scalar_lookup st ~meth ~recv ~args =
   match args with
-  | [] -> Int_tbl.find_opt st.scalar0 (pack meth recv)
+  | [] -> Obj_id.Tbl.find_opt st.scalar0 (pack meth recv)
   | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
 
 let scalar_bucket st meth =
@@ -317,12 +315,12 @@ let scalar_bucket st meth =
   | None -> empty_bucket
 
 let scalar_inverse st ~meth ~res =
-  match Int_tbl.find_opt st.scalar_inv (pack meth res) with
+  match Obj_id.Tbl.find_opt st.scalar_inv (pack meth res) with
   | Some v -> v
   | None -> empty_bucket
 
 let scalar_recv_index st ~meth ~recv =
-  match Int_tbl.find_opt st.scalar_recv (pack meth recv) with
+  match Obj_id.Tbl.find_opt st.scalar_recv (pack meth recv) with
   | Some v -> v
   | None -> empty_bucket
 
@@ -337,11 +335,11 @@ let add_set st ~meth ~recv ~args ~res =
     match args with
     | [] -> (
       let key = pack meth recv in
-      match Int_tbl.find_opt st.set0 key with
+      match Obj_id.Tbl.find_opt st.set0 key with
       | Some r -> r
       | None ->
         let r = ref Obj_id.Set.empty in
-        Int_tbl.add st.set0 key r;
+        Obj_id.Tbl.add st.set0 key r;
         r)
     | _ -> (
       let key = (meth, recv, args) in
@@ -370,7 +368,7 @@ let add_set st ~meth ~recv ~args ~res =
 let set_lookup st ~meth ~recv ~args =
   let found =
     match args with
-    | [] -> Int_tbl.find_opt st.set0 (pack meth recv)
+    | [] -> Obj_id.Tbl.find_opt st.set0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
   in
   match found with Some r -> !r | None -> Obj_id.Set.empty
@@ -381,12 +379,12 @@ let set_bucket st meth =
   | None -> empty_bucket
 
 let set_inverse st ~meth ~res =
-  match Int_tbl.find_opt st.set_inv (pack meth res) with
+  match Obj_id.Tbl.find_opt st.set_inv (pack meth res) with
   | Some v -> v
   | None -> empty_bucket
 
 let set_recv_index st ~meth ~recv =
-  match Int_tbl.find_opt st.set_recv (pack meth recv) with
+  match Obj_id.Tbl.find_opt st.set_recv (pack meth recv) with
   | Some v -> v
   | None -> empty_bucket
 
@@ -431,7 +429,7 @@ let remove_scalar st ~meth ~recv ~args ~res =
     | None -> false
     | Some e ->
       (match args with
-      | [] -> Int_tbl.remove st.scalar0 (pack meth recv)
+      | [] -> Obj_id.Tbl.remove st.scalar0 (pack meth recv)
       | _ -> Hashtbl.remove st.scalar (meth, recv, args));
       stamp st e;
       true)
@@ -440,7 +438,7 @@ let remove_scalar st ~meth ~recv ~args ~res =
 let remove_set st ~meth ~recv ~args ~res =
   let set =
     match args with
-    | [] -> Int_tbl.find_opt st.set0 (pack meth recv)
+    | [] -> Obj_id.Tbl.find_opt st.set0 (pack meth recv)
     | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
   in
   match set with
@@ -574,7 +572,7 @@ let check_invariants st =
         (scalar_bucket st m))
     (scalar_meths st);
   let scalar_primary_count =
-    Int_tbl.length st.scalar0 + Hashtbl.length st.scalar
+    Obj_id.Tbl.length st.scalar0 + Hashtbl.length st.scalar
   in
   if scalar_primary_count <> !scalar_bucket_count then
     problem "scalar primary has %d entries but buckets have %d live"
@@ -604,7 +602,7 @@ let check_invariants st =
         (set_bucket st m))
     (set_meths st);
   let member_total =
-    Int_tbl.fold (fun _ s acc -> acc + Obj_id.Set.cardinal !s) st.set0 0
+    Obj_id.Tbl.fold (fun _ s acc -> acc + Obj_id.Set.cardinal !s) st.set0 0
     + Hashtbl.fold
         (fun _ s acc -> acc + Obj_id.Set.cardinal !s)
         st.set_members 0
@@ -617,7 +615,7 @@ let check_invariants st =
   let check_recv what recv_tbl counts bucket_count =
     let index_total = ref 0 in
     let per_meth = Obj_id.Tbl.create 16 in
-    Int_tbl.iter
+    Obj_id.Tbl.iter
       (fun key v ->
         index_total := !index_total + Vec.length v;
         let m = key lsr 31 in
@@ -646,7 +644,7 @@ let check_invariants st =
      key populations, in both directions *)
   let check_res what inv_tbl counts =
     let per_meth = Obj_id.Tbl.create 16 in
-    Int_tbl.iter (fun key _ -> bump per_meth (key lsr 31)) inv_tbl;
+    Obj_id.Tbl.iter (fun key _ -> bump per_meth (key lsr 31)) inv_tbl;
     let audit m =
       let counted = keys counts m and actual = keys per_meth m in
       if counted <> actual then

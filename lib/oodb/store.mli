@@ -50,7 +50,7 @@ val str : t -> string -> Obj_id.t
 
 (** [pack a b] is the pair of two non-negative ints below [2^31] as one
     immediate int ([a] in the high half): the key of the store's
-    (method, object) indexes, for an {!Obj_id.Int_tbl}. *)
+    (method, object) indexes, for an {!Obj_id.Tbl}. *)
 val pack : int -> int -> int
 
 (** The built-in method [self], interned on the first call and cached:

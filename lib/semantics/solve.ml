@@ -1,5 +1,5 @@
 module Store = Oodb.Store
-module Int_tbl = Oodb.Obj_id.Int_tbl
+module Tbl = Oodb.Obj_id.Tbl
 module Set = Oodb.Obj_id.Set
 
 type seed = { seed_atom : int; seed_from : int }
@@ -56,9 +56,14 @@ let bind ctx t v k =
   | Ir.V i -> (
     match ctx.binding.(i) with
     | Some x -> if Oodb.Obj_id.equal x v then k ()
-    | None ->
+    | None -> (
       ctx.binding.(i) <- Some v;
-      Fun.protect ~finally:(fun () -> ctx.binding.(i) <- None) k)
+      (* undone on every exit, an exception's included *)
+      match k () with
+      | () -> ctx.binding.(i) <- None
+      | exception e ->
+        ctx.binding.(i) <- None;
+        raise e))
 
 let rec bind_list ctx ts vs k =
   match (ts, vs) with
@@ -439,13 +444,13 @@ let regex_rstep ctx (lbl : Ir.label) obj f =
    Objects are deduplicated on emission: a pair may be reached through
    many accepting states but each endpoint object is one solution. *)
 let regex_bfs ctx ~init ~next ~emits emit =
-  let visited = Int_tbl.create 64 in
-  let emitted = Int_tbl.create 16 in
+  let visited = Tbl.create 64 in
+  let emitted = Tbl.create 16 in
   let queue = Queue.create () in
   let push obj q =
     let key = Store.pack obj q in
-    if not (Int_tbl.mem visited key) then begin
-      Int_tbl.add visited key ();
+    if not (Tbl.mem visited key) then begin
+      Tbl.add visited key ();
       Queue.add (obj, q) queue
     end
   in
@@ -454,8 +459,8 @@ let regex_bfs ctx ~init ~next ~emits emit =
     let obj, q = Queue.pop queue in
     Atomic.incr product_states_expanded;
     tick ctx;
-    if emits q && not (Int_tbl.mem emitted obj) then begin
-      Int_tbl.add emitted obj ();
+    if emits q && not (Tbl.mem emitted obj) then begin
+      Tbl.add emitted obj ();
       emit obj
     end;
     next obj q push

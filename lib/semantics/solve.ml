@@ -246,74 +246,62 @@ let plan_stale store plan = Store.size store > 16 + (2 * plan.plan_size)
 (* ------------------------------------------------------------------ *)
 (* Atom execution                                                      *)
 
-let exec_app ctx which (app : Ir.app) k =
-  let lookup m recv args k =
+(* [app]'s arguments are all bound *)
+let rec all_bound ctx = function
+  | [] -> true
+  | Ir.Const _ :: rest -> all_bound ctx rest
+  | Ir.V i :: rest -> ctx.binding.(i) <> None && all_bound ctx rest
+
+let rec bound_args ctx = function
+  | [] -> []
+  | Ir.Const o :: rest -> o :: bound_args ctx rest
+  | Ir.V i :: rest -> Option.get ctx.binding.(i) :: bound_args ctx rest
+
+let app_lookup ctx which (app : Ir.app) m recv args k =
+  match which with
+  | `Scalar -> (
+    match Store.scalar_lookup ctx.store ~meth:m ~recv ~args with
+    | Some res -> bind ctx app.res res k
+    | None -> ())
+  | `Set -> (
+    let members = Store.set_lookup ctx.store ~meth:m ~recv ~args in
+    match deref ctx app.res with
+    | Some res ->
+      (* a membership probe, not a scan: magic guards hang every demand
+         set off one receiver, so this set can be large *)
+      if Set.mem res members then bind ctx app.res res k
+    | None -> Set.iter (fun res -> bind ctx app.res res k) members)
+
+let app_with_method ctx which (app : Ir.app) m k =
+  if Oodb.Obj_id.equal m ctx.self_id && app.args = [] then begin
+    (* built-in identity for method application; no set-valued
+       extension (see DESIGN.md) *)
     match which with
+    | `Set -> ()
     | `Scalar -> (
-      match Store.scalar_lookup ctx.store ~meth:m ~recv ~args with
-      | Some res -> bind ctx app.res res k
-      | None -> ())
-    | `Set -> (
-      let members = Store.set_lookup ctx.store ~meth:m ~recv ~args in
-      match deref ctx app.res with
-      | Some res ->
-        (* a membership probe, not a scan: magic guards hang every demand
-           set off one receiver, so this set can be large *)
-        if Set.mem res members then bind ctx app.res res k
-      | None -> Set.iter (fun res -> bind ctx app.res res k) members)
-  in
-  let scan_bucket m k =
-    let bucket =
-      match which with
-      | `Scalar -> Store.scalar_bucket ctx.store m
-      | `Set -> Store.set_bucket ctx.store m
-    in
-    Oodb.Vec.iter (fun e -> bind_entry ctx app e k) bucket
-  in
-  let with_method m k =
-    if Oodb.Obj_id.equal m ctx.self_id && app.args = [] then begin
-      (* built-in identity for method application; no set-valued
-         extension (see DESIGN.md) *)
-      match which with
-      | `Set -> ()
-      | `Scalar -> (
-        match (deref ctx app.recv, deref ctx app.res) with
-        | Some r, _ -> bind ctx app.res r k
-        | None, Some r -> bind ctx app.recv r k
-        | None, None ->
-          enum_universe ctx app.recv (fun () ->
-              match deref ctx app.recv with
-              | Some r -> bind ctx app.res r k
-              | None -> assert false))
-    end
-    else begin
-      let args_bound = List.for_all (fun a -> deref ctx a <> None) app.args in
-      match deref ctx app.recv with
-      | Some recv when args_bound ->
-        let args = List.map (fun a -> Option.get (deref ctx a)) app.args in
-        lookup m recv args k
-      | Some recv ->
-        (* bound receiver, open arguments: the receiver-keyed secondary
-           index holds exactly this receiver's tuples — when the result is
-           bound too, take whichever of the two indexes is smaller *)
-        let ridx =
-          match which with
-          | `Scalar -> Store.scalar_recv_index ctx.store ~meth:m ~recv
-          | `Set -> Store.set_recv_index ctx.store ~meth:m ~recv
-        in
-        let v =
-          match deref ctx app.res with
-          | Some res ->
-            let inv =
-              match which with
-              | `Scalar -> Store.scalar_inverse ctx.store ~meth:m ~res
-              | `Set -> Store.set_inverse ctx.store ~meth:m ~res
-            in
-            if Oodb.Vec.length inv < Oodb.Vec.length ridx then inv else ridx
-          | None -> ridx
-        in
-        Oodb.Vec.iter (fun e -> bind_entry ctx app e k) v
-      | None -> (
+      match (deref ctx app.recv, deref ctx app.res) with
+      | Some r, _ -> bind ctx app.res r k
+      | None, Some r -> bind ctx app.recv r k
+      | None, None ->
+        enum_universe ctx app.recv (fun () ->
+            match deref ctx app.recv with
+            | Some r -> bind ctx app.res r k
+            | None -> assert false))
+  end
+  else
+    match deref ctx app.recv with
+    | Some recv when all_bound ctx app.args ->
+      app_lookup ctx which app m recv (bound_args ctx app.args) k
+    | Some recv ->
+      (* bound receiver, open arguments: the receiver-keyed secondary
+         index holds exactly this receiver's tuples — when the result is
+         bound too, take whichever of the two indexes is smaller *)
+      let ridx =
+        match which with
+        | `Scalar -> Store.scalar_recv_index ctx.store ~meth:m ~recv
+        | `Set -> Store.set_recv_index ctx.store ~meth:m ~recv
+      in
+      let v =
         match deref ctx app.res with
         | Some res ->
           let inv =
@@ -321,24 +309,42 @@ let exec_app ctx which (app : Ir.app) k =
             | `Scalar -> Store.scalar_inverse ctx.store ~meth:m ~res
             | `Set -> Store.set_inverse ctx.store ~meth:m ~res
           in
-          Oodb.Vec.iter (fun e -> bind_entry ctx app e k) inv
-        | None -> scan_bucket m k)
-    end
-  in
-  match deref ctx app.meth with
-  | Some m -> with_method m k
-  | None ->
-    let meths =
-      match which with
-      | `Scalar -> Store.scalar_meths ctx.store
-      | `Set -> Store.set_meths ctx.store
-    in
-    let u = Store.universe ctx.store in
-    List.iter
-      (fun m ->
-        if ctx.hilog_virtual || not (Oodb.Universe.is_skolem u m) then
-          bind ctx app.meth m (fun () -> with_method m k))
-      meths
+          if Oodb.Vec.length inv < Oodb.Vec.length ridx then inv else ridx
+        | None -> ridx
+      in
+      Oodb.Vec.iter (fun e -> bind_entry ctx app e k) v
+    | None -> (
+      let v =
+        match deref ctx app.res with
+        | Some res -> (
+          match which with
+          | `Scalar -> Store.scalar_inverse ctx.store ~meth:m ~res
+          | `Set -> Store.set_inverse ctx.store ~meth:m ~res)
+        | None -> (
+          match which with
+          | `Scalar -> Store.scalar_bucket ctx.store m
+          | `Set -> Store.set_bucket ctx.store m)
+      in
+      Oodb.Vec.iter (fun e -> bind_entry ctx app e k) v)
+
+let exec_app ctx which (app : Ir.app) k =
+  match app.meth with
+  | Ir.Const m -> app_with_method ctx which app m k
+  | Ir.V i -> (
+    match ctx.binding.(i) with
+    | Some m -> app_with_method ctx which app m k
+    | None ->
+      let meths =
+        match which with
+        | `Scalar -> Store.scalar_meths ctx.store
+        | `Set -> Store.set_meths ctx.store
+      in
+      let u = Store.universe ctx.store in
+      List.iter
+        (fun m ->
+          if ctx.hilog_virtual || not (Oodb.Universe.is_skolem u m) then
+            bind ctx app.meth m (fun () -> app_with_method ctx which app m k))
+        meths)
 
 (* The built-in value-class memberships ([1 : integer], ["a" : string])
    hold for tests but have no hierarchy edges, so [Store.classes_of]

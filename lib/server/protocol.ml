@@ -100,7 +100,7 @@ let breaks_line l = String.exists (function '\n' | '\r' -> true | _ -> false) l
 
 (* Payload lines with embedded newlines become several frame lines, keeping
    the OK count honest; a carriage return becomes a space. Lines that hold
-   neither, which is every line a query or proof renders, pass through
+   neither, the usual case for answers and proofs, pass through
    uncopied. *)
 let flatten_payload lines =
   if not (List.exists breaks_line lines) then lines

@@ -841,7 +841,15 @@ let kill_storm ~seed ~writers ~batches ~rounds =
    the chains re-derive.
 
    The storm runs twice, once per evaluation backend: in the session
-   threads behind the admission gate, then on domain workers.
+   threads behind the admission gate, then on domain workers. A third
+   run storms a --demand server on domain workers over [demand_chains]
+   chains, one query each, so a reader's first pick of a chain is that
+   query's first sight and later picks are repeats answered from the
+   result cache. Its writers start once the readers have sent as many
+   queries as there are chains: the first batch's full materialisation
+   and every batch's model-version bump then land while readers hit the
+   cache. Writer k toggles edges between the chains and its own nodes.
+   The run fails unless the cache answered some reads.
 
    dune exec bench/main.exe -- chaos reads [SEED] [WRITERS] [READERS] [BATCHES] *)
 
@@ -864,6 +872,26 @@ let reads_base =
 let read_queries =
   [| "s[tc ->> {t}]"; "s[tc ->> {Y}]"; "X[edge ->> {t}]"; "X[tc ->> {t}]" |]
 
+let demand_chains = 24
+let demand_length = 5
+let demand_node c i = Printf.sprintf "k%dn%d" c i
+
+let demand_base =
+  String.concat "\n"
+    (List.concat
+       (List.init demand_chains (fun c ->
+            List.init demand_length (fun i ->
+                Printf.sprintf "%s[edge ->> {%s}]." (demand_node c i)
+                  (demand_node c (i + 1)))))
+    @ [
+        "X[tc ->> {Y}] <- X[edge ->> {Y}].";
+        "X[tc ->> {Y}] <- X[edge ->> {Z}], Z[tc ->> {Y}].";
+      ])
+
+let demand_queries =
+  Array.init demand_chains (fun c ->
+      Printf.sprintf "%s[tc ->> {Y}]" (demand_node c 0))
+
 let digest lines = Digest.string (String.concat "\n" (List.sort compare lines))
 
 type read = {
@@ -874,8 +902,15 @@ type read = {
   r_latency_s : float;
 }
 
-let read_storm ~domains ~seed ~writers ~readers ~batches =
-  let backend = if domains then "domains" else "threads" in
+let read_storm ~domains ~demand ~seed ~writers ~readers ~batches =
+  let backend =
+    (if domains then "domains" else "threads")
+    ^ if demand then ", --demand" else ""
+  in
+  let base, queries =
+    if demand then (demand_base, demand_queries)
+    else (reads_base, read_queries)
+  in
   Printf.printf
     "=== chaos reads (%s): seed %d, %d writers x %d batches, %d readers \
      ===\n%!"
@@ -884,12 +919,13 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
   let fail fmt =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt
   in
-  let p = Pathlog.load reads_base in
+  let p = if demand then Pathlog.parse base else Pathlog.load base in
   let config =
     {
       Pathlog.Server.default_config with
       workers = readers;
       pool_domains = domains;
+      demand;
     }
   in
   let srv =
@@ -904,19 +940,32 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
   if not domains then
     Fault.configure ~seed [ (Fault.Store_write, Fault.Delay 0.0005, 0.05) ];
   let sent = Atomic.make 0 and acked = Atomic.make 0 in
+  let asked = Atomic.make 0 in
   let committed = Array.make writers [] in
   let writer_thread k =
     let rng = Random.State.make [| seed; k |] in
+    while demand && Atomic.get asked < demand_chains do
+      Thread.delay 0.0005
+    done;
     let c = Pathlog.Client.connect addr in
     let node i = Printf.sprintf "w%d_n%d" k i in
     let linked = ref [] in
     for _ = 1 to batches do
-      (* a random edge of the writer's own: retracted if it is in,
+      (* a random edge of the writer's own (from s or to t, or on the
+         demand storm from or to a chain): retracted if it is in,
          asserted if not *)
       let a, b =
+        let own () = node (Random.State.int rng 7) in
+        let chain () =
+          demand_node
+            (Random.State.int rng demand_chains)
+            (Random.State.int rng (demand_length + 1))
+        in
         match Random.State.int rng 3 with
-        | 0 -> ("s", node (Random.State.int rng 7))
-        | 1 -> (node (Random.State.int rng 7), "t")
+        | 0 when demand -> (chain (), own ())
+        | 1 when demand -> (own (), chain ())
+        | 0 -> ("s", own ())
+        | 1 -> (own (), "t")
         | _ ->
           let i = Random.State.int rng 7 in
           (node i, node ((i + 1 + Random.State.int rng 5) mod 7))
@@ -949,12 +998,13 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
     let rng = Random.State.make [| seed; 1000 + r |] in
     let c = Pathlog.Client.connect addr in
     while Atomic.get writing do
-      let qi = Random.State.int rng (Array.length read_queries) in
+      let qi = Random.State.int rng (Array.length queries) in
       let lo = Atomic.get acked in
       let t0 = Unix.gettimeofday () in
+      Atomic.incr asked;
       (match
          Pathlog.Client.request_with_retry ~seed:r c
-           ("QUERY " ^ read_queries.(qi))
+           ("QUERY " ^ queries.(qi))
        with
       | Ok (Pathlog.Protocol.Ok lines) ->
         let hi = Atomic.get sent in
@@ -968,7 +1018,7 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
           }
           :: reads.(r)
       | Ok reply ->
-        fail "reader %d: %s answered %s" r read_queries.(qi)
+        fail "reader %d: %s answered %s" r queries.(qi)
           (Pathlog.Protocol.render_reply reply)
       | Error _ -> fail "reader %d: connection lost" r)
     done;
@@ -1008,11 +1058,11 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
   let answers q =
     Array.map
       (fun text -> digest (expected_payload q (Program.query_string q text)))
-      read_queries
+      queries
   in
-  expected.(0) <- answers (Pathlog.load reads_base);
+  expected.(0) <- answers (Pathlog.load base);
   let replay =
-    replay_ops reads_base ops
+    replay_ops base ops
       ~on_reject:(fail "replay rejected %S: %s")
       ~after:(fun k live -> expected.(k) <- answers (Pathlog.Live.program live))
   in
@@ -1042,7 +1092,7 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
     (fun i rd ->
       if i < 5 then
         fail "%S answered a model no batch in [%d, %d] produced"
-          read_queries.(rd.r_query) rd.r_lo rd.r_hi)
+          queries.(rd.r_query) rd.r_lo rd.r_hi)
     wrong;
   let stat key =
     List.find_map
@@ -1067,6 +1117,12 @@ let read_storm ~domains ~seed ~writers ~readers ~batches =
       (100. *. float l /. float (max 1 n));
     if l = 0 then fail "no read was re-run under the store lock"
   | None -> fail "reads_locked_total not reported");
+  (match stat "cache_hits" with
+  | Some h ->
+    Printf.printf "cache_hits: %d (%.2f%% of reads)\n" h
+      (100. *. float h /. float (max 1 n));
+    if demand && h = 0 then fail "no read was answered from the cache"
+  | None -> fail "cache_hits not reported");
   Printf.printf "reader latency: p50 %.3f ms, p95 %.3f ms\n%!" (pct 0.5)
     (pct 0.95);
   List.rev_map (Printf.sprintf "%s: %s" backend) !failures
@@ -1089,10 +1145,10 @@ let rec main args =
     in
     let failures =
       List.concat_map
-        (fun domains ->
-          read_storm ~domains ~seed:(arg 0 1) ~writers:(arg 1 2)
+        (fun (domains, demand) ->
+          read_storm ~domains ~demand ~seed:(arg 0 1) ~writers:(arg 1 2)
             ~readers:(arg 2 2) ~batches:(arg 3 40))
-        [ false; true ]
+        [ (false, false); (true, false); (true, true) ]
     in
     if failures = [] then print_endline "chaos reads: ok"
     else begin

@@ -19,10 +19,11 @@
                        always run at 1, 2 and 4)
      --baseline FILE   read a previous report and embed per-suite
                        baseline wall times + speedup factors
-     --check FILE      compare this run's rule_evaluations against the
-                       committed report; exit non-zero on a >20%%
-                       regression, or (without --only) when a committed
-                       suite with rule_evaluations was not run (used by CI)
+     --check FILE      compare this run's counters against the committed
+                       report; exit non-zero when rule_evaluations grew
+                       or cache_hits fell by more than 20%%, or (without
+                       --only) when a committed suite with either counter
+                       was not run (used by CI)
      --only PREFIX     run only the suites whose name starts with PREFIX
                        (e.g. --only regex for the automaton suites,
                        --only e7_ for one experiment);
@@ -39,6 +40,9 @@ type suite = {
   wall_s : float;
   ops_per_s : float option;
   rule_evaluations : int option;
+  cache_hits : int option;
+      (* server suites: STATS cache_hits, gated like rule_evaluations but
+         in the other direction *)
   firings : int option;
   rounds : int option;
   speedup_vs_1j : float option;
@@ -48,13 +52,14 @@ type suite = {
   detail : string;
 }
 
-let suite ?ops_per_s ?rule_evaluations ?firings ?rounds ?speedup_vs_1j
-    ?speedup_vs_full ~detail name wall_s =
+let suite ?ops_per_s ?rule_evaluations ?cache_hits ?firings ?rounds
+    ?speedup_vs_1j ?speedup_vs_full ~detail name wall_s =
   {
     name;
     wall_s;
     ops_per_s;
     rule_evaluations;
+    cache_hits;
     firings;
     rounds;
     speedup_vs_1j;
@@ -761,6 +766,74 @@ let magic_repeat_first_sight () =
           counters summed over the sights"
          sights length wall_ratio firing_ratio)
 
+(* The result cache under demand: an in-process --demand server over a
+   goal_directed-shaped program (boss chains of 6 under a recursive [up]
+   closure, a third of them never queried), one client, 3,200 bound point
+   queries of which every eighth is the first sight of a fresh chain and
+   the rest repeat, uniformly, a query already sent. The model version
+   keys the cache, so a first sight leaves the cached answers valid and
+   every repeat hits: [cache_hits] is deterministic and gated. Every
+   reply is checked against the fully materialised program. *)
+let demand_repeat_cache () =
+  let sights = 400 and length = 6 and every = 8 in
+  let chains = 3 * sights / 2 in
+  let b = Buffer.create (chains * length * 24) in
+  for c = 0 to chains - 1 do
+    for i = 0 to length - 1 do
+      Printf.bprintf b "c%dn%d[boss -> c%dn%d].\n" c i c (i + 1)
+    done
+  done;
+  Buffer.add_string b
+    "X[up ->> {Y}] <- X[boss -> Y].\n\
+     X[up ->> {Y}] <- X[boss -> Z], Z[up ->> {Y}].\n";
+  let text = Buffer.contents b in
+  let full = Pathlog.load text in
+  let query c = Printf.sprintf "c%dn0[up ->> {Y}]" c in
+  let expected =
+    Array.init sights (fun c ->
+        List.sort compare (expected_payload full (query c)))
+  in
+  let rng = Random.State.make [| 30 |] in
+  let requests =
+    Array.init (sights * every) (fun i ->
+        if i mod every = 0 then i / every
+        else Random.State.int rng ((i / every) + 1))
+  in
+  let srv =
+    Pathlog.Server.create
+      ~config:{ Pathlog.Server.default_config with demand = true; workers = 1 }
+      ~program:(Pathlog.parse text)
+      (Pathlog.Server.Tcp ("127.0.0.1", 0))
+  in
+  let c = Pathlog.Client.connect (Pathlog.Server.address srv) in
+  let wrong = ref 0 in
+  let (), w =
+    wall (fun () ->
+        Array.iter
+          (fun k ->
+            match Pathlog.Client.query c (query k) with
+            | Ok lines when List.sort compare lines = expected.(k) -> ()
+            | Ok _ | Error _ -> incr wrong)
+          requests)
+  in
+  Pathlog.Client.close c;
+  let hits = (Pathlog.Server.cache_stats srv).Pathlog.Qcache.hits in
+  Pathlog.Server.shutdown srv;
+  if !wrong > 0 then
+    failwith
+      (Printf.sprintf "demand_repeat_cache: %d of %d replies wrong" !wrong
+         (Array.length requests));
+  let n = Array.length requests in
+  suite "demand_repeat_cache" w
+    ~ops_per_s:(float_of_int n /. max 1e-9 w)
+    ~cache_hits:hits
+    ~detail:
+      (Printf.sprintf
+         "%d QUERYs on one connection to an in-process --demand server, \
+          %d chains of %d; every %dth the first sight of a fresh chain, \
+          the rest repeats; cache_hits %d of %d repeats"
+         n chains length every hits (n - sights))
+
 (* ------------------------------------------------------------------ *)
 (* Regular path expressions (PR 9): the automaton-product join against
    the recursive closure it replaces, over the same 100-chains x
@@ -1430,7 +1503,8 @@ let member key = function
 let as_num = function Some (Num f) -> Some f | _ -> None
 let as_str = function Some (Str s) -> Some s | _ -> None
 
-(* Per-suite (wall_s, rule_evaluations) from a previous report. *)
+(* Per-suite (wall_s, rule_evaluations, cache_hits) from a previous
+   report. *)
 let load_report file =
   let ic = open_in_bin file in
   let len = in_channel_length ic in
@@ -1446,7 +1520,8 @@ let load_report file =
           Some
             ( name,
               ( as_num (member "wall_s" s),
-                as_num (member "rule_evaluations" s) ) )
+                as_num (member "rule_evaluations" s),
+                as_num (member "cache_hits" s) ) )
         | None -> None)
       suites
   | _ -> []
@@ -1461,12 +1536,13 @@ let suite_json ~baseline (s : suite) =
     ([ ("name", Str s.name); ("wall_s", Num s.wall_s) ]
     @ opt "ops_per_s" s.ops_per_s (fun x -> Num x)
     @ opt "rule_evaluations" s.rule_evaluations (fun x -> Num (float_of_int x))
+    @ opt "cache_hits" s.cache_hits (fun x -> Num (float_of_int x))
     @ opt "firings" s.firings (fun x -> Num (float_of_int x))
     @ opt "rounds" s.rounds (fun x -> Num (float_of_int x))
     @ opt "speedup_vs_1j" s.speedup_vs_1j (fun x -> Num x)
     @ opt "speedup_vs_full" s.speedup_vs_full (fun x -> Num x)
     @ (match base with
-      | Some (Some bw, _) ->
+      | Some (Some bw, _, _) ->
         [
           ("baseline_wall_s", Num bw);
           ("speedup", Num (bw /. max 1e-9 s.wall_s));
@@ -1474,43 +1550,60 @@ let suite_json ~baseline (s : suite) =
       | _ -> [])
     @ [ ("detail", Str s.detail) ])
 
-(* One line per failure: a suite whose rule_evaluations grew more than
-   20% over the committed report, or — on a full run ([partial] false) —
-   a committed suite with rule_evaluations that this run did not produce,
-   so a renamed or dropped suite cannot leave the gate unnoticed. *)
+(* One line per failure: a suite whose rule_evaluations grew, or whose
+   cache_hits fell, by more than 20% against the committed report, or —
+   on a full run ([partial] false) — a committed suite with either
+   counter that this run did not produce, so a renamed or dropped suite
+   cannot leave the gate unnoticed. *)
 let check ~committed ~partial suites =
+  (* [up]: the counter regresses by growing (rule_evaluations) rather
+     than by falling (cache_hits) *)
+  let gate (s : suite) key ~up now baseline =
+    let baseline = int_of_float baseline in
+    let limit =
+      if up then baseline + (baseline / 5) else baseline - (baseline / 5)
+    in
+    if (up && now > limit) || ((not up) && now < limit) then begin
+      Printf.printf "CHECK FAIL %-29s %s %d %s %d (baseline %d %s20%%)\n"
+        s.name key now
+        (if up then ">" else "<")
+        limit baseline
+        (if up then "+" else "-");
+      Some
+        (Printf.sprintf "%s: %s %d vs baseline %d (%+.0f%%)" s.name key now
+           baseline
+           (100. *. ((float_of_int now /. float_of_int baseline) -. 1.)))
+    end
+    else begin
+      Printf.printf "check ok   %-29s %s %d (baseline %d)\n" s.name key now
+        baseline;
+      None
+    end
+  in
   let regressed =
-    List.filter_map
+    List.concat_map
       (fun (s : suite) ->
-        match (s.rule_evaluations, List.assoc_opt s.name committed) with
-        | Some now, Some (_, Some baseline) ->
-          let baseline = int_of_float baseline in
-          let limit = baseline + (baseline / 5) in
-          if now > limit then begin
-            Printf.printf
-              "CHECK FAIL %-29s rule_evaluations %d > %d (baseline %d +20%%)\n"
-              s.name now limit baseline;
-            Some
-              (Printf.sprintf "%s: rule_evaluations %d vs baseline %d (+%.0f%%)"
-                 s.name now baseline
-                 (100. *. ((float_of_int now /. float_of_int baseline) -. 1.)))
-          end
-          else begin
-            Printf.printf
-              "check ok   %-29s rule_evaluations %d (baseline %d)\n" s.name
-              now baseline;
-            None
-          end
-        | _ -> None)
+        match List.assoc_opt s.name committed with
+        | None -> []
+        | Some (_, evals, hits) ->
+          List.filter_map Fun.id
+            [
+              (match (s.rule_evaluations, evals) with
+              | Some now, Some b -> gate s "rule_evaluations" ~up:true now b
+              | _ -> None);
+              (match (s.cache_hits, hits) with
+              | Some now, Some b -> gate s "cache_hits" ~up:false now b
+              | _ -> None);
+            ])
       suites
   in
   let missing =
     if partial then []
     else
       List.filter_map
-        (fun (name, (_, evals)) ->
+        (fun (name, (_, evals, hits)) ->
           let ran = List.exists (fun (s : suite) -> s.name = name) suites in
-          if evals = None || ran then None
+          if (evals = None && hits = None) || ran then None
           else begin
             Printf.printf "CHECK FAIL %-29s in the baseline, not in this run\n"
               name;
@@ -1577,6 +1670,7 @@ let main args =
       ("magic_bound_tc_10k", fun () -> magic_bound_tc ~reps);
       ("magic_company_point_400", fun () -> magic_company_point ~reps);
       ("magic_repeat_first_sight", fun () -> magic_repeat_first_sight ());
+      ("demand_repeat_cache", fun () -> demand_repeat_cache ());
       ("regex_bound_tc_10k", fun () -> regex_bound_tc ~reps);
       ("regex_unbound_tc_10k", fun () -> regex_unbound_tc ~reps);
       ("regex_alt_bound_10k", fun () -> regex_alt ~reps);
@@ -1612,9 +1706,10 @@ let main args =
           (match s.ops_per_s with
           | Some o -> Printf.sprintf "  %10.0f ops/s" o
           | None -> "")
-          (match s.rule_evaluations with
-          | Some r -> Printf.sprintf "  rule_evals %d" r
-          | None -> "");
+          (match (s.rule_evaluations, s.cache_hits) with
+          | Some r, _ -> Printf.sprintf "  rule_evals %d" r
+          | None, Some h -> Printf.sprintf "  cache_hits %d" h
+          | None, None -> "");
         s)
       selected
   in

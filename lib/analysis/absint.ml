@@ -439,6 +439,8 @@ type t = {
   cards : card Rel_map.t;
   rules : rule_card list;
   verdicts : (int * verdict) list;
+  uid_lo : int;
+  uid_span : int;  (* the uids of [rules] lie in [uid_lo, uid_lo + uid_span) *)
 }
 
 
@@ -684,7 +686,18 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
              (si, v))
            s.Stratify.strata)
   in
-  { cards; rules = rule_cards; verdicts }
+  let uid_lo, uid_hi =
+    List.fold_left
+      (fun (lo, hi) (r : Rule.t) -> (min lo r.uid, max hi r.uid))
+      (max_int, min_int) rule_list
+  in
+  {
+    cards;
+    rules = rule_cards;
+    verdicts;
+    uid_lo;
+    uid_span = (if rule_list = [] then 0 else uid_hi - uid_lo + 1);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics: PL050/PL051/PL052. *)
@@ -731,6 +744,18 @@ let cross_product (r : Rule.t) =
 
 let default_threshold = 1_000_000
 
+(* Membership of [t]'s rules in [Stratify.live_rules]'s answer, marked
+   in one byte per uid: a test is O(1), so a pass over the rules stays
+   linear in them. *)
+let is_live t (live : Rule.t list) =
+  let marked = Bytes.make t.uid_span '\000' in
+  List.iter
+    (fun (r : Rule.t) ->
+      let i = r.uid - t.uid_lo in
+      if i >= 0 && i < t.uid_span then Bytes.set marked i '\001')
+    live;
+  fun (r : Rule.t) -> Bytes.get marked (r.uid - t.uid_lo) = '\001'
+
 let check ?(threshold = default_threshold) t store
     ~(queries : Syntax.Ast.literal list list) : Diagnostic.t list =
   let rule_list = List.map (fun rc -> rc.rc_rule) t.rules in
@@ -751,11 +776,11 @@ let check ?(threshold = default_threshold) t store
             | exception _ -> [])
           queries
       in
-      let live = Stratify.live_rules rule_list ~goals in
+      let live = is_live t (Stratify.live_rules rule_list ~goals) in
       List.filter_map
         (fun rc ->
           match rc.rc_creation_cycle with
-          | Some back when List.memq rc.rc_rule live ->
+          | Some back when live rc.rc_rule ->
             let r = rc.rc_rule in
             Some
               (Diagnostic.make ?span:r.span ~context:(context r)
@@ -833,12 +858,12 @@ let query_cost t store rule_list (lits : Syntax.Ast.literal list) :
     | q -> Ir.query_rels q.atoms
     | exception _ -> []
   in
-  let live = Stratify.live_rules rule_list ~goals in
+  let live = is_live t (Stratify.live_rules rule_list ~goals) in
   let n = universe_size store in
   let rec go acc = function
     | [] -> `Bound acc
     | rc :: rest ->
-      if List.memq rc.rc_rule live then
+      if live rc.rc_rule then
         match rc.rc_firings with
         | Inf -> `Infinite
         | c -> go (sat_add acc (eval_card ~n c)) rest

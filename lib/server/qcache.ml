@@ -18,6 +18,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  mutable stale : int;
 }
 
 let create ~capacity =
@@ -31,6 +32,7 @@ let create ~capacity =
     hits = 0;
     misses = 0;
     evictions = 0;
+    stale = 0;
   }
 
 let with_lock t f =
@@ -49,6 +51,7 @@ let find t ~epoch key =
         t.slots.(e.slot) <- None;
         t.free <- e.slot :: t.free;
         t.misses <- t.misses + 1;
+        t.stale <- t.stale + 1;
         None
       | None ->
         t.misses <- t.misses + 1;
@@ -88,7 +91,13 @@ let add t ~epoch key reply =
         t.slots.(slot) <- Some e;
         Hashtbl.replace t.table key e)
 
-type stats = { hits : int; misses : int; entries : int; evictions : int }
+type stats = {
+  hits : int;
+  misses : int;
+  entries : int;
+  evictions : int;
+  stale : int;
+}
 
 let stats t =
   with_lock t (fun () ->
@@ -97,4 +106,5 @@ let stats t =
         misses = t.misses;
         entries = Hashtbl.length t.table;
         evictions = t.evictions;
+        stale = t.stale;
       })

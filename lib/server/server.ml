@@ -79,6 +79,13 @@ type t = {
   reads_locked : int Atomic.t;
       (* reads that overlapped a write and re-ran under [store_lock] *)
   qcache : Qcache.t;
+  model_version : int Atomic.t;
+      (* the result cache's key: bumped under [store_lock] by every write
+         that may change the minimal model — a Live batch, or a demand run
+         that leaves the model degraded. Materialisation alone (demand
+         first sights, SUBSCRIBE's fragment, [Live.attach]) leaves it:
+         it adds facts of the same model, so no answer computed over a
+         complete demanded fragment can change *)
   store_lock : Mutex.t;
       (* held by every writer ({!with_store_write}: ASSERT/RETRACT, demand
          first sights, SUBSCRIBE, recovery), and by a read whose lock-free
@@ -230,30 +237,32 @@ let validated_read t f =
     Mutex.lock t.store_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.store_lock) f
 
-(* QUERY and WHY. Queries are read-only modulo interning: they may add
-   objects to the universe (constants first seen in query text) but never
-   isa edges or method tuples. The store epoch, read before the run, keys
-   the result cache; read again after it, it is the read-only assertion.
-   Under {!validated_read} no writer ran in between, so an epoch that
-   moved means the request itself wrote to the store: the invariant
-   violation is reported, never cached. Only a validated reply is
-   cached. *)
+(* A cached answer to [key] at the current model version. The lookup is
+   a read like any other: one that overlaps a batch waits for it. *)
+let cached t key =
+  validated_read t (fun () ->
+      Qcache.find t.qcache ~epoch:(Atomic.get t.model_version) key)
+
+(* QUERY and WHY, after a cache miss. Queries are read-only modulo
+   interning: they may add objects to the universe (constants first seen
+   in query text) but never isa edges or method tuples. The model
+   version, read before the run, keys the reply in the result cache. The
+   store epoch is the read-only assertion: under {!validated_read} no
+   writer ran during the run, so an epoch that moved means the request
+   itself wrote to the store: the invariant violation is reported, never
+   cached. Only a validated reply is cached. *)
 let eval_readonly t ~cache_key f =
   let st = Program.store t.program in
   let attempt () =
+    let version = Atomic.get t.model_version in
     let snap = Oodb.Store.freeze st in
-    let epoch = Oodb.Store.snapshot_epoch snap in
-    match Option.bind cache_key (Qcache.find t.qcache ~epoch) with
-    | Some reply -> `Cached reply
-    | None ->
-      let reply = reply_of_eval t f in
-      if Oodb.Store.snapshot_stale snap then `Moved else `Fresh (epoch, reply)
+    let reply = reply_of_eval t f in
+    if Oodb.Store.snapshot_stale snap then `Moved else `Fresh (version, reply)
   in
   match validated_read t attempt with
-  | `Cached reply -> reply
-  | `Fresh (epoch, reply) ->
+  | `Fresh (version, reply) ->
     (match (cache_key, reply) with
-    | Some key, Protocol.Ok _ -> Qcache.add t.qcache ~epoch key reply
+    | Some key, Protocol.Ok _ -> Qcache.add t.qcache ~epoch:version key reply
     | _ -> ());
     reply
   | `Moved ->
@@ -274,9 +283,7 @@ let mark_degraded t = function
 (* Serialised write access to the program's store — mutation batches,
    subscriptions, first-time demand materialisation and recovery. The
    seqlock brackets the critical section so a concurrent lock-free read
-   sees the write and re-runs under the lock (see {!validated_read});
-   the cache's old epoch entries become unreachable at the next
-   lookup. *)
+   sees the write and re-runs under the lock (see {!validated_read}). *)
 let with_store_write t f =
   Mutex.lock t.store_lock;
   Atomic.incr t.write_seq;
@@ -285,6 +292,10 @@ let with_store_write t f =
       Atomic.incr t.write_seq;
       Mutex.unlock t.store_lock)
     f
+
+(* Called under [store_lock] by a write that may change the minimal
+   model: every cached answer becomes unreachable at its next lookup. *)
+let model_moved t = Atomic.incr t.model_version
 
 (* ------------------------------------------------------------------ *)
 (* Demand mode: first sight of a query materialises only its demanded
@@ -303,7 +314,8 @@ let demand_pending t q = t.config.demand && not (demand_done t q)
    hilog) the engine materialises the full model instead, and
    [demand_done] holds for every query from then on. A budget-degraded
    run is not marked ready: the next identical query re-demands and can
-   complete the fragment. *)
+   complete the fragment. It moves the model version, so no cached
+   answer is served OK beside the degraded model. *)
 let demand_materialise_locked ?budget t q =
   let ans, report = Program.query_demand_string ?budget t.program q in
   (match report.Program.d_fallback with
@@ -315,27 +327,43 @@ let demand_materialise_locked ?budget t q =
       Hashtbl.replace t.demand_ready q ();
       Mutex.unlock t.demand_lock
     end);
+  if Program.degraded t.program <> None then model_moved t;
   ans
 
 (* A first-time demand query, under a pool slot. The double check under
    the lock covers the race where two sessions demand the same query:
-   the loser answers from the store the winner just grew. *)
+   the loser answers from the store the winner just grew. Once the
+   fragment is complete, the reply is cached at the model version the
+   lock holds still. *)
 let eval_demand ?budget t q =
   with_store_write t (fun () ->
-      reply_of_eval t (fun () ->
-          let ans =
-            if demand_done t q then Program.query_string ?budget t.program q
-            else demand_materialise_locked ?budget t q
-          in
-          mark_degraded t (Protocol.Ok (render_answer t ans))))
+      let reply =
+        reply_of_eval t (fun () ->
+            let ans =
+              if demand_done t q then Program.query_string ?budget t.program q
+              else demand_materialise_locked ?budget t q
+            in
+            mark_degraded t (Protocol.Ok (render_answer t ans)))
+      in
+      (match reply with
+      | Protocol.Ok _ when demand_done t q ->
+        Qcache.add t.qcache ~epoch:(Atomic.get t.model_version) q reply
+      | _ -> ());
+      reply)
 
+(* A QUERY looks in the cache first: in demand mode a cached key is
+   demand-done by construction, so a repeat skips [demand_done]. *)
 let eval_request ?budget t req =
   match req with
-  | Protocol.Query q when demand_pending t q -> eval_demand ?budget t q
-  | Protocol.Query q ->
-    eval_readonly t ~cache_key:(Some q) (fun () ->
-        mark_degraded t
-          (Protocol.Ok (render_answer t (Program.query_string ?budget t.program q))))
+  | Protocol.Query q -> (
+    match cached t q with
+    | Some reply -> reply
+    | None when demand_pending t q -> eval_demand ?budget t q
+    | None ->
+      eval_readonly t ~cache_key:(Some q) (fun () ->
+          mark_degraded t
+            (Protocol.Ok
+               (render_answer t (Program.query_string ?budget t.program q)))))
   | Protocol.Why q ->
     eval_readonly t ~cache_key:None (fun () ->
         match Program.why_string ?budget t.program q with
@@ -445,6 +473,7 @@ let handle_mutation t ~retract text =
   | Error msg -> Protocol.Err (Protocol.Analysis, msg)
   | Ok _ -> (
     with_store_write t (fun () ->
+        model_moved t;
         (* incremental maintenance is defined against the full minimal
            model; with only demanded fragments materialised, attaching
            Live first materialises it (counted as a demand fallback) *)
@@ -570,12 +599,15 @@ let register_stats t =
         ("store_set_tuples", string_of_int set_tuples);
       ]);
   Metrics.readout m "qcache" (fun () ->
-      let { Qcache.hits; misses; entries; evictions } = Qcache.stats t.qcache in
+      let { Qcache.hits; misses; entries; evictions; stale } =
+        Qcache.stats t.qcache
+      in
       [
         ("cache_hits", string_of_int hits);
         ("cache_misses", string_of_int misses);
         ("cache_entries", string_of_int entries);
         ("cache_evictions", string_of_int evictions);
+        ("cache_stale", string_of_int stale);
       ]);
   match t.durable with
   | None -> ()
@@ -928,7 +960,11 @@ let run_recovery t d (recovery : Durable.recovery) =
           if r.Durable.retract then Incremental.Live.retract_batch
           else Incremental.Live.assert_batch
         in
-        match with_store_write t (fun () -> apply live r.Durable.text) with
+        match
+          with_store_write t (fun () ->
+              model_moved t;
+              apply live r.Durable.text)
+        with
         | (_ : Incremental.Live.batch_stats) -> ()
         | exception e ->
           Printf.eprintf
@@ -1035,6 +1071,7 @@ let create ?(config = default_config) ~program addr =
       demand_fallbacks = Atomic.make 0;
       reads_locked = Atomic.make 0;
       qcache = Qcache.create ~capacity:config.cache_capacity;
+      model_version = Atomic.make 0;
       store_lock = Mutex.create ();
       write_seq = Atomic.make 0;
       live = None;

@@ -29,9 +29,13 @@
     re-runs). Reads that overlap no write — all of them on a read-only
     load — take no lock, so with [pool_domains] the evaluations run on
     {!Domain}s and CPU-bound query loads scale across cores. Successful
-    [QUERY] replies land in an epoch-keyed result cache ({!Qcache}): a
-    repeated query at an unchanged store is answered without evaluation,
-    and any write invalidates wholesale by moving the epoch (counters in
+    [QUERY] replies land in a result cache keyed by the model version
+    ({!Qcache}): a repeated query over an unchanged model is answered
+    without evaluation. A committed ASSERT/RETRACT batch, or a run that
+    leaves the model degraded, moves the version and invalidates
+    wholesale; materialisation does not, since a demand answer equals the
+    full model's and materialising only adds facts of that model, so a
+    demand first sight leaves every cached answer valid (counters in
     [STATS]).
 
     Failure model: each gated request evaluates under an
@@ -90,7 +94,8 @@ type config = {
           read path, at the cost of a handoff per request. Off by default
           — domains are a scarce resource. *)
   cache_capacity : int;
-      (** entry bound of the epoch-keyed query result cache *)
+      (** entry bound of the query result cache, keyed by the model
+          version *)
   demand : bool;
       (** demand-driven evaluation: serve from a program that was parsed
           but {e not} materialised. The first sight of each query runs

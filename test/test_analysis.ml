@@ -578,6 +578,119 @@ let test_check_golden () =
       | [] -> Alcotest.fail "empty golden section")
     sections
 
+(* Admission cost and PL050 against their quadratic originals: the
+   live rules found by [List.memq] over [Stratify.live_rules]' list
+   instead of a uid table. Over the shipped corpus, for each embedded
+   query and one query per defined relation, the estimate and the rules
+   PL050 flags must be the same. *)
+module Absint_oracle = struct
+  module Absint = Pathlog.Absint
+
+  let goals store lits =
+    match Pathlog.Flatten.literals store lits with
+    | q -> Pathlog.Ir.query_rels q.atoms
+    | exception _ -> []
+
+  let sat_add a b =
+    let cap = max_int / 4 in
+    let v = a + b in
+    if v < 0 || v > cap then cap else v
+
+  let query_cost t store rules lits =
+    let live = Pathlog.Stratify.live_rules rules ~goals:(goals store lits) in
+    let n =
+      max 1 (Pathlog.Universe.cardinality (Pathlog.Store.universe store))
+    in
+    let rec go acc = function
+      | [] -> `Bound acc
+      | (rc : Absint.rule_card) :: rest ->
+        if List.memq rc.rc_rule live then
+          match rc.rc_firings with
+          | Absint.Inf -> `Infinite
+          | c -> go (sat_add acc (Absint.eval_card ~n c)) rest
+        else go acc rest
+    in
+    go 0 (Absint.rule_cards t)
+
+  (* the spans of the rules PL050 flags for [queries] *)
+  let pl050 t store rules queries =
+    if queries = [] then []
+    else
+      let live =
+        Pathlog.Stratify.live_rules rules
+          ~goals:(List.concat_map (goals store) queries)
+      in
+      List.filter_map
+        (fun (rc : Absint.rule_card) ->
+          match rc.rc_creation_cycle with
+          | Some _ when List.memq rc.rc_rule live -> Some rc.rc_rule.span
+          | Some _ | None -> None)
+        (Absint.rule_cards t)
+end
+
+let corpus_files () =
+  let dir d =
+    let d = List.find (fun p -> Sys.file_exists p) [ "../" ^ d; d ] in
+    Sys.readdir d |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".plg")
+    |> List.sort compare
+    |> List.map (Filename.concat d)
+  in
+  List.concat_map dir
+    [ "examples/programs"; "docs/snippets"; "examples/broken" ]
+
+(* One query per relation some rule defines: every goal set the
+   admission path can meet, up to the receiver pattern. *)
+let relation_queries store rules =
+  let u = Pathlog.Store.universe store in
+  let name o = Pathlog.Universe.to_string u o in
+  List.concat_map (fun (r : Pathlog.Rule.t) -> r.defines) rules
+  |> List.sort_uniq Pathlog.Ir.compare_rel
+  |> List.filter_map (function
+       | Pathlog.Ir.R_scalar m -> Some (Printf.sprintf "X[%s -> Y]" (name m))
+       | Pathlog.Ir.R_set m -> Some (Printf.sprintf "X[%s ->> {Y}]" (name m))
+       | Pathlog.Ir.R_isa_c c -> Some (Printf.sprintf "X : %s" (name c))
+       | Pathlog.Ir.R_isa | Pathlog.Ir.R_any -> Some "X : Y")
+  |> List.filter_map (fun q ->
+         match Program.parse_query q with
+         | lits -> Some lits
+         | exception _ -> None)
+
+let test_admission_oracle () =
+  let files = corpus_files () in
+  Alcotest.(check int) "corpus files" 16 (List.length files);
+  let flags = ref 0 in
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_bin file In_channel.input_all in
+      match Check.program_of text with
+      | None -> Alcotest.failf "%s does not parse" file
+      | Some (store, rules, queries) ->
+        let t = Pathlog.Absint.analyze store rules in
+        let show = function
+          | `Bound n -> string_of_int n
+          | `Infinite -> "infinite"
+        in
+        List.iter
+          (fun lits ->
+            Alcotest.(check string)
+              (file ^ ": query_cost")
+              (show (Absint_oracle.query_cost t store rules lits))
+              (show (Pathlog.Absint.query_cost t store rules lits)))
+          (queries @ relation_queries store rules);
+        let flagged =
+          Pathlog.Absint.check t store ~queries
+          |> List.filter_map (fun (d : Diagnostic.t) ->
+                 if d.code = "PL050" then Some d.span else None)
+        in
+        flags := !flags + List.length flagged;
+        Alcotest.(check bool)
+          (file ^ ": PL050 flags the same rules")
+          true
+          (flagged = Absint_oracle.pl050 t store rules queries))
+    files;
+  Alcotest.(check bool) "the corpus trips PL050" true (!flags > 0)
+
 let suite =
   [
     Alcotest.test_case "PL001 parse error" `Quick test_parse_error;
@@ -616,4 +729,6 @@ let suite =
     Alcotest.test_case "check golden corpus" `Quick test_check_golden;
     QCheck_alcotest.to_alcotest indexed_passes_randprog;
     QCheck_alcotest.to_alcotest indexed_passes_conflict_heavy;
+    Alcotest.test_case "admission cost and PL050 = memq oracle (corpus)"
+      `Quick test_admission_oracle;
   ]

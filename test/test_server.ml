@@ -1038,7 +1038,7 @@ let golden_stats_keys =
     "latency_max_us"; "latency_p50_us"; "latency_p99_us"; "latency_le";
     "store_objects"; "store_isa_edges"; "store_scalar_tuples";
     "store_set_tuples"; "cache_hits"; "cache_misses"; "cache_entries";
-    "cache_evictions";
+    "cache_evictions"; "cache_stale";
   ]
 
 let golden_wal_keys =
@@ -1097,6 +1097,151 @@ let test_metrics_register_twice () =
   Alcotest.(check (list string))
     "render in registration order" [ "hits 1"; "cache_size 1" ]
     (Pathlog.Metrics.render m)
+
+(* ------------------------------------------------------------------ *)
+(* The result cache is keyed by the model version                      *)
+
+let query_lines c q =
+  match Client.query c q with
+  | Ok lines -> List.sort compare lines
+  | Error e -> Alcotest.failf "QUERY %s failed: %s" q e
+
+let stats_of c =
+  match Client.stats c with
+  | Ok lines -> fun key -> Option.value ~default:(-1) (stat_value lines key)
+  | Error e -> Alcotest.fail ("STATS failed: " ^ e)
+
+(* A demand first sight only materialises more of the same model, so a
+   cached answer for chain a stays a hit after chain b's first sight; an
+   ASSERT moves the model and makes it stale. *)
+let test_cache_survives_first_sight () =
+  with_demand_server ~program:demand_program (fun _p srv ->
+      with_client srv (fun c ->
+          let a = "a0[up ->> {X}]" and b = "b0[up ->> {X}]" in
+          let a_rows = query_lines c a in
+          Alcotest.(check (list string))
+            "chain a" [ "X"; "a1"; "a2"; "a3" ] a_rows;
+          (* two repeats: the second hits even where a first sight's
+             reply is not cached *)
+          for _ = 1 to 2 do
+            Alcotest.(check (list string))
+              "repeat of a" a_rows (query_lines c a)
+          done;
+          let hits = (stats_of c) "cache_hits" in
+          Alcotest.(check bool) "the repeat hit" true (hits >= 1);
+          Alcotest.(check (list string))
+            "chain b" [ "X"; "b1"; "b2" ] (query_lines c b);
+          Alcotest.(check (list string))
+            "a after b's first sight" a_rows (query_lines c a);
+          let st = stats_of c in
+          Alcotest.(check int) "a still hits" (hits + 1) (st "cache_hits");
+          Alcotest.(check int) "nothing went stale" 0 (st "cache_stale");
+          Alcotest.(check int) "two demanded queries" 2
+            (st "demand_queries_total");
+          (match Client.assert_facts c "a3[boss -> a4]." with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("ASSERT failed: " ^ e));
+          Alcotest.(check (list string))
+            "a after the assert" [ "X"; "a1"; "a2"; "a3"; "a4" ]
+            (query_lines c a);
+          let st = stats_of c in
+          Alcotest.(check int) "the assert made a stale" 1 (st "cache_stale");
+          Alcotest.(check int) "no hit across the assert" (hits + 1)
+            (st "cache_hits")))
+
+(* Random interleavings of first sights, repeats, ASSERT and RETRACT on
+   a demand server over edge chains: every reply must equal the answer
+   of a fresh, fully materialised program holding the edges in force at
+   that point. *)
+let cache_chains = 3
+let cache_length = 4
+
+let cache_node c i = Printf.sprintf "k%dn%d" c i
+
+let cache_queries =
+  Array.of_list
+    (List.concat_map
+       (fun c ->
+         [
+           Printf.sprintf "%s[tc ->> {Y}]" (cache_node c 0);
+           Printf.sprintf "%s[tc ->> {Y}]" (cache_node c 2);
+           Printf.sprintf "X[tc ->> {%s}]" (cache_node c cache_length);
+         ])
+       (List.init cache_chains Fun.id))
+
+let cache_program edges =
+  String.concat "\n"
+    (List.map (fun (a, b) -> Printf.sprintf "%s[edge ->> {%s}]." a b) edges
+    @ [
+        "X[tc ->> {Y}] <- X[edge ->> {Y}].";
+        "X[tc ->> {Y}] <- X[edge ->> {Z}], Z[tc ->> {Y}].";
+      ])
+
+let cache_base_edges =
+  List.concat_map
+    (fun c ->
+      List.init cache_length (fun i -> (cache_node c i, cache_node c (i + 1))))
+    (List.init cache_chains Fun.id)
+
+type cache_op = Ask of int | Toggle of (string * string)
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let node =
+    map2 cache_node (int_bound (cache_chains - 1)) (int_bound cache_length)
+  in
+  frequency
+    [
+      (3, map (fun i -> Ask i) (int_bound (Array.length cache_queries - 1)));
+      (1, map2 (fun a b -> Toggle (a, b)) node node);
+    ]
+
+let cache_op_print = function
+  | Ask i -> "QUERY " ^ cache_queries.(i)
+  | Toggle (a, b) -> Printf.sprintf "toggle %s[edge ->> {%s}]" a b
+
+let cache_interleaving =
+  QCheck.Test.make ~name:"server: demand cache = fresh full model" ~count:30
+    QCheck.(
+      make
+        ~print:(Print.list cache_op_print)
+        Gen.(list_size (5 -- 30) cache_op_gen))
+    (fun ops ->
+      with_demand_server ~program:(cache_program cache_base_edges)
+        (fun _p srv ->
+          with_client srv (fun c ->
+              let edges = ref cache_base_edges in
+              List.iter
+                (function
+                  | Ask i ->
+                    let q = cache_queries.(i) in
+                    let fresh = load (cache_program !edges) in
+                    let expected =
+                      List.sort compare (expected_payload fresh q)
+                    in
+                    let got = query_lines c q in
+                    if got <> expected then
+                      QCheck.Test.fail_reportf "%s answered [%s], expected [%s]"
+                        q (String.concat "; " got)
+                        (String.concat "; " expected)
+                  | Toggle ((a, b) as e) ->
+                    let fact = Printf.sprintf "%s[edge ->> {%s}]." a b in
+                    let retract = List.mem e !edges in
+                    let r =
+                      if retract then Client.retract_facts c fact
+                      else Client.assert_facts c fact
+                    in
+                    (match r with
+                    | Ok _ -> ()
+                    | Error msg ->
+                      QCheck.Test.fail_reportf "%s %s refused: %s"
+                        (if retract then "RETRACT" else "ASSERT")
+                        fact msg);
+                    edges :=
+                      if retract then List.filter (( <> ) e) !edges
+                      else e :: !edges)
+                ops;
+              true)))
 
 let suite =
   [
@@ -1162,4 +1307,7 @@ let suite =
       (test_pool_bounds_concurrency Pathlog.Pool.Domains);
     Alcotest.test_case "server: shutdown answers the backlog BUSY" `Quick
       test_shutdown_answers_backlog;
+    Alcotest.test_case "server: cached answer survives a demand first sight"
+      `Quick test_cache_survives_first_sight;
+    QCheck_alcotest.to_alcotest cache_interleaving;
   ]

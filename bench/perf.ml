@@ -43,6 +43,10 @@ type suite = {
   cache_hits : int option;
       (* server suites: STATS cache_hits, gated like rule_evaluations but
          in the other direction *)
+  transforms : int option;
+      (* demand suites: Demand.transform calls, gated like
+         rule_evaluations *)
+  minor_words_per_op : float option;
   firings : int option;
   rounds : int option;
   speedup_vs_1j : float option;
@@ -52,14 +56,17 @@ type suite = {
   detail : string;
 }
 
-let suite ?ops_per_s ?rule_evaluations ?cache_hits ?firings ?rounds
-    ?speedup_vs_1j ?speedup_vs_full ~detail name wall_s =
+let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms
+    ?minor_words_per_op ?firings ?rounds ?speedup_vs_1j ?speedup_vs_full
+    ~detail name wall_s =
   {
     name;
     wall_s;
     ops_per_s;
     rule_evaluations;
     cache_hits;
+    transforms;
+    minor_words_per_op;
     firings;
     rounds;
     speedup_vs_1j;
@@ -707,7 +714,9 @@ let magic_company_point ~reps =
    largest doubling (tens of milliseconds near the end of the run) is
    amortised work, not a per-sight cost. One warm-up sight (it compiles
    the shape and runs the full first round) precedes the measured
-   ones. *)
+   ones. The suite also reports the minor-heap words allocated per
+   measured sight and the program's Demand.transform calls, which
+   [--check] gates: every sight has one skeleton, so one transform. *)
 let magic_repeat_first_sight () =
   let sights = 2000 and length = 6 in
   let b = Buffer.create ((sights + 1) * length * 24) in
@@ -730,7 +739,10 @@ let magic_repeat_first_sight () =
     (r.d_stats, w)
   in
   ignore (sight 0);
+  let words0 = Gc.minor_words () in
   let runs = Array.init sights (fun i -> sight (i + 1)) in
+  let words = (Gc.minor_words () -. words0) /. float_of_int sights in
+  let transforms = Program.demand_transforms p in
   let decile_ratio f =
     let median lo =
       let d = Array.init (sights / 10) (fun i -> f runs.(lo + i)) in
@@ -746,8 +758,9 @@ let magic_repeat_first_sight () =
     decile_ratio (fun (s, _) -> float_of_int s.Pathlog.Fixpoint.firings)
   in
   Printf.printf
-    "magic_repeat_first_sight: last/first decile %.2fx wall, %.2fx firings\n%!"
-    wall_ratio firing_ratio;
+    "magic_repeat_first_sight: last/first decile %.2fx wall, %.2fx firings; \
+     %.0f minor words per sight, %d transform(s)\n%!"
+    wall_ratio firing_ratio words transforms;
   if firing_ratio > 1.5 then
     failwith
       (Printf.sprintf
@@ -759,12 +772,14 @@ let magic_repeat_first_sight () =
     ~rule_evaluations:(total (fun s -> s.Pathlog.Fixpoint.rule_evaluations))
     ~firings:(total (fun s -> s.Pathlog.Fixpoint.firings))
     ~rounds:(total (fun s -> s.Pathlog.Fixpoint.rounds))
+    ~transforms ~minor_words_per_op:words
     ~detail:
       (Printf.sprintf
          "%d first sights of one shape (fresh %d-edge boss chain each) on \
-          one program; last/first decile %.2fx wall, %.2fx firings; \
+          one program; last/first decile %.2fx wall, %.2fx firings; %.0f \
+          minor words per sight; %d Demand.transform call(s) in all; \
           counters summed over the sights"
-         sights length wall_ratio firing_ratio)
+         sights length wall_ratio firing_ratio words transforms)
 
 (* The result cache under demand: an in-process --demand server over a
    goal_directed-shaped program (boss chains of 6 under a recursive [up]
@@ -1503,8 +1518,8 @@ let member key = function
 let as_num = function Some (Num f) -> Some f | _ -> None
 let as_str = function Some (Str s) -> Some s | _ -> None
 
-(* Per-suite (wall_s, rule_evaluations, cache_hits) from a previous
-   report. *)
+(* Per-suite (wall_s, rule_evaluations, cache_hits, transforms) from a
+   previous report. *)
 let load_report file =
   let ic = open_in_bin file in
   let len = in_channel_length ic in
@@ -1521,7 +1536,8 @@ let load_report file =
             ( name,
               ( as_num (member "wall_s" s),
                 as_num (member "rule_evaluations" s),
-                as_num (member "cache_hits" s) ) )
+                as_num (member "cache_hits" s),
+                as_num (member "transforms" s) ) )
         | None -> None)
       suites
   | _ -> []
@@ -1537,12 +1553,14 @@ let suite_json ~baseline (s : suite) =
     @ opt "ops_per_s" s.ops_per_s (fun x -> Num x)
     @ opt "rule_evaluations" s.rule_evaluations (fun x -> Num (float_of_int x))
     @ opt "cache_hits" s.cache_hits (fun x -> Num (float_of_int x))
+    @ opt "transforms" s.transforms (fun x -> Num (float_of_int x))
+    @ opt "minor_words_per_op" s.minor_words_per_op (fun x -> Num x)
     @ opt "firings" s.firings (fun x -> Num (float_of_int x))
     @ opt "rounds" s.rounds (fun x -> Num (float_of_int x))
     @ opt "speedup_vs_1j" s.speedup_vs_1j (fun x -> Num x)
     @ opt "speedup_vs_full" s.speedup_vs_full (fun x -> Num x)
     @ (match base with
-      | Some (Some bw, _, _) ->
+      | Some (Some bw, _, _, _) ->
         [
           ("baseline_wall_s", Num bw);
           ("speedup", Num (bw /. max 1e-9 s.wall_s));
@@ -1550,14 +1568,14 @@ let suite_json ~baseline (s : suite) =
       | _ -> [])
     @ [ ("detail", Str s.detail) ])
 
-(* One line per failure: a suite whose rule_evaluations grew, or whose
-   cache_hits fell, by more than 20% against the committed report, or —
-   on a full run ([partial] false) — a committed suite with either
-   counter that this run did not produce, so a renamed or dropped suite
-   cannot leave the gate unnoticed. *)
+(* One line per failure: a suite whose rule_evaluations or transforms
+   grew, or whose cache_hits fell, by more than 20% against the
+   committed report, or — on a full run ([partial] false) — a committed
+   suite with any of these counters that this run did not produce, so a
+   renamed or dropped suite cannot leave the gate unnoticed. *)
 let check ~committed ~partial suites =
-  (* [up]: the counter regresses by growing (rule_evaluations) rather
-     than by falling (cache_hits) *)
+  (* [up]: the counter regresses by growing (rule_evaluations,
+     transforms) rather than by falling (cache_hits) *)
   let gate (s : suite) key ~up now baseline =
     let baseline = int_of_float baseline in
     let limit =
@@ -1585,11 +1603,14 @@ let check ~committed ~partial suites =
       (fun (s : suite) ->
         match List.assoc_opt s.name committed with
         | None -> []
-        | Some (_, evals, hits) ->
+        | Some (_, evals, hits, transforms) ->
           List.filter_map Fun.id
             [
               (match (s.rule_evaluations, evals) with
               | Some now, Some b -> gate s "rule_evaluations" ~up:true now b
+              | _ -> None);
+              (match (s.transforms, transforms) with
+              | Some now, Some b -> gate s "transforms" ~up:true now b
               | _ -> None);
               (match (s.cache_hits, hits) with
               | Some now, Some b -> gate s "cache_hits" ~up:false now b
@@ -1601,9 +1622,10 @@ let check ~committed ~partial suites =
     if partial then []
     else
       List.filter_map
-        (fun (name, (_, evals, hits)) ->
+        (fun (name, (_, evals, hits, transforms)) ->
           let ran = List.exists (fun (s : suite) -> s.name = name) suites in
-          if (evals = None && hits = None) || ran then None
+          if (evals = None && hits = None && transforms = None) || ran then
+            None
           else begin
             Printf.printf "CHECK FAIL %-29s in the baseline, not in this run\n"
               name;

@@ -37,6 +37,14 @@ let rec ground_simple store (r : Ast.reference) =
   | Ast.Paren r -> ground_simple store r
   | Ast.Var _ | Ast.Path _ | Ast.Regex _ | Ast.Filter _ | Ast.Isa _ -> None
 
+(* [ground_simple] without interning: a constant, possibly in
+   parentheses. *)
+let rec is_const (r : Ast.reference) =
+  match r with
+  | Ast.Name _ | Ast.Int_lit _ | Ast.Str_lit _ -> true
+  | Ast.Paren r -> is_const r
+  | Ast.Var _ | Ast.Path _ | Ast.Regex _ | Ast.Filter _ | Ast.Isa _ -> false
+
 let is_self meth args =
   match (meth : Ast.reference) with
   | Ast.Name "self" -> args = []
@@ -360,7 +368,7 @@ let emit store proper query_lits levels =
     let member, binding =
       match recv with
       | Ast.Var _ -> (recv, [])
-      | r when ground_simple store r <> None -> (recv, [])
+      | r when is_const r -> (recv, [])
       | _ ->
         incr fresh;
         let v = Printf.sprintf "Seed#%d" !fresh in
@@ -446,6 +454,126 @@ let magic_fact_total store =
     0 (Store.set_meths store)
 
 (* ------------------------------------------------------------------ *)
+(* Query skeletons. A query's skeleton is its literals with every
+   constant outside a method position replaced by a numbered placeholder,
+   the reserved name [$q<k>] (a lexed name never starts with [$]). The
+   transform treats a placeholder as the ground constant it stands for,
+   and its output is the same function of the placeholders as it is of
+   the constants, so a skeleton's transform, with the placeholders put
+   back, is the transform of each query the skeleton stands for. Method
+   positions keep their constants: they pick the relations. *)
+
+let placeholder_prefix = "$q"
+
+let placeholder k = Ast.Name (placeholder_prefix ^ string_of_int k)
+
+(* The variable standing for placeholder [k] where a binding supplies
+   it: a seed template's binding slot [k]. *)
+let seed_var k = placeholder_prefix ^ string_of_int k
+
+let placeholder_index (r : Ast.reference) =
+  match r with
+  | Ast.Name n when String.starts_with ~prefix:placeholder_prefix n ->
+    int_of_string_opt
+      (String.sub n
+         (String.length placeholder_prefix)
+         (String.length n - String.length placeholder_prefix))
+  | _ -> None
+
+(* Rebuild a reference with every constant leaf mapped through [f];
+   [~meth] tells [f] whether the leaf is a method position. *)
+let map_consts f (r : Ast.reference) =
+  let rec go ~meth (r : Ast.reference) : Ast.reference =
+    match r with
+    | Ast.Name _ | Ast.Int_lit _ | Ast.Str_lit _ -> f ~meth r
+    | Ast.Var _ -> r
+    | Ast.Paren r -> Ast.Paren (go ~meth r)
+    | Ast.Path p ->
+      Ast.Path
+        {
+          p with
+          p_recv = obj p.p_recv;
+          p_meth = go ~meth:true p.p_meth;
+          p_args = List.map obj p.p_args;
+        }
+    | Ast.Regex { x_recv; x_re } ->
+      Ast.Regex { x_recv = obj x_recv; x_re = regex x_re }
+    | Ast.Isa { recv; cls } -> Ast.Isa { recv = obj recv; cls = obj cls }
+    | Ast.Filter fl ->
+      Ast.Filter
+        {
+          f_recv = obj fl.f_recv;
+          f_meth = go ~meth:true fl.f_meth;
+          f_args = List.map obj fl.f_args;
+          f_rhs =
+            (match fl.f_rhs with
+            | Ast.Rscalar r -> Ast.Rscalar (obj r)
+            | Ast.Rset_ref r -> Ast.Rset_ref (obj r)
+            | Ast.Rset_enum rs -> Ast.Rset_enum (List.map obj rs)
+            | (Ast.Rsig_scalar _ | Ast.Rsig_set _) as rhs -> rhs);
+        }
+  and obj r = go ~meth:false r
+  and regex (re : Ast.regex) : Ast.regex =
+    match re with
+    | Ast.Rlit l ->
+      Ast.Rlit
+        { l with l_meth = go ~meth:true l.l_meth; l_args = List.map obj l.l_args }
+    | Ast.Rseq rs -> Ast.Rseq (List.map regex rs)
+    | Ast.Ralt rs -> Ast.Ralt (List.map regex rs)
+    | Ast.Rstar r -> Ast.Rstar (regex r)
+    | Ast.Rplus r -> Ast.Rplus (regex r)
+    | Ast.Ropt r -> Ast.Ropt (regex r)
+  in
+  obj r
+
+let map_literal f (lit : Ast.literal) : Ast.literal =
+  match lit with
+  | Ast.Pos r -> Ast.Pos (map_consts f r)
+  | Ast.Neg r -> Ast.Neg (map_consts f r)
+
+(* Put [sub k] back for every placeholder [k]. *)
+let fill sub (rule : Ast.rule) =
+  let f ~meth:_ r =
+    match placeholder_index r with Some k -> sub k | None -> r
+  in
+  { Ast.head = map_consts f rule.head; body = List.map (map_literal f) rule.body }
+
+type skeleton = {
+  sk_key : string;
+  sk_lits : Ast.literal list;
+  sk_consts : Ast.reference array;
+}
+
+let skeleton lits =
+  let consts = ref [] and n = ref 0 in
+  let f ~meth r =
+    if meth then r
+    else
+      match List.assoc_opt r !consts with
+      | Some k -> placeholder k
+      | None ->
+        let k = !n in
+        incr n;
+        consts := (r, k) :: !consts;
+        placeholder k
+  in
+  let sk_lits = List.map (map_literal f) lits in
+  let sk_consts = Array.of_list (List.rev_map fst !consts) in
+  let b = Buffer.create 64 in
+  List.iter
+    (fun lit ->
+      Syntax.Pretty.add_literal b lit;
+      Buffer.add_char b '\n')
+    sk_lits;
+  (* a constant keeps its kind: [5] and ["5"] are different skeletons *)
+  Array.iter
+    (fun (c : Ast.reference) ->
+      Buffer.add_char b
+        (match c with Ast.Int_lit _ -> 'i' | Ast.Str_lit _ -> 's' | _ -> 'n'))
+    sk_consts;
+  { sk_key = Buffer.contents b; sk_lits; sk_consts }
+
+(* ------------------------------------------------------------------ *)
 (* The transform result: the query's seed facts plus its shape — the
    non-seed rules, kept uncompiled until a caller with no compiled copy of
    this shape asks for one. *)
@@ -460,6 +588,7 @@ type pending = {
 type t = {
   key : string;
   seeds : Ast.rule list;
+  carried : int list;
   n_seeds : int;
   n_magic : int;
   n_guarded : int;
@@ -547,8 +676,45 @@ let listing store d =
     | [] -> []
     | _ -> "%% guarded plans (receiver bound)" :: plans)
 
+(* The magic rules are the only part that depends on more than the
+   originating rules: their text identifies them. Guarded and unguarded
+   rules are fixed by the user rule they come from. *)
+let shape_key magic guarded unguarded =
+  String.concat "\n"
+    (List.map (fun (_, _, text) -> text) magic
+    @ List.map
+        (fun (_, _, (r : Rule.t)) -> Printf.sprintf "guarded %d" r.uid)
+        guarded
+    @ List.map (fun (r : Rule.t) -> Printf.sprintf "unguarded %d" r.uid) unguarded)
+
+(* The placeholders a rule mentions. *)
+let placeholders (rule : Ast.rule) =
+  let add acc r =
+    match placeholder_index r with
+    | Some k when not (List.mem k acc) -> k :: acc
+    | Some _ | None -> acc
+  in
+  List.fold_left
+    (fun acc (lit : Ast.literal) ->
+      match lit with
+      | Ast.Pos r | Ast.Neg r -> Ast.fold_reference add acc r)
+    (Ast.fold_reference add [] rule.head)
+    rule.body
+
 let transform store (rules : Rule.t list) query_lits =
-  let q = Semantics.Flatten.literals store query_lits in
+  (* only the relations of the query's atoms matter here, and a variable
+     in a placeholder's place reads the same ones (a class position's
+     [R_isa_c] and [R_isa] normalise alike), so placeholders never enter
+     the universe *)
+  let q =
+    Semantics.Flatten.literals store
+      (List.map
+         (map_literal (fun ~meth:_ r ->
+              match placeholder_index r with
+              | Some k -> Ast.Var (seed_var k)
+              | None -> r))
+         query_lits)
+  in
   let goals = Ir.query_rels q.atoms in
   let relevant = Stratify.live_rules rules ~goals in
   match gate query_lits goals relevant with
@@ -571,23 +737,13 @@ let transform store (rules : Rule.t list) query_lits =
         @ List.map (fun (ast, _, _) -> ast) guarded)
     then Error Unsafe
     else
-      (* The magic rules are the only part that depends on more than the
-         originating rules: their text identifies them. Guarded and
-         unguarded rules are fixed by the user rule they come from. *)
-      let key =
-        String.concat "\n"
-          (List.map (fun (_, _, text) -> text) magic
-          @ List.map
-              (fun (_, _, (r : Rule.t)) -> Printf.sprintf "guarded %d" r.uid)
-              guarded
-          @ List.map
-              (fun (r : Rule.t) -> Printf.sprintf "unguarded %d" r.uid)
-              unguarded)
-      in
       Ok
         {
-          key;
+          key = shape_key magic guarded unguarded;
           seeds;
+          carried =
+            List.sort_uniq Int.compare
+              (List.concat_map (fun (ast, _, _) -> placeholders ast) magic);
           n_seeds = List.length seeds;
           n_magic = List.length magic;
           n_guarded = List.length guarded;
@@ -595,3 +751,58 @@ let transform store (rules : Rule.t list) query_lits =
           n_dropped;
           pending = { levels; magic; guarded; unguarded };
         }
+
+(* ------------------------------------------------------------------ *)
+(* Instantiating a skeleton's transform *)
+
+let specialise d consts =
+  let sub k = consts.(k) in
+  let b = Buffer.create 128 and seen = Hashtbl.create 16 in
+  (* filling the placeholders in can make two magic rules one, as the
+     transform of the query itself would have found them *)
+  let magic =
+    List.filter_map
+      (fun (ast, origin, _) ->
+        let ast = fill sub ast in
+        Buffer.clear b;
+        Syntax.Pretty.add_rule b ast;
+        let text = Buffer.contents b in
+        if Hashtbl.mem seen text then None
+        else begin
+          Hashtbl.add seen text ();
+          Some (ast, origin, text)
+        end)
+      d.pending.magic
+  in
+  let pending = { d.pending with magic } in
+  {
+    d with
+    key = shape_key magic pending.guarded pending.unguarded;
+    carried = [];
+    n_magic = List.length magic;
+    pending;
+  }
+
+let carried_key d consts =
+  let b = Buffer.create 32 in
+  List.iter
+    (fun k ->
+      Buffer.add_char b '\n';
+      Syntax.Pretty.add_reference b consts.(k))
+    d.carried;
+  Buffer.contents b
+
+let seed_template d ~slots =
+  let named = List.init slots (fun k -> (seed_var k, k)) in
+  List.map
+    (fun (seed : Ast.rule) ->
+      (seed, Head.compile ~named (fill (fun k -> Ast.Var (seed_var k)) seed).head))
+    d.seeds
+
+let seed_count d consts =
+  match d.seeds with
+  | [] | [ _ ] -> List.length d.seeds
+  | seeds ->
+    (* seeds distinct as placeholders may coincide as constants *)
+    List.length
+      (List.sort_uniq compare (List.map (fill (fun k -> consts.(k))) seeds))

@@ -54,6 +54,28 @@ val fallback_to_string : fallback -> string
 (** The uncompiled non-seed rules of a transform. *)
 type pending
 
+(** {1 Query skeletons}
+
+    A query's {e skeleton} is its literals with every constant outside a
+    method position (receivers, arguments, results, classes) replaced by
+    a numbered placeholder, the reserved name [$q<k>]. A constant keeps
+    its kind in the key, and a repeated constant keeps one number:
+    [a\[boss -> a\]] and [a\[boss -> b\]] are different skeletons.
+    {!transform} treats a placeholder as the constant it stands for, so
+    one transform of the skeleton serves every query it stands for:
+    {!seed_template} turns its seeds into heads that read the constants
+    from a binding, and {!specialise} puts the constants into the rules
+    that carry them. *)
+
+type skeleton = {
+  sk_key : string;  (** equal keys: equal skeletons *)
+  sk_lits : Syntax.Ast.literal list;  (** the literals, with placeholders *)
+  sk_consts : Syntax.Ast.reference array;
+      (** the constant placeholder [k] stands for *)
+}
+
+val skeleton : Syntax.Ast.literal list -> skeleton
+
 (** A transform result: the query's seed facts plus its {e shape}, the
     non-seed rules (magic rules, guarded rules, and the untouched
     [F]-adorned rules, which keep their original compiled identity so
@@ -67,6 +89,12 @@ type t = {
           calling {!compile} again *)
   seeds : Syntax.Ast.rule list;
       (** ground magic facts from the query's constants *)
+  carried : int list;
+      (** the placeholders the non-seed rules mention: a magic rule whose
+          body starts from a query constant, as
+          [a0\[boss -> X\], X\[up ->> \{Y\}\]] gives
+          [$demand\[magic$set$up ->> \{X\}\] <- a0\[boss -> X\]]. Such
+          a skeleton's rules differ per constant; see {!specialise} *)
   n_seeds : int;
   n_magic : int;  (** demand-propagation rules *)
   n_guarded : int;  (** rules restricted by a magic guard *)
@@ -94,6 +122,27 @@ val transform :
   Rule.t list ->
   Syntax.Ast.literal list ->
   (t, fallback) result
+
+(** [specialise d consts]: a skeleton's transform [d] with placeholder
+    [k] replaced by [consts.(k)] in its non-seed rules — the non-seed
+    rules {!transform} gives the query itself (magic rules that become
+    equal merge, as they do there). Its [key] is recomputed and its
+    [carried] is empty. *)
+val specialise : t -> Syntax.Ast.reference array -> t
+
+(** The constants a specialised shape of [d] is keyed by: [d.carried]'s,
+    printed. Empty when [d] carries none. *)
+val carried_key : t -> Syntax.Ast.reference array -> string
+
+(** The seed template: each seed with its head compiled once, its
+    placeholder [k] read from binding slot [k] ([slots] is the
+    skeleton's constant count). Running a head under the query's
+    constant objects inserts the seed {!transform} gives the query. *)
+val seed_template : t -> slots:int -> (Syntax.Ast.rule * Head.t) list
+
+(** How many distinct seeds the query with these constants has (two
+    placeholder seeds can be one fact). *)
+val seed_count : t -> Syntax.Ast.reference array -> int
 
 (** Compile and stratify a transform's non-seed rules. Each call mints
     fresh rule uids. *)

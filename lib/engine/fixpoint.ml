@@ -62,28 +62,6 @@ let rel_length store = function
   | Ir.R_set m -> Oodb.Vec.length (Store.set_bucket store m)
   | Ir.R_any -> 0
 
-(* Relation watermarks: raw bucket/log lengths (dead entries included —
-   lengths are append-monotone). A method first seen later defaults to 0,
-   i.e. its whole bucket is delta. *)
-let watermark store =
-  let isa = Oodb.Vec.length (Store.isa_log store) in
-  let lengths meths bucket =
-    let tbl = Tbl.create 32 in
-    List.iter
-      (fun m ->
-        Tbl.replace tbl m (Oodb.Vec.length (bucket store m)))
-      meths;
-    fun m -> Option.value ~default:0 (Tbl.find_opt tbl m)
-  in
-  let sc = lengths (Store.scalar_meths store) Store.scalar_bucket in
-  let st = lengths (Store.set_meths store) Store.set_bucket in
-  fun (r : Ir.rel) ->
-    match r with
-    | Ir.R_isa | Ir.R_isa_c _ -> isa
-    | Ir.R_scalar m -> sc m
-    | Ir.R_set m -> st m
-    | Ir.R_any -> 0
-
 (* ------------------------------------------------------------------ *)
 (* Interned relations: relevance and delta checks run on dense int ids
    and plain arrays instead of per-round Rel_map snapshots and List.mem
@@ -131,7 +109,9 @@ end
 
 (* Current length of every relation present in the store, indexed by
    interned id; relations first seen now (new methods appear as rules
-   derive into them) get fresh ids, so the array grows monotonically. *)
+   derive into them) get fresh ids, so the array grows monotonically.
+   Lengths are raw bucket/log lengths, dead entries included, so they
+   are append-monotone. *)
 let snapshot itn store =
   ignore (Interner.intern itn Ir.R_isa : int);
   List.iter
@@ -146,9 +126,11 @@ let snapshot itn store =
   done;
   lens
 
+(* A relation interned after the marks were taken reads as 0: its whole
+   bucket is delta. *)
 let len_at marks id = if id < Array.length marks then marks.(id) else 0
 
-(* A rule with its relation sets pre-interned, computed once per stratum. *)
+(* A rule with its relation sets pre-interned. *)
 type crule = {
   rule : Rule.t;
   read_ids : int array;  (* normalised [reads] *)
@@ -171,6 +153,22 @@ let crule_of itn (rule : Rule.t) =
     |> Array.of_list
   in
   { rule; read_ids; head_read_ids; seed_ids; seed_rel_ids }
+
+(* A stratified program with its relations interned once: every run of
+   it reuses the interner and the [crule]s, and its marks are plain
+   arrays over the interned ids. One interner serves every stratum, so
+   marks taken anywhere index every stratum alike. Runs of one prepared
+   program must not overlap: the interner grows as the store gains
+   methods. *)
+type prepared = { itn : Interner.t; crules : crule list array }
+
+let prepare (strat : Stratify.t) =
+  let itn = Interner.create () in
+  { itn; crules = Array.map (List.map (crule_of itn)) strat.strata }
+
+type marks = int array
+
+let marks p store = snapshot p.itn store
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache: one plan per (rule uid, seed atom), reused across
@@ -223,41 +221,76 @@ let interrupt_of budget =
         Fault.hit Fault.Solver_step;
         Budget.check b)
 
+(* Where a run's insertions go: provenance and the caller's hook. One
+   sink serves a whole run and holds the firing in progress, so a firing
+   allocates no callback of its own; the derivation record is built at
+   the firing's first insertion and shared by the rest. *)
+type sink = {
+  stats : stats;
+  store : Store.t;
+  provenance : Provenance.t option;
+  on_insert : (Fact.t -> unit) option;
+  mutable hook : (Fact.t -> unit) option;  (* [None]: nothing to call *)
+  mutable rule : Rule.t;
+  mutable binding : Oodb.Obj_id.t array;
+  mutable source : Provenance.source;
+  mutable built : bool;  (* [source] is this firing's *)
+}
+
+let sink_insert s fact =
+  (match s.provenance with
+  | None -> ()
+  | Some prov ->
+    if not s.built then begin
+      s.source <-
+        (if s.rule.source.body = [] then Provenance.Extensional
+         else Provenance.Derived { Provenance.rule = s.rule; binding = s.binding });
+      s.built <- true
+    end;
+    Provenance.record prov fact s.source);
+  match s.on_insert with Some f -> f fact | None -> ()
+
+let sink ?provenance ?on_insert stats store rule =
+  let s =
+    {
+      stats;
+      store;
+      provenance;
+      on_insert;
+      hook = None;
+      rule;
+      binding = [||];
+      source = Provenance.Extensional;
+      built = false;
+    }
+  in
+  if Option.is_some provenance || Option.is_some on_insert then
+    s.hook <- Some (sink_insert s);
+  s
+
 (* Execute the rule head under one body solution, recording provenance
    and counting insertions; shared by the sequential path and the
    parallel merge phase. The solver's [binding] is fresh per solution,
    so the firing's derivation record keeps it uncopied. *)
-let fire ?provenance ?(on_insert = fun _ -> ()) stats store (rule : Rule.t)
-    binding changes =
-  stats.firings <- stats.firings + 1;
-  let on_insert =
-    match provenance with
-    | None -> on_insert
-    | Some prov ->
-      let source =
-        if rule.source.body = [] then Provenance.Extensional
-        else Provenance.Derived { Provenance.rule; binding }
-      in
-      fun fact ->
-        Provenance.record prov fact source;
-        on_insert fact
-  in
+let fire s (rule : Rule.t) binding changes =
+  s.stats.firings <- s.stats.firings + 1;
+  s.rule <- rule;
+  s.binding <- binding;
+  s.built <- false;
   let before = !changes in
   ignore
-    (Head.execute ~on_insert store ~binding ~rule:rule.source ~changes
-       rule.head);
-  stats.insertions <- stats.insertions + (!changes - before)
+    (Head.execute ?on_insert:s.hook s.store ~binding ~rule:rule.source
+       ~changes rule.head);
+  s.stats.insertions <- s.stats.insertions + (!changes - before)
 
 (* Evaluate one rule, optionally seeded, executing the head on every body
    solution. *)
-let evaluate ?provenance ?on_insert ?interrupt config plans stats
-    store (rule : Rule.t) seed changes =
-  stats.rule_evaluations <- stats.rule_evaluations + 1;
-  let plan = plan_for plans store rule seed in
+let evaluate ?interrupt config plans sink (rule : Rule.t) seed changes =
+  sink.stats.rule_evaluations <- sink.stats.rule_evaluations + 1;
+  let plan = plan_for plans sink.store rule seed in
   Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt ?seed
-    ~plan store rule.body
-    ~f:(fun binding ->
-      fire ?provenance ?on_insert stats store rule binding changes)
+    ~plan sink.store rule.body
+    ~f:(fun binding -> fire sink rule binding changes)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel rounds.
@@ -285,42 +318,32 @@ type task = {
 let task rule seed =
   { t_rule = rule; t_seed = seed; t_out = Oodb.Vec.create () }
 
-let run_tasks ?provenance ?on_insert ?interrupt config plans pool
-    stats store tasks changes =
-  match (pool : Dpool.t option) with
-  | None ->
-    List.iter
-      (fun t ->
-        (match config.budget with Some b -> Budget.check b | None -> ());
-        evaluate ?provenance ?on_insert ?interrupt config plans stats
-          store t.t_rule t.t_seed changes)
-      tasks
-  | Some pool ->
-    let tasks = Array.of_list tasks in
-    (* Plans come from the shared cache, so compile them before going
-       parallel; the cache is not synchronised. *)
-    let task_plans =
-      Array.map (fun t -> plan_for plans store t.t_rule t.t_seed) tasks
-    in
-    stats.rule_evaluations <- stats.rule_evaluations + Array.length tasks;
-    Dpool.run pool (Array.length tasks) (fun i ->
-        (* each worker re-checks the budget between task claims, so a
-           cancellation set on any domain stops the whole batch: the
-           raising task records the failure and Dpool abandons the
-           unclaimed remainder *)
-        (match config.budget with Some b -> Budget.check b | None -> ());
-        let t = tasks.(i) in
-        Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt
-          ?seed:t.t_seed ~plan:task_plans.(i) store t.t_rule.body
-          ~f:(fun binding -> Oodb.Vec.push t.t_out binding));
-    Array.iter
-      (fun t ->
-        Oodb.Vec.iter
-          (fun binding ->
-            fire ?provenance ?on_insert stats store t.t_rule binding
-              changes)
-          t.t_out)
-      tasks
+(* The parallel phases of a round: solve every task's body, then merge
+   the heads in task order. *)
+let run_parallel ?interrupt config plans pool sink tasks changes =
+  let store = sink.store in
+  let tasks = Array.of_list tasks in
+  (* Plans come from the shared cache, so compile them before going
+     parallel; the cache is not synchronised. *)
+  let task_plans =
+    Array.map (fun t -> plan_for plans store t.t_rule t.t_seed) tasks
+  in
+  sink.stats.rule_evaluations <-
+    sink.stats.rule_evaluations + Array.length tasks;
+  Dpool.run pool (Array.length tasks) (fun i ->
+      (* each worker re-checks the budget between task claims, so a
+         cancellation set on any domain stops the whole batch: the
+         raising task records the failure and Dpool abandons the
+         unclaimed remainder *)
+      (match config.budget with Some b -> Budget.check b | None -> ());
+      let t = tasks.(i) in
+      Semantics.Solve.iter ~hilog_virtual:config.hilog_virtual ?interrupt
+        ?seed:t.t_seed ~plan:task_plans.(i) store t.t_rule.body
+        ~f:(fun binding -> Oodb.Vec.push t.t_out binding));
+  Array.iter
+    (fun t ->
+      Oodb.Vec.iter (fun binding -> fire sink t.t_rule binding changes) t.t_out)
+    tasks
 
 let check_budget config stats store stratum_rounds =
   if stratum_rounds > config.max_rounds then
@@ -339,24 +362,39 @@ let check_budget config stats store stratum_rounds =
   | None -> ()
   | Some b -> Budget.check_caps b ~derivations:stats.firings ~objects:card
 
-let run_stratum ?provenance ?on_insert ?from ?interrupt config plans
-    pool stats store rules =
-  let itn = Interner.create () in
-  let crules = List.map (crule_of itn) rules in
+let run_stratum ?from ?interrupt config plans pool sink itn crules =
+  let store = sink.store and stats = sink.stats in
+  (* A round's (rule, seed) tasks are fixed by the marks at its start and
+     taken in order: without a pool each is evaluated as it is taken,
+     with one they are queued for the round's parallel phases. *)
+  let changes = ref 0 in
+  let queued = ref [] in
+  let take rule seed =
+    match pool with
+    | None ->
+      (match config.budget with Some b -> Budget.check b | None -> ());
+      evaluate ?interrupt config plans sink rule seed changes
+    | Some _ -> queued := task rule seed :: !queued
+  in
+  let end_round () =
+    (match pool with
+    | None -> ()
+    | Some pool ->
+      let tasks = List.rev !queued in
+      queued := [];
+      run_parallel ?interrupt config plans pool sink tasks changes);
+    let grew = !changes > 0 in
+    changes := 0;
+    grew
+  in
   (* marks at the start of the previous round: the delta a seeded atom
      scans starts there. With a [from] baseline the marks start at the
-     caller's watermarks instead of the current lengths, so the first
-     round is an ordinary semi-naive delta round over everything inserted
-     since the baseline — incremental maintenance re-enters the fixpoint
+     caller's marks instead of the current lengths, so the first round is
+     an ordinary semi-naive delta round over everything inserted since
+     the baseline — incremental maintenance re-enters the fixpoint
      here. *)
   let prev_marks =
-    ref
-      (match from with
-      | None -> snapshot itn store
-      | Some baseline ->
-        ignore (snapshot itn store : int array);
-        Array.init itn.Interner.count (fun id ->
-            baseline itn.Interner.rels.(id)))
+    ref (match from with None -> snapshot itn store | Some m -> m)
   in
   let prev_epoch = ref (match from with None -> Store.epoch store | Some _ -> -1) in
   let round = ref 0 in
@@ -365,12 +403,8 @@ let run_stratum ?provenance ?on_insert ?from ?interrupt config plans
   let first_round () =
     incr round;
     stats.rounds <- stats.rounds + 1;
-    let changes = ref 0 in
-    run_tasks ?provenance ?on_insert ?interrupt config plans pool
-      stats store
-      (List.map (fun r -> task r None) rules)
-      changes;
-    !changes > 0
+    List.iter (fun (cr : crule) -> take cr.rule None) crules;
+    end_round ()
   in
   let next_round () =
     incr round;
@@ -382,84 +416,65 @@ let run_stratum ?provenance ?on_insert ?from ?interrupt config plans
     let now_epoch = Store.epoch store in
     if now_epoch = !prev_epoch then false
     else begin
-      let now = snapshot itn store in
+      let now = snapshot itn store and prev = !prev_marks in
+      let is_changed id = now.(id) > len_at prev id in
       let any_changed = ref false in
-      let changed =
-        Array.init (Array.length now) (fun id ->
-            let c = now.(id) > len_at !prev_marks id in
-            if c then any_changed := true;
-            c)
-      in
-      let is_changed id = id < Array.length changed && changed.(id) in
+      Array.iteri (fun id _ -> if is_changed id then any_changed := true) now;
       if not !any_changed then false
       else begin
-        let changes = ref 0 in
-        let tasks =
-          match config.mode with
-          | Naive -> List.map (fun r -> task r None) rules
-          | Seminaive ->
-            List.concat_map
-              (fun cr ->
-                let rule = cr.rule in
-                let relevant =
-                  rule.reads_any || Array.exists is_changed cr.read_ids
-                in
-                if not relevant then []
-                else begin
-                  (* a seeded task re-runs only the firings that read
-                     the delta through its atom; a relation the head
-                     evaluates also changes the heads of older firings *)
-                  let unseedable_change =
-                    rule.reads_any
-                    || Array.exists is_changed cr.head_read_ids
-                    || Array.exists
-                         (fun r ->
-                           is_changed r
-                           && not (Array.exists (Int.equal r) cr.seed_rel_ids))
-                         cr.read_ids
-                  in
-                  if unseedable_change then [ task rule None ]
-                  else
-                    Array.to_list cr.seed_ids
-                    |> List.filter_map (fun (rel_id, idx) ->
-                           if is_changed rel_id then
-                             Some
-                               (task rule
-                                  (Some
-                                     {
-                                       Semantics.Solve.seed_atom = idx;
-                                       seed_from = len_at !prev_marks rel_id;
-                                     }))
-                           else None)
-                end)
-              crules
-        in
-        run_tasks ?provenance ?on_insert ?interrupt config plans
-          pool stats store tasks changes;
+        (match config.mode with
+        | Naive -> List.iter (fun (cr : crule) -> take cr.rule None) crules
+        | Seminaive ->
+          List.iter
+            (fun (cr : crule) ->
+              let rule = cr.rule in
+              if rule.reads_any || Array.exists is_changed cr.read_ids then
+                (* a seeded task re-runs only the firings that read the
+                   delta through its atom; a relation the head evaluates
+                   also changes the heads of older firings *)
+                if
+                  rule.reads_any
+                  || Array.exists is_changed cr.head_read_ids
+                  || Array.exists
+                       (fun r ->
+                         is_changed r && not (Array.mem r cr.seed_rel_ids))
+                       cr.read_ids
+                then take rule None
+                else
+                  Array.iter
+                    (fun (rel_id, idx) ->
+                      if is_changed rel_id then
+                        take rule
+                          (Some
+                             {
+                               Semantics.Solve.seed_atom = idx;
+                               seed_from = len_at prev rel_id;
+                             }))
+                    cr.seed_ids)
+            crules);
+        let grew = end_round () in
         prev_marks := now;
         prev_epoch := now_epoch;
-        !changes > 0
+        grew
       end
     end
   in
-  if rules <> [] then begin
-    (* with a baseline the "first full round" already happened when the
-       stratum was first evaluated; everything since is delta *)
-    continue := (match from with None -> first_round () | Some _ -> true);
-    while !continue do
-      continue := next_round ()
-    done
-  end
+  (* with a baseline the "first full round" already happened when the
+     stratum was first evaluated; everything since is delta *)
+  continue := (match from with None -> first_round () | Some _ -> true);
+  while !continue do
+    continue := next_round ()
+  done
 
 let run ?(config = default_config) ?provenance ?on_insert ?from
-    ?plans store (strat : Stratify.t) =
+    ?plans store (p : prepared) =
   let stats =
     {
       rounds = 0;
       rule_evaluations = 0;
       firings = 0;
       insertions = 0;
-      strata = Array.length strat.strata;
+      strata = Array.length p.crules;
       degraded = None;
     }
   in
@@ -477,9 +492,12 @@ let run ?(config = default_config) ?provenance ?on_insert ?from
          divergence guards keep raising {!Err.Diverged}. *)
       try
         Array.iter
-          (fun rules ->
-            run_stratum ?provenance ?on_insert ?from ?interrupt
-              config plans pool stats store rules)
-          strat.strata
+          (function
+            | [] -> ()
+            | (first : crule) :: _ as crules ->
+              let sink = sink ?provenance ?on_insert stats store first.rule in
+              run_stratum ?from ?interrupt config plans pool sink p.itn
+                crules)
+          p.crules
       with Budget.Exhausted reason -> stats.degraded <- Some reason);
   stats

@@ -99,11 +99,24 @@ val plan_count : plan_cache -> int
     behind. *)
 val forget_plans : plan_cache -> int list -> unit
 
-(** The current per-relation watermark: every relation's raw bucket/log
-    length (tombstoned entries included, so lengths are append-monotone;
-    a relation first seen later reads as [0], i.e. wholly delta). Pass it
-    back as {!run}'s [from] to propagate everything inserted since. *)
-val watermark : Oodb.Store.t -> Semantics.Ir.rel -> int
+(** A stratified program prepared for evaluation: its relations
+    interned to dense ids once, and each rule's read, head-read and
+    seedable relation sets kept as arrays over those ids. {!run} reuses
+    it, so a caller that evaluates the same rules repeatedly (a demand
+    shape, the full program under incremental maintenance) builds it
+    once. Runs of one prepared program must not overlap. *)
+type prepared
+
+val prepare : Stratify.t -> prepared
+
+(** Every relation's raw bucket/log length at one moment, over a prepared
+    program's interned ids (tombstoned entries included, so lengths are
+    append-monotone; a relation first seen later reads as [0], i.e.
+    wholly delta). Pass them back as {!run}'s [from], with the same
+    prepared program, to propagate everything inserted since. *)
+type marks
+
+val marks : prepared -> Oodb.Store.t -> marks
 
 (** Evaluate the stratified program against the store.
     @raise Err.Functional_conflict
@@ -114,10 +127,10 @@ val run :
   ?config:config ->
   ?provenance:Provenance.t ->
   ?on_insert:(Fact.t -> unit) ->
-  ?from:(Semantics.Ir.rel -> int) ->
+  ?from:marks ->
   ?plans:plan_cache ->
   Oodb.Store.t ->
-  Stratify.t ->
+  prepared ->
   stats
 (** [provenance] records the first derivation of every inserted tuple.
 
@@ -125,11 +138,12 @@ val run :
     provenance recording — the hook incremental maintenance uses to track
     the net model delta of a run.
 
-    [from] gives a per-relation watermark (a bucket/log length captured
-    earlier). When set, every stratum skips its full first round and goes
-    straight to semi-naive delta rounds seeded at the watermark: only
-    rules reading a relation that grew past its watermark re-evaluate.
+    [from] gives per-relation marks ({!marks}, taken earlier from the
+    same prepared program). When set, every stratum skips its full first
+    round and goes straight to semi-naive delta rounds seeded at the
+    marks: only rules reading a relation that grew past its mark
+    re-evaluate.
     This is how a committed batch of new facts propagates without
-    re-running the whole program. The watermarks must come from a moment
-    no later than the insertions to propagate (raw lengths are
+    re-running the whole program. The marks must come from a moment no
+    later than the insertions to propagate (raw lengths are
     append-monotone; tombstoned entries still count). *)

@@ -24,19 +24,43 @@ type t = {
   proper_rules : Rule.t list;
       (* the rules that are not pure facts: all the demand transform
          needs to look at *)
-  shapes : (string, shape) Hashtbl.t;
+  shapes : (string, entry) Hashtbl.t;
+      (* keyed by query skeleton ({!Demand.skeleton}), or by skeleton and
+         carried constants *)
   shape_order : string Queue.t;  (* insertion order, for eviction *)
+  mutable transforms : int;  (* [Demand.transform] calls *)
+}
+
+(* What a query skeleton resolves to. *)
+and entry =
+  | Declined of Demand.fallback  (* the transform declined: run in full *)
+  | Carries of Demand.t
+      (* the skeleton's transform, whose magic rules mention query
+         constants: each set of those constants has an entry of its own,
+         keyed by the skeleton and the constants *)
+  | Prepared of prepared
+
+(* Everything a first sight needs that does not depend on its
+   constants: it instantiates the seed template, inserts the seeds and
+   resumes the shape's delta rounds. *)
+and prepared = {
+  demand : Demand.t;  (* the transform, for the report's counts *)
+  seeds : (Ast.rule * Head.t) list;  (* the seed template *)
+  shape : shape;
 }
 
 (* A demand shape compiled once and re-entered on every later query of
-   the same shape. [mark] is the relation watermark at the end of its
-   last complete run: the store was then closed under the shape's rules,
-   so the next run only needs to propagate what arrived since. No
-   removal can break that closure: only [Live] removes facts, and only
-   from a materialised store, where demand runs no more. *)
+   the same shape; entries whose non-seed rules are equal share one.
+   [mark] is the relation marks at the end of its last complete run: the
+   store was then closed under the shape's rules, so the next run only
+   needs to propagate what arrived since. No removal can break that
+   closure: only [Live] removes facts, and only from a materialised
+   store, where demand runs no more. *)
 and shape = {
   compiled : Demand.shape;
-  mutable mark : (Semantics.Ir.rel -> int) option;
+  key : string;  (* [Demand.t.key] *)
+  prep : Fixpoint.prepared;  (* [compiled.strat], prepared *)
+  mutable mark : Fixpoint.marks option;
 }
 
 exception Invalid of string
@@ -126,6 +150,7 @@ let create_spanned ?(config = Fixpoint.default_config) spanned =
         rules;
     shapes = Hashtbl.create 16;
     shape_order = Queue.create ();
+    transforms = 0;
   }
 
 let create ?config statements =
@@ -155,7 +180,7 @@ let run ?budget t =
   let config = budgeted ?budget t in
   let stats =
     Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans t.store
-      t.strat
+      (Fixpoint.prepare t.strat)
   in
   (match stats.Fixpoint.degraded with
   | Some _ as d -> t.degraded <- d
@@ -172,12 +197,12 @@ let materialised t = Atomic.get t.materialised
 
 let provenance t = t.provenance
 
-(* Execute a ground fact's compiled head into the store, recorded as
+(* Execute a fact's compiled head into the store, recorded as
    extensional; returns the number of new tuples. *)
-let insert_fact t ~rule head =
+let insert_fact ?(binding = [||]) t ~rule head =
   let changes = ref 0 in
   let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
-  ignore (Head.execute ~on_insert t.store ~binding:[||] ~rule ~changes head);
+  ignore (Head.execute ~on_insert t.store ~binding ~rule ~changes head);
   !changes
 
 (* Execute the fact statements only (they are ground); idempotent. *)
@@ -272,27 +297,99 @@ type demand_report = {
   d_magic_facts : int;
 }
 
-(* Distinct shapes kept compiled; the oldest is retired past this. A
-   shape differs per constant only where a constant sits in a magic
-   rule's body (a query such as [a0\[boss -> X\], X\[up ->> \{Y\}\]]),
-   so a client can mint shapes at will and the cache must stay bounded. *)
+(* Entries kept; the oldest is retired past this. A shape differs per
+   constant only where a constant sits in a magic rule (a query such as
+   [a0\[boss -> X\], X\[up ->> \{Y\}\]]), so a client can mint entries
+   at will and the table must stay bounded. *)
 let max_shapes = 256
 
+let transform t lits =
+  t.transforms <- t.transforms + 1;
+  Demand.transform t.store t.proper_rules lits
+
+let demand_transforms t = t.transforms
+
+(* Retire the oldest entry, and its shape's plans unless another entry
+   still runs that shape. *)
+let evict_oldest t =
+  let old = Queue.pop t.shape_order in
+  let gone = Hashtbl.find_opt t.shapes old in
+  Hashtbl.remove t.shapes old;
+  match gone with
+  | Some (Prepared p) ->
+    let shared =
+      Hashtbl.fold
+        (fun _ e acc ->
+          acc || match e with Prepared q -> q.shape == p.shape | _ -> false)
+        t.shapes false
+    in
+    if not shared then
+      Fixpoint.forget_plans t.plans p.shape.compiled.Demand.generated
+  | Some (Declined _ | Carries _) | None -> ()
+
+let add_entry t key e =
+  if Queue.length t.shape_order >= max_shapes then evict_oldest t;
+  Hashtbl.replace t.shapes key e;
+  Queue.push key t.shape_order
+
+(* The shape [d]'s non-seed rules compile to: an entry's, when one
+   already runs the same rules, so its mark carries over. *)
 let shape_for t (d : Demand.t) =
-  match Hashtbl.find_opt t.shapes d.key with
+  let running =
+    Hashtbl.fold
+      (fun _ e acc ->
+        match (acc, e) with
+        | None, Prepared p when String.equal p.shape.key d.key -> Some p.shape
+        | _ -> acc)
+      t.shapes None
+  in
+  match running with
   | Some sh -> sh
   | None ->
-    if Queue.length t.shape_order >= max_shapes then begin
-      let old = Queue.pop t.shape_order in
-      Option.iter
-        (fun sh -> Fixpoint.forget_plans t.plans sh.compiled.Demand.generated)
-        (Hashtbl.find_opt t.shapes old);
-      Hashtbl.remove t.shapes old
-    end;
-    let sh = { compiled = Demand.compile t.store d; mark = None } in
-    Hashtbl.add t.shapes d.key sh;
-    Queue.push d.key t.shape_order;
-    sh
+    let compiled = Demand.compile t.store d in
+    {
+      compiled;
+      key = d.key;
+      prep = Fixpoint.prepare compiled.strat;
+      mark = None;
+    }
+
+let prepare t (sk : Demand.skeleton) d =
+  {
+    demand = d;
+    seeds = Demand.seed_template d ~slots:(Array.length sk.sk_consts);
+    shape = shape_for t d;
+  }
+
+(* The prepared entry a query resolves to, made on a miss: one transform
+   per skeleton, and for a skeleton whose magic rules carry constants,
+   one specialisation per set of those constants. *)
+let entry_for t (sk : Demand.skeleton) =
+  let fresh key d =
+    let p = prepare t sk d in
+    add_entry t key (Prepared p);
+    p
+  in
+  let specialised d =
+    let key = sk.sk_key ^ Demand.carried_key d sk.sk_consts in
+    match Hashtbl.find_opt t.shapes key with
+    | Some (Prepared p) -> p
+    | Some (Declined _ | Carries _) | None ->
+      fresh key (Demand.specialise d sk.sk_consts)
+  in
+  match Hashtbl.find_opt t.shapes sk.sk_key with
+  | Some (Prepared p) -> Ok p
+  | Some (Carries d) -> Ok (specialised d)
+  | Some (Declined fb) -> Error fb
+  | None -> (
+    match transform t sk.sk_lits with
+    | Error fb ->
+      add_entry t sk.sk_key (Declined fb);
+      Error fb
+    | Ok d when d.carried <> [] ->
+      add_entry t sk.sk_key (Carries d);
+      Ok (specialised d)
+    | Ok d -> Ok (fresh sk.sk_key d))
 
 let plan_count t = Fixpoint.plan_count t.plans
 
@@ -307,19 +404,22 @@ let idle_stats () =
     degraded = None;
   }
 
-(* Seed the query's shape and run its fixpoint, resumed from the shape's
-   mark when it has one; returns the stats and whether it resumed. *)
-let demand_fixpoint ?budget t (d : Demand.t) =
+let constant_objects t (sk : Demand.skeleton) =
+  Array.map (ground_object t.store) sk.sk_consts
+
+(* Insert the query's seeds and run its shape's fixpoint, resumed from
+   the shape's mark when it has one; returns the stats and whether it
+   resumed. *)
+let demand_fixpoint ?budget t (p : prepared) binding =
   load_facts t;
-  let sh = shape_for t d in
+  let sh = p.shape in
   let from = sh.mark in
   List.iter
-    (fun (seed : Ast.rule) ->
-      ignore (insert_fact t ~rule:seed (Head.compile ~named:[] seed.head)))
-    d.seeds;
+    (fun (rule, head) -> ignore (insert_fact ~binding t ~rule head : int))
+    p.seeds;
   let stats =
     Fixpoint.run ~config:(budgeted ?budget t) ~provenance:t.provenance
-      ~plans:t.plans ?from t.store sh.compiled.strat
+      ~plans:t.plans ?from t.store sh.prep
   in
   (match stats.Fixpoint.degraded with
   | Some _ as dg ->
@@ -328,32 +428,44 @@ let demand_fixpoint ?budget t (d : Demand.t) =
        query of this shape start over with a full first round *)
     t.degraded <- dg;
     sh.mark <- None
-  | None -> sh.mark <- Some (Fixpoint.watermark t.store));
+  | None -> sh.mark <- Some (Fixpoint.marks sh.prep t.store));
   (stats, from <> None)
 
 let query_demand ?budget t lits =
   check_query lits;
-  let transformed = Demand.transform t.store t.proper_rules lits in
-  let stats, resumed, shape =
-    match transformed with
-    | _ when materialised t -> (idle_stats (), false, None)
-    | Error _ ->
-      (* negation / inclusion / hilog strata make the transform unsound:
-         fall back to honest full materialisation *)
-      (run ?budget t, false, None)
-    | Ok d ->
-      let stats, resumed = demand_fixpoint ?budget t d in
-      (stats, resumed, Some d)
+  let sk = Demand.skeleton lits in
+  let fallback, stats, resumed, counted =
+    if materialised t then
+      (* the model answers; only a declined transform is reported *)
+      let fallback =
+        match Hashtbl.find_opt t.shapes sk.sk_key with
+        | Some (Declined fb) -> Some fb
+        | Some (Carries _ | Prepared _) -> None
+        | None ->
+          Result.fold ~ok:(fun _ -> None) ~error:Option.some
+            (transform t sk.sk_lits)
+      in
+      (fallback, idle_stats (), false, None)
+    else
+      match entry_for t sk with
+      | Error fb ->
+        (* negation / inclusion / hilog strata make the transform
+           unsound: fall back to honest full materialisation *)
+        (Some fb, run ?budget t, false, None)
+      | Ok p ->
+        let stats, resumed =
+          demand_fixpoint ?budget t p (constant_objects t sk)
+        in
+        (None, stats, resumed, Some p.demand)
   in
   let answer = query ?budget t lits in
-  let count f = Option.fold ~none:0 ~some:f shape in
+  let count f = Option.fold ~none:0 ~some:f counted in
   ( answer,
     {
-      d_fallback =
-        Result.fold ~ok:(fun _ -> None) ~error:Option.some transformed;
+      d_fallback = fallback;
       d_stats = stats;
       d_resumed = resumed;
-      d_seeds = count (fun d -> d.n_seeds);
+      d_seeds = count (fun d -> Demand.seed_count d sk.sk_consts);
       d_magic_rules = count (fun d -> d.n_magic);
       d_guarded = count (fun d -> d.n_guarded);
       d_unguarded = count (fun d -> d.n_unguarded);
@@ -364,9 +476,27 @@ let query_demand ?budget t lits =
 let query_demand_string ?budget t text =
   query_demand ?budget t (parse_query text)
 
+let demand_entry t lits =
+  check_query lits;
+  let sk = Demand.skeleton lits in
+  match entry_for t sk with
+  | Error fb -> Error fb
+  | Ok p ->
+    let binding = constant_objects t sk in
+    let seeds =
+      List.concat_map
+        (fun (_, head) -> fst (Head.asserts t.store ~binding head))
+        p.seeds
+    in
+    let rules =
+      Array.to_list p.shape.compiled.strat.strata
+      |> List.concat_map (List.map (fun (r : Rule.t) -> r.source))
+    in
+    Ok (seeds, rules)
+
 let explain_demand t lits =
   check_query lits;
-  match Demand.transform t.store t.proper_rules lits with
+  match transform t lits with
   | Error fb ->
     [
       Printf.sprintf

@@ -162,18 +162,36 @@ type demand_report = {
     {e and} the final enumeration; a budget-cut run is flagged in
     {!degraded} and the report's stats.
 
-    Demand is incremental per query {e shape} (the transform's non-seed
-    rules, {!Demand.t.key}): the program keeps each shape compiled — its
-    rule uids, stratification and plans stay stable — and records the
-    relation watermark at the end of the shape's last complete run. A
-    later query of that shape inserts its seed facts and resumes the
-    fixpoint from the watermark ({!Fixpoint.run}'s [from]), so it costs
-    its own fragment plus whatever arrived since, not every earlier
-    demand. A budget-cut run drops its shape's watermark; the next query
-    of the shape then runs a full first round. No watermark can miss a
-    removal: facts leave the store only through {!Incremental.Live},
-    which materialises the program first. At most 256 shapes stay
-    compiled; the oldest is retired (with its plans) beyond that. *)
+    Demand is prepared per query {e skeleton} ({!Demand.skeleton}: the
+    query with its constants replaced by numbered placeholders). The
+    first query of a skeleton runs {!Demand.transform} on the skeleton
+    once and keeps, in one table entry: the compiled shape (the
+    transform's non-seed rules, {!Demand.t.key}: their rule uids,
+    stratification, plans, relation interner and per-rule relation
+    arrays stay stable), the seed template (seed heads compiled once,
+    reading the query's constants from a binding) and the relation marks
+    at the end of the shape's last complete run. A first sight of a
+    known skeleton then transforms nothing: it instantiates the seed
+    template with its constants, inserts the seeds and resumes the
+    fixpoint from the marks ({!Fixpoint.run}'s [from]), so it costs its
+    own fragment plus whatever arrived since, not every earlier demand.
+    Entries whose non-seed rules are equal share one shape and its
+    marks.
+
+    Where a magic rule carries a query constant in its body (as
+    [a0\[boss -> X\], X\[up ->> \{Y\}\]] does), the shape differs per
+    constant: the skeleton's entry then records only its transform, and
+    each set of carried constants gets an entry of its own, keyed by the
+    skeleton and those constants, whose rules are the transform
+    specialised to them ({!Demand.specialise}) — no second transform.
+
+    A budget-cut run drops its shape's marks; the next query of the
+    shape then runs a full first round. No mark can miss a removal:
+    facts leave the store only through {!Incremental.Live}, which
+    materialises the program first. At most 256 entries are kept; the
+    oldest is retired beyond that, with its shape's plans unless another
+    entry shares the shape, and the next query of its skeleton starts
+    over with a transform and a full first round. *)
 val query_demand :
   ?budget:Budget.t ->
   t ->
@@ -182,6 +200,22 @@ val query_demand :
 
 val query_demand_string :
   ?budget:Budget.t -> t -> string -> answer * demand_report
+
+(** {!Demand.transform} calls this program has made: one per query
+    skeleton {!query_demand} has seen since its entry was last retired,
+    plus one per {!explain_demand_string} and per query on a
+    {!materialised} program whose skeleton has no entry. *)
+val demand_transforms : t -> int
+
+(** The prepared entry [query_demand] would run for a query (made if
+    missing), as the seed facts its template asserts for the query's
+    constants and the sources of its compiled non-seed rules. Equal to
+    what a fresh {!Demand.transform} of the query gives; the
+    property tests check it. *)
+val demand_entry :
+  t ->
+  Syntax.Ast.literal list ->
+  (Fact.t list * Syntax.Ast.rule list, Demand.fallback) result
 
 (** Compiled plans cached for this program, across every evaluation
     mode. *)

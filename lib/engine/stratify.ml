@@ -274,38 +274,187 @@ let compute store (rules : Rule.t list) : t =
    never splits a live class from a dead one. Sound for pruning because
    [reads] already includes the relations under negation and inclusion:
    a skipped rule cannot contribute a tuple to any relation the goals
-   (or their support, positive or negated) consult. *)
+   (or their support, positive or negated) consult.
+
+   The rules come out in the order of a round-robin scan: each round
+   walks the rules not yet taken in program order and takes every one
+   that defines a relevant relation, its reads becoming relevant at once
+   for the rules after it. That scan re-walks every remaining rule each
+   round; this computes its order directly. A rule is taken at a time
+   (round, position); a relation made relevant by the rule at (r, p) has
+   its defining rules taken at (r, j) for a later position j and at
+   (r + 1, j) for an earlier one.
+
+   Only a rule that reads something can make a relation relevant. Those
+   rules (few: most of a large program is facts) are taken in time order
+   from a heap, through an index from relation to defining rules, which
+   fixes the time each relation became relevant. Every other rule's time
+   then follows from the relations it defines, in one pass, and the
+   rules come out bucketed by round: O(n + k log k) for n rules of which
+   k read. *)
+
+(* A relation, class-normalised, as one int: the object in the high
+   bits, the kind in the low two. *)
+let rel_key (r : Ir.rel) =
+  match Ir.norm_rel r with
+  | R_isa | R_isa_c _ -> 0
+  | R_any -> 1
+  | R_scalar m -> (m lsl 2) lor 2
+  | R_set m -> (m lsl 2) lor 3
+
+let any_key = 1
+
+(* A min-heap of ints. *)
+type heap = { mutable items : int array; mutable size : int }
+
+let heap_push h x =
+  if h.size = Array.length h.items then begin
+    let items = Array.make (max 16 (2 * h.size)) 0 in
+    Array.blit h.items 0 items 0 h.size;
+    h.items <- items
+  end;
+  let a = h.items in
+  let rec up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && a.(parent) > x then begin
+      a.(i) <- a.(parent);
+      up parent
+    end
+    else a.(i) <- x
+  in
+  up h.size;
+  h.size <- h.size + 1
+
+let heap_pop h =
+  let a = h.items in
+  let top = a.(0) in
+  h.size <- h.size - 1;
+  let x = a.(h.size) in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l >= h.size then a.(i) <- x
+    else
+      let c = if l + 1 < h.size && a.(l + 1) < a.(l) then l + 1 else l in
+      if a.(c) < x then begin
+        a.(i) <- a.(c);
+        down c
+      end
+      else a.(i) <- x
+  in
+  if h.size > 0 then down 0;
+  top
+
+module Tbl = Oodb.Obj_id.Tbl
+
 let live_rules (rules : Rule.t list) ~goals =
-  let norm = Ir.norm_rel in
-  let seeds = List.sort_uniq Ir.compare_rel (List.map norm goals) in
-  if List.mem Ir.R_any seeds then rules
+  if List.exists (fun g -> rel_key g = any_key) goals then rules
   else begin
-    let relevant = ref seeds in
-    let selected = ref [] in
-    let remaining = ref rules in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      let still_out = ref [] in
+    let n = List.length rules in
+    (* a time as one int; position -1 is before every rule *)
+    let time r p = (r * (n + 1)) + p + 1 in
+    let round_of t = t / (n + 1) and pos_of t = (t mod (n + 1)) - 1 in
+    (* the rules that read, numbered densely, with their positions *)
+    let readers =
+      let acc = ref [] in
+      List.iteri
+        (fun i (r : Rule.t) ->
+          if r.reads <> [] || r.completion_reads <> [] then
+            acc := (i, r) :: !acc)
+        rules;
+      Array.of_list (List.rev !acc)
+    in
+    let k = Array.length readers in
+    let defined_by = Tbl.create 16 in
+    for id = k - 1 downto 0 do
       List.iter
-        (fun (rule : Rule.t) ->
-          let defines = List.map norm rule.defines in
-          let touches =
-            List.mem Ir.R_any defines
-            || List.exists (fun d -> List.mem d !relevant) defines
-          in
-          if touches then begin
-            selected := rule :: !selected;
-            changed := true;
-            List.iter
-              (fun r ->
-                let r = norm r in
-                if not (List.mem r !relevant) then relevant := r :: !relevant)
-              (rule.reads @ rule.completion_reads)
-          end
-          else still_out := rule :: !still_out)
-        !remaining;
-      remaining := List.rev !still_out
+        (fun d ->
+          let key = rel_key d in
+          let ids = Option.value ~default:[] (Tbl.find_opt defined_by key) in
+          match ids with
+          | j :: _ when j = id -> ()
+          | _ -> Tbl.replace defined_by key (id :: ids))
+        (snd readers.(id)).defines
     done;
-    List.rev !selected
+    (* when each relation became relevant *)
+    let relevant_at = Tbl.create 16 in
+    (* heap items are [time * k + id]; a reader may be offered more than
+       once, and only its earliest offer counts *)
+    let at = Array.make k max_int in
+    let heap = { items = [||]; size = 0 } in
+    let offer t id =
+      if t < at.(id) then begin
+        at.(id) <- t;
+        heap_push heap ((t * k) + id)
+      end
+    in
+    let reach rel t =
+      let key = rel_key rel in
+      if not (Tbl.mem relevant_at key) then begin
+        Tbl.add relevant_at key t;
+        let r = round_of t and p = pos_of t in
+        List.iter
+          (fun id ->
+            let j = fst readers.(id) in
+            offer (if j > p then time r j else time (r + 1) j) id)
+          (Option.value ~default:[] (Tbl.find_opt defined_by key))
+      end
+    in
+    List.iter (fun g -> reach g (time 1 (-1))) goals;
+    (* a rule that may define any relation is taken at first sight *)
+    List.iter
+      (fun id -> offer (time 1 (fst readers.(id))) id)
+      (Option.value ~default:[] (Tbl.find_opt defined_by any_key));
+    let taken = Array.make k false in
+    while heap.size > 0 do
+      let item = heap_pop heap in
+      let t = item / k and id = item mod k in
+      if (not taken.(id)) && at.(id) = t then begin
+        taken.(id) <- true;
+        let rule = snd readers.(id) in
+        List.iter (fun rel -> reach rel t) rule.reads;
+        List.iter (fun rel -> reach rel t) rule.completion_reads
+      end
+    done;
+    (* every rule's round, then the rules bucketed by round *)
+    let max_round =
+      Tbl.fold (fun _ t acc -> max acc (round_of t)) relevant_at 1 + 1
+    in
+    let buckets = Array.make (max_round + 1) [] in
+    let next_reader = ref 0 in
+    (* consecutive rules mostly define the same relation: remember the
+       last lookup *)
+    let last_key = ref (-1) and last_at = ref None in
+    let relevant key =
+      if key <> !last_key then begin
+        last_key := key;
+        last_at := Tbl.find_opt relevant_at key
+      end;
+      !last_at
+    in
+    List.iteri
+      (fun i (rule : Rule.t) ->
+        let round =
+          if !next_reader < k && fst readers.(!next_reader) = i then begin
+            let id = !next_reader in
+            incr next_reader;
+            if taken.(id) then round_of at.(id) else 0
+          end
+          else
+            List.fold_left
+              (fun acc d ->
+                let key = rel_key d in
+                let r =
+                  if key = any_key then 1
+                  else
+                    match relevant key with
+                    | None -> 0
+                    | Some t ->
+                      if pos_of t < i then round_of t else round_of t + 1
+                in
+                if r > 0 && (acc = 0 || r < acc) then r else acc)
+              0 rule.defines
+        in
+        if round > 0 then buckets.(round) <- rule :: buckets.(round))
+      rules;
+    Array.fold_right (fun bucket acc -> List.rev_append bucket acc) buckets []
   end

@@ -58,7 +58,7 @@ type t = {
   p : Program.t;
   store : Store.t;
   mutable rules : Rule.t list;  (* proper rules only; facts live in [edb] *)
-  mutable strat : Stratify.t;
+  mutable fix : Fixpoint.prepared;  (* [rules], stratified and prepared *)
   edb : int ref Fact_tbl.t;  (* extensional multiplicity per fact *)
   mutable commit_hook :
     (retract:bool -> epoch:int -> text:string -> unit) option;
@@ -156,7 +156,7 @@ let repoint t f source =
 let run ?from t ctx =
   Fixpoint.run ~config:(Program.config t.p)
     ~provenance:(Program.provenance t.p) ~on_insert:(note_insert ctx) ?from
-    t.store t.strat
+    t.store t.fix
 
 (* Full recompute: tombstone every live fact with no extensional support
    and re-run the fixpoint from the extensional store. The fallback
@@ -448,7 +448,7 @@ let backward_forward t ctx lost =
       List.iter (fun h -> Queue.push h queue) heads
     end
   done;
-  let baseline = Fixpoint.watermark t.store and changes = ref 0 in
+  let baseline = Fixpoint.marks t.fix t.store and changes = ref 0 in
   let fire (d : Provenance.derivation) =
     ignore
       (Head.execute
@@ -574,7 +574,7 @@ let finish t ctx strategy fp =
 
 let set_rules t rules =
   t.rules <- rules;
-  t.strat <- Stratify.compute t.store rules
+  t.fix <- Fixpoint.prepare (Stratify.compute t.store rules)
 
 (* Undo a failed batch: restore the rule set, roll the EDB multiplicities
    back, and recompute — the pre-batch model is the fixpoint of the
@@ -660,7 +660,7 @@ let attach p =
       p;
       store;
       rules;
-      strat = Stratify.compute store rules;
+      fix = Fixpoint.prepare (Stratify.compute store rules);
       edb = Fact_tbl.create 256;
       commit_hook = None;
     }
@@ -710,7 +710,7 @@ let assert_batch t src =
   let gate = gate_triggered ~rules:(t.rules @ compiled) ~seed_rels in
   let ctx = new_ctx () in
   let saved = t.rules in
-  let baseline = Fixpoint.watermark t.store in
+  let baseline = Fixpoint.marks t.fix t.store in
   try
     List.iter (fun (h, _) -> edb_insert t ctx h) facts;
     if compiled <> [] then set_rules t (t.rules @ compiled);

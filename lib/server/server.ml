@@ -120,6 +120,9 @@ type t = {
   stop_m : Mutex.t;
   stop_c : Condition.t;
   mutable stopping : bool;
+  wake : Unix.file_descr * Unix.file_descr;
+      (* self-pipe: the stop request writes one byte, which wakes the
+         accept loop out of its [select] at once *)
   mutable accept_thread : Thread.t option;
   conns_lock : Mutex.t;
   conns : (Unix.file_descr, Thread.t) Hashtbl.t;
@@ -143,7 +146,13 @@ let cache_stats t = Qcache.stats t.qcache
 
 let request_stop t =
   Mutex.lock t.stop_m;
-  t.stopping <- true;
+  if not t.stopping then begin
+    t.stopping <- true;
+    (* only the first request writes, so none writes after [shutdown]
+       (which requests first) has closed the pipe *)
+    try ignore (Unix.single_write (snd t.wake) (Bytes.make 1 '!') 0 1 : int)
+    with Unix.Unix_error _ -> ()
+  end;
   Condition.broadcast t.stop_c;
   Mutex.unlock t.stop_m
 
@@ -897,11 +906,11 @@ let accept_loop t () =
   let rec loop () =
     if t.stopping then ()
     else
-      match Unix.select [ t.listen_fd ] [] [] 0.2 with
+      match Unix.select [ t.listen_fd; fst t.wake ] [] [] (-1.0) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
+      | ready, _, _ when not (List.mem t.listen_fd ready) -> loop ()
+      | _ -> (
         match Unix.accept ~cloexec:true t.listen_fd with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _)
           ->
@@ -1086,6 +1095,10 @@ let create ?(config = default_config) ~program addr =
       stop_m = Mutex.create ();
       stop_c = Condition.create ();
       stopping = false;
+      wake =
+        (let r, w = Unix.pipe ~cloexec:true () in
+         Unix.set_nonblock w;
+         (r, w));
       accept_thread = None;
       conns_lock = Mutex.create ();
       conns = Hashtbl.create 32;
@@ -1134,9 +1147,12 @@ let shutdown t =
         with Unix.Unix_error _ -> ())
       sessions;
     List.iter (fun (_, th) -> Thread.join th) sessions;
-    (* 5. answer what is left in the backlog, and release the listener *)
+    (* 5. answer what is left in the backlog, and release the listener
+       and the wake-up pipe *)
     refuse_backlog t;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.listen_fd; fst t.wake; snd t.wake ];
     (* 6. close the durable log — every acknowledged batch was already
        fsync'd at commit time, so this is bookkeeping, not a flush *)
     (match t.durable with

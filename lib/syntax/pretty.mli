@@ -11,6 +11,8 @@
 
 val add_reference : Buffer.t -> Ast.reference -> unit
 
+val add_literal : Buffer.t -> Ast.literal -> unit
+
 val add_rule : Buffer.t -> Ast.rule -> unit
 
 val pp_reference : Format.formatter -> Ast.reference -> unit

@@ -503,6 +503,9 @@ let incremental_shapes =
     Printf.sprintf "n%d[e ->> {X}], X[up ->> {Y}]";
     Printf.sprintf "X[up ->> {n%d}]";
     Printf.sprintf "n%d[up ->> {n3}]";
+    Printf.sprintf "n%d[up ->> {Z}]";
+    (fun k -> Printf.sprintf "n%d[up ->> {n%d}]" k k);
+    Printf.sprintf "n%d[e ->> {X}], X[tag ->> {n3}]";
   |]
 
 type op = Query of int * int | Add of string * int * int
@@ -566,6 +569,302 @@ let qcheck_incremental_equals_full jobs =
         ops
       && Pathlog.Store.check_invariants (Program.store pd) = [])
 
+(* ------------------------------------------------------------------ *)
+(* Prepared demand: one transform per query skeleton. *)
+
+let corpus_programs =
+  lazy
+    (List.concat_map
+       (fun dir ->
+         match List.find_opt Sys.file_exists [ "../" ^ dir; dir ] with
+         | None -> []
+         | Some d ->
+           Sys.readdir d |> Array.to_list
+           |> List.filter (fun f -> Filename.check_suffix f ".plg")
+           |> List.sort compare
+           |> List.map (fun f ->
+                  Test_programs.read_file (Filename.concat d f)))
+       [ "examples/programs"; "docs/snippets" ])
+
+let proper_rules p =
+  List.filter
+    (fun (r : Engine.Rule.t) -> r.source.body <> [] || r.reads <> [])
+    (Program.rules p)
+
+(* The names of a program's universe, the constants random queries
+   draw from. *)
+let program_names p =
+  let names = ref [] in
+  Pathlog.Universe.iter (Program.universe p) (fun _ d ->
+      match d with
+      | Pathlog.Universe.Name n when n <> "" && n.[0] <> '$' ->
+        names := n :: !names
+      | _ -> ());
+  Array.of_list (List.sort compare !names)
+
+(* Replace every occurrence of [sub] in [s] by [by]. *)
+let replace_all s ~sub ~by =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then begin
+      Buffer.add_string b by;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* A query with each constant of its skeleton replaced by [pick k c]
+   ([c] the constant placeholder [k] stands for). *)
+let reconstant query pick =
+  let sk = Demand.skeleton query in
+  let text =
+    ref
+      (String.concat ", "
+         (List.map
+            (fun l -> Format.asprintf "%a" Pathlog.Pretty.pp_literal l)
+            sk.sk_lits))
+  in
+  (* highest placeholder first, so [$q1] never eats into [$q10] *)
+  for k = Array.length sk.sk_consts - 1 downto 0 do
+    text :=
+      replace_all !text
+        ~sub:("$q" ^ string_of_int k)
+        ~by:(Pathlog.Pretty.reference_to_string (pick k sk.sk_consts.(k)))
+  done;
+  lits !text
+
+(* Bound point queries over a program's rule-defined methods, and
+   chained ones whose magic rules carry the constant. *)
+let bound_queries p =
+  let u = Program.universe p in
+  let meths =
+    List.concat_map
+      (fun (r : Engine.Rule.t) ->
+        List.filter_map
+          (fun (rel : Pathlog.Ir.rel) ->
+            match rel with
+            | R_set m -> Some (Pathlog.Universe.to_string u m, true)
+            | R_scalar m -> Some (Pathlog.Universe.to_string u m, false)
+            | R_isa | R_isa_c _ | R_any -> None)
+          r.defines)
+      (proper_rules p)
+    |> List.sort_uniq compare
+  in
+  let app recv (m, set) res =
+    if set then Printf.sprintf "%s[%s ->> {%s}]" recv m res
+    else Printf.sprintf "%s[%s -> %s]" recv m res
+  in
+  List.concat_map
+    (fun m ->
+      [ app "c" m "Y"; app "X" m "c"; app "c" m "c" ]
+      @ List.map
+          (fun m2 -> app "c" m2 "X" ^ ", " ^ app "X" m "Y")
+          meths)
+    meths
+
+(* What a fresh transform of [lits] gives over a fresh copy of the
+   program: its seed facts, rendered, and its compiled rules' sources. *)
+let fresh_transform text lits =
+  let p = Program.of_string text in
+  let store = Program.store p in
+  match Demand.transform store (proper_rules p) lits with
+  | Error fb -> Error fb
+  | Ok d ->
+    let seeds =
+      List.concat_map
+        (fun (seed : Pathlog.Ast.rule) ->
+          fst
+            (Engine.Head.asserts store ~binding:[||]
+               (Engine.Head.compile ~named:[] seed.head)))
+        d.seeds
+    in
+    let rules =
+      Array.to_list (Demand.compile store d).strat.strata
+      |> List.concat_map (List.map (fun (r : Engine.Rule.t) -> r.source))
+    in
+    Ok (Pathlog.Fact.lines (Program.universe p) (fun f -> List.iter f seeds), rules)
+
+let prepared_entry p lits =
+  match Program.demand_entry p lits with
+  | Error fb -> Error fb
+  | Ok (seeds, rules) ->
+    Ok (Pathlog.Fact.lines (Program.universe p) (fun f -> List.iter f seeds), rules)
+
+let normalise = function
+  | Error fb -> Error fb
+  | Ok (seeds, rules) -> Ok (List.sort_uniq compare seeds, rules)
+
+(* Over every corpus program: the embedded queries and bound queries
+   over its rule-defined methods, with random constants from its
+   universe, asked in random order of one program. Each prepared entry
+   (made on a miss, or found) gives the seeds and compiled rules a fresh
+   transform of the query gives. *)
+let qcheck_prepared_equals_transform =
+  QCheck.Test.make ~name:"prepared entry = fresh transform, corpus"
+    ~count:60
+    QCheck.(pair (int_bound 10_000) (int_bound 10_000))
+    (fun (pick_program, seed) ->
+      let programs = Lazy.force corpus_programs in
+      let text = List.nth programs (pick_program mod List.length programs) in
+      match Program.of_string text with
+      | exception _ -> QCheck.assume_fail ()
+      | p ->
+        let st = Random.State.make [| seed |] in
+        let names = program_names p in
+        let pick _ (c : Pathlog.Ast.reference) : Pathlog.Ast.reference =
+          match c with
+          | Name _ when Array.length names > 0 ->
+            Name names.(Random.State.int st (Array.length names))
+          | c -> c
+        in
+        let queries =
+          Program.embedded_queries p
+          @ List.filter_map
+              (fun q -> try Some (lits q) with _ -> None)
+              (bound_queries p)
+        in
+        let asked =
+          List.concat_map
+            (fun q -> [ reconstant q pick; reconstant q pick ])
+            queries
+          |> List.map (fun q -> (Random.State.bits st, q))
+          |> List.sort compare |> List.map snd
+        in
+        List.for_all
+          (fun q ->
+            let prepared = normalise (prepared_entry p q) in
+            let fresh = normalise (fresh_transform text q) in
+            prepared = fresh
+            || QCheck.Test.fail_reportf "%s: prepared entry differs"
+                 (String.concat ", "
+                    (List.map
+                       (Format.asprintf "%a" Pathlog.Pretty.pp_literal)
+                       q)))
+          asked)
+
+(* A skeleton whose magic rule carries its constant gets one entry per
+   constant, from one transform: the second constant's first sight runs
+   a full first round of its own rules, and each answers right. *)
+let test_carried_constants_do_not_share () =
+  let text = chains [ "a"; "b" ] 4 in
+  let full = Program.of_string text in
+  ignore (Program.run full);
+  let p = Program.of_string text in
+  let ask q =
+    let a, r = Program.query_demand_string p q in
+    Alcotest.(check (list string))
+      ("answer: " ^ q)
+      (render full (Program.query_string full q).rows)
+      (render p a.rows);
+    r
+  in
+  let r0 = ask "a0[boss -> X], X[up ->> {Y}]" in
+  Alcotest.(check bool) "first sight" false r0.Program.d_resumed;
+  let r1 = ask "a1[boss -> X], X[up ->> {Y}]" in
+  Alcotest.(check bool) "a1 has an entry of its own" false
+    r1.Program.d_resumed;
+  let r0' = ask "a0[boss -> X], X[up ->> {Y}]" in
+  Alcotest.(check bool) "a0's entry kept its mark" true r0'.Program.d_resumed;
+  Alcotest.(check int) "one transform for the skeleton" 1
+    (Program.demand_transforms p);
+  (* point queries share one skeleton, and different variable names one
+     shape *)
+  ignore (ask "a2[up ->> {Y}]");
+  let r = ask "b0[up ->> {Z}]" in
+  Alcotest.(check bool) "renamed variable shares the shape" true
+    r.Program.d_resumed;
+  Alcotest.(check int) "two more skeletons, two more transforms" 3
+    (Program.demand_transforms p)
+
+(* The table keeps 256 entries: once a carried-constant entry is
+   retired, the next query it answered starts with a full first round,
+   while a later one still resumes. *)
+let test_evicted_entry_starts_over () =
+  let n = 260 in
+  let prefixes = List.init n (Printf.sprintf "a%dn") in
+  let text = chains prefixes 2 in
+  let full = Program.of_string text in
+  ignore (Program.run full);
+  let p = Program.of_string text in
+  let q i = Printf.sprintf "a%dn0[boss -> X], X[up ->> {Y}]" i in
+  let ask i =
+    let a, r = Program.query_demand_string p (q i) in
+    Alcotest.(check (list string))
+      ("answer: " ^ q i)
+      (render full (Program.query_string full (q i)).rows)
+      (render p a.rows);
+    r
+  in
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "first sight %d" i) false
+      (ask i).Program.d_resumed
+  done;
+  Alcotest.(check bool) "a recent entry resumes" true
+    (ask (n - 1)).Program.d_resumed;
+  Alcotest.(check bool) "a retired entry runs a full first round" false
+    (ask 0).Program.d_resumed
+
+(* [Stratify.live_rules] returns the rules of the scan it replaced, in
+   the scan's order. *)
+let random_goals st rules =
+  let rels =
+    List.concat_map
+      (fun (r : Engine.Rule.t) -> r.defines @ r.reads)
+      rules
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  if Array.length rels = 0 then []
+  else
+    List.init
+      (1 + Random.State.int st 3)
+      (fun _ -> rels.(Random.State.int st (Array.length rels)))
+
+let same_rules a b =
+  List.map (fun (r : Engine.Rule.t) -> r.uid) a
+  = List.map (fun (r : Engine.Rule.t) -> r.uid) b
+
+let check_live_rules rules goals =
+  same_rules
+    (Engine.Stratify.live_rules rules ~goals)
+    (Live_rules_oracle.live_rules rules ~goals)
+
+let qcheck_live_rules_corpus =
+  QCheck.Test.make ~name:"live_rules = scan, corpus" ~count:100
+    QCheck.(pair (int_bound 10_000) (int_bound 10_000))
+    (fun (pick_program, seed) ->
+      let programs = Lazy.force corpus_programs in
+      let text = List.nth programs (pick_program mod List.length programs) in
+      match Program.of_string text with
+      | exception _ -> QCheck.assume_fail ()
+      | p ->
+        let st = Random.State.make [| seed |] in
+        let rules = Program.rules p in
+        List.for_all
+          (fun _ -> check_live_rules rules (random_goals st rules))
+          (List.init 5 Fun.id))
+
+let qcheck_live_rules_randprog =
+  QCheck.Test.make ~name:"live_rules = scan, Randprog" ~count:100
+    QCheck.(pair (int_bound 100_000) (int_range 1 12))
+    (fun (seed, nrules) ->
+      match
+        Program.of_string
+          (Pathlog.Randprog.generate
+             { Pathlog.Randprog.seed; facts = 10; rules = nrules })
+      with
+      | exception _ -> QCheck.assume_fail ()
+      | p ->
+        let st = Random.State.make [| seed |] in
+        let rules = Program.rules p in
+        List.for_all
+          (fun _ -> check_live_rules rules (random_goals st rules))
+          (List.init 5 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "bound tc" `Quick test_bound_tc;
@@ -591,6 +890,13 @@ let suite =
       test_demand_after_retract;
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 1);
     QCheck_alcotest.to_alcotest (qcheck_incremental_equals_full 4);
+    QCheck_alcotest.to_alcotest qcheck_prepared_equals_transform;
+    Alcotest.test_case "carried constants do not share an entry" `Quick
+      test_carried_constants_do_not_share;
+    Alcotest.test_case "a retired entry starts over" `Quick
+      test_evicted_entry_starts_over;
+    QCheck_alcotest.to_alcotest qcheck_live_rules_corpus;
+    QCheck_alcotest.to_alcotest qcheck_live_rules_randprog;
   ]
 
 let focused_suite =

@@ -118,7 +118,8 @@ let lockstep ?config src =
       | Some _ | None -> ()
     in
     Fixpoint.run ~config:(Program.config pa) ~provenance:prov_a ~on_insert sa
-      { Engine.Stratify.strata = Program.strata pa; rule_stratum = [] }
+      (Fixpoint.prepare
+         { Engine.Stratify.strata = Program.strata pa; rule_stratum = [] })
   with
   | exception e -> Engine_failed (Printexc.to_string e)
   | (_ : Fixpoint.stats) ->

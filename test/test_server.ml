@@ -473,6 +473,28 @@ let test_server_clean_shutdown () =
   | Some srv -> Server.shutdown srv
   | None -> Alcotest.fail "server was not created"
 
+(* The accept loop wakes on the stop request itself, not on a poll: a
+   shutdown right after a served connection takes well under the 50 ms
+   bound (a 0.2 s select timeout once made every one take 200 ms). The
+   median of five cycles keeps one slow host moment from failing it. *)
+let test_shutdown_is_prompt () =
+  let cycle () =
+    let p = load test_program in
+    let srv = Server.create ~program:p (Server.Tcp ("127.0.0.1", 0)) in
+    with_client srv (fun c ->
+        match Client.query c "?- e1 : employee." with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail ("QUERY failed: " ^ e));
+    let t0 = Unix.gettimeofday () in
+    Server.shutdown srv;
+    Unix.gettimeofday () -. t0
+  in
+  let times = List.sort compare (List.init 5 (fun _ -> cycle ())) in
+  let median = List.nth times 2 in
+  if median > 0.05 then
+    Alcotest.failf "shutdown after a served QUERY took %.0f ms (median of 5)"
+      (1000. *. median)
+
 (* A connection made after the stop, while the listener is still open,
    waits in the backlog (or is accepted by a loop that already sees the
    stop): either way it reads BUSY, not a bare close. *)
@@ -1152,7 +1174,10 @@ let test_cache_survives_first_sight () =
 (* Random interleavings of first sights, repeats, ASSERT and RETRACT on
    a demand server over edge chains: every reply must equal the answer
    of a fresh, fully materialised program holding the edges in force at
-   that point. *)
+   that point. The queries cover the prepared demand entries: skeletons
+   shared across constants and across variable names, a repeated
+   constant, and a chained query whose magic rule carries its constant
+   (an entry per constant). *)
 let cache_chains = 3
 let cache_length = 4
 
@@ -1166,6 +1191,9 @@ let cache_queries =
            Printf.sprintf "%s[tc ->> {Y}]" (cache_node c 0);
            Printf.sprintf "%s[tc ->> {Y}]" (cache_node c 2);
            Printf.sprintf "X[tc ->> {%s}]" (cache_node c cache_length);
+           Printf.sprintf "%s[tc ->> {Z}]" (cache_node c 1);
+           Printf.sprintf "%s[tc ->> {%s}]" (cache_node c 1) (cache_node c 1);
+           Printf.sprintf "%s[edge ->> {X}], X[tc ->> {Y}]" (cache_node c 0);
          ])
        (List.init cache_chains Fun.id))
 
@@ -1266,6 +1294,8 @@ let suite =
       test_server_deadline;
     Alcotest.test_case "server: clean shutdown" `Quick
       test_server_clean_shutdown;
+    Alcotest.test_case "server: shutdown after a query is prompt" `Quick
+      test_shutdown_is_prompt;
     Alcotest.test_case "server: unix-domain socket" `Quick
       test_server_unix_socket;
     Alcotest.test_case "server: mid-eval timeout, thread pool" `Quick

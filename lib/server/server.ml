@@ -118,7 +118,6 @@ type t = {
          request's budget; set at shutdown so runaway evaluations stop at
          their next solver poll instead of holding admission slots *)
   stop_m : Mutex.t;
-  stop_c : Condition.t;
   mutable stopping : bool;
   wake : Unix.file_descr * Unix.file_descr;
       (* self-pipe: the stop request writes one byte, which wakes the
@@ -153,15 +152,18 @@ let request_stop t =
     try ignore (Unix.single_write (snd t.wake) (Bytes.make 1 '!') 0 1 : int)
     with Unix.Unix_error _ -> ()
   end;
-  Condition.broadcast t.stop_c;
   Mutex.unlock t.stop_m
 
+(* Polls rather than waiting on a condition: the SIGINT/SIGTERM handler
+   only runs once some thread of the process reaches a safe point, and
+   every other thread may be blocked in a system call (the accept loop
+   in its [select], sessions in [read]). Waking every 50 ms lets the
+   handler run. The flag is read without [stop_m], which the handler
+   takes: a handler run inside that critical section would deadlock. *)
 let await t =
-  Mutex.lock t.stop_m;
   while not t.stopping do
-    Condition.wait t.stop_c t.stop_m
-  done;
-  Mutex.unlock t.stop_m
+    Thread.delay 0.05
+  done
 
 let install_signal_handlers t =
   let handle = Sys.Signal_handle (fun _ -> request_stop t) in
@@ -1093,7 +1095,6 @@ let create ?(config = default_config) ~program addr =
       next_sub_id = 1;
       cancel = Atomic.make false;
       stop_m = Mutex.create ();
-      stop_c = Condition.create ();
       stopping = false;
       wake =
         (let r, w = Unix.pipe ~cloexec:true () in

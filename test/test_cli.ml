@@ -332,6 +332,56 @@ let test_serve_bad_faults_spec () =
   Alcotest.(check bool) "spec error reported" true
     (contains ~sub:"bad --faults spec" out)
 
+(* [serve] drains on SIGTERM: the stop request is seen even while every
+   thread blocks in a system call (the accept loop waits in [select]
+   with no timeout). Three cycles of start, one QUERY, SIGTERM; each
+   must exit 0 with the drain line, well inside the 10 s limit. *)
+let test_serve_drains_on_sigterm () =
+  let cycle () =
+    let out_r, out_w = Unix.pipe ~cloexec:true () in
+    let pid =
+      Unix.create_process (cli ())
+        [| cli (); "serve"; plg "company.plg"; "--port"; "0" |]
+        Unix.stdin out_w out_w
+    in
+    Unix.close out_w;
+    let ic = Unix.in_channel_of_descr out_r in
+    let rec banner () =
+      let line = input_line ic in
+      match String.index_opt line ':' with
+      | Some _ when contains ~sub:"pathlog: serving" line ->
+        let port = String.sub line (String.rindex line ':' + 1) 6 in
+        int_of_string (List.hd (String.split_on_char ' ' port))
+      | _ -> banner ()
+    in
+    let port = banner () in
+    let c = Pathlog.Client.connect (Pathlog.Server.Tcp ("127.0.0.1", port)) in
+    Alcotest.(check bool) "served" true
+      (Pathlog.Client.query c "?- e1 : employee." = Ok [ "yes" ]);
+    Pathlog.Client.close c;
+    Unix.kill pid Sys.sigterm;
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.01;
+        wait ()
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "serve did not exit within 10 s of SIGTERM"
+      | _, status -> status
+    in
+    let status = wait () in
+    let rest = In_channel.input_all ic in
+    close_in ic;
+    Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+    Alcotest.(check bool) "drained" true (contains ~sub:"drained, bye" rest)
+  in
+  for _ = 1 to 3 do
+    cycle ()
+  done
+
 (* The fact statements of a [run --dump] output (answers and comments
    dropped), sorted. *)
 let dump_lines out =
@@ -376,6 +426,8 @@ let suite =
         test_run_divergent_hard_guard;
       Alcotest.test_case "serve rejects a bad --faults spec" `Quick
         test_serve_bad_faults_spec;
+      Alcotest.test_case "serve drains on SIGTERM" `Quick
+        test_serve_drains_on_sigterm;
       Alcotest.test_case "run --demand" `Quick test_run_demand;
       Alcotest.test_case "explain --demand" `Quick test_explain_demand;
     ]

@@ -154,15 +154,18 @@ let request_stop t =
   end;
   Mutex.unlock t.stop_m
 
-(* Polls rather than waiting on a condition: the SIGINT/SIGTERM handler
-   only runs once some thread of the process reaches a safe point, and
-   every other thread may be blocked in a system call (the accept loop
-   in its [select], sessions in [read]). Waking every 50 ms lets the
-   handler run. The flag is read without [stop_m], which the handler
-   takes: a handler run inside that critical section would deadlock. *)
+(* Waits on the wake-up pipe rather than on a condition. The SIGINT /
+   SIGTERM handler only runs once some thread of the process reaches a
+   safe point: a signal delivered to this thread interrupts its
+   [select], and one delivered elsewhere (a thread parked in a condition
+   wait, a domain worker) is picked up when the [select] times out, as
+   the accept loop's poll once did. The flag is read without [stop_m],
+   which the handler takes: a handler run inside that critical section
+   would deadlock. *)
 let await t =
   while not t.stopping do
-    Thread.delay 0.05
+    try ignore (Unix.select [ fst t.wake ] [] [] 0.2)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let install_signal_handlers t =

@@ -287,11 +287,11 @@ let compute store (rules : Rule.t list) : t =
 
    Only a rule that reads something can make a relation relevant. Those
    rules (few: most of a large program is facts) are taken in time order
-   from a heap, through an index from relation to defining rules, which
-   fixes the time each relation became relevant. Every other rule's time
-   then follows from the relations it defines, in one pass, and the
-   rules come out bucketed by round: O(n + k log k) for n rules of which
-   k read. *)
+   from a priority queue, through an index from relation to defining
+   rules, which fixes the time each relation became relevant. Every
+   other rule's time then follows from the relations it defines, in one
+   pass, and the rules come out bucketed by round: O(n + k log k) for n
+   rules of which k read. *)
 
 (* A relation, class-normalised, as one int: the object in the high
    bits, the kind in the low two. *)
@@ -303,46 +303,6 @@ let rel_key (r : Ir.rel) =
   | R_set m -> (m lsl 2) lor 3
 
 let any_key = 1
-
-(* A min-heap of ints. *)
-type heap = { mutable items : int array; mutable size : int }
-
-let heap_push h x =
-  if h.size = Array.length h.items then begin
-    let items = Array.make (max 16 (2 * h.size)) 0 in
-    Array.blit h.items 0 items 0 h.size;
-    h.items <- items
-  end;
-  let a = h.items in
-  let rec up i =
-    let parent = (i - 1) / 2 in
-    if i > 0 && a.(parent) > x then begin
-      a.(i) <- a.(parent);
-      up parent
-    end
-    else a.(i) <- x
-  in
-  up h.size;
-  h.size <- h.size + 1
-
-let heap_pop h =
-  let a = h.items in
-  let top = a.(0) in
-  h.size <- h.size - 1;
-  let x = a.(h.size) in
-  let rec down i =
-    let l = (2 * i) + 1 in
-    if l >= h.size then a.(i) <- x
-    else
-      let c = if l + 1 < h.size && a.(l + 1) < a.(l) then l + 1 else l in
-      if a.(c) < x then begin
-        a.(i) <- a.(c);
-        down c
-      end
-      else a.(i) <- x
-  in
-  if h.size > 0 then down 0;
-  top
 
 module Tbl = Oodb.Obj_id.Tbl
 
@@ -377,14 +337,14 @@ let live_rules (rules : Rule.t list) ~goals =
     done;
     (* when each relation became relevant *)
     let relevant_at = Tbl.create 16 in
-    (* heap items are [time * k + id]; a reader may be offered more than
-       once, and only its earliest offer counts *)
+    (* queue items are [time * k + id]; a reader may be offered more
+       than once, and only its earliest offer counts *)
     let at = Array.make k max_int in
-    let heap = { items = [||]; size = 0 } in
+    let queue = ref Obj_set.empty in
     let offer t id =
       if t < at.(id) then begin
         at.(id) <- t;
-        heap_push heap ((t * k) + id)
+        queue := Obj_set.add ((t * k) + id) !queue
       end
     in
     let reach rel t =
@@ -405,8 +365,9 @@ let live_rules (rules : Rule.t list) ~goals =
       (fun id -> offer (time 1 (fst readers.(id))) id)
       (Option.value ~default:[] (Tbl.find_opt defined_by any_key));
     let taken = Array.make k false in
-    while heap.size > 0 do
-      let item = heap_pop heap in
+    while not (Obj_set.is_empty !queue) do
+      let item = Obj_set.min_elt !queue in
+      queue := Obj_set.remove item !queue;
       let t = item / k and id = item mod k in
       if (not taken.(id)) && at.(id) = t then begin
         taken.(id) <- true;

@@ -38,5 +38,9 @@ val static_ancestors : Rule.t list -> Oodb.Obj_id.t -> Oodb.Obj_id.Set.t
 val live_rules : Rule.t list -> goals:Semantics.Ir.rel list -> Rule.t list
 (** Rules transitively relevant to the goal relations, by class-normalised
     backward reachability over defines/reads. Returns all rules when a goal
-    (or a reached read) is [R_any]. Skipping the complement is sound:
-    [Rule.t.reads] includes negated and inclusion-checked relations. *)
+    is [R_any]. Skipping the complement is sound: [Rule.t.reads] includes
+    negated and inclusion-checked relations. The order is that of a
+    round-robin scan (each round takes, in program order, every rule not
+    yet taken that defines a relevant relation), computed from an index
+    from relation to defining rules in O(n + k log k) for n rules of
+    which k read something. *)

@@ -158,8 +158,8 @@ let request_stop t =
    SIGTERM handler only runs once some thread of the process reaches a
    safe point: a signal delivered to this thread interrupts its
    [select], and one delivered elsewhere (a thread parked in a condition
-   wait, a domain worker) is picked up when the [select] times out, as
-   the accept loop's poll once did. The flag is read without [stop_m],
+   wait, a domain worker) is picked up when the [select] times out. The
+   flag is read without [stop_m],
    which the handler takes: a handler run inside that critical section
    would deadlock. *)
 let await t =

@@ -50,8 +50,9 @@
     with [BUSY] — the server itself never crashes.
 
     Shutdown ({!shutdown}, or SIGINT/SIGTERM after
-    {!install_signal_handlers}) drains gracefully: stop accepting,
-    cancel in-flight evaluations via the shared token, finish every
+    {!install_signal_handlers}) drains gracefully: stop accepting (the
+    stop request wakes the accept loop through a self-pipe, so no poll
+    delays it), cancel in-flight evaluations via the shared token, finish every
     admitted request, push out the replies, then close all sockets and
     join all threads. A connection made after the stop, before the
     listening socket closes, is answered [BUSY] ("shutting down") and
@@ -192,5 +193,6 @@ val shutdown : t -> unit
 val install_signal_handlers : t -> unit
 
 (** [serve t] blocks until {!request_stop} (e.g. from a signal handler),
-    then runs {!shutdown} — the body of [pathlog serve]. *)
+    then runs {!shutdown} — the body of [pathlog serve]. A signal is
+    handled within 0.2 s whichever thread it interrupts. *)
 val serve : t -> unit

@@ -473,10 +473,10 @@ let test_server_clean_shutdown () =
   | Some srv -> Server.shutdown srv
   | None -> Alcotest.fail "server was not created"
 
-(* The accept loop wakes on the stop request itself, not on a poll: a
-   shutdown right after a served connection takes well under the 50 ms
-   bound (a 0.2 s select timeout once made every one take 200 ms). The
-   median of five cycles keeps one slow host moment from failing it. *)
+(* The accept loop wakes on the stop request itself, not on a poll, so
+   a shutdown right after a served connection ends well within 50 ms.
+   The median of five cycles keeps one slow host moment from failing
+   it. *)
 let test_shutdown_is_prompt () =
   let cycle () =
     let p = load test_program in

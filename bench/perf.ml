@@ -46,7 +46,6 @@ type suite = {
   transforms : int option;
       (* demand suites: Demand.transform calls, gated like
          rule_evaluations *)
-  minor_words_per_op : float option;
   firings : int option;
   rounds : int option;
   speedup_vs_1j : float option;
@@ -56,9 +55,8 @@ type suite = {
   detail : string;
 }
 
-let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms
-    ?minor_words_per_op ?firings ?rounds ?speedup_vs_1j ?speedup_vs_full
-    ~detail name wall_s =
+let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms ?firings
+    ?rounds ?speedup_vs_1j ?speedup_vs_full ~detail name wall_s =
   {
     name;
     wall_s;
@@ -66,7 +64,6 @@ let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms
     rule_evaluations;
     cache_hits;
     transforms;
-    minor_words_per_op;
     firings;
     rounds;
     speedup_vs_1j;
@@ -772,7 +769,7 @@ let magic_repeat_first_sight () =
     ~rule_evaluations:(total (fun s -> s.Pathlog.Fixpoint.rule_evaluations))
     ~firings:(total (fun s -> s.Pathlog.Fixpoint.firings))
     ~rounds:(total (fun s -> s.Pathlog.Fixpoint.rounds))
-    ~transforms ~minor_words_per_op:words
+    ~transforms
     ~detail:
       (Printf.sprintf
          "%d first sights of one shape (fresh %d-edge boss chain each) on \
@@ -1554,7 +1551,6 @@ let suite_json ~baseline (s : suite) =
     @ opt "rule_evaluations" s.rule_evaluations (fun x -> Num (float_of_int x))
     @ opt "cache_hits" s.cache_hits (fun x -> Num (float_of_int x))
     @ opt "transforms" s.transforms (fun x -> Num (float_of_int x))
-    @ opt "minor_words_per_op" s.minor_words_per_op (fun x -> Num x)
     @ opt "firings" s.firings (fun x -> Num (float_of_int x))
     @ opt "rounds" s.rounds (fun x -> Num (float_of_int x))
     @ opt "speedup_vs_1j" s.speedup_vs_1j (fun x -> Num x)

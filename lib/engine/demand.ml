@@ -465,11 +465,9 @@ let magic_fact_total store =
 
 let placeholder_prefix = "$q"
 
-let placeholder k = Ast.Name (placeholder_prefix ^ string_of_int k)
+let placeholder_name k = placeholder_prefix ^ string_of_int k
 
-(* The variable standing for placeholder [k] where a binding supplies
-   it: a seed template's binding slot [k]. *)
-let seed_var k = placeholder_prefix ^ string_of_int k
+let placeholder k = Ast.Name (placeholder_name k)
 
 let placeholder_index (r : Ast.reference) =
   match r with
@@ -711,7 +709,7 @@ let transform store (rules : Rule.t list) query_lits =
       (List.map
          (map_literal (fun ~meth:_ r ->
               match placeholder_index r with
-              | Some k -> Ast.Var (seed_var k)
+              | Some k -> Ast.Var (placeholder_name k)
               | None -> r))
          query_lits)
   in
@@ -792,11 +790,14 @@ let carried_key d consts =
     d.carried;
   Buffer.contents b
 
+(* A seed's placeholder [k] becomes a variable of the same name, read
+   from binding slot [k]. *)
 let seed_template d ~slots =
-  let named = List.init slots (fun k -> (seed_var k, k)) in
+  let named = List.init slots (fun k -> (placeholder_name k, k)) in
   List.map
     (fun (seed : Ast.rule) ->
-      (seed, Head.compile ~named (fill (fun k -> Ast.Var (seed_var k)) seed).head))
+      let head = (fill (fun k -> Ast.Var (placeholder_name k)) seed).head in
+      (seed, Head.compile ~named head))
     d.seeds
 
 let seed_count d consts =

@@ -159,9 +159,8 @@ let request_stop t =
    safe point: a signal delivered to this thread interrupts its
    [select], and one delivered elsewhere (a thread parked in a condition
    wait, a domain worker) is picked up when the [select] times out. The
-   flag is read without [stop_m],
-   which the handler takes: a handler run inside that critical section
-   would deadlock. *)
+   flag is read without [stop_m], which the handler takes: a handler run
+   inside that critical section would deadlock. *)
 let await t =
   while not t.stopping do
     try ignore (Unix.select [ fst t.wake ] [] [] 0.2)

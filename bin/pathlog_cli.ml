@@ -165,7 +165,7 @@ let run_cmd file queries dump stats naive hilog max_rounds max_objects types
 
 let check_cmd file json deny estimates card_threshold =
   let text = read_file file in
-  let result = Pathlog.Check.analyze ?card_threshold text in
+  let result = Pathlog.Check.analyze ?card_threshold ~estimates text in
   let denied =
     List.exists
       (fun (d : Pathlog.Diagnostic.t) ->
@@ -178,26 +178,21 @@ let check_cmd file json deny estimates card_threshold =
     List.iter
       (fun d -> print_endline (Pathlog.Diagnostic.to_string ~file d))
       result.diagnostics;
-    (if estimates then
-       match Pathlog.Check.program_of text with
-       | Some (store, rules, _) ->
-         let t = Pathlog.Absint.analyze store rules in
-         List.iter print_endline (Pathlog.Absint.describe store t)
-       | None -> ());
+    List.iter print_endline result.estimates;
     if (not denied) && Pathlog.Check.ok result then begin
       Printf.printf "ok: %d rules, %d strata\n" result.n_rules
         result.n_strata;
-      match Pathlog.Program.of_string text with
-      | p ->
-        Array.iteri
-          (fun i rules ->
-            List.iter
-              (fun (r : Pathlog.Rule.t) ->
-                Format.printf "  stratum %d: %a@." i Pathlog.Pretty.pp_rule
-                  r.source)
-              rules)
-          (Pathlog.Program.strata p)
-      | exception Pathlog.Program.Invalid _ -> ()
+      Option.iter
+        (fun p ->
+          Array.iteri
+            (fun i rules ->
+              List.iter
+                (fun (r : Pathlog.Rule.t) ->
+                  Format.printf "  stratum %d: %a@." i
+                    Pathlog.Pretty.pp_rule r.source)
+                rules)
+            (Pathlog.Program.strata p))
+        result.program
     end
   end;
   if denied then exit Pathlog.Err.exit_analysis
@@ -213,7 +208,8 @@ let explain_cmd file queries demand estimates =
     if estimates then
       Some
         (Pathlog.Absint.predicted
-           (Pathlog.Absint.analyze st (Pathlog.Program.rules p))
+           (Pathlog.Absint.analyze ~facts:(Pathlog.Program.facts p) st
+              (Pathlog.Program.rules p))
            st)
     else None
   in
@@ -377,23 +373,19 @@ let serve_cmd file host port unix_sock workers queue max_request deadline jobs
   (* Refuse to serve a program static analysis can already prove broken:
      a conflict or divergence found mid-flight would take the whole
      server down, not one request. *)
-  let spanned =
-    match Pathlog.Check.gate_spanned text with
-    | Ok (spanned, _) -> spanned
+  let p =
+    match Pathlog.Check.gate_program text with
+    | Ok (p, _) -> p
     | Error msg ->
       Printf.eprintf "error: program refused by static analysis:\n%s\n" msg;
       exit Pathlog.Err.exit_analysis
   in
-  (* the program is built from the statements the gate parsed; --demand
-     serves it without materialising it: the first sight of each query
-     fixpoints only its demanded fragment *)
-  let p =
+  (* the gate hands back the program it analysed; --demand serves it
+     without materialising it: the first sight of each query fixpoints
+     only its demanded fragment *)
+  if not demand then
     with_errors None (fun () ->
-        let p = Pathlog.Program.of_spanned spanned in
-        if not demand then
-          ignore (Pathlog.Program.run p : Pathlog.Fixpoint.stats);
-        p)
-  in
+        ignore (Pathlog.Program.run p : Pathlog.Fixpoint.stats));
   (* --jobs N with N > 1 turns on real parallelism end to end: the query
      pool is backed by N domains instead of threads (queries evaluate
      concurrently on the lock-free read path). *)

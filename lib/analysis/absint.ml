@@ -167,8 +167,9 @@ let note_head store w head =
   in
   fold_reference add () head
 
-let collect_widths store (rules : Rule.t list) =
+let collect_widths store (facts : Rule.fact list) (rules : Rule.t list) =
   let w = { arities = Hashtbl.create 32; any_exp = 2 } in
+  List.iter (fun (f : Rule.fact) -> note_head store w f.f_source.head) facts;
   List.iter
     (fun (r : Rule.t) ->
       List.iter (note_atom w) r.body.atoms;
@@ -438,9 +439,11 @@ type rule_card = {
 type t = {
   cards : card Rel_map.t;
   rules : rule_card list;
+  n_facts : int;
   verdicts : (int * verdict) list;
   uid_lo : int;
   uid_span : int;  (* the uids of [rules] lie in [uid_lo, uid_lo + uid_span) *)
+  relevance : Stratify.index;  (* [rules]' part of [Stratify.live_rules] *)
 }
 
 
@@ -462,11 +465,11 @@ let verdicts t = t.verdicts
    (join with the previous value), so the pass bound below is a safety
    net, not a correctness requirement. *)
 
-let analyze ?strat store (rule_list : Rule.t list) : t =
+let analyze ?strat ?(facts = []) store (rule_list : Rule.t list) : t =
   let rules = Array.of_list rule_list in
   let n = Array.length rules in
-  let cap = collect_widths store rule_list in
-  let anc = Stratify.static_ancestors rule_list in
+  let cap = collect_widths store facts rule_list in
+  let anc = Stratify.static_ancestors ~facts rule_list in
   let expand d =
     match (d : Ir.rel) with
     | R_isa_c c ->
@@ -479,9 +482,20 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
         List.sort_uniq Ir.compare_rel (List.concat_map expand r.defines))
       rules
   in
+  (* expanded head occurrences with multiplicity, counted into [tbl] *)
+  let count_occs tbl head =
+    List.iter
+      (fun d ->
+        List.iter
+          (fun t ->
+            let cur = Option.value ~default:0 (Hashtbl.find_opt tbl t) in
+            Hashtbl.replace tbl t (cur + 1))
+          (expand d))
+      (head_occs store head)
+  in
   let recursive, succ = recursion_flags rules expanded_defs in
   let cyclic =
-    let cycles = Analyses.creation_cycles store rule_list in
+    let cycles = Analyses.creation_cycles ~facts store rule_list in
     Array.map
       (fun (r : Rule.t) ->
         Option.map snd (List.find_opt (fun (r', _) -> r' == r) cycles))
@@ -492,17 +506,13 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
     Array.map
       (fun (r : Rule.t) ->
         let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun d ->
-            List.iter
-              (fun t ->
-                let cur = Option.value ~default:0 (Hashtbl.find_opt tbl t) in
-                Hashtbl.replace tbl t (cur + 1))
-              (expand d))
-          (head_occs store r.source.head);
+        count_occs tbl r.source.head;
         Hashtbl.fold (fun t c acc -> (t, c) :: acc) tbl [])
       rules
   in
+  (* a fact fires once, so its relations' seeds are exact counts *)
+  let seeds = Hashtbl.create 64 in
+  List.iter (fun (f : Rule.fact) -> count_occs seeds f.f_source.head) facts;
   let uncovered = Array.map (fun (r : Rule.t) -> slot_cover r.body) rules in
   (* Contributions indexed by target, each target's sum cached until
      one of its contributions changes, and the two sums over many
@@ -515,6 +525,13 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
   in
   let target_sums : (Ir.rel, card) Hashtbl.t = Hashtbl.create 64 in
   let isa_sum = ref None and all_sum = ref None in
+  (* the facts' seeds are the contributions of rule -1 *)
+  Hashtbl.iter
+    (fun target c ->
+      let by_rule = Hashtbl.create 8 in
+      Hashtbl.add by_rule (-1) (Exact c);
+      Hashtbl.add contrib target by_rule)
+    seeds;
   let get_contrib i target =
     match Hashtbl.find_opt contrib target with
     | Some by_rule -> Hashtbl.find_opt by_rule i
@@ -630,7 +647,8 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
     let add m rel =
       if Rel_map.mem rel m then m else Rel_map.add rel (read_card rel) m
     in
-    let m = Array.fold_left (List.fold_left add) Rel_map.empty expanded_defs in
+    let m = Hashtbl.fold (fun rel _ m -> add m rel) seeds Rel_map.empty in
+    let m = Array.fold_left (List.fold_left add) m expanded_defs in
     Array.fold_left (fun m (r : Rule.t) -> List.fold_left add m r.reads) m rules
   in
   let rule_cards =
@@ -652,7 +670,7 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
     match strat with
     | Some s -> Some s
     | None -> (
-      try Some (Stratify.compute store rule_list)
+      try Some (Stratify.compute ~facts store rule_list)
       with Engine.Err.Unstratifiable _ -> None)
   in
   let verdicts =
@@ -694,9 +712,11 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
   {
     cards;
     rules = rule_cards;
+    n_facts = List.length facts;
     verdicts;
     uid_lo;
     uid_span = (if rule_list = [] then 0 else uid_hi - uid_lo + 1);
+    relevance = Stratify.index rule_list;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -704,13 +724,14 @@ let analyze ?strat store (rule_list : Rule.t list) : t =
 
 let universe_size store = max 1 (Oodb.Universe.cardinality (Oodb.Store.universe store))
 
+(* the fixpoint's size: every rule's firings, and one per fact *)
 let total_firings ~n t =
   List.fold_left
     (fun acc rc ->
       match rc.rc_firings with
       | Inf -> acc
       | c -> sat_add acc (eval_card ~n c))
-    0 t.rules
+    t.n_facts t.rules
 
 (* PL052: the body's enumerating atoms split into >1 variable-connected
    components — the join is a cross product no planner order or demand
@@ -758,7 +779,6 @@ let is_live t (live : Rule.t list) =
 
 let check ?(threshold = default_threshold) t store
     ~(queries : Syntax.Ast.literal list list) : Diagnostic.t list =
-  let rule_list = List.map (fun rc -> rc.rc_rule) t.rules in
   let universe = Oodb.Store.universe store in
   let context (r : Rule.t) =
     Format.asprintf "%a" Syntax.Pretty.pp_rule
@@ -776,7 +796,7 @@ let check ?(threshold = default_threshold) t store
             | exception _ -> [])
           queries
       in
-      let live = is_live t (Stratify.live_rules rule_list ~goals) in
+      let live = is_live t (Stratify.live t.relevance ~goals) in
       List.filter_map
         (fun rc ->
           match rc.rc_creation_cycle with
@@ -851,14 +871,14 @@ let predicted t store rel =
   | None | Some Inf -> None
   | Some c -> Some (eval_card ~n:(universe_size store) c)
 
-let query_cost t store rule_list (lits : Syntax.Ast.literal list) :
+let query_cost t store _rules (lits : Syntax.Ast.literal list) :
     [ `Bound of int | `Infinite ] =
   let goals =
     match Semantics.Flatten.literals store lits with
     | q -> Ir.query_rels q.atoms
     | exception _ -> []
   in
-  let live = is_live t (Stratify.live_rules rule_list ~goals) in
+  let live = is_live t (Stratify.live t.relevance ~goals) in
   let n = universe_size store in
   let rec go acc = function
     | [] -> `Bound acc

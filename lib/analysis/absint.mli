@@ -49,11 +49,18 @@ type rule_card = {
 type t
 
 val analyze :
-  ?strat:Engine.Stratify.t -> Oodb.Store.t -> Engine.Rule.t list -> t
-(** Run the fixpoint. [strat] reuses an already-computed stratification
-    for the termination verdicts; without it one is computed, and an
-    unstratifiable program simply gets no verdicts (the cardinality
-    pass itself does not need strata). *)
+  ?strat:Engine.Stratify.t ->
+  ?facts:Engine.Rule.fact list ->
+  Oodb.Store.t ->
+  Engine.Rule.t list ->
+  t
+(** Run the fixpoint over the rules. The facts seed their relations with
+    exact counts (a fact fires once) and add their class edges to the
+    hierarchy; they get no {!rule_card}. [strat] reuses an
+    already-computed stratification for the termination verdicts;
+    without it one is computed, and an unstratifiable program simply
+    gets no verdicts (the cardinality pass itself does not need
+    strata). *)
 
 val rel_cards : t -> (Semantics.Ir.rel * card) list
 val rule_cards : t -> rule_card list
@@ -72,9 +79,9 @@ val check :
     - [PL050] (error): a rule on a skolem-creation cycle is live for one
       of the program's queries — provably unbounded object creation
       reachable from a query.
-    - [PL051] (warning): the predicted derivation count at the current
-      universe size exceeds [threshold]; attached to the dominating
-      rule. Skipped when some rule is already [Inf] (PL050/PL030 cover
+    - [PL051] (warning): the predicted fixpoint size at the current
+      universe size (the rules' firings plus one per fact) exceeds
+      [threshold]; attached to the dominating rule. Skipped when some rule is already [Inf] (PL050/PL030 cover
       that).
     - [PL052] (hint): the rule body's enumerating literals split into
       more than one variable-connected component — a cross-product join
@@ -96,7 +103,9 @@ val query_cost :
   [ `Bound of int | `Infinite ]
 (** Predicted derivation count needed to answer a query: the summed
     firing bounds of the rules live for its goal relations, evaluated at
-    the current universe size. [serve --admit-cost] rejects the query
+    the current universe size. Facts derive nothing, so they add nothing.
+    The rules must be those [t] was analysed over: their relevance index
+    ({!Engine.Stratify.index}) was built once, by {!analyze}. [serve --admit-cost] rejects the query
     when this exceeds the bound (or is [`Infinite]) {e before} any
     evaluation starts. *)
 

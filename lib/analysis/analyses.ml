@@ -109,8 +109,8 @@ let flow_defines anc (r : Rule.t) =
    abstract interpreter's PL050/∞-cardinality verdicts ({!Absint}):
    non-fact rules whose fresh skolem objects can flow back into a
    relation their own body reads, paired with that back-edge relation. *)
-let creation_cycles store rules =
-  let anc = Stratify.static_ancestors rules in
+let creation_cycles ~facts store rules =
+  let anc = Stratify.static_ancestors ~facts rules in
   let nodes =
     List.fold_left
       (fun acc r ->
@@ -250,13 +250,20 @@ let required_reads (r : Rule.t) =
     r.body.atoms
 
 (* The producibility fixpoint shared by PL031 and PL060: which relations
-   can some chain of rule firings (seeded by facts) ever populate. *)
+   can some chain of rule firings (seeded by facts) ever populate.
+
+   A worklist: each rule waits on its distinct unmet requirements,
+   indexed by requirement, and fires when the last is met. Producing a
+   relation wakes the rules waiting on it once, so the cost is the
+   rules, plus their requirements, plus the relations produced — not one
+   sweep over every rule per step of the longest chain. *)
 type producibility = {
   p_produced : Rel_set.t;
   p_any_isa : bool;
   p_unknown_isa : bool;
   p_unknown_meth : bool;
   p_fired : (int, unit) Hashtbl.t;
+  p_visits : int;
 }
 
 let req_satisfied p = function
@@ -264,46 +271,85 @@ let req_satisfied p = function
   | Req_isa_any -> p.p_any_isa
   | Req_rel r -> p.p_unknown_meth || Rel_set.mem r p.p_produced
 
-let producibility rules =
-  let anc = Stratify.static_ancestors rules in
+let producibility ~facts rules =
+  let anc = Stratify.static_ancestors ~facts rules in
+  let rules = Array.of_list rules in
   let produced = ref Rel_set.empty in
   let any_isa = ref false in
   let unknown_isa = ref false in
   let unknown_meth = ref false in
+  let fired = Hashtbl.create 16 in
+  let visits = ref 0 in
+  (* the rules waiting on each unmet requirement *)
+  let waiting : (required, int list) Hashtbl.t = Hashtbl.create 64 in
+  let unmet =
+    Array.mapi
+      (fun i r ->
+        let reqs = List.sort_uniq compare (required_reads r) in
+        List.iter
+          (fun q ->
+            Hashtbl.replace waiting q
+              (i :: Option.value ~default:[] (Hashtbl.find_opt waiting q)))
+          reqs;
+        List.length reqs)
+      rules
+  in
+  let ready = Queue.create () in
+  Array.iteri (fun i n -> if n = 0 then Queue.add i ready) unmet;
+  let meet q =
+    match Hashtbl.find_opt waiting q with
+    | None -> ()
+    | Some is ->
+      Hashtbl.remove waiting q;
+      List.iter
+        (fun i ->
+          incr visits;
+          unmet.(i) <- unmet.(i) - 1;
+          if unmet.(i) = 0 then Queue.add i ready)
+        is
+  in
+  (* every waiting requirement [covered] holds *)
+  let meet_all covered =
+    Hashtbl.fold (fun q _ acc -> if covered q then q :: acc else acc) waiting []
+    |> List.iter meet
+  in
+  let add_isa c =
+    if not (Rel_set.mem (Ir.R_isa_c c) !produced) then begin
+      produced := Rel_set.add (Ir.R_isa_c c) !produced;
+      meet (Req_isa_c c)
+    end
+  in
   let produce d =
     match (d : Ir.rel) with
     | R_isa_c c ->
-      any_isa := true;
-      produced := Rel_set.add d !produced;
-      Obj_set.iter
-        (fun a -> produced := Rel_set.add (Ir.R_isa_c a) !produced)
-        (anc c)
+      if not !any_isa then begin
+        any_isa := true;
+        meet Req_isa_any
+      end;
+      add_isa c;
+      Obj_set.iter add_isa (anc c)
     | R_isa ->
-      any_isa := true;
-      unknown_isa := true
-    | R_any -> unknown_meth := true
-    | R_scalar _ | R_set _ -> produced := Rel_set.add d !produced
+      if not !unknown_isa then begin
+        any_isa := true;
+        unknown_isa := true;
+        meet_all (function Req_isa_c _ | Req_isa_any -> true | Req_rel _ -> false)
+      end
+    | R_any ->
+      if not !unknown_meth then begin
+        unknown_meth := true;
+        meet_all (function Req_rel _ -> true | Req_isa_c _ | Req_isa_any -> false)
+      end
+    | R_scalar _ | R_set _ ->
+      if not (Rel_set.mem d !produced) then begin
+        produced := Rel_set.add d !produced;
+        meet (Req_rel d)
+      end
   in
-  let satisfied = function
-    | Req_isa_c c -> !unknown_isa || Rel_set.mem (Ir.R_isa_c c) !produced
-    | Req_isa_any -> !any_isa
-    | Req_rel r -> !unknown_meth || Rel_set.mem r !produced
-  in
-  let fired = Hashtbl.create 16 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (r : Rule.t) ->
-        if
-          (not (Hashtbl.mem fired r.uid))
-          && List.for_all satisfied (required_reads r)
-        then begin
-          Hashtbl.add fired r.uid ();
-          List.iter produce r.defines;
-          changed := true
-        end)
-      rules
+  List.iter (fun (f : Rule.fact) -> List.iter produce f.f_defines) facts;
+  while not (Queue.is_empty ready) do
+    let r = rules.(Queue.take ready) in
+    Hashtbl.replace fired r.Rule.uid ();
+    List.iter produce r.defines
   done;
   {
     p_produced = !produced;
@@ -311,6 +357,7 @@ let producibility rules =
     p_unknown_isa = !unknown_isa;
     p_unknown_meth = !unknown_meth;
     p_fired = fired;
+    p_visits = !visits;
   }
 
 let never_fires store rules p =
@@ -470,7 +517,9 @@ type assignment = {
   a_recv : reference;
   a_args : reference list;
   a_res : reference;
-  a_rule : Rule.t;
+  a_source : Syntax.Ast.rule;
+  a_origin : Syntax.Ast.rule option;
+  a_span : Syntax.Token.span option;
 }
 
 let rec strip = function Paren r -> strip r | r -> r
@@ -489,7 +538,7 @@ let is_ground r =
   | Name _ | Int_lit _ | Str_lit _ -> true
   | Var _ | Paren _ | Path _ | Regex _ | Filter _ | Isa _ -> false
 
-let head_assignments (rule : Rule.t) =
+let assignments_of ?origin ?span (source : Syntax.Ast.rule) =
   let add acc = function
     | Filter { f_recv; f_meth; f_args; f_rhs = Rscalar res } ->
       let a_meth = strip f_meth in
@@ -499,7 +548,9 @@ let head_assignments (rule : Rule.t) =
           a_recv = recv_obj f_recv;
           a_args = List.map strip f_args;
           a_res = recv_obj res;
-          a_rule = rule;
+          a_source = source;
+          a_origin = origin;
+          a_span = span;
         }
         :: acc
       else acc
@@ -507,7 +558,26 @@ let head_assignments (rule : Rule.t) =
     | Isa _ | Filter _ ->
       acc
   in
-  List.rev (fold_reference add [] rule.source.head)
+  List.rev (fold_reference add [] source.head)
+
+let head_assignments (rule : Rule.t) =
+  assignments_of ?origin:rule.origin ?span:rule.span rule.source
+
+let fact_assignments (f : Rule.fact) = assignments_of ?span:f.f_span f.f_source
+
+(* Every assignment of the facts and rules, in statement order: the two
+   lists are each in statement order, so their assignments merge by
+   source offset. *)
+let assignments ~facts rules =
+  let offset a =
+    match a.a_span with
+    | Some sp -> sp.Syntax.Token.s_start.offset
+    | None -> max_int
+  in
+  List.merge
+    (fun a b -> Int.compare (offset a) (offset b))
+    (List.concat_map fact_assignments facts)
+    (List.concat_map head_assignments rules)
 
 (* Whether two assignments of one method and arity may give one
    application two results: distinct ground results on receivers and
@@ -571,32 +641,35 @@ let conflict_pairs assignments =
     groups;
   List.sort compare !pairs |> List.map (fun (i, j) -> (asg.(i), asg.(j)))
 
+let assignment_context a =
+  Format.asprintf "%a" Syntax.Pretty.pp_rule
+    (Option.value a.a_origin ~default:a.a_source)
+
 let conflict_diagnostic (a, b) =
   let definite =
-    a.a_rule.source.body = [] && b.a_rule.source.body = []
+    a.a_source.body = [] && b.a_source.body = []
     && is_ground a.a_recv && a.a_recv = b.a_recv
     && List.for_all2 (fun x y -> x = y) a.a_args b.a_args
   in
   let other =
-    match a.a_rule.span with
+    match a.a_span with
     | Some sp -> Format.asprintf " (first assigned at %a)" Syntax.Token.pp_span sp
-    | None -> Format.asprintf " (also assigned by %s)" (rule_context a.a_rule)
+    | None -> Format.asprintf " (also assigned by %s)" (assignment_context a)
   in
   if definite then
-    Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
+    Diagnostic.make ?span:b.a_span ~context:(assignment_context b)
       ~code:"PL040" ~severity:Diagnostic.Error
       "scalar method %a of %a is assigned both %a and %a%s"
       Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
       a.a_recv Syntax.Pretty.pp_reference a.a_res
       Syntax.Pretty.pp_reference b.a_res other
   else
-    Diagnostic.make ?span:b.a_rule.span ~context:(rule_context b.a_rule)
+    Diagnostic.make ?span:b.a_span ~context:(assignment_context b)
       ~code:"PL041" ~severity:Diagnostic.Warning
       "scalar method %a may be assigned conflicting results %a and \
        %a%s"
       Syntax.Pretty.pp_reference a.a_meth Syntax.Pretty.pp_reference
       a.a_res Syntax.Pretty.pp_reference b.a_res other
 
-let scalar_conflicts rules =
-  List.map conflict_diagnostic
-    (conflict_pairs (List.concat_map head_assignments rules))
+let scalar_conflicts ~facts rules =
+  List.map conflict_diagnostic (conflict_pairs (assignments ~facts rules))

@@ -6,6 +6,7 @@
     of [pathlog check]. *)
 
 val creation_cycles :
+  facts:Engine.Rule.fact list ->
   Oodb.Store.t ->
   Engine.Rule.t list ->
   (Engine.Rule.t * Semantics.Ir.rel) list
@@ -35,13 +36,27 @@ val skolem_cycles :
     [X.succ : nat <- X : nat] is. An under-approximation: a warning means
     "very likely diverges", silence is not a termination proof. *)
 
-type producibility
+module Rel_set : Set.S with type elt = Semantics.Ir.rel
+
 (** Which relations some chain of rule firings, seeded by facts, can
     ever populate. *)
+type producibility = {
+  p_produced : Rel_set.t;  (** class relations closed upward *)
+  p_any_isa : bool;  (** some class membership is produced *)
+  p_unknown_isa : bool;  (** a head asserts a variable class *)
+  p_unknown_meth : bool;  (** a head asserts a variable method *)
+  p_fired : (int, unit) Hashtbl.t;  (** uids of the rules that can fire *)
+  p_visits : int;
+      (** how often the worklist woke a waiting rule: at most once per
+          distinct requirement of each rule, whatever the rules' order *)
+}
 
-val producibility : Engine.Rule.t list -> producibility
-(** The producibility fixpoint over head definitions, shared by
-    {!dead_rules} (PL031) and {!regex_dead} (PL060). *)
+val producibility :
+  facts:Engine.Rule.fact list -> Engine.Rule.t list -> producibility
+(** The producibility fixpoint over head definitions, seeded by the
+    facts' relations and shared by {!dead_rules} (PL031) and
+    {!regex_dead} (PL060). A worklist: each rule waits on its distinct
+    unmet requirements and fires when the last is met. *)
 
 val dead_rules :
   Oodb.Store.t ->
@@ -69,12 +84,15 @@ val regex_dead :
     empty word (the expression degenerates to the identity but still
     matches), so they are not flagged. *)
 
-val scalar_conflicts : Engine.Rule.t list -> Diagnostic.t list
+val scalar_conflicts :
+  facts:Engine.Rule.fact list -> Engine.Rule.t list -> Diagnostic.t list
 (** PL040 (error): two ground facts assign the same scalar method
     application two different results — {!Engine.Err.Functional_conflict}
     is certain. PL041 (warning): two head assignments with ground,
     distinct results and receivers not provably distinct may collide at
-    runtime. Results that are variables or paths are not compared. *)
+    runtime. Results that are variables or paths are not compared. The
+    facts' and rules' assignments are taken in statement order (by
+    source offset). *)
 
 (** One scalar head assignment [recv\[meth@(args) -> res\]], with
     parentheses, class memberships and enclosing filters stripped from
@@ -84,12 +102,17 @@ type assignment = {
   a_recv : Syntax.Ast.reference;
   a_args : Syntax.Ast.reference list;
   a_res : Syntax.Ast.reference;
-  a_rule : Engine.Rule.t;
+  a_source : Syntax.Ast.rule;  (** the statement assigning it *)
+  a_origin : Syntax.Ast.rule option;  (** {!Engine.Rule.t.origin} *)
+  a_span : Syntax.Token.span option;
 }
 
 val head_assignments : Engine.Rule.t -> assignment list
 (** The rule head's scalar assignments with a ground method, in head
     order. *)
+
+val fact_assignments : Engine.Rule.fact -> assignment list
+(** {!head_assignments} of a fact statement. *)
 
 val conflict_diagnostic : assignment * assignment -> Diagnostic.t
 (** The PL040/PL041 diagnostic for a conflicting pair, anchored on the

@@ -5,6 +5,8 @@ type t = {
   n_rules : int;
   n_queries : int;
   n_strata : int;
+  program : Engine.Program.t option;
+  estimates : string list;
 }
 
 let ok t =
@@ -50,50 +52,41 @@ let parse text =
         n_rules = 0;
         n_queries = 0;
         n_strata = 0;
+        program = None;
+        estimates = [];
       }
 
-let analyze_spanned ?card_threshold spanned =
-  let store = Oodb.Store.create () in
-  let signatures = Oodb.Signature.create () in
+let analyze_spanned ?card_threshold ?(estimates = false) ?config spanned =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let rules = ref [] in
-  let queries = ref [] in
-  List.iter
-    (fun (stmt, span) ->
-      match Syntax.Wellformed.signature_of_statement stmt with
-      | Some decl -> (
-        try Engine.Program.load_signature store signatures decl
-        with Engine.Program.Invalid msg ->
-          emit
-            (Diagnostic.make ~span
-               ~context:(Syntax.Pretty.statement_to_string stmt)
-               ~code:"PL018" ~severity:Diagnostic.Error "%s" msg))
-      | None -> (
-        match stmt with
-        | Ast.Rule r -> (
-          match Syntax.Wellformed.check_rule r with
-          | Ok () -> rules := Engine.Rule.compile ~span store r :: !rules
-          | Error e ->
-            emit
-              (Diagnostic.make ~span
-                 ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule r)
-                 ~code:(code_of_wellformed e) ~severity:Diagnostic.Error
-                 "%a" Syntax.Wellformed.pp_error e))
-        | Ast.Query lits -> (
-          match Syntax.Wellformed.check_query lits with
-          | Ok () -> queries := lits :: !queries
-          | Error e ->
-            emit
-              (Diagnostic.make ~span
-                 ~context:(Syntax.Pretty.statement_to_string stmt)
-                 ~code:(code_of_wellformed e) ~severity:Diagnostic.Error
-                 "%a" Syntax.Wellformed.pp_error e))))
-    spanned;
-  let rules = List.rev !rules in
-  let queries = List.rev !queries in
+  let invalid stmt span (why : Engine.Program.invalid) =
+    match (why, stmt) with
+    | Bad_signature msg, _ ->
+      emit
+        (Diagnostic.make ?span
+           ~context:(Syntax.Pretty.statement_to_string stmt)
+           ~code:"PL018" ~severity:Diagnostic.Error "%s" msg)
+    | Ill_formed e, Ast.Rule r ->
+      emit
+        (Diagnostic.make ?span
+           ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule r)
+           ~code:(code_of_wellformed e) ~severity:Diagnostic.Error "%a"
+           Syntax.Wellformed.pp_error e)
+    | Ill_formed e, Ast.Query _ ->
+      emit
+        (Diagnostic.make ?span
+           ~context:(Syntax.Pretty.statement_to_string stmt)
+           ~code:(code_of_wellformed e) ~severity:Diagnostic.Error "%a"
+           Syntax.Wellformed.pp_error e)
+  in
+  let c =
+    Engine.Program.compile ~on_invalid:invalid
+      (List.map (fun (stmt, span) -> (stmt, Some span)) spanned)
+  in
+  let store = c.c_store and facts = c.c_facts and rules = c.c_rules in
+  let queries = c.c_queries in
   let strat =
-    match Engine.Stratify.compute store rules with
+    match Engine.Stratify.compute ~facts store rules with
     | strat -> Some strat
     | exception Engine.Err.Unstratifiable u ->
       let span, context =
@@ -117,39 +110,51 @@ let analyze_spanned ?card_threshold spanned =
     | Some s -> Array.length s.Engine.Stratify.strata
     | None -> 0
   in
-  List.iter
-    (fun (w : Engine.Typecheck.warning) ->
-      emit
-        (Diagnostic.make ?span:w.w_span
-           ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule w.w_rule)
-           ~code:"PL021" ~severity:Diagnostic.Warning "%s" w.w_message))
-    (Engine.Typecheck.check_rules store signatures rules);
-  (* each analysis once: PL030 reads Absint's creation cycles, and
-     PL031/PL060 share one producibility fixpoint *)
-  let absint = Absint.analyze ?strat store rules in
-  let cycles =
-    List.filter_map
-      (fun (rc : Absint.rule_card) ->
-        Option.map (fun back -> (rc.rc_rule, back)) rc.rc_creation_cycle)
-      (Absint.rule_cards absint)
+  (* The analyses resolve query text against the program's names;
+     whatever they intern is forgotten, so the program numbers its
+     objects as if it had not been analysed. *)
+  let estimates =
+    Oodb.Store.scoped store (fun () ->
+        List.iter
+          (fun (w : Engine.Typecheck.warning) ->
+            emit
+              (Diagnostic.make ?span:w.w_span
+                 ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule w.w_rule)
+                 ~code:"PL021" ~severity:Diagnostic.Warning "%s" w.w_message))
+          (Engine.Typecheck.check_rules ~facts store c.c_signatures rules);
+        (* each analysis once: PL030 reads Absint's creation cycles, and
+           PL031/PL060 share one producibility fixpoint *)
+        let absint = Absint.analyze ?strat ~facts store rules in
+        (* before any query text is resolved: n is the program's own *)
+        let report = if estimates then Absint.describe store absint else [] in
+        let cycles =
+          List.filter_map
+            (fun (rc : Absint.rule_card) ->
+              Option.map (fun back -> (rc.rc_rule, back)) rc.rc_creation_cycle)
+            (Absint.rule_cards absint)
+        in
+        let producible = Analyses.producibility ~facts rules in
+        List.iter emit (Analyses.skolem_cycles store rules ~cycles);
+        List.iter emit (Analyses.dead_rules store rules producible ~queries);
+        List.iter emit (Analyses.regex_dead store rules producible ~queries);
+        List.iter emit (Analyses.scalar_conflicts ~facts rules);
+        List.iter emit
+          (Absint.check ?threshold:card_threshold absint store ~queries);
+        report)
   in
-  let producible = Analyses.producibility rules in
-  List.iter emit (Analyses.skolem_cycles store rules ~cycles);
-  List.iter emit (Analyses.dead_rules store rules producible ~queries);
-  List.iter emit (Analyses.regex_dead store rules producible ~queries);
-  List.iter emit (Analyses.scalar_conflicts rules);
-  List.iter emit
-    (Absint.check ?threshold:card_threshold absint store ~queries);
   {
     diagnostics = List.stable_sort Diagnostic.compare (List.rev !diags);
-    n_rules = List.length rules;
+    n_rules = List.length facts + List.length rules;
     n_queries = List.length queries;
     n_strata;
+    program =
+      Option.map (fun strat -> Engine.Program.of_compiled ?config ~strat c) strat;
+    estimates;
   }
 
-let analyze ?card_threshold text =
+let analyze ?card_threshold ?estimates ?config text =
   match parse text with
-  | Ok spanned -> analyze_spanned ?card_threshold spanned
+  | Ok spanned -> analyze_spanned ?card_threshold ?estimates ?config spanned
   | Error t -> t
 
 (* Bump when the JSON shape changes (fields, span encoding, ordering
@@ -162,47 +167,19 @@ let to_json t =
     schema_version (ok t) t.n_rules t.n_queries t.n_strata
     (Diagnostic.json_of_list t.diagnostics)
 
-(* The compiled program a successfully parsed text denotes, for callers
-   that need the rules themselves (check --estimates, admission
-   control) rather than diagnostics. Malformed statements are skipped —
-   the diagnostics pipeline reports them. *)
-let program_of text =
-  match Syntax.Parser.program_spanned text with
-  | exception Syntax.Parser.Error _ -> None
-  | spanned ->
-    let store = Oodb.Store.create () in
-    let rules = ref [] in
-    let queries = ref [] in
-    List.iter
-      (fun (stmt, span) ->
-        match Syntax.Wellformed.signature_of_statement stmt with
-        | Some _ -> ()
-        | None -> (
-          match stmt with
-          | Ast.Rule r ->
-            if Syntax.Wellformed.check_rule r = Ok () then
-              rules := Engine.Rule.compile ~span store r :: !rules
-          | Ast.Query lits ->
-            if Syntax.Wellformed.check_query lits = Ok () then
-              queries := lits :: !queries))
-      spanned;
-    Some (store, List.rev !rules, List.rev !queries)
-
 let refusal ds = String.concat "\n" (List.map Diagnostic.to_string ds)
 
-let gate_spanned ?(deny = Diagnostic.Error) ?card_threshold text =
-  match parse text with
-  | Error t -> Error (refusal t.diagnostics)
-  | Ok spanned -> (
-    let t = analyze_spanned ?card_threshold spanned in
-    match
-      List.filter
+let gate_program ?(deny = Diagnostic.Error) ?card_threshold ?config text =
+  let t = analyze ?card_threshold ?config text in
+  match
+    ( List.filter
         (fun (d : Diagnostic.t) ->
           Diagnostic.severity_rank d.severity >= Diagnostic.severity_rank deny)
-        t.diagnostics
-    with
-    | [] -> Ok (spanned, t)
-    | offenders -> Error (refusal offenders))
+        t.diagnostics,
+      t.program )
+  with
+  | [], Some p -> Ok (p, t)
+  | offenders, _ -> Error (refusal offenders)
 
 let gate ?deny ?card_threshold text =
-  Result.map snd (gate_spanned ?deny ?card_threshold text)
+  Result.map snd (gate_program ?deny ?card_threshold text)

@@ -8,22 +8,45 @@
     the whole-program analyses of {!Analyses} (PL030–PL041, PL060).
     Statements that fail well-formedness are excluded from the later
     stages; a parse error short-circuits everything (there is no
-    statement stream to continue with). *)
+    statement stream to continue with).
+
+    The analyses run over the program itself ({!Engine.Program.compile}):
+    its rules, and its fact statements as data, each fact check one pass
+    over the extensional list. The program is handed back unrun, so a
+    server compiles and stratifies its text once; the analyses intern
+    nothing into its store. *)
 
 type t = {
   diagnostics : Diagnostic.t list;
       (** sorted by source position, then severity *)
-  n_rules : int;  (** rules (facts included) that passed well-formedness *)
+  n_rules : int;
+      (** statements, facts and rules, that passed well-formedness *)
   n_queries : int;  (** embedded queries that passed well-formedness *)
   n_strata : int;  (** 0 when stratification failed *)
+  program : Engine.Program.t option;
+      (** the analysed program, unless it failed to parse or stratify;
+          not yet run. The analyses leave its object numbering as
+          compiling it alone gives. *)
+  estimates : string list;
+      (** {!Absint.describe}'s report, when asked for *)
 }
 
-val analyze : ?card_threshold:int -> string -> t
+val analyze :
+  ?card_threshold:int ->
+  ?estimates:bool ->
+  ?config:Engine.Fixpoint.config ->
+  string ->
+  t
 (** [card_threshold] tunes PL051 (1_000_000 predicted derivations
-    when omitted). *)
+    when omitted). [estimates] fills {!t.estimates}; [config] is the
+    program's. *)
 
 val analyze_spanned :
-  ?card_threshold:int -> (Syntax.Ast.statement * Syntax.Token.span) list -> t
+  ?card_threshold:int ->
+  ?estimates:bool ->
+  ?config:Engine.Fixpoint.config ->
+  (Syntax.Ast.statement * Syntax.Token.span) list ->
+  t
 (** {!analyze} of statements already parsed. *)
 
 val ok : t -> bool
@@ -42,23 +65,19 @@ val to_json : t -> string
     (byte offset, code, severity, message), and spans carry both
     start and end byte offsets. *)
 
-val program_of :
-  string ->
-  (Oodb.Store.t * Engine.Rule.t list * Syntax.Ast.literal list list) option
-(** The compiled rules and embedded queries of a parseable program
-    ([None] on a parse error; malformed statements are skipped). For
-    callers that feed {!Absint} directly — [check --estimates],
-    admission control. *)
-
 val gate :
   ?deny:Diagnostic.severity -> ?card_threshold:int -> string ->
   (t, string) result
 (** Refuse program text carrying diagnostics at or above [deny]
     (default [Error]); the error string is the rendered offending
-    diagnostics, one per line. The server calls this before loading. *)
+    diagnostics, one per line. The server gates each write batch and
+    each replayed WAL record with it. *)
 
-val gate_spanned :
-  ?deny:Diagnostic.severity -> ?card_threshold:int -> string ->
-  ((Syntax.Ast.statement * Syntax.Token.span) list * t, string) result
-(** {!gate}, handing back the parsed statements as well, so a caller that
-    loads the program ({!Engine.Program.of_spanned}) parses it once. *)
+val gate_program :
+  ?deny:Diagnostic.severity ->
+  ?card_threshold:int ->
+  ?config:Engine.Fixpoint.config ->
+  string ->
+  (Engine.Program.t * t, string) result
+(** {!gate}, handing back the analysed program as well: a caller that
+    serves it parses, compiles and stratifies the text once. *)

@@ -362,7 +362,7 @@ let check_budget config stats store stratum_rounds =
   | None -> ()
   | Some b -> Budget.check_caps b ~derivations:stats.firings ~objects:card
 
-let run_stratum ?from ?interrupt config plans pool sink itn crules =
+let run_stratum ?from ?since ?interrupt config plans pool sink itn crules =
   let store = sink.store and stats = sink.stats in
   (* A round's (rule, seed) tasks are fixed by the marks at its start and
      taken in order: without a pool each is evaluated as it is taken,
@@ -393,10 +393,13 @@ let run_stratum ?from ?interrupt config plans pool sink itn crules =
      an ordinary semi-naive delta round over everything inserted since
      the baseline — incremental maintenance re-enters the fixpoint
      here. *)
+  let start = match from with Some _ -> from | None -> since in
   let prev_marks =
-    ref (match from with None -> snapshot itn store | Some m -> m)
+    ref (match start with None -> snapshot itn store | Some m -> m)
   in
-  let prev_epoch = ref (match from with None -> Store.epoch store | Some _ -> -1) in
+  let prev_epoch =
+    ref (match start with None -> Store.epoch store | Some _ -> -1)
+  in
   let round = ref 0 in
   let continue = ref true in
   (* round 1: full evaluation of every rule *)
@@ -466,7 +469,7 @@ let run_stratum ?from ?interrupt config plans pool sink itn crules =
     continue := next_round ()
   done
 
-let run ?(config = default_config) ?provenance ?on_insert ?from
+let run ?(config = default_config) ?provenance ?on_insert ?from ?since
     ?plans store (p : prepared) =
   let stats =
     {
@@ -491,12 +494,13 @@ let run ?(config = default_config) ?provenance ?on_insert ?from
          (evaluation is monotone), flagged in [stats.degraded]. The hard
          divergence guards keep raising {!Err.Diverged}. *)
       try
-        Array.iter
-          (function
+        Array.iteri
+          (fun i -> function
             | [] -> ()
             | (first : crule) :: _ as crules ->
               let sink = sink ?provenance ?on_insert stats store first.rule in
-              run_stratum ?from ?interrupt config plans pool sink p.itn
+              let since = if i = 0 then since else None in
+              run_stratum ?from ?since ?interrupt config plans pool sink p.itn
                 crules)
           p.crules
       with Budget.Exhausted reason -> stats.degraded <- Some reason);

@@ -128,6 +128,7 @@ val run :
   ?provenance:Provenance.t ->
   ?on_insert:(Fact.t -> unit) ->
   ?from:marks ->
+  ?since:marks ->
   ?plans:plan_cache ->
   Oodb.Store.t ->
   prepared ->
@@ -146,4 +147,10 @@ val run :
     This is how a committed batch of new facts propagates without
     re-running the whole program. The marks must come from a moment no
     later than the insertions to propagate (raw lengths are
-    append-monotone; tombstoned entries still count). *)
+    append-monotone; tombstoned entries still count).
+
+    [since] (ignored with [from]) keeps the full first round, but the
+    first stratum's first delta round takes everything inserted since
+    these marks as its delta: a caller that loaded facts just before the
+    run passes the marks from before them, and the rules' rounds are
+    those they were when the first round inserted the facts. *)

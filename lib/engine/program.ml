@@ -3,7 +3,8 @@ module Ast = Syntax.Ast
 type t = {
   store : Oodb.Store.t;
   signatures : Oodb.Signature.t;
-  rules : Rule.t list;
+  facts : Rule.fact list;  (* the extensional list, in statement order *)
+  rules : Rule.t list;  (* every other statement: the rules proper *)
   strat : Stratify.t;
   queries : Ast.literal list list;
   config : Fixpoint.config;
@@ -21,9 +22,6 @@ type t = {
   mutable degraded : Budget.reason option;
       (* set when a budgeted [run] was cut short: the store holds a sound
          partial model, and answers must be surfaced as degraded *)
-  proper_rules : Rule.t list;
-      (* the rules that are not pure facts: all the demand transform
-         needs to look at *)
   shapes : (string, entry) Hashtbl.t;
       (* keyed by query skeleton ({!Demand.skeleton}), or by skeleton and
          carried constants *)
@@ -109,79 +107,140 @@ let load_signature store signatures (cls, meth, args, result, scal) =
   in
   Oodb.Signature.add signatures entry
 
-let create_spanned ?(config = Fixpoint.default_config) spanned =
+type compiled = {
+  c_store : Oodb.Store.t;
+  c_signatures : Oodb.Signature.t;
+  c_facts : Rule.fact list;
+  c_rules : Rule.t list;
+  c_queries : Ast.literal list list;
+}
+
+type invalid = Ill_formed of Syntax.Wellformed.error | Bad_signature of string
+
+let refuse stmt why =
+  match (why, stmt) with
+  | Bad_signature msg, _ -> raise (Invalid msg)
+  | Ill_formed e, Ast.Rule r ->
+    invalid "ill-formed rule %a: %a" Syntax.Pretty.pp_rule r
+      Syntax.Wellformed.pp_error e
+  | Ill_formed e, Ast.Query _ ->
+    invalid "ill-formed query: %a" Syntax.Wellformed.pp_error e
+
+let compile ?(on_invalid = fun stmt _ why -> refuse stmt why) spanned =
   let store = Oodb.Store.create () in
   let signatures = Oodb.Signature.create () in
-  let rules = ref [] in
-  let queries = ref [] in
+  let facts = ref [] and rules = ref [] and queries = ref [] in
   List.iter
     (fun (stmt, span) ->
       match Syntax.Wellformed.signature_of_statement stmt with
-      | Some decl -> load_signature store signatures decl
+      | Some decl -> (
+        try load_signature store signatures decl
+        with Invalid msg -> on_invalid stmt span (Bad_signature msg))
       | None -> (
         match stmt with
         | Ast.Rule r -> (
           match Syntax.Wellformed.check_rule r with
-          | Ok () -> rules := Rule.compile ?span store r :: !rules
-          | Error e ->
-            invalid "ill-formed rule %a: %a" Syntax.Pretty.pp_rule r
-              Syntax.Wellformed.pp_error e)
-        | Ast.Query lits ->
-          check_query lits;
-          queries := lits :: !queries))
+          | Ok () -> (
+            match Rule.classify ?span store r with
+            | Rule.Fact f -> facts := f :: !facts
+            | Rule.Rule r -> rules := r :: !rules)
+          | Error e -> on_invalid stmt span (Ill_formed e))
+        | Ast.Query lits -> (
+          match Syntax.Wellformed.check_query lits with
+          | Ok () -> queries := lits :: !queries
+          | Error e -> on_invalid stmt span (Ill_formed e))))
     spanned;
-  let rules = List.rev !rules in
-  let strat = Stratify.compute store rules in
   {
-    store;
-    signatures;
-    rules;
+    c_store = store;
+    c_signatures = signatures;
+    c_facts = List.rev !facts;
+    c_rules = List.rev !rules;
+    c_queries = List.rev !queries;
+  }
+
+let of_compiled ?(config = Fixpoint.default_config) ?strat c =
+  let strat =
+    match strat with
+    | Some s -> s
+    | None -> Stratify.compute ~facts:c.c_facts c.c_store c.c_rules
+  in
+  {
+    store = c.c_store;
+    signatures = c.c_signatures;
+    facts = c.c_facts;
+    rules = c.c_rules;
     strat;
-    queries = List.rev !queries;
+    queries = c.c_queries;
     config;
     provenance = Provenance.create ();
     plans = Fixpoint.plan_cache ();
     facts_loaded = false;
     materialised = Atomic.make false;
     degraded = None;
-    proper_rules =
-      List.filter
-        (fun (r : Rule.t) -> r.source.body <> [] || r.reads <> [])
-        rules;
     shapes = Hashtbl.create 16;
     shape_order = Queue.create ();
     transforms = 0;
   }
 
 let create ?config statements =
-  create_spanned ?config (List.map (fun s -> (s, None)) statements)
-
-let of_spanned ?config spanned =
-  create_spanned ?config (List.map (fun (s, sp) -> (s, Some sp)) spanned)
+  of_compiled ?config (compile (List.map (fun s -> (s, None)) statements))
 
 let of_string ?config text =
-  of_spanned ?config (parsed Syntax.Parser.program_spanned text)
+  let spanned = parsed Syntax.Parser.program_spanned text in
+  of_compiled ?config (compile (List.map (fun (s, sp) -> (s, Some sp)) spanned))
 
 let store t = t.store
 let config t = t.config
 
 let universe t = Oodb.Store.universe t.store
+let facts t = t.facts
 let rules t = t.rules
 let signatures t = t.signatures
 let embedded_queries t = t.queries
 let strata t = t.strat.strata
+
+(* Execute a ground head into the store, recorded as extensional. *)
+let insert_fact ?(binding = [||]) t ~changes ~rule head =
+  let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
+  ignore (Head.execute ~on_insert t.store ~binding ~rule ~changes head)
+
+(* Execute the fact statements, in statement order, the first time;
+   returns the tuples inserted. *)
+let load_facts t =
+  let changes = ref 0 in
+  if not t.facts_loaded then begin
+    t.facts_loaded <- true;
+    List.iter
+      (fun (f : Rule.fact) ->
+        insert_fact t ~changes ~rule:f.f_source
+          (Head.compile ~named:[] f.f_source.head))
+      t.facts
+  end;
+  !changes
 
 (* The program's config, with [budget] (when given) replacing its own. *)
 let budgeted ?budget t =
   match budget with Some _ -> { t.config with budget } | None -> t.config
 
 let run ?budget t =
-  t.facts_loaded <- true;
   let config = budgeted ?budget t in
-  let stats =
-    Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans t.store
-      (Fixpoint.prepare t.strat)
+  let prep = Fixpoint.prepare t.strat in
+  (* At jobs 1 the rules' rounds are those of a first round that ran
+     the facts ahead of the rules: its second round took the facts as
+     delta. A parallel first round solved every body before any fact
+     went in, which is what loading the facts first gives. *)
+  let since =
+    if t.facts_loaded || config.jobs > 1 then None
+    else Some (Fixpoint.marks prep t.store)
   in
+  let fired = if t.facts_loaded then 0 else List.length t.facts in
+  let loaded = load_facts t in
+  let stats =
+    Fixpoint.run ~config ~provenance:t.provenance ~plans:t.plans ?since
+      t.store prep
+  in
+  stats.firings <- stats.firings + fired;
+  stats.insertions <- stats.insertions + loaded;
   (match stats.Fixpoint.degraded with
   | Some _ as d -> t.degraded <- d
   | None ->
@@ -196,25 +255,6 @@ let degraded t = t.degraded
 let materialised t = Atomic.get t.materialised
 
 let provenance t = t.provenance
-
-(* Execute a fact's compiled head into the store, recorded as
-   extensional; returns the number of new tuples. *)
-let insert_fact ?(binding = [||]) t ~rule head =
-  let changes = ref 0 in
-  let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
-  ignore (Head.execute ~on_insert t.store ~binding ~rule ~changes head);
-  !changes
-
-(* Execute the fact statements only (they are ground); idempotent. *)
-let load_facts t =
-  if not t.facts_loaded then begin
-    t.facts_loaded <- true;
-    List.iter
-      (fun (r : Rule.t) ->
-        if r.source.body = [] then
-          ignore (insert_fact t ~rule:r.source r.head))
-      t.rules
-  end
 
 let query ?budget t lits =
   check_query lits;
@@ -270,7 +310,8 @@ let pp_answer t ppf answer =
 
 let check_types t ~mode = Oodb.Signature.check t.store t.signatures ~mode
 
-let lint_types t = Typecheck.check_rules t.store t.signatures t.rules
+let lint_types t =
+  Typecheck.check_rules ~facts:t.facts t.store t.signatures t.rules
 
 let explain ?predicted t lits =
   let q = Semantics.Flatten.literals t.store lits in
@@ -305,7 +346,7 @@ let max_shapes = 256
 
 let transform t lits =
   t.transforms <- t.transforms + 1;
-  Demand.transform t.store t.proper_rules lits
+  Demand.transform t.store t.rules lits
 
 let demand_transforms t = t.transforms
 
@@ -411,12 +452,11 @@ let constant_objects t (sk : Demand.skeleton) =
    the shape's mark when it has one; returns the stats and whether it
    resumed. *)
 let demand_fixpoint ?budget t (p : prepared) binding =
-  load_facts t;
+  ignore (load_facts t : int);
   let sh = p.shape in
   let from = sh.mark in
-  List.iter
-    (fun (rule, head) -> ignore (insert_fact ~binding t ~rule head : int))
-    p.seeds;
+  let changes = ref 0 in
+  List.iter (fun (rule, head) -> insert_fact ~binding t ~changes ~rule head) p.seeds;
   let stats =
     Fixpoint.run ~config:(budgeted ?budget t) ~provenance:t.provenance
       ~plans:t.plans ?from t.store sh.prep
@@ -524,8 +564,8 @@ let why_string ?budget t text =
 let verify_model t =
   let rec go = function
     | [] -> Ok ()
-    | (rule : Rule.t) :: rest -> (
-      match Semantics.Entail.find_violation t.store rule.source with
+    | (rule : Ast.rule) :: rest -> (
+      match Semantics.Entail.find_violation t.store rule with
       | None -> go rest
       | Some cex ->
         let msg =
@@ -535,6 +575,8 @@ let verify_model t =
                  v ^ " = " ^ Oodb.Universe.to_string (universe t) o)
                cex)
         in
-        Error (rule.source, msg))
+        Error (rule, msg))
   in
-  go t.rules
+  go
+    (List.map (fun (f : Rule.fact) -> f.f_source) t.facts
+    @ List.map (fun (r : Rule.t) -> r.source) t.rules)

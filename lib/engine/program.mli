@@ -4,8 +4,13 @@
     A program is a sequence of statements: facts, rules, signature
     declarations ([c\[m => r\]], [c\[m =>> r\]]) and queries ([?- ...]).
     Loading parses, checks well-formedness (Definition 3 plus head and
-    safety conditions), compiles rules, and stratifies. {!run} evaluates to
-    the minimal model; {!query} / {!query_string} answer ad-hoc queries
+    safety conditions), compiles, and stratifies. As in the paper, a
+    program is an object base plus rules: a fact statement (an empty body
+    and a head that reads no relation) goes to the extensional list, in
+    statement order, which {!run} and {!query_demand} execute straight into
+    the store before any rule runs; stratification, the fixpoint, the
+    demand transform and the analyses see only the rules. {!run}
+    evaluates to the minimal model; {!query} / {!query_string} answer ad-hoc queries
     against the current store. {!query_demand} is the goal-directed
     alternative: it derives only the part of the model one query
     demands. *)
@@ -21,16 +26,42 @@ type answer = {
   rows : Oodb.Obj_id.t list list;  (** distinct bindings *)
 }
 
+(** A program's statements compiled against a fresh store, not yet
+    stratified: what the static-analysis gate analyses before it hands
+    the program on. *)
+type compiled = {
+  c_store : Oodb.Store.t;
+  c_signatures : Oodb.Signature.t;
+  c_facts : Rule.fact list;  (** the fact statements, in statement order *)
+  c_rules : Rule.t list;  (** the other rule statements, in order *)
+  c_queries : Syntax.Ast.literal list list;
+}
+
+(** Why a statement was left out of a {!compiled} program. *)
+type invalid =
+  | Ill_formed of Syntax.Wellformed.error  (** a rule or a query *)
+  | Bad_signature of string  (** {!load_signature}'s message *)
+
+(** Compile statements in order. Object numbering is that of compiling
+    every statement as a rule. Each statement that fails
+    well-formedness or signature loading goes to [on_invalid] and is left
+    out; the default raises {!Invalid}. *)
+val compile :
+  ?on_invalid:
+    (Syntax.Ast.statement -> Syntax.Token.span option -> invalid -> unit) ->
+  (Syntax.Ast.statement * Syntax.Token.span option) list ->
+  compiled
+
+(** The program of compiled statements. [strat] is the stratification of
+    [c_rules] (with [c_facts]' class edges), computed when not given.
+    @raise Err.Unstratifiable *)
+val of_compiled :
+  ?config:Fixpoint.config -> ?strat:Stratify.t -> compiled -> t
+
 val create :
   ?config:Fixpoint.config -> Syntax.Ast.statement list -> t
 
 val of_string : ?config:Fixpoint.config -> string -> t
-
-(** {!of_string} of statements already parsed, with their spans. *)
-val of_spanned :
-  ?config:Fixpoint.config ->
-  (Syntax.Ast.statement * Syntax.Token.span) list ->
-  t
 
 (** Load one extracted signature declaration (see
     {!Syntax.Wellformed.signature_of_statement}) into a signature table.
@@ -52,6 +83,10 @@ val config : t -> Fixpoint.config
 
 val universe : t -> Oodb.Universe.t
 
+(** The fact statements, in statement order. *)
+val facts : t -> Rule.fact list
+
+(** The rules proper: every statement that is not a fact. *)
 val rules : t -> Rule.t list
 
 val signatures : t -> Oodb.Signature.t
@@ -59,11 +94,13 @@ val signatures : t -> Oodb.Signature.t
 (** Queries that appeared in the program text, in order. *)
 val embedded_queries : t -> Syntax.Ast.literal list list
 
-(** Stratum of each rule (diagnostics; experiment E8). *)
+(** Stratum of each rule (diagnostics; experiment E8); facts take none. *)
 val strata : t -> Rule.t list array
 
-(** Evaluate to the minimal model. Idempotent: a second call finds nothing
-    new to derive. [budget] (deadline, cancellation, work caps) overrides
+(** Load the facts if no run has, then evaluate the rules to the minimal
+    model. Idempotent: a second call finds nothing new to derive. Rounds
+    and rule evaluations count the rules' evaluation; firings and
+    insertions count the fact loading too (a fact fires once). [budget] (deadline, cancellation, work caps) overrides
     the one in the program's config for this run; a budget-terminated run
     leaves the sound partial model in the store, records the reason (see
     {!degraded}), and still returns normally. *)
@@ -243,6 +280,6 @@ val why :
 
 val why_string : ?budget:Budget.t -> t -> string -> Provenance.proof option
 
-(** Model check: do all rules hold in the current store? Brute force over
-    variable valuations — tests and small programs only. *)
+(** Model check: do all facts and rules hold in the current store? Brute
+    force over variable valuations — tests and small programs only. *)
 val verify_model : t -> (unit, Syntax.Ast.rule * string) result

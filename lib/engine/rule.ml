@@ -17,6 +17,15 @@ type t = {
   class_edges : (Oodb.Obj_id.t * Oodb.Obj_id.t) list;
 }
 
+type fact = {
+  f_source : Syntax.Ast.rule;
+  f_span : Syntax.Token.span option;
+  f_defines : Ir.rel list;
+  f_class_edges : (Oodb.Obj_id.t * Oodb.Obj_id.t) list;
+}
+
+type statement = Fact of fact | Rule of t
+
 (* Process-wide: rules are compiled once at load time, and the uid only
    needs to distinguish rules, not number them densely. *)
 let next_uid = ref 0
@@ -210,3 +219,21 @@ let compile ?span ?origin store (rule : Syntax.Ast.rule) : t =
     reads_any = List.mem Ir.R_any reads;
     class_edges = head_class_edges store rule.head;
   }
+
+(* [compile] interns the head's defines, then its reads, then its class
+   edges; a body-less statement with no reads is a fact, and interns the
+   same names in the same order. *)
+let classify ?span store (rule : Syntax.Ast.rule) =
+  if rule.body <> [] then Rule (compile ?span store rule)
+  else
+    let defines = head_defines store rule.head in
+    match head_eval_reads store rule.head with
+    | [] ->
+      Fact
+        {
+          f_source = rule;
+          f_span = span;
+          f_defines = defines;
+          f_class_edges = head_class_edges store rule.head;
+        }
+    | _ :: _ -> Rule (compile ?span store rule)

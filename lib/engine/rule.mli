@@ -42,6 +42,26 @@ type t = {
           stratifier's static class hierarchy *)
 }
 
+(** A fact statement: a body-less statement whose head reads no relation.
+    It is data, not a rule: {!Program} executes it into the store once,
+    before any rule runs, and the analyses take its relations as their
+    seeds. *)
+type fact = {
+  f_source : Syntax.Ast.rule;  (** the statement, with its empty body *)
+  f_span : Syntax.Token.span option;
+  f_defines : Semantics.Ir.rel list;  (** as {!t.defines} *)
+  f_class_edges : (Oodb.Obj_id.t * Oodb.Obj_id.t) list;
+      (** as {!t.class_edges} *)
+}
+
+(** A compiled statement: a fact, or a rule proper (a body, or a head
+    that reads a relation, as [a\[f ->> b..g\]] does). *)
+type statement = Fact of fact | Rule of t
+
+(** Compile a well-formedness-checked statement, interning exactly what
+    {!compile} would, in the same order. *)
+val classify : ?span:Syntax.Token.span -> Oodb.Store.t -> Syntax.Ast.rule -> statement
+
 (** Compile a well-formedness-checked rule. Interning happens against the
     store's universe. [origin] records the user-written rule a synthesized
     rule was derived from. *)

@@ -14,23 +14,21 @@ end)
 module Obj_set = Oodb.Obj_id.Set
 
 (* Static class hierarchy: the constant-to-constant class edges asserted by
-   rule heads (facts included). Inserting a membership into class [c] also
+   rule heads and fact statements. Inserting a membership into class [c] also
    extends the membership of every class above [c], so a rule defining
    [R_isa_c c] defines the ancestors' relations too. Class edges created at
    runtime between objects bound by variables escape this approximation;
    see the mli. *)
-let static_ancestors rules =
+let static_ancestors ?(facts = []) rules =
   let parents = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Rule.t) ->
-      List.iter
-        (fun (a, b) ->
-          let cur =
-            Option.value ~default:Obj_set.empty (Hashtbl.find_opt parents a)
-          in
-          Hashtbl.replace parents a (Obj_set.add b cur))
-        r.class_edges)
-    rules;
+  let add (a, b) =
+    let cur =
+      Option.value ~default:Obj_set.empty (Hashtbl.find_opt parents a)
+    in
+    Hashtbl.replace parents a (Obj_set.add b cur)
+  in
+  List.iter (fun (f : Rule.fact) -> List.iter add f.f_class_edges) facts;
+  List.iter (fun (r : Rule.t) -> List.iter add r.class_edges) rules;
   let memo = Hashtbl.create 16 in
   let rec anc c =
     match Hashtbl.find_opt memo c with
@@ -61,8 +59,8 @@ type graph = {
 
 let node_of g r = Rel_map.find r g.index
 
-let build_graph (rules : Rule.t list) =
-  let anc = static_ancestors rules in
+let build_graph ?facts (rules : Rule.t list) =
+  let anc = static_ancestors ?facts rules in
   let with_ancestors r =
     match (r : Ir.rel) with
     | R_isa_c c ->
@@ -180,11 +178,11 @@ let sccs g =
   done;
   (comp_of, !comp_count, succ)
 
-let compute store (rules : Rule.t list) : t =
+let compute ?facts store (rules : Rule.t list) : t =
   match rules with
   | [] -> { strata = [| [] |]; rule_stratum = [] }
   | _ ->
-    let g = build_graph rules in
+    let g = build_graph ?facts rules in
     let expand_define = g.expand_define in
     let comp_of, ncomp, succ = sccs g in
     (* completion edge inside one component => not stratifiable *)
@@ -306,35 +304,46 @@ let any_key = 1
 
 module Tbl = Oodb.Obj_id.Tbl
 
-let live_rules (rules : Rule.t list) ~goals =
+(* The part of the scan that depends on the rules alone, built once per
+   rule list: the rules that read, numbered densely with their
+   positions, and the index from relation to the readers defining it. *)
+type index = {
+  rules : Rule.t list;
+  n : int;
+  readers : (int * Rule.t) array;
+  defined_by : int list Tbl.t;
+}
+
+let index (rules : Rule.t list) =
+  let readers =
+    let acc = ref [] in
+    List.iteri
+      (fun i (r : Rule.t) ->
+        if r.reads <> [] || r.completion_reads <> [] then
+          acc := (i, r) :: !acc)
+      rules;
+    Array.of_list (List.rev !acc)
+  in
+  let defined_by = Tbl.create 16 in
+  for id = Array.length readers - 1 downto 0 do
+    List.iter
+      (fun d ->
+        let key = rel_key d in
+        let ids = Option.value ~default:[] (Tbl.find_opt defined_by key) in
+        match ids with
+        | j :: _ when j = id -> ()
+        | _ -> Tbl.replace defined_by key (id :: ids))
+      (snd readers.(id)).defines
+  done;
+  { rules; n = List.length rules; readers; defined_by }
+
+let live { rules; n; readers; defined_by } ~goals =
   if List.exists (fun g -> rel_key g = any_key) goals then rules
   else begin
-    let n = List.length rules in
     (* a time as one int; position -1 is before every rule *)
     let time r p = (r * (n + 1)) + p + 1 in
     let round_of t = t / (n + 1) and pos_of t = (t mod (n + 1)) - 1 in
-    (* the rules that read, numbered densely, with their positions *)
-    let readers =
-      let acc = ref [] in
-      List.iteri
-        (fun i (r : Rule.t) ->
-          if r.reads <> [] || r.completion_reads <> [] then
-            acc := (i, r) :: !acc)
-        rules;
-      Array.of_list (List.rev !acc)
-    in
     let k = Array.length readers in
-    let defined_by = Tbl.create 16 in
-    for id = k - 1 downto 0 do
-      List.iter
-        (fun d ->
-          let key = rel_key d in
-          let ids = Option.value ~default:[] (Tbl.find_opt defined_by key) in
-          match ids with
-          | j :: _ when j = id -> ()
-          | _ -> Tbl.replace defined_by key (id :: ids))
-        (snd readers.(id)).defines
-    done;
     (* when each relation became relevant *)
     let relevant_at = Tbl.create 16 in
     (* queue items are [time * k + id]; a reader may be offered more
@@ -419,3 +428,5 @@ let live_rules (rules : Rule.t list) ~goals =
       rules;
     Array.fold_right (fun bucket acc -> List.rev_append bucket acc) buckets []
   end
+
+let live_rules rules ~goals = live (index rules) ~goals

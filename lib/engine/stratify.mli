@@ -28,12 +28,17 @@ type t = {
   rule_stratum : (Rule.t * int) list;
 }
 
-val compute : Oodb.Store.t -> Rule.t list -> t
-(** @raise Err.Unstratifiable *)
+val compute : ?facts:Rule.fact list -> Oodb.Store.t -> Rule.t list -> t
+(** Stratify the rules. Facts read nothing, so they take no stratum of
+    their own; their class edges still belong to the static hierarchy.
+    Every fact's relations sit at or below the top rule stratum, so the
+    stratum count is what it would be with the facts among the rules.
+    @raise Err.Unstratifiable *)
 
-val static_ancestors : Rule.t list -> Oodb.Obj_id.t -> Oodb.Obj_id.Set.t
+val static_ancestors :
+  ?facts:Rule.fact list -> Rule.t list -> Oodb.Obj_id.t -> Oodb.Obj_id.Set.t
 (** static superclasses of a class: the constant-to-constant hierarchy
-    visible in rule heads, transitively closed *)
+    visible in rule and fact heads, transitively closed *)
 
 val live_rules : Rule.t list -> goals:Semantics.Ir.rel list -> Rule.t list
 (** Rules transitively relevant to the goal relations, by class-normalised
@@ -44,3 +49,15 @@ val live_rules : Rule.t list -> goals:Semantics.Ir.rel list -> Rule.t list
     yet taken that defines a relevant relation), computed from an index
     from relation to defining rules in O(n + k log k) for n rules of
     which k read something. *)
+
+type index
+(** The rules' part of {!live_rules}: the rules that read and an index
+    from relation to the readers defining it. Immutable once built, so
+    concurrent {!live} calls may share it. *)
+
+val index : Rule.t list -> index
+
+val live : index -> goals:Semantics.Ir.rel list -> Rule.t list
+(** [live (index rules) ~goals = live_rules rules ~goals], without
+    rebuilding the index: a caller asking for many goal sets over one
+    program (admission control) builds it once. *)

@@ -44,11 +44,12 @@ let infer_var_classes store (body : literal list) =
   List.iter (function Pos t -> visit_ref t | Neg _ -> ()) body;
   tbl
 
-(* Static class edges from the whole rule set (facts included), to close
-   inferred classes upwards. *)
-let static_closure rules =
+(* Static class edges from the rules and facts, to close inferred
+   classes upwards. *)
+let static_closure facts rules =
   let edges =
-    List.concat_map (fun (r : Rule.t) -> r.class_edges) rules
+    List.concat_map (fun (f : Rule.fact) -> f.f_class_edges) facts
+    @ List.concat_map (fun (r : Rule.t) -> r.class_edges) rules
   in
   let parents = Hashtbl.create 16 in
   List.iter
@@ -149,6 +150,6 @@ let check_rule store signatures ~close (rule : Rule.t) =
   fold_reference visit () rule.source.head;
   List.rev !warnings
 
-let check_rules store signatures rules =
-  let close = static_closure rules in
+let check_rules ~facts store signatures rules =
+  let close = static_closure facts rules in
   List.concat_map (check_rule store signatures ~close) rules

@@ -22,6 +22,9 @@ type warning = {
 
 val pp_warning : Format.formatter -> warning -> unit
 
-(** Check every rule of a compiled program against declared signatures. *)
+(** Check every rule of a compiled program against declared signatures.
+    A fact's head is ground, so it has no inferred classes to check; its
+    class edges join the hierarchy. *)
 val check_rules :
+  facts:Rule.fact list ->
   Oodb.Store.t -> Oodb.Signature.t -> Rule.t list -> warning list

@@ -665,9 +665,13 @@ let attach p =
       commit_hook = None;
     }
   in
-  (* register the extensional multiplicities by re-executing the fact
-     statements (idempotent; an unevaluated program loads here) *)
+  (* register the extensional multiplicities by re-executing the
+     body-less statements (idempotent; an unevaluated program loads
+     here) *)
   let ctx = new_ctx () in
+  List.iter
+    (fun (f : Rule.fact) -> edb_insert t ctx f.f_source.head)
+    (Program.facts p);
   List.iter
     (fun (r : Rule.t) ->
       if r.source.body = [] then edb_insert t ctx r.source.head)

@@ -127,6 +127,11 @@ let self_id st =
     id
   end
 
+let scoped st f =
+  let self = st.self in
+  Universe.scoped st.universe (fun () ->
+      Fun.protect ~finally:(fun () -> st.self <- self) f)
+
 let size st = st.tuple_count
 let epoch st = st.epoch
 

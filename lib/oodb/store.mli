@@ -57,6 +57,10 @@ val pack : int -> int -> int
     what [name st "self"] returns, without the universe's lock. *)
 val self_id : t -> Obj_id.t
 
+(** {!Universe.scoped} on the store's universe (and its cached
+    {!self_id}). *)
+val scoped : t -> (unit -> 'a) -> 'a
+
 (** {1 Class hierarchy / membership}
 
     One relation, as in the paper: [o : c] and [c :: c'] both assert an edge

@@ -80,6 +80,24 @@ let skolem u ~meth ~recv ~args =
 let find_skolem u ~meth ~recv ~args =
   with_lock u (fun () -> Hashtbl.find_opt u.by_key (Kskolem (meth, recv, args)))
 
+let key_of = function
+  | Name s -> Kname s
+  | Int n -> Kint n
+  | Str s -> Kstr s
+  | Skolem { meth; recv; args; _ } -> Kskolem (meth, recv, args)
+
+let scoped u f =
+  let mark = cardinality u and skolem_mark = Vec.length u.skolem_ids in
+  let forget () =
+    with_lock u (fun () ->
+        for id = cardinality u - 1 downto mark do
+          Hashtbl.remove u.by_key (key_of (Vec.get u.descriptors id))
+        done;
+        Vec.truncate u.descriptors mark;
+        Vec.truncate u.skolem_ids skolem_mark)
+  in
+  Fun.protect ~finally:forget f
+
 let skolems u = Vec.to_list u.skolem_ids
 let descriptor u id = Vec.get u.descriptors id
 

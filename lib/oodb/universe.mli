@@ -49,6 +49,13 @@ val skolem : t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id
 val find_skolem :
   t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id.t option
 
+(** [scoped u f] runs [f], then forgets every object interned since it
+    started, so the universe is as [f] found it: the static analyses
+    resolve query text against a program's names this way without
+    numbering anything new. Nothing else may intern meanwhile, and no id
+    interned inside may be kept. *)
+val scoped : t -> (unit -> 'a) -> 'a
+
 (** Objects created by {!skolem}, in creation order. *)
 val skolems : t -> Obj_id.t list
 

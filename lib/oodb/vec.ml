@@ -73,6 +73,10 @@ let of_list xs =
   List.iter (push v) xs;
   v
 
+let truncate v n =
+  if v.sealed then invalid_arg "Vec.truncate: sealed vector";
+  if n < v.len then v.len <- max n 0
+
 let clear v =
   if v.sealed then invalid_arg "Vec.clear: sealed vector";
   v.len <- 0

@@ -30,6 +30,9 @@ val of_list : 'a list -> 'a t
 
 val clear : 'a t -> unit
 
+(** [truncate v n] drops the elements from index [n] on. *)
+val truncate : 'a t -> int -> unit
+
 (** [seal v] makes [v] permanently immutable: any later [push] or [clear]
     raises [Invalid_argument]. Used for the shared empty bucket the store
     hands out for missing methods, so an accidental write fails loudly

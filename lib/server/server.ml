@@ -1014,9 +1014,11 @@ let create ?(config = default_config) ~program addr =
         match r.Durable.r_snapshot with
         | None -> program
         | Some (seq, _epoch, src) -> (
-          match Pathlog_analysis.Check.gate_spanned src with
-          | Ok (spanned, _) ->
-            Program.of_spanned ~config:(Program.config program) spanned
+          match
+            Pathlog_analysis.Check.gate_program
+              ~config:(Program.config program) src
+          with
+          | Ok (p, _) -> p
           | Error msg ->
             Durable.close d;
             failwith
@@ -1066,8 +1068,8 @@ let create ?(config = default_config) ~program addr =
         | Some bound ->
           Some
             ( bound,
-              Pathlog_analysis.Absint.analyze (Program.store program)
-                (Program.rules program) ));
+              Pathlog_analysis.Absint.analyze ~facts:(Program.facts program)
+                (Program.store program) (Program.rules program) ));
       listen_fd;
       bound;
       pool =

@@ -2,6 +2,7 @@ exception Error of Token.pos * string
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable bol : int;  (* offset of beginning of current line *)
@@ -12,78 +13,78 @@ let current_pos st : Token.pos =
 
 let error st msg = raise (Error (current_pos st, msg))
 
-let peek st k =
+(* The character [k] past the current one, or a NUL sentinel past the
+   end: no token starts with NUL, so reading allocates nothing and most
+   tests need no bounds check. Where a NUL byte in the text must not
+   pass for the end, [at_end] decides. *)
+let char st k =
   let i = st.pos + k in
-  if i < String.length st.src then Some st.src.[i] else None
+  if i < st.len then String.unsafe_get st.src i else '\000'
 
-let advance st n =
-  for _ = 1 to n do
-    (match peek st 0 with
-    | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-    | Some _ | None -> ());
-    st.pos <- st.pos + 1
-  done
+let at_end st k = st.pos + k >= st.len
+
+(* Step over a '\n'. Every other advance is over characters known not
+   to be newlines. *)
+let newline st =
+  st.pos <- st.pos + 1;
+  st.line <- st.line + 1;
+  st.bol <- st.pos
 
 let is_digit c = c >= '0' && c <= '9'
 let is_lower c = c >= 'a' && c <= 'z'
 let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_lower c || is_upper c || is_digit c
 
-let rec skip_trivia st =
-  match peek st 0 with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance st 1;
-    skip_trivia st
-  | Some '%' ->
-    let rec to_eol () =
-      match peek st 0 with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st 1;
-        to_eol ()
-    in
-    to_eol ();
-    skip_trivia st
-  | Some _ | None -> ()
+let skip_trivia st =
+  let trivia = ref true in
+  while !trivia do
+    match char st 0 with
+    | ' ' | '\t' | '\r' -> st.pos <- st.pos + 1
+    | '\n' -> newline st
+    | '%' ->
+      while (not (at_end st 0)) && char st 0 <> '\n' do
+        st.pos <- st.pos + 1
+      done
+    | _ -> trivia := false
+  done
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st 0 with Some c -> is_ident c | None -> false) do
-    advance st 1
+  while is_ident (char st 0) do
+    st.pos <- st.pos + 1
   done;
   String.sub st.src start (st.pos - start)
 
 let lex_int st =
   let start = st.pos in
-  if peek st 0 = Some '-' then advance st 1;
-  while (match peek st 0 with Some c -> is_digit c | None -> false) do
-    advance st 1
+  if char st 0 = '-' then st.pos <- st.pos + 1;
+  while is_digit (char st 0) do
+    st.pos <- st.pos + 1
   done;
   int_of_string (String.sub st.src start (st.pos - start))
 
 let lex_string st =
-  advance st 1;
+  st.pos <- st.pos + 1;
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st 0 with
-    | None -> error st "unterminated string literal"
-    | Some '"' -> advance st 1
-    | Some '\\' ->
-      (match peek st 1 with
-      | Some ('"' as c) | Some ('\\' as c) ->
-        Buffer.add_char buf c;
-        advance st 2
-      | Some 'n' ->
-        Buffer.add_char buf '\n';
-        advance st 2
-      | Some c -> error st (Printf.sprintf "bad escape '\\%c'" c)
-      | None -> error st "unterminated string literal");
+    if at_end st 0 then error st "unterminated string literal";
+    match char st 0 with
+    | '"' -> st.pos <- st.pos + 1
+    | '\\' ->
+      if at_end st 1 then error st "unterminated string literal";
+      (match char st 1 with
+      | ('"' | '\\') as c -> Buffer.add_char buf c
+      | 'n' -> Buffer.add_char buf '\n'
+      | c -> error st (Printf.sprintf "bad escape '\\%c'" c));
+      st.pos <- st.pos + 2;
       go ()
-    | Some c ->
+    | '\n' ->
+      Buffer.add_char buf '\n';
+      newline st;
+      go ()
+    | c ->
       Buffer.add_char buf c;
-      advance st 1;
+      st.pos <- st.pos + 1;
       go ()
   in
   go ();
@@ -91,67 +92,63 @@ let lex_string st =
 
 (* A '.' continues a path iff what follows can start a simple reference. *)
 let dot_is_separator st =
-  match peek st 1 with
-  | Some c -> is_ident c || c = '(' || c = '"'
-  | None -> false
+  let c = char st 1 in
+  is_ident c || c = '(' || c = '"'
+
+(* Step over an [n]-character token. *)
+let tok st n (t : Token.t) =
+  st.pos <- st.pos + n;
+  t
 
 let next_token st : Token.t =
-  match peek st 0 with
-  | None -> EOF
-  | Some c -> (
-    match c with
-    | '[' -> advance st 1; LBRACKET
-    | ']' -> advance st 1; RBRACKET
-    | '{' -> advance st 1; LBRACE
-    | '}' -> advance st 1; RBRACE
-    | '(' -> advance st 1; LPAREN
-    | ')' -> advance st 1; RPAREN
-    | ',' -> advance st 1; COMMA
-    | ';' -> advance st 1; SEMI
-    | '@' -> advance st 1; AT
+  if at_end st 0 then EOF
+  else
+    match char st 0 with
+    | '[' -> tok st 1 LBRACKET
+    | ']' -> tok st 1 RBRACKET
+    | '{' -> tok st 1 LBRACE
+    | '}' -> tok st 1 RBRACE
+    | '(' -> tok st 1 LPAREN
+    | ')' -> tok st 1 RPAREN
+    | ',' -> tok st 1 COMMA
+    | ';' -> tok st 1 SEMI
+    | '@' -> tok st 1 AT
     | '"' -> STRING (lex_string st)
-    | ':' ->
-      if peek st 1 = Some ':' then (advance st 2; COLONCOLON)
-      else (advance st 1; COLON)
+    | ':' -> if char st 1 = ':' then tok st 2 COLONCOLON else tok st 1 COLON
     | '.' ->
-      if peek st 1 = Some '.' then (advance st 2; DOTDOT)
-      else if dot_is_separator st then (advance st 1; DOT)
-      else (advance st 1; END)
+      if char st 1 = '.' then tok st 2 DOTDOT
+      else if dot_is_separator st then tok st 1 DOT
+      else tok st 1 END
     | '-' ->
-      if peek st 1 = Some '>' then
-        if peek st 2 = Some '>' then (advance st 3; DARROW)
-        else (advance st 2; ARROW)
-      else if (match peek st 1 with Some c -> is_digit c | None -> false)
-      then INT (lex_int st)
+      if char st 1 = '>' then
+        if char st 2 = '>' then tok st 3 DARROW else tok st 2 ARROW
+      else if is_digit (char st 1) then INT (lex_int st)
       else error st "expected '->' or a negative integer after '-'"
     | '=' ->
-      if peek st 1 = Some '>' then
-        if peek st 2 = Some '>' then (advance st 3; SIG_DARROW)
-        else (advance st 2; SIG_ARROW)
+      if char st 1 = '>' then
+        if char st 2 = '>' then tok st 3 SIG_DARROW else tok st 2 SIG_ARROW
       else error st "expected '=>' after '='"
     | '<' ->
-      if peek st 1 = Some '-' then (advance st 2; IMPLIED)
+      if char st 1 = '-' then tok st 2 IMPLIED
       else error st "expected '<-' after '<'"
-    | '*' -> advance st 1; STAR
-    | '+' -> advance st 1; PLUS
-    | '|' -> advance st 1; PIPE
-    | '?' ->
-      if peek st 1 = Some '-' then (advance st 2; QUERY)
-      else (advance st 1; QMARK)
+    | '*' -> tok st 1 STAR
+    | '+' -> tok st 1 PLUS
+    | '|' -> tok st 1 PIPE
+    | '?' -> if char st 1 = '-' then tok st 2 QUERY else tok st 1 QMARK
     | c when is_digit c -> INT (lex_int st)
     | c when is_lower c ->
       let id = lex_ident st in
       if id = "not" then NOT else NAME id
     | c when is_upper c -> VAR (lex_ident st)
-    | c -> error st (Printf.sprintf "unexpected character %C" c))
+    | c -> error st (Printf.sprintf "unexpected character %C" c)
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
-  let rec go acc =
+  let st = { src; len = String.length src; pos = 0; line = 1; bol = 0 } in
+  (* in order, with no reversed copy *)
+  let[@tail_mod_cons] rec go () =
     skip_trivia st;
     let pos = current_pos st in
     let tok = next_token st in
-    let acc = (tok, pos) :: acc in
-    match tok with Token.EOF -> List.rev acc | _ -> go acc
+    match tok with Token.EOF -> [ (tok, pos) ] | _ -> (tok, pos) :: go ()
   in
-  go []
+  go ()

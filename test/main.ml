@@ -30,4 +30,5 @@ let () =
       ("regex", Test_regex.suite);
       ("printers", Test_printers.suite);
       ("heads", Test_head_oracle.suite);
+      ("facts", Test_facts.suite);
     ]

@@ -339,7 +339,8 @@ let absint_sound jobs =
         let p = Program.of_string ~config text in
         (* analyse the un-run program — what check/serve see *)
         let t =
-          Pathlog.Absint.analyze (Program.store p) (Program.rules p)
+          Pathlog.Absint.analyze ~facts:(Program.facts p) (Program.store p)
+            (Program.rules p)
         in
         let stats = Program.run p in
         let n =
@@ -362,6 +363,17 @@ let absint_sound jobs =
 module Ast = Pathlog.Ast
 module Ir = Pathlog.Ir
 module Analyses = Pathlog.Analyses
+
+(* The compiled statements of a parseable text, ill-formed ones left
+   out (the diagnostics report them). *)
+let compiled text =
+  match Pathlog.Parser.program_spanned text with
+  | exception Pathlog.Parser.Error _ -> None
+  | spanned ->
+    Some
+      (Program.compile
+         ~on_invalid:(fun _ _ _ -> ())
+         (List.map (fun (s, sp) -> (s, Some sp)) spanned))
 
 (* The all-pairs pairing [Analyses.scalar_conflicts] replaced: every pair
    of head assignments, in discovery order. *)
@@ -415,10 +427,10 @@ let affects (d : Ir.rel) (reader : Pathlog.Rule.t) =
 
 (* A rule is recursive when an insertion it makes can, through a chain
    of [affects] steps, reach the rule itself. *)
-let recursive_oracle rules =
+let recursive_oracle facts rules =
   let rules = Array.of_list rules in
   let n = Array.length rules in
-  let anc = Pathlog.Stratify.static_ancestors (Array.to_list rules) in
+  let anc = Pathlog.Stratify.static_ancestors ~facts (Array.to_list rules) in
   let defs =
     Array.map
       (fun (r : Pathlog.Rule.t) ->
@@ -457,19 +469,28 @@ let recursive_oracle rules =
 (* PL040/PL041 in order and every [rc_recursive] flag agree with the
    all-pairs oracles. *)
 let indexed_passes_agree text =
-  match Check.program_of text with
+  match compiled text with
   | None -> QCheck.assume_fail ()
-  | Some (store, rules, _) ->
+  | Some { c_store = store; c_facts = facts; c_rules = rules; _ } ->
+    (* the assignment sequence in statement order *)
+    let offset (a : Analyses.assignment) =
+      (Option.get a.a_span).s_start.offset
+    in
+    let sequence =
+      List.concat_map Analyses.fact_assignments facts
+      @ List.concat_map Analyses.head_assignments rules
+      |> List.stable_sort (fun a b -> compare (offset a) (offset b))
+    in
     let oracle =
-      List.map Analyses.conflict_diagnostic
-        (all_pairs_conflicts (List.concat_map Analyses.head_assignments rules))
+      List.map Analyses.conflict_diagnostic (all_pairs_conflicts sequence)
     in
     let flags =
       List.map
         (fun (rc : Pathlog.Absint.rule_card) -> rc.rc_recursive)
-        (Pathlog.Absint.rule_cards (Pathlog.Absint.analyze store rules))
+        (Pathlog.Absint.rule_cards (Pathlog.Absint.analyze ~facts store rules))
     in
-    Analyses.scalar_conflicts rules = oracle && flags = recursive_oracle rules
+    Analyses.scalar_conflicts ~facts rules = oracle
+    && flags = recursive_oracle facts rules
 
 (* Many scalar assignments to two methods: ground, variable and path
    receivers; ground and variable arguments at arities 0-2; name, int and
@@ -566,15 +587,10 @@ let test_check_golden () =
       | header :: expected ->
         let file = String.sub header 3 (String.length header - 3) in
         let text = In_channel.with_open_bin (path file) In_channel.input_all in
-        let estimates =
-          match Check.program_of text with
-          | Some (store, rules, _) ->
-            Pathlog.Absint.describe store (Pathlog.Absint.analyze store rules)
-          | None -> []
-        in
+        let t = Check.analyze ~estimates:true text in
         Alcotest.(check (list string))
           file expected
-          (Check.to_json (Check.analyze text) :: estimates)
+          (Check.to_json t :: t.estimates)
       | [] -> Alcotest.fail "empty golden section")
     sections
 
@@ -641,10 +657,11 @@ let corpus_files () =
 
 (* One query per relation some rule defines: every goal set the
    admission path can meet, up to the receiver pattern. *)
-let relation_queries store rules =
+let relation_queries store facts rules =
   let u = Pathlog.Store.universe store in
   let name o = Pathlog.Universe.to_string u o in
-  List.concat_map (fun (r : Pathlog.Rule.t) -> r.defines) rules
+  List.concat_map (fun (f : Pathlog.Rule.fact) -> f.f_defines) facts
+  @ List.concat_map (fun (r : Pathlog.Rule.t) -> r.defines) rules
   |> List.sort_uniq Pathlog.Ir.compare_rel
   |> List.filter_map (function
        | Pathlog.Ir.R_scalar m -> Some (Printf.sprintf "X[%s -> Y]" (name m))
@@ -663,10 +680,12 @@ let test_admission_oracle () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_bin file In_channel.input_all in
-      match Check.program_of text with
+      match compiled text with
       | None -> Alcotest.failf "%s does not parse" file
-      | Some (store, rules, queries) ->
-        let t = Pathlog.Absint.analyze store rules in
+      | Some
+          { c_store = store; c_facts = facts; c_rules = rules;
+            c_queries = queries; _ } ->
+        let t = Pathlog.Absint.analyze ~facts store rules in
         let show = function
           | `Bound n -> string_of_int n
           | `Infinite -> "infinite"
@@ -677,7 +696,7 @@ let test_admission_oracle () =
               (file ^ ": query_cost")
               (show (Absint_oracle.query_cost t store rules lits))
               (show (Pathlog.Absint.query_cost t store rules lits)))
-          (queries @ relation_queries store rules);
+          (queries @ relation_queries store facts rules);
         let flagged =
           Pathlog.Absint.check t store ~queries
           |> List.filter_map (fun (d : Diagnostic.t) ->

@@ -586,11 +586,6 @@ let corpus_programs =
                   Test_programs.read_file (Filename.concat d f)))
        [ "examples/programs"; "docs/snippets" ])
 
-let proper_rules p =
-  List.filter
-    (fun (r : Engine.Rule.t) -> r.source.body <> [] || r.reads <> [])
-    (Program.rules p)
-
 (* The names of a program's universe, the constants random queries
    draw from. *)
 let program_names p =
@@ -652,7 +647,7 @@ let bound_queries p =
             | R_scalar m -> Some (Pathlog.Universe.to_string u m, false)
             | R_isa | R_isa_c _ | R_any -> None)
           r.defines)
-      (proper_rules p)
+      (Program.rules p)
     |> List.sort_uniq compare
   in
   let app recv (m, set) res =
@@ -672,7 +667,7 @@ let bound_queries p =
 let fresh_transform text lits =
   let p = Program.of_string text in
   let store = Program.store p in
-  match Demand.transform store (proper_rules p) lits with
+  match Demand.transform store (Program.rules p) lits with
   | Error fb -> Error fb
   | Ok d ->
     let seeds =

@@ -75,6 +75,7 @@ let lockstep ?config src =
   let ua = Store.universe sa and ub = Store.universe sb in
   let prov_a = Program.provenance pa and prov_b = Provenance.create () in
   let pairs = List.combine (Program.rules pa) (Program.rules pb) in
+  let fact_pairs = List.combine (Program.facts pa) (Program.facts pb) in
   let oracle_failure = ref None in
   let oracle_fire (rb : Rule.t) source ~env =
     if !oracle_failure = None then
@@ -87,20 +88,27 @@ let lockstep ?config src =
       with e -> oracle_failure := Some (Printexc.to_string e)
   in
   match
-    (* the statements first, in order, as [Program.run]'s first round
-       would insert them *)
+    (* the facts first, in order, as [Program.run] loads them *)
     List.iter
-      (fun ((ra : Rule.t), rb) ->
-        if ra.source.body = [] then begin
-          ignore
-            (Head.execute
-               ~on_insert:(fun f ->
-                 Provenance.record prov_a f Provenance.Extensional)
-               sa ~binding:[||] ~rule:ra.source ~changes:(ref 0) ra.head
-              : Pathlog.Obj_id.t);
-          oracle_fire rb Provenance.Extensional ~env:Valuation.Env.empty
-        end)
-      pairs;
+      (fun ((fa : Rule.fact), (fb : Rule.fact)) ->
+        ignore
+          (Head.execute
+             ~on_insert:(fun f ->
+               Provenance.record prov_a f Provenance.Extensional)
+             sa ~binding:[||] ~rule:fa.f_source ~changes:(ref 0)
+             (Head.compile ~named:[] fa.f_source.head)
+            : Pathlog.Obj_id.t);
+        if !oracle_failure = None then
+          try
+            ignore
+              (Head_oracle.execute
+                 ~on_insert:(fun f ->
+                   Provenance.record prov_b f Provenance.Extensional)
+                 sb ~env:Valuation.Env.empty ~rule:fb.f_source
+                 ~changes:(ref 0) fb.f_source.head
+                : Pathlog.Obj_id.t)
+          with e -> oracle_failure := Some (Printexc.to_string e))
+      fact_pairs;
     let by_uid = Hashtbl.create 16 in
     List.iter
       (fun ((ra : Rule.t), rb) -> Hashtbl.replace by_uid ra.uid rb)

@@ -192,7 +192,9 @@ let test_explain_predicted_annotates_executed_plan () =
       (Test_programs.read_file (Test_programs.find_program "addresses.plg"))
   in
   let st = store_of p in
-  let absint = Pathlog.Absint.analyze st (Program.rules p) in
+  let absint =
+    Pathlog.Absint.analyze ~facts:(Program.facts p) st (Program.rules p)
+  in
   ignore (Program.run p);
   let q = "X.address[city -> springfield]" in
   let plain = Program.explain_string p q in

@@ -992,7 +992,9 @@ let test_admit_cost () =
   in
   let st = Pathlog.Program.store p in
   let rules = Pathlog.Program.rules p in
-  let t = Pathlog.Absint.analyze st rules in
+  let t =
+    Pathlog.Absint.analyze ~facts:(Pathlog.Program.facts p) st rules
+  in
   (match
      Pathlog.Absint.query_cost t st rules
        (Pathlog.Program.parse_query "X : pair")

@@ -366,6 +366,54 @@ let vars_of_reference_order () =
     "first-occurrence order" [ "X"; "Y"; "Z" ]
     (Ast.vars_of_reference r)
 
+(* The sentinel lexer against the character-at-a-time lexer it replaced
+   ([Lexer_oracle]): the same tokens and positions, or the same error at
+   the same position, on the shipped corpus, on Randprog text, on random
+   bytes and on fragments that reach every error path. *)
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception Syntax.Lexer.Error (pos, msg) -> Error (`Lex (pos, msg))
+  | exception Lexer_oracle.Error (pos, msg) -> Error (`Lex (pos, msg))
+  | exception e -> Error (`Exn (Printexc.to_string e))
+
+let lexers_agree src =
+  lex_outcome Syntax.Lexer.tokenize src = lex_outcome Lexer_oracle.tokenize src
+
+let test_lexer_oracle_corpus () =
+  List.iter
+    (fun file ->
+      Alcotest.(check bool) file true (lexers_agree (Test_programs.read_file file)))
+    (Test_analysis.corpus_files ());
+  for seed = 1 to 50 do
+    let text =
+      Pathlog.Randprog.generate
+        { Pathlog.Randprog.seed; facts = 10 + seed; rules = 1 + (seed mod 7) }
+    in
+    Alcotest.(check bool) (Printf.sprintf "randprog %d" seed) true
+      (lexers_agree text)
+  done
+
+let lexer_oracle_bytes =
+  QCheck.Test.make ~name:"sentinel lexer = oracle on random bytes"
+    ~count:1000
+    QCheck.(string_gen_of_size (Gen.int_range 0 80) Gen.char)
+    lexers_agree
+
+let lexer_oracle_fragments =
+  let fragment =
+    QCheck.Gen.oneofl
+      [ "x"; "Y_1"; "42"; "-7"; "-"; "."; ".."; ".("; ".\""; "["; "]"; "{";
+        "}"; "("; ")"; "->"; "->>"; "="; "=>"; "=>>"; "<"; "<-"; ":"; "::";
+        "?"; "?-"; "*"; "+"; "|"; ","; ";"; "@"; "not"; " "; "\t"; "\r";
+        "\n"; "%c"; "%\000"; "\000"; "\""; "\\"; "\\n"; "\\q";
+        "\\\000"; "99999999999999999999"; "\xff" ]
+  in
+  QCheck.Test.make ~name:"sentinel lexer = oracle on token soup" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(map (String.concat "") (list_size (int_range 0 30) fragment)))
+    lexers_agree
+
 let suite =
   [
     Alcotest.test_case "lexer dot disambiguation" `Quick
@@ -373,6 +421,10 @@ let suite =
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
     Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
+    Alcotest.test_case "sentinel lexer = oracle, corpus and Randprog" `Quick
+      test_lexer_oracle_corpus;
+    qtest lexer_oracle_bytes;
+    qtest lexer_oracle_fragments;
     Alcotest.test_case "parse paper reference" `Quick test_parse_paper_reference;
     Alcotest.test_case "parse left assoc" `Quick test_parse_left_assoc;
     Alcotest.test_case "parse paren class" `Quick test_parse_paren_class;

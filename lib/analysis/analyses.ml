@@ -600,19 +600,29 @@ let may_collide a b =
    found, unless one key repeats one result), plus open × group. *)
 let conflict_pairs assignments =
   let asg = Array.of_list assignments in
-  let keyed a = is_ground a.a_recv && List.for_all is_ground a.a_args in
+  let keyed =
+    Array.map (fun a -> is_ground a.a_recv && List.for_all is_ground a.a_args) asg
+  in
   let groups = Hashtbl.create 16 and buckets = Hashtbl.create 16 in
   let push tbl k i =
     Hashtbl.replace tbl k
       (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
   in
+  (* only a group holding an open assignment is compared as a whole: a
+     program of facts makes none *)
+  let open_groups = Hashtbl.create 16 in
   for i = Array.length asg - 1 downto 0 do
     let a = asg.(i) in
-    if is_ground a.a_res then begin
-      push groups (a.a_meth, List.length a.a_args) i;
-      if keyed a then push buckets (a.a_meth, a.a_recv, a.a_args) i
-    end
+    if is_ground a.a_res then
+      if keyed.(i) then push buckets (a.a_meth, a.a_recv, a.a_args) i
+      else Hashtbl.replace open_groups (a.a_meth, List.length a.a_args) ()
   done;
+  if Hashtbl.length open_groups > 0 then
+    for i = Array.length asg - 1 downto 0 do
+      let a = asg.(i) in
+      let g = (a.a_meth, List.length a.a_args) in
+      if is_ground a.a_res && Hashtbl.mem open_groups g then push groups g i
+    done;
   let pairs = ref [] in
   let compare_with i js =
     List.iter
@@ -635,8 +645,8 @@ let conflict_pairs assignments =
     (fun _ is ->
       List.iter
         (fun i ->
-          if not (keyed asg.(i)) then
-            compare_with i (List.filter (fun j -> keyed asg.(j) || i < j) is))
+          if not keyed.(i) then
+            compare_with i (List.filter (fun j -> keyed.(j) || i < j) is))
         is)
     groups;
   List.sort compare !pairs |> List.map (fun (i, j) -> (asg.(i), asg.(j)))

@@ -60,24 +60,21 @@ let analyze_spanned ?card_threshold ?(estimates = false) ?config spanned =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let invalid stmt span (why : Engine.Program.invalid) =
-    match (why, stmt) with
-    | Bad_signature msg, _ ->
-      emit
-        (Diagnostic.make ?span
-           ~context:(Syntax.Pretty.statement_to_string stmt)
-           ~code:"PL018" ~severity:Diagnostic.Error "%s" msg)
-    | Ill_formed e, Ast.Rule r ->
-      emit
-        (Diagnostic.make ?span
-           ~context:(Format.asprintf "%a" Syntax.Pretty.pp_rule r)
-           ~code:(code_of_wellformed e) ~severity:Diagnostic.Error "%a"
-           Syntax.Wellformed.pp_error e)
-    | Ill_formed e, Ast.Query _ ->
-      emit
-        (Diagnostic.make ?span
-           ~context:(Syntax.Pretty.statement_to_string stmt)
-           ~code:(code_of_wellformed e) ~severity:Diagnostic.Error "%a"
-           Syntax.Wellformed.pp_error e)
+    let code, message =
+      match why with
+      | Bad_signature msg -> ("PL018", msg)
+      | Ill_formed e ->
+        (code_of_wellformed e, Format.asprintf "%a" Syntax.Wellformed.pp_error e)
+    in
+    let context =
+      match (why, stmt) with
+      | Ill_formed _, Ast.Rule r -> Format.asprintf "%a" Syntax.Pretty.pp_rule r
+      | (Bad_signature _ | Ill_formed _), _ ->
+        Syntax.Pretty.statement_to_string stmt
+    in
+    emit
+      (Diagnostic.make ?span ~context ~code ~severity:Diagnostic.Error "%s"
+         message)
   in
   let c =
     Engine.Program.compile ~on_invalid:invalid

@@ -215,7 +215,12 @@ let test_worklist_corpus () =
     (worklist_agrees (reverse_chain 300));
   (* a dead link: everything above it is dead *)
   Alcotest.(check bool) "broken reverse chain" true
-    (worklist_agrees (reverse_chain 50 ^ "\nX[m7 ->> {Y}] <- X[zz ->> {Y}]."))
+    (worklist_agrees (reverse_chain 50 ^ "\nX[m7 ->> {Y}] <- X[zz ->> {Y}]."));
+  (* heads at a variable method and class: every method and class
+     relation becomes producible, waking the rules that wait on one *)
+  Alcotest.(check bool) "variable method and class heads" true
+    (worklist_agrees
+       "m : meth.\na[k ->> {b}].\nX[z ->> {Y}] <- X[q ->> {Y}].\nX[w ->> {Y}] <- X : dd, X[k ->> {Y}].\nX[M ->> {Y}] <- X[k ->> {Y}], M : meth.\nX : C <- X[k ->> {C}].\n?- X[z ->> {Y}].")
 
 let worklist_randprog =
   QCheck.Test.make ~name:"producibility worklist = sweep (Randprog)" ~count:150

@@ -602,9 +602,10 @@ let server_throughput ~requests =
       "4 clients x %d requests against the in-process server, company(100)"
 
 (* The lock-free read path at scale: domain-backed workers evaluate query
-   requests concurrently (no writes, so every read validates lock-free). cache_capacity = 1 keeps the
-   result cache nearly useless (4 distinct queries evict each other), so
-   throughput measures parallel evaluation, not cache hits. *)
+   requests concurrently (no writes, so every read validates lock-free).
+   At cache_capacity = 1 (byte) every frame is over an eighth of the
+   budget, so the result cache holds nothing and throughput measures
+   parallel evaluation, not cache hits. *)
 let server_par_read ~requests =
   server_suite ~name:"server_par_read"
     ~config:
@@ -619,6 +620,105 @@ let server_par_read ~requests =
     ~detail:
       "4 clients x %d requests, 4 domain workers on validated reads, \
        company(100)"
+
+(* The result cache's working set: an in-process default-config server
+   over company(400), one client, 12,000 QUERYs drawn from Zipf(0.6)
+   over 2,240 distinct path queries (six shapes per employee, two per
+   manager), every reply checked against the in-process answer. The
+   distinct answers fit the default byte budget, so every request after
+   a query's first is a hit: [cache_hits] is deterministic and gated,
+   and the suite fails itself if the cache outgrows its budget. *)
+let qcache_working_set () =
+  let p = Paper.company 400 in
+  let employee i =
+    List.map
+      (fun shape -> Printf.sprintf shape i)
+      [
+        "e%d..vehicles : automobile.color[Z]";
+        "e%d..vehicles[color -> Z; producedBy -> C]";
+        "e%d.boss[city -> C]";
+        "e%d[age -> A; city -> C]";
+        "e%d.boss..vehicles.color[Z]";
+        "e%d.worksFor[D]";
+      ]
+  and manager i =
+    [
+      Printf.sprintf "X : employee[boss -> m%d]" i;
+      Printf.sprintf "X : employee[boss -> m%d]..vehicles.color[Z]" i;
+    ]
+  in
+  let queries =
+    Array.of_list
+      (List.concat_map employee (List.init 360 succ)
+      @ List.concat_map manager (List.init 40 succ))
+  in
+  let n = Array.length queries and requests = 12_000 in
+  let rng = Random.State.make [| 35 |] in
+  (* rank r (0-based) is drawn with weight 1/(r+1)^0.6; ranks map to
+     queries through a fixed shuffle, so no shape owns the head *)
+  let rank_of = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = rank_of.(i) in
+    rank_of.(i) <- rank_of.(j);
+    rank_of.(j) <- x
+  done;
+  let cdf = Array.make n 0. in
+  Array.iteri
+    (fun r _ ->
+      let w = 1. /. (float_of_int (r + 1) ** 0.6) in
+      cdf.(r) <- (if r = 0 then w else cdf.(r - 1) +. w))
+    cdf;
+  let draw () =
+    let x = Random.State.float rng cdf.(n - 1) in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    rank_of.(!lo)
+  in
+  let stream = Array.init requests (fun _ -> draw ()) in
+  let distinct = List.length (List.sort_uniq compare (Array.to_list stream)) in
+  let expected =
+    Array.map (fun q -> List.sort compare (expected_payload p q)) queries
+  in
+  let config = Pathlog.Server.default_config in
+  let srv =
+    Pathlog.Server.create ~config ~program:p (Pathlog.Server.Tcp ("127.0.0.1", 0))
+  in
+  let c = Pathlog.Client.connect (Pathlog.Server.address srv) in
+  let wrong = ref 0 in
+  let (), w =
+    wall (fun () ->
+        Array.iter
+          (fun k ->
+            match Pathlog.Client.query c queries.(k) with
+            | Ok lines when List.sort compare lines = expected.(k) -> ()
+            | Ok _ | Error _ -> incr wrong)
+          stream)
+  in
+  Pathlog.Client.close c;
+  let cs = Pathlog.Server.cache_stats srv in
+  Pathlog.Server.shutdown srv;
+  if !wrong > 0 then
+    failwith
+      (Printf.sprintf "qcache_working_set: %d of %d replies wrong" !wrong
+         requests);
+  if cs.bytes > config.cache_capacity then
+    failwith
+      (Printf.sprintf "qcache_working_set: cache_bytes %d over the budget %d"
+         cs.bytes config.cache_capacity);
+  suite "qcache_working_set" w
+    ~ops_per_s:(float_of_int requests /. max 1e-9 w)
+    ~cache_hits:cs.hits
+    ~detail:
+      (Printf.sprintf
+         "%d QUERYs on one connection to an in-process default-config \
+          server, company(400), Zipf(0.6) over %d distinct (%d drawn); \
+          cache_hits %d, cache_bytes %d of %d, %d evictions"
+         requests n distinct cs.hits cs.bytes config.cache_capacity
+         cs.evictions)
 
 (* ------------------------------------------------------------------ *)
 (* Demand-driven evaluation (PR 7): a bound-receiver query answered via
@@ -1782,6 +1882,7 @@ let main args =
       ("fixpoint_par_2j", fun () -> fixpoint_par ~jobs:2 ~reps ~base:!par_base);
       ("fixpoint_par_4j", fun () -> fixpoint_par ~jobs:4 ~reps ~base:!par_base);
       ("server_par_read", fun () -> server_par_read ~requests);
+      ("qcache_working_set", fun () -> qcache_working_set ());
       ("magic_bound_tc_10k", fun () -> magic_bound_tc ~reps);
       ("magic_company_point_400", fun () -> magic_company_point ~reps);
       ("magic_repeat_first_sight", fun () -> magic_repeat_first_sight ());

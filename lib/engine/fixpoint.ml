@@ -242,8 +242,12 @@ let sink_insert s fact =
   | None -> ()
   | Some prov ->
     if not s.built then begin
+      (* a body-less rule whose head reads no relation is a fact
+         statement run as a rule; one whose head reads a relation
+         ([a[f ->> b..g]]) derives, like any rule with a body *)
       s.source <-
-        (if s.rule.source.body = [] then Provenance.Extensional
+        (if s.rule.source.body = [] && s.rule.head_reads = [] then
+           Provenance.Extensional
          else Provenance.Derived { Provenance.rule = s.rule; binding = s.binding });
       s.built <- true
     end;

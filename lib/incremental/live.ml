@@ -607,9 +607,10 @@ let parse_batch src =
   | exception Syntax.Parser.Error (pos, msg) ->
     rejected "%a: %s" Syntax.Token.pp_pos pos msg
 
-(* Split a batch into fact statements, proper rules and signature
-   declarations; queries are rejected. *)
-let split_batch spanned =
+(* Split a batch into fact statements, proper rules (a body, or a head
+   that reads a relation) and signature declarations, compiled as a
+   program's statements are ({!Rule.classify}); queries are rejected. *)
+let split_batch t spanned =
   let facts = ref [] and rules = ref [] and sigs = ref [] in
   List.iter
     (fun ((stmt, span) : Ast.statement * Syntax.Token.span) ->
@@ -623,9 +624,11 @@ let split_batch spanned =
           | Error e ->
             rejected "ill-formed %a: %a" Syntax.Pretty.pp_rule r
               Syntax.Wellformed.pp_error e
-          | Ok () ->
-            if r.body = [] then facts := (r.head, span) :: !facts
-            else rules := (r, span) :: !rules)))
+          | Ok () -> (
+            match Rule.classify ~span t.store r with
+            | Rule.Fact f -> facts := f :: !facts
+            | Rule.Rule c -> rules := c :: !rules
+            | exception e -> raise (fail_of_exn t e)))))
     spanned;
   (List.rev !facts, List.rev !rules, List.rev !sigs)
 
@@ -652,9 +655,7 @@ let run_commit_hook t ~retract ~text =
 
 let attach p =
   let store = Program.store p in
-  let rules =
-    List.filter (fun (r : Rule.t) -> r.source.body <> []) (Program.rules p)
-  in
+  let rules = Program.rules p in
   let t =
     {
       p;
@@ -665,17 +666,12 @@ let attach p =
       commit_hook = None;
     }
   in
-  (* register the extensional multiplicities by re-executing the
-     body-less statements (idempotent; an unevaluated program loads
-     here) *)
+  (* register the extensional multiplicities by re-executing the fact
+     statements (idempotent; an unevaluated program loads here) *)
   let ctx = new_ctx () in
   List.iter
     (fun (f : Rule.fact) -> edb_insert t ctx f.f_source.head)
     (Program.facts p);
-  List.iter
-    (fun (r : Rule.t) ->
-      if r.source.body = [] then edb_insert t ctx r.source.head)
-    (Program.rules p);
   (* demand queries leave magic tuples and fragments recorded under
      synthesised rules, materialised or not: drop every derived fact, and
      the run re-derives and re-records them under the program's rules *)
@@ -687,18 +683,9 @@ let attach p =
 
 let assert_batch t src =
   let spanned = parse_batch src in
-  let facts, new_rules, sigs = split_batch spanned in
   (* compile and re-stratify BEFORE any store write: an unstratifiable or
      invalid batch must leave no trace *)
-  let compiled =
-    try List.map (fun (r, span) -> Rule.compile ~span t.store r) new_rules
-    with e -> raise (fail_of_exn t e)
-  in
-  let fact_rules =
-    try
-      List.map (fun (h, span) -> Rule.compile ~span t.store (Ast.fact h)) facts
-    with e -> raise (fail_of_exn t e)
-  in
+  let facts, compiled, sigs = split_batch t spanned in
   (if compiled <> [] then
      match Stratify.compute t.store (t.rules @ compiled) with
      | _ -> ()
@@ -709,14 +696,15 @@ let assert_batch t src =
       with e -> raise (fail_of_exn t e))
     sigs;
   let seed_rels =
-    List.concat_map (fun (r : Rule.t) -> r.defines) (fact_rules @ compiled)
+    List.concat_map (fun (f : Rule.fact) -> f.f_defines) facts
+    @ List.concat_map (fun (r : Rule.t) -> r.defines) compiled
   in
   let gate = gate_triggered ~rules:(t.rules @ compiled) ~seed_rels in
   let ctx = new_ctx () in
   let saved = t.rules in
   let baseline = Fixpoint.marks t.fix t.store in
   try
-    List.iter (fun (h, _) -> edb_insert t ctx h) facts;
+    List.iter (fun (f : Rule.fact) -> edb_insert t ctx f.f_source.head) facts;
     if compiled <> [] then set_rules t (t.rules @ compiled);
     let strategy, fp =
       if facts = [] && compiled = [] then (Counting, None)
@@ -734,18 +722,18 @@ let assert_batch t src =
 
 let retract_batch t src =
   let spanned = parse_batch src in
-  let facts, dropped_src, sigs = split_batch spanned in
+  let facts, dropped_src, sigs = split_batch t spanned in
   if sigs <> [] then
     rejected "signature declarations cannot be retracted";
   (* match retracted rules structurally against the live rule set *)
   let remaining = ref t.rules in
   let dropped = ref [] in
   List.iter
-    (fun ((r : Ast.rule), _) ->
+    (fun (r : Rule.t) ->
       match
-        List.partition (fun (lr : Rule.t) -> lr.source = r) !remaining
+        List.partition (fun (lr : Rule.t) -> lr.source = r.source) !remaining
       with
-      | [], _ -> rejected "no such rule: %a" Syntax.Pretty.pp_rule r
+      | [], _ -> rejected "no such rule: %a" Syntax.Pretty.pp_rule r.source
       | matches, rest ->
         dropped := matches @ !dropped;
         remaining := rest)
@@ -753,8 +741,8 @@ let retract_batch t src =
   let seed_rels =
     List.concat_map (fun (r : Rule.t) -> r.defines) !dropped
     @ List.filter_map
-        (fun (h, _) ->
-          Option.map rel_of (Fact.of_reference t.store h))
+        (fun (f : Rule.fact) ->
+          Option.map rel_of (Fact.of_reference t.store f.f_source.head))
         facts
   in
   let gate = gate_triggered ~rules:t.rules ~seed_rels in
@@ -762,7 +750,11 @@ let retract_batch t src =
   let ctx = new_ctx () in
   let saved = t.rules in
   try
-    let lost = List.filter_map (fun (h, _) -> edb_retract t ctx h) facts in
+    let lost =
+      List.filter_map
+        (fun (f : Rule.fact) -> edb_retract t ctx f.f_source.head)
+        facts
+    in
     if !dropped <> [] then set_rules t !remaining;
     let strategy, fp =
       if use_refresh then (Recompute, Some (refresh t ctx))

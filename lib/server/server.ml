@@ -33,7 +33,7 @@ let default_config =
     busy_retry_after_ms = 50;
     work_delay_s = 0.;
     pool_domains = false;
-    cache_capacity = 1024;
+    cache_capacity = 2 * 1024 * 1024;
     demand = false;
     admit_cost = None;
     data_dir = None;
@@ -250,11 +250,29 @@ let validated_read t f =
     Mutex.lock t.store_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.store_lock) f
 
-(* A cached answer to [key] at the current model version. The lookup is
-   a read like any other: one that overlaps a batch waits for it. *)
+let outcome_of_reply = function
+  | Protocol.Ok _ | Protocol.Pong -> Metrics.Ok
+  | Protocol.Degraded _ -> Metrics.Degraded
+  | Protocol.Busy _ -> Metrics.Busy
+  | Protocol.Err (Protocol.Timeout, _) -> Metrics.Timeout
+  | Protocol.Err (Protocol.Cancelled, _) -> Metrics.Cancelled
+  | Protocol.Err _ -> Metrics.Error
+
+(* A reply framed for the wire, with the outcome {!Metrics.record}
+   counts it under: what a QUERY/WHY hands its session. *)
+let framed reply = (outcome_of_reply reply, Protocol.render_reply reply)
+
+(* Cache keys. A QUERY is keyed by its text; a request line holds no
+   newline, so no QUERY text equals a WHY key. *)
+let why_key q = "WHY\n" ^ q
+
+(* The cached frame for [key] at the current model version, as a hit
+   is answered: only [Ok] frames are cached. The lookup is a read like
+   any other: one that overlaps a batch waits for it. *)
 let cached t key =
   validated_read t (fun () ->
-      Qcache.find t.qcache ~epoch:(Atomic.get t.model_version) key)
+      Qcache.find_frame t.qcache ~epoch:(Atomic.get t.model_version) key)
+  |> Option.map (fun frame -> (Metrics.Ok, frame))
 
 (* QUERY and WHY, after a cache miss. Queries are read-only modulo
    interning: they may add objects to the universe (constants first seen
@@ -263,7 +281,8 @@ let cached t key =
    store epoch is the read-only assertion: under {!validated_read} no
    writer ran during the run, so an epoch that moved means the request
    itself wrote to the store: the invariant violation is reported, never
-   cached. Only a validated reply is cached. *)
+   cached. The reply is rendered once; a validated [Ok] caches those
+   same bytes. *)
 let eval_readonly t ~cache_key f =
   let st = Program.store t.program in
   let attempt () =
@@ -274,14 +293,17 @@ let eval_readonly t ~cache_key f =
   in
   match validated_read t attempt with
   | `Fresh (version, reply) ->
+    let ((_, frame) as answer) = framed reply in
     (match (cache_key, reply) with
-    | Some key, Protocol.Ok _ -> Qcache.add t.qcache ~epoch:version key reply
+    | Some key, Protocol.Ok _ ->
+      Qcache.add_frame t.qcache ~epoch:version key frame
     | _ -> ());
-    reply
+    answer
   | `Moved ->
-    Protocol.Err
-      ( Protocol.Internal,
-        "invariant violation: the store changed under a read-only request" )
+    framed
+      (Protocol.Err
+         ( Protocol.Internal,
+           "invariant violation: the store changed under a read-only request" ))
 
 (* A sound answer over a budget-terminated (partial) materialisation is
    surfaced as DEGRADED, not hidden behind OK: the client learns the set
@@ -358,36 +380,48 @@ let eval_demand ?budget t q =
             in
             mark_degraded t (Protocol.Ok (render_answer t ans)))
       in
+      let ((_, frame) as answer) = framed reply in
       (match reply with
       | Protocol.Ok _ when demand_done t q ->
-        Qcache.add t.qcache ~epoch:(Atomic.get t.model_version) q reply
+        Qcache.add_frame t.qcache ~epoch:(Atomic.get t.model_version) q frame
       | _ -> ());
-      reply)
+      answer)
 
-(* A QUERY looks in the cache first: in demand mode a cached key is
-   demand-done by construction, so a repeat skips [demand_done]. *)
+(* QUERY and WHY look in the cache first: in demand mode a cached QUERY
+   key is demand-done by construction, so a repeat skips [demand_done].
+   WHY is cached only over a materialised program: before that a demand
+   first sight adds facts without moving the model version, and a proof
+   it makes possible must not be answered "not in the model" from the
+   cache. *)
 let eval_request ?budget t req =
   match req with
   | Protocol.Query q -> (
     match cached t q with
-    | Some reply -> reply
+    | Some answer -> answer
     | None when demand_pending t q -> eval_demand ?budget t q
     | None ->
       eval_readonly t ~cache_key:(Some q) (fun () ->
           mark_degraded t
             (Protocol.Ok
                (render_answer t (Program.query_string ?budget t.program q)))))
-  | Protocol.Why q ->
-    eval_readonly t ~cache_key:None (fun () ->
-        match Program.why_string ?budget t.program q with
-        | Some proof ->
-          Protocol.Ok
-            (Engine.Provenance.proof_lines (Program.universe t.program) proof)
-        | None -> Protocol.Ok [ "not in the model" ])
+  | Protocol.Why q -> (
+    let key = why_key q in
+    match cached t key with
+    | Some answer -> answer
+    | None ->
+      let cache_key =
+        if Program.materialised t.program then Some key else None
+      in
+      eval_readonly t ~cache_key (fun () ->
+          match Program.why_string ?budget t.program q with
+          | Some proof ->
+            Protocol.Ok
+              (Engine.Provenance.proof_lines (Program.universe t.program) proof)
+          | None -> Protocol.Ok [ "not in the model" ]))
   | Protocol.Ping | Protocol.Stats | Protocol.Quit | Protocol.Assert _
   | Protocol.Retract _ | Protocol.Subscribe _ ->
     (* handled inline by the session; unreachable here *)
-    Protocol.Err (Protocol.Internal, "verb not pooled")
+    framed (Protocol.Err (Protocol.Internal, "verb not pooled"))
 
 (* ------------------------------------------------------------------ *)
 (* Live mutation and subscriptions                                     *)
@@ -612,13 +646,14 @@ let register_stats t =
         ("store_set_tuples", string_of_int set_tuples);
       ]);
   Metrics.readout m "qcache" (fun () ->
-      let { Qcache.hits; misses; entries; evictions; stale } =
+      let { Qcache.hits; misses; entries; bytes; evictions; stale } =
         Qcache.stats t.qcache
       in
       [
         ("cache_hits", string_of_int hits);
         ("cache_misses", string_of_int misses);
         ("cache_entries", string_of_int entries);
+        ("cache_bytes", string_of_int bytes);
         ("cache_evictions", string_of_int evictions);
         ("cache_stale", string_of_int stale);
       ]);
@@ -638,20 +673,11 @@ let register_stats t =
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 
-let outcome_of_reply = function
-  | Protocol.Ok _ | Protocol.Pong -> Metrics.Ok
-  | Protocol.Degraded _ -> Metrics.Degraded
-  | Protocol.Busy _ -> Metrics.Busy
-  | Protocol.Err (Protocol.Timeout, _) -> Metrics.Timeout
-  | Protocol.Err (Protocol.Cancelled, _) -> Metrics.Cancelled
-  | Protocol.Err _ -> Metrics.Error
-
 (* The wire-write fault boundary: [Short] flushes a truncated frame
    before raising, so the peer observes a short read mid-payload, not a
    clean close between frames. The raise tears down this session only —
    the outer handler closes the socket and the server lives on. *)
-let write_reply oc reply =
-  let s = Protocol.render_reply reply in
+let write_frame oc s =
   match Fault.ask Fault.Wire_write with
   | None ->
     output_string oc s;
@@ -720,14 +746,14 @@ let handle_pooled_admitted t req =
       false
     | Some (Fault.Fail | Fault.Short) -> true
   in
-  if dispatch_fault then busy t "injected dispatch fault"
+  if dispatch_fault then framed (busy t "injected dispatch fault")
   else
     let eval () =
       (* the deadline is re-checked once a slot is free: a request can
          expire while waiting even though it was admitted in time... *)
       match deadline with
       | Some d when Unix.gettimeofday () > d ->
-        Protocol.Err (Protocol.Timeout, "deadline exceeded in queue")
+        framed (Protocol.Err (Protocol.Timeout, "deadline exceeded in queue"))
       | _ ->
         if t.config.work_delay_s > 0. then Thread.delay t.config.work_delay_s;
         (* ...and enforced during evaluation: the remaining deadline
@@ -739,15 +765,18 @@ let handle_pooled_admitted t req =
         eval_request ~budget t req
     in
     match Pool.run t.pool eval with
-    | Some reply -> reply
+    | Some answer -> answer
     | None ->
-      busy t
-        (Printf.sprintf "admission queue full (%d workers, queue capacity %d)"
-           (Pool.workers t.pool) (Pool.capacity t.pool))
+      framed
+        (busy t
+           (Printf.sprintf
+              "admission queue full (%d workers, queue capacity %d)"
+              (Pool.workers t.pool) (Pool.capacity t.pool)))
 
+(* QUERY and WHY: the framed reply and its outcome. *)
 let handle_pooled t req =
   match admission_reject t req with
-  | Some reply -> reply
+  | Some reply -> framed reply
   | None -> handle_pooled_admitted t req
 
 let session t fd =
@@ -769,12 +798,13 @@ let session t fd =
   (* serialises this session's reply writes with DELTA pushes from
      writer threads (see {!subscription}) *)
   let wlock = Mutex.create () in
-  let write_reply oc reply =
+  let write_frame oc frame =
     Mutex.lock wlock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock wlock)
-      (fun () -> write_reply oc reply)
+      (fun () -> write_frame oc frame)
   in
+  let write_reply oc reply = write_frame oc (Protocol.render_reply reply) in
   let finish () =
     unsubscribe_session t fd;
     Atomic.decr t.connections_active;
@@ -788,9 +818,12 @@ let session t fd =
     close_in_noerr ic;
     Mutex.unlock wlock
   in
-  let record verb reply started =
-    Metrics.record t.metrics ~verb ~outcome:(outcome_of_reply reply)
+  let record_outcome verb outcome started =
+    Metrics.record t.metrics ~verb ~outcome
       ~latency_s:(Unix.gettimeofday () -. started)
+  in
+  let record verb reply started =
+    record_outcome verb (outcome_of_reply reply) started
   in
   let rec loop () =
     (* the wire-read fault boundary; an injected failure drops this
@@ -859,9 +892,9 @@ let session t fd =
           record verb reply started;
           if not t.stopping then loop ()
         | Protocol.Query _ | Protocol.Why _ ->
-          let reply = handle_pooled t req in
-          write_reply oc reply;
-          record verb reply started;
+          let outcome, frame = handle_pooled t req in
+          write_frame oc frame;
+          record_outcome verb outcome started;
           if not t.stopping then loop ()))
   in
   (try loop () with

@@ -29,9 +29,10 @@
     re-runs). Reads that overlap no write — all of them on a read-only
     load — take no lock, so with [pool_domains] the evaluations run on
     {!Domain}s and CPU-bound query loads scale across cores. Successful
-    [QUERY] replies land in a result cache keyed by the model version
-    ({!Qcache}): a repeated query over an unchanged model is answered
-    without evaluation. A committed ASSERT/RETRACT batch, or a run that
+    [QUERY] replies, and [WHY] replies over a materialised program, land
+    in a byte-bounded result cache keyed by the model version
+    ({!Qcache}) as the frames the wire sends: a repeated request over an
+    unchanged model is answered without evaluation or rendering. A committed ASSERT/RETRACT batch, or a run that
     leaves the model degraded, moves the version and invalidates
     wholesale; materialisation does not, since a demand answer equals the
     full model's and materialising only adds facts of that model, so a
@@ -95,8 +96,11 @@ type config = {
           read path, at the cost of a handoff per request. Off by default
           — domains are a scarce resource. *)
   cache_capacity : int;
-      (** entry bound of the query result cache, keyed by the model
-          version *)
+      (** byte budget of the query result cache ({!Qcache}), keyed by
+          the model version: it holds QUERY and WHY answers as the frames
+          the wire sends, each weighing its key, its frame and
+          {!Qcache.entry_overhead}; a frame over an eighth of the budget
+          is never cached. Default 2 MiB. *)
   demand : bool;
       (** demand-driven evaluation: serve from a program that was parsed
           but {e not} materialised. The first sight of each query runs

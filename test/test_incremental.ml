@@ -494,6 +494,31 @@ let head_set_read_assert () =
   check_equiv live;
   check_clean live
 
+(* A body-less statement whose head reads a relation is a rule, and
+   Live maintains it as one: the asserted [b[g ->> {d}]] reaches
+   [a]'s set, and the retract takes it out again, as a run from scratch
+   on each extensional state does. *)
+let head_read_statement () =
+  let text = "a[f ->> b..g]. b[g ->> {c}]." in
+  let live = attach text in
+  let same_as_scratch src =
+    let scratch = Program.of_string src in
+    ignore (Program.run scratch : Fixpoint.stats);
+    Alcotest.(check (pair (list string) (list string)))
+      "live model = scratch run" ([], [])
+      (Helpers.model_diff ~before:scratch ~after:(Live.program live))
+  in
+  ignore (Live.assert_batch live "b[g ->> {d}]." : Live.batch_stats);
+  expect live "a[f ->> {d}]" true;
+  same_as_scratch (text ^ " b[g ->> {d}].");
+  check_equiv live;
+  check_clean live;
+  ignore (Live.retract_batch live "b[g ->> {c}]." : Live.batch_stats);
+  expect live "a[f ->> {c}]" false;
+  same_as_scratch "a[f ->> b..g]. b[g ->> {d}].";
+  check_equiv live;
+  check_clean live
+
 (* The provenance audit catches each fault it exists for: a cycle of
    records, a record that no longer replays, a stated fact that is not
    live, and a live fact with no record. The faults are made behind
@@ -837,6 +862,7 @@ let suite =
     case "backward: head path linked to another virtual object"
       virtual_object_linked;
     case "assert: head set reads the asserted relation" head_set_read_assert;
+    case "body-less head reading a relation is maintained" head_read_statement;
     case "check_support catches broken records" check_support_faults;
     case "corpus sweep: attach and retract each fact" corpus_sweep;
     case "why: other rule after retract" why_other_rule;

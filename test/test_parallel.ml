@@ -133,7 +133,7 @@ let test_epoch_ignores_duplicates () =
 let reply lines = Protocol.Ok lines
 
 let test_qcache_hit_and_invalidate () =
-  let qc = Qcache.create ~capacity:8 in
+  let qc = Qcache.create ~capacity:4096 in
   Alcotest.(check bool) "cold miss" true
     (Qcache.find qc ~epoch:1 "q" = None);
   Qcache.add qc ~epoch:1 "q" (reply [ "a" ]);
@@ -145,91 +145,146 @@ let test_qcache_hit_and_invalidate () =
   (* and it was evicted, not kept around *)
   let s = Qcache.stats qc in
   Alcotest.(check int) "stale entry evicted" 0 s.Qcache.entries;
+  Alcotest.(check int) "stale entry's bytes released" 0 s.Qcache.bytes;
   Alcotest.(check int) "one hit counted" 1 s.Qcache.hits;
   Alcotest.(check int) "two misses counted" 2 s.Qcache.misses
 
-(* CLOCK: at capacity an add evicts one entry, the first the hand finds
-   not hit since it last passed; a hit entry loses its bit instead and
-   survives the sweep. *)
+(* What an entry for [key] holding [r] weighs against the budget. *)
+let weight key r =
+  String.length key
+  + String.length (Protocol.render_reply r)
+  + Qcache.entry_overhead
+
+(* CLOCK under a byte budget: an add that does not fit evicts, one entry
+   at a time, the first the hand finds not hit since it last passed; a
+   hit entry loses its bit instead and survives the sweep. Every key and
+   frame below weighs the same [w], and the budget holds eight of them,
+   the fewest the eighth-of-the-budget rule lets fit. *)
 let test_qcache_clock_eviction () =
-  let qc = Qcache.create ~capacity:3 in
+  let key i = Printf.sprintf "q%c" (Char.chr (Char.code 'a' + i)) in
+  let w = weight (key 0) (reply [ key 0 ]) in
+  let capacity = 8 * w in
+  let qc = Qcache.create ~capacity in
   let add k =
     Qcache.add qc ~epoch:1 k (reply [ k ]);
-    Alcotest.(check bool) "size within capacity" true
-      ((Qcache.stats qc).Qcache.entries <= 3)
+    let s = Qcache.stats qc in
+    Alcotest.(check bool) "weight within the budget" true
+      (s.Qcache.bytes <= capacity);
+    Alcotest.(check int) "weight is entries times w" (s.Qcache.entries * w)
+      s.Qcache.bytes
   in
   (* a lookup sets the bit it observes: only misses are looked up until
      the last sweep *)
   let cached k = Qcache.find qc ~epoch:1 k <> None in
   let evictions () = (Qcache.stats qc).Qcache.evictions in
-  List.iter add [ "q1"; "q2"; "q3" ];
+  List.iter add (List.init 8 key);
   Alcotest.(check int) "full, nothing evicted" 0 (evictions ());
-  Alcotest.(check bool) "q1 hit" true (cached "q1");
-  (* the hand passes q1, clearing its bit, and evicts q2: one eviction,
-     so q1 and q3 stay beside the new q4 *)
-  add "q4";
+  Alcotest.(check bool) "qa hit" true (cached "qa");
+  (* the hand passes qa, clearing its bit, and evicts qb: one eviction,
+     so qa stays beside the new qi *)
+  add "qi";
   Alcotest.(check int) "one entry evicted" 1 (evictions ());
-  Alcotest.(check bool) "unhit q2 evicted" false (cached "q2");
-  (* q3 was never hit *)
-  add "q5";
-  Alcotest.(check bool) "unhit q3 evicted" false (cached "q3");
-  (* q1 was not hit since the hand last passed it *)
-  add "q6";
-  Alcotest.(check bool) "q1 evicted once its bit was spent" false
-    (cached "q1");
-  Alcotest.(check int) "one eviction per add at capacity" 3 (evictions ());
-  Alcotest.(check (list bool)) "the three newest cached" [ true; true; true ]
-    (List.map cached [ "q4"; "q5"; "q6" ]);
-  Alcotest.(check int) "never above capacity" 3
+  Alcotest.(check bool) "unhit qb evicted" false (cached "qb");
+  (* qc .. qh were never hit: one eviction each *)
+  List.iter add [ "qj"; "qk"; "ql"; "qm"; "qn"; "qo" ];
+  Alcotest.(check int) "one eviction per add at the budget" 7 (evictions ());
+  Alcotest.(check bool) "unhit qh evicted" false (cached "qh");
+  (* qa was not hit since the hand last passed it *)
+  add "qp";
+  Alcotest.(check bool) "qa evicted once its bit was spent" false
+    (cached "qa");
+  Alcotest.(check int) "eight evictions" 8 (evictions ());
+  Alcotest.(check (list bool)) "the eight newest cached"
+    (List.init 8 (fun _ -> true))
+    (List.map cached [ "qi"; "qj"; "qk"; "ql"; "qm"; "qn"; "qo"; "qp" ]);
+  Alcotest.(check int) "never above the budget" 8
     (Qcache.stats qc).Qcache.entries;
   (* re-adding a cached key replaces it in place: no eviction *)
-  add "q4";
-  Alcotest.(check int) "replace evicts nothing" 3 (evictions ())
+  add "qi";
+  Alcotest.(check int) "replace evicts nothing" 8 (evictions ());
+  (* a frame over an eighth of the budget is not cached, and evicts
+     nothing to make room *)
+  let big = reply [ String.make w 'x' ] in
+  Qcache.add qc ~epoch:1 "qz" big;
+  Alcotest.(check bool) "oversized frame not cached" false (cached "qz");
+  Alcotest.(check int) "oversized frame evicts nothing" 8 (evictions ());
+  (* ... and a key whose new frame is oversized loses its older one *)
+  Qcache.add qc ~epoch:1 "qi" big;
+  Alcotest.(check bool) "older frame dropped" false (cached "qi");
+  Alcotest.(check int) "seven left" (7 * w) (Qcache.stats qc).Qcache.bytes;
+  (* one heavy frame evicts as many light ones as it needs: sixteen
+     light entries fill a fresh cache, and a frame twice their weight
+     takes the room of two *)
+  let qc = Qcache.create ~capacity:(2 * capacity) in
+  List.iter (fun i -> Qcache.add qc ~epoch:1 (key i) (reply [ key i ]))
+    (List.init 16 Fun.id);
+  let heavy = reply [ key 0; String.make (w / 2) 'y' ] in
+  let hw = weight "qy" heavy in
+  Alcotest.(check bool) "heavy frame within an eighth" true
+    (hw > w && hw <= 2 * w);
+  Qcache.add qc ~epoch:1 "qy" heavy;
+  let s = Qcache.stats qc in
+  Alcotest.(check int) "two light entries evicted" 2 s.Qcache.evictions;
+  Alcotest.(check int) "fifteen entries" 15 s.Qcache.entries;
+  Alcotest.(check int) "weight of what is left" ((14 * w) + hw) s.Qcache.bytes;
+  Alcotest.(check bool) "heavy frame cached" true
+    (Qcache.find qc ~epoch:1 "qy" = Some heavy)
 
-(* Random finds and adds at random epochs against a reference map of
-   each key's latest add: a reply is only ever the latest add's, at its
-   epoch; the size never exceeds capacity; and with no more keys than
-   slots nothing is evicted. *)
+(* Random finds and adds at random epochs, of frames of random size,
+   against a reference map of each key's latest add: a reply is only
+   ever the latest add's, at its epoch, and never one weighing more than
+   an eighth of the budget; the weight never exceeds the budget; and
+   when every key's heaviest frame fits at once nothing is evicted. *)
 let qcheck_qcache_reference =
   let op =
     QCheck.Gen.(
-      triple bool (int_bound 5) (int_bound 2) |> map (fun (f, k, e) ->
-          ((if f then `Find else `Add), "q" ^ string_of_int k, e)))
+      quad bool (int_bound 15) (int_bound 2) (int_bound 120)
+      |> map (fun (f, k, e, n) ->
+             ((if f then `Find else `Add), "q" ^ string_of_int k, e, n)))
   in
   let print (cap, ops) =
     Printf.sprintf "capacity %d: %s" cap
       (String.concat "; "
          (List.map
-            (fun (o, k, e) ->
-              Printf.sprintf "%s %s@%d"
-                (match o with `Find -> "find" | `Add -> "add")
-                k e)
+            (fun (o, k, e, n) ->
+              match o with
+              | `Find -> Printf.sprintf "find %s@%d" k e
+              | `Add -> Printf.sprintf "add %s@%d (%d bytes)" k e n)
             ops))
   in
   QCheck.Test.make ~count:500 ~name:"qcache: find/add/epoch = reference map"
     (QCheck.make ~print
-       QCheck.Gen.(pair (int_range 1 4) (list_size (int_bound 60) op)))
+       QCheck.Gen.(pair (int_range 1024 3000) (list_size (int_bound 60) op)))
     (fun (capacity, ops) ->
       let qc = Qcache.create ~capacity in
-      let latest = Hashtbl.create 8 in
+      let latest = Hashtbl.create 8 and heaviest = Hashtbl.create 8 in
       let ok = ref true in
       List.iteri
-        (fun i (o, k, epoch) ->
+        (fun i (o, k, epoch, n) ->
           (match o with
           | `Add ->
-            let r = reply [ k; string_of_int epoch; string_of_int i ] in
+            let r =
+              reply
+                [ k; string_of_int epoch; string_of_int i; String.make n 'x' ]
+            in
+            let w = weight k r in
             Hashtbl.replace latest k (epoch, r);
+            if w <= capacity / 8 then
+              Hashtbl.replace heaviest k
+                (max w (Option.value ~default:0 (Hashtbl.find_opt heaviest k)));
             Qcache.add qc ~epoch k r
           | `Find -> (
             match Qcache.find qc ~epoch k with
             | None -> ()
             | Some r ->
-              ok := !ok && Hashtbl.find_opt latest k = Some (epoch, r)));
-          ok := !ok && (Qcache.stats qc).Qcache.entries <= capacity)
+              ok :=
+                !ok
+                && Hashtbl.find_opt latest k = Some (epoch, r)
+                && weight k r <= capacity / 8));
+          ok := !ok && (Qcache.stats qc).Qcache.bytes <= capacity)
         ops;
-      let keys = List.sort_uniq compare (List.map (fun (_, k, _) -> k) ops) in
-      !ok
-      && (List.length keys > capacity || (Qcache.stats qc).Qcache.evictions = 0))
+      let fits = Hashtbl.fold (fun _ w acc -> w + acc) heaviest 0 <= capacity in
+      !ok && ((not fits) || (Qcache.stats qc).Qcache.evictions = 0))
 
 let test_qcache_rejects_bad_capacity () =
   Alcotest.(check bool) "capacity 0 rejected" true

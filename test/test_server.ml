@@ -1062,7 +1062,7 @@ let golden_stats_keys =
     "latency_max_us"; "latency_p50_us"; "latency_p99_us"; "latency_le";
     "store_objects"; "store_isa_edges"; "store_scalar_tuples";
     "store_set_tuples"; "cache_hits"; "cache_misses"; "cache_entries";
-    "cache_evictions"; "cache_stale";
+    "cache_bytes"; "cache_evictions"; "cache_stale";
   ]
 
 let golden_wal_keys =
@@ -1172,6 +1172,110 @@ let test_cache_survives_first_sight () =
           Alcotest.(check int) "the assert made a stale" 1 (st "cache_stale");
           Alcotest.(check int) "no hit across the assert" (hits + 1)
             (st "cache_hits")))
+
+(* The exact bytes of one OK reply frame, read off a raw connection. *)
+let raw_frame (ic, oc) line =
+  output_string oc (line ^ "\n");
+  flush oc;
+  let header = input_line ic in
+  let n = Scanf.sscanf header "OK %d" Fun.id in
+  let b = Buffer.create 64 in
+  List.iter
+    (fun l ->
+      Buffer.add_string b l;
+      Buffer.add_char b '\n')
+    (header :: List.init n (fun _ -> input_line ic));
+  Buffer.contents b
+
+let with_raw srv f =
+  match Server.address srv with
+  | Server.Tcp (host, port) ->
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+        f (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd))
+  | Server.Unix_path _ -> Alcotest.fail "expected a TCP server"
+
+let why_program =
+  {|
+  e1[boss -> m1]. m1[boss -> c1].
+  X[up ->> {Y}] <- X[boss -> Y].
+  X[up ->> {Y}] <- X[boss -> Z], Z[up ->> {Y}].
+  |}
+
+(* A hit sends the bytes a fresh evaluation renders, for QUERY and WHY,
+   before and after an ASSERT moves the model version. *)
+let test_cache_hit_bytes () =
+  with_server ~program:why_program (fun p srv ->
+      with_raw srv (fun raw ->
+          let fresh_query q =
+            Protocol.render_reply (Protocol.Ok (expected_payload p q))
+          in
+          let fresh_why f =
+            Protocol.render_reply
+              (Protocol.Ok
+                 (match Pathlog.Program.why_string p f with
+                 | Some proof ->
+                   Pathlog.Provenance.proof_lines (Pathlog.Program.universe p)
+                     proof
+                 | None -> [ "not in the model" ]))
+          in
+          let hits () = (Server.cache_stats srv).Pathlog.Qcache.hits in
+          (* a miss, then a hit; both frames equal the fresh rendering *)
+          let check name line fresh =
+            let h = hits () in
+            let miss = raw_frame raw line in
+            let hit = raw_frame raw line in
+            Alcotest.(check int) (name ^ ": one hit") (h + 1) (hits ());
+            Alcotest.(check string) (name ^ ": miss = fresh") (fresh ()) miss;
+            Alcotest.(check string) (name ^ ": hit = fresh") (fresh ()) hit
+          in
+          let q = "e1[up ->> {X}]" and f = "e1[up ->> {c1}]" in
+          check "query" ("QUERY " ^ q) (fun () -> fresh_query q);
+          check "why" ("WHY " ^ f) (fun () -> fresh_why f);
+          Alcotest.(check bool) "the proof is a proof" true
+            (fresh_why f <> "OK 1\nnot in the model\n");
+          with_client srv (fun c ->
+              match Client.assert_facts c "c1[boss -> d1]." with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail ("ASSERT failed: " ^ e));
+          let stale = (Server.cache_stats srv).Pathlog.Qcache.stale in
+          check "query after the assert" ("QUERY " ^ q) (fun () ->
+              fresh_query q);
+          Alcotest.(check bool) "d1 in the answer" true
+            (contains ~sub:"d1" (fresh_query q));
+          check "why after the assert" ("WHY " ^ f) (fun () -> fresh_why f);
+          check "new why after the assert" "WHY e1[up ->> {d1}]" (fun () ->
+              fresh_why "e1[up ->> {d1}]");
+          Alcotest.(check int) "both earlier entries went stale" (stale + 2)
+            (Server.cache_stats srv).Pathlog.Qcache.stale))
+
+(* In demand mode a first sight adds facts without moving the model
+   version, so a WHY answered before it must not be served after it. *)
+let test_demand_why_not_cached () =
+  with_demand_server ~program:demand_program (fun p srv ->
+      with_client srv (fun c ->
+          let f = "a0[up ->> {a3}]" in
+          let why () =
+            match Client.why c f with
+            | Ok lines -> lines
+            | Error e -> Alcotest.fail ("WHY failed: " ^ e)
+          in
+          Alcotest.(check (list string))
+            "before the first sight" [ "not in the model" ] (why ());
+          ignore (query_lines c "a0[up ->> {X}]" : string list);
+          let after = why () in
+          Alcotest.(check bool) "after the first sight, a proof" true
+            (after <> [ "not in the model" ]);
+          Alcotest.(check (list string))
+            "the proof a fresh evaluation gives"
+            (match Pathlog.Program.why_string p f with
+            | Some proof ->
+              Pathlog.Provenance.proof_lines (Pathlog.Program.universe p) proof
+            | None -> [ "not in the model" ])
+            after))
 
 (* Random interleavings of first sights, repeats, ASSERT and RETRACT on
    a demand server over edge chains: every reply must equal the answer
@@ -1328,6 +1432,10 @@ let suite =
       test_admit_cost;
     Alcotest.test_case "server: STATS keys, plain/demand/data_dir" `Quick
       test_stats_golden_keys;
+    Alcotest.test_case "server: a cache hit sends fresh bytes, QUERY and WHY"
+      `Quick test_cache_hit_bytes;
+    Alcotest.test_case "server: demand WHY is not cached across a first sight"
+      `Quick test_demand_why_not_cached;
     Alcotest.test_case "metrics: a name registers once" `Quick
       test_metrics_register_twice;
     Alcotest.test_case "pool: domains shed at capacity, drain on shutdown"

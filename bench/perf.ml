@@ -20,10 +20,11 @@
      --baseline FILE   read a previous report and embed per-suite
                        baseline wall times + speedup factors
      --check FILE      compare this run's counters against the committed
-                       report; exit non-zero when rule_evaluations grew
-                       or cache_hits fell by more than 20%%, or (without
-                       --only) when a committed suite with either counter
-                       was not run (used by CI)
+                       report; exit non-zero when rule_evaluations,
+                       transforms or words_per_fact grew or cache_hits
+                       fell by more than 20%%, or (without --only) when a
+                       committed suite with such a counter was not run
+                       (used by CI)
      --only PREFIX     run only the suites whose name starts with PREFIX
                        (e.g. --only regex for the automaton suites,
                        --only e7_ for one experiment);
@@ -46,6 +47,9 @@ type suite = {
   transforms : int option;
       (* demand suites: Demand.transform calls, gated like
          rule_evaluations *)
+  words_per_fact : float option;
+      (* heap words reachable from a run program per live store tuple,
+         gated like rule_evaluations *)
   firings : int option;
   rounds : int option;
   speedup_vs_1j : float option;
@@ -55,8 +59,9 @@ type suite = {
   detail : string;
 }
 
-let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms ?firings
-    ?rounds ?speedup_vs_1j ?speedup_vs_full ~detail name wall_s =
+let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms
+    ?words_per_fact ?firings ?rounds ?speedup_vs_1j ?speedup_vs_full ~detail
+    name wall_s =
   {
     name;
     wall_s;
@@ -64,6 +69,7 @@ let suite ?ops_per_s ?rule_evaluations ?cache_hits ?transforms ?firings
     rule_evaluations;
     cache_hits;
     transforms;
+    words_per_fact;
     firings;
     rounds;
     speedup_vs_1j;
@@ -1292,12 +1298,18 @@ let load_read_paths ~reps =
   if not (Pathlog.Check.ok t) then failwith "load_read_paths: program refused by the gate";
   let run () =
     match (Pathlog.Check.analyze_spanned spanned).program with
-    | Some p -> Program.run p
+    | Some p -> (p, Program.run p)
     | None -> failwith "load_read_paths: no program"
   in
   (* the run alone: the gate's share of [run ()] is known *)
-  let stats, run_gate_s = stage run in
+  let (p, stats), run_gate_s = stage run in
   let run_s = max 0. (run_gate_s -. gate_s) in
+  (* what the served program holds per model tuple: store, provenance,
+     universe, rules and fact statements; deterministic *)
+  let words_per_fact =
+    float_of_int (Obj.reachable_words (Obj.repr p))
+    /. float_of_int (Store.size (Program.store p))
+  in
   let facts =
     match t.program with Some p -> List.length (Program.facts p) | None -> 0
   in
@@ -1305,14 +1317,16 @@ let load_read_paths ~reps =
     (Printf.sprintf "load_read_paths_%d" t.n_rules)
     (parse_s +. gate_s +. run_s)
     ~rule_evaluations:stats.Pathlog.Fixpoint.rule_evaluations
-    ~firings:stats.firings ~rounds:stats.rounds
+    ~words_per_fact ~firings:stats.firings ~rounds:stats.rounds
     ~detail:
       (Printf.sprintf
          "serve's load path on a read_paths-shaped program (%d statements, \
           %d facts, %d bytes): parse %.2f ms, gate %.2f ms (of which build \
-          %.2f ms), run %.2f ms; wall = parse + gate + run"
+          %.2f ms), run %.2f ms; wall = parse + gate + run; %.1f heap words \
+          per model tuple (%d tuples)"
          t.n_rules facts (String.length text) (ms parse_s) (ms gate_s)
-         (ms build_s) (ms run_s))
+         (ms build_s) (ms run_s) words_per_fact
+         (Store.size (Program.store p)))
 
 (* ------------------------------------------------------------------ *)
 (* Estimator accuracy: the cardinality abstract interpreter's predicted
@@ -1712,8 +1726,15 @@ let member key = function
 let as_num = function Some (Num f) -> Some f | _ -> None
 let as_str = function Some (Str s) -> Some s | _ -> None
 
-(* Per-suite (wall_s, rule_evaluations, cache_hits, transforms) from a
-   previous report. *)
+(* A suite of a previous report: its wall time and gated counters. *)
+type committed = {
+  b_wall : float option;
+  b_evals : float option;
+  b_hits : float option;
+  b_transforms : float option;
+  b_words : float option;
+}
+
 let load_report file =
   let ic = open_in_bin file in
   let len = in_channel_length ic in
@@ -1728,10 +1749,13 @@ let load_report file =
         | Some name ->
           Some
             ( name,
-              ( as_num (member "wall_s" s),
-                as_num (member "rule_evaluations" s),
-                as_num (member "cache_hits" s),
-                as_num (member "transforms" s) ) )
+              {
+                b_wall = as_num (member "wall_s" s);
+                b_evals = as_num (member "rule_evaluations" s);
+                b_hits = as_num (member "cache_hits" s);
+                b_transforms = as_num (member "transforms" s);
+                b_words = as_num (member "words_per_fact" s);
+              } )
         | None -> None)
       suites
   | _ -> []
@@ -1748,12 +1772,13 @@ let suite_json ~baseline (s : suite) =
     @ opt "rule_evaluations" s.rule_evaluations (fun x -> Num (float_of_int x))
     @ opt "cache_hits" s.cache_hits (fun x -> Num (float_of_int x))
     @ opt "transforms" s.transforms (fun x -> Num (float_of_int x))
+    @ opt "words_per_fact" s.words_per_fact (fun x -> Num x)
     @ opt "firings" s.firings (fun x -> Num (float_of_int x))
     @ opt "rounds" s.rounds (fun x -> Num (float_of_int x))
     @ opt "speedup_vs_1j" s.speedup_vs_1j (fun x -> Num x)
     @ opt "speedup_vs_full" s.speedup_vs_full (fun x -> Num x)
     @ (match base with
-      | Some (Some bw, _, _, _) ->
+      | Some { b_wall = Some bw; _ } ->
         [
           ("baseline_wall_s", Num bw);
           ("speedup", Num (bw /. max 1e-9 s.wall_s));
@@ -1761,53 +1786,57 @@ let suite_json ~baseline (s : suite) =
       | _ -> [])
     @ [ ("detail", Str s.detail) ])
 
-(* One line per failure: a suite whose rule_evaluations or transforms
-   grew, or whose cache_hits fell, by more than 20% against the
-   committed report, or — on a full run ([partial] false) — a committed
-   suite with any of these counters that this run did not produce, so a
-   renamed or dropped suite cannot leave the gate unnoticed. *)
+(* One line per failure: a suite whose rule_evaluations, transforms or
+   words_per_fact grew, or whose cache_hits fell, by more than 20%
+   against the committed report, or — on a full run ([partial] false) —
+   a committed suite with any of these counters that this run did not
+   produce, so a renamed or dropped suite cannot leave the gate
+   unnoticed. *)
 let check ~committed ~partial suites =
-  (* [up]: the counter regresses by growing (rule_evaluations,
-     transforms) rather than by falling (cache_hits) *)
-  let gate (s : suite) key ~up now baseline =
-    let baseline = int_of_float baseline in
-    let limit =
-      if up then baseline + (baseline / 5) else baseline - (baseline / 5)
-    in
-    if (up && now > limit) || ((not up) && now < limit) then begin
-      Printf.printf "CHECK FAIL %-29s %s %d %s %d (baseline %d %s20%%)\n"
-        s.name key now
-        (if up then ">" else "<")
-        limit baseline
-        (if up then "+" else "-");
-      Some
-        (Printf.sprintf "%s: %s %d vs baseline %d (%+.0f%%)" s.name key now
-           baseline
-           (100. *. ((float_of_int now /. float_of_int baseline) -. 1.)))
-    end
-    else begin
-      Printf.printf "check ok   %-29s %s %d (baseline %d)\n" s.name key now
-        baseline;
-      None
-    end
+  let num x =
+    if Float.is_integer x then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.1f" x
   in
+  (* [up]: the counter regresses by growing (rule_evaluations,
+     transforms, words_per_fact) rather than by falling (cache_hits). An
+     integer counter fails exactly where [baseline +/- baseline / 5]
+     would. *)
+  let gate (s : suite) key ~up now baseline =
+    match (now, baseline) with
+    | None, _ | _, None -> None
+    | Some now, Some baseline ->
+      let limit = if up then baseline *. 1.2 else baseline *. 0.8 in
+      if (up && now > limit) || ((not up) && now < limit) then begin
+        Printf.printf "CHECK FAIL %-29s %s %s %s %s (baseline %s %s20%%)\n"
+          s.name key (num now)
+          (if up then ">" else "<")
+          (num limit) (num baseline)
+          (if up then "+" else "-");
+        Some
+          (Printf.sprintf "%s: %s %s vs baseline %s (%+.0f%%)" s.name key
+             (num now) (num baseline)
+             (100. *. ((now /. baseline) -. 1.)))
+      end
+      else begin
+        Printf.printf "check ok   %-29s %s %s (baseline %s)\n" s.name key
+          (num now) (num baseline);
+        None
+      end
+  in
+  let count = Option.map float_of_int in
   let regressed =
     List.concat_map
       (fun (s : suite) ->
         match List.assoc_opt s.name committed with
         | None -> []
-        | Some (_, evals, hits, transforms) ->
+        | Some b ->
           List.filter_map Fun.id
             [
-              (match (s.rule_evaluations, evals) with
-              | Some now, Some b -> gate s "rule_evaluations" ~up:true now b
-              | _ -> None);
-              (match (s.transforms, transforms) with
-              | Some now, Some b -> gate s "transforms" ~up:true now b
-              | _ -> None);
-              (match (s.cache_hits, hits) with
-              | Some now, Some b -> gate s "cache_hits" ~up:false now b
-              | _ -> None);
+              gate s "rule_evaluations" ~up:true (count s.rule_evaluations)
+                b.b_evals;
+              gate s "transforms" ~up:true (count s.transforms) b.b_transforms;
+              gate s "cache_hits" ~up:false (count s.cache_hits) b.b_hits;
+              gate s "words_per_fact" ~up:true s.words_per_fact b.b_words;
             ])
       suites
   in
@@ -1815,9 +1844,13 @@ let check ~committed ~partial suites =
     if partial then []
     else
       List.filter_map
-        (fun (name, (_, evals, hits, transforms)) ->
+        (fun (name, b) ->
           let ran = List.exists (fun (s : suite) -> s.name = name) suites in
-          if (evals = None && hits = None && transforms = None) || ran then
+          if
+            (b.b_evals = None && b.b_hits = None && b.b_transforms = None
+           && b.b_words = None)
+            || ran
+          then
             None
           else begin
             Printf.printf "CHECK FAIL %-29s in the baseline, not in this run\n"

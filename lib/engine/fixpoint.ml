@@ -223,8 +223,9 @@ let interrupt_of budget =
 
 (* Where a run's insertions go: provenance and the caller's hook. One
    sink serves a whole run and holds the firing in progress, so a firing
-   allocates no callback of its own; the derivation record is built at
-   the firing's first insertion and shared by the rest. *)
+   allocates no callback of its own; the derivation record, in the form
+   the store's records hold it, is built at the firing's first insertion
+   and shared by the rest. *)
 type sink = {
   stats : stats;
   store : Store.t;
@@ -233,7 +234,7 @@ type sink = {
   mutable hook : (Fact.t -> unit) option;  (* [None]: nothing to call *)
   mutable rule : Rule.t;
   mutable binding : Oodb.Obj_id.t array;
-  mutable source : Provenance.source;
+  mutable source : Provenance.why;
   mutable built : bool;  (* [source] is this firing's *)
 }
 
@@ -247,11 +248,12 @@ let sink_insert s fact =
          ([a[f ->> b..g]]) derives, like any rule with a body *)
       s.source <-
         (if s.rule.source.body = [] && s.rule.head_reads = [] then
-           Provenance.Extensional
-         else Provenance.Derived { Provenance.rule = s.rule; binding = s.binding });
+           Provenance.stated
+         else
+           Provenance.derived { Provenance.rule = s.rule; binding = s.binding });
       s.built <- true
     end;
-    Provenance.record prov fact s.source);
+    Provenance.record_why prov fact s.source);
   match s.on_insert with Some f -> f fact | None -> ()
 
 let sink ?provenance ?on_insert stats store rule =
@@ -264,7 +266,7 @@ let sink ?provenance ?on_insert stats store rule =
       hook = None;
       rule;
       binding = [||];
-      source = Provenance.Extensional;
+      source = Provenance.stated;
       built = false;
     }
   in

@@ -172,7 +172,7 @@ let of_compiled ?(config = Fixpoint.default_config) ?strat c =
     strat;
     queries = c.c_queries;
     config;
-    provenance = Provenance.create ();
+    provenance = Provenance.create c.c_store;
     plans = Fixpoint.plan_cache ();
     facts_loaded = false;
     materialised = Atomic.make false;
@@ -201,7 +201,7 @@ let strata t = t.strat.strata
 
 (* Execute a ground head into the store, recorded as extensional. *)
 let insert_fact ?(binding = [||]) t ~changes ~rule head =
-  let on_insert f = Provenance.record t.provenance f Provenance.Extensional in
+  let on_insert f = Provenance.record_why t.provenance f Provenance.stated in
   ignore (Head.execute ~on_insert t.store ~binding ~rule ~changes head)
 
 (* Execute the fact statements, in statement order, the first time;

@@ -10,40 +10,74 @@ type proof = {
   support : proof list;
 }
 
-module Fact_tbl = Hashtbl.Make (struct
-  type t = Fact.t
+module Store = Oodb.Store
 
-  let equal = Fact.equal
-  let hash = Fact.hash
-end)
+(* A source as a store record holds it: [Stated] is one shared constant,
+   and a firing builds one [By] for all the facts it inserts. *)
+type why = Store.why
 
-type t = source Fact_tbl.t
+type Store.why += Stated | By of derivation
 
-let create () = Fact_tbl.create 256
+let stated = Stated
+let derived d = By d
+let why = function Extensional -> Stated | Derived d -> By d
 
-let record t fact source =
-  if not (Fact_tbl.mem t fact) then Fact_tbl.add t fact source
+type t = Store.t
 
-let lookup t fact = Fact_tbl.find_opt t fact
+let create store = store
 
-let forget t fact = Fact_tbl.remove t fact
+(* Each tuple's live record, where its source is kept: found as the
+   store's removals find it. *)
+type entry = M of Store.mentry | I of Store.ientry
 
-let size t = Fact_tbl.length t
+let entry st = function
+  | Fact.F_isa (o, c) -> Option.map (fun e -> I e) (Store.isa_entry st o c)
+  | Fact.F_scalar { meth; recv; args; res } -> (
+    match Store.scalar_entry st ~meth ~recv ~args with
+    | Some e when Oodb.Obj_id.equal e.res res -> Some (M e)
+    | Some _ | None -> None)
+  | Fact.F_set { meth; recv; args; res } ->
+    Option.map (fun e -> M e) (Store.set_entry st ~meth ~recv ~args ~res)
+
+let get = function M e -> e.why | I e -> e.i_why
+let set r w = match r with M e -> e.why <- w | I e -> e.i_why <- w
+
+let entry_source r =
+  match get r with
+  | Stated -> Some Extensional
+  | By d -> Some (Derived d)
+  | _ -> None
+
+let set_source r source = set r (why source)
+
+let record_why t fact w =
+  match entry t fact with
+  | Some r -> (match get r with Store.Unrecorded -> set r w | _ -> ())
+  | None -> ()
+
+let record t fact source = record_why t fact (why source)
+let lookup t fact = Option.bind (entry t fact) entry_source
+
+let repoint t fact source =
+  Option.iter (fun r -> set_source r source) (entry t fact)
+
+let size t =
+  let recorded = function Stated | By _ -> true | _ -> false in
+  let n = ref 0 in
+  let count (e : Store.mentry) = if recorded e.why then incr n in
+  Store.iter_live_scalar t (fun _ e -> count e);
+  Store.iter_live_set t (fun _ e -> count e);
+  Oodb.Vec.iter
+    (fun (e : Store.ientry) ->
+      if Store.isa_live e && recorded e.i_why then incr n)
+    (Store.isa_log t);
+  !n
 
 (* A chain of direct class edges from [o] up to [c]; the facts supporting a
    derived (transitive) membership. A membership with no such chain is a
    value object's built-in class ([1 : integer]), which rests on no
    stored fact. *)
 let isa_support store o c =
-  let direct_parents x =
-    Oodb.Vec.fold
-      (fun acc (e : Oodb.Store.ientry) ->
-        if Oodb.Store.isa_live e && Oodb.Obj_id.equal e.i_sub x then
-          e.i_cls :: acc
-        else acc)
-      []
-      (Oodb.Store.isa_log store)
-  in
   let rec search visited x =
     if Oodb.Obj_id.equal x c then Some []
     else if Oodb.Obj_id.Set.mem x visited then None
@@ -51,12 +85,12 @@ let isa_support store o c =
       let visited = Oodb.Obj_id.Set.add x visited in
       let rec try_parents = function
         | [] -> None
-        | p :: rest -> (
-          match search visited p with
-          | Some chain -> Some (Fact.F_isa (x, p) :: chain)
+        | (e : Store.ientry) :: rest -> (
+          match search visited e.i_cls with
+          | Some chain -> Some (Fact.F_isa (x, e.i_cls) :: chain)
           | None -> try_parents rest)
       in
-      try_parents (direct_parents x)
+      try_parents (Store.isa_parents store x)
   in
   Option.value ~default:[] (search Oodb.Obj_id.Set.empty o)
 

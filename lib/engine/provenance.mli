@@ -1,12 +1,16 @@
 (** Derivation provenance and proof trees.
 
     When enabled (the default), the fixpoint records, for every tuple it
-    inserts, the {e first} derivation: one record per firing. [Live]
-    re-points a record when a retraction takes its support and the fact
-    keeps another proof. {!explain} then reconstructs a proof
-    tree: the root fact, the rule that derived it, and recursively the
-    body facts that rule matched — {!replay}ed, so the sub-facts shown are
-    a real support set for the derivation.
+    inserts, the {e first} derivation: one derivation per firing, shared
+    by the facts the firing inserts. A fact's source is kept in its own
+    store record ({!Oodb.Store.why}), so provenance adds one field per
+    record and no table: a tombstoned record drops its source, and a
+    re-asserted fact's fresh record starts unrecorded. [Live] re-points a
+    record when a retraction takes its support and the fact keeps another
+    proof. {!explain} then reconstructs a proof tree: the root fact, the
+    rule that derived it, and recursively the body facts that rule matched
+    — {!replay}ed, so the sub-facts shown are a real support set for the
+    derivation.
 
     Facts asserted by fact statements (at load or in a [Live] ASSERT
     batch) are [Extensional] leaves; skolem-creating insertions point at
@@ -25,21 +29,56 @@ type proof = {
   support : proof list;  (** body facts of the deriving rule; [] for leaves *)
 }
 
+(** The provenance of a store's facts, kept in the store's records. *)
 type t
 
-val create : unit -> t
+val create : Oodb.Store.t -> t
 
-(** Record the first derivation of a fact (later derivations keep the
-    first; {!forget} first to replace it). *)
+(** Record the first derivation of a live fact (later derivations keep
+    the first; {!repoint} replaces it). A fact not in the store records
+    nothing. *)
 val record : t -> Fact.t -> source -> unit
 
+(** The recorded source of a live fact: its record is found as the
+    store's removals find it (O(1) for a scalar tuple, a newest-first
+    index search for a set member, the object's direct edges for a class
+    edge). *)
 val lookup : t -> Fact.t -> source option
 
-(** Drop the recorded derivation of a fact (retraction support: a
-    tombstoned fact must stop explaining itself). *)
-val forget : t -> Fact.t -> unit
+(** Replace a live fact's recorded source. *)
+val repoint : t -> Fact.t -> source -> unit
 
+(** A live fact's store record, found once and then read or overwritten
+    in place: a caller that checks a fact's record and may re-point it
+    searches for it once. *)
+type entry
+
+(** The record of a live fact, found as {!lookup} finds it; [None] when
+    the fact is not live. *)
+val entry : t -> Fact.t -> entry option
+
+val entry_source : entry -> source option
+
+(** {!repoint} without the search. *)
+val set_source : entry -> source -> unit
+
+(** Live facts with a recorded source: a walk over the store. *)
 val size : t -> int
+
+(** {2 Recording without allocating}
+
+    A source as a store record holds it. The fixpoint builds one per
+    firing and records it for every fact the firing inserts; [stated] is
+    one shared constant. *)
+
+type why
+
+val stated : why
+
+val derived : derivation -> why
+
+(** {!record} of a source already in its stored form. *)
+val record_why : t -> Fact.t -> why -> unit
 
 (** The derivation's named slots and their objects: the bindings under
     which any body solution justifies the same heads. *)

@@ -6,11 +6,11 @@
    semi-naive delta rounds from a watermark. Retracted facts run the
    Backward/Forward algorithm (Motik, Nenov, Piro, Horrocks, "Incremental
    Update of Datalog Materialisation", AAAI 2015) over the store and the
-   provenance table: the firings through a lost fact name its candidate
-   consequences, each candidate is kept if a backward search finds it a
-   proof that rests on nothing in doubt, and a forward phase re-derives
-   whatever that search could not decide. Negation and set inclusion in
-   the blast radius, and rule changes, recompute. *)
+   provenance its records keep: the firings through a lost fact name its
+   candidate consequences, each candidate is kept if a backward search
+   finds it a proof that rests on nothing in doubt, and a forward phase
+   re-derives whatever that search could not decide. Negation and set
+   inclusion in the blast radius, and rule changes, recompute. *)
 
 module Ast = Syntax.Ast
 module Store = Oodb.Store
@@ -126,10 +126,8 @@ let tombstone t ctx f =
     | Fact.F_set { meth; recv; args; res } ->
       Store.remove_set t.store ~meth ~recv ~args ~res
   in
-  if ok then begin
-    Provenance.forget (Program.provenance t.p) f;
-    note_remove ctx f
-  end
+  (* the store clears the dead record's source *)
+  if ok then note_remove ctx f
 
 let reinsert t f =
   match f with
@@ -145,10 +143,7 @@ let drop_derived t ctx =
       if get_count t.edb f <= 0 then garbage := f :: !garbage);
   List.iter (tombstone t ctx) !garbage
 
-let repoint t f source =
-  let prov = Program.provenance t.p in
-  Provenance.forget prov f;
-  Provenance.record prov f source
+let repoint t f source = Provenance.repoint (Program.provenance t.p) f source
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint re-entry *)
@@ -335,12 +330,14 @@ let head_matches t (r : Rule.t) f =
       |> List.rev_append acc)
     [] r.source.head
 
-(* A proof of [f]: by its provenance record first, then (with [others])
-   by any rule defining its relation, solved under the bindings its head
-   pins. [strict] turns down rules whose head set has members [ok] cannot
-   vet. [doubt] is set when a solution deriving [f] is turned down;
-   [evals] counts the rules solved. *)
-let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok f =
+(* A proof of [f]: by its provenance record ([recorded], the source its
+   store record holds) first, then (with [others]) by any rule defining
+   its relation, solved under the bindings its head pins. [strict] turns
+   down rules whose head set has members [ok] cannot vet. [doubt] is set
+   when a solution deriving [f] is turned down; [evals] counts the rules
+   solved. *)
+let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok ~recorded f
+    =
   let prove (r : Rule.t) bindings =
     incr evals;
     let vetted = not (strict && head_sets r) in
@@ -361,7 +358,7 @@ let find_proof ?(doubt = ref false) t ~evals ~strict ~others ~ok f =
     else None
   in
   let record =
-    match Provenance.lookup (Program.provenance t.p) f with
+    match recorded with
     | Some (Provenance.Derived d) -> prove d.rule (Provenance.named d)
     | Some Provenance.Extensional | None -> None
   in
@@ -396,29 +393,32 @@ type search = {
 (* Is [f] safe: stated, or proved on safe facts? A stated fact is
    recorded as such. With [others] any rule may prove it and its record
    is re-pointed at the proof; a fact below it only counts by its own
-   record. *)
+   record. The fact's store record is found once: it is the liveness
+   check, the recorded proof and the place a re-point writes. *)
 let rec safe t s ~others f =
   Fact_tbl.mem s.proved f
   || (not (Fact_tbl.mem s.failed f || Fact_tbl.mem s.open_ f))
-     && live_in_store t f
-     && begin
-          Fact_tbl.replace s.open_ f ();
-          let proof =
-            if get_count t.edb f > 0 then Some Provenance.Extensional
-            else
-              find_proof t ~doubt:s.doubt ~evals:s.evals ~strict:true ~others
-                ~ok:(safe t s ~others:false) f
-              |> Option.map (fun d -> Provenance.Derived d)
-          in
-          Fact_tbl.remove s.open_ f;
-          (match proof with
-          | Some (Provenance.Derived _) when not others -> ()
-          | Some source -> repoint t f source
-          | None -> ());
-          let ok = Option.is_some proof in
-          Fact_tbl.replace (if ok then s.proved else s.failed) f ();
-          ok
-        end
+     &&
+     match Provenance.entry (Program.provenance t.p) f with
+     | None -> false
+     | Some entry ->
+       Fact_tbl.replace s.open_ f ();
+       let proof =
+         if get_count t.edb f > 0 then Some Provenance.Extensional
+         else
+           find_proof t ~doubt:s.doubt ~evals:s.evals ~strict:true ~others
+             ~ok:(safe t s ~others:false)
+             ~recorded:(Provenance.entry_source entry) f
+           |> Option.map (fun d -> Provenance.Derived d)
+       in
+       Fact_tbl.remove s.open_ f;
+       (match proof with
+       | Some (Provenance.Derived _) when not others -> ()
+       | Some source -> Provenance.set_source entry source
+       | None -> ());
+       let ok = Option.is_some proof in
+       Fact_tbl.replace (if ok then s.proved else s.failed) f ();
+       ok
 
 (* Retract the facts whose last statement the batch dropped; [true] when
    a derived fact went too. *)
@@ -463,7 +463,7 @@ let backward_forward t ctx lost =
       if not (live_in_store t f) then
         Option.iter fire
           (find_proof t ~evals:s.evals ~strict:false ~others:true
-             ~ok:(fun _ -> true) f))
+             ~ok:(fun _ -> true) ~recorded:None f))
     (List.rev !doubted);
   List.iter
     (fun (d : Provenance.derivation) ->

@@ -1,17 +1,27 @@
+type why = ..
+type why += Unrecorded
+
 (* [dead] is max_int while the tuple is live; a removal stamps it with the
    epoch the removal produced. One record is physically shared between the
    method bucket, the inverse index and the receiver index, so the single
    field write hides the tuple everywhere at once while every index keeps
    its append-only shape (watermark-based semi-naive deltas stay
-   valid). *)
+   valid). [why] is the tuple's recorded source, written by the engine's
+   provenance and cleared when the record is tombstoned. *)
 type mentry = {
   recv : Obj_id.t;
   args : Obj_id.t list;
   res : Obj_id.t;
   mutable dead : int;
+  mutable why : why;
 }
 
-type ientry = { i_sub : Obj_id.t; i_cls : Obj_id.t; mutable i_dead : int }
+type ientry = {
+  i_sub : Obj_id.t;
+  i_cls : Obj_id.t;
+  mutable i_dead : int;
+  mutable i_why : why;
+}
 
 let live e = e.dead = max_int
 let isa_live e = e.i_dead = max_int
@@ -38,7 +48,9 @@ type t = {
      race on the underlying hash tables. The critical sections are short
      and uncontended in single-threaded use. *)
   hier_lock : Mutex.t;
-  parents : Obj_id.Set.t Obj_id.Tbl.t;
+  parents : ientry list Obj_id.Tbl.t;
+      (* each object's live direct edges, newest first: the log records
+         themselves, so an edge's record is found without a log scan *)
   children : Obj_id.Set.t Obj_id.Tbl.t;
   isa_log : ientry Vec.t;
   mutable class_list : Obj_id.t list;
@@ -48,9 +60,9 @@ type t = {
   down_cache : Obj_id.Set.t Obj_id.Tbl.t;
   (* scalar methods: 0-ary tuples (the common case) live in [scalar0]
      under a packed (meth, recv) int key; tuples with extra arguments in
-     [scalar] under the full mkey *)
-  scalar0 : Obj_id.t Obj_id.Tbl.t;
-  scalar : (mkey, Obj_id.t) Hashtbl.t;
+     [scalar] under the full mkey. Both map to the tuple's live record. *)
+  scalar0 : mentry Obj_id.Tbl.t;
+  scalar : (mkey, mentry) Hashtbl.t;
   scalar_buckets : mentry Vec.t Obj_id.Tbl.t;
   scalar_inv : mentry Vec.t Obj_id.Tbl.t;  (* by [pack meth res] *)
   scalar_recv : mentry Vec.t Obj_id.Tbl.t;  (* by [pack meth recv] *)
@@ -141,29 +153,38 @@ let epoch st = st.epoch
 let direct tbl o =
   match Obj_id.Tbl.find_opt tbl o with Some s -> s | None -> Obj_id.Set.empty
 
-(* Reachability along [tbl] (parents for ancestors, children for
-   descendants), excluding the start object itself unless reachable via a
-   cycle — which add_isa prevents. *)
-let closure_raw tbl o =
+let parent_edges st o =
+  match Obj_id.Tbl.find_opt st.parents o with Some l -> l | None -> []
+
+let find_edge edges c =
+  List.find_opt (fun e -> Obj_id.equal e.i_cls c) edges
+
+(* Reachability up (ancestors, along each object's direct edges) or
+   down (descendants, along [children]), excluding the start object
+   itself unless reachable via a cycle — which add_isa prevents. *)
+let closure_raw st ~up o =
   let visited = ref Obj_id.Set.empty in
   let rec go x =
-    Obj_id.Set.iter
-      (fun n ->
-        if not (Obj_id.Set.mem n !visited) then begin
-          visited := Obj_id.Set.add n !visited;
-          go n
-        end)
-      (direct tbl x)
+    if up then List.iter (fun e -> visit e.i_cls) (parent_edges st x)
+    else Obj_id.Set.iter visit (direct st.children x)
+  and visit n =
+    if not (Obj_id.Set.mem n !visited) then begin
+      visited := Obj_id.Set.add n !visited;
+      go n
+    end
   in
   go o;
   !visited
 
+let cache_of st ~up = if up then st.up_cache else st.down_cache
+
 (* Callers must hold [hier_lock]. *)
-let closure cache tbl o =
+let closure st ~up o =
+  let cache = cache_of st ~up in
   match Obj_id.Tbl.find_opt cache o with
   | Some s -> s
   | None ->
-    let s = closure_raw tbl o in
+    let s = closure_raw st ~up o in
     Obj_id.Tbl.add cache o s;
     s
 
@@ -177,8 +198,11 @@ let with_hier st f =
     Mutex.unlock st.hier_lock;
     raise e
 
-let classes_of st o = with_hier st (fun () -> closure st.up_cache st.parents o)
-let members st c = with_hier st (fun () -> closure st.down_cache st.children c)
+let classes_of st o =
+  with_hier st (fun () -> closure st ~up:true o)
+
+let members st c =
+  with_hier st (fun () -> closure st ~up:false c)
 
 (* The value classes [integer] and [string] are built in: every integer
    value-object is a member of [integer], every string value-object of
@@ -205,11 +229,9 @@ let is_member st o c =
 
 let add_isa st o c =
   if Obj_id.equal o c then IDuplicate
-  else if Obj_id.Set.mem c (direct st.parents o) then IDuplicate
-  else if
-    builtin_member st c o
-    || Obj_id.Set.mem o (with_hier st (fun () -> closure st.up_cache st.parents c))
-  then ICycle
+  else if Option.is_some (find_edge (parent_edges st o) c) then IDuplicate
+  else if builtin_member st c o || Obj_id.Set.mem o (classes_of st c) then
+    ICycle
   else begin
     Mutex.lock st.hier_lock;
     (* Incremental closure maintenance. The new edge o -> c makes
@@ -220,11 +242,12 @@ let add_isa st o c =
        not above c), so both closures are computed safely before the
        adjacency is mutated. Only keys already cached are patched;
        uncached keys recompute lazily from the updated adjacency. *)
-    let anc = Obj_id.Set.add c (closure st.up_cache st.parents c) in
-    let desc = Obj_id.Set.add o (closure st.down_cache st.children o) in
-    Obj_id.Tbl.replace st.parents o (Obj_id.Set.add c (direct st.parents o));
+    let anc = Obj_id.Set.add c (closure st ~up:true c) in
+    let desc = Obj_id.Set.add o (closure st ~up:false o) in
+    let e = { i_sub = o; i_cls = c; i_dead = max_int; i_why = Unrecorded } in
+    Obj_id.Tbl.replace st.parents o (e :: parent_edges st o);
     Obj_id.Tbl.replace st.children c (Obj_id.Set.add o (direct st.children c));
-    Vec.push st.isa_log { i_sub = o; i_cls = c; i_dead = max_int };
+    Vec.push st.isa_log e;
     st.tuple_count <- st.tuple_count + 1;
     st.epoch <- st.epoch + 1;
     if not (Obj_id.Tbl.mem st.class_seen c) then begin
@@ -248,7 +271,14 @@ let add_isa st o c =
     IAdded
   end
 
-let has_isa st o c = Obj_id.Set.mem c (direct st.parents o)
+let isa_parents st o =
+  Mutex.lock st.hier_lock;
+  let edges = parent_edges st o in
+  Mutex.unlock st.hier_lock;
+  edges
+
+let isa_entry st o c = find_edge (isa_parents st o) c
+let has_isa st o c = Option.is_some (isa_entry st o c)
 let isa_log st = st.isa_log
 let known_classes st = List.rev st.class_list
 
@@ -286,20 +316,19 @@ let index_push tbl counts ~meth obj entry =
     Obj_id.Tbl.add tbl key v;
     bump counts meth
 
+let scalar_entry st ~meth ~recv ~args =
+  match args with
+  | [] -> Obj_id.Tbl.find_opt st.scalar0 (pack meth recv)
+  | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
+
 let add_scalar st ~meth ~recv ~args ~res =
-  let existing =
-    match args with
-    | [] -> Obj_id.Tbl.find_opt st.scalar0 (pack meth recv)
-    | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
-  in
-  match existing with
-  | Some existing ->
-    if Obj_id.equal existing res then Duplicate else Conflict existing
+  match scalar_entry st ~meth ~recv ~args with
+  | Some e -> if Obj_id.equal e.res res then Duplicate else Conflict e.res
   | None ->
+    let entry = { recv; args; res; dead = max_int; why = Unrecorded } in
     (match args with
-    | [] -> Obj_id.Tbl.add st.scalar0 (pack meth recv) res
-    | _ -> Hashtbl.add st.scalar (meth, recv, args) res);
-    let entry = { recv; args; res; dead = max_int } in
+    | [] -> Obj_id.Tbl.add st.scalar0 (pack meth recv) entry
+    | _ -> Hashtbl.add st.scalar (meth, recv, args) entry);
     let b = bucket st.scalar_buckets meth in
     if Vec.length b = 0 then st.scalar_meth_list <- meth :: st.scalar_meth_list;
     Vec.push b entry;
@@ -310,9 +339,9 @@ let add_scalar st ~meth ~recv ~args ~res =
     Added
 
 let scalar_lookup st ~meth ~recv ~args =
-  match args with
-  | [] -> Obj_id.Tbl.find_opt st.scalar0 (pack meth recv)
-  | _ -> Hashtbl.find_opt st.scalar (meth, recv, args)
+  match scalar_entry st ~meth ~recv ~args with
+  | Some e -> Some e.res
+  | None -> None
 
 let scalar_bucket st meth =
   match Obj_id.Tbl.find_opt st.scalar_buckets meth with
@@ -358,7 +387,7 @@ let add_set st ~meth ~recv ~args ~res =
   if Obj_id.Set.mem res !set then SDuplicate
   else begin
     set := Obj_id.Set.add res !set;
-    let entry = { recv; args; res; dead = max_int } in
+    let entry = { recv; args; res; dead = max_int; why = Unrecorded } in
     let b = bucket st.set_buckets meth in
     if Vec.length b = 0 then st.set_meth_list <- meth :: st.set_meth_list;
     Vec.push b entry;
@@ -410,45 +439,61 @@ let set_meths st = List.rev st.set_meth_list
    watermarks held by in-flight semi-naive evaluations stay monotone; a
    re-assertion after a removal appends a fresh entry. *)
 
+(* A tombstoned record drops its recorded source, so a dead record pins
+   no derivation. *)
 let stamp st (e : mentry) =
   st.epoch <- st.epoch + 1;
   e.dead <- st.epoch;
+  e.why <- Unrecorded;
   st.tuple_count <- st.tuple_count - 1
 
 (* Newest first: a tuple's live record is its last one, behind every
    record tombstoned before it was re-asserted. *)
-let find_live v ~args ~res =
+let find_live v ~recv ~args ~res =
   let rec go i =
     if i < 0 then None
     else
       let e = Vec.get v i in
-      if live e && e.args = args && Obj_id.equal e.res res then Some e
+      if live e && Obj_id.equal e.res res && Obj_id.equal e.recv recv
+         && e.args = args
+      then Some e
       else go (i - 1)
   in
   go (Vec.length v - 1)
 
+let member_ref st ~meth ~recv ~args =
+  match args with
+  | [] -> Obj_id.Tbl.find_opt st.set0 (pack meth recv)
+  | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
+
+(* A member's record sits in both its receiver's and its result's index:
+   search the shorter. *)
+let member_entry st ~meth ~recv ~args ~res =
+  let by_recv = set_recv_index st ~meth ~recv
+  and by_res = set_inverse st ~meth ~res in
+  find_live
+    (if Vec.length by_res < Vec.length by_recv then by_res else by_recv)
+    ~recv ~args ~res
+
+let set_entry st ~meth ~recv ~args ~res =
+  match member_ref st ~meth ~recv ~args with
+  | Some r when Obj_id.Set.mem res !r -> member_entry st ~meth ~recv ~args ~res
+  | Some _ | None -> None
+
 let remove_scalar st ~meth ~recv ~args ~res =
-  match scalar_lookup st ~meth ~recv ~args with
-  | Some existing when Obj_id.equal existing res -> (
-    match find_live (scalar_recv_index st ~meth ~recv) ~args ~res with
-    | None -> false
-    | Some e ->
-      (match args with
-      | [] -> Obj_id.Tbl.remove st.scalar0 (pack meth recv)
-      | _ -> Hashtbl.remove st.scalar (meth, recv, args));
-      stamp st e;
-      true)
+  match scalar_entry st ~meth ~recv ~args with
+  | Some e when Obj_id.equal e.res res ->
+    (match args with
+    | [] -> Obj_id.Tbl.remove st.scalar0 (pack meth recv)
+    | _ -> Hashtbl.remove st.scalar (meth, recv, args));
+    stamp st e;
+    true
   | Some _ | None -> false
 
 let remove_set st ~meth ~recv ~args ~res =
-  let set =
-    match args with
-    | [] -> Obj_id.Tbl.find_opt st.set0 (pack meth recv)
-    | _ -> Hashtbl.find_opt st.set_members (meth, recv, args)
-  in
-  match set with
+  match member_ref st ~meth ~recv ~args with
   | Some r when Obj_id.Set.mem res !r -> (
-    match find_live (set_recv_index st ~meth ~recv) ~args ~res with
+    match member_entry st ~meth ~recv ~args ~res with
     | None -> false
     | Some e ->
       r := Obj_id.Set.remove res !r;
@@ -458,10 +503,12 @@ let remove_set st ~meth ~recv ~args ~res =
   | Some _ | None -> false
 
 let remove_isa st o c =
-  if not (Obj_id.Set.mem c (direct st.parents o)) then false
-  else begin
+  match isa_entry st o c with
+  | None -> false
+  | Some e ->
     Mutex.lock st.hier_lock;
-    Obj_id.Tbl.replace st.parents o (Obj_id.Set.remove c (direct st.parents o));
+    Obj_id.Tbl.replace st.parents o
+      (List.filter (fun e' -> e' != e) (parent_edges st o));
     Obj_id.Tbl.replace st.children c
       (Obj_id.Set.remove o (direct st.children c));
     (* additions patch the closure caches incrementally; a removal
@@ -469,21 +516,12 @@ let remove_isa st o c =
        updated adjacency *)
     Obj_id.Tbl.reset st.up_cache;
     Obj_id.Tbl.reset st.down_cache;
-    (try
-       Vec.iter
-         (fun e ->
-           if isa_live e && Obj_id.equal e.i_sub o && Obj_id.equal e.i_cls c
-           then begin
-             st.epoch <- st.epoch + 1;
-             e.i_dead <- st.epoch;
-             raise Exit
-           end)
-         st.isa_log
-     with Exit -> ());
+    st.epoch <- st.epoch + 1;
+    e.i_dead <- st.epoch;
+    e.i_why <- Unrecorded;
     st.tuple_count <- st.tuple_count - 1;
     Mutex.unlock st.hier_lock;
     true
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Epoch snapshots                                                     *)
@@ -546,6 +584,13 @@ let check_invariants st =
   let obj = Universe.to_string st.universe in
   (* index records are physically shared with the bucket records *)
   let entry_mem v e = Vec.exists (fun e' -> e' == e) v in
+  (* a tombstoned record holds no recorded source *)
+  let dead_why what recv m = function
+    | Unrecorded -> ()
+    | _ ->
+      problem "dead %s record keeps its source: %s %s" what (obj recv)
+        (obj m)
+  in
   (* scalar: primary tables vs live bucket entries, both directions,
      inverse and receiver indexes. Tombstoned entries stay in every index
      (they are the same record), so membership is checked for all entries
@@ -555,19 +600,20 @@ let check_invariants st =
   List.iter
     (fun m ->
       Vec.iter
-        (fun ({ recv; args; res; dead = _ } as e) ->
+        (fun ({ recv; args; res; _ } as e) ->
           incr scalar_raw_count;
           if live e then begin
             incr scalar_bucket_count;
-            match scalar_lookup st ~meth:m ~recv ~args with
-            | Some res' when Obj_id.equal res res' -> ()
+            match scalar_entry st ~meth:m ~recv ~args with
+            | Some e' when e' == e -> ()
             | Some _ ->
               problem "scalar bucket entry disagrees with primary: %s.%s"
                 (obj recv) (obj m)
             | None ->
               problem "scalar bucket entry missing from primary: %s.%s"
                 (obj recv) (obj m)
-          end;
+          end
+          else dead_why "scalar" recv m e.why;
           if not (entry_mem (scalar_inverse st ~meth:m ~res) e) then
             problem "scalar entry missing from inverse index: %s.%s"
               (obj recv) (obj m);
@@ -592,7 +638,7 @@ let check_invariants st =
         problem "set live counter for %s says %d, bucket has %d live" (obj m)
           (set_live_count st m) live_now;
       Vec.iter
-        (fun ({ recv; args; res; dead = _ } as e) ->
+        (fun ({ recv; args; res; _ } as e) ->
           incr set_raw_count;
           if live e then begin
             incr set_bucket_count;
@@ -600,7 +646,8 @@ let check_invariants st =
             then
               problem "set bucket entry missing from member set: %s..%s"
                 (obj recv) (obj m)
-          end;
+          end
+          else dead_why "set" recv m e.why;
           if not (entry_mem (set_recv_index st ~meth:m ~recv) e) then
             problem "set entry missing from receiver index: %s..%s"
               (obj recv) (obj m))
@@ -670,18 +717,17 @@ let check_invariants st =
       if isa_live e then begin
         incr live_isa;
         let o = e.i_sub and c = e.i_cls in
-        if not (Obj_id.Set.mem c (direct st.parents o)) then
+        if not (List.memq e (parent_edges st o)) then
           problem "isa log edge missing from parents: %s : %s" (obj o)
             (obj c);
         if not (Obj_id.Set.mem o (direct st.children c)) then
           problem "isa log edge missing from children: %s : %s" (obj o)
             (obj c)
-      end)
+      end
+      else dead_why "isa" e.i_sub e.i_cls e.i_why)
     st.isa_log;
   let edge_count =
-    Obj_id.Tbl.fold
-      (fun _ s acc -> acc + Obj_id.Set.cardinal s)
-      st.parents 0
+    Obj_id.Tbl.fold (fun _ l acc -> acc + List.length l) st.parents 0
   in
   if edge_count <> !live_isa then
     problem "parents adjacency has %d edges but the log has %d live"
@@ -692,19 +738,19 @@ let check_invariants st =
         problem "hierarchy cycle through %s" (obj o))
     st.parents;
   (* incrementally maintained closure caches agree with a fresh traversal *)
-  let check_cache what cache tbl =
+  let check_cache what ~up =
     Obj_id.Tbl.iter
       (fun o cached ->
-        let fresh = closure_raw tbl o in
+        let fresh = closure_raw st ~up o in
         if not (Obj_id.Set.equal cached fresh) then
           problem "%s cache for %s is stale (%d cached, %d actual)" what
             (obj o)
             (Obj_id.Set.cardinal cached)
             (Obj_id.Set.cardinal fresh))
-      cache
+      (cache_of st ~up)
   in
-  check_cache "ancestor" st.up_cache st.parents;
-  check_cache "descendant" st.down_cache st.children;
+  check_cache "ancestor" ~up:true;
+  check_cache "descendant" ~up:false;
   (* global tuple counter counts live tuples only *)
   let total = !live_isa + !scalar_bucket_count + !set_bucket_count in
   if st.tuple_count <> total then

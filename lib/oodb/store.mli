@@ -15,18 +15,35 @@
 
 type t
 
+(** What a record says about how its tuple got into the store. The store
+    only writes [Unrecorded]: on a fresh record, and when it tombstones
+    one, so a dead record pins nothing. The engine's provenance extends
+    the type with its sources and writes them into live records. *)
+type why = ..
+
+type why += Unrecorded
+
 (** [dead] is [max_int] while the tuple is live; a removal stamps it with
     the epoch the removal produced. The same record is shared between the
-    method bucket, the inverse index and the receiver index. *)
+    method bucket, the inverse index and the receiver index (and, for a
+    scalar tuple, the lookup table), so a tuple is one record wherever it
+    is found. [why] is the tuple's recorded source. *)
 type mentry = {
   recv : Obj_id.t;
   args : Obj_id.t list;
   res : Obj_id.t;
   mutable dead : int;
+  mutable why : why;
 }
 
-(** An isa edge in the append-only log, tombstoned the same way. *)
-type ientry = { i_sub : Obj_id.t; i_cls : Obj_id.t; mutable i_dead : int }
+(** An isa edge in the append-only log, tombstoned the same way; its
+    object's list of direct edges ({!isa_parents}) shares the record. *)
+type ientry = {
+  i_sub : Obj_id.t;
+  i_cls : Obj_id.t;
+  mutable i_dead : int;
+  mutable i_why : why;
+}
 
 val live : mentry -> bool
 
@@ -88,6 +105,13 @@ val members : t -> Obj_id.t -> Obj_id.Set.t
 (** Is [o : c] a live direct edge (not a membership through the closure)? *)
 val has_isa : t -> Obj_id.t -> Obj_id.t -> bool
 
+(** The live direct edges [o : c] of [o], newest first. O(1). *)
+val isa_parents : t -> Obj_id.t -> ientry list
+
+(** The record of the live direct edge [o : c], found among
+    {!isa_parents}. *)
+val isa_entry : t -> Obj_id.t -> Obj_id.t -> ientry option
+
 (** Append-only log of directly asserted [o : c] edges, including
     tombstoned ones — filter with {!isa_live}. *)
 val isa_log : t -> ientry Vec.t
@@ -104,6 +128,10 @@ val add_scalar :
 
 val scalar_lookup :
   t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id.t option
+
+(** The live record of [recv.meth@(args)], whatever its result. O(1). *)
+val scalar_entry :
+  t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> mentry option
 
 (** All tuples of a given method, in insertion order. *)
 val scalar_bucket : t -> Obj_id.t -> mentry Vec.t
@@ -136,6 +164,14 @@ val add_set :
 val set_lookup :
   t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> Obj_id.Set.t
 
+(** The live record of the member [res] of [recv..meth@(args)]: a
+    newest-first search of the shorter of its receiver's and its result's
+    index, so the record a tuple's insertion just appended is found at
+    the first probe. *)
+val set_entry :
+  t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> res:Obj_id.t ->
+  mentry option
+
 val set_bucket : t -> Obj_id.t -> mentry Vec.t
 
 val set_inverse : t -> meth:Obj_id.t -> res:Obj_id.t -> mentry Vec.t
@@ -158,8 +194,9 @@ val set_meths : t -> Obj_id.t list
     index record is stamped dead with the epoch the removal produced.
     Buckets never shrink, so watermarks held by in-flight semi-naive
     evaluations stay monotone. Each successful removal bumps the epoch and
-    decrements {!size}; re-asserting a removed tuple appends a fresh
-    record. All three return whether the tuple was present (and live). *)
+    decrements {!size}, and resets the record's [why] to [Unrecorded];
+    re-asserting a removed tuple appends a fresh record. All three return
+    whether the tuple was present (and live). *)
 
 val remove_scalar :
   t -> meth:Obj_id.t -> recv:Obj_id.t -> args:Obj_id.t list -> res:Obj_id.t ->

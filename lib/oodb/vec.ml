@@ -1,8 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int; mutable sealed : bool }
 
-let create ?(capacity = 8) () = { data = [||]; len = 0; sealed = false } |> fun v ->
-  ignore capacity;
-  v
+let create () = { data = [||]; len = 0; sealed = false }
 
 let seal v =
   v.sealed <- true;
@@ -20,10 +18,12 @@ let get v i =
   if i < 0 || i >= v.len || i >= Array.length data then invalid_arg "Vec.get";
   data.(i)
 
+(* Capacity starts at one slot and doubles: most receiver and result
+   keys of the store's indexes hold a single record. *)
 let ensure v n =
   let cap = Array.length v.data in
   if n > cap then begin
-    let cap' = max n (max 8 (2 * cap)) in
+    let cap' = max n (2 * cap) in
     (* The dummy slots beyond [len] hold copies of an existing element (or
        the pushed one); they are never observed. *)
     let data' = Array.make cap' v.data.(0) in
@@ -33,9 +33,8 @@ let ensure v n =
 
 let push v x =
   if v.sealed then invalid_arg "Vec.push: sealed vector";
-  if Array.length v.data = 0 then begin
-    v.data <- Array.make 8 x
-  end else ensure v (v.len + 1);
+  if Array.length v.data = 0 then v.data <- [| x |]
+  else ensure v (v.len + 1);
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 

@@ -6,7 +6,9 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+(** An empty vector; the first push allocates one slot, and capacity
+    doubles from there. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 

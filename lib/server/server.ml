@@ -645,6 +645,13 @@ let register_stats t =
         ("store_scalar_tuples", string_of_int scalar_tuples);
         ("store_set_tuples", string_of_int set_tuples);
       ]);
+  (* the major heap now and at its peak, in words: O(1), no heap walk *)
+  Metrics.readout m "heap" (fun () ->
+      let { Gc.heap_words; top_heap_words; _ } = Gc.quick_stat () in
+      [
+        ("heap_words", string_of_int heap_words);
+        ("top_heap_words", string_of_int top_heap_words);
+      ]);
   Metrics.readout m "qcache" (fun () ->
       let { Qcache.hits; misses; entries; bytes; evictions; stale } =
         Qcache.stats t.qcache

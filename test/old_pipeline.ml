@@ -28,7 +28,7 @@ let compile text =
 (* The store and provenance of the minimal model. *)
 let run ?config text =
   let store, rules, _ = compile text in
-  let provenance = Provenance.create () in
+  let provenance = Provenance.create store in
   ignore
     (Fixpoint.run ?config ~provenance store
        (Fixpoint.prepare (Stratify.compute store rules))

@@ -73,7 +73,7 @@ let lockstep ?config src =
   let pb = Program.of_string ?config src in
   let sa = Program.store pa and sb = Program.store pb in
   let ua = Store.universe sa and ub = Store.universe sb in
-  let prov_a = Program.provenance pa and prov_b = Provenance.create () in
+  let prov_a = Program.provenance pa and prov_b = Provenance.create sb in
   let pairs = List.combine (Program.rules pa) (Program.rules pb) in
   let fact_pairs = List.combine (Program.facts pa) (Program.facts pb) in
   let oracle_failure = ref None in

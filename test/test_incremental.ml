@@ -544,10 +544,7 @@ let check_support_faults () =
     Pathlog.Provenance.prove store step bindings ~accept:(fun _ _ -> true)
     |> Option.get |> fst
   in
-  let set f d =
-    Pathlog.Provenance.forget prov f;
-    Pathlog.Provenance.record prov f d
-  in
+  let set f d = Pathlog.Provenance.repoint prov f d in
   let reports sub =
     List.exists (Helpers.contains ~sub) (Live.check_support live)
   in
@@ -559,7 +556,11 @@ let check_support_faults () =
       : bool);
   Alcotest.(check bool) "stale record" true (reports "does not replay");
   Alcotest.(check bool) "dead statement" true (reports "is not live");
-  Pathlog.Provenance.forget prov (tc "a" "b");
+  (match tc "a" "b" with
+  | Pathlog.Fact.F_set { meth; recv; args; res } ->
+    (Option.get (Store.set_entry store ~meth ~recv ~args ~res)).why <-
+      Store.Unrecorded
+  | _ -> assert false);
   Alcotest.(check bool) "missing record" true (reports "no provenance record")
 
 (* ------------------------------------------------------------------ *)

@@ -443,7 +443,14 @@ let test_sealed_empty_bucket () =
   Alcotest.(check int) "empty" 0 (Vec.length missing);
   Alcotest.check_raises "push on the shared empty bucket raises"
     (Invalid_argument "Vec.push: sealed vector") (fun () ->
-      Vec.push missing { Store.recv = 0; args = []; res = 0; dead = max_int });
+      Vec.push missing
+        {
+          Store.recv = 0;
+          args = [];
+          res = 0;
+          dead = max_int;
+          why = Store.Unrecorded;
+        });
   Alcotest.check_raises "clear on the shared empty bucket raises"
     (Invalid_argument "Vec.clear: sealed vector") (fun () ->
       Vec.clear missing);

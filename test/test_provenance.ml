@@ -181,6 +181,198 @@ let all_facts_explainable =
         (Pathlog.Store.set_meths store);
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Sources kept in store records = a table keyed by boxed facts *)
+
+module Store = Pathlog.Store
+module Live = Pathlog.Live
+
+type op =
+  | Insert of int
+  | Remove of int
+  | Record of int * int
+  | Repoint of int * int
+
+(* A small vocabulary, so inserts, removals and re-inserts of one fact
+   meet: scalar and set tuples with and without arguments, and class
+   edges (a scalar conflict or an isa cycle inserts nothing). *)
+let vocabulary st =
+  let o = Store.name st in
+  let objs = [ o "a"; o "b"; o "c" ] in
+  let app meth args recv res = { Fact.meth; recv; args; res } in
+  let apps meth args =
+    List.concat_map (fun r -> List.map (app meth args r) objs) objs
+  in
+  Array.of_list
+    (List.map
+       (fun a -> Fact.F_scalar a)
+       (apps (o "m") [] @ apps (o "m") [ o "a" ])
+    @ List.map (fun a -> Fact.F_set a) (apps (o "s") [] @ apps (o "s") [ o "b" ])
+    @ List.concat_map
+        (fun x ->
+          List.filter_map
+            (fun y -> if x = y then None else Some (Fact.F_isa (x, y)))
+            objs)
+        objs)
+
+let insert st = function
+  | Fact.F_isa (x, y) -> ignore (Store.add_isa st x y : Store.isa_insert)
+  | Fact.F_scalar { meth; recv; args; res } ->
+    ignore (Store.add_scalar st ~meth ~recv ~args ~res : Store.scalar_insert)
+  | Fact.F_set { meth; recv; args; res } ->
+    ignore (Store.add_set st ~meth ~recv ~args ~res : Store.set_insert)
+
+let remove st = function
+  | Fact.F_isa (x, y) -> Store.remove_isa st x y
+  | Fact.F_scalar { meth; recv; args; res } ->
+    Store.remove_scalar st ~meth ~recv ~args ~res
+  | Fact.F_set { meth; recv; args; res } ->
+    Store.remove_set st ~meth ~recv ~args ~res
+
+let in_store st f =
+  let found = ref false in
+  Fact.iter_live st (fun g -> if Fact.equal f g then found := true);
+  !found
+
+let same_source a b =
+  match (a, b) with
+  | None, None | Some Provenance.Extensional, Some Provenance.Extensional ->
+    true
+  | Some (Provenance.Derived d), Some (Provenance.Derived d') -> d == d'
+  | _ -> false
+
+let op_gen n =
+  QCheck.Gen.(
+    let fact = int_bound (n - 1) and src = int_bound 3 in
+    frequency
+      [
+        (4, map (fun f -> Insert f) fact);
+        (2, map (fun f -> Remove f) fact);
+        (3, map2 (fun f s -> Record (f, s)) fact src);
+        (2, map2 (fun f s -> Repoint (f, s)) fact src);
+      ])
+
+let show_op = function
+  | Insert f -> Printf.sprintf "insert %d" f
+  | Remove f -> Printf.sprintf "remove %d" f
+  | Record (f, s) -> Printf.sprintf "record %d %d" f s
+  | Repoint (f, s) -> Printf.sprintf "repoint %d %d" f s
+
+(* Random inserts, removals and re-inserts with record and repoint:
+   after every step each fact of the vocabulary looks up the same
+   in the store's records as in the oracle, the sizes agree, and the
+   store's audit (which checks that dead records hold no source) is
+   clean. The oracle forgets a fact on its removal, and records only
+   live facts, as the engine does. *)
+let store_records_equal_oracle =
+  let rule =
+    List.hd (Program.rules (load "X[s ->> {Y}] <- X[m -> Y]."))
+  in
+  let sources =
+    Array.init 4 (fun i ->
+        if i = 0 then Provenance.Extensional
+        else Provenance.Derived { rule; binding = [| i |] })
+  in
+  let n = Array.length (vocabulary (Store.create ())) in
+  QCheck.Test.make ~name:"store-kept provenance = fact-keyed oracle" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) (op_gen n)))
+    (fun ops ->
+      let st = Store.create () in
+      let facts = vocabulary st in
+      let prov = Provenance.create st
+      and oracle = Provenance_oracle.create () in
+      let live f = in_store st facts.(f) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Insert f -> insert st facts.(f)
+          | Remove f ->
+            if remove st facts.(f) then
+              Provenance_oracle.forget oracle facts.(f)
+          | Record (f, s) ->
+            Provenance.record prov facts.(f) sources.(s);
+            if live f then Provenance_oracle.record oracle facts.(f) sources.(s)
+          | Repoint (f, s) ->
+            Provenance.repoint prov facts.(f) sources.(s);
+            if live f then
+              Provenance_oracle.repoint oracle facts.(f) sources.(s));
+          Array.for_all
+            (fun f ->
+              same_source (Provenance.lookup prov f)
+                (Provenance_oracle.lookup oracle f))
+            facts
+          && Provenance.size prov = Provenance_oracle.size oracle
+          && Store.check_invariants st = [])
+        ops)
+
+let unrecorded = function Store.Unrecorded -> true | _ -> false
+
+let tc_live () =
+  Live.attach
+    (load
+       {|
+       a[edge ->> {b}]. b[edge ->> {c}].
+       X[tc ->> {Y}] <- X[edge ->> {Y}].
+       X[tc ->> {Y}] <- X..tc[edge ->> {Y}].
+       |})
+
+(* The records of [recv..meth] that hold [res], dead ones included. *)
+let set_records st recv meth res =
+  let o = Store.name st in
+  Oodb.Vec.to_list (Store.set_recv_index st ~meth:(o meth) ~recv:(o recv))
+  |> List.filter (fun (e : Store.mentry) -> Pathlog.Obj_id.equal e.res (o res))
+
+let test_dead_record_unrecorded () =
+  let live = tc_live () in
+  let st = Live.store live in
+  (match set_records st "a" "tc" "c" with
+  | [ e ] ->
+    Alcotest.(check bool) "derived record holds its source" false
+      (unrecorded e.why)
+  | _ -> Alcotest.fail "one record of a[tc ->> {c}]");
+  ignore (Live.retract_batch live "b[edge ->> {c}]." : Live.batch_stats);
+  match set_records st "a" "tc" "c" with
+  | [ e ] ->
+    Alcotest.(check bool) "record is dead" false (Store.live e);
+    Alcotest.(check bool) "dead record holds no source" true (unrecorded e.why)
+  | _ -> Alcotest.fail "the retracted fact keeps its one record"
+
+let test_reasserted_recorded_once () =
+  let live = tc_live () in
+  let st = Live.store live in
+  ignore (Live.retract_batch live "b[edge ->> {c}]." : Live.batch_stats);
+  ignore (Live.assert_batch live "b[edge ->> {c}]." : Live.batch_stats);
+  List.iter
+    (fun (recv, meth, res) ->
+      let records = set_records st recv meth res in
+      Alcotest.(check int) (recv ^ " " ^ meth ^ ": records") 2
+        (List.length records);
+      Alcotest.(check int) (recv ^ " " ^ meth ^ ": recorded once") 1
+        (List.length
+           (List.filter
+              (fun (e : Store.mentry) -> not (unrecorded e.why))
+              records));
+      Alcotest.(check int) (recv ^ " " ^ meth ^ ": live once") 1
+        (List.length (List.filter Store.live records)))
+    [ ("b", "edge", "c"); ("a", "tc", "c"); ("b", "tc", "c") ];
+  Alcotest.(check int) "size counts live facts" (Store.size st)
+    (Provenance.size (Program.provenance (Live.program live)))
+
+let test_support_after_cycles () =
+  let live = tc_live () in
+  for i = 1 to 6 do
+    let fact = if i mod 2 = 0 then "a[edge ->> {b}]." else "b[edge ->> {c}]." in
+    ignore (Live.retract_batch live fact : Live.batch_stats);
+    Alcotest.(check (list string)) "after retract" [] (Live.check_support live);
+    ignore (Live.assert_batch live fact : Live.batch_stats);
+    Alcotest.(check (list string)) "after re-assert" []
+      (Live.check_support live)
+  done;
+  Alcotest.(check (list string)) "store audit" []
+    (Store.check_invariants (Live.store live))
+
 let suite =
   [
     Alcotest.test_case "extensional leaf" `Quick test_extensional_leaf;
@@ -197,4 +389,11 @@ let suite =
     Alcotest.test_case "asserted fact provenance" `Quick
       test_asserted_fact_provenance;
     qtest all_facts_explainable;
+    qtest store_records_equal_oracle;
+    Alcotest.test_case "a retracted fact's dead record holds no source"
+      `Quick test_dead_record_unrecorded;
+    Alcotest.test_case "a re-asserted fact is recorded once" `Quick
+      test_reasserted_recorded_once;
+    Alcotest.test_case "support holds after retract/re-assert cycles" `Quick
+      test_support_after_cycles;
   ]

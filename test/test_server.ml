@@ -1061,7 +1061,8 @@ let golden_stats_keys =
     "requests PING ok"; "latency_count"; "latency_min_us"; "latency_mean_us";
     "latency_max_us"; "latency_p50_us"; "latency_p99_us"; "latency_le";
     "store_objects"; "store_isa_edges"; "store_scalar_tuples";
-    "store_set_tuples"; "cache_hits"; "cache_misses"; "cache_entries";
+    "store_set_tuples"; "heap_words"; "top_heap_words"; "cache_hits";
+    "cache_misses"; "cache_entries";
     "cache_bytes"; "cache_evictions"; "cache_stale";
   ]
 

@@ -260,8 +260,9 @@ let rec bound_args ctx = function
 let app_lookup ctx which (app : Ir.app) m recv args k =
   match which with
   | `Scalar -> (
-    match Store.scalar_lookup ctx.store ~meth:m ~recv ~args with
-    | Some res -> bind ctx app.res res k
+    (* the record, not [scalar_lookup]: one option per probe, not two *)
+    match Store.scalar_entry ctx.store ~meth:m ~recv ~args with
+    | Some e -> bind ctx app.res e.res k
     | None -> ())
   | `Set -> (
     let members = Store.set_lookup ctx.store ~meth:m ~recv ~args in
@@ -427,10 +428,10 @@ let regex_step store (lbl : Ir.label) obj f =
          ~args:lbl.Ir.lbl_args)
   else
     match
-      Store.scalar_lookup store ~meth:lbl.Ir.lbl_meth ~recv:obj
+      Store.scalar_entry store ~meth:lbl.Ir.lbl_meth ~recv:obj
         ~args:lbl.Ir.lbl_args
     with
-    | Some v -> f v
+    | Some e -> f e.res
     | None -> ()
 
 let regex_rstep ctx (lbl : Ir.label) obj f =
